@@ -4,90 +4,74 @@
 #include <limits>
 
 #include "graph/algorithms.hpp"
+#include "prefetch/prefix_timing.hpp"
 #include "util/check.hpp"
 
 namespace drhw {
 
 namespace {
 
-/// Reachability over the combined precedence relation: graph edges plus the
-/// per-unit execution chains. Entry [u][v] true iff u must finish before v
-/// can start.
-std::vector<std::vector<bool>> combined_reachability(
-    const SubtaskGraph& graph, const Placement& placement) {
+/// Ancestor sets over the combined precedence relation: graph edges plus the
+/// per-unit execution chains, accumulated along the topological order
+/// `topo`. Entry [v][u] true iff u must finish before v can start.
+std::vector<std::vector<bool>> combined_ancestors(
+    const SubtaskGraph& graph, const Placement& placement,
+    const std::vector<SubtaskId>& topo) {
   const std::size_t n = graph.size();
-  std::vector<std::vector<SubtaskId>> succ(n);
-  for (std::size_t v = 0; v < n; ++v)
-    for (SubtaskId w : graph.successors(static_cast<SubtaskId>(v)))
-      succ[v].push_back(w);
-  auto add_chain = [&](const std::vector<std::vector<SubtaskId>>& seqs) {
-    for (const auto& seq : seqs)
-      for (std::size_t i = 1; i < seq.size(); ++i)
-        succ[static_cast<std::size_t>(seq[i - 1])].push_back(seq[i]);
-  };
-  add_chain(placement.tile_sequence);
-  add_chain(placement.isp_sequence);
-
-  // Topological order of the combined relation (acyclic per validate()).
-  std::vector<int> indeg(n, 0);
-  for (std::size_t v = 0; v < n; ++v)
-    for (SubtaskId w : succ[v]) ++indeg[static_cast<std::size_t>(w)];
-  std::vector<SubtaskId> topo;
-  std::vector<SubtaskId> stack;
-  for (std::size_t v = 0; v < n; ++v)
-    if (indeg[v] == 0) stack.push_back(static_cast<SubtaskId>(v));
-  while (!stack.empty()) {
-    const SubtaskId v = stack.back();
-    stack.pop_back();
-    topo.push_back(v);
-    for (SubtaskId w : succ[static_cast<std::size_t>(v)])
-      if (--indeg[static_cast<std::size_t>(w)] == 0) stack.push_back(w);
-  }
-  DRHW_CHECK_MSG(topo.size() == n, "combined precedence has a cycle");
-
-  std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const auto v = static_cast<std::size_t>(*it);
-    for (SubtaskId s : succ[v]) {
-      const auto sv = static_cast<std::size_t>(s);
-      reach[v][sv] = true;
+  std::vector<std::vector<bool>> anc(n, std::vector<bool>(n, false));
+  for (SubtaskId v : topo) {
+    std::vector<bool>& av = anc[static_cast<std::size_t>(v)];
+    auto inherit = [&](SubtaskId p) {
+      const std::vector<bool>& ap = anc[static_cast<std::size_t>(p)];
+      av[static_cast<std::size_t>(p)] = true;
       for (std::size_t w = 0; w < n; ++w)
-        if (reach[sv][w]) reach[v][w] = true;
-    }
+        if (ap[w]) av[w] = true;
+    };
+    for (SubtaskId p : graph.predecessors(v)) inherit(p);
+    const SubtaskId prev = placement.prev_on_unit(v);
+    if (prev != k_no_subtask) inherit(prev);
   }
-  return reach;
+  return anc;
 }
 
 struct SearchContext {
-  SearchContext(const SubtaskGraph& g, const Placement& p,
-                const PlatformConfig& pf)
-      : graph(g), placement(p), platform(pf) {}
+  SearchContext(const SubtaskGraph& graph, const Placement& placement,
+                const PlatformConfig& platform, time_us port_from)
+      : timing(graph, placement, platform, port_from) {}
 
-  const SubtaskGraph& graph;
-  const Placement& placement;
-  const PlatformConfig& platform;
-  time_us port_from = 0;
+  PrefixTiming timing;
   std::uint64_t node_limit = 0;
-  bool prune = true;
 
-  std::vector<SubtaskId> loads;              // all load ids
-  std::vector<std::vector<int>> must_precede;  // indices into loads
-  std::vector<time_us> weight;
-
-  std::vector<SubtaskId> prefix;
+  /// Every load, by descending weight (ties toward the lower id): heavier
+  /// (more critical) loads are tried first so that the first solution found
+  /// is already strong, improving pruning.
+  std::vector<SubtaskId> loads;
+  /// Per load index: how many of its must-precede loads are still unchosen,
+  /// and which loads it must precede.
+  std::vector<int> waiting;
+  std::vector<std::vector<int>> unlocks;
   std::vector<char> chosen;
+  /// Per search depth: the candidate load indices of the node there.
+  std::vector<std::vector<int>> candidates;
+
   time_us best_makespan = std::numeric_limits<time_us>::max();
   std::vector<SubtaskId> best_order;
   std::uint64_t nodes = 0;
   bool budget_exhausted = false;
 
-  /// Evaluates `prefix` as an explicit plan restricted to the prefix loads.
-  /// Because adding loads never shortens a schedule, this is an admissible
-  /// lower bound for every completion of the prefix.
-  time_us prefix_bound() const {
-    LoadPlan plan = explicit_plan(graph, prefix);
-    return evaluate(graph, placement, platform, plan, port_from).makespan;
+  void mark(int i) {
+    chosen[static_cast<std::size_t>(i)] = 1;
+    for (int k : unlocks[static_cast<std::size_t>(i)])
+      --waiting[static_cast<std::size_t>(k)];
   }
+
+  void unmark(int i) {
+    for (int k : unlocks[static_cast<std::size_t>(i)])
+      ++waiting[static_cast<std::size_t>(k)];
+    chosen[static_cast<std::size_t>(i)] = 0;
+  }
+
+  bool available(std::size_t i) const { return !chosen[i] && waiting[i] == 0; }
 
   void dfs() {
     ++nodes;
@@ -95,114 +79,34 @@ struct SearchContext {
       budget_exhausted = true;
       return;
     }
-    if (prefix.size() == loads.size()) {
-      const time_us makespan = prefix_bound();
-      if (makespan < best_makespan) {
-        best_makespan = makespan;
-        best_order = prefix;
+    const std::size_t depth = timing.depth();
+    if (depth == loads.size()) {
+      if (timing.makespan() < best_makespan) {
+        best_makespan = timing.makespan();
+        best_order = timing.prefix();
       }
       return;
     }
-    if (prune && !prefix.empty() && prefix_bound() >= best_makespan) return;
+    // Adding loads never shortens a schedule, so the prefix makespan is an
+    // admissible lower bound for every completion of the prefix.
+    if (depth != 0 && timing.makespan() >= best_makespan) return;
 
-    // Candidates: unchosen loads whose required predecessors are all chosen.
-    // Heavier (more critical) loads are tried first so that the first
-    // solution found is already strong, improving pruning.
-    std::vector<int> candidates;
-    for (int i = 0; i < static_cast<int>(loads.size()); ++i) {
-      if (chosen[static_cast<std::size_t>(i)]) continue;
-      bool ok = true;
-      for (int p : must_precede[static_cast<std::size_t>(i)])
-        if (!chosen[static_cast<std::size_t>(p)]) {
-          ok = false;
-          break;
-        }
-      if (ok) candidates.push_back(i);
-    }
-    std::sort(candidates.begin(), candidates.end(), [&](int a, int b) {
-      const auto wa = weight[static_cast<std::size_t>(loads[static_cast<std::size_t>(a)])];
-      const auto wb = weight[static_cast<std::size_t>(loads[static_cast<std::size_t>(b)])];
-      if (wa != wb) return wa > wb;
-      return loads[static_cast<std::size_t>(a)] < loads[static_cast<std::size_t>(b)];
-    });
-    for (int i : candidates) {
-      chosen[static_cast<std::size_t>(i)] = 1;
-      prefix.push_back(loads[static_cast<std::size_t>(i)]);
+    // Candidates: unchosen loads whose required predecessors are all chosen,
+    // in `loads` order.
+    std::vector<int>& here = candidates[depth];
+    here.clear();
+    for (std::size_t i = 0; i < loads.size(); ++i)
+      if (available(i)) here.push_back(static_cast<int>(i));
+    for (int i : here) {
+      mark(i);
+      timing.extend(loads[static_cast<std::size_t>(i)]);
       dfs();
-      prefix.pop_back();
-      chosen[static_cast<std::size_t>(i)] = 0;
+      timing.undo();
+      unmark(i);
       if (budget_exhausted) return;
     }
   }
 };
-
-BnbResult search(const SubtaskGraph& graph, const Placement& placement,
-                 const PlatformConfig& platform,
-                 const std::vector<bool>& needs_load, time_us port_from,
-                 std::uint64_t node_limit, bool prune) {
-  SearchContext ctx(graph, placement, platform);
-  ctx.port_from = port_from;
-  ctx.node_limit = node_limit;
-  ctx.prune = prune;
-  for (std::size_t s = 0; s < graph.size(); ++s)
-    if (needs_load[s]) ctx.loads.push_back(static_cast<SubtaskId>(s));
-  ctx.weight = subtask_weights(graph);
-
-  // Load i must come after load j when j's subtask must have *executed*
-  // before load i's tile becomes reconfigurable (i.e. j precedes, in the
-  // combined relation, the subtask scheduled immediately before i's).
-  const auto reach = combined_reachability(graph, placement);
-  ctx.must_precede.assign(ctx.loads.size(), {});
-  for (std::size_t i = 0; i < ctx.loads.size(); ++i) {
-    const SubtaskId b = ctx.loads[i];
-    const SubtaskId prev = placement.prev_on_unit(b);
-    if (prev == k_no_subtask) continue;
-    for (std::size_t j = 0; j < ctx.loads.size(); ++j) {
-      if (i == j) continue;
-      const SubtaskId a = ctx.loads[j];
-      if (a == prev ||
-          reach[static_cast<std::size_t>(a)][static_cast<std::size_t>(prev)])
-        ctx.must_precede[i].push_back(static_cast<int>(j));
-    }
-  }
-  ctx.chosen.assign(ctx.loads.size(), 0);
-  ctx.dfs();
-
-  if (ctx.best_order.size() != ctx.loads.size()) {
-    // Node budget ran out before reaching any leaf: fall back to the greedy
-    // linear extension (take the heaviest available load each step), which
-    // is always feasible.
-    ctx.best_order.clear();
-    std::vector<char> chosen(ctx.loads.size(), 0);
-    while (ctx.best_order.size() < ctx.loads.size()) {
-      int pick = -1;
-      for (int i = 0; i < static_cast<int>(ctx.loads.size()); ++i) {
-        if (chosen[static_cast<std::size_t>(i)]) continue;
-        bool ok = true;
-        for (int p : ctx.must_precede[static_cast<std::size_t>(i)])
-          if (!chosen[static_cast<std::size_t>(p)]) {
-            ok = false;
-            break;
-          }
-        if (!ok) continue;
-        if (pick < 0 ||
-            ctx.weight[static_cast<std::size_t>(ctx.loads[static_cast<std::size_t>(i)])] >
-                ctx.weight[static_cast<std::size_t>(ctx.loads[static_cast<std::size_t>(pick)])])
-          pick = i;
-      }
-      DRHW_CHECK_MSG(pick >= 0, "load precedence is cyclic");
-      chosen[static_cast<std::size_t>(pick)] = 1;
-      ctx.best_order.push_back(ctx.loads[static_cast<std::size_t>(pick)]);
-    }
-  }
-  BnbResult result;
-  result.order = ctx.best_order;
-  result.proven_optimal = !ctx.budget_exhausted;
-  result.nodes_explored = ctx.nodes;
-  LoadPlan plan = explicit_plan(graph, result.order);
-  result.eval = evaluate(graph, placement, platform, plan, port_from);
-  return result;
-}
 
 }  // namespace
 
@@ -211,18 +115,64 @@ BnbResult optimal_prefetch(const SubtaskGraph& graph,
                            const PlatformConfig& platform,
                            const std::vector<bool>& needs_load,
                            const BnbOptions& options) {
-  return search(graph, placement, platform, needs_load,
-                options.port_available_from, options.node_limit,
-                /*prune=*/true);
-}
+  SearchContext ctx(graph, placement, platform, options.port_available_from);
+  ctx.node_limit = options.node_limit;
+  for (std::size_t s = 0; s < graph.size(); ++s)
+    if (needs_load[s]) ctx.loads.push_back(static_cast<SubtaskId>(s));
+  const auto weight = subtask_weights(graph);
+  std::sort(ctx.loads.begin(), ctx.loads.end(), [&](SubtaskId a, SubtaskId b) {
+    const auto wa = weight[static_cast<std::size_t>(a)];
+    const auto wb = weight[static_cast<std::size_t>(b)];
+    if (wa != wb) return wa > wb;
+    return a < b;
+  });
 
-BnbResult exhaustive_prefetch(const SubtaskGraph& graph,
-                              const Placement& placement,
-                              const PlatformConfig& platform,
-                              const std::vector<bool>& needs_load,
-                              time_us port_available_from) {
-  return search(graph, placement, platform, needs_load, port_available_from,
-                /*node_limit=*/0, /*prune=*/false);
+  // Load i must come after load j when j's subtask must have *executed*
+  // before load i's tile becomes reconfigurable (i.e. j precedes, in the
+  // combined relation, the subtask scheduled immediately before i's).
+  const std::size_t count = ctx.loads.size();
+  const auto anc =
+      combined_ancestors(graph, placement, ctx.timing.topo_order());
+  ctx.waiting.assign(count, 0);
+  ctx.unlocks.assign(count, {});
+  for (std::size_t i = 0; i < count; ++i) {
+    const SubtaskId prev = placement.prev_on_unit(ctx.loads[i]);
+    if (prev == k_no_subtask) continue;
+    const std::vector<bool>& before = anc[static_cast<std::size_t>(prev)];
+    for (std::size_t j = 0; j < count; ++j) {
+      const SubtaskId a = ctx.loads[j];
+      if (i != j && (a == prev || before[static_cast<std::size_t>(a)])) {
+        ++ctx.waiting[i];
+        ctx.unlocks[j].push_back(static_cast<int>(i));
+      }
+    }
+  }
+  ctx.chosen.assign(count, 0);
+  ctx.candidates.assign(count, {});
+  for (auto& c : ctx.candidates) c.reserve(count);
+  ctx.dfs();
+
+  if (ctx.best_order.size() != count) {
+    // Node budget ran out before reaching any leaf: fall back to the greedy
+    // linear extension (take the heaviest available load each step), which
+    // is always feasible.
+    ctx.best_order.clear();
+    while (ctx.best_order.size() < count) {
+      std::size_t pick = 0;
+      while (pick < count && !ctx.available(pick)) ++pick;
+      DRHW_CHECK_MSG(pick < count, "load precedence is cyclic");
+      ctx.mark(static_cast<int>(pick));
+      ctx.best_order.push_back(ctx.loads[pick]);
+    }
+  }
+  BnbResult result;
+  result.order = ctx.best_order;
+  result.proven_optimal = !ctx.budget_exhausted;
+  result.nodes_explored = ctx.nodes;
+  LoadPlan plan = explicit_plan(graph, result.order);
+  result.eval = evaluate(graph, placement, platform, plan,
+                         options.port_available_from);
+  return result;
 }
 
 }  // namespace drhw

@@ -10,6 +10,19 @@
 /// execution on that tile and the subtask's own execution, and freeing the
 /// port earlier is monotonically better), so non-delay schedules are optimal
 /// and each order induces exactly one non-delay schedule.
+///
+/// The bound at a search node is the makespan of its prefix with every
+/// other configuration taken as resident. It is computed incrementally
+/// (prefetch/prefix_timing.hpp): appending a load dispatches it after the
+/// prefix and re-times only the subtasks after it in a topological order;
+/// backtracking pops the level. This is exact, not an approximation,
+/// because of the search's `must_precede` rule: load L may only be chosen
+/// after every load that precedes (in the combined relation of graph edges
+/// and unit orders) the subtask executed before L on its tile. A load not yet
+/// chosen therefore never feeds the tile release of an earlier prefix load
+/// (if it did, it would have had to come first), so appending it at the end
+/// moves only itself and its downstream cone, never an earlier dispatch. The
+/// returned `eval` is still a full evaluate() of the best order.
 
 #include <cstdint>
 #include <vector>
@@ -44,13 +57,5 @@ BnbResult optimal_prefetch(const SubtaskGraph& graph,
                            const PlatformConfig& platform,
                            const std::vector<bool>& needs_load,
                            const BnbOptions& options = {});
-
-/// Exhaustive variant without pruning (test oracle; factorial cost — only
-/// use with a handful of loads).
-BnbResult exhaustive_prefetch(const SubtaskGraph& graph,
-                              const Placement& placement,
-                              const PlatformConfig& platform,
-                              const std::vector<bool>& needs_load,
-                              time_us port_available_from = 0);
 
 }  // namespace drhw

@@ -1,6 +1,7 @@
 #include "prefetch/critical_subtasks.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "graph/algorithms.hpp"
 #include "prefetch/bnb.hpp"
@@ -11,19 +12,25 @@ namespace drhw {
 
 namespace {
 
-/// One pass of the design-time prefetch scheduler over `needs_load`.
+/// One pass of the design-time prefetch scheduler over `needs_load`; adds
+/// the B&B statistics of the pass to `result`.
 EvalResult schedule_pass(const SubtaskGraph& graph, const Placement& placement,
                          const PlatformConfig& platform,
                          const std::vector<bool>& needs_load,
-                         const HybridDesignOptions& options) {
+                         const HybridDesignOptions& options,
+                         HybridSchedule& result) {
   int loads = 0;
   for (bool b : needs_load) loads += b;
   const bool use_bnb =
       options.scheduler == DesignScheduler::branch_and_bound ||
       (options.scheduler == DesignScheduler::auto_select &&
        loads <= options.bnb_load_threshold);
-  if (use_bnb)
-    return optimal_prefetch(graph, placement, platform, needs_load).eval;
+  if (use_bnb) {
+    BnbResult bnb = optimal_prefetch(graph, placement, platform, needs_load);
+    result.bnb_nodes += bnb.nodes_explored;
+    result.bnb_budget_hits += bnb.proven_optimal ? 0 : 1;
+    return std::move(bnb.eval);
+  }
   return list_prefetch(graph, placement, platform, needs_load);
 }
 
@@ -47,7 +54,7 @@ HybridSchedule compute_hybrid_schedule(const SubtaskGraph& graph,
   for (;;) {
     ++result.loop_iterations;
     const EvalResult eval =
-        schedule_pass(graph, placement, platform, needs, options);
+        schedule_pass(graph, placement, platform, needs, options, result);
     const time_us penalty = eval.makespan - ideal;
     DRHW_CHECK_MSG(penalty >= 0, "schedule beat the ideal makespan");
     if (penalty == 0) {

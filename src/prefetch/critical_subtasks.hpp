@@ -13,6 +13,7 @@
 ///  * the CS initialization order (descending weight), used by the run-time
 ///    initialization phase and by the inter-task optimisation.
 
+#include <cstdint>
 #include <vector>
 
 #include "platform/platform.hpp"
@@ -41,6 +42,11 @@ struct HybridSchedule {
   std::vector<SubtaskId> stored_order;
   time_us ideal_makespan = 0;
   int loop_iterations = 0;  ///< CS-loop passes (reporting/benchmarks)
+  /// Branch & bound statistics summed over the CS-loop passes that ran the
+  /// B&B: nodes explored, and passes that hit the node budget (their order
+  /// is the best found, not a proven optimum).
+  std::uint64_t bnb_nodes = 0;
+  int bnb_budget_hits = 0;
 };
 
 struct HybridDesignOptions {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "graph/algorithms.hpp"
 #include "policy/prefetch_policy.hpp"
@@ -50,8 +51,10 @@ PreparedScenario prepare_scenario(const SubtaskGraph& graph, int tiles,
   int load_count = 0;
   for (bool b : all) load_count += b;
   if (load_count <= options.bnb_load_threshold) {
-    prepared.design_order =
-        optimal_prefetch(graph, prepared.placement, platform, all).order;
+    BnbResult bnb = optimal_prefetch(graph, prepared.placement, platform, all);
+    prepared.design_order = std::move(bnb.order);
+    prepared.design_bnb_nodes = bnb.nodes_explored;
+    prepared.design_bnb_budget_hits = bnb.proven_optimal ? 0 : 1;
   } else {
     prepared.design_order =
         list_prefetch(graph, prepared.placement, platform, all).load_order;

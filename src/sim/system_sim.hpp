@@ -45,6 +45,11 @@ struct PreparedScenario {
   Placement placement;
   std::vector<time_us> weights;           ///< ALAP weights
   std::vector<SubtaskId> design_order;    ///< B&B order loading everything
+  /// Statistics of the B&B search behind design_order (zero when the list
+  /// heuristic produced it): nodes explored, and 1 when the search hit its
+  /// node budget.
+  std::uint64_t design_bnb_nodes = 0;
+  int design_bnb_budget_hits = 0;
   HybridSchedule hybrid;                  ///< CS set + stored schedule
   /// weights plus a large bonus for critical subtasks; the value vector of
   /// the critical_first replacement policy.

@@ -78,6 +78,23 @@ TEST(Cli, UnknownFlagExitsTwoWithRegisteredLists) {
   }
 }
 
+TEST(Cli, ScheduleReportsDesignTimeSearchStatistics) {
+  const std::string dir = temp_dir("cli_schedule");
+  const CliResult demo = run_cli("demo");
+  ASSERT_EQ(demo.exit_code, 0) << demo.output;
+  std::ofstream(dir + "/demo.json") << demo.output;
+  const CliResult result = run_cli("schedule " + dir + "/demo.json --tiles 4");
+  ASSERT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("optimal prefetch: 31.0 ms (B&B: 36 nodes, "
+                               "proven optimal)"),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("design-time CS loop: 2 passes, 43 B&B nodes, "
+                               "0 node-budget hits"),
+            std::string::npos)
+      << result.output;
+}
+
 TEST(Cli, GenworkIsSeedDeterministic) {
   const std::string dir_a = temp_dir("cli_genwork_a");
   const std::string dir_b = temp_dir("cli_genwork_b");

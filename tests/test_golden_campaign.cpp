@@ -11,9 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "runner/campaign.hpp"
 #include "runner/report.hpp"
@@ -120,6 +124,145 @@ TEST(GoldenCampaign, OnlinePoissonHybridIsExactlyPinned) {
     EXPECT_EQ(metrics.at("defrag_moves"), 0.0);
   }
   EXPECT_TRUE(found);
+}
+
+/// What the design-time searches of one prepared workload produced.
+struct DesignWitness {
+  std::uint64_t graphs = 0;
+  std::uint64_t searches = 0;  ///< design-order B&B searches
+  std::uint64_t nodes = 0;     ///< their nodes_explored, summed
+  std::uint64_t cs_nodes = 0;  ///< HybridSchedule::bnb_nodes, summed
+  std::uint64_t cs_passes = 0;
+  std::uint64_t budget_hits = 0;
+  /// FNV-1a over every search's order and every hybrid schedule's
+  /// critical set and stored order.
+  std::uint64_t digest = 14695981039346656037ULL;
+
+  void fold(std::int64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (static_cast<std::uint64_t>(word) >> (8 * byte)) & 0xffU;
+      digest *= 1099511628211ULL;
+    }
+  }
+  void fold(const std::vector<SubtaskId>& ids) {
+    fold(static_cast<std::int64_t>(ids.size()));
+    for (SubtaskId id : ids) fold(id);
+  }
+
+  void add(const PreparedScenario& p, const HybridDesignOptions& design) {
+    ++graphs;
+    int loads = 0;
+    for (std::size_t s = 0; s < p.graph->size(); ++s)
+      loads += p.placement.on_drhw(static_cast<SubtaskId>(s));
+    if (loads <= design.bnb_load_threshold) {
+      ++searches;
+      nodes += p.design_bnb_nodes;
+      budget_hits += static_cast<std::uint64_t>(p.design_bnb_budget_hits);
+      fold(p.design_order);
+    }
+    cs_nodes += p.hybrid.bnb_nodes;
+    cs_passes += static_cast<std::uint64_t>(p.hybrid.loop_iterations);
+    budget_hits += static_cast<std::uint64_t>(p.hybrid.bnb_budget_hits);
+    fold(p.hybrid.critical);
+    fold(p.hybrid.stored_order);
+  }
+};
+
+/// The witness over every distinct workload the scenarios matching `filter`
+/// prepare, in catalogue order.
+DesignWitness design_witness(const std::string& filter) {
+  const auto registry = ScenarioRegistry::builtin(k_iterations, k_seed);
+  WorkloadCache cache;
+  std::vector<std::shared_ptr<const void>> seen;
+  DesignWitness witness;
+  for (const Scenario& s : registry.match(filter)) {
+    std::shared_ptr<const void> owner;
+    std::vector<const PreparedScenario*> preps;
+    auto add_tasks =
+        [&](const std::vector<std::vector<PreparedScenario>>& prepared) {
+          for (const auto& task : prepared)
+            for (const PreparedScenario& p : task) preps.push_back(&p);
+        };
+    switch (s.workload) {
+      case WorkloadKind::multimedia: {
+        const auto w = cache.multimedia(s);
+        add_tasks(w->prepared);
+        owner = w;
+        break;
+      }
+      case WorkloadKind::pocket_gl:
+      case WorkloadKind::pocket_gl_frames: {
+        const auto w = cache.pocket_gl(s);
+        add_tasks(w->prepared);
+        for (const PreparedScenario& p : w->prepared_frames)
+          preps.push_back(&p);
+        owner = w;
+        break;
+      }
+      case WorkloadKind::synthetic: {
+        const auto w = cache.synthetic(s);
+        for (const PreparedScenario& p : w->prepared) preps.push_back(&p);
+        owner = w;
+        break;
+      }
+      case WorkloadKind::file:
+        ADD_FAILURE() << "no file workloads in the built-in catalogue";
+        break;
+    }
+    if (!owner || std::find(seen.begin(), seen.end(), owner) != seen.end())
+      continue;
+    seen.push_back(owner);
+    for (const PreparedScenario* p : preps) witness.add(*p, s.design);
+  }
+  return witness;
+}
+
+void expect_witness(const std::string& filter, const DesignWitness& expected) {
+  SCOPED_TRACE(filter);
+  const DesignWitness got = design_witness(filter);
+  EXPECT_EQ(got.graphs, expected.graphs);
+  EXPECT_EQ(got.searches, expected.searches);
+  EXPECT_EQ(got.nodes, expected.nodes);
+  EXPECT_EQ(got.cs_nodes, expected.cs_nodes);
+  EXPECT_EQ(got.cs_passes, expected.cs_passes);
+  EXPECT_EQ(got.budget_hits, 0u);
+  EXPECT_EQ(got.digest, expected.digest);
+}
+
+TEST(GoldenCampaign, DesignTimeSearchIsExactlyPinned) {
+  // Exactness witness for the branch & bound: the node counts and orders
+  // of every design-time search behind three built-in workloads. Identical
+  // node counts mean identical pruning decisions, so an optimisation of
+  // the search that keeps these pins cannot move any schedule. Pinned
+  // before the search switched to the incremental prefix bound.
+  DesignWitness table1;
+  table1.graphs = 6;
+  table1.searches = 6;
+  table1.nodes = 7631;
+  table1.cs_nodes = 7818;
+  table1.cs_passes = 15;
+  table1.digest = 0xdc2b845014a6232bULL;
+  expect_witness("table1", table1);
+
+  DesignWitness fig7;
+  fig7.graphs = 60;
+  fig7.searches = 40;
+  fig7.nodes = 238;
+  fig7.cs_nodes = 1127942;
+  fig7.cs_passes = 182;
+  fig7.digest = 0x649b414c1e7025c7ULL;
+  expect_witness("fig7/tiles10/", fig7);
+
+  // The longest single preparation of the catalogue: six 14-subtask
+  // synthetic graphs (graph seed 2005), 3.5 M search nodes in total.
+  DesignWitness multiport;
+  multiport.graphs = 6;
+  multiport.searches = 1;
+  multiport.nodes = 172332;
+  multiport.cs_nodes = 3306296;
+  multiport.cs_passes = 49;
+  multiport.digest = 0x0e680655a44f8eadULL;
+  expect_witness("online_multiport/t16/l4000/p1/", multiport);
 }
 
 }  // namespace

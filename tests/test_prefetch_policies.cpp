@@ -1,18 +1,23 @@
-// Tests for the prefetch schedulers: branch & bound optimality (against the
-// exhaustive oracle), the list heuristic of ref. [7], and the ordering
-// relations between policies.
+// Tests for the prefetch schedulers: branch & bound optimality (against a
+// brute-force oracle over every load permutation), the incremental prefix
+// bound the B&B searches with (against the event-driven evaluator), the
+// list heuristic of ref. [7], and the ordering relations between policies.
 //
 // drhw-lint: allow-file(wall-clock: Section 4 cost bound times the host)
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "graph/generators.hpp"
 #include "platform/platform.hpp"
 #include "prefetch/bnb.hpp"
 #include "prefetch/list_prefetch.hpp"
+#include "prefetch/prefix_timing.hpp"
 #include "schedule/list_scheduler.hpp"
 #include "schedule_checks.hpp"
 
@@ -26,6 +31,28 @@ std::vector<bool> all_drhw(const SubtaskGraph& g, const Placement& p) {
   for (std::size_t s = 0; s < g.size(); ++s)
     needs[s] = p.on_drhw(static_cast<SubtaskId>(s));
   return needs;
+}
+
+/// The optimum by brute force, sharing no code with the branch & bound:
+/// every permutation of the loads scored by the event-driven evaluator.
+/// Orders the evaluator rejects as head-of-line deadlocks are skipped.
+time_us brute_force_optimum(const SubtaskGraph& g, const Placement& p,
+                            const PlatformConfig& platform,
+                            const std::vector<bool>& needs) {
+  std::vector<SubtaskId> order;
+  for (std::size_t s = 0; s < g.size(); ++s)
+    if (needs[s]) order.push_back(static_cast<SubtaskId>(s));
+  time_us best = std::numeric_limits<time_us>::max();
+  do {
+    try {
+      best = std::min(
+          best, evaluate(g, p, platform, explicit_plan(g, order)).makespan);
+    } catch (const std::invalid_argument&) {
+      // Infeasible order: a load waits on a tile whose previous execution
+      // needs a load queued behind it.
+    }
+  } while (std::next_permutation(order.begin(), order.end()));
+  return best;
 }
 
 class RandomGraphPrefetch : public ::testing::TestWithParam<std::uint64_t> {
@@ -50,11 +77,9 @@ class RandomGraphPrefetch : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(RandomGraphPrefetch, BnbMatchesExhaustiveOptimum) {
   const auto needs = all_drhw(graph_, placement_);
   const auto bnb = optimal_prefetch(graph_, placement_, platform_, needs);
-  const auto oracle =
-      exhaustive_prefetch(graph_, placement_, platform_, needs);
   EXPECT_TRUE(bnb.proven_optimal);
-  EXPECT_EQ(bnb.eval.makespan, oracle.eval.makespan);
-  EXPECT_LE(bnb.nodes_explored, oracle.nodes_explored);
+  EXPECT_EQ(bnb.eval.makespan,
+            brute_force_optimum(graph_, placement_, platform_, needs));
 }
 
 TEST_P(RandomGraphPrefetch, PolicyOrdering) {
@@ -108,6 +133,122 @@ TEST_P(RandomGraphPrefetch, LoadRemovalIsMonotone) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphPrefetch,
                          ::testing::Range<std::uint64_t>(1, 21));
+
+/// Per subtask: the subtasks that must finish before it can start, under
+/// graph edges plus the per-unit execution orders (a plain backward search).
+std::vector<std::vector<bool>> must_finish_before(const SubtaskGraph& g,
+                                                  const Placement& p) {
+  std::vector<std::vector<bool>> before(g.size(),
+                                        std::vector<bool>(g.size(), false));
+  for (std::size_t v = 0; v < g.size(); ++v) {
+    std::vector<SubtaskId> stack{static_cast<SubtaskId>(v)};
+    while (!stack.empty()) {
+      const SubtaskId u = stack.back();
+      stack.pop_back();
+      std::vector<SubtaskId> up = g.predecessors(u);
+      if (p.prev_on_unit(u) != k_no_subtask) up.push_back(p.prev_on_unit(u));
+      for (SubtaskId w : up) {
+        if (before[v][static_cast<std::size_t>(w)]) continue;
+        before[v][static_cast<std::size_t>(w)] = true;
+        stack.push_back(w);
+      }
+    }
+  }
+  return before;
+}
+
+/// Loads that may be appended to the prefix `in_prefix` under the B&B's
+/// must_precede rule: every load that must execute before the subtask ahead
+/// of it on its tile is already in the prefix.
+std::vector<SubtaskId> appendable_loads(
+    const Placement& p, const std::vector<bool>& needs,
+    const std::vector<char>& in_prefix,
+    const std::vector<std::vector<bool>>& before) {
+  std::vector<SubtaskId> out;
+  for (std::size_t s = 0; s < needs.size(); ++s) {
+    if (!needs[s] || in_prefix[s]) continue;
+    const SubtaskId prev = p.prev_on_unit(static_cast<SubtaskId>(s));
+    bool ready = true;
+    if (prev != k_no_subtask)
+      for (std::size_t a = 0; a < needs.size() && ready; ++a)
+        ready = !(needs[a] && !in_prefix[a] &&
+                  (static_cast<SubtaskId>(a) == prev ||
+                   before[static_cast<std::size_t>(prev)][a]));
+    if (ready) out.push_back(static_cast<SubtaskId>(s));
+  }
+  return out;
+}
+
+/// A random walk of extend/undo steps over feasible prefixes, checking the
+/// incremental makespan against a from-scratch evaluation at every step.
+void walk_against_evaluator(const SubtaskGraph& g, const Placement& p,
+                            const PlatformConfig& platform, time_us port_from,
+                            Rng& rng) {
+  const auto needs = all_drhw(g, p);
+  const auto before = must_finish_before(g, p);
+  PrefixTiming timing(g, p, platform, port_from);
+  std::vector<char> in_prefix(g.size(), 0);
+  std::size_t deepest = 0;
+  for (int step = 0; step <= 150; ++step) {
+    const LoadPlan plan = explicit_plan(g, timing.prefix());
+    ASSERT_EQ(timing.makespan(),
+              evaluate(g, p, platform, plan, port_from).makespan)
+        << "step " << step << ", prefix of " << timing.depth();
+    const auto appendable = appendable_loads(p, needs, in_prefix, before);
+    if (appendable.empty() && timing.depth() == 0) break;  // nothing to load
+    if (!appendable.empty() && (timing.depth() == 0 || rng.next_bool(0.65))) {
+      const SubtaskId load = appendable[rng.pick_index(appendable)];
+      timing.extend(load);
+      in_prefix[static_cast<std::size_t>(load)] = 1;
+      deepest = std::max(deepest, timing.depth());
+    } else {
+      const SubtaskId last = timing.prefix().back();
+      timing.undo();
+      in_prefix[static_cast<std::size_t>(last)] = 0;
+    }
+  }
+  // The walk reached complete orders, not just short prefixes.
+  EXPECT_EQ(deepest, static_cast<std::size_t>(
+                         std::count(needs.begin(), needs.end(), true)));
+}
+
+TEST(PrefixTiming, MatchesEvaluatorOnRandomExtendUndoWalks) {
+  // Differential test of the B&B's incremental bound over every platform
+  // feature its timing depends on.
+  std::uint64_t seed = 0;
+  for (int ports = 1; ports <= 3; ++ports)
+    for (time_us port_from : {time_us{0}, ms(5)})
+      for (bool mesh : {false, true})
+        for (double isp_fraction : {0.0, 0.3})
+          for (bool overrides : {false, true}) {
+            SCOPED_TRACE("ports=" + std::to_string(ports) +
+                         " port_from=" + std::to_string(port_from) +
+                         " mesh=" + std::to_string(mesh) +
+                         " isp_fraction=" + std::to_string(isp_fraction) +
+                         " overrides=" + std::to_string(overrides));
+            Rng rng(++seed);
+            LayeredGraphParams params;
+            params.subtasks = 12;
+            params.max_exec = ms(10);
+            params.isp_fraction = isp_fraction;
+            SubtaskGraph g = make_layered_graph(params, rng);
+            PlatformConfig platform = virtex2_platform(5);
+            platform.reconfig_ports = ports;
+            platform.isps = 2;
+            if (mesh) {
+              platform.icn.mesh_width = 3;
+              platform.icn.hop_latency = 700;
+              platform.icn.isp_bridge_latency = 1300;
+            }
+            const Placement p = list_schedule(g, platform.tiles, platform.isps);
+            if (overrides)
+              for (std::size_t s = 0; s < g.size(); ++s)
+                if (rng.next_bool(0.5))
+                  g.subtask_mutable(static_cast<SubtaskId>(s)).load_time =
+                      ms(rng.next_int(1, 7));
+            walk_against_evaluator(g, p, platform, port_from, rng);
+          }
+}
 
 TEST(Bnb, EmptyLoadSetIsIdeal) {
   Rng rng(5);

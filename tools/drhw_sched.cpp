@@ -318,7 +318,10 @@ int cmd_schedule(const std::string& path, int tiles, time_us latency,
     needs[s] = placement.on_drhw(static_cast<SubtaskId>(s));
   const auto optimal = optimal_prefetch(graph, placement, platform, needs);
   std::cout << "optimal prefetch: " << fmt_ms(optimal.eval.makespan)
-            << " ms\n"
+            << " ms (B&B: " << optimal.nodes_explored << " nodes, "
+            << (optimal.proven_optimal ? "proven optimal"
+                                       : "node budget hit, best found")
+            << ")\n"
             << render_gantt(graph, placement, optimal.eval) << "\n";
 
   const auto design = compute_hybrid_schedule(graph, placement, platform);
@@ -333,7 +336,10 @@ int cmd_schedule(const std::string& path, int tiles, time_us latency,
   std::cout << "hybrid (|CS| = " << design.critical.size() << ", "
             << run.init_loads.size() << " init loads, "
             << run.cancelled_loads << " cancelled): "
-            << fmt_ms(run.total_makespan) << " ms\n";
+            << fmt_ms(run.total_makespan) << " ms\n"
+            << "design-time CS loop: " << design.loop_iterations
+            << " passes, " << design.bnb_nodes << " B&B nodes, "
+            << design.bnb_budget_hits << " node-budget hits\n";
   GanttOptions options;
   options.init_duration = run.init_duration;
   options.init_loads = run.init_loads;
