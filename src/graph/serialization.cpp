@@ -1,132 +1,90 @@
 #include "graph/serialization.hpp"
 
-#include <cctype>
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
+
+#include "util/json.hpp"
+#include "util/numfmt.hpp"
 
 namespace drhw {
 
 namespace {
 
-void append_escaped(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        os << c;
-    }
-  }
-  os << '"';
+[[noreturn]] void malformed(const std::string& what) {
+  throw std::invalid_argument("graph JSON: " + what);
 }
 
-/// Tiny recursive-descent parser for the subset of JSON the graph format
-/// uses (objects, arrays, strings, numbers, true/false). No dependencies.
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
+const std::string& text_of(const json::Value& v, const std::string& key) {
+  if (v.kind != json::Value::Kind::string)
+    malformed("'" + key + "' must be a string");
+  return v.text;
+}
 
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) fail(std::string(1, c));
-    ++pos_;
+const std::vector<json::Value>& items_of(const json::Value& v,
+                                         const std::string& key) {
+  if (v.kind != json::Value::Kind::array)
+    malformed("'" + key + "' must be an array");
+  return v.items;
+}
+
+/// A finite number; integer targets are range-checked before the cast
+/// (a float-to-int cast of an out-of-range value is undefined).
+template <typename T>
+T number_of(const json::Value& v, const std::string& key) {
+  if (v.kind != json::Value::Kind::number || !std::isfinite(v.number))
+    malformed("'" + key + "' must be a finite number");
+  if constexpr (std::is_integral_v<T>) {
+    // 2^(bits-1): exact in a double for every signed target type.
+    const double limit = -static_cast<double>(std::numeric_limits<T>::min());
+    if (!(v.number >= -limit && v.number < limit))
+      malformed("'" + key + "' is out of range");
   }
+  return static_cast<T>(v.number);
+}
 
-  bool try_consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
+Subtask subtask_from_json(const json::Value& v) {
+  if (v.kind != json::Value::Kind::object)
+    malformed("a subtask must be an object");
+  Subtask node;
+  for (const auto& [field, value] : v.members) {
+    if (field == "name") {
+      node.name = text_of(value, field);
+    } else if (field == "exec_us") {
+      node.exec_time = number_of<time_us>(value, field);
+    } else if (field == "resource") {
+      const std::string& res = text_of(value, field);
+      if (res == "drhw")
+        node.resource = Resource::drhw;
+      else if (res == "isp")
+        node.resource = Resource::isp;
+      else
+        throw std::invalid_argument("unknown resource '" + res + "'");
+    } else if (field == "config") {
+      node.config = number_of<ConfigId>(value, field);
+    } else if (field == "energy") {
+      node.exec_energy = number_of<double>(value, field);
+    } else if (field == "load_us") {
+      node.load_time = number_of<time_us>(value, field);
+    } else {
+      throw std::invalid_argument("unknown subtask field '" + field + "'");
     }
-    return false;
   }
-
-  std::string parse_string() {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != '"') fail("string");
-    ++pos_;
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n':
-            c = '\n';
-            break;
-          case 't':
-            c = '\t';
-            break;
-          default:
-            c = esc;
-        }
-      }
-      out += c;
-    }
-    if (pos_ >= text_.size()) fail("closing quote");
-    ++pos_;
-    return out;
-  }
-
-  double parse_number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+'))
-      ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '-' || text_[pos_] == '+'))
-      ++pos_;
-    if (pos_ == start) fail("number");
-    return std::stod(text_.substr(start, pos_ - start));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-
-  bool at(char c) {
-    skip_ws();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  [[noreturn]] void fail(const std::string& expected) {
-    std::ostringstream os;
-    os << "JSON parse error at offset " << pos_ << ": expected " << expected;
-    throw std::invalid_argument(os.str());
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+  return node;
+}
 
 }  // namespace
 
 std::string graph_to_json(const SubtaskGraph& graph) {
   std::ostringstream os;
-  os << "{\n  \"name\": ";
-  append_escaped(os, graph.name());
-  os << ",\n  \"subtasks\": [\n";
+  os << "{\n  \"name\": \"" << json_escape(graph.name())
+     << "\",\n  \"subtasks\": [\n";
   for (std::size_t s = 0; s < graph.size(); ++s) {
     const Subtask& node = graph.subtask(static_cast<SubtaskId>(s));
-    os << "    {\"name\": ";
-    append_escaped(os, node.name);
-    os << ", \"exec_us\": " << node.exec_time << ", \"resource\": \""
+    os << "    {\"name\": \"" << json_escape(node.name)
+       << "\", \"exec_us\": " << node.exec_time << ", \"resource\": \""
        << (node.resource == Resource::drhw ? "drhw" : "isp")
        << "\", \"config\": " << node.config << ", \"energy\": "
        << node.exec_energy << ", \"load_us\": " << node.load_time << "}"
@@ -145,79 +103,30 @@ std::string graph_to_json(const SubtaskGraph& graph) {
   return os.str();
 }
 
-SubtaskGraph graph_from_json(const std::string& json) {
-  Parser p(json);
+SubtaskGraph graph_from_json(const std::string& text) {
+  const json::Value root = json::parse(text, "graph JSON");
+  if (root.kind != json::Value::Kind::object)
+    malformed("expected an object");
   SubtaskGraph graph;
-  std::vector<std::pair<int, int>> edges;
-
-  p.expect('{');
-  bool first_key = true;
-  while (!p.at('}')) {
-    if (!first_key) p.expect(',');
-    first_key = false;
-    const std::string key = p.parse_string();
-    p.expect(':');
+  std::vector<std::pair<SubtaskId, SubtaskId>> edges;
+  for (const auto& [key, value] : root.members) {
     if (key == "name") {
-      graph.set_name(p.parse_string());
+      graph.set_name(text_of(value, key));
     } else if (key == "subtasks") {
-      p.expect('[');
-      while (!p.at(']')) {
-        if (!graph.empty()) p.expect(',');
-        p.expect('{');
-        Subtask node;
-        bool first_field = true;
-        while (!p.at('}')) {
-          if (!first_field) p.expect(',');
-          first_field = false;
-          const std::string field = p.parse_string();
-          p.expect(':');
-          if (field == "name") {
-            node.name = p.parse_string();
-          } else if (field == "exec_us") {
-            node.exec_time = static_cast<time_us>(p.parse_number());
-          } else if (field == "resource") {
-            const std::string res = p.parse_string();
-            if (res == "drhw")
-              node.resource = Resource::drhw;
-            else if (res == "isp")
-              node.resource = Resource::isp;
-            else
-              throw std::invalid_argument("unknown resource '" + res + "'");
-          } else if (field == "config") {
-            node.config = static_cast<ConfigId>(p.parse_number());
-          } else if (field == "energy") {
-            node.exec_energy = p.parse_number();
-          } else if (field == "load_us") {
-            node.load_time = static_cast<time_us>(p.parse_number());
-          } else {
-            throw std::invalid_argument("unknown subtask field '" + field +
-                                        "'");
-          }
-        }
-        p.expect('}');
-        graph.add_subtask(std::move(node));
-      }
-      p.expect(']');
+      for (const json::Value& item : items_of(value, key))
+        graph.add_subtask(subtask_from_json(item));
     } else if (key == "edges") {
-      p.expect('[');
-      while (!p.at(']')) {
-        if (!edges.empty()) p.expect(',');
-        p.expect('[');
-        const int from = static_cast<int>(p.parse_number());
-        p.expect(',');
-        const int to = static_cast<int>(p.parse_number());
-        p.expect(']');
-        edges.emplace_back(from, to);
+      for (const json::Value& edge : items_of(value, key)) {
+        const auto& ends = items_of(edge, "edge");
+        if (ends.size() != 2) malformed("an edge must be a [from, to] pair");
+        edges.emplace_back(number_of<SubtaskId>(ends[0], "edge"),
+                           number_of<SubtaskId>(ends[1], "edge"));
       }
-      p.expect(']');
     } else {
       throw std::invalid_argument("unknown top-level field '" + key + "'");
     }
   }
-  p.expect('}');
-
-  for (const auto& [from, to] : edges)
-    graph.add_edge(static_cast<SubtaskId>(from), static_cast<SubtaskId>(to));
+  for (const auto& [from, to] : edges) graph.add_edge(from, to);
   graph.finalize();
   return graph;
 }

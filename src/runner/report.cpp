@@ -18,56 +18,116 @@ bool operator==(const MetricSummary& a, const MetricSummary& b) {
          a.min == b.min && a.max == b.max && a.p50 == b.p50 && a.p95 == b.p95;
 }
 
+namespace {
+
+/// Which results carry a metric. Failed results carry only host metrics.
+enum class Scope {
+  simulation,  ///< simulate and online mode: deterministic, aggregated
+  online,      ///< online mode only: deterministic, aggregated
+  sched_cost,  ///< sched_cost mode: wall-clock timings, never aggregated
+  host,        ///< every result: wall-clock, never aggregated
+};
+
+struct MetricColumn {
+  const char* name;
+  Scope scope;
+  double (*get)(const ScenarioResult&);
+};
+
+using Result = ScenarioResult;
+
+template <auto Field>
+double field(const Result& r) {
+  return static_cast<double>(r.*Field);
+}
+
+template <auto Field>
+double sim_field(const Result& r) {
+  return static_cast<double>(r.report.*Field);
+}
+
+double makespan_ms(const Result& r) {
+  return static_cast<double>(r.report.total_actual) / 1000.0;
+}
+
+/// The one list of campaign metrics, in CSV column order (the JSON
+/// "metrics" objects and the aggregate blocks list them by name). Kernel
+/// perf counters are deterministic under every campaign scenario's default
+/// queue backend, so they aggregate like simulated-time metrics; real-time
+/// metrics are zero when a scenario runs without deadlines.
+const MetricColumn k_metric_columns[] = {
+    {"makespan_ms", Scope::simulation, makespan_ms},
+    {"overhead_pct", Scope::simulation, sim_field<&SimReport::overhead_pct>},
+    {"reuse_pct", Scope::simulation, sim_field<&SimReport::reuse_pct>},
+    {"reuse_hits", Scope::simulation, sim_field<&SimReport::reused_subtasks>},
+    {"loads", Scope::simulation, sim_field<&SimReport::loads>},
+    {"energy", Scope::simulation, sim_field<&SimReport::energy>},
+    {"energy_saved", Scope::simulation, sim_field<&SimReport::energy_saved>},
+    {"response_ms", Scope::online, field<&Result::mean_response_ms>},
+    {"response_max_ms", Scope::online, field<&Result::max_response_ms>},
+    {"response_p50_ms", Scope::online, field<&Result::response_p50_ms>},
+    {"response_p95_ms", Scope::online, field<&Result::response_p95_ms>},
+    {"response_p99_ms", Scope::online, field<&Result::response_p99_ms>},
+    {"queueing_ms", Scope::online, field<&Result::mean_queueing_ms>},
+    {"queueing_max_ms", Scope::online, field<&Result::max_queueing_ms>},
+    {"port_util_pct", Scope::online, field<&Result::port_utilisation_pct>},
+    {"isp_util_pct", Scope::online, field<&Result::isp_utilisation_pct>},
+    {"peak_concurrent_migrations", Scope::online,
+     field<&Result::peak_concurrent_migrations>},
+    {"horizon_ms", Scope::online, field<&Result::horizon_ms>},
+    {"frag_pct", Scope::online, field<&Result::frag_pct>},
+    {"queue_skips", Scope::online, field<&Result::queue_skips>},
+    {"defrag_moves", Scope::online, field<&Result::defrag_moves>},
+    {"perf_events", Scope::online, field<&Result::perf_events_total>},
+    {"perf_queue_depth_max", Scope::online,
+     field<&Result::perf_queue_depth_max>},
+    {"perf_steady_allocs", Scope::online, field<&Result::perf_steady_allocs>},
+    {"deadline_jobs", Scope::online, field<&Result::deadline_jobs>},
+    {"deadline_misses", Scope::online, field<&Result::deadline_misses>},
+    {"deadline_miss_pct", Scope::online, field<&Result::deadline_miss_pct>},
+    {"high_crit_miss_pct", Scope::online, field<&Result::high_crit_miss_pct>},
+    {"mean_lateness_ms", Scope::online, field<&Result::mean_lateness_ms>},
+    {"max_tardiness_ms", Scope::online, field<&Result::max_tardiness_ms>},
+    {"preemptions", Scope::online, field<&Result::preemptions>},
+    {"list_sched_us", Scope::sched_cost, field<&Result::list_sched_us>},
+    {"hybrid_sched_us", Scope::sched_cost, field<&Result::hybrid_sched_us>},
+    {"wall_ms", Scope::host, field<&Result::wall_ms>},
+};
+
+bool carries(const ScenarioResult& result, Scope scope) {
+  const ScenarioMode mode = result.scenario.mode;
+  switch (scope) {
+    case Scope::simulation:
+      return result.ok && mode != ScenarioMode::sched_cost;
+    case Scope::online:
+      return result.ok && mode == ScenarioMode::online;
+    case Scope::sched_cost:
+      return result.ok && mode == ScenarioMode::sched_cost;
+    case Scope::host:
+      return true;
+  }
+  return false;
+}
+
+bool deterministic(Scope scope) {
+  return scope == Scope::simulation || scope == Scope::online;
+}
+
+/// The metrics `result` carries, by name; `all` adds the wall-clock ones.
+std::map<std::string, double> metrics_of(const ScenarioResult& result,
+                                         bool all) {
+  std::map<std::string, double> metrics;
+  for (const MetricColumn& column : k_metric_columns)
+    if ((all || deterministic(column.scope)) && carries(result, column.scope))
+      metrics[column.name] = column.get(result);
+  return metrics;
+}
+
+}  // namespace
+
 std::map<std::string, double> deterministic_metrics(
     const ScenarioResult& result) {
-  std::map<std::string, double> metrics;
-  if (!result.ok || result.scenario.mode == ScenarioMode::sched_cost)
-    return metrics;
-  const SimReport& r = result.report;
-  metrics["makespan_ms"] = static_cast<double>(r.total_actual) / 1000.0;
-  metrics["overhead_pct"] = r.overhead_pct;
-  metrics["reuse_pct"] = r.reuse_pct;
-  metrics["reuse_hits"] = static_cast<double>(r.reused_subtasks);
-  metrics["loads"] = static_cast<double>(r.loads);
-  metrics["energy"] = r.energy;
-  metrics["energy_saved"] = r.energy_saved;
-  if (result.scenario.mode == ScenarioMode::online) {
-    // Simulated-time online metrics: deterministic, so aggregated.
-    metrics["response_ms"] = result.mean_response_ms;
-    metrics["response_max_ms"] = result.max_response_ms;
-    metrics["queueing_ms"] = result.mean_queueing_ms;
-    metrics["queueing_max_ms"] = result.max_queueing_ms;
-    metrics["port_util_pct"] = result.port_utilisation_pct;
-    metrics["horizon_ms"] = result.horizon_ms;
-    metrics["response_p50_ms"] = result.response_p50_ms;
-    metrics["response_p95_ms"] = result.response_p95_ms;
-    metrics["response_p99_ms"] = result.response_p99_ms;
-    metrics["frag_pct"] = result.frag_pct;
-    metrics["queue_skips"] = static_cast<double>(result.queue_skips);
-    metrics["defrag_moves"] = static_cast<double>(result.defrag_moves);
-    metrics["isp_util_pct"] = result.isp_utilisation_pct;
-    metrics["peak_concurrent_migrations"] =
-        static_cast<double>(result.peak_concurrent_migrations);
-    // Kernel perf counters: deterministic under the default queue backend
-    // (every campaign scenario uses it), so thread-count bit-identity
-    // holds. The wall-clock phase timers never enter reports.
-    metrics["perf_events"] = static_cast<double>(result.perf_events_total);
-    metrics["perf_queue_depth_max"] =
-        static_cast<double>(result.perf_queue_depth_max);
-    metrics["perf_steady_allocs"] =
-        static_cast<double>(result.perf_steady_allocs);
-    // Real-time outcome: all zero when the scenario runs without deadlines,
-    // so best-effort aggregate blocks stay bit-identical to older reports
-    // modulo the added keys.
-    metrics["deadline_jobs"] = static_cast<double>(result.deadline_jobs);
-    metrics["deadline_misses"] = static_cast<double>(result.deadline_misses);
-    metrics["deadline_miss_pct"] = result.deadline_miss_pct;
-    metrics["high_crit_miss_pct"] = result.high_crit_miss_pct;
-    metrics["mean_lateness_ms"] = result.mean_lateness_ms;
-    metrics["max_tardiness_ms"] = result.max_tardiness_ms;
-    metrics["preemptions"] = static_cast<double>(result.preemptions);
-  }
-  return metrics;
+  return metrics_of(result, /*all=*/false);
 }
 
 void StatsAggregator::add(const ScenarioResult& result) {
@@ -127,26 +187,11 @@ GroupSummary StatsAggregator::overall() const {
 
 namespace {
 
-// fmt_shortest_double / fmt_json_double / json_escape moved to
-// util/numfmt.hpp, shared with the trace and workload writers (the CSV
-// empty-cell convention for non-finite values stays local).
-
+/// CSV spelling of a non-finite value: an empty cell.
 std::string fmt_csv_double(double value) {
   char buffer[64];
   return fmt_shortest_double(value, buffer) ? std::string(buffer)
                                             : std::string();
-}
-
-/// All numeric metrics of one result: the deterministic ones plus the
-/// wall-clock measurements (reported, never aggregated).
-std::map<std::string, double> all_metrics(const ScenarioResult& result) {
-  std::map<std::string, double> metrics = deterministic_metrics(result);
-  if (result.ok && result.scenario.mode == ScenarioMode::sched_cost) {
-    metrics["list_sched_us"] = result.list_sched_us;
-    metrics["hybrid_sched_us"] = result.hybrid_sched_us;
-  }
-  metrics["wall_ms"] = result.wall_ms;
-  return metrics;
 }
 
 void write_summary_json(std::ostream& os, const GroupSummary& summary,
@@ -247,7 +292,7 @@ std::string campaign_to_json(const std::vector<ScenarioResult>& results,
        << "      \"error\": \"" << json_escape(result.error) << "\",\n"
        << "      \"metrics\": {";
     bool first = true;
-    for (const auto& [name, value] : all_metrics(result)) {
+    for (const auto& [name, value] : metrics_of(result, /*all=*/true)) {
       os << (first ? "" : ", ") << "\"" << name
          << "\": " << fmt_json_double(value);
       first = false;
@@ -267,21 +312,6 @@ std::string campaign_to_json(const std::vector<ScenarioResult>& results,
 }
 
 namespace {
-
-const char* const k_csv_metric_columns[] = {
-    "makespan_ms",     "overhead_pct",    "reuse_pct",
-    "reuse_hits",      "loads",           "energy",
-    "energy_saved",    "response_ms",     "response_max_ms",
-    "response_p50_ms", "response_p95_ms", "response_p99_ms",
-    "queueing_ms",     "queueing_max_ms", "port_util_pct",
-    "isp_util_pct",    "peak_concurrent_migrations",
-    "horizon_ms",      "frag_pct",        "queue_skips",
-    "defrag_moves",    "perf_events",     "perf_queue_depth_max",
-    "perf_steady_allocs",
-    "deadline_jobs",   "deadline_misses", "deadline_miss_pct",
-    "high_crit_miss_pct", "mean_lateness_ms", "max_tardiness_ms",
-    "preemptions",
-    "list_sched_us",   "hybrid_sched_us", "wall_ms"};
 
 /// The per-port utilisation vector as one fixed-width CSV cell:
 /// ';'-joined doubles (empty for non-online rows).
@@ -369,7 +399,8 @@ std::string campaign_to_csv(const std::vector<ScenarioResult>& results) {
         "contiguous,defrag,scheduler_cost_us,shared_isps,isp_discipline,"
         "deadline_scale,high_crit_fraction,preempt,queue_backend,"
         "port_util_per_port_pct,ok,error";
-  for (const char* column : k_csv_metric_columns) os << "," << column;
+  for (const MetricColumn& column : k_metric_columns)
+    os << "," << column.name;
   os << "\n";
   for (const ScenarioResult& result : results) {
     const Scenario& s = result.scenario;
@@ -391,11 +422,10 @@ std::string campaign_to_csv(const std::vector<ScenarioResult>& results) {
        << (s.preempt ? "1" : "0") << "," << to_string(s.queue_backend)
        << "," << fmt_port_vector(result.port_utilisation_per_port_pct) << ","
        << (result.ok ? "1" : "0") << "," << csv_escape(result.error);
-    const auto metrics = all_metrics(result);
-    for (const char* column : k_csv_metric_columns) {
-      const auto it = metrics.find(column);
+    for (const MetricColumn& column : k_metric_columns) {
       os << ",";
-      if (it != metrics.end()) os << fmt_csv_double(it->second);
+      if (carries(result, column.scope))
+        os << fmt_csv_double(column.get(result));
     }
     os << "\n";
   }

@@ -38,8 +38,9 @@ struct GroupSummary {
   std::string family;  ///< empty for the whole-campaign summary
   std::size_t scenarios = 0;
   std::size_t failed = 0;
-  /// metric name -> distribution. Metrics: makespan_ms, overhead_pct,
-  /// reuse_pct, reuse_hits, loads, energy, energy_saved.
+  /// metric name -> distribution, one entry per deterministic metric the
+  /// group's results carry (the simulate/online and online-only rows of
+  /// report.cpp's k_metric_columns table; never the wall-clock ones).
   std::map<std::string, MetricSummary> metrics;
 };
 

@@ -275,6 +275,56 @@ struct OnlineReport {
   PerfCounters perf;
 };
 
+/// The one list of OnlineReport fields. Calls `f(name, field...)` once per
+/// field, in trace-footer order: the embedded SimReport's fields first
+/// (named "sim.*"), then the OnlineReport's own. `perf` is left out
+/// (wall-clock timers, not simulation state). Pass one report to write or
+/// read a field, two to compare them: the footer writer and reader
+/// (trace/report_json.cpp) and verify_trace (trace/replay.cpp) are loops
+/// over this list, so a field added here is serialised and verified.
+template <typename F, typename... Reports>
+void visit_report_fields(F&& f, Reports&... r) {
+  f("sim.total_ideal", r.sim.total_ideal...);
+  f("sim.total_actual", r.sim.total_actual...);
+  f("sim.overhead_pct", r.sim.overhead_pct...);
+  f("sim.instances", r.sim.instances...);
+  f("sim.drhw_subtask_instances", r.sim.drhw_subtask_instances...);
+  f("sim.reused_subtasks", r.sim.reused_subtasks...);
+  f("sim.reuse_pct", r.sim.reuse_pct...);
+  f("sim.loads", r.sim.loads...);
+  f("sim.init_loads", r.sim.init_loads...);
+  f("sim.cancelled_loads", r.sim.cancelled_loads...);
+  f("sim.intertask_prefetches", r.sim.intertask_prefetches...);
+  f("sim.energy", r.sim.energy...);
+  f("sim.energy_saved", r.sim.energy_saved...);
+  f("sim.spans", r.sim.spans...);
+  f("horizon", r.horizon...);
+  f("mean_response_ms", r.mean_response_ms...);
+  f("max_response_ms", r.max_response_ms...);
+  f("mean_queueing_ms", r.mean_queueing_ms...);
+  f("max_queueing_ms", r.max_queueing_ms...);
+  f("port_utilisation_pct", r.port_utilisation_pct...);
+  f("port_utilisation_per_port_pct", r.port_utilisation_per_port_pct...);
+  f("isp_utilisation_pct", r.isp_utilisation_pct...);
+  f("peak_concurrent_migrations", r.peak_concurrent_migrations...);
+  f("response_p50_ms", r.response_p50_ms...);
+  f("response_p95_ms", r.response_p95_ms...);
+  f("response_p99_ms", r.response_p99_ms...);
+  f("mean_frag_pct", r.mean_frag_pct...);
+  f("queue_skips", r.queue_skips...);
+  f("defrag_moves", r.defrag_moves...);
+  f("deadline_jobs", r.deadline_jobs...);
+  f("deadline_misses", r.deadline_misses...);
+  f("high_crit_jobs", r.high_crit_jobs...);
+  f("high_crit_misses", r.high_crit_misses...);
+  f("deadline_miss_pct", r.deadline_miss_pct...);
+  f("high_crit_miss_pct", r.high_crit_miss_pct...);
+  f("mean_lateness_ms", r.mean_lateness_ms...);
+  f("max_tardiness_ms", r.max_tardiness_ms...);
+  f("preemptions", r.preemptions...);
+  f("spans", r.spans...);
+}
+
 /// Runs the online simulation. The sampler (and everything its instances
 /// point to) must outlive the call.
 OnlineReport run_online_simulation(const OnlineSimOptions& options,

@@ -66,13 +66,7 @@ TraceData read_jsonl(const std::string& text) {
     const json::Value obj = json::parse(
         line, "trace line " + std::to_string(line_no));
     if (const json::Value* report = obj.find("report")) {
-      // Re-parse the member through the bit-exact report reader. The
-      // footer is the last line; anything after it would be malformed.
-      (void)report;
-      const std::size_t at = line.find("\"report\":");
-      const std::string body =
-          line.substr(at + 9, line.rfind('}') - (at + 9));
-      trace.live = online_report_from_json(body);
+      trace.live = online_report_from_json(*report);
       trace.has_live = true;
       continue;
     }
@@ -145,8 +139,8 @@ TraceData read_binary(const std::string& text) {
       at += 4;
       if (size < at + report_len)
         throw std::invalid_argument("trace: binary footer truncated");
-      trace.live = online_report_from_json(
-          std::string(text, at, report_len));
+      trace.live = online_report_from_json(json::parse(
+          std::string(text, at, report_len), "trace report"));
       trace.has_live = true;
       at += report_len;
       continue;

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "trace/trace.hpp"
 #include "util/p2_quantile.hpp"
@@ -283,31 +284,35 @@ OnlineReport replay_trace(const TraceData& trace) {
 
 namespace {
 
-bool bits_equal(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
+/// Doubles compare bitwise: replay must reproduce the kernel's exact
+/// floating-point accumulation, not a value merely close to it.
+template <typename T>
+bool same(const T& live, const T& replay) {
+  if constexpr (std::is_floating_point_v<T>)
+    return std::memcmp(&live, &replay, sizeof(T)) == 0;
+  else
+    return live == replay;
 }
 
-void check_long(std::vector<std::string>& out, const char* field, long live,
-                long replay) {
-  if (live == replay) return;
-  std::ostringstream msg;
-  msg << field << ": live=" << live << " replay=" << replay;
-  out.push_back(msg.str());
-}
-
-void check_time(std::vector<std::string>& out, const char* field,
-                time_us live, time_us replay) {
-  check_long(out, field, static_cast<long>(live), static_cast<long>(replay));
-}
-
-void check_double(std::vector<std::string>& out, const char* field,
-                  double live, double replay) {
-  if (bits_equal(live, replay)) return;
+template <typename T>
+void compare(std::vector<std::string>& out, const std::string& name,
+             const T& live, const T& replay) {
+  if (same(live, replay)) return;
   std::ostringstream msg;
   msg.precision(17);
-  msg << field << ": live=" << live << " replay=" << replay
-      << " (bitwise compare)";
+  msg << name << ": live=" << live << " replay=" << replay;
+  if constexpr (std::is_floating_point_v<T>) msg << " (bitwise compare)";
   out.push_back(msg.str());
+}
+
+template <typename T>
+void compare(std::vector<std::string>& out, const std::string& name,
+             const std::vector<T>& live, const std::vector<T>& replay) {
+  compare(out, name + ".size", live.size(), replay.size());
+  if (live.size() != replay.size()) return;
+  for (std::size_t i = 0; i < live.size(); ++i)
+    if (!same(live[i], replay[i]))
+      compare(out, name + "[" + std::to_string(i) + "]", live[i], replay[i]);
 }
 
 }  // namespace
@@ -317,96 +322,12 @@ std::vector<std::string> verify_trace(const TraceData& trace) {
     throw std::invalid_argument(
         "trace verify: no recorded report (truncated trace?)");
   const OnlineReport replay = replay_trace(trace);
-  const OnlineReport& live = trace.live;
   std::vector<std::string> out;
-
-  check_time(out, "sim.total_ideal", live.sim.total_ideal,
-             replay.sim.total_ideal);
-  check_time(out, "sim.total_actual", live.sim.total_actual,
-             replay.sim.total_actual);
-  check_double(out, "sim.overhead_pct", live.sim.overhead_pct,
-               replay.sim.overhead_pct);
-  check_long(out, "sim.instances", live.sim.instances, replay.sim.instances);
-  check_long(out, "sim.drhw_subtask_instances",
-             live.sim.drhw_subtask_instances,
-             replay.sim.drhw_subtask_instances);
-  check_long(out, "sim.reused_subtasks", live.sim.reused_subtasks,
-             replay.sim.reused_subtasks);
-  check_double(out, "sim.reuse_pct", live.sim.reuse_pct,
-               replay.sim.reuse_pct);
-  check_long(out, "sim.loads", live.sim.loads, replay.sim.loads);
-  check_long(out, "sim.init_loads", live.sim.init_loads,
-             replay.sim.init_loads);
-  check_long(out, "sim.cancelled_loads", live.sim.cancelled_loads,
-             replay.sim.cancelled_loads);
-  check_long(out, "sim.intertask_prefetches", live.sim.intertask_prefetches,
-             replay.sim.intertask_prefetches);
-  check_double(out, "sim.energy", live.sim.energy, replay.sim.energy);
-  check_double(out, "sim.energy_saved", live.sim.energy_saved,
-               replay.sim.energy_saved);
-  check_time(out, "horizon", live.horizon, replay.horizon);
-  check_double(out, "mean_response_ms", live.mean_response_ms,
-               replay.mean_response_ms);
-  check_double(out, "max_response_ms", live.max_response_ms,
-               replay.max_response_ms);
-  check_double(out, "mean_queueing_ms", live.mean_queueing_ms,
-               replay.mean_queueing_ms);
-  check_double(out, "max_queueing_ms", live.max_queueing_ms,
-               replay.max_queueing_ms);
-  check_double(out, "port_utilisation_pct", live.port_utilisation_pct,
-               replay.port_utilisation_pct);
-  check_long(out, "port_utilisation_per_port_pct.size",
-             static_cast<long>(live.port_utilisation_per_port_pct.size()),
-             static_cast<long>(replay.port_utilisation_per_port_pct.size()));
-  if (live.port_utilisation_per_port_pct.size() ==
-      replay.port_utilisation_per_port_pct.size())
-    for (std::size_t p = 0; p < live.port_utilisation_per_port_pct.size();
-         ++p) {
-      const std::string field =
-          "port_utilisation_per_port_pct[" + std::to_string(p) + "]";
-      check_double(out, field.c_str(),
-                   live.port_utilisation_per_port_pct[p],
-                   replay.port_utilisation_per_port_pct[p]);
-    }
-  check_double(out, "isp_utilisation_pct", live.isp_utilisation_pct,
-               replay.isp_utilisation_pct);
-  check_long(out, "peak_concurrent_migrations",
-             live.peak_concurrent_migrations,
-             replay.peak_concurrent_migrations);
-  check_double(out, "response_p50_ms", live.response_p50_ms,
-               replay.response_p50_ms);
-  check_double(out, "response_p95_ms", live.response_p95_ms,
-               replay.response_p95_ms);
-  check_double(out, "response_p99_ms", live.response_p99_ms,
-               replay.response_p99_ms);
-  check_double(out, "mean_frag_pct", live.mean_frag_pct,
-               replay.mean_frag_pct);
-  check_long(out, "queue_skips", live.queue_skips, replay.queue_skips);
-  check_long(out, "defrag_moves", live.defrag_moves, replay.defrag_moves);
-  check_long(out, "deadline_jobs", live.deadline_jobs, replay.deadline_jobs);
-  check_long(out, "deadline_misses", live.deadline_misses,
-             replay.deadline_misses);
-  check_long(out, "high_crit_jobs", live.high_crit_jobs,
-             replay.high_crit_jobs);
-  check_long(out, "high_crit_misses", live.high_crit_misses,
-             replay.high_crit_misses);
-  check_double(out, "deadline_miss_pct", live.deadline_miss_pct,
-               replay.deadline_miss_pct);
-  check_double(out, "high_crit_miss_pct", live.high_crit_miss_pct,
-               replay.high_crit_miss_pct);
-  check_double(out, "mean_lateness_ms", live.mean_lateness_ms,
-               replay.mean_lateness_ms);
-  check_double(out, "max_tardiness_ms", live.max_tardiness_ms,
-               replay.max_tardiness_ms);
-  check_long(out, "preemptions", live.preemptions, replay.preemptions);
-  check_long(out, "spans.size", static_cast<long>(live.spans.size()),
-             static_cast<long>(replay.spans.size()));
-  if (live.spans.size() == replay.spans.size())
-    for (std::size_t i = 0; i < live.spans.size(); ++i)
-      if (live.spans[i] != replay.spans[i]) {
-        const std::string field = "spans[" + std::to_string(i) + "]";
-        check_time(out, field.c_str(), live.spans[i], replay.spans[i]);
-      }
+  visit_report_fields(
+      [&out](const char* name, const auto& live, const auto& replayed) {
+        compare(out, name, live, replayed);
+      },
+      trace.live, replay);
   return out;
 }
 

@@ -1,11 +1,17 @@
 /// \file report_json.cpp
-/// OnlineReport <-> JSON, used for the trace footer. Every field except
-/// `perf` (wall-clock phase timers — not simulation state) round-trips;
-/// doubles go through the shortest-exact formatter, so a written report
-/// parses back bit-identical and verify_trace() can compare bitwise.
+/// OnlineReport <-> JSON, used for the trace footer. Both directions loop
+/// over visit_report_fields() (sim/event_sim.hpp): every field except
+/// `perf` round-trips, "sim.*" fields nest in a "sim" object. Doubles go
+/// through the shortest-exact formatter, so a written report parses back
+/// bit-identical and verify_trace() can compare bitwise.
 
+#include <cerrno>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
 #include "trace/trace.hpp"
 #include "util/json.hpp"
@@ -15,143 +21,111 @@ namespace drhw {
 
 namespace {
 
-void append_time_array(std::ostringstream& out, const char* key,
-                       const std::vector<time_us>& values) {
-  out << ",\"" << key << "\":[";
+constexpr std::string_view k_sim_prefix = "sim.";
+
+bool is_sim_field(std::string_view name) {
+  return name.substr(0, k_sim_prefix.size()) == k_sim_prefix;
+}
+
+/// The field's key inside its JSON object ("sim.loads" -> "loads").
+std::string_view json_key(std::string_view name) {
+  return is_sim_field(name) ? name.substr(k_sim_prefix.size()) : name;
+}
+
+template <typename T>
+void write_value(std::ostringstream& out, const T& value) {
+  if constexpr (std::is_floating_point_v<T>)
+    out << fmt_json_double(value);
+  else
+    out << value;
+}
+
+template <typename T>
+void write_value(std::ostringstream& out, const std::vector<T>& values) {
+  out << '[';
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i > 0) out << ',';
-    out << values[i];
+    write_value(out, values[i]);
   }
   out << ']';
 }
 
-double num_or(const json::Value& obj, const char* key, double fallback) {
-  const json::Value* v = obj.find(key);
-  return v != nullptr && v->kind == json::Value::Kind::number ? v->number
-                                                              : fallback;
+[[noreturn]] void wrong_kind(std::string_view name, const char* expected) {
+  throw std::invalid_argument("trace report: key '" + std::string(name) +
+                              "' is not " + expected);
+}
+
+/// Doubles accept null, the writer's spelling of a non-finite value.
+/// Integers are read from the number's text, so no double round trip can
+/// round them.
+template <typename T>
+void read_value(const json::Value& v, std::string_view name, T& out) {
+  if constexpr (std::is_floating_point_v<T>) {
+    if (v.kind == json::Value::Kind::null)
+      out = std::numeric_limits<T>::quiet_NaN();
+    else if (v.kind == json::Value::Kind::number)
+      out = v.number;
+    else
+      wrong_kind(name, "a number");
+  } else {
+    if (v.kind != json::Value::Kind::number) wrong_kind(name, "an integer");
+    char* end = nullptr;
+    errno = 0;
+    const long long parsed = std::strtoll(v.text.c_str(), &end, 10);
+    if (*end != '\0' || errno == ERANGE) wrong_kind(name, "an integer");
+    out = static_cast<T>(parsed);
+  }
+}
+
+template <typename T>
+void read_value(const json::Value& v, std::string_view name,
+                std::vector<T>& out) {
+  if (v.kind != json::Value::Kind::array) wrong_kind(name, "an array");
+  out.assign(v.items.size(), T{});
+  for (std::size_t i = 0; i < out.size(); ++i)
+    read_value(v.items[i], name, out[i]);
 }
 
 }  // namespace
 
 std::string online_report_to_json(const OnlineReport& report) {
   std::ostringstream out;
-  const SimReport& sim = report.sim;
-  out << "{\"sim\":{"
-      << "\"total_ideal\":" << sim.total_ideal
-      << ",\"total_actual\":" << sim.total_actual
-      << ",\"overhead_pct\":" << fmt_json_double(sim.overhead_pct)
-      << ",\"instances\":" << sim.instances
-      << ",\"drhw_subtask_instances\":" << sim.drhw_subtask_instances
-      << ",\"reused_subtasks\":" << sim.reused_subtasks
-      << ",\"reuse_pct\":" << fmt_json_double(sim.reuse_pct)
-      << ",\"loads\":" << sim.loads
-      << ",\"init_loads\":" << sim.init_loads
-      << ",\"cancelled_loads\":" << sim.cancelled_loads
-      << ",\"intertask_prefetches\":" << sim.intertask_prefetches
-      << ",\"energy\":" << fmt_json_double(sim.energy)
-      << ",\"energy_saved\":" << fmt_json_double(sim.energy_saved);
-  append_time_array(out, "spans", sim.spans);
-  out << '}'
-      << ",\"horizon\":" << report.horizon
-      << ",\"mean_response_ms\":" << fmt_json_double(report.mean_response_ms)
-      << ",\"max_response_ms\":" << fmt_json_double(report.max_response_ms)
-      << ",\"mean_queueing_ms\":" << fmt_json_double(report.mean_queueing_ms)
-      << ",\"max_queueing_ms\":" << fmt_json_double(report.max_queueing_ms)
-      << ",\"port_utilisation_pct\":"
-      << fmt_json_double(report.port_utilisation_pct)
-      << ",\"port_utilisation_per_port_pct\":[";
-  for (std::size_t i = 0; i < report.port_utilisation_per_port_pct.size();
-       ++i) {
-    if (i > 0) out << ',';
-    out << fmt_json_double(report.port_utilisation_per_port_pct[i]);
-  }
-  out << ']'
-      << ",\"isp_utilisation_pct\":"
-      << fmt_json_double(report.isp_utilisation_pct)
-      << ",\"peak_concurrent_migrations\":" << report.peak_concurrent_migrations
-      << ",\"response_p50_ms\":" << fmt_json_double(report.response_p50_ms)
-      << ",\"response_p95_ms\":" << fmt_json_double(report.response_p95_ms)
-      << ",\"response_p99_ms\":" << fmt_json_double(report.response_p99_ms)
-      << ",\"mean_frag_pct\":" << fmt_json_double(report.mean_frag_pct)
-      << ",\"queue_skips\":" << report.queue_skips
-      << ",\"defrag_moves\":" << report.defrag_moves
-      << ",\"deadline_jobs\":" << report.deadline_jobs
-      << ",\"deadline_misses\":" << report.deadline_misses
-      << ",\"high_crit_jobs\":" << report.high_crit_jobs
-      << ",\"high_crit_misses\":" << report.high_crit_misses
-      << ",\"deadline_miss_pct\":" << fmt_json_double(report.deadline_miss_pct)
-      << ",\"high_crit_miss_pct\":"
-      << fmt_json_double(report.high_crit_miss_pct)
-      << ",\"mean_lateness_ms\":" << fmt_json_double(report.mean_lateness_ms)
-      << ",\"max_tardiness_ms\":" << fmt_json_double(report.max_tardiness_ms)
-      << ",\"preemptions\":" << report.preemptions;
-  append_time_array(out, "spans", report.spans);
+  out << "{\"sim\":{";
+  bool in_sim = true;
+  bool first = true;
+  visit_report_fields(
+      [&](std::string_view name, const auto& value) {
+        if (in_sim && !is_sim_field(name)) {
+          out << '}';
+          in_sim = false;
+        }
+        if (!first) out << ',';
+        first = false;
+        out << '"' << json_key(name) << "\":";
+        write_value(out, value);
+      },
+      report);
   out << '}';
   return out.str();
 }
 
-OnlineReport online_report_from_json(const std::string& text) {
-  const json::Value root = json::parse(text, "trace report");
+OnlineReport online_report_from_json(const json::Value& root) {
   if (root.kind != json::Value::Kind::object)
     throw std::invalid_argument("trace report: expected a JSON object");
+  const json::Value* sim = root.find("sim");
+  if (sim != nullptr && sim->kind != json::Value::Kind::object)
+    wrong_kind("sim", "an object");
+  // Missing keys keep their defaults, so footers written before a field
+  // existed still read.
   OnlineReport report;
-  if (const json::Value* sim = root.find("sim")) {
-    SimReport& s = report.sim;
-    s.total_ideal = static_cast<time_us>(num_or(*sim, "total_ideal", 0.0));
-    s.total_actual = static_cast<time_us>(num_or(*sim, "total_actual", 0.0));
-    s.overhead_pct = num_or(*sim, "overhead_pct", 0.0);
-    s.instances = static_cast<long>(num_or(*sim, "instances", 0.0));
-    s.drhw_subtask_instances =
-        static_cast<long>(num_or(*sim, "drhw_subtask_instances", 0.0));
-    s.reused_subtasks =
-        static_cast<long>(num_or(*sim, "reused_subtasks", 0.0));
-    s.reuse_pct = num_or(*sim, "reuse_pct", 0.0);
-    s.loads = static_cast<long>(num_or(*sim, "loads", 0.0));
-    s.init_loads = static_cast<long>(num_or(*sim, "init_loads", 0.0));
-    s.cancelled_loads =
-        static_cast<long>(num_or(*sim, "cancelled_loads", 0.0));
-    s.intertask_prefetches =
-        static_cast<long>(num_or(*sim, "intertask_prefetches", 0.0));
-    s.energy = num_or(*sim, "energy", 0.0);
-    s.energy_saved = num_or(*sim, "energy_saved", 0.0);
-    if (const json::Value* spans = sim->find("spans"))
-      for (const json::Value& v : spans->items)
-        s.spans.push_back(static_cast<time_us>(v.number));
-  }
-  report.horizon = static_cast<time_us>(num_or(root, "horizon", 0.0));
-  report.mean_response_ms = num_or(root, "mean_response_ms", 0.0);
-  report.max_response_ms = num_or(root, "max_response_ms", 0.0);
-  report.mean_queueing_ms = num_or(root, "mean_queueing_ms", 0.0);
-  report.max_queueing_ms = num_or(root, "max_queueing_ms", 0.0);
-  report.port_utilisation_pct = num_or(root, "port_utilisation_pct", 0.0);
-  if (const json::Value* per = root.find("port_utilisation_per_port_pct"))
-    for (const json::Value& v : per->items)
-      report.port_utilisation_per_port_pct.push_back(v.number);
-  report.isp_utilisation_pct = num_or(root, "isp_utilisation_pct", 0.0);
-  report.peak_concurrent_migrations =
-      static_cast<long>(num_or(root, "peak_concurrent_migrations", 0.0));
-  report.response_p50_ms = num_or(root, "response_p50_ms", 0.0);
-  report.response_p95_ms = num_or(root, "response_p95_ms", 0.0);
-  report.response_p99_ms = num_or(root, "response_p99_ms", 0.0);
-  report.mean_frag_pct = num_or(root, "mean_frag_pct", 0.0);
-  report.queue_skips = static_cast<long>(num_or(root, "queue_skips", 0.0));
-  report.defrag_moves = static_cast<long>(num_or(root, "defrag_moves", 0.0));
-  report.deadline_jobs =
-      static_cast<long>(num_or(root, "deadline_jobs", 0.0));
-  report.deadline_misses =
-      static_cast<long>(num_or(root, "deadline_misses", 0.0));
-  report.high_crit_jobs =
-      static_cast<long>(num_or(root, "high_crit_jobs", 0.0));
-  report.high_crit_misses =
-      static_cast<long>(num_or(root, "high_crit_misses", 0.0));
-  report.deadline_miss_pct = num_or(root, "deadline_miss_pct", 0.0);
-  report.high_crit_miss_pct = num_or(root, "high_crit_miss_pct", 0.0);
-  report.mean_lateness_ms = num_or(root, "mean_lateness_ms", 0.0);
-  report.max_tardiness_ms = num_or(root, "max_tardiness_ms", 0.0);
-  report.preemptions = static_cast<long>(num_or(root, "preemptions", 0.0));
-  if (const json::Value* spans = root.find("spans"))
-    for (const json::Value& v : spans->items)
-      report.spans.push_back(static_cast<time_us>(v.number));
+  visit_report_fields(
+      [&](std::string_view name, auto& field) {
+        const json::Value* scope = is_sim_field(name) ? sim : &root;
+        if (scope == nullptr) return;
+        if (const json::Value* v = scope->find(std::string(json_key(name))))
+          read_value(*v, name, field);
+      },
+      report);
   return report;
 }
 

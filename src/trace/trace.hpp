@@ -38,6 +38,10 @@
 
 namespace drhw {
 
+namespace json {
+struct Value;  // util/json.hpp
+}  // namespace json
+
 inline constexpr const char* k_trace_schema = "drhw-trace-v1";
 
 enum class TraceFormat { jsonl, binary };
@@ -208,16 +212,20 @@ TraceData read_trace(const std::string& path);
 /// traced run; OnlineReport::perf stays default.
 OnlineReport replay_trace(const TraceData& trace);
 
-/// Replays and compares against the recorded live report, field by field,
-/// doubles compared bitwise. Returns human-readable mismatch descriptions;
-/// empty = verified. Throws std::invalid_argument when the trace has no
+/// Replays and compares against the recorded live report over every
+/// visit_report_fields() field: doubles bitwise, vectors by size and then
+/// element by element. Returns one "field: live=... replay=..." line per
+/// mismatch; empty = verified. Throws std::invalid_argument when the trace has no
 /// footer to compare against.
 std::vector<std::string> verify_trace(const TraceData& trace);
 
 /// Serialises every OnlineReport field except `perf` as a JSON object
 /// (shortest-round-trip doubles, so parsing back is bit-exact).
 std::string online_report_to_json(const OnlineReport& report);
-OnlineReport online_report_from_json(const std::string& text);
+/// Reads a parsed footer object back. Missing keys keep their defaults;
+/// a present key of the wrong JSON kind throws std::invalid_argument
+/// naming the key.
+OnlineReport online_report_from_json(const json::Value& root);
 
 struct TraceRenderOptions {
   int width = 96;        ///< time-axis extent (characters / pixels per lane)

@@ -193,7 +193,9 @@ class Parser {
     Value v;
     v.kind = Value::Kind::number;
     v.text = text_.substr(start, pos_ - start);
-    v.number = std::strtod(v.text.c_str(), nullptr);
+    char* end = nullptr;
+    v.number = std::strtod(v.text.c_str(), &end);
+    if (end != v.text.c_str() + v.text.size()) fail("malformed number");
     return v;
   }
 

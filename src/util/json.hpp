@@ -1,11 +1,14 @@
 #pragma once
 
 /// \file json.hpp
-/// Minimal recursive-descent JSON reader shared by the campaign report
-/// round-trip (runner/report.cpp) and the standalone perf-gate comparator
-/// (tools/perf_compare.cpp). Covers objects, arrays, strings, numbers,
-/// booleans and null — exactly the subset the repo's writers emit; it is
-/// not a general-purpose JSON library.
+/// Minimal recursive-descent JSON reader, the repo's only one. Users: the
+/// campaign report readers (runner/report.cpp), the trace header and
+/// footer readers (trace/schema.cpp, trace/reader.cpp,
+/// trace/report_json.cpp), the graph format (graph/serialization.cpp) and
+/// the standalone perf-gate comparator (tools/perf_compare.cpp). Covers
+/// objects, arrays, strings, numbers, booleans and null — exactly the
+/// subset the repo's writers emit; it is not a general-purpose JSON
+/// library.
 
 #include <string>
 #include <utility>
@@ -32,7 +35,9 @@ struct Value {
 
 /// Parses `text` into a Value tree. `context` prefixes every error message
 /// ("campaign JSON", "bench JSON", ...). Throws std::invalid_argument on
-/// malformed input or trailing characters.
+/// malformed input (a number token strtod does not consume whole included)
+/// or trailing characters. Numbers out of double range parse as +-inf;
+/// readers that cast to integers must check std::isfinite first.
 Value parse(const std::string& text, const std::string& context = "JSON");
 
 }  // namespace drhw::json

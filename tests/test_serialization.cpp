@@ -103,6 +103,29 @@ TEST(Serialization, RejectsMalformedInput) {
                {"name":"b","exec_us":1,"resource":"drhw"}],
               "edges":[[0,1],[1,0]]})"),
       std::invalid_argument);
+  // Trailing junk after the closing brace.
+  EXPECT_THROW(graph_from_json(R"({"name":"t","subtasks":[],"edges":[]} x)"),
+               std::invalid_argument);
+  // Numbers beyond double range parse as inf and must be rejected before
+  // the cast to an integer time, not escape as std::out_of_range.
+  EXPECT_THROW(
+      graph_from_json(
+          R"({"name":"t","subtasks":[{"name":"a","exec_us":1e999,"resource":"isp"}],"edges":[]})"),
+      std::invalid_argument);
+  // Finite but outside the integer target's range.
+  EXPECT_THROW(
+      graph_from_json(
+          R"({"name":"t","subtasks":[{"name":"a","config":1e12,"resource":"isp"}],"edges":[]})"),
+      std::invalid_argument);
+  // A field of the wrong JSON kind, and a malformed number token.
+  EXPECT_THROW(
+      graph_from_json(
+          R"({"name":"t","subtasks":[{"name":"a","exec_us":"10","resource":"isp"}],"edges":[]})"),
+      std::invalid_argument);
+  EXPECT_THROW(
+      graph_from_json(
+          R"({"name":"t","subtasks":[{"name":"a","exec_us":1-2,"resource":"isp"}],"edges":[]})"),
+      std::invalid_argument);
 }
 
 }  // namespace

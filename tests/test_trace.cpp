@@ -5,13 +5,16 @@
 // every accounting feature — defragmentation, shared ISPs, deadlines,
 // preemptive checkpointing — so every event kind is exercised.
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "sim/workloads.hpp"
 #include "trace/trace.hpp"
+#include "util/json.hpp"
 
 namespace drhw {
 namespace {
@@ -175,7 +178,75 @@ TEST(Trace, ReportJsonRoundTripIsBitExact) {
   const std::string path = testing::TempDir() + "/trace_json.jsonl";
   const TracedRun run = record_run(path, TraceFormat::jsonl);
   const std::string json = online_report_to_json(run.live);
-  EXPECT_EQ(online_report_to_json(online_report_from_json(json)), json);
+  EXPECT_EQ(online_report_to_json(online_report_from_json(json::parse(json))),
+            json);
+}
+
+// Moves a field off its recorded value: scalars by one, vectors by one
+// extra element (a size mismatch).
+template <typename T>
+void perturb(T& value) {
+  value += 1;
+}
+
+template <typename T>
+void perturb(std::vector<T>& values) {
+  values.push_back(T{});
+}
+
+TEST(Trace, VerifyReportsEachPerturbedFieldByName) {
+  const std::string path = testing::TempDir() + "/trace_perturb.jsonl";
+  const TracedRun run = record_run(path, TraceFormat::jsonl);
+  ASSERT_TRUE(verify_trace(run.trace).empty());
+  std::size_t fields = 0;
+  visit_report_fields([&](const char*, const auto&) { ++fields; },
+                      run.trace.live);
+  for (std::size_t k = 0; k < fields; ++k) {
+    TraceData trace = run.trace;
+    std::string name;
+    std::size_t at = 0;
+    visit_report_fields(
+        [&](const char* field, auto& value) {
+          if (at++ != k) return;
+          name = field;
+          perturb(value);
+        },
+        trace.live);
+    const auto mismatches = verify_trace(trace);
+    ASSERT_EQ(mismatches.size(), 1u) << name;
+    const std::string named = mismatches[0].substr(0, mismatches[0].find(':'));
+    EXPECT_TRUE(named == name || named == name + ".size") << mismatches[0];
+  }
+}
+
+TEST(Trace, FooterReaderRejectsWrongKindsAndKeepsDefaultsForMissingKeys) {
+  for (const auto& [text, key] :
+       {std::pair<const char*, const char*>{R"({"horizon":"x"})", "horizon"},
+        {R"({"mean_response_ms":true})", "mean_response_ms"},
+        {R"({"queue_skips":1.5})", "queue_skips"},
+        {R"({"spans":{}})", "spans"},
+        {R"({"port_utilisation_per_port_pct":["a"]})",
+         "port_utilisation_per_port_pct"},
+        {R"({"sim":3})", "sim"},
+        {R"({"sim":{"loads":[1]}})", "sim.loads"}}) {
+    try {
+      online_report_from_json(json::parse(text));
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // An older footer without most fields reads with the defaults; null is
+  // the writer's spelling of a non-finite double.
+  const OnlineReport report = online_report_from_json(json::parse(
+      R"({"sim":{"loads":7},"horizon":5,"mean_response_ms":null})"));
+  EXPECT_EQ(report.sim.loads, 7);
+  EXPECT_EQ(report.horizon, 5);
+  EXPECT_TRUE(std::isnan(report.mean_response_ms));
+  EXPECT_EQ(report.preemptions, 0);
+  EXPECT_TRUE(report.spans.empty());
 }
 
 }  // namespace
