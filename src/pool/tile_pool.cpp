@@ -128,8 +128,8 @@ std::int32_t TilePoolManager::select(time_us now) {
   for (std::size_t i = head_; i < pick; ++i)
     if (queue_[i].job >= 0) {
       ++queue_[i].skips;
-      ++queue_skips_;
-      if (trace_) trace_->on_queue_skip(now);
+      if (trace_)
+        trace_->record(TraceEvent(TraceEvent::Kind::queue_skip, now));
     }
   last_pick_ = pick;
   return queue_[pick].job;
@@ -155,8 +155,8 @@ std::int32_t TilePoolManager::select_urgent(
   for (std::size_t i = head_; i < pick; ++i)
     if (queue_[i].job >= 0) {
       ++queue_[i].skips;
-      ++queue_skips_;
-      if (trace_) trace_->on_queue_skip(now);
+      if (trace_)
+        trace_->record(TraceEvent(TraceEvent::Kind::queue_skip, now));
     }
   last_pick_ = pick;
   return queue_[pick].job;
@@ -455,7 +455,6 @@ bool TilePoolManager::finish_migration(const MigrationPlan& plan,
   reserved_[dst] = 0;
   migrating_[src] = 0;
   --migrations_in_flight_;
-  ++defrag_moves_;
   // The transfer only holds when the owner is still live on `src` and no
   // competing load overwrote the source mid-flight; otherwise the loaded
   // copy stays behind as an ordinary reusable cached configuration.
@@ -469,6 +468,13 @@ bool TilePoolManager::finish_migration(const MigrationPlan& plan,
     owner_[src] = -1;
   } else {
     store_.record_load(plan.dst, plan.config, now, plan.value);
+  }
+  if (trace_) {
+    TraceEvent ev(TraceEvent::Kind::migration_done, now);
+    ev.src = plan.src;
+    ev.dst = plan.dst;
+    ev.aux = transfer ? 1 : 0;
+    trace_->record(ev);
   }
   return transfer;
 }
@@ -484,7 +490,12 @@ void TilePoolManager::apply_remap(const MigrationPlan& plan, time_us now) {
   owner_[dst] = plan.owner;
   held_[src] = 0;
   owner_[src] = -1;
-  ++defrag_moves_;
+  if (trace_) {
+    TraceEvent ev(TraceEvent::Kind::remap, now, plan.owner);
+    ev.src = plan.src;
+    ev.dst = plan.dst;
+    trace_->record(ev);
+  }
 }
 
 // --- preemptive checkpointing -----------------------------------------------
@@ -522,26 +533,14 @@ void TilePoolManager::abort_checkpoint(PhysTileId tile) {
 // --- metrics ----------------------------------------------------------------
 
 void TilePoolManager::touch(time_us now) {
-  if (now > last_change_) {
-    const double frag = fragmentation_pct();
-    frag_integral_ += frag * static_cast<double>(now - last_change_);
-    last_change_ = now;
-    // The sample carries the fragmentation that *held over* the elapsed
-    // interval, so a replay can re-integrate the identical products.
-    if (trace_) trace_->on_frag_sample(now, frag);
-  }
-}
-
-double TilePoolManager::mean_fragmentation_pct(time_us horizon) const {
-  // Pool events (e.g. a prefetch completing after the last retire) may
-  // extend past the caller's horizon; average over the full observed span
-  // so the integral and the divisor always cover the same interval.
-  const time_us end = std::max(horizon, last_change_);
-  if (end <= 0) return 0.0;
-  double integral = frag_integral_;
-  if (end > last_change_)
-    integral += fragmentation_pct() * static_cast<double>(end - last_change_);
-  return integral / static_cast<double>(end);
+  if (now <= last_change_) return;
+  last_change_ = now;
+  if (!trace_) return;
+  // The sample carries the fragmentation that *held over* the elapsed
+  // interval (the occupancy has not changed yet at this call).
+  TraceEvent ev(TraceEvent::Kind::frag, now);
+  ev.value = fragmentation_pct();
+  trace_->record(ev);
 }
 
 std::size_t TilePoolManager::checked(PhysTileId tile) const {

@@ -33,8 +33,13 @@
 /// Fragmentation metric: 100 * (1 - largest_free_block / free_count), the
 /// classic external-fragmentation measure — 0 when every free tile is in
 /// one contiguous run, approaching 100 when free tiles are scattered
-/// singletons. The pool integrates it over simulated time so reports carry
-/// a time-weighted mean, not a snapshot.
+/// singletons. The pool samples it at every occupancy change (a `frag`
+/// event) so reports carry a time-weighted mean, not a snapshot.
+///
+/// The pool keeps no report counters. It describes what a report counts —
+/// queue skips, fragmentation samples, completed migrations and free
+/// remaps — as TraceEvents to its sink (the kernel's OnlineAccounting fold,
+/// sim/online_accounting.hpp).
 ///
 /// The pool never touches the event queue or the port: the simulator asks
 /// it *what* to do (select / offer / plan_defrag) and tells it what
@@ -54,7 +59,7 @@
 
 namespace drhw {
 
-class TraceSink;  // sim/trace_hook.hpp — structured event-trace observer
+class TraceSink;  // sim/trace_hook.hpp — event-stream observer
 
 /// Which queued instance may be admitted next onto the tile pool.
 enum class AdmissionPolicy {
@@ -115,8 +120,8 @@ class TilePoolManager {
   /// kernel's perf-counter layer. Optional; may be null.
   void set_perf_counters(PerfCounters* perf) { perf_ = perf; }
 
-  /// Routes the pool's replay-relevant samples (queue skips, fragmentation
-  /// integral advances) to the kernel's trace sink. Optional; may be null.
+  /// Routes the pool's events (queue_skip, frag, migration_done, remap) to
+  /// `trace`. Optional; may be null.
   void set_trace_sink(TraceSink* trace) { trace_ = trace; }
 
   // --- admission queue (strict arrival order) -----------------------------
@@ -259,13 +264,6 @@ class TilePoolManager {
   /// the tile stays held by its owner as if nothing happened.
   void abort_checkpoint(PhysTileId tile);
 
-  // --- metrics -------------------------------------------------------------
-
-  long queue_skips() const { return queue_skips_; }
-  long defrag_moves() const { return defrag_moves_; }
-  /// Time-weighted mean fragmentation over [0, horizon]; 0 for horizon 0.
-  double mean_fragmentation_pct(time_us horizon) const;
-
  private:
   struct Waiting {
     std::int32_t job = -1;
@@ -295,7 +293,8 @@ class TilePoolManager {
   WindowScan scan_window(int start, int needed,
                          const std::vector<char>& movable) const;
   std::size_t checked(PhysTileId tile) const;
-  /// Integrates the fragmentation metric up to `now`.
+  /// Emits the fragmentation that held since the last occupancy change, if
+  /// simulated time moved on since then.
   void touch(time_us now);
 
   PoolOptions options_;
@@ -317,10 +316,7 @@ class TilePoolManager {
   int defrag_window_size_ = 0;   ///< its extent (the planned-for head's need)
   std::int32_t defrag_target_ = -1; ///< queue head the window was planned for
 
-  long queue_skips_ = 0;
-  long defrag_moves_ = 0;
-  double frag_integral_ = 0.0;
-  time_us last_change_ = 0;
+  time_us last_change_ = 0;  ///< instant of the last frag sample
 };
 
 }  // namespace drhw

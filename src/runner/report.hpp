@@ -5,7 +5,8 @@
 /// folds per-scenario SimReport metrics into per-family and whole-campaign
 /// summary distributions (mean/stddev/min/max/p50/p95); the JSON and CSV
 /// writers produce machine-readable reports, and the matching readers
-/// round-trip them (used by tooling and the regression tests).
+/// round-trip them. Only the tests call the readers (round-trip and
+/// forward-compatibility checks); no tool reads a campaign report back.
 ///
 /// Only deterministic metrics enter the aggregates; wall-clock fields
 /// (wall_ms, the sched_cost timings) are reported per scenario but never

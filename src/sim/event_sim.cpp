@@ -8,9 +8,8 @@
 #include "policy/prefetch_policy.hpp"
 #include "policy/registry.hpp"
 #include "sim/instance_arena.hpp"
-#include "sim/trace_hook.hpp"
+#include "sim/online_accounting.hpp"
 #include "util/check.hpp"
-#include "util/p2_quantile.hpp"
 
 namespace drhw {
 
@@ -104,16 +103,28 @@ constexpr std::int32_t k_preempt_job = -3;
 constexpr std::int32_t k_slot_queued = -1;
 constexpr std::int32_t k_slot_retired = -2;
 
+AccountingConstants accounting_constants(const OnlineSimOptions& options) {
+  AccountingConstants constants;
+  constants.reconfig_ports = options.platform.reconfig_ports;
+  constants.isps = options.platform.isps;
+  constants.reconfig_energy = options.platform.reconfig_energy;
+  constants.deadlines = options.deadline_scale > 0.0;
+  constants.record_spans = options.record_spans;
+  return constants;
+}
+
 class OnlineSimulation {
  public:
   OnlineSimulation(const OnlineSimOptions& options,
                    const IterationSampler& sampler)
       : options_(options),
+        trace_(options.trace),
+        fold_(accounting_constants(options), options.trace),
         policy_(PolicyRegistry::instance().create(options.policy)),
         pool_(options.platform.tiles, options.pool),
         bind_rng_(options.seed ^ 0x5DEECE66DULL),
         view_store_(1) {
-    PhaseTimer setup_timer(report_.perf.setup_ns);
+    PhaseTimer setup_timer(perf_.setup_ns);
     options_.platform.validate();
     options_.arrivals.validate();
     DRHW_CHECK_GE_MSG(options_.iterations, 1,
@@ -132,10 +143,9 @@ class OnlineSimulation {
     if (options_.shared_isps && options_.platform.isps < 1)
       throw std::invalid_argument(
           "shared-ISP contention needs a platform with >= 1 ISP");
-    pool_.set_perf_counters(&report_.perf);
-    trace_ = options_.trace;
-    pool_.set_trace_sink(trace_);
-    events_ = EventQueue(options_.queue_backend, &report_.perf);
+    pool_.set_perf_counters(&perf_);
+    pool_.set_trace_sink(&fold_);
+    events_ = EventQueue(options_.queue_backend, &perf_);
 
     // Draw the whole instance stream up front. The sampler is the only
     // consumer of this generator, so the stream equals the sequential
@@ -158,6 +168,7 @@ class OnlineSimulation {
       }
     job_arrival_.assign(job_prep_.size(), 0);
     job_slot_.assign(job_prep_.size(), k_slot_queued);
+    fold_.reserve_jobs(job_prep_.size());
     setup_arenas();
     setup_deadlines();
     setup_arrivals();
@@ -165,7 +176,7 @@ class OnlineSimulation {
 
   OnlineReport run() {
     {
-      PhaseTimer loop_timer(report_.perf.loop_ns);
+      PhaseTimer loop_timer(perf_.loop_ns);
       while (!events_.empty()) {
         const Event ev = events_.pop();
         switch (ev.kind) {
@@ -193,12 +204,14 @@ class OnlineSimulation {
     }
     DRHW_CHECK_EQ_MSG(retired_, static_cast<long>(job_prep_.size()),
                       "online simulation stalled");
+    OnlineReport report;
     {
-      // Scoped so the timer lands in finalize_ns before the report moves.
-      PhaseTimer finalize_timer(report_.perf.finalize_ns);
-      finalize();
+      // Scoped so the timer lands in finalize_ns before perf is copied.
+      PhaseTimer finalize_timer(perf_.finalize_ns);
+      report = finalize();
     }
-    return std::move(report_);
+    report.perf = perf_;
+    return report;
   }
 
  private:
@@ -214,12 +227,11 @@ class OnlineSimulation {
         max_config =
             std::max(max_config, graph.subtask(static_cast<SubtaskId>(s)).config);
     }
-    arena_.configure(stride, &report_.perf);
+    arena_.configure(stride, &perf_);
 
     const auto tiles = static_cast<std::size_t>(options_.platform.tiles);
     ports_ = PortSet(options_.platform.reconfig_ports);
     if (options_.shared_isps) isps_ = PortSet(options_.platform.isps);
-    if (options_.record_spans) report_.spans.assign(job_prep_.size(), 0);
     live_.reserve(tiles + 1);
     protected_scratch_.assign(tiles, 0);
     movable_scratch_.assign(tiles, 0);
@@ -243,22 +255,21 @@ class OnlineSimulation {
       for (std::size_t p = 0; p < preps_.size(); ++p)
         candidate_cache_[p] = policy_->intertask_candidates(*preps_[p]);
     }
-    prep_drhw_.assign(preps_.size(), 0);
-    prep_exec_energy_.assign(preps_.size(), 0.0);
+    // The per-preparation constants retire accounting folds in.
+    std::vector<TracePrep> prep_table(preps_.size());
     for (std::size_t p = 0; p < preps_.size(); ++p) {
       const SubtaskGraph& graph = *preps_[p]->graph;
+      TracePrep& row = prep_table[p];
+      row.name = graph.name();
+      row.ideal = preps_[p]->ideal;
+      row.subtasks = graph.size();
       for (std::size_t s = 0; s < graph.size(); ++s) {
         const auto id = static_cast<SubtaskId>(s);
-        if (preps_[p]->placement.on_drhw(id)) ++prep_drhw_[p];
-        prep_exec_energy_[p] += graph.subtask(id).exec_energy;
+        if (preps_[p]->placement.on_drhw(id)) ++row.drhw_subtasks;
+        row.exec_energy += graph.subtask(id).exec_energy;
       }
     }
-
-    if (trace_)
-      for (std::size_t p = 0; p < preps_.size(); ++p)
-        trace_->on_prep(static_cast<int>(p), preps_[p]->graph->name().c_str(),
-                        preps_[p]->ideal, prep_drhw_[p], prep_exec_energy_[p],
-                        preps_[p]->graph->size());
+    fold_.on_preps(prep_table);
 
     if (options_.replacement == ReplacementPolicy::oracle) {
       // Built once; each admission binary-searches the shared NextUseIndex
@@ -569,17 +580,19 @@ class OnlineSimulation {
           graph.predecessors(static_cast<SubtaskId>(s)).size());
       if (!arena_.needs[base + s]) arena_.config_done[base + s] = 1;
     }
-    if (live_.size() == live_.capacity()) report_.perf.note_alloc();
+    if (live_.size() == live_.capacity()) perf_.note_alloc();
     live_.push_back(index);
-    report_.sim.reused_subtasks += slot.reused;
-    const time_us arrival = job_arrival_[static_cast<std::size_t>(index)];
-    queue_sum_ += static_cast<double>(t - arrival);
-    queue_max_ = std::max(queue_max_, t - arrival);
-    if (trace_)
-      trace_->on_admit(t, index, static_cast<long>(slot.reused),
-                       static_cast<long>(slot.cancelled),
-                       static_cast<std::size_t>(slot.init_count),
-                       occupied_scratch_);
+    {
+      TraceEvent ev(TraceEvent::Kind::admit, t, index);
+      ev.loads = slot.reused;
+      ev.aux = slot.cancelled;
+      ev.init = static_cast<std::int64_t>(slot.init_count);
+      if (trace_) {
+        ev.tiles = occupied_scratch_.data();
+        ev.tile_count = static_cast<std::uint32_t>(occupied_scratch_.size());
+      }
+      fold_.record(ev);
+    }
 
     // The run-time scheduling decision itself costs simulated time: until
     // it completes nothing of this instance may load or execute.
@@ -657,7 +670,6 @@ class OnlineSimulation {
       if (i < plan.init_count)
         arena_.init_load[base + static_cast<std::size_t>(plan.loads[i])] = 1;
     }
-    report_.sim.cancelled_loads += slot.cancelled;
   }
 
   // -- state transitions (mirroring the single-instance evaluator) -------
@@ -711,7 +723,7 @@ class OnlineSimulation {
       // discipline order onto every idle server.
       if (!isp_waiting_.empty() || !isps_.idle_at(isps_.earliest(), t)) {
         if (isp_waiting_.size() == isp_waiting_.capacity())
-          report_.perf.note_alloc();
+          perf_.note_alloc();
         isp_waiting_.push_back({j, s, isp_seq_++});
         arena_.isp_queued[idx] = 1;
         return;
@@ -725,24 +737,23 @@ class OnlineSimulation {
     const PreparedScenario& prep = prep_of(j);
     const time_us duration = prep.graph->subtask(s).exec_time;
     const TileId tile = prep.placement.tile_of[static_cast<std::size_t>(s)];
+    TraceEvent ev(TraceEvent::Kind::exec_start, t, j);
+    ev.subtask = s;
+    ev.duration = duration;
     if (tile == k_no_tile) {
-      isp_busy_ += duration;  // offered ISP load, shared or not
+      ev.aux = 1;  // ISP execution: the fold counts it as ISP load
       if (options_.shared_isps) {
         const std::size_t server = isps_.earliest();
         isps_.dispatch(server, t, duration);
-        if (trace_)
-          trace_->on_exec_start(t, j, s, duration,
-                                static_cast<std::int64_t>(server), true);
-      } else if (trace_) {
-        trace_->on_exec_start(
-            t, j, s, duration,
-            prep.placement.isp_of[static_cast<std::size_t>(s)], true);
+        ev.unit = static_cast<std::int32_t>(server);
+      } else {
+        ev.unit = prep.placement.isp_of[static_cast<std::size_t>(s)];
       }
-    } else if (trace_) {
-      trace_->on_exec_start(
-          t, j, s, duration,
-          slot_of(j).phys_of_tile[static_cast<std::size_t>(tile)], false);
+    } else {
+      ev.unit = slot_of(j).phys_of_tile[static_cast<std::size_t>(tile)];
     }
+    // Only ISP time reaches the report; a tile execution is for the trace.
+    if (trace_ || tile == k_no_tile) fold_.record(ev);
     arena_.started[base_of(j) + static_cast<std::size_t>(s)] = 1;
     events_.push(t + duration, k_ev_exec_done, j, s);
   }
@@ -855,11 +866,15 @@ class OnlineSimulation {
     ports_.dispatch(port, t, duration);
     ++slot.loads;
     ++slot.pending_loads;
-    if (trace_) {
-      const TileId tile = prep.placement.tile_of[static_cast<std::size_t>(s)];
-      trace_->on_load_start(
-          t, j, s, prep.graph->subtask(s).config, port, duration,
-          slot.phys_of_tile[static_cast<std::size_t>(tile)]);
+    {
+      TraceEvent ev(TraceEvent::Kind::load_start, t, j);
+      ev.subtask = s;
+      ev.config = prep.graph->subtask(s).config;
+      ev.unit = static_cast<std::int32_t>(port);
+      ev.duration = duration;
+      ev.src = slot.phys_of_tile[static_cast<std::size_t>(
+          prep.placement.tile_of[static_cast<std::size_t>(s)])];
+      fold_.record(ev);
     }
     if (slot.policy == LoadPolicy::explicit_order)
       while (slot.next_explicit < slot.order.size() &&
@@ -919,11 +934,12 @@ class OnlineSimulation {
         ++inflight_ref(config);
         const time_us duration = load_duration(prep, s);
         ports_.dispatch(port, t, duration);
-        ++report_.sim.intertask_prefetches;
-        ++report_.sim.loads;
-        report_.sim.energy += options_.platform.reconfig_energy;
-        if (trace_)
-          trace_->on_prefetch_start(t, queued, config, port, duration, victim);
+        TraceEvent ev(TraceEvent::Kind::prefetch_start, t, queued);
+        ev.config = config;
+        ev.unit = static_cast<std::int32_t>(port);
+        ev.duration = duration;
+        ev.src = victim;
+        fold_.record(ev);
         events_.push(t + duration, k_ev_load_done, k_prefetch_job,
                      static_cast<SubtaskId>(victim));
         return true;
@@ -975,7 +991,6 @@ class OnlineSimulation {
         // An empty held tile carries no bitstream: remapping it is free.
         pool_.apply_remap(*plan, t);
         remap_owner(*plan);
-        if (trace_) trace_->on_remap(t, plan->src, plan->dst, plan->owner);
         // movable_scratch_ predates this remap: the relocated tile is
         // still the same idle empty holding (nothing can execute on a
         // configuration-less tile), so it stays movable for the
@@ -993,16 +1008,14 @@ class OnlineSimulation {
       DRHW_CHECK(!migration_active_[src]);
       migration_active_[src] = 1;
       migration_plans_[src] = *plan;
-      ++migrations_in_flight_count_;
-      peak_migrations_ =
-          std::max(peak_migrations_, migrations_in_flight_count_);
       const time_us duration = options_.platform.reconfig_latency;
       ports_.dispatch(port, t, duration);
-      ++report_.sim.loads;
-      report_.sim.energy += options_.platform.reconfig_energy;
-      if (trace_)
-        trace_->on_migration_start(t, port, duration, plan->src, plan->dst,
-                                   plan->owner);
+      TraceEvent ev(TraceEvent::Kind::migration_start, t, plan->owner);
+      ev.unit = static_cast<std::int32_t>(port);
+      ev.duration = duration;
+      ev.src = plan->src;
+      ev.dst = plan->dst;
+      fold_.record(ev);
       // The completion event carries the source tile so the handler can
       // retire the right plan when several moves are in flight.
       events_.push(t + duration, k_ev_load_done, k_migration_job,
@@ -1094,9 +1107,10 @@ class OnlineSimulation {
       // the migration-to-store this models.
       const time_us duration = options_.platform.reconfig_latency;
       ports_.dispatch(port, t, duration);
-      ++report_.sim.loads;
-      report_.sim.energy += options_.platform.reconfig_energy;
-      if (trace_) trace_->on_checkpoint_start(t, port, duration, victim);
+      TraceEvent ev(TraceEvent::Kind::checkpoint_start, t, victim);
+      ev.unit = static_cast<std::int32_t>(port);
+      ev.duration = duration;
+      fold_.record(ev);
       events_.push(t + duration, k_ev_load_done, k_preempt_job, k_no_subtask);
       return true;
     }
@@ -1104,37 +1118,25 @@ class OnlineSimulation {
   }
 
   /// Checkpoint writeout landed: free the victim's tiles (configs stay
-  /// cached), fold its dropped stint into the load accounting, and send it
-  /// back to the admission backlog with its original deadline.
+  /// cached), report its dropped stint, and send it back to the admission
+  /// backlog with its original deadline.
   void finish_preempt(std::int32_t victim, time_us t) {
     const std::int32_t slot_id = job_slot_[static_cast<std::size_t>(victim)];
     InstanceSlot& slot = arena_.slot(slot_id);
     for (const PhysTileId p : slot.phys_of_tile)
       if (p != k_no_phys_tile) pool_.finish_checkpoint(p, t);
-    // The dropped stint's loads happened on the timeline; account for them
-    // now (retire() will only see the resumed stint). The energy-saved
-    // credit is reduced accordingly: those reconfigurations were real.
-    report_.sim.loads += slot.loads;
-    report_.sim.init_loads += static_cast<long>(slot.init_count);
-    report_.sim.energy += options_.platform.reconfig_energy *
-                          static_cast<double>(slot.loads);
-    report_.sim.energy_saved -= options_.platform.reconfig_energy *
-                                static_cast<double>(slot.loads);
-    // Queueing credit: admit() will charge (re-admit - arrival) again, so
-    // subtract the interval up to now once — the net queueing is the first
-    // wait plus the post-preemption wait, not double the first.
-    queue_sum_ -= static_cast<double>(
-        t - job_arrival_[static_cast<std::size_t>(victim)]);
-    if (trace_)
-      trace_->on_preempt(t, victim, slot.loads,
-                         static_cast<std::size_t>(slot.init_count));
+    // The fold charges the dropped stint's loads and gives back its
+    // queueing (sim/online_accounting.cpp).
+    TraceEvent ev(TraceEvent::Kind::preempt, t, victim);
+    ev.loads = slot.loads;
+    ev.init = static_cast<std::int64_t>(slot.init_count);
+    fold_.record(ev);
     live_.erase(std::find(live_.begin(), live_.end(), victim));
     arena_.release(slot_id);
     job_slot_[static_cast<std::size_t>(victim)] = k_slot_queued;
     const int needed = prep_of(victim).placement.tiles_occupied();
     pool_.enqueue(victim, needed, t);
     ++queued_hist_[PolicyContext::size_bucket(needed)];
-    ++report_.preemptions;
   }
 
   void try_port(time_us t) {
@@ -1186,14 +1188,15 @@ class OnlineSimulation {
       job_deadline_[static_cast<std::size_t>(j)] =
           t + prep_rel_deadline_[static_cast<std::size_t>(
                   job_prep_[static_cast<std::size_t>(j)])];
-    if (trace_)
-      trace_->on_arrival(t, j, job_prep_[static_cast<std::size_t>(j)],
-                         deadlines_enabled_
-                             ? job_deadline_[static_cast<std::size_t>(j)]
-                             : k_no_time,
-                         deadlines_enabled_
-                             ? job_crit_[static_cast<std::size_t>(j)]
-                             : 0);
+    {
+      TraceEvent ev(TraceEvent::Kind::arrival, t, j);
+      ev.prep = job_prep_[static_cast<std::size_t>(j)];
+      if (deadlines_enabled_) {
+        ev.deadline = job_deadline_[static_cast<std::size_t>(j)];
+        ev.aux = job_crit_[static_cast<std::size_t>(j)];
+      }
+      fold_.record(ev);
+    }
     const int needed = prep_of(j).placement.tiles_occupied();
     pool_.enqueue(j, needed, t);
     ++queued_hist_[PolicyContext::size_bucket(needed)];
@@ -1205,14 +1208,14 @@ class OnlineSimulation {
       // preemption. The next idle port serves it (try_port below, or any
       // later port event).
       if (preempt_waiting_.size() == preempt_waiting_.capacity())
-        report_.perf.note_alloc();
+        perf_.note_alloc();
       preempt_waiting_.push_back(j);
     }
     try_port(t);
   }
 
   void on_sched_done(std::int32_t j, time_us t) {
-    if (trace_) trace_->on_sched_done(t, j);
+    if (trace_) fold_.record(TraceEvent(TraceEvent::Kind::sched_done, t, j));
     slot_of(j).sched_done = true;
     const std::size_t n = prep_of(j).graph->size();
     for (std::size_t s = 0; s < n; ++s)
@@ -1227,11 +1230,7 @@ class OnlineSimulation {
                      "migration completion without a matching plan");
       const MigrationPlan plan = migration_plans_[src];
       migration_active_[src] = 0;
-      --migrations_in_flight_count_;
-      const bool transferred = pool_.finish_migration(plan, t);
-      if (transferred) remap_owner(plan);
-      if (trace_)
-        trace_->on_migration_done(t, plan.src, plan.dst, transferred);
+      if (pool_.finish_migration(plan, t)) remap_owner(plan);
       // Executions gated on the migrating tile may go now — whether or not
       // the transfer held (an aborted transfer leaves the owner on the
       // source tile, whose gate just lifted). Skip a retired owner.
@@ -1248,7 +1247,12 @@ class OnlineSimulation {
       const auto tile = static_cast<PhysTileId>(s);
       const ConfigId config = pool_.finish_prefetch(tile, t);
       release_inflight(config);
-      if (trace_) trace_->on_prefetch_done(t, tile, config);
+      if (trace_) {
+        TraceEvent ev(TraceEvent::Kind::prefetch_done, t);
+        ev.config = config;
+        ev.src = tile;
+        fold_.record(ev);
+      }
       try_admit(t);
       try_port(t);
       return;
@@ -1273,9 +1277,12 @@ class OnlineSimulation {
         slot.phys_of_tile[static_cast<std::size_t>(tile)],
         prep.graph->subtask(s).config, t,
         static_cast<double>(values_of(j)[static_cast<std::size_t>(s)]));
-    if (trace_)
-      trace_->on_load_done(t, j, s,
-                           slot.phys_of_tile[static_cast<std::size_t>(tile)]);
+    if (trace_) {
+      TraceEvent ev(TraceEvent::Kind::load_done, t, j);
+      ev.subtask = s;
+      ev.src = slot.phys_of_tile[static_cast<std::size_t>(tile)];
+      fold_.record(ev);
+    }
     if (arena_.init_load[idx] && --slot.init_pending == 0) {
       slot.init_done = true;
       // The stored schedule starts now: release every execution whose other
@@ -1301,7 +1308,11 @@ class OnlineSimulation {
     const std::size_t idx = base + static_cast<std::size_t>(s);
     arena_.finished[idx] = 1;
     ++slot.finished_count;
-    if (trace_) trace_->on_exec_done(t, j, s);
+    if (trace_) {
+      TraceEvent ev(TraceEvent::Kind::exec_done, t, j);
+      ev.subtask = s;
+      fold_.record(ev);
+    }
 
     const TileId tile = placement.tile_of[static_cast<std::size_t>(s)];
     // A shared ISP server just freed: waiting executions requested it
@@ -1348,63 +1359,30 @@ class OnlineSimulation {
   void retire(std::int32_t j, time_us t) {
     const std::int32_t slot_id = job_slot_[static_cast<std::size_t>(j)];
     InstanceSlot& slot = arena_.slot(slot_id);
-    const PreparedScenario& prep = prep_of(j);
     pool_.release(j, t);
     live_.erase(std::find(live_.begin(), live_.end(), j));
 
-    // Accounting, mirroring the sequential simulator's account(). The
-    // per-graph constants (DRHW subtask count, execution energy) were
-    // folded per distinct preparation in setup_arenas().
-    const time_us span = t - slot.admit;
-    if (options_.record_spans)
-      report_.spans[static_cast<std::size_t>(j)] = span;  // arrival order
-    report_.sim.total_ideal += prep.ideal;
-    report_.sim.total_actual += span;
-    ++report_.sim.instances;
-    const auto prep_idx =
-        static_cast<std::size_t>(job_prep_[static_cast<std::size_t>(j)]);
-    const long drhw = prep_drhw_[prep_idx];
-    report_.sim.drhw_subtask_instances += drhw;
-    report_.sim.loads += slot.loads;
-    report_.sim.init_loads += static_cast<long>(slot.init_count);
-    report_.sim.energy +=
-        prep_exec_energy_[prep_idx] +
-        options_.platform.reconfig_energy * static_cast<double>(slot.loads);
-    report_.sim.energy_saved += options_.platform.reconfig_energy *
-                                static_cast<double>(drhw - slot.loads);
-    const time_us arrival = job_arrival_[static_cast<std::size_t>(j)];
-    response_sum_ += static_cast<double>(t - arrival);
-    response_max_ = std::max(response_max_, t - arrival);
-    response_sketch_.add(to_ms(t - arrival));
-    horizon_ = std::max(horizon_, t);
-
-    if (deadlines_enabled_) {
-      // Miss = retired strictly after the absolute deadline; lateness is
-      // signed (early retires pull the mean down), tardiness clamps at 0.
-      const time_us deadline = job_deadline_[static_cast<std::size_t>(j)];
-      const time_us lateness = t - deadline;
-      ++report_.deadline_jobs;
-      lateness_sum_ += static_cast<double>(lateness);
+    if (deadlines_enabled_ && trace_) {
+      const time_us lateness = t - job_deadline_[static_cast<std::size_t>(j)];
       if (lateness > 0) {
-        ++report_.deadline_misses;
-        max_tardiness_ = std::max(max_tardiness_, lateness);
-        if (trace_) trace_->on_deadline_miss(t, j, lateness);
-      }
-      if (job_crit_[static_cast<std::size_t>(j)]) {
-        ++report_.high_crit_jobs;
-        if (lateness > 0) ++report_.high_crit_misses;
+        TraceEvent ev(TraceEvent::Kind::deadline_miss, t, j);
+        ev.deadline = lateness;
+        fold_.record(ev);
       }
     }
-    if (trace_)
-      trace_->on_retire(t, j, slot.loads,
-                        static_cast<std::size_t>(slot.init_count));
+    {
+      TraceEvent ev(TraceEvent::Kind::retire, t, j);
+      ev.loads = slot.loads;
+      ev.init = static_cast<std::int64_t>(slot.init_count);
+      fold_.record(ev);
+    }
 
     // The slot returns to the free list; the next admission reuses its
     // vectors at capacity (the steady-state zero-allocation contract).
     arena_.release(slot_id);
     job_slot_[static_cast<std::size_t>(j)] = k_slot_retired;
     ++retired_;
-    if (retired_ == warmup_retires_) report_.perf.end_warmup();
+    if (retired_ == warmup_retires_) perf_.end_warmup();
 
     if (options_.arrivals.kind == ArrivalProcess::Kind::closed_loop) {
       const auto next = static_cast<std::size_t>(j) + 1;
@@ -1417,77 +1395,30 @@ class OnlineSimulation {
     try_admit(t);
   }
 
-  void finalize() {
-    if (trace_) trace_->on_run_end(horizon_, pool_.fragmentation_pct());
-    if (report_.sim.total_ideal > 0)
-      report_.sim.overhead_pct =
-          100.0 *
-          static_cast<double>(report_.sim.total_actual -
-                              report_.sim.total_ideal) /
-          static_cast<double>(report_.sim.total_ideal);
-    if (report_.sim.drhw_subtask_instances > 0)
-      report_.sim.reuse_pct =
-          100.0 * static_cast<double>(report_.sim.reused_subtasks) /
-          static_cast<double>(report_.sim.drhw_subtask_instances);
-    report_.horizon = horizon_;
-    const auto n = static_cast<double>(job_prep_.size());
-    if (!job_prep_.empty()) {
-      report_.mean_response_ms = response_sum_ / n / 1000.0;
-      report_.mean_queueing_ms = queue_sum_ / n / 1000.0;
-    }
-    report_.max_response_ms = to_ms(response_max_);
-    report_.max_queueing_ms = to_ms(queue_max_);
-    report_.response_p50_ms = response_sketch_.p50();
-    report_.response_p95_ms = response_sketch_.p95();
-    report_.response_p99_ms = response_sketch_.p99();
-    report_.mean_frag_pct = pool_.mean_fragmentation_pct(horizon_);
-    report_.queue_skips = pool_.queue_skips();
-    report_.defrag_moves = pool_.defrag_moves();
-    if (report_.deadline_jobs > 0) {
-      report_.deadline_miss_pct =
-          100.0 * static_cast<double>(report_.deadline_misses) /
-          static_cast<double>(report_.deadline_jobs);
-      report_.mean_lateness_ms =
-          lateness_sum_ / static_cast<double>(report_.deadline_jobs) / 1000.0;
-    }
-    if (report_.high_crit_jobs > 0)
-      report_.high_crit_miss_pct =
-          100.0 * static_cast<double>(report_.high_crit_misses) /
-          static_cast<double>(report_.high_crit_jobs);
-    report_.max_tardiness_ms = to_ms(max_tardiness_);
-    report_.peak_concurrent_migrations = peak_migrations_;
-    const time_us busy_horizon = std::max(horizon_, ports_.latest_free());
-    report_.port_utilisation_per_port_pct.assign(ports_.size(), 0.0);
-    if (busy_horizon > 0) {
-      // Normalised by the port count: a saturated 2-port platform reports
-      // 100%, not 200%. Per-port shares use the same busy horizon (which
-      // extends past the last retire when a trailing prefetch/migration
-      // outlives it) and provably sum back to the total.
-      report_.port_utilisation_pct =
-          100.0 * static_cast<double>(ports_.total_busy()) /
-          (static_cast<double>(busy_horizon) *
-           static_cast<double>(ports_.size()));
-      time_us busy_sum = 0;
-      for (std::size_t p = 0; p < ports_.size(); ++p) {
-        report_.port_utilisation_per_port_pct[p] =
-            100.0 * static_cast<double>(ports_.busy(p)) /
-            static_cast<double>(busy_horizon);
-        busy_sum += ports_.busy(p);
-      }
-      DRHW_CHECK_EQ_MSG(busy_sum, ports_.total_busy(),
-                        "per-port busy accounting does not sum to the total");
-      const int isps = std::max(options_.platform.isps, 1);
-      if (options_.shared_isps)
-        DRHW_CHECK_EQ_MSG(isp_busy_, isps_.total_busy(),
-                          "shared-ISP busy accounting diverged");
-      report_.isp_utilisation_pct =
-          100.0 * static_cast<double>(isp_busy_) /
-          (static_cast<double>(busy_horizon) * static_cast<double>(isps));
-    }
+  OnlineReport finalize() {
+    TraceEvent end(TraceEvent::Kind::run_end, fold_.horizon());
+    end.value = pool_.fragmentation_pct();
+    fold_.record(end);
+    // Every port and ISP dispatch reached the fold as an event.
+    for (std::size_t p = 0; p < ports_.size(); ++p)
+      DRHW_CHECK_EQ_MSG(fold_.ports().busy(p), ports_.busy(p),
+                        "per-port busy accounting diverged");
+    DRHW_CHECK_EQ_MSG(fold_.ports().total_busy(), ports_.total_busy(),
+                      "total port busy accounting diverged");
+    DRHW_CHECK_EQ_MSG(fold_.ports().latest_free(), ports_.latest_free(),
+                      "port-free accounting diverged");
+    if (options_.shared_isps)
+      DRHW_CHECK_EQ_MSG(fold_.isp_busy(), isps_.total_busy(),
+                        "shared-ISP busy accounting diverged");
+    return fold_.finish();
   }
 
   OnlineSimOptions options_;
-  TraceSink* trace_ = nullptr;  ///< structured event-trace observer, or null
+  TraceSink* trace_ = nullptr;  ///< the user's trace sink, or null
+  /// Every report metric: the kernel hands it one event per accounting
+  /// site, and it forwards each to trace_ when set.
+  OnlineAccounting fold_;
+  PerfCounters perf_;  ///< the report's perf counters, filled as we go
   std::unique_ptr<PrefetchPolicy> policy_;  ///< the scheduling strategy
   TilePoolManager pool_;  ///< tile occupancy, admission queue, defrag state
   Rng bind_rng_;
@@ -1523,7 +1454,6 @@ class OnlineSimulation {
   };
   std::vector<IspWaiter> isp_waiting_;
   long isp_seq_ = 0;
-  time_us isp_busy_ = 0;  ///< total ISP execution time, shared or not
   std::vector<char> protected_scratch_;  ///< backlog-prefetch scratch
   std::vector<char> movable_scratch_;    ///< defrag-planning scratch
   std::vector<PhysTileId> occupied_scratch_;   ///< admission scratch
@@ -1536,15 +1466,11 @@ class OnlineSimulation {
   /// carry the source). One per port at most.
   std::vector<MigrationPlan> migration_plans_;
   std::vector<char> migration_active_;
-  long migrations_in_flight_count_ = 0;
-  long peak_migrations_ = 0;
   std::vector<int> inflight_;  ///< loads in flight, indexed config + 1
 
   // Per-preparation caches (indexed like preps_), built in setup_arenas().
   std::vector<const std::vector<time_us>*> values_cache_;
   std::vector<std::vector<SubtaskId>> candidate_cache_;
-  std::vector<long> prep_drhw_;          ///< DRHW subtasks per instance
-  std::vector<double> prep_exec_energy_; ///< execution energy per instance
   NextUseIndex next_use_index_;  ///< oracle policy only
 
   long retired_ = 0;
@@ -1560,22 +1486,10 @@ class OnlineSimulation {
   std::vector<char> job_crit_;              ///< 1 = high criticality
   std::vector<std::int32_t> preempt_waiting_;  ///< pending preempt requests
   std::int32_t checkpoint_victim_ = -1;  ///< writeout in flight, or -1
-  double lateness_sum_ = 0.0;            ///< signed, microseconds
-  time_us max_tardiness_ = 0;
 
   /// Backlog composition by footprint bucket (PolicyContext::size_bucket),
   /// maintained at enqueue/admit so the per-admission snapshot is O(1).
   int queued_hist_[4] = {0, 0, 0, 0};
-
-  // Online metric accumulators.
-  double response_sum_ = 0.0;
-  double queue_sum_ = 0.0;
-  time_us response_max_ = 0;
-  time_us queue_max_ = 0;
-  time_us horizon_ = 0;
-  QuantileSketch response_sketch_;
-
-  OnlineReport report_;
 };
 
 }  // namespace

@@ -196,11 +196,12 @@ struct OnlineSimOptions {
   /// (equivalence tests). Off for long-horizon runs — the streaming
   /// quantile sketch keeps reporting response percentiles regardless.
   bool record_spans = true;
-  /// Structured event-trace observer (sim/trace_hook.hpp). Null (default)
-  /// = tracing off: one null check per accounting site, reports
-  /// bit-identical to an untraced run. The trace subsystem (src/trace/)
-  /// records the stream to JSONL/binary and can replay it into a
-  /// bit-identical OnlineReport.
+  /// Event-stream observer (sim/trace_hook.hpp). Null (default) = tracing
+  /// off. When set it receives every event the report is folded from
+  /// (sim/online_accounting.hpp) plus the completion events; reports are
+  /// bit-identical either way. The trace subsystem (src/trace/) records
+  /// the stream to JSONL/binary and can replay it into a bit-identical
+  /// OnlineReport.
   TraceSink* trace = nullptr;
   std::uint64_t seed = 1;
   /// Sampler batches to draw (the flattened instances of these batches form

@@ -129,7 +129,7 @@ class SystemSimulation {
       }
       step(*current.scenario, upcoming);
     }
-    finalize();
+    report_.finish();
     return report_;
   }
 
@@ -399,40 +399,18 @@ class SystemSimulation {
   void account(const PreparedScenario& inst, const Binding& binding,
                const SequentialSchedule& sched) {
     const SubtaskGraph& graph = *inst.graph;
-    report_.total_ideal += inst.ideal;
-    report_.total_actual += sched.span;
-    ++report_.instances;
-
     long drhw = 0;
     double exec_energy = 0.0;
     for (std::size_t s = 0; s < graph.size(); ++s) {
       if (inst.placement.on_drhw(static_cast<SubtaskId>(s))) ++drhw;
       exec_energy += graph.subtask(static_cast<SubtaskId>(s)).exec_energy;
     }
-    report_.drhw_subtask_instances += drhw;
+    const auto init_loads = static_cast<long>(sched.init_loads.size());
+    report_.account_instance(inst.ideal, sched.span, drhw,
+                             init_loads + sched.eval.loads, init_loads,
+                             exec_energy, options_.platform.reconfig_energy);
     report_.reused_subtasks += binding.reused_subtasks;
-
-    const long instance_loads =
-        static_cast<long>(sched.init_loads.size()) + sched.eval.loads;
-    report_.loads += instance_loads;
-    report_.init_loads += static_cast<long>(sched.init_loads.size());
     report_.cancelled_loads += sched.cancelled_loads;
-    report_.energy +=
-        exec_energy +
-        options_.platform.reconfig_energy * static_cast<double>(instance_loads);
-    report_.energy_saved += options_.platform.reconfig_energy *
-                            static_cast<double>(drhw - instance_loads);
-  }
-
-  void finalize() {
-    if (report_.total_ideal > 0)
-      report_.overhead_pct =
-          100.0 *
-          static_cast<double>(report_.total_actual - report_.total_ideal) /
-          static_cast<double>(report_.total_ideal);
-    if (report_.drhw_subtask_instances > 0)
-      report_.reuse_pct = 100.0 * static_cast<double>(report_.reused_subtasks) /
-                          static_cast<double>(report_.drhw_subtask_instances);
   }
 
   struct QueuedInstance {
@@ -459,6 +437,29 @@ class SystemSimulation {
 };
 
 }  // namespace
+
+void SimReport::account_instance(time_us ideal, time_us span, long drhw,
+                                 long instance_loads, long instance_init,
+                                 double exec_energy, double reconfig_energy) {
+  total_ideal += ideal;
+  total_actual += span;
+  ++instances;
+  drhw_subtask_instances += drhw;
+  loads += instance_loads;
+  init_loads += instance_init;
+  energy += exec_energy + reconfig_energy * static_cast<double>(instance_loads);
+  energy_saved +=
+      reconfig_energy * static_cast<double>(drhw - instance_loads);
+}
+
+void SimReport::finish() {
+  if (total_ideal > 0)
+    overhead_pct = 100.0 * static_cast<double>(total_actual - total_ideal) /
+                   static_cast<double>(total_ideal);
+  if (drhw_subtask_instances > 0)
+    reuse_pct = 100.0 * static_cast<double>(reused_subtasks) /
+                static_cast<double>(drhw_subtask_instances);
+}
 
 SimReport run_simulation(const SimOptions& options,
                          const IterationSampler& sampler) {

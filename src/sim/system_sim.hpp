@@ -144,6 +144,17 @@ struct SimReport {
   double energy_saved = 0.0;  ///< reconfiguration energy avoided via reuse
   /// Per-instance spans in stream order (only when SimOptions::record_spans).
   std::vector<time_us> spans;
+
+  /// Folds one completed instance into the totals: its ideal makespan and
+  /// actual span, its DRHW subtask count, the port loads it performed
+  /// (`instance_init` of them in a hybrid initialization phase) and its
+  /// execution energy. Each load costs `reconfig_energy`; each DRHW subtask
+  /// it did not load saves that much. Shared by both simulators.
+  void account_instance(time_us ideal, time_us span, long drhw,
+                        long instance_loads, long instance_init,
+                        double exec_energy, double reconfig_energy);
+  /// Derives overhead_pct and reuse_pct from the totals.
+  void finish();
 };
 
 /// Simulates `options.iterations` iterations of the sampler's stream.

@@ -1,26 +1,24 @@
 #pragma once
 
 /// \file trace_hook.hpp
-/// Observer interface between the online kernel and the trace subsystem.
+/// The event vocabulary of an online run and its observer interface.
 ///
 /// The kernel (sim/event_sim.cpp) and the tile pool (pool/tile_pool.cpp)
-/// call into a TraceSink at every accounting site, in dispatch order, with
-/// the exact inputs the site folds into the OnlineReport. That makes a
-/// recorded trace a *machine-checked observability contract*: replaying the
-/// event stream re-performs the identical integer/floating-point
-/// accumulations in the identical order, so the re-derived report is
-/// bit-identical to the live one (src/trace/replay.cpp asserts this; the
-/// wall-clock `perf` counters are the one documented exclusion).
+/// describe every accounting site as one TraceEvent, in dispatch order.
+/// OnlineAccounting (sim/online_accounting.hpp) is the one fold that turns
+/// that stream into an OnlineReport: the kernel computes its live report by
+/// handing the fold each event, and trace replay computes its report by
+/// handing a fresh fold the recorded events. Both reports come out of the
+/// same code on the same inputs, so a recorded trace always replays into
+/// the live report bit for bit (the wall-clock `perf` counters are the one
+/// documented exclusion).
 ///
-/// The interface lives here — not under src/trace/ — so the kernel depends
-/// only on this leaf header and never on the trace subsystem's I/O code.
-/// Every method is a no-op by default and the kernel holds a nullable
-/// pointer (OnlineSimOptions::trace), so an untraced run does one null
-/// check per site and nothing else: behaviour and reports stay
-/// bit-identical with tracing off.
+/// The types live here — not under src/trace/ — so the kernel depends only
+/// on this leaf header and never on the trace subsystem's I/O code.
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "util/ids.hpp"
@@ -28,92 +26,85 @@
 
 namespace drhw {
 
+/// One event of an online run. A field is only meaningful for the kinds
+/// listed in its comment; everything else keeps the default.
+struct TraceEvent {
+  enum class Kind : std::uint8_t {
+    arrival = 0,
+    admit = 1,
+    sched_done = 2,
+    load_start = 3,
+    load_done = 4,
+    prefetch_start = 5,
+    prefetch_done = 6,
+    migration_start = 7,
+    migration_done = 8,
+    remap = 9,
+    checkpoint_start = 10,
+    preempt = 11,
+    exec_start = 12,
+    exec_done = 13,
+    retire = 14,
+    deadline_miss = 15,
+    queue_skip = 16,
+    frag = 17,
+    run_end = 18,
+  };
+
+  TraceEvent() = default;
+  TraceEvent(Kind event_kind, time_us at, std::int32_t job_id = -1)
+      : kind(event_kind), t(at), job(job_id) {}
+
+  Kind kind = Kind::arrival;
+  time_us t = 0;              ///< event instant; run_end: the horizon
+  std::int32_t job = -1;      ///< job; preempt: victim; remap/migration
+                              ///< start: owner
+  std::int32_t subtask = -1;  ///< load_*/exec_*: subtask id
+  std::int32_t prep = -1;     ///< arrival: preparation index
+  std::int64_t config = -1;   ///< load_start/prefetch_*: configuration id
+  std::int32_t unit = -1;     ///< port (load/prefetch/migration/checkpoint
+                              ///< start) or execution unit (exec_start)
+  time_us duration = 0;       ///< port/execution occupancy started here
+  std::int32_t src = -1;      ///< target tile; migration/remap: source tile
+  std::int32_t dst = -1;      ///< migration/remap: destination tile
+  std::int64_t loads = 0;     ///< retire/preempt: port loads; admit: reused
+  std::int64_t aux = 0;       ///< admit: cancelled; arrival: criticality;
+                              ///< exec_start: 1 = ISP; migration_done:
+                              ///< 1 = ownership transferred
+  std::int64_t init = 0;      ///< admit/retire/preempt: init-phase loads
+  time_us deadline = k_no_time;  ///< arrival: absolute deadline (k_no_time
+                                 ///< in best-effort runs); deadline_miss:
+                                 ///< lateness
+  double value = 0.0;            ///< frag: fragmentation pct held over the
+                                 ///< interval ending at t; run_end: the
+                                 ///< pool's final fragmentation pct
+  /// admit: the occupied physical tiles, set only when the run is traced.
+  /// A view, valid for the duration of the TraceSink::record() call; the
+  /// event itself owns nothing, so building one costs a few stores.
+  const PhysTileId* tiles = nullptr;
+  std::uint32_t tile_count = 0;
+};
+
+/// Per-preparation constants the retire accounting folds in: the ideal
+/// makespan, the DRHW subtask count and the summed execution energy of one
+/// instance of the preparation.
+struct TracePrep {
+  std::string name;
+  time_us ideal = 0;
+  long drhw_subtasks = 0;
+  double exec_energy = 0.0;
+  std::size_t subtasks = 0;
+};
+
+/// Observer of an online run's event stream. The kernel holds a nullable
+/// pointer (OnlineSimOptions::trace); an untraced run forwards nothing.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
-
-  // -- stream metadata (before the first timed event) ----------------------
-
-  /// One distinct preparation of the instance stream: the per-prep
-  /// constants retire-time accounting folds in (ideal makespan, DRHW
-  /// subtask count, summed execution energy).
-  virtual void on_prep(int /*prep*/, const char* /*name*/, time_us /*ideal*/,
-                       long /*drhw_subtasks*/, double /*exec_energy*/,
-                       std::size_t /*subtasks*/) {}
-
-  // -- instance lifecycle --------------------------------------------------
-
-  /// `deadline` is the absolute deadline, k_no_time in best-effort runs.
-  virtual void on_arrival(time_us /*t*/, std::int32_t /*job*/, int /*prep*/,
-                          time_us /*deadline*/, int /*crit*/) {}
-  /// Admission onto the pool; `tiles` are the occupied physical tiles.
-  virtual void on_admit(time_us /*t*/, std::int32_t /*job*/, long /*reused*/,
-                        long /*cancelled*/, std::size_t /*init_count*/,
-                        const std::vector<PhysTileId>& /*tiles*/) {}
-  /// The charged run-time scheduling decision completed.
-  virtual void on_sched_done(time_us /*t*/, std::int32_t /*job*/) {}
-  virtual void on_retire(time_us /*t*/, std::int32_t /*job*/, long /*loads*/,
-                         std::size_t /*init_count*/) {}
-  virtual void on_deadline_miss(time_us /*t*/, std::int32_t /*job*/,
-                                time_us /*lateness*/) {}
-
-  // -- reconfiguration-port traffic ---------------------------------------
-
-  virtual void on_load_start(time_us /*t*/, std::int32_t /*job*/,
-                             SubtaskId /*subtask*/, ConfigId /*config*/,
-                             std::size_t /*port*/, time_us /*duration*/,
-                             PhysTileId /*tile*/) {}
-  virtual void on_load_done(time_us /*t*/, std::int32_t /*job*/,
-                            SubtaskId /*subtask*/, PhysTileId /*tile*/) {}
-  /// Backlog prefetch for a queued (unadmitted) instance.
-  virtual void on_prefetch_start(time_us /*t*/, std::int32_t /*queued_job*/,
-                                 ConfigId /*config*/, std::size_t /*port*/,
-                                 time_us /*duration*/, PhysTileId /*tile*/) {}
-  virtual void on_prefetch_done(time_us /*t*/, PhysTileId /*tile*/,
-                                ConfigId /*config*/) {}
-  /// Port-charged defragmentation relocation src -> dst for `owner`.
-  virtual void on_migration_start(time_us /*t*/, std::size_t /*port*/,
-                                  time_us /*duration*/, PhysTileId /*src*/,
-                                  PhysTileId /*dst*/, std::int32_t /*owner*/) {
-  }
-  /// `transferred`: ownership moved to dst (false = aborted, copy cached).
-  virtual void on_migration_done(time_us /*t*/, PhysTileId /*src*/,
-                                 PhysTileId /*dst*/, bool /*transferred*/) {}
-  /// Free remap of an empty held tile (no port time).
-  virtual void on_remap(time_us /*t*/, PhysTileId /*src*/, PhysTileId /*dst*/,
-                        std::int32_t /*owner*/) {}
-  /// Preemption checkpoint writeout start (one port charge per victim).
-  virtual void on_checkpoint_start(time_us /*t*/, std::size_t /*port*/,
-                                   time_us /*duration*/,
-                                   std::int32_t /*victim*/) {}
-  /// Writeout landed: the victim lost this stint (`loads` port loads,
-  /// `init_count` of them initialization loads) and re-enters the backlog.
-  virtual void on_preempt(time_us /*t*/, std::int32_t /*victim*/,
-                          long /*loads*/, std::size_t /*init_count*/) {}
-
-  // -- execution -----------------------------------------------------------
-
-  /// `unit` is the physical tile, or the ISP index when `isp` (the shared
-  /// server id in shared-ISP mode, the placement ISP otherwise).
-  virtual void on_exec_start(time_us /*t*/, std::int32_t /*job*/,
-                             SubtaskId /*subtask*/, time_us /*duration*/,
-                             std::int64_t /*unit*/, bool /*isp*/) {}
-  virtual void on_exec_done(time_us /*t*/, std::int32_t /*job*/,
-                            SubtaskId /*subtask*/) {}
-
-  // -- pool-side samples (emitted by TilePoolManager) ----------------------
-
-  /// An admission overtook one older queued instance.
-  virtual void on_queue_skip(time_us /*t*/) {}
-  /// The pool's fragmentation integral advanced: `frag_pct` held over
-  /// (previous sample, t]. Mirrors TilePoolManager::touch() exactly.
-  virtual void on_frag_sample(time_us /*t*/, double /*frag_pct*/) {}
-
-  // -- end of run ----------------------------------------------------------
-
-  /// `final_frag_pct` is the pool's snapshot fragmentation at the end of
-  /// the run (the tail term of the time-weighted mean).
-  virtual void on_run_end(time_us /*horizon*/, double /*final_frag_pct*/) {}
+  /// The run's preparation table (index = TraceEvent::prep), once, before
+  /// the first event.
+  virtual void on_preps(const std::vector<TracePrep>& /*preps*/) {}
+  virtual void record(const TraceEvent& ev) = 0;
 };
 
 }  // namespace drhw

@@ -6,6 +6,7 @@
 /// has_live false (truncated traces still read and render).
 
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -21,7 +22,43 @@ constexpr std::size_t k_known_kinds =
 // Fixed part of a binary event payload, before the tile list.
 constexpr std::size_t k_fixed_payload = 88;
 
-TraceEvent event_from_json(const json::Value& obj, TraceEvent::Kind kind) {
+/// Collects the admit events' tile lists into one flat store while the
+/// events are read, and points each event at its slice once the store no
+/// longer grows.
+class TileCollector {
+ public:
+  /// Appends one tile of the event about to be pushed as event `event`.
+  void add(std::size_t event, PhysTileId tile) {
+    if (owners_.empty() || owners_.back().event != event)
+      owners_.push_back({event, flat_.size(), 0});
+    ++owners_.back().count;
+    flat_.push_back(tile);
+  }
+
+  void finish(TraceData& trace) {
+    if (flat_.empty()) return;
+    auto store =
+        std::make_shared<const std::vector<PhysTileId>>(std::move(flat_));
+    for (const Owner& owner : owners_) {
+      TraceEvent& ev = trace.events[owner.event];
+      ev.tiles = store->data() + owner.offset;
+      ev.tile_count = owner.count;
+    }
+    trace.tile_store = std::move(store);
+  }
+
+ private:
+  struct Owner {
+    std::size_t event = 0;
+    std::size_t offset = 0;
+    std::uint32_t count = 0;
+  };
+  std::vector<PhysTileId> flat_;
+  std::vector<Owner> owners_;
+};
+
+TraceEvent event_from_json(const json::Value& obj, TraceEvent::Kind kind,
+                           std::size_t index, TileCollector& tiles) {
   auto num = [&](const char* key, double fallback) {
     const json::Value* v = obj.find(key);
     return v != nullptr ? v->number : fallback;
@@ -43,14 +80,15 @@ TraceEvent event_from_json(const json::Value& obj, TraceEvent::Kind kind) {
   ev.deadline = static_cast<time_us>(
       num("dl", static_cast<double>(k_no_time)));
   ev.value = num("val", 0.0);
-  if (const json::Value* tiles = obj.find("tiles"))
-    for (const json::Value& v : tiles->items)
-      ev.tiles.push_back(static_cast<PhysTileId>(v.number));
+  if (const json::Value* list = obj.find("tiles"))
+    for (const json::Value& v : list->items)
+      tiles.add(index, static_cast<PhysTileId>(v.number));
   return ev;
 }
 
 TraceData read_jsonl(const std::string& text) {
   TraceData trace;
+  TileCollector tiles;
   std::istringstream in(text);
   std::string line;
   bool have_header = false;
@@ -77,15 +115,18 @@ TraceData read_jsonl(const std::string& text) {
     TraceEvent::Kind kind{};
     if (!trace_detail::kind_from_string(name->text, kind))
       continue;  // an event kind from a newer writer
-    trace.events.push_back(event_from_json(obj, kind));
+    trace.events.push_back(
+        event_from_json(obj, kind, trace.events.size(), tiles));
   }
   if (!have_header)
     throw std::invalid_argument("trace: empty file (no header line)");
+  tiles.finish(trace);
   return trace;
 }
 
 TraceEvent event_from_binary(const unsigned char* p, std::size_t len,
-                             TraceEvent::Kind kind) {
+                             TraceEvent::Kind kind, std::size_t index,
+                             TileCollector& tiles) {
   namespace td = trace_detail;
   if (len < k_fixed_payload + 2)
     throw std::invalid_argument("trace: truncated binary event payload");
@@ -108,9 +149,8 @@ TraceEvent event_from_binary(const unsigned char* p, std::size_t len,
   const std::uint16_t n_tiles = td::get_u16(p + 88);
   if (len < k_fixed_payload + 2 + 4ull * n_tiles)
     throw std::invalid_argument("trace: binary event tile list truncated");
-  ev.tiles.reserve(n_tiles);
   for (std::uint16_t i = 0; i < n_tiles; ++i)
-    ev.tiles.push_back(td::get_i32(p + 90 + 4 * i));
+    tiles.add(index, td::get_i32(p + 90 + 4 * i));
   return ev;
 }
 
@@ -126,6 +166,7 @@ TraceData read_binary(const std::string& text) {
   if (size < at + header_len)
     throw std::invalid_argument("trace: binary header truncated");
   TraceData trace;
+  TileCollector tiles;
   trace.header = td::header_from_json(
       std::string(text, at, header_len));
   at += header_len;
@@ -153,9 +194,11 @@ TraceData read_binary(const std::string& text) {
       throw std::invalid_argument("trace: binary record truncated");
     if (kind_byte < k_known_kinds)
       trace.events.push_back(event_from_binary(
-          data + at, payload_len, static_cast<TraceEvent::Kind>(kind_byte)));
+          data + at, payload_len, static_cast<TraceEvent::Kind>(kind_byte),
+          trace.events.size(), tiles));
     at += payload_len;  // unknown kinds: skip the frame
   }
+  tiles.finish(trace);
   return trace;
 }
 

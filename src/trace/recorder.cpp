@@ -1,8 +1,7 @@
 /// \file recorder.cpp
-/// Streaming TraceSink: serialises every kernel callback straight to the
-/// output file. The header is flushed lazily at the first timed event so
-/// that all on_prep() callbacks (which arrive during simulator setup) land
-/// in the header's prep table rather than the event stream.
+/// Streaming TraceSink: serialises every event straight to the output
+/// file. The header is flushed lazily at the first event so that the prep
+/// table (handed over during simulator setup) lands in the header.
 
 #include <fstream>
 #include <stdexcept>
@@ -101,226 +100,8 @@ void TraceRecorder::finish(const OnlineReport& live) {
   if (!out) throw std::runtime_error("trace: write to '" + path_ + "' failed");
 }
 
-void TraceRecorder::on_prep(int prep, const char* name, time_us ideal,
-                            long drhw_subtasks, double exec_energy,
-                            std::size_t subtasks) {
-  // Preps arrive in index order during setup; keep the table dense anyway.
-  const auto index = static_cast<std::size_t>(prep);
-  if (header_.preps.size() <= index) header_.preps.resize(index + 1);
-  header_.preps[index] = TracePrep{name, ideal, drhw_subtasks, exec_energy,
-                                   subtasks};
-}
-
-void TraceRecorder::on_arrival(time_us t, std::int32_t job, int prep,
-                               time_us deadline, int crit) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::arrival;
-  ev.t = t;
-  ev.job = job;
-  ev.prep = prep;
-  ev.deadline = deadline;
-  ev.aux = crit;
-  record(ev);
-}
-
-void TraceRecorder::on_admit(time_us t, std::int32_t job, long reused,
-                             long cancelled, std::size_t init_count,
-                             const std::vector<PhysTileId>& tiles) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::admit;
-  ev.t = t;
-  ev.job = job;
-  ev.loads = reused;
-  ev.aux = cancelled;
-  ev.init = static_cast<std::int64_t>(init_count);
-  ev.tiles = tiles;
-  record(ev);
-}
-
-void TraceRecorder::on_sched_done(time_us t, std::int32_t job) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::sched_done;
-  ev.t = t;
-  ev.job = job;
-  record(ev);
-}
-
-void TraceRecorder::on_retire(time_us t, std::int32_t job, long loads,
-                              std::size_t init_count) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::retire;
-  ev.t = t;
-  ev.job = job;
-  ev.loads = loads;
-  ev.init = static_cast<std::int64_t>(init_count);
-  record(ev);
-}
-
-void TraceRecorder::on_deadline_miss(time_us t, std::int32_t job,
-                                     time_us lateness) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::deadline_miss;
-  ev.t = t;
-  ev.job = job;
-  ev.deadline = lateness;
-  record(ev);
-}
-
-void TraceRecorder::on_load_start(time_us t, std::int32_t job,
-                                  SubtaskId subtask, ConfigId config,
-                                  std::size_t port, time_us duration,
-                                  PhysTileId tile) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::load_start;
-  ev.t = t;
-  ev.job = job;
-  ev.subtask = subtask;
-  ev.config = config;
-  ev.unit = static_cast<std::int32_t>(port);
-  ev.duration = duration;
-  ev.src = tile;
-  record(ev);
-}
-
-void TraceRecorder::on_load_done(time_us t, std::int32_t job,
-                                 SubtaskId subtask, PhysTileId tile) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::load_done;
-  ev.t = t;
-  ev.job = job;
-  ev.subtask = subtask;
-  ev.src = tile;
-  record(ev);
-}
-
-void TraceRecorder::on_prefetch_start(time_us t, std::int32_t queued_job,
-                                      ConfigId config, std::size_t port,
-                                      time_us duration, PhysTileId tile) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::prefetch_start;
-  ev.t = t;
-  ev.job = queued_job;
-  ev.config = config;
-  ev.unit = static_cast<std::int32_t>(port);
-  ev.duration = duration;
-  ev.src = tile;
-  record(ev);
-}
-
-void TraceRecorder::on_prefetch_done(time_us t, PhysTileId tile,
-                                     ConfigId config) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::prefetch_done;
-  ev.t = t;
-  ev.config = config;
-  ev.src = tile;
-  record(ev);
-}
-
-void TraceRecorder::on_migration_start(time_us t, std::size_t port,
-                                       time_us duration, PhysTileId src,
-                                       PhysTileId dst, std::int32_t owner) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::migration_start;
-  ev.t = t;
-  ev.job = owner;
-  ev.unit = static_cast<std::int32_t>(port);
-  ev.duration = duration;
-  ev.src = src;
-  ev.dst = dst;
-  record(ev);
-}
-
-void TraceRecorder::on_migration_done(time_us t, PhysTileId src,
-                                      PhysTileId dst, bool transferred) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::migration_done;
-  ev.t = t;
-  ev.src = src;
-  ev.dst = dst;
-  ev.aux = transferred ? 1 : 0;
-  record(ev);
-}
-
-void TraceRecorder::on_remap(time_us t, PhysTileId src, PhysTileId dst,
-                             std::int32_t owner) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::remap;
-  ev.t = t;
-  ev.job = owner;
-  ev.src = src;
-  ev.dst = dst;
-  record(ev);
-}
-
-void TraceRecorder::on_checkpoint_start(time_us t, std::size_t port,
-                                        time_us duration,
-                                        std::int32_t victim) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::checkpoint_start;
-  ev.t = t;
-  ev.job = victim;
-  ev.unit = static_cast<std::int32_t>(port);
-  ev.duration = duration;
-  record(ev);
-}
-
-void TraceRecorder::on_preempt(time_us t, std::int32_t victim, long loads,
-                               std::size_t init_count) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::preempt;
-  ev.t = t;
-  ev.job = victim;
-  ev.loads = loads;
-  ev.init = static_cast<std::int64_t>(init_count);
-  record(ev);
-}
-
-void TraceRecorder::on_exec_start(time_us t, std::int32_t job,
-                                  SubtaskId subtask, time_us duration,
-                                  std::int64_t unit, bool isp) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::exec_start;
-  ev.t = t;
-  ev.job = job;
-  ev.subtask = subtask;
-  ev.unit = static_cast<std::int32_t>(unit);
-  ev.duration = duration;
-  ev.aux = isp ? 1 : 0;
-  record(ev);
-}
-
-void TraceRecorder::on_exec_done(time_us t, std::int32_t job,
-                                 SubtaskId subtask) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::exec_done;
-  ev.t = t;
-  ev.job = job;
-  ev.subtask = subtask;
-  record(ev);
-}
-
-void TraceRecorder::on_queue_skip(time_us t) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::queue_skip;
-  ev.t = t;
-  record(ev);
-}
-
-void TraceRecorder::on_frag_sample(time_us t, double frag_pct) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::frag;
-  ev.t = t;
-  ev.value = frag_pct;
-  record(ev);
-}
-
-void TraceRecorder::on_run_end(time_us horizon, double final_frag_pct) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::run_end;
-  ev.t = horizon;
-  ev.value = final_frag_pct;
-  record(ev);
+void TraceRecorder::on_preps(const std::vector<TracePrep>& preps) {
+  header_.preps = preps;
 }
 
 }  // namespace drhw

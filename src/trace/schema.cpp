@@ -166,9 +166,9 @@ std::string event_to_json(const TraceEvent& ev) {
   if (ev.init != 0) out << ",\"init\":" << ev.init;
   if (ev.deadline != k_no_time) out << ",\"dl\":" << ev.deadline;
   if (ev.value != 0.0) out << ",\"val\":" << fmt_json_double(ev.value);
-  if (!ev.tiles.empty()) {
+  if (ev.tile_count > 0) {
     out << ",\"tiles\":[";
-    for (std::size_t i = 0; i < ev.tiles.size(); ++i) {
+    for (std::uint32_t i = 0; i < ev.tile_count; ++i) {
       if (i > 0) out << ',';
       out << ev.tiles[i];
     }
@@ -180,7 +180,7 @@ std::string event_to_json(const TraceEvent& ev) {
 
 std::string event_to_binary(const TraceEvent& ev) {
   std::string payload;
-  payload.reserve(88 + 2 + 4 * ev.tiles.size());
+  payload.reserve(88 + 2 + 4 * std::size_t{ev.tile_count});
   put_i64(payload, ev.t);
   put_i32(payload, ev.job);
   put_i32(payload, ev.subtask);
@@ -195,8 +195,9 @@ std::string event_to_binary(const TraceEvent& ev) {
   put_i64(payload, ev.init);
   put_i64(payload, ev.deadline);
   put_f64(payload, ev.value);
-  put_u16(payload, static_cast<std::uint16_t>(ev.tiles.size()));
-  for (PhysTileId tile : ev.tiles) put_i32(payload, tile);
+  put_u16(payload, static_cast<std::uint16_t>(ev.tile_count));
+  for (std::uint32_t i = 0; i < ev.tile_count; ++i)
+    put_i32(payload, ev.tiles[i]);
   return payload;
 }
 

@@ -5,22 +5,24 @@
 ///
 /// A trace is the full observable history of one online simulation: a
 /// header (platform constants, policy, per-preparation retire constants), a
-/// stream of timed events emitted by the kernel at every accounting site
-/// (sim/trace_hook.hpp), and a footer carrying the live OnlineReport. Two
-/// encodings share the schema: JSONL (one object per line — greppable,
-/// diffable, the bless format) and a compact length-framed binary for long
-/// runs. The reader sniffs the magic, so every consumer takes either.
+/// stream of timed events — the events the kernel and the tile pool fold
+/// into their report (sim/trace_hook.hpp) — and a footer carrying the live
+/// OnlineReport. Two encodings share the schema: JSONL (one object per
+/// line — greppable, diffable, the bless format) and a compact
+/// length-framed binary for long runs. The reader sniffs the magic, so
+/// every consumer takes either.
 ///
 /// The subsystem's contract is *replay verification*: replay_trace()
-/// re-derives the entire OnlineReport from the event stream alone —
-/// repeating the identical integer and floating-point accumulations in the
-/// identical order the kernel performed them — and verify_trace() demands
-/// bit-identity against the recorded live report. A trace that verifies is
-/// a proof that the schema captures everything the report claims; a schema
-/// regression (dropped event, reordered emission, changed field) fails CI
-/// instead of silently rotting the observability layer. The one exclusion
-/// is OnlineReport::perf: wall-clock phase timers and queue-internal
-/// counters are not simulation state and are not serialised.
+/// re-derives the entire OnlineReport from the event stream alone, by
+/// feeding the recorded events to a fresh OnlineAccounting — the same fold
+/// (sim/online_accounting.hpp) that produced the live report — and
+/// verify_trace() demands bit-identity against the recorded live report.
+/// The kernel has no other way to reach its report, so every accounting
+/// input is an event by construction; what verification still catches is a
+/// stream damaged between recording and replay (a dropped, reordered or
+/// altered event, a lossy encoding) and a footer that does not match. The
+/// one exclusion is OnlineReport::perf: wall-clock phase timers and
+/// queue-internal counters are not simulation state and are not serialised.
 ///
 /// Extension policy (mirrors the campaign report readers): adding event
 /// kinds or fields is backward-compatible — readers ignore unknown JSONL
@@ -30,6 +32,7 @@
 /// per-tile (+ ISP) timeline — `drhw_sched trace render`.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,62 +52,7 @@ enum class TraceFormat { jsonl, binary };
 const char* to_string(TraceFormat format);
 TraceFormat trace_format_from_string(const std::string& text);
 
-/// One recorded event. A field is only meaningful for the kinds listed in
-/// its comment; everything else keeps the default.
-struct TraceEvent {
-  enum class Kind : std::uint8_t {
-    arrival = 0,
-    admit = 1,
-    sched_done = 2,
-    load_start = 3,
-    load_done = 4,
-    prefetch_start = 5,
-    prefetch_done = 6,
-    migration_start = 7,
-    migration_done = 8,
-    remap = 9,
-    checkpoint_start = 10,
-    preempt = 11,
-    exec_start = 12,
-    exec_done = 13,
-    retire = 14,
-    deadline_miss = 15,
-    queue_skip = 16,
-    frag = 17,
-    run_end = 18,
-  };
-  Kind kind = Kind::arrival;
-  time_us t = 0;              ///< event instant; run_end: the horizon
-  std::int32_t job = -1;      ///< job; preempt: victim; remap/migration: owner
-  std::int32_t subtask = -1;  ///< load_*/exec_*: subtask id
-  std::int32_t prep = -1;     ///< arrival: preparation index
-  std::int64_t config = -1;   ///< load_start/prefetch_*: configuration id
-  std::int32_t unit = -1;     ///< port (load/prefetch/migration/checkpoint
-                              ///< start) or execution unit (exec_start)
-  time_us duration = 0;       ///< port/execution occupancy started here
-  std::int32_t src = -1;      ///< target tile; migration/remap: source tile
-  std::int32_t dst = -1;      ///< migration/remap: destination tile
-  std::int64_t loads = 0;     ///< retire/preempt: port loads; admit: reused
-  std::int64_t aux = 0;       ///< admit: cancelled; arrival: criticality;
-                              ///< exec_start: 1 = ISP; migration_done:
-                              ///< 1 = ownership transferred
-  std::int64_t init = 0;      ///< admit/retire/preempt: init-phase loads
-  time_us deadline = k_no_time;  ///< arrival: absolute deadline;
-                                 ///< deadline_miss: lateness
-  double value = 0.0;            ///< frag/run_end: fragmentation pct
-  std::vector<PhysTileId> tiles;  ///< admit: occupied physical tiles
-};
-
 const char* to_string(TraceEvent::Kind kind);
-
-/// Per-preparation constants the retire accounting folds in.
-struct TracePrep {
-  std::string name;
-  time_us ideal = 0;
-  long drhw_subtasks = 0;
-  double exec_energy = 0.0;
-  std::size_t subtasks = 0;
-};
 
 struct TraceHeader {
   std::string schema = k_trace_schema;
@@ -128,6 +76,9 @@ struct TraceHeader {
 struct TraceData {
   TraceHeader header;
   std::vector<TraceEvent> events;
+  /// Owns the admit events' tile lists (TraceEvent::tiles points into it).
+  /// Shared, so a copy of the trace keeps its events' views valid.
+  std::shared_ptr<const std::vector<PhysTileId>> tile_store;
   OnlineReport live;      ///< footer: the report the run produced
   bool has_live = false;  ///< false on a truncated trace (no footer)
 };
@@ -149,48 +100,12 @@ class TraceRecorder final : public TraceSink {
   /// std::runtime_error when the stream failed.
   void finish(const OnlineReport& live);
 
-  // TraceSink implementation --------------------------------------------
-  void on_prep(int prep, const char* name, time_us ideal, long drhw_subtasks,
-               double exec_energy, std::size_t subtasks) override;
-  void on_arrival(time_us t, std::int32_t job, int prep, time_us deadline,
-                  int crit) override;
-  void on_admit(time_us t, std::int32_t job, long reused, long cancelled,
-                std::size_t init_count,
-                const std::vector<PhysTileId>& tiles) override;
-  void on_sched_done(time_us t, std::int32_t job) override;
-  void on_retire(time_us t, std::int32_t job, long loads,
-                 std::size_t init_count) override;
-  void on_deadline_miss(time_us t, std::int32_t job,
-                        time_us lateness) override;
-  void on_load_start(time_us t, std::int32_t job, SubtaskId subtask,
-                     ConfigId config, std::size_t port, time_us duration,
-                     PhysTileId tile) override;
-  void on_load_done(time_us t, std::int32_t job, SubtaskId subtask,
-                    PhysTileId tile) override;
-  void on_prefetch_start(time_us t, std::int32_t queued_job, ConfigId config,
-                         std::size_t port, time_us duration,
-                         PhysTileId tile) override;
-  void on_prefetch_done(time_us t, PhysTileId tile, ConfigId config) override;
-  void on_migration_start(time_us t, std::size_t port, time_us duration,
-                          PhysTileId src, PhysTileId dst,
-                          std::int32_t owner) override;
-  void on_migration_done(time_us t, PhysTileId src, PhysTileId dst,
-                         bool transferred) override;
-  void on_remap(time_us t, PhysTileId src, PhysTileId dst,
-                std::int32_t owner) override;
-  void on_checkpoint_start(time_us t, std::size_t port, time_us duration,
-                           std::int32_t victim) override;
-  void on_preempt(time_us t, std::int32_t victim, long loads,
-                  std::size_t init_count) override;
-  void on_exec_start(time_us t, std::int32_t job, SubtaskId subtask,
-                     time_us duration, std::int64_t unit, bool isp) override;
-  void on_exec_done(time_us t, std::int32_t job, SubtaskId subtask) override;
-  void on_queue_skip(time_us t) override;
-  void on_frag_sample(time_us t, double frag_pct) override;
-  void on_run_end(time_us horizon, double final_frag_pct) override;
+  // TraceSink: the prep table goes into the header, each event is written
+  // as it arrives.
+  void on_preps(const std::vector<TracePrep>& preps) override;
+  void record(const TraceEvent& ev) override;
 
  private:
-  void record(const TraceEvent& ev);
   void flush_header();
 
   std::string path_;
@@ -206,10 +121,14 @@ class TraceRecorder final : public TraceSink {
 /// failure. A missing footer is not an error: has_live stays false.
 TraceData read_trace(const std::string& path);
 
-/// Re-derives the OnlineReport from the event stream alone (the header
-/// contributes only run constants: platform shape, per-prep retire
-/// constants, the real-time flag). Bit-identical to the live report of the
-/// traced run; OnlineReport::perf stays default.
+/// Re-derives the OnlineReport from the event stream alone: a fresh
+/// OnlineAccounting seeded from the header's run constants (platform shape,
+/// per-prep retire constants, the real-time flag) folds the recorded
+/// events. Bit-identical to the live report of the traced run;
+/// OnlineReport::perf stays default. Throws std::invalid_argument on an
+/// event naming a negative job, a port the header does not have or a port
+/// still busy with an earlier load, or a retire whose preparation is
+/// missing from the header.
 OnlineReport replay_trace(const TraceData& trace);
 
 /// Replays and compares against the recorded live report over every

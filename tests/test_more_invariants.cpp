@@ -1,14 +1,11 @@
 // Additional cross-cutting invariants: frame merging vs per-task execution,
-// the decision-only hybrid run-time step, evaluator bookkeeping fields, and
-// the energy helper.
+// the decision-only hybrid run-time step, and evaluator bookkeeping fields.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "apps/pocket_gl.hpp"
-#include "platform/energy.hpp"
-#include "util/check.hpp"
 #include "prefetch/hybrid.hpp"
 #include "prefetch/load_plan.hpp"
 #include "schedule/list_scheduler.hpp"
@@ -99,15 +96,6 @@ TEST(Evaluator, LastLoadEndIsMaxLoadEnd) {
       expected = std::max(expected, r.load_end[s]);
   EXPECT_EQ(r.last_load_end, expected);
   EXPECT_LT(r.last_load_end, r.makespan);  // the final idle window exists
-}
-
-TEST(Energy, HelperAddsReconfigurationCost) {
-  const auto platform = virtex2_platform(4);
-  const auto report = energy_for(10.0, 3, platform);
-  EXPECT_DOUBLE_EQ(report.exec_energy, 10.0);
-  EXPECT_DOUBLE_EQ(report.reconfig_energy, 3 * platform.reconfig_energy);
-  EXPECT_DOUBLE_EQ(report.total(), 10.0 + 12.0);
-  EXPECT_THROW(energy_for(1.0, -1, platform), InternalError);
 }
 
 TEST(CoarseGrain, FactoryValues) {

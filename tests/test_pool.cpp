@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "pool/tile_pool.hpp"
+#include "sim/online_accounting.hpp"
 #include "util/check.hpp"
 
 namespace drhw {
@@ -22,6 +23,24 @@ PoolOptions contiguous_options(AdmissionPolicy policy =
   options.defrag = defrag;
   return options;
 }
+
+/// The pool keeps no report counters: its queue_skip, frag, migration_done
+/// and remap events feed the fold that does. Attach before the first event.
+struct PoolMetrics {
+  explicit PoolMetrics(TilePoolManager& pool) { pool.set_trace_sink(&fold); }
+  long queue_skips() const { return fold.finish().queue_skips; }
+  long defrag_moves() const { return fold.finish().defrag_moves; }
+  /// Time-weighted mean fragmentation of a run ending at `horizon`.
+  double mean_fragmentation_pct(const TilePoolManager& pool,
+                                time_us horizon) const {
+    OnlineAccounting ended = fold;
+    TraceEvent end(TraceEvent::Kind::run_end, horizon);
+    end.value = pool.fragmentation_pct();
+    ended.record(end);
+    return ended.finish().mean_frag_pct;
+  }
+  OnlineAccounting fold{AccountingConstants{}};
+};
 
 /// Marks `job` holding exactly `tiles` (must be free), via the queue.
 void force_occupy(TilePoolManager& pool, std::int32_t job,
@@ -55,6 +74,7 @@ TEST(AdmissionPolicyNames, RoundTrip) {
 
 TEST(TilePool, FifoAdmitsInArrivalOrderAndBlocksOnTheHead) {
   TilePoolManager pool(4, PoolOptions{});
+  const PoolMetrics metrics(pool);
   EXPECT_EQ(pool.select(0), -1);  // empty queue
   pool.enqueue(10, 3, 0);
   pool.enqueue(11, 1, 1);
@@ -68,7 +88,7 @@ TEST(TilePool, FifoAdmitsInArrivalOrderAndBlocksOnTheHead) {
   pool.release(10, 5);
   EXPECT_EQ(pool.free_count(), 3);
   EXPECT_EQ(pool.select(5), 12);
-  EXPECT_EQ(pool.queue_skips(), 0);  // FIFO never overtakes
+  EXPECT_EQ(metrics.queue_skips(), 0);  // FIFO never overtakes
 }
 
 TEST(TilePool, FifoHeadOfLineBlocksSmallerFollowers) {
@@ -83,13 +103,14 @@ TEST(TilePool, BackfillLetsSmallerInstancesBypassABlockedHead) {
   PoolOptions options;
   options.admission = AdmissionPolicy::backfill_bypass;
   TilePoolManager pool(4, options);
+  const PoolMetrics metrics(pool);
   force_occupy(pool, 1, {0, 1, 2}, 0);
   pool.enqueue(2, 3, 1);  // blocked head
   pool.enqueue(3, 3, 2);  // not smaller than the head: may not bypass
   pool.enqueue(4, 1, 3);  // smaller and fits
   EXPECT_EQ(pool.select(3), 4);
   pool.occupy(4, {3}, 3);
-  EXPECT_EQ(pool.queue_skips(), 2);  // overtook jobs 2 and 3
+  EXPECT_EQ(metrics.queue_skips(), 2);  // overtook jobs 2 and 3
 }
 
 TEST(TilePool, BackfillStarvationBoundProtectsTheHead) {
@@ -204,6 +225,7 @@ TEST(TilePool, PrefetchReservationLifecycle) {
 TEST(TilePool, DefragPlansAMigrationThatOpensTheNeededRun) {
   TilePoolManager pool(6, contiguous_options(AdmissionPolicy::fifo_hol,
                                              /*defrag=*/true));
+  const PoolMetrics metrics(pool);
   // Job 1 holds tiles 1 and 4 with loaded configs; free = {0,2,3,5}.
   force_occupy(pool, 1, {1, 4}, 0);
   pool.store().record_load(1, 10, ms(1), 1.0);
@@ -229,12 +251,13 @@ TEST(TilePool, DefragPlansAMigrationThatOpensTheNeededRun) {
             pool.store().config_on(plan->src));
   EXPECT_GE(pool.largest_free_block(), 3);
   EXPECT_EQ(pool.select(ms(6)), 2);
-  EXPECT_EQ(pool.defrag_moves(), 1);
+  EXPECT_EQ(metrics.defrag_moves(), 1);
 }
 
 TEST(TilePool, DefragRemapsEmptyHeldTilesForFree) {
   TilePoolManager pool(6, contiguous_options(AdmissionPolicy::fifo_hol,
                                              /*defrag=*/true));
+  const PoolMetrics metrics(pool);
   force_occupy(pool, 1, {1, 4}, 0);  // held but never loaded -> empty
   pool.enqueue(2, 3, 1);
   const std::vector<char> movable(6, 1);
@@ -244,7 +267,7 @@ TEST(TilePool, DefragRemapsEmptyHeldTilesForFree) {
   pool.apply_remap(*plan, ms(1));
   EXPECT_EQ(pool.owner(plan->dst), 1);
   EXPECT_FALSE(pool.held(plan->src));
-  EXPECT_EQ(pool.defrag_moves(), 1);
+  EXPECT_EQ(metrics.defrag_moves(), 1);
 }
 
 TEST(TilePool, DefragAbortsTransferWhenTheSourceChangedMidFlight) {
@@ -297,6 +320,7 @@ TEST(TilePool, TwoMigrationsRunConcurrentlyWithIndependentCommits) {
   // sticky window. Each move commits (or aborts) on its own.
   TilePoolManager pool(12, contiguous_options(AdmissionPolicy::fifo_hol,
                                               /*defrag=*/true));
+  const PoolMetrics metrics(pool);
   force_occupy(pool, 1, {2, 5, 8, 11}, 0);
   pool.store().record_load(2, 10, ms(1), 1.0);
   pool.store().record_load(5, 11, ms(1), 1.0);
@@ -337,7 +361,7 @@ TEST(TilePool, TwoMigrationsRunConcurrentlyWithIndependentCommits) {
   EXPECT_FALSE(pool.migrating(second->src));
   EXPECT_TRUE(pool.finish_migration(*first, ms(7)));
   EXPECT_EQ(pool.migrations_in_flight(), 0);
-  EXPECT_EQ(pool.defrag_moves(), 2);
+  EXPECT_EQ(metrics.defrag_moves(), 2);
   // The window is clear: the head admits.
   EXPECT_GE(pool.largest_free_block(), 6);
   EXPECT_EQ(pool.select(ms(7)), 2);
@@ -373,13 +397,15 @@ TEST(TilePool, ConcurrentMigrationsAbortIndependently) {
 
 TEST(TilePool, FragmentationMetricIsTimeWeighted) {
   TilePoolManager pool(4, PoolOptions{});
+  const PoolMetrics metrics(pool);
   // [0, 10ms): everything free -> fragmentation 0.
   // Hold tile 1 at 10ms: free {0, 2, 3}, largest run 2 -> 33.33%.
   force_occupy(pool, 1, {1}, ms(10));
   EXPECT_NEAR(pool.fragmentation_pct(), 100.0 / 3.0, 1e-9);
   // Over [0, 20ms) the mean is half of the snapshot.
-  EXPECT_NEAR(pool.mean_fragmentation_pct(ms(20)), 100.0 / 6.0, 1e-9);
-  EXPECT_EQ(pool.mean_fragmentation_pct(0), 0.0);
+  EXPECT_NEAR(metrics.mean_fragmentation_pct(pool, ms(20)), 100.0 / 6.0,
+              1e-9);
+  EXPECT_EQ(metrics.mean_fragmentation_pct(pool, 0), 0.0);
 }
 
 TEST(TilePool, EnqueueRejectsOversizedInstances) {
@@ -438,6 +464,7 @@ TEST(TilePool, CheckpointAbortRestoresTheVictim) {
 
 TEST(TilePool, SelectUrgentPicksTheMostUrgentFittingInstance) {
   TilePoolManager pool(4, PoolOptions{});
+  const PoolMetrics metrics(pool);
   force_occupy(pool, 1, {0, 1, 2}, 0);
   pool.enqueue(10, 1, 1);  // urgency 30
   pool.enqueue(11, 1, 2);  // urgency 10 (most urgent)
@@ -447,7 +474,7 @@ TEST(TilePool, SelectUrgentPicksTheMostUrgentFittingInstance) {
   };
   EXPECT_EQ(pool.select_urgent(3, urgency), 11);
   pool.occupy(11, {3}, 3);
-  EXPECT_EQ(pool.queue_skips(), 1);  // overtook job 10
+  EXPECT_EQ(metrics.queue_skips(), 1);  // overtook job 10
   EXPECT_EQ(pool.select_urgent(4, urgency), -1);  // nothing fits
 }
 

@@ -3,15 +3,19 @@
 // contract), encoding equivalence, forward-compat reader behaviour, and
 // renderer smoke checks. The contended scenario deliberately turns on
 // every accounting feature — defragmentation, shared ISPs, deadlines,
-// preemptive checkpointing — so every event kind is exercised.
+// preemptive checkpointing — so every event kind is exercised, and it is
+// recorded and verified under every registered policy.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "policy/registry.hpp"
 #include "sim/workloads.hpp"
 #include "trace/trace.hpp"
 #include "util/json.hpp"
@@ -22,10 +26,11 @@ namespace {
 // An online run contended enough to emit every event kind: bursty
 // arrivals over a small tile pool with contiguous placement + defrag,
 // shared ISPs, deadlines tight enough to miss, and preemption on.
-OnlineSimOptions contended_options(const PlatformConfig& platform) {
+OnlineSimOptions contended_options(const PlatformConfig& platform,
+                                   const std::string& policy) {
   OnlineSimOptions options;
   options.platform = platform;
-  options.policy = PolicySpec("hybrid");
+  options.policy = PolicySpec(policy);
   options.arrivals.kind = ArrivalProcess::Kind::bursty;
   options.arrivals.rate_per_s = 120.0;
   options.arrivals.burst_size = 4;
@@ -44,10 +49,11 @@ struct TracedRun {
   TraceData trace;
 };
 
-TracedRun record_run(const std::string& path, TraceFormat format) {
+TracedRun record_run(const std::string& path, TraceFormat format,
+                     const std::string& policy = "hybrid") {
   const auto platform = virtex2_platform(4);
   const auto workload = make_multimedia_workload(platform);
-  OnlineSimOptions options = contended_options(platform);
+  OnlineSimOptions options = contended_options(platform, policy);
   TraceRecorder recorder(path, format, options);
   options.trace = &recorder;
   const OnlineReport live =
@@ -79,6 +85,42 @@ TEST(Trace, BinaryRoundTripVerifies) {
       << mismatches.size() << " mismatch(es), first: " << mismatches.front();
 }
 
+TEST(Trace, EveryPolicyVerifiesInBothEncodings) {
+  const auto policies = PolicyRegistry::instance().names();
+  ASSERT_FALSE(policies.empty());
+  for (const std::string& policy : policies)
+    for (const TraceFormat format : {TraceFormat::jsonl, TraceFormat::binary}) {
+      const std::string path = testing::TempDir() + "/trace_policy_" +
+                               policy + "." + to_string(format);
+      const TracedRun run = record_run(path, format, policy);
+      ASSERT_TRUE(run.trace.has_live) << policy;
+      EXPECT_EQ(run.trace.header.policy, policy);
+      const auto mismatches = verify_trace(run.trace);
+      EXPECT_TRUE(mismatches.empty())
+          << policy << " (" << to_string(format) << "): "
+          << mismatches.size() << " mismatch(es), first: "
+          << mismatches.front();
+    }
+}
+
+TEST(Trace, ReplayRejectsEventsTheHeaderCannotExplain) {
+  const std::string path = testing::TempDir() + "/trace_reject.jsonl";
+  const TracedRun run = record_run(path, TraceFormat::jsonl);
+
+  TraceData no_preps = run.trace;
+  no_preps.header.preps.clear();
+  EXPECT_THROW(replay_trace(no_preps), std::invalid_argument);
+
+  TraceData bad_port = run.trace;
+  const auto load = std::find_if(
+      bad_port.events.begin(), bad_port.events.end(), [](const TraceEvent& ev) {
+        return ev.kind == TraceEvent::Kind::load_start;
+      });
+  ASSERT_NE(load, bad_port.events.end());
+  load->unit = bad_port.header.reconfig_ports;
+  EXPECT_THROW(replay_trace(bad_port), std::invalid_argument);
+}
+
 TEST(Trace, EncodingsCarryTheSameStream) {
   const std::string jsonl_path = testing::TempDir() + "/trace_eq.jsonl";
   const std::string binary_path = testing::TempDir() + "/trace_eq.bin";
@@ -90,6 +132,41 @@ TEST(Trace, EncodingsCarryTheSameStream) {
             online_report_to_json(replay_trace(b.trace)));
   EXPECT_EQ(online_report_to_json(a.trace.live),
             online_report_to_json(b.trace.live));
+}
+
+std::vector<std::vector<PhysTileId>> admit_tiles(const TraceData& trace) {
+  std::vector<std::vector<PhysTileId>> lists;
+  for (const TraceEvent& ev : trace.events)
+    if (ev.kind == TraceEvent::Kind::admit)
+      lists.emplace_back(ev.tiles, ev.tiles + ev.tile_count);
+  return lists;
+}
+
+// An admit event only views its tile list; a read trace keeps the lists in
+// its shared tile store, so both encodings read back the same lists and a
+// copy of the trace keeps them after the original is gone.
+TEST(Trace, AdmitTilesReadBackInBothEncodingsAndOutliveTheOriginal) {
+  const std::string jsonl_path = testing::TempDir() + "/trace_tiles.jsonl";
+  const std::string binary_path = testing::TempDir() + "/trace_tiles.bin";
+  const TracedRun a = record_run(jsonl_path, TraceFormat::jsonl);
+  const TracedRun b = record_run(binary_path, TraceFormat::binary);
+  const auto lists = admit_tiles(a.trace);
+  ASSERT_FALSE(lists.empty());
+  for (const auto& list : lists) {
+    ASSERT_FALSE(list.empty());
+    for (const PhysTileId tile : list) {
+      EXPECT_GE(tile, 0);
+      EXPECT_LT(tile, a.trace.header.tiles);
+    }
+  }
+  EXPECT_EQ(admit_tiles(b.trace), lists);
+
+  TraceData copy;
+  {
+    const TraceData original = read_trace(binary_path);
+    copy = original;
+  }
+  EXPECT_EQ(admit_tiles(copy), lists);
 }
 
 TEST(Trace, ContendedRunEmitsTheFullEventVocabulary) {
