@@ -74,7 +74,10 @@ enum class AdmissionUrgency {
 
 /// What a policy may observe when planning one instance. Both kernels fill
 /// in what they know at the decision instant; everything is deterministic
-/// simulated state, never wall clock.
+/// simulated state, never wall clock. Every field is a counter the kernel
+/// already keeps, so filling a context costs O(1) per admission — a new
+/// field that needs a backlog or live-set scan belongs in the policy's own
+/// state, not here.
 struct PolicyContext {
   /// Simulated time of the decision (sequential: the stream clock, which
   /// excludes inter-arrival gaps; online: absolute arrival-stream time).
@@ -89,25 +92,6 @@ struct PolicyContext {
   /// Instances waiting behind this one: the online admission backlog, or
   /// the sequential rig's emitted lookahead window.
   int queued_instances = 0;
-
-  /// Backlog composition by instance footprint: queued instances needing
-  /// 1–2, 3–4, 5–8 and 9+ tiles respectively (see size_bucket()). All
-  /// zero in the sequential rig and whenever the backlog is empty, so
-  /// existing policies that ignore it stay bit-identical.
-  int queued_size_histogram[4] = {0, 0, 0, 0};
-  /// Earliest absolute deadline among queued / live instances; k_no_time
-  /// when deadlines are off (OnlineSimOptions::deadline_scale == 0) or no
-  /// such instance exists.
-  time_us nearest_queued_deadline = k_no_time;
-  time_us nearest_live_deadline = k_no_time;
-
-  /// Histogram bucket of an instance needing `tiles` tiles.
-  static int size_bucket(int tiles) {
-    if (tiles <= 2) return 0;
-    if (tiles <= 4) return 1;
-    if (tiles <= 8) return 2;
-    return 3;
-  }
 
   /// Observed port pressure as a contention count: how many other
   /// instances — live or queued — are competing for the reconfiguration

@@ -48,24 +48,30 @@ TilePoolManager::TilePoolManager(int tiles, const PoolOptions& options)
   owner_.assign(n, -1);
   prefetch_config_.assign(n, k_no_config);
   prefetch_value_.assign(n, 0.0);
+  by_need_.resize(n + 1);
 }
 
 // --- admission queue --------------------------------------------------------
 
-void TilePoolManager::enqueue(std::int32_t job, int needed, time_us now) {
+void TilePoolManager::enqueue(std::int32_t job, int needed, time_us now,
+                              long long urgency) {
   DRHW_CHECK_GE_MSG(job, 0, "queued instance needs a non-negative id");
-  DRHW_CHECK_GE_MSG(needed, 0, "queued instance needs a negative tile count");
+  DRHW_CHECK_GE_MSG(needed, 0,
+                    "queued instance needs a non-negative tile count");
   DRHW_CHECK_LE_MSG(needed, tiles(),
                     "queued instance needs more tiles than the pool has");
-  if (perf_ && queue_.size() == queue_.capacity()) perf_->note_alloc();
-  queue_.push_back(Waiting{job, needed, now, 0});
+  const bool grows = queue_.size() == queue_.capacity();
+  if (perf_ && grows) perf_->note_alloc();
+  const std::uint64_t seq = seq_base_ + queue_.size();
+  queue_.push_back(Waiting{job, needed, now, 0, urgency});
   ++queued_count_;
-}
-
-std::int32_t TilePoolManager::waiting_at(std::size_t i) const {
-  for (std::size_t p = head_; p < queue_.size(); ++p)
-    if (queue_[p].job >= 0 && i-- == 0) return queue_[p].job;
-  throw std::invalid_argument("queue position out of range");
+  // No heap holds more entries than the queue vector, so growing the heaps
+  // with it keeps the index inside the queue's tracked growth.
+  if (grows)
+    for (std::vector<Ranked>& heap : by_need_) heap.reserve(queue_.capacity());
+  std::vector<Ranked>& heap = by_need_[static_cast<std::size_t>(needed)];
+  heap.push_back(Ranked{urgency, seq});
+  std::push_heap(heap.begin(), heap.end(), later);
 }
 
 std::int32_t TilePoolManager::queue_head() const {
@@ -80,31 +86,34 @@ std::size_t TilePoolManager::position_of(std::int32_t job) const {
   return queue_.size();
 }
 
-bool TilePoolManager::fits(int needed) const {
-  return options_.contiguous ? largest_free_block() >= needed
-                             : free_count() >= needed;
+int TilePoolManager::capacity() const {
+  return options_.contiguous ? largest_free_block() : free_count();
 }
 
 std::int32_t TilePoolManager::select(time_us now) {
   if (queued_count_ == 0) return -1;
+  const int room = capacity();
   const std::size_t none = queue_.size();
   std::size_t pick = none;
+  std::uint64_t examined = 1;  // the head
   switch (options_.admission) {
     case AdmissionPolicy::fifo_hol:
-      if (fits(head().needed)) pick = head_;
+      if (head().needed <= room) pick = head_;
       break;
     case AdmissionPolicy::backfill_bypass: {
-      if (fits(head().needed)) {
+      if (head().needed <= room) {
         pick = head_;
         break;
       }
       if (head().skips >= options_.max_bypass) break;
-      for (std::size_t i = head_ + 1; i < queue_.size(); ++i)
-        if (queue_[i].job >= 0 && queue_[i].needed < head().needed &&
-            fits(queue_[i].needed)) {
+      for (std::size_t i = head_ + 1; i < queue_.size(); ++i) {
+        if (queue_[i].job < 0) continue;
+        ++examined;
+        if (queue_[i].needed < head().needed && queue_[i].needed <= room) {
           pick = i;
           break;
         }
+      }
       break;
     }
     case AdmissionPolicy::window_reorder: {
@@ -114,16 +123,54 @@ std::int32_t TilePoolManager::select(time_us now) {
       for (std::size_t i = head_; i < queue_.size() && seen < window; ++i) {
         if (queue_[i].job < 0) continue;
         ++seen;
-        if (fits(queue_[i].needed) &&
+        if (queue_[i].needed <= room &&
             (pick == none || queue_[i].needed > queue_[pick].needed))
           pick = i;
       }
+      examined = seen;
       if (pick != none && pick != head_ &&
           head().skips >= options_.max_bypass)
-        pick = fits(head().needed) ? head_ : none;
+        pick = head().needed <= room ? head_ : none;
       break;
     }
   }
+  if (perf_) {
+    ++perf_->admission_picks;
+    perf_->admission_examined += examined;
+  }
+  return take(pick, now);
+}
+
+std::int32_t TilePoolManager::select_urgent(time_us now) {
+  if (queued_count_ == 0) return -1;
+  const int room = capacity();
+  const Ranked* best = nullptr;
+  std::uint64_t examined = 0;
+  for (int need = 0; need <= room; ++need) {
+    std::vector<Ranked>& heap = by_need_[static_cast<std::size_t>(need)];
+    // Lazy deletion: entries admitted since they were pushed surface here.
+    while (!heap.empty() && queue_[heap.front().seq - seq_base_].job < 0) {
+      std::pop_heap(heap.begin(), heap.end(), later);
+      heap.pop_back();
+      ++examined;
+    }
+    if (heap.empty()) continue;
+    ++examined;
+    if (best == nullptr || later(*best, heap.front())) best = &heap.front();
+  }
+  if (perf_) {
+    ++perf_->admission_picks;
+    perf_->admission_examined += examined;
+  }
+  std::size_t pick =
+      best == nullptr ? queue_.size()
+                      : static_cast<std::size_t>(best->seq - seq_base_);
+  if (best != nullptr && pick != head_ && head().skips >= options_.max_bypass)
+    pick = head().needed <= room ? head_ : queue_.size();
+  return take(pick, now);
+}
+
+std::int32_t TilePoolManager::take(std::size_t pick, time_us now) {
   if (pick >= queue_.size()) return -1;
   for (std::size_t i = head_; i < pick; ++i)
     if (queue_[i].job >= 0) {
@@ -135,31 +182,14 @@ std::int32_t TilePoolManager::select(time_us now) {
   return queue_[pick].job;
 }
 
-std::int32_t TilePoolManager::select_urgent(
-    time_us now, const std::function<long long(std::int32_t)>& urgency) {
-  if (queued_count_ == 0) return -1;
-  const std::size_t none = queue_.size();
-  std::size_t pick = none;
-  long long best = 0;
-  for (std::size_t i = head_; i < queue_.size(); ++i) {
-    if (queue_[i].job < 0 || !fits(queue_[i].needed)) continue;
-    const long long u = urgency(queue_[i].job);
-    if (pick == none || u < best) {
-      pick = i;
-      best = u;
-    }
-  }
-  if (pick != none && pick != head_ && head().skips >= options_.max_bypass)
-    pick = fits(head().needed) ? head_ : none;
-  if (pick >= queue_.size()) return -1;
-  for (std::size_t i = head_; i < pick; ++i)
-    if (queue_[i].job >= 0) {
-      ++queue_[i].skips;
-      if (trace_)
-        trace_->record(TraceEvent(TraceEvent::Kind::queue_skip, now));
-    }
-  last_pick_ = pick;
-  return queue_[pick].job;
+void TilePoolManager::rebuild_index() {
+  for (std::vector<Ranked>& heap : by_need_) heap.clear();
+  for (std::size_t p = head_; p < queue_.size(); ++p)
+    if (queue_[p].job >= 0)
+      by_need_[static_cast<std::size_t>(queue_[p].needed)].push_back(
+          Ranked{queue_[p].urgency, seq_base_ + p});
+  for (std::vector<Ranked>& heap : by_need_)
+    std::make_heap(heap.begin(), heap.end(), later);
 }
 
 std::vector<PhysTileId> TilePoolManager::offer(
@@ -239,12 +269,17 @@ void TilePoolManager::occupy(std::int32_t job,
   last_pick_ = static_cast<std::size_t>(-1);
   while (head_ < queue_.size() && queue_[head_].job < 0) ++head_;
   if (queued_count_ == 0) {
-    queue_.clear();  // keeps capacity: the backlog storage is recycled
+    // Keeps capacity: the backlog storage is recycled.
+    seq_base_ += queue_.size();
+    queue_.clear();
     head_ = 0;
+    for (std::vector<Ranked>& heap : by_need_) heap.clear();
   } else if (head_ >= 64 && head_ >= queue_.size() / 2) {
     queue_.erase(queue_.begin(),
                  queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+    seq_base_ += head_;
     head_ = 0;
+    rebuild_index();
   }
   if (defrag_target_ == job) {
     defrag_target_ = -1;

@@ -30,6 +30,11 @@
 ///                       (ties by arrival order), with the same starvation
 ///                       bound protecting the head.
 ///
+/// Deadline-aware admission (select_urgent) replaces the discipline for
+/// the edf/llf policies: the most urgent queued instance that fits, read
+/// off a per-footprint urgency index in O(tiles + log queue) per pick,
+/// with the same starvation bound.
+///
 /// Fragmentation metric: 100 * (1 - largest_free_block / free_count), the
 /// classic external-fragmentation measure — 0 when every free tile is in
 /// one contiguous run, approaching 100 when free tiles are scattered
@@ -47,7 +52,6 @@
 /// policy decision in one place and the simulator a pure event dispatcher.
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -133,14 +137,33 @@ class TilePoolManager {
   // saturated backlogs quadratic in the backlog length. The dead prefix is
   // compacted once it dominates the vector (amortised O(1), allocation-
   // free), and the storage is recycled across the run.
+  //
+  // Beside the queue, an urgency index keeps one min-heap per tile
+  // footprint (0..tiles), keyed by (urgency, enqueue sequence). Admitted
+  // entries are deleted lazily, when they surface at a heap top; the heaps
+  // are rebuilt from the live entries whenever the queue compacts, so they
+  // never hold more entries than the queue vector. Their storage grows
+  // with the queue vector's, inside its tracked allocation.
 
-  /// Registers an arrived, not-yet-admitted instance needing `needed` tiles.
-  void enqueue(std::int32_t job, int needed, time_us now);
+  /// Registers an arrived, not-yet-admitted instance needing `needed`
+  /// tiles. `urgency` is select_urgent()'s key (lower = more urgent); it is
+  /// fixed for the whole wait, so a re-enqueued instance passes it again.
+  void enqueue(std::int32_t job, int needed, time_us now,
+               long long urgency = 0);
   bool queue_empty() const { return queued_count_ == 0; }
   std::size_t queued() const { return queued_count_; }
-  /// Queued job at queue position `i` (0 = oldest still waiting).
-  std::int32_t waiting_at(std::size_t i) const;
   std::int32_t queue_head() const;
+
+  /// Calls `visit(job)` for the first `count` queued jobs, oldest first,
+  /// until it returns true. One forward walk over the queue.
+  template <class Visit>
+  void visit_queued(std::size_t count, Visit&& visit) const {
+    for (std::size_t p = head_; p < queue_.size() && count > 0; ++p) {
+      if (queue_[p].job < 0) continue;
+      --count;
+      if (visit(queue_[p].job)) return;
+    }
+  }
 
   /// Next admissible queued job under the admission policy, or -1. Charges
   /// the queue-skip metric for every older instance the pick overtakes; the
@@ -148,15 +171,16 @@ class TilePoolManager {
   std::int32_t select(time_us now);
 
   /// Deadline-aware admission (the online kernel's EDF/LLF path): among
-  /// every queued instance that currently fits, picks the one minimising
-  /// `urgency(job)`, ties broken by arrival order. The configured
-  /// `max_bypass` starvation bound still protects the queue head: once the
-  /// head has been overtaken that many times, nothing else is admitted
-  /// until the head fits. Charges the queue-skip metric like select();
-  /// same offer() + occupy() follow-up contract. Scans the whole backlog
-  /// (urgency is not arrival-monotone), so it is O(queue) per admission.
-  std::int32_t select_urgent(
-      time_us now, const std::function<long long(std::int32_t)>& urgency);
+  /// every queued instance that currently fits, picks the one with the
+  /// lowest enqueue-time urgency, ties broken by arrival order. The
+  /// configured `max_bypass` starvation bound still protects the queue
+  /// head: once the head has been overtaken that many times, nothing else
+  /// is admitted until the head fits. Charges the queue-skip metric like
+  /// select(); same offer() + occupy() follow-up contract. Reads the pick
+  /// off the urgency index: the minimum over the heap tops of the
+  /// footprints that fit, O(tiles + log queue) per pick plus the lazily
+  /// deleted entries it pops (each popped once).
+  std::int32_t select_urgent(time_us now);
 
   /// Tiles offered to the binder for `job`, ascending. Non-contiguous
   /// pools offer every free tile (the PR 2 view). Contiguous pools offer
@@ -270,9 +294,26 @@ class TilePoolManager {
     int needed = 0;
     time_us arrival = 0;
     int skips = 0;  ///< times a younger instance was admitted past this one
+    long long urgency = 0;  ///< select_urgent() key, fixed at enqueue
   };
 
-  bool fits(int needed) const;
+  /// One urgency-index entry; queue_ position = seq - seq_base_.
+  struct Ranked {
+    long long urgency = 0;
+    std::uint64_t seq = 0;
+  };
+  /// Heap order of the urgency index: std heaps keep the greatest on top.
+  static bool later(const Ranked& a, const Ranked& b) {
+    return a.urgency != b.urgency ? a.urgency > b.urgency : a.seq > b.seq;
+  }
+  /// Footprint the pool can take right now: the longest free run
+  /// (contiguous pools) or the free-tile count.
+  int capacity() const;
+  /// Charges a queue skip to every live entry older than `pick`, remembers
+  /// the pick and returns its job (-1 when `pick` is past the end).
+  std::int32_t take(std::size_t pick, time_us now);
+  /// Refills the urgency index from the live queue entries.
+  void rebuild_index();
   /// Oldest live queue entry; queued_count_ must be > 0.
   const Waiting& head() const { return queue_[head_]; }
   /// Position of `job` in queue_, preferring the remembered select() pick.
@@ -307,6 +348,8 @@ class TilePoolManager {
   std::size_t head_ = 0;          ///< first possibly-live queue_ position
   std::size_t queued_count_ = 0;  ///< live (non-tombstone) entries
   std::size_t last_pick_ = static_cast<std::size_t>(-1);  ///< select()'s pick
+  std::uint64_t seq_base_ = 0;    ///< enqueue sequence of queue_[0]
+  std::vector<std::vector<Ranked>> by_need_;  ///< urgency heap per footprint
   PerfCounters* perf_ = nullptr;
   TraceSink* trace_ = nullptr;
 

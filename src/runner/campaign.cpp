@@ -239,26 +239,7 @@ void run_simulate(const Scenario& scenario, WorkloadCache& cache,
 void run_online(const Scenario& scenario, WorkloadCache& cache,
                 ScenarioResult& result) {
   const SampledWorkload workload = make_sampler(scenario, cache);
-  OnlineSimOptions options;
-  options.platform = scenario.sim.platform;
-  options.policy = scenario.sim.policy;
-  options.replacement = scenario.sim.replacement;
-  options.arrivals = scenario.arrivals;
-  options.port_discipline = scenario.port_discipline;
-  options.pool = scenario.pool;
-  options.scheduler_cost = scenario.scheduler_cost;
-  options.shared_isps = scenario.shared_isps;
-  options.isp_discipline = scenario.isp_discipline;
-  options.intertask_lookahead = scenario.sim.intertask_lookahead;
-  options.deadline_scale = scenario.deadline_scale;
-  options.high_criticality_fraction = scenario.high_crit_fraction;
-  options.preempt = scenario.preempt;
-  options.queue_backend = scenario.queue_backend;
-  // Long-horizon campaigns do not need per-instance spans: the quantile
-  // sketch reports response percentiles in O(1) memory.
-  options.record_spans = false;
-  options.seed = scenario.sim.seed;
-  options.iterations = scenario.sim.iterations;
+  const OnlineSimOptions options = online_sim_options(scenario);
   OnlineReport report = run_online_simulation(options, workload.sampler);
   result.report = std::move(report.sim);
   result.mean_response_ms = report.mean_response_ms;
@@ -318,6 +299,28 @@ ScenarioResult run_scenario_cached(const Scenario& scenario,
 }
 
 }  // namespace
+
+OnlineSimOptions online_sim_options(const Scenario& scenario) {
+  OnlineSimOptions options;
+  options.platform = scenario.sim.platform;
+  options.policy = scenario.sim.policy;
+  options.replacement = scenario.sim.replacement;
+  options.arrivals = scenario.arrivals;
+  options.port_discipline = scenario.port_discipline;
+  options.pool = scenario.pool;
+  options.scheduler_cost = scenario.scheduler_cost;
+  options.shared_isps = scenario.shared_isps;
+  options.isp_discipline = scenario.isp_discipline;
+  options.intertask_lookahead = scenario.sim.intertask_lookahead;
+  options.deadline_scale = scenario.deadline_scale;
+  options.high_criticality_fraction = scenario.high_crit_fraction;
+  options.preempt = scenario.preempt;
+  options.queue_backend = scenario.queue_backend;
+  options.record_spans = false;
+  options.seed = scenario.sim.seed;
+  options.iterations = scenario.sim.iterations;
+  return options;
+}
 
 ScenarioResult run_scenario(const Scenario& scenario, bool record_wall_time,
                             WorkloadCache* cache) {

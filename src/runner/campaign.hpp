@@ -157,6 +157,11 @@ ScenarioResult run_scenario(const Scenario& scenario,
                             bool record_wall_time = true,
                             WorkloadCache* cache = nullptr);
 
+/// The online kernel's options for an online-mode scenario — what
+/// run_scenario() simulates, without per-instance spans (the quantile
+/// sketch reports response percentiles in O(1) memory).
+OnlineSimOptions online_sim_options(const Scenario& scenario);
+
 /// Thread-pool campaign executor. Simulation scenarios run on the worker
 /// pool; sched_cost scenarios (wall-clock microbenchmarks) run serially
 /// afterwards so their timings never compete for cores.

@@ -483,16 +483,23 @@ class OnlineSimulation {
     return deadline;
   }
 
+  bool urgent_admission() const {
+    return deadlines_enabled_ &&
+           admission_urgency_ != AdmissionUrgency::arrival;
+  }
+
+  /// Sends `j` to the pool's admission backlog. Its urgency is fixed by
+  /// its deadline, so a preempted victim re-enters with the same key.
+  void enqueue(std::int32_t j, time_us t) {
+    pool_.enqueue(j, prep_of(j).placement.tiles_occupied(), t,
+                  urgent_admission() ? admission_urgency_of(j) : 0);
+  }
+
   void try_admit(time_us t) {
-    const bool urgent =
-        deadlines_enabled_ && admission_urgency_ != AdmissionUrgency::arrival;
+    const bool urgent = urgent_admission();
     for (;;) {
       const std::int32_t index =
-          urgent ? pool_.select_urgent(
-                       t, [this](std::int32_t j) {
-                         return admission_urgency_of(j);
-                       })
-                 : pool_.select(t);
+          urgent ? pool_.select_urgent(t) : pool_.select(t);
       if (index < 0) return;
       admit(index, t);
     }
@@ -508,9 +515,6 @@ class OnlineSimulation {
     const PreparedScenario& prep = prep_of(index);
     const SubtaskGraph& graph = *prep.graph;
     const Placement& placement = prep.placement;
-    // The instance leaves the backlog: keep the composition histogram (the
-    // PolicyContext snapshot) in step with the pool queue.
-    --queued_hist_[PolicyContext::size_bucket(placement.tiles_occupied())];
     const std::int32_t slot_id = arena_.acquire(index, graph.size());
     job_slot_[static_cast<std::size_t>(index)] = slot_id;
     InstanceSlot& slot = arena_.slot(slot_id);
@@ -625,27 +629,6 @@ class OnlineSimulation {
     // not yet in live_, so both counts exclude it.
     context.live_instances = static_cast<int>(live_.size());
     context.queued_instances = static_cast<int>(pool_.queued());
-    // Backlog composition: the footprint histogram is maintained
-    // incrementally (enqueue/admit), so this is a copy, not a scan. The
-    // nearest-deadline scans only run in real-time mode — best-effort runs
-    // keep the admission hot path untouched.
-    for (int b = 0; b < 4; ++b)
-      context.queued_size_histogram[b] = queued_hist_[b];
-    if (deadlines_enabled_) {
-      for (std::size_t q = 0; q < pool_.queued(); ++q) {
-        const time_us d = job_deadline_[static_cast<std::size_t>(
-            pool_.waiting_at(q))];
-        if (context.nearest_queued_deadline == k_no_time ||
-            d < context.nearest_queued_deadline)
-          context.nearest_queued_deadline = d;
-      }
-      for (const std::int32_t other : live_) {
-        const time_us d = job_deadline_[static_cast<std::size_t>(other)];
-        if (context.nearest_live_deadline == k_no_time ||
-            d < context.nearest_live_deadline)
-          context.nearest_live_deadline = d;
-      }
-    }
     const InstancePlan plan = policy_->plan(prep, resident, context);
     // The same invariants evaluate_instance_plan() enforces sequentially:
     // a plan that violates them here would not abort but silently stall
@@ -914,11 +897,12 @@ class OnlineSimulation {
           }
       }
     }
-    const std::size_t lookahead = std::min(
-        pool_.queued(),
-        static_cast<std::size_t>(std::max(options_.intertask_lookahead, 0)));
-    for (std::size_t q = 0; q < lookahead; ++q) {
-      const std::int32_t queued = pool_.waiting_at(q);
+    // One forward walk over the first `intertask_lookahead` queued jobs;
+    // the first prefetch started, or an exhausted pool, ends it.
+    const auto lookahead =
+        static_cast<std::size_t>(std::max(options_.intertask_lookahead, 0));
+    bool started = false;
+    pool_.visit_queued(lookahead, [&](std::int32_t queued) {
       const PreparedScenario& prep = prep_of(queued);
       for (const SubtaskId s :
            cached_candidates(job_prep_[static_cast<std::size_t>(queued)])) {
@@ -927,7 +911,7 @@ class OnlineSimulation {
             config_in_flight(config))
           continue;
         const PhysTileId victim = pool_.prefetch_victim(protected_scratch_);
-        if (victim == k_no_phys_tile) return false;  // pool exhausted
+        if (victim == k_no_phys_tile) return true;  // pool exhausted
         const double value = static_cast<double>(
             values_of(queued)[static_cast<std::size_t>(s)]);
         pool_.reserve(victim, config, value, t);
@@ -942,10 +926,12 @@ class OnlineSimulation {
         fold_.record(ev);
         events_.push(t + duration, k_ev_load_done, k_prefetch_job,
                      static_cast<SubtaskId>(victim));
+        started = true;
         return true;
       }
-    }
-    return false;
+      return false;
+    });
+    return started;
   }
 
   /// Held tiles that are safe to relocate right now: the owner is live but
@@ -1134,9 +1120,7 @@ class OnlineSimulation {
     live_.erase(std::find(live_.begin(), live_.end(), victim));
     arena_.release(slot_id);
     job_slot_[static_cast<std::size_t>(victim)] = k_slot_queued;
-    const int needed = prep_of(victim).placement.tiles_occupied();
-    pool_.enqueue(victim, needed, t);
-    ++queued_hist_[PolicyContext::size_bucket(needed)];
+    enqueue(victim, t);
   }
 
   void try_port(time_us t) {
@@ -1197,9 +1181,7 @@ class OnlineSimulation {
       }
       fold_.record(ev);
     }
-    const int needed = prep_of(j).placement.tiles_occupied();
-    pool_.enqueue(j, needed, t);
-    ++queued_hist_[PolicyContext::size_bucket(needed)];
+    enqueue(j, t);
     try_admit(t);
     if (preempt_enabled_ &&
         job_slot_[static_cast<std::size_t>(j)] == k_slot_queued &&
@@ -1486,10 +1468,6 @@ class OnlineSimulation {
   std::vector<char> job_crit_;              ///< 1 = high criticality
   std::vector<std::int32_t> preempt_waiting_;  ///< pending preempt requests
   std::int32_t checkpoint_victim_ = -1;  ///< writeout in flight, or -1
-
-  /// Backlog composition by footprint bucket (PolicyContext::size_bucket),
-  /// maintained at enqueue/admit so the per-admission snapshot is O(1).
-  int queued_hist_[4] = {0, 0, 0, 0};
 };
 
 }  // namespace

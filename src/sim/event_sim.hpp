@@ -63,7 +63,10 @@
 /// deadline_scale x ideal makespan) and a criticality level; the report
 /// gains miss/lateness/tardiness metrics. Deadline-aware policies (edf,
 /// llf, edf_hybrid — policy/deadline_policies.cpp) reorder *admission* by
-/// urgency through the PrefetchPolicy::admission_urgency() hook. With
+/// urgency through the PrefetchPolicy::admission_urgency() hook. The
+/// urgency is fixed when an instance enters the backlog (its deadline, or
+/// deadline minus ideal makespan), so the pool indexes it at enqueue and
+/// one admission costs O(tiles + log backlog) however deep the backlog. With
 /// `preempt` on, a high-criticality arrival that cannot be admitted may
 /// checkpoint an idle low-criticality live instance: its resident
 /// configurations are written off-chip through the reconfiguration port

@@ -6,9 +6,10 @@
 /// The million-instance scale work needs two kinds of visibility:
 ///
 ///  * **Deterministic counters** — event counts by kind, queue push/pop
-///    totals, queue-depth high-water mark and log2 depth histogram, and
+///    totals, queue-depth high-water mark and log2 depth histogram,
 ///    tracked allocation counts of the kernel-owned containers (event
-///    queue storage, instance arena, pool admission queue). These are pure
+///    queue storage, instance arena, pool admission queue), and the
+///    admission work (picks, backlog entries examined). These are pure
 ///    functions of the simulated scenario: identical across repeats,
 ///    campaign-runner thread counts and queue backends (except queue depth,
 ///    which legitimately differs between the eager-arrival heap backend and
@@ -60,6 +61,13 @@ struct PerfCounters {
   /// and the portion that happened before the warm-up boundary.
   std::uint64_t allocations = 0;
   std::uint64_t warmup_allocations = 0;
+  /// Admission work: picks asked of the tile pool (TilePoolManager::select
+  /// / select_urgent, including those that admit nothing) and the backlog
+  /// entries they examined — queue entries scanned by select(), urgency-
+  /// index heap tops inspected plus lazily deleted entries popped by
+  /// select_urgent().
+  std::uint64_t admission_picks = 0;
+  std::uint64_t admission_examined = 0;
 
   // --- wall clock (nondeterministic; never enters campaign outputs) -------
   std::int64_t setup_ns = 0;

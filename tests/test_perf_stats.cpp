@@ -1,13 +1,18 @@
 // Tests for the kernel perf-counter layer (util/perf_stats.hpp): the
-// log2 histogram bucketing, the warm-up accounting, and the tentpole
+// log2 histogram bucketing, the warm-up accounting, the tentpole
 // contract — on a long-horizon online run the kernel performs zero tracked
-// heap allocations after warm-up, under both queue backends.
+// heap allocations after warm-up, under both queue backends — and the
+// admission work bound of the deadline-aware (urgency-indexed) path.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "policy/names.hpp"
+#include "runner/campaign.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/workloads.hpp"
 
@@ -110,6 +115,34 @@ TEST_F(PerfStatsOnline, DeterministicCountersAreBackendInvariant) {
   EXPECT_EQ(calendar.perf.events_total, heap.perf.events_total);
   EXPECT_EQ(calendar.perf.events_by_kind, heap.perf.events_by_kind);
   EXPECT_GT(heap.perf.queue_depth_max, calendar.perf.queue_depth_max);
+}
+
+TEST(PerfStatsAdmission, UrgentAdmissionWorkIsBoundedPerPick) {
+  // The catalogue's deepest-backlog EDF scenario at its full length. Each
+  // select_urgent() pick inspects at most one heap top per footprint
+  // (tiles + 1), and every lazily deleted entry it pops was pushed by one
+  // enqueue; a linear backlog scan per pick would exceed this bound by
+  // orders of magnitude.
+  const std::string name = "online_deadline/r140/c35/edf";
+  const ScenarioRegistry catalogue = ScenarioRegistry::builtin();
+  const std::vector<Scenario>& all = catalogue.scenarios();
+  const auto it = std::find_if(all.begin(), all.end(),
+                               [&](const Scenario& s) { return s.name == name; });
+  ASSERT_NE(it, all.end());
+  ASSERT_EQ(it->sim.iterations, 1000);
+  WorkloadCache cache;
+  const auto workload = cache.multimedia(*it);
+  const OnlineReport report = run_online_simulation(
+      online_sim_options(*it), multimedia_sampler(*workload, it->include_prob));
+  const PerfCounters& perf = report.perf;
+  const auto tiles = static_cast<std::uint64_t>(it->sim.platform.tiles);
+  // Every arrival (event kind 3) enqueues once, every preemption again.
+  const std::uint64_t enqueues =
+      perf.events_by_kind[3] + static_cast<std::uint64_t>(report.preemptions);
+  EXPECT_GT(perf.admission_picks, 0u);
+  EXPECT_LE(perf.admission_examined,
+            (tiles + 1) * perf.admission_picks + enqueues);
+  EXPECT_GT(report.queue_skips, 0);  // the backlog really was overtaken
 }
 
 }  // namespace

@@ -1,14 +1,18 @@
 // Unit tests for the tile-pool subsystem: admission policies (FIFO
 // head-of-line, bounded backfill, windowed best-fit reordering), contiguous
 // allocation with placement-aware block selection, the defragmentation
-// planner, prefetch reservations, and the fragmentation metric.
+// planner, prefetch reservations, the fragmentation metric, and the
+// deadline-aware urgency index (differentially tested against a linear
+// scan).
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <vector>
 
 #include "pool/tile_pool.hpp"
 #include "sim/online_accounting.hpp"
+#include "sim/trace_hook.hpp"
 #include "util/check.hpp"
 
 namespace drhw {
@@ -411,6 +415,7 @@ TEST(TilePool, FragmentationMetricIsTimeWeighted) {
 TEST(TilePool, EnqueueRejectsOversizedInstances) {
   TilePoolManager pool(2, PoolOptions{});
   EXPECT_THROW(pool.enqueue(1, 3, 0), InternalError);
+  EXPECT_THROW(pool.enqueue(1, -1, 0), InternalError);
 }
 
 TEST(TilePool, CheckpointLifecycleFreesTilesButKeepsConfigsCached) {
@@ -466,16 +471,13 @@ TEST(TilePool, SelectUrgentPicksTheMostUrgentFittingInstance) {
   TilePoolManager pool(4, PoolOptions{});
   const PoolMetrics metrics(pool);
   force_occupy(pool, 1, {0, 1, 2}, 0);
-  pool.enqueue(10, 1, 1);  // urgency 30
-  pool.enqueue(11, 1, 2);  // urgency 10 (most urgent)
-  pool.enqueue(12, 3, 3);  // urgency 5 but does not fit
-  const auto urgency = [](std::int32_t job) -> long long {
-    return job == 10 ? 30 : job == 11 ? 10 : 5;
-  };
-  EXPECT_EQ(pool.select_urgent(3, urgency), 11);
+  pool.enqueue(10, 1, 1, 30);
+  pool.enqueue(11, 1, 2, 10);  // most urgent
+  pool.enqueue(12, 3, 3, 5);   // more urgent still, but does not fit
+  EXPECT_EQ(pool.select_urgent(3), 11);
   pool.occupy(11, {3}, 3);
   EXPECT_EQ(metrics.queue_skips(), 1);  // overtook job 10
-  EXPECT_EQ(pool.select_urgent(4, urgency), -1);  // nothing fits
+  EXPECT_EQ(pool.select_urgent(4), -1);  // nothing fits
 }
 
 TEST(TilePool, SelectUrgentHonoursTheStarvationBound) {
@@ -483,19 +485,125 @@ TEST(TilePool, SelectUrgentHonoursTheStarvationBound) {
   options.max_bypass = 2;
   TilePoolManager pool(4, options);
   force_occupy(pool, 1, {0, 1, 2}, 0);
-  pool.enqueue(10, 1, 1);  // head, least urgent
-  const auto urgency = [](std::int32_t job) -> long long {
-    return job == 10 ? 100 : job;
-  };
+  pool.enqueue(10, 1, 1, 100);  // head, least urgent
   for (std::int32_t job = 20; job <= 21; ++job) {
-    pool.enqueue(job, 1, job);
-    ASSERT_EQ(pool.select_urgent(job, urgency), job);
+    pool.enqueue(job, 1, job, job);
+    ASSERT_EQ(pool.select_urgent(job), job);
     pool.occupy(job, {3}, job);
     pool.release(job, job);
   }
   // The head has been bypassed max_bypass times: now only it may go.
-  pool.enqueue(22, 1, 22);
-  EXPECT_EQ(pool.select_urgent(23, urgency), 10);
+  pool.enqueue(22, 1, 22, 22);
+  EXPECT_EQ(pool.select_urgent(23), 10);
+}
+
+/// Linear-scan reference of select_urgent(): the most urgent entry that
+/// fits `room` (ties by arrival), the max_bypass rule protecting the head,
+/// and one skip per live entry the pick overtakes.
+struct UrgentReference {
+  struct Entry {
+    std::int32_t job = -1;
+    int needed = 0;
+    long long urgency = 0;
+    int skips = 0;
+  };
+  std::vector<Entry> queue;  // arrival order; admitted entries erased
+  int max_bypass = 0;
+  long skips = 0;
+
+  std::int32_t pick(int room) {
+    const std::size_t none = queue.size();
+    std::size_t best = none;
+    for (std::size_t i = 0; i < queue.size(); ++i)
+      if (queue[i].needed <= room &&
+          (best == none || queue[i].urgency < queue[best].urgency))
+        best = i;
+    if (best != none && best != 0 && queue[0].skips >= max_bypass)
+      best = queue[0].needed <= room ? 0 : none;
+    if (best == none) return -1;
+    for (std::size_t i = 0; i < best; ++i) ++queue[i].skips;
+    skips += static_cast<long>(best);
+    const std::int32_t job = queue[best].job;
+    queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(best));
+    return job;
+  }
+};
+
+/// Counts the pool's queue_skip events.
+struct SkipCounter final : TraceSink {
+  void record(const TraceEvent& ev) override {
+    if (ev.kind == TraceEvent::Kind::queue_skip) ++skips;
+  }
+  long skips = 0;
+};
+
+/// Differential test of the urgency index: seeded random enqueue / pick +
+/// occupy / release / checkpoint + re-enqueue sequences against the linear
+/// scan above, on contiguous and count-based pools, max_bypass 0-3. Fill
+/// and drain phases alternate so the backlog both empties and grows deep
+/// enough for the queue to compact (dead prefix >= 64) with entries live.
+TEST(TilePool, SelectUrgentMatchesALinearScan) {
+  constexpr int k_tiles = 6;
+  for (const bool contiguous : {false, true})
+    for (int max_bypass = 0; max_bypass <= 3; ++max_bypass)
+      for (const unsigned seed : {1u, 2u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "contiguous=" << contiguous
+                     << " max_bypass=" << max_bypass << " seed=" << seed);
+        PoolOptions options;
+        options.contiguous = contiguous;
+        options.max_bypass = max_bypass;
+        TilePoolManager pool(k_tiles, options);
+        SkipCounter counter;
+        pool.set_trace_sink(&counter);
+        UrgentReference ref;
+        ref.max_bypass = max_bypass;
+        std::mt19937 rng(seed);
+        std::vector<UrgentReference::Entry> jobs;  // by job id
+        std::vector<std::int32_t> live;            // admitted jobs
+        const auto enqueue = [&](std::int32_t job, time_us now) {
+          const UrgentReference::Entry& w = jobs[static_cast<std::size_t>(job)];
+          pool.enqueue(job, w.needed, now, w.urgency);
+          ref.queue.push_back(w);
+        };
+        for (time_us step = 0; step < 3000; ++step) {
+          const bool filling = (step / 300) % 2 == 0;
+          const unsigned op = rng() % 100;
+          if (op < (filling ? 45u : 5u)) {
+            // Urgency creeps up with time so the head is often the most
+            // urgent, with small random offsets for ties and overtakes.
+            const auto job = static_cast<std::int32_t>(jobs.size());
+            jobs.push_back({job, static_cast<int>(rng() % (k_tiles + 1)),
+                            step / 16 + static_cast<long long>(rng() % 4), 0});
+            enqueue(job, step);
+          } else if (op < 75) {
+            const int room = contiguous ? pool.largest_free_block()
+                                        : pool.free_count();
+            const std::int32_t expected = ref.pick(room);
+            const std::int32_t job = pool.select_urgent(step);
+            ASSERT_EQ(job, expected) << "step " << step;
+            ASSERT_EQ(counter.skips, ref.skips) << "step " << step;
+            if (job < 0) continue;
+            pool.occupy(job, pool.offer(job, {}), step);
+            live.push_back(job);
+          } else if (!live.empty()) {
+            const std::size_t at = rng() % live.size();
+            const std::int32_t job = live[at];
+            live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+            if (op < 92) {
+              pool.release(job, step);
+              continue;
+            }
+            // Checkpoint: free the victim's tiles, re-enqueue it with its
+            // original urgency.
+            for (PhysTileId t = 0; t < k_tiles; ++t)
+              if (pool.owner(t) == job) pool.begin_checkpoint(t);
+            for (PhysTileId t = 0; t < k_tiles; ++t)
+              if (pool.owner(t) == job) pool.finish_checkpoint(t, step);
+            enqueue(job, step);
+          }
+        }
+      }
 }
 
 }  // namespace
