@@ -557,14 +557,6 @@ void TilePoolManager::finish_checkpoint(PhysTileId tile, time_us now) {
   owner_[idx] = -1;
 }
 
-void TilePoolManager::abort_checkpoint(PhysTileId tile) {
-  const std::size_t idx = checked(tile);
-  DRHW_CHECK_MSG(held_[idx] && migrating_[idx],
-                 "checkpoint abort on a tile that is not checkpointing");
-  migrating_[idx] = 0;
-  --migrations_in_flight_;
-}
-
 // --- metrics ----------------------------------------------------------------
 
 void TilePoolManager::touch(time_us now) {

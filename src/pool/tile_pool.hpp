@@ -221,7 +221,6 @@ class TilePoolManager {
   bool migrating(PhysTileId tile) const {
     return migrating_[checked(tile)] != 0;
   }
-  bool migration_in_flight() const { return migrations_in_flight_ > 0; }
   /// Concurrent defragmentation relocations through the port(s). Each
   /// spare reconfiguration port may carry its own migration; the kernel
   /// starts one per free port while plan_defrag() keeps producing plans.
@@ -283,10 +282,6 @@ class TilePoolManager {
   /// Checkpoint writeout landed: frees the tile, leaving the resident
   /// configuration cached in the store.
   void finish_checkpoint(PhysTileId tile, time_us now);
-
-  /// Abandons an in-flight checkpoint (e.g. the victim retired anyway):
-  /// the tile stays held by its owner as if nothing happened.
-  void abort_checkpoint(PhysTileId tile);
 
  private:
   struct Waiting {

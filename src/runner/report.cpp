@@ -1,13 +1,7 @@
 #include "runner/report.hpp"
 
-#include <cctype>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
-#include <stdexcept>
 
-#include "util/json.hpp"
 #include "util/numfmt.hpp"
 #include "util/stats.hpp"
 
@@ -327,8 +321,8 @@ std::string fmt_port_vector(const std::vector<double>& per_port) {
 /// Policy parameters as one fixed-width CSV cell: ';'-joined "k=v" pairs
 /// (empty for parameterless policies). Parameter values are arbitrary
 /// strings, so the separators — and the escape itself — are
-/// backslash-escaped; the reader below undoes it, keeping the cell as
-/// lossless as the JSON object form.
+/// backslash-escaped: every cell splits back into exactly one parameter
+/// map, as unambiguous as the JSON object form.
 std::string escape_param_text(const std::string& text) {
   std::string out;
   out.reserve(text.size());
@@ -345,36 +339,6 @@ std::string fmt_policy_params(const PolicyParams& params) {
     if (!out.empty()) out += ';';
     out += escape_param_text(key) + "=" + escape_param_text(value);
   }
-  return out;
-}
-
-/// Inverse of fmt_policy_params(): splits on unescaped ';' / first
-/// unescaped '=', honouring backslash escapes.
-PolicyParams parse_policy_params_cell(const std::string& cell) {
-  PolicyParams out;
-  std::string key, value;
-  bool in_value = false, escaped = false;
-  const auto flush = [&] {
-    if (!key.empty()) out[key] = value;
-    key.clear();
-    value.clear();
-    in_value = false;
-  };
-  for (char c : cell) {
-    if (escaped) {
-      (in_value ? value : key) += c;
-      escaped = false;
-    } else if (c == '\\') {
-      escaped = true;
-    } else if (c == ';') {
-      flush();
-    } else if (c == '=' && !in_value) {
-      in_value = true;
-    } else {
-      (in_value ? value : key) += c;
-    }
-  }
-  flush();
   return out;
 }
 
@@ -430,222 +394,6 @@ std::string campaign_to_csv(const std::vector<ScenarioResult>& results) {
     os << "\n";
   }
   return os.str();
-}
-
-// --- JSON reader -----------------------------------------------------------
-
-namespace {
-
-MetricSummary parse_metric_summary(const json::Value& v) {
-  MetricSummary m;
-  m.count = static_cast<std::size_t>(v.at("count").number);
-  m.mean = v.at("mean").number;
-  m.stddev = v.at("stddev").number;
-  m.min = v.at("min").number;
-  m.max = v.at("max").number;
-  m.p50 = v.at("p50").number;
-  m.p95 = v.at("p95").number;
-  return m;
-}
-
-GroupSummary parse_group_summary(const json::Value& v) {
-  GroupSummary summary;
-  summary.family = v.at("family").text;
-  summary.scenarios = static_cast<std::size_t>(v.at("scenarios").number);
-  summary.failed = static_cast<std::size_t>(v.at("failed").number);
-  for (const auto& [name, metric] : v.at("metrics").members)
-    summary.metrics[name] = parse_metric_summary(metric);
-  return summary;
-}
-
-}  // namespace
-
-ParsedCampaign campaign_from_json(const std::string& json) {
-  const auto root = json::parse(json, "campaign JSON");
-  ParsedCampaign campaign;
-  campaign.schema = root.at("schema").text;
-  if (campaign.schema != "drhw-campaign-v1")
-    throw std::invalid_argument("unknown campaign schema '" +
-                                campaign.schema + "'");
-  for (const auto& item : root.at("scenarios").items) {
-    ParsedScenario s;
-    s.name = item.at("name").text;
-    s.family = item.at("family").text;
-    s.workload = item.at("workload").text;
-    if (const auto* file = item.find("workload_file"))
-      s.workload_file = file->text;
-    if (const auto* backend = item.find("queue_backend"))
-      s.queue_backend = backend->text;
-    s.mode = item.at("mode").text;
-    s.approach = item.at("approach").text;
-    if (const auto* params = item.find("policy_params"))
-      for (const auto& [key, value] : params->members)
-        s.policy_params[key] = value.text;
-    s.replacement = item.at("replacement").text;
-    s.tiles = static_cast<int>(item.at("tiles").number);
-    s.reconfig_latency_us =
-        std::strtoll(item.at("reconfig_latency_us").text.c_str(), nullptr, 10);
-    s.ports = static_cast<int>(item.at("ports").number);
-    s.seed = std::strtoull(item.at("seed").text.c_str(), nullptr, 10);
-    s.iterations = static_cast<int>(item.at("iterations").number);
-    if (const auto* kind = item.find("arrival_kind")) s.arrival_kind = kind->text;
-    if (const auto* rate = item.find("arrival_rate_per_s"))
-      s.arrival_rate_per_s = rate->number;
-    if (const auto* discipline = item.find("port_discipline"))
-      s.port_discipline = discipline->text;
-    if (const auto* admission = item.find("admission_policy"))
-      s.admission_policy = admission->text;
-    if (const auto* contiguous = item.find("contiguous"))
-      s.contiguous = contiguous->boolean;
-    if (const auto* defrag = item.find("defrag")) s.defrag = defrag->boolean;
-    if (const auto* cost = item.find("scheduler_cost_us"))
-      s.scheduler_cost_us = cost->number;
-    if (const auto* isps = item.find("isps"))
-      s.isps = static_cast<int>(isps->number);
-    if (const auto* shared = item.find("shared_isps"))
-      s.shared_isps = shared->boolean;
-    if (const auto* discipline = item.find("isp_discipline"))
-      s.isp_discipline = discipline->text;
-    // Optional like every post-v1 descriptor field: reports written before
-    // the real-time columns existed parse with the neutral defaults.
-    if (const auto* scale = item.find("deadline_scale"))
-      s.deadline_scale = scale->number;
-    if (const auto* crit = item.find("high_crit_fraction"))
-      s.high_crit_fraction = crit->number;
-    if (const auto* preempt = item.find("preempt"))
-      s.preempt = preempt->boolean;
-    if (const auto* per_port = item.find("port_util_per_port_pct"))
-      for (const auto& value : per_port->items)
-        s.port_util_per_port.push_back(value.number);
-    s.ok = item.at("ok").boolean;
-    s.error = item.at("error").text;
-    for (const auto& [name, value] : item.at("metrics").members)
-      if (value.kind != json::Value::Kind::null)  // null = non-finite
-        s.metrics[name] = value.number;
-    campaign.scenarios.push_back(std::move(s));
-  }
-  for (const auto& item : root.at("families").items)
-    campaign.families.push_back(parse_group_summary(item));
-  campaign.overall = parse_group_summary(root.at("overall"));
-  return campaign;
-}
-
-namespace {
-
-std::vector<std::string> split_csv_line(const std::string& line) {
-  std::vector<std::string> cells;
-  std::string cell;
-  bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cell += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        cell += c;
-      }
-    } else if (c == '"') {
-      quoted = true;
-    } else if (c == ',') {
-      cells.push_back(std::move(cell));
-      cell.clear();
-    } else {
-      cell += c;
-    }
-  }
-  cells.push_back(std::move(cell));
-  return cells;
-}
-
-}  // namespace
-
-std::vector<ParsedScenario> campaign_from_csv(const std::string& csv) {
-  std::istringstream is(csv);
-  std::string line;
-  if (!std::getline(is, line))
-    throw std::invalid_argument("campaign CSV: empty input");
-  const std::vector<std::string> header = split_csv_line(line);
-  std::vector<ParsedScenario> out;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    const std::vector<std::string> cells = split_csv_line(line);
-    if (cells.size() != header.size())
-      throw std::invalid_argument("campaign CSV: row width mismatch");
-    ParsedScenario s;
-    for (std::size_t i = 0; i < header.size(); ++i) {
-      const std::string& key = header[i];
-      const std::string& value = cells[i];
-      if (key == "name")
-        s.name = value;
-      else if (key == "family")
-        s.family = value;
-      else if (key == "workload")
-        s.workload = value;
-      else if (key == "workload_file")
-        s.workload_file = value;
-      else if (key == "queue_backend")
-        s.queue_backend = value;
-      else if (key == "mode")
-        s.mode = value;
-      else if (key == "approach")
-        s.approach = value;
-      else if (key == "policy_params")
-        s.policy_params = parse_policy_params_cell(value);
-      else if (key == "replacement")
-        s.replacement = value;
-      else if (key == "tiles")
-        s.tiles = std::atoi(value.c_str());
-      else if (key == "reconfig_latency_us")
-        s.reconfig_latency_us = std::strtoll(value.c_str(), nullptr, 10);
-      else if (key == "ports")
-        s.ports = std::atoi(value.c_str());
-      else if (key == "seed")
-        s.seed = std::strtoull(value.c_str(), nullptr, 10);
-      else if (key == "iterations")
-        s.iterations = std::atoi(value.c_str());
-      else if (key == "admission_policy")
-        s.admission_policy = value;
-      else if (key == "contiguous")
-        s.contiguous = value == "1";
-      else if (key == "defrag")
-        s.defrag = value == "1";
-      else if (key == "scheduler_cost_us")
-        s.scheduler_cost_us = std::strtod(value.c_str(), nullptr);
-      else if (key == "isps")
-        s.isps = std::atoi(value.c_str());
-      else if (key == "shared_isps")
-        s.shared_isps = value == "1";
-      else if (key == "isp_discipline")
-        s.isp_discipline = value;
-      else if (key == "deadline_scale")
-        s.deadline_scale = std::strtod(value.c_str(), nullptr);
-      else if (key == "high_crit_fraction")
-        s.high_crit_fraction = std::strtod(value.c_str(), nullptr);
-      else if (key == "preempt")
-        s.preempt = value == "1";
-      else if (key == "port_util_per_port_pct") {
-        std::istringstream cell(value);
-        std::string part;
-        while (std::getline(cell, part, ';'))
-          if (!part.empty())
-            s.port_util_per_port.push_back(
-                std::strtod(part.c_str(), nullptr));
-      }
-      else if (key == "ok")
-        s.ok = value == "1";
-      else if (key == "error")
-        s.error = value;
-      else if (!value.empty())
-        s.metrics[key] = std::strtod(value.c_str(), nullptr);
-    }
-    out.push_back(std::move(s));
-  }
-  return out;
 }
 
 }  // namespace drhw

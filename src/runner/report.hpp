@@ -4,9 +4,11 @@
 /// Campaign result aggregation and serialisation. The StatsAggregator
 /// folds per-scenario SimReport metrics into per-family and whole-campaign
 /// summary distributions (mean/stddev/min/max/p50/p95); the JSON and CSV
-/// writers produce machine-readable reports, and the matching readers
-/// round-trip them. Only the tests call the readers (round-trip and
-/// forward-compatibility checks); no tool reads a campaign report back.
+/// writers produce machine-readable reports. Reports are output only: no
+/// tool reads one back, so no reader ships. The tests check the writers
+/// against literal fixtures and read their output with util/json's parser
+/// and a test-side CSV splitter; CI loads its smoke campaigns' reports
+/// with Python's json and csv modules.
 ///
 /// Only deterministic metrics enter the aggregates; wall-clock fields
 /// (wall_ms, the sched_cost timings) are reported per scenario but never
@@ -82,70 +84,5 @@ std::string campaign_to_json(const std::vector<ScenarioResult>& results,
 
 /// Per-scenario results as CSV (one header row, one row per scenario).
 std::string campaign_to_csv(const std::vector<ScenarioResult>& results);
-
-/// Parsed form of a campaign report (reader side of the round trip).
-struct ParsedScenario {
-  std::string name;
-  std::string family;
-  std::string workload;
-  /// WorkloadKind::file scenarios only: the .dwl path (empty otherwise and
-  /// in reports written before the workload-file column existed).
-  std::string workload_file;
-  std::string mode;
-  /// The prefetch policy's registered name (the column keeps its historic
-  /// "approach" spelling in both report formats).
-  std::string approach;
-  /// The policy's parameters, exactly as in the scenario's PolicySpec.
-  /// JSON: a "policy_params" object; CSV: one ';'-joined "k=v" cell.
-  std::map<std::string, std::string> policy_params;
-  std::string replacement;
-  int tiles = 0;
-  long long reconfig_latency_us = 0;
-  int ports = 0;
-  std::uint64_t seed = 0;
-  int iterations = 0;
-  /// Online scenarios only (empty / 0 otherwise).
-  std::string arrival_kind;
-  double arrival_rate_per_s = 0.0;
-  std::string port_discipline;
-  std::string admission_policy;
-  bool contiguous = false;
-  bool defrag = false;
-  double scheduler_cost_us = 0.0;
-  int isps = 0;
-  bool shared_isps = false;
-  std::string isp_discipline;
-  /// Real-time task model (online scenarios; 0/false in reports written
-  /// before the deadline columns existed — readers treat the fields as
-  /// optional).
-  double deadline_scale = 0.0;
-  double high_crit_fraction = 0.0;
-  bool preempt = false;
-  /// Event-queue backend of online scenarios (empty in pre-backend
-  /// reports; the default backend is "calendar").
-  std::string queue_backend;
-  bool ok = false;
-  std::string error;
-  /// metric name -> value, exactly the columns/keys of the writers.
-  std::map<std::string, double> metrics;
-  /// Per-port utilisation vector (online scenarios; empty otherwise or in
-  /// pre-multiport reports). JSON: a "port_util_per_port_pct" array; CSV:
-  /// one ';'-joined cell, so the row stays fixed-width.
-  std::vector<double> port_util_per_port;
-};
-
-struct ParsedCampaign {
-  std::string schema;
-  std::vector<ParsedScenario> scenarios;
-  std::vector<GroupSummary> families;
-  GroupSummary overall;
-};
-
-/// Parses campaign_to_json() output. Throws std::invalid_argument on
-/// malformed input.
-ParsedCampaign campaign_from_json(const std::string& json);
-
-/// Parses campaign_to_csv() output (scenario rows only).
-std::vector<ParsedScenario> campaign_from_csv(const std::string& csv);
 
 }  // namespace drhw

@@ -27,15 +27,6 @@ const char* to_string(WorkloadKind kind) {
   return "?";
 }
 
-WorkloadKind workload_kind_from_string(const std::string& text) {
-  if (text == "multimedia") return WorkloadKind::multimedia;
-  if (text == "pocket_gl") return WorkloadKind::pocket_gl;
-  if (text == "pocket_gl_frames") return WorkloadKind::pocket_gl_frames;
-  if (text == "synthetic") return WorkloadKind::synthetic;
-  if (text == "file") return WorkloadKind::file;
-  throw std::invalid_argument("unknown workload kind '" + text + "'");
-}
-
 const char* to_string(ScenarioMode mode) {
   switch (mode) {
     case ScenarioMode::simulate:

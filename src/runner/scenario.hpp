@@ -43,7 +43,6 @@ enum class WorkloadKind {
 };
 
 const char* to_string(WorkloadKind kind);
-WorkloadKind workload_kind_from_string(const std::string& text);
 
 /// What the campaign engine measures for a scenario.
 enum class ScenarioMode {

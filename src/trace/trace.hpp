@@ -24,10 +24,10 @@
 /// one exclusion is OnlineReport::perf: wall-clock phase timers and
 /// queue-internal counters are not simulation state and are not serialised.
 ///
-/// Extension policy (mirrors the campaign report readers): adding event
-/// kinds or fields is backward-compatible — readers ignore unknown JSONL
-/// keys and skip unknown framed binary records; removing or renaming
-/// anything, or changing an emission site, requires bumping the schema id.
+/// Extension policy: adding event kinds or fields is backward-compatible —
+/// readers ignore unknown JSONL keys and skip unknown framed binary
+/// records; removing or renaming anything, or changing an emission site,
+/// requires bumping the schema id.
 /// Rendering: render_trace_ascii()/render_trace_svg() draw a per-port +
 /// per-tile (+ ISP) timeline — `drhw_sched trace render`.
 

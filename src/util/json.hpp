@@ -2,8 +2,7 @@
 
 /// \file json.hpp
 /// Minimal recursive-descent JSON reader, the repo's only one. Users: the
-/// campaign report readers (runner/report.cpp), the trace header and
-/// footer readers (trace/schema.cpp, trace/reader.cpp,
+/// trace header and footer readers (trace/schema.cpp, trace/reader.cpp,
 /// trace/report_json.cpp), the graph format (graph/serialization.cpp) and
 /// the standalone perf-gate comparator (tools/perf_compare.cpp). Covers
 /// objects, arrays, strings, numbers, booleans and null — exactly the

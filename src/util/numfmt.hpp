@@ -5,7 +5,7 @@
 /// repo (campaign reports, trace files, workload files). The double
 /// formatter emits the shortest decimal string that parses back to the
 /// identical bits, which is what makes "write, read, compare" round trips
-/// — the report readers, the trace replay verifier — exact instead of
+/// — the report tests, the trace replay verifier — exact instead of
 /// approximate. Hoisted out of runner/report.cpp when the trace subsystem
 /// (src/trace/) became a second writer.
 

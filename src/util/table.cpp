@@ -46,15 +46,6 @@ void TablePrinter::print(std::ostream& os) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-void TablePrinter::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c)
-      os << row[c] << (c + 1 < row.size() ? "," : "\n");
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-}
-
 std::string fmt(double value, int decimals) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(decimals) << value;

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file table.hpp
-/// ASCII table and CSV rendering for the benchmark harnesses.
+/// ASCII table rendering for the benchmark harnesses.
 ///
 /// Every bench binary prints the rows of the paper table/figure it
 /// regenerates; TablePrinter keeps that output aligned and diffable.
@@ -23,9 +23,6 @@ class TablePrinter {
 
   /// Renders the table with a header rule, padded to column widths.
   void print(std::ostream& os) const;
-
-  /// Renders the same content as CSV (no padding, comma separated).
-  void print_csv(std::ostream& os) const;
 
  private:
   std::vector<std::string> headers_;

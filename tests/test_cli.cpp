@@ -1,9 +1,10 @@
 // End-to-end checks of the drhw_sched binary (path injected as
 // DRHW_SCHED_BIN by CMake): workload parse errors exit 2 with
 // file:line:column diagnostics, unknown flags exit 2 with usage + the
-// registered policy/arrival lists on every subcommand, `genwork` is
-// seed-deterministic, and the genwork -> campaign -> online --trace ->
-// trace verify pipeline the CI lane runs holds together.
+// registered policy/arrival lists on every subcommand, `schedule` rejects a
+// flag without its value, `genwork` is seed-deterministic, and the
+// genwork -> campaign -> online --trace -> trace verify pipeline the CI lane
+// runs holds together.
 
 #include <cstdio>
 #include <cstdlib>
@@ -93,6 +94,23 @@ TEST(Cli, ScheduleReportsDesignTimeSearchStatistics) {
                                "0 node-budget hits"),
             std::string::npos)
       << result.output;
+}
+
+TEST(Cli, ScheduleRejectsAFlagWithoutItsValue) {
+  // A trailing flag with no value (or an unknown flag after a complete
+  // pair) is a usage error, not silently ignored in favour of defaults.
+  const std::string dir = temp_dir("cli_schedule_flags");
+  const CliResult demo = run_cli("demo");
+  ASSERT_EQ(demo.exit_code, 0) << demo.output;
+  std::ofstream(dir + "/demo.json") << demo.output;
+  for (const char* flags : {"--tiles", "--tiles 4 --bogus"}) {
+    const CliResult result =
+        run_cli("schedule " + dir + "/demo.json " + flags);
+    EXPECT_EQ(result.exit_code, 2) << flags << "\n" << result.output;
+    EXPECT_NE(result.output.find("usage:"), std::string::npos) << flags;
+    EXPECT_EQ(result.output.find("optimal prefetch"), std::string::npos)
+        << flags;
+  }
 }
 
 TEST(Cli, GenworkIsSeedDeterministic) {

@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 
+#include "csv_rows.hpp"
 #include "graph/generators.hpp"
 #include "policy/names.hpp"
 #include "policy/registry.hpp"
@@ -20,6 +21,7 @@
 #include "sim/event_sim.hpp"
 #include "sim/port_set.hpp"
 #include "sim/workloads.hpp"
+#include "util/json.hpp"
 
 namespace drhw {
 namespace {
@@ -119,7 +121,9 @@ TEST_P(EveryRegisteredPolicy, RunsOnPoissonAndBurstyArrivals) {
 /// rate -> 0: arrivals are so far apart that no two instances are ever
 /// live together, so per-instance makespans must reduce to the sequential
 /// simulator's spans on the same sampler stream — for *every* registered
-/// policy, single- and two-port. The sequential reference is auto-derived:
+/// policy, single- and two-port, and on a mesh interconnect, whose
+/// non-zero edge latencies route successor wake-ups through the kernel's
+/// communication event. The sequential reference is auto-derived:
 /// the same policy spec with the inter-task lookahead closed
 /// (intertask_lookahead = 0), because an online scheduler with an empty
 /// backlog has nothing to prefetch for, so the sequential rig must not
@@ -127,9 +131,23 @@ TEST_P(EveryRegisteredPolicy, RunsOnPoissonAndBurstyArrivals) {
 /// approach, mapping run-time+inter-task onto run-time and flipping the
 /// hybrid's intertask flag — the lookahead knob subsumes both.)
 TEST_P(EveryRegisteredPolicy, RateToZeroMatchesSequentialSimulator) {
-  for (const int ports : {1, 2}) {
+  IcnConfig mesh;
+  mesh.mesh_width = 4;
+  mesh.hop_latency = us(150);
+  mesh.isp_bridge_latency = us(400);
+  struct Case {
+    int ports;
+    IcnConfig icn;
+  };
+  std::uint64_t events_ideal = 0, events_mesh = 0;
+  for (const Case& c : {Case{1, IcnConfig{}}, Case{2, IcnConfig{}},
+                        Case{1, mesh}}) {
+    const bool on_mesh = c.icn.mesh_width > 0;
+    const std::string label = std::to_string(c.ports) + " port(s)" +
+                              (on_mesh ? ", mesh" : "");
     PlatformConfig pf = platform;
-    pf.reconfig_ports = ports;
+    pf.reconfig_ports = c.ports;
+    pf.icn = c.icn;
     const auto local = make_multimedia_workload(pf);
     const auto local_sampler = multimedia_sampler(*local);
 
@@ -150,17 +168,22 @@ TEST_P(EveryRegisteredPolicy, RateToZeroMatchesSequentialSimulator) {
     seq.record_spans = true;
     const auto sequential = run_simulation(seq, local_sampler);
 
-    EXPECT_EQ(online.mean_queueing_ms, 0.0) << ports << " port(s)";
-    ASSERT_EQ(online.spans.size(), sequential.spans.size())
-        << ports << " port(s)";
-    EXPECT_EQ(online.spans, sequential.spans) << ports << " port(s)";
-    EXPECT_EQ(online.sim.total_actual, sequential.total_actual)
-        << ports << " port(s)";
-    EXPECT_EQ(online.sim.loads, sequential.loads) << ports << " port(s)";
-    EXPECT_EQ(online.sim.reused_subtasks, sequential.reused_subtasks);
-    EXPECT_EQ(online.sim.init_loads, sequential.init_loads);
-    EXPECT_EQ(online.sim.cancelled_loads, sequential.cancelled_loads);
+    EXPECT_EQ(online.mean_queueing_ms, 0.0) << label;
+    ASSERT_EQ(online.spans.size(), sequential.spans.size()) << label;
+    EXPECT_EQ(online.spans, sequential.spans) << label;
+    EXPECT_EQ(online.sim.total_actual, sequential.total_actual) << label;
+    EXPECT_EQ(online.sim.loads, sequential.loads) << label;
+    EXPECT_EQ(online.sim.reused_subtasks, sequential.reused_subtasks)
+        << label;
+    EXPECT_EQ(online.sim.init_loads, sequential.init_loads) << label;
+    EXPECT_EQ(online.sim.cancelled_loads, sequential.cancelled_loads)
+        << label;
+    if (c.ports == 1)
+      (on_mesh ? events_mesh : events_ideal) = online.perf.events_total;
   }
+  // The mesh run dispatched communication events the ideal ICN never
+  // schedules, so the equivalence above really covered that path.
+  EXPECT_GT(events_mesh, events_ideal);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -606,35 +629,45 @@ TEST(OnlineScenarios, OnlineMetricsFlowIntoReports) {
 
   StatsAggregator aggregator;
   aggregator.add(result);
-  const auto parsed = campaign_from_json(campaign_to_json({result},
-                                                          aggregator));
-  ASSERT_EQ(parsed.scenarios.size(), 1u);
-  EXPECT_EQ(parsed.scenarios[0].mode, "online");
-  EXPECT_EQ(parsed.scenarios[0].arrival_kind, "poisson");
-  EXPECT_EQ(parsed.scenarios[0].arrival_rate_per_s, 50.0);
-  EXPECT_EQ(parsed.scenarios[0].port_discipline, "fifo");
-  EXPECT_EQ(parsed.scenarios[0].metrics.at("response_ms"),
+  const auto items =
+      json::parse(campaign_to_json({result}, aggregator), "campaign JSON")
+          .at("scenarios")
+          .items;
+  ASSERT_EQ(items.size(), 1u);
+  const json::Value& item = items[0];
+  EXPECT_EQ(item.at("mode").text, "online");
+  EXPECT_EQ(item.at("arrival_kind").text, "poisson");
+  EXPECT_EQ(item.at("arrival_rate_per_s").number, 50.0);
+  EXPECT_EQ(item.at("port_discipline").text, "fifo");
+  EXPECT_EQ(item.at("metrics").at("response_ms").number,
             result.mean_response_ms);
   // Multi-port / shared-ISP descriptor fields and the per-port vector
   // round-trip through JSON...
-  EXPECT_EQ(parsed.scenarios[0].ports, 2);
-  EXPECT_EQ(parsed.scenarios[0].isps, 1);
-  EXPECT_TRUE(parsed.scenarios[0].shared_isps);
-  EXPECT_EQ(parsed.scenarios[0].isp_discipline, "priority");
-  ASSERT_EQ(parsed.scenarios[0].port_util_per_port.size(), 2u);
-  EXPECT_EQ(parsed.scenarios[0].port_util_per_port,
-            result.port_utilisation_per_port_pct);
-  EXPECT_EQ(parsed.scenarios[0].metrics.at("isp_util_pct"),
+  EXPECT_EQ(item.at("ports").number, 2.0);
+  EXPECT_EQ(item.at("isps").number, 1.0);
+  EXPECT_TRUE(item.at("shared_isps").boolean);
+  EXPECT_EQ(item.at("isp_discipline").text, "priority");
+  std::vector<double> per_port;
+  for (const json::Value& value : item.at("port_util_per_port_pct").items)
+    per_port.push_back(value.number);
+  ASSERT_EQ(per_port.size(), 2u);
+  EXPECT_EQ(per_port, result.port_utilisation_per_port_pct);
+  EXPECT_EQ(item.at("metrics").at("isp_util_pct").number,
             result.isp_utilisation_pct);
   // ... and through CSV (the vector travels as one ';'-joined cell).
-  const auto rows = campaign_from_csv(campaign_to_csv({result}));
+  const auto rows = testing::csv_rows(campaign_to_csv({result}));
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].metrics.at("response_ms"), result.mean_response_ms);
-  EXPECT_EQ(rows[0].ports, 2);
-  EXPECT_TRUE(rows[0].shared_isps);
-  EXPECT_EQ(rows[0].isp_discipline, "priority");
-  EXPECT_EQ(rows[0].port_util_per_port,
-            result.port_utilisation_per_port_pct);
+  EXPECT_EQ(std::stod(rows[0].at("response_ms")), result.mean_response_ms);
+  EXPECT_EQ(rows[0].at("ports"), "2");
+  EXPECT_EQ(rows[0].at("shared_isps"), "1");
+  EXPECT_EQ(rows[0].at("isp_discipline"), "priority");
+  const std::string& cell = rows[0].at("port_util_per_port_pct");
+  const std::size_t split = cell.find(';');
+  ASSERT_NE(split, std::string::npos) << cell;
+  EXPECT_EQ(std::stod(cell.substr(0, split)),
+            result.port_utilisation_per_port_pct[0]);
+  EXPECT_EQ(std::stod(cell.substr(split + 1)),
+            result.port_utilisation_per_port_pct[1]);
 }
 
 TEST(OnlineScenarios, SweepExpandsArrivalRateAxis) {

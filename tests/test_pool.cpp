@@ -242,10 +242,10 @@ TEST(TilePool, DefragPlansAMigrationThatOpensTheNeededRun) {
   EXPECT_TRUE(plan->needs_port());
   EXPECT_EQ(plan->owner, 1);
   pool.begin_migration(*plan, ms(2));
-  EXPECT_TRUE(pool.migration_in_flight());
+  EXPECT_EQ(pool.migrations_in_flight(), 1);
   EXPECT_TRUE(pool.migrating(plan->src));
   EXPECT_TRUE(pool.finish_migration(*plan, ms(6)));
-  EXPECT_FALSE(pool.migration_in_flight());
+  EXPECT_EQ(pool.migrations_in_flight(), 0);
   // Ownership moved, the configuration travelled, the source keeps a
   // cached copy, and the head now fits.
   EXPECT_TRUE(pool.held(plan->dst));
@@ -452,19 +452,6 @@ TEST(TilePool, CheckpointLifecycleFreesTilesButKeepsConfigsCached) {
   EXPECT_EQ(pool.select(ms(6)), 1);
   pool.occupy(1, {0, 1}, ms(6));
   EXPECT_EQ(pool.store().config_on(0), 10);
-}
-
-TEST(TilePool, CheckpointAbortRestoresTheVictim) {
-  TilePoolManager pool(4, PoolOptions{});
-  force_occupy(pool, 1, {0}, 0);
-  pool.store().record_load(0, 10, ms(1), 1.0);
-  pool.begin_checkpoint(0);
-  EXPECT_TRUE(pool.migrating(0));
-  pool.abort_checkpoint(0);
-  EXPECT_FALSE(pool.migrating(0));
-  EXPECT_EQ(pool.migrations_in_flight(), 0);
-  EXPECT_TRUE(pool.held(0));
-  EXPECT_EQ(pool.owner(0), 1);
 }
 
 TEST(TilePool, SelectUrgentPicksTheMostUrgentFittingInstance) {

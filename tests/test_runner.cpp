@@ -1,6 +1,8 @@
 // Tests for the campaign engine: scenario registry enumeration and
 // validation, sweep expansion, thread-count-independent determinism of the
-// parallel runner, and JSON/CSV report round trips.
+// parallel runner, and the JSON/CSV report contents, read back through
+// util/json's parser and the test-side CSV splitter (no report reader
+// ships in src/).
 
 #include <gtest/gtest.h>
 
@@ -9,14 +11,54 @@
 #include <limits>
 #include <set>
 
+#include "csv_rows.hpp"
 #include "policy/names.hpp"
 #include "policy/registry.hpp"
 #include "runner/campaign.hpp"
 #include "runner/report.hpp"
 #include "runner/scenario.hpp"
+#include "util/json.hpp"
 
 namespace drhw {
 namespace {
+
+using testing::csv_rows;
+
+/// The scenario objects of a campaign_to_json() report.
+std::vector<json::Value> json_scenarios(
+    const std::vector<ScenarioResult>& results,
+    const StatsAggregator& aggregator) {
+  return json::parse(campaign_to_json(results, aggregator), "campaign JSON")
+      .at("scenarios")
+      .items;
+}
+
+PolicyParams params_of(const json::Value& object) {
+  PolicyParams params;
+  for (const auto& [key, value] : object.members) params[key] = value.text;
+  return params;
+}
+
+/// An aggregate block of the JSON report matches the aggregator's summary,
+/// every statistic bit-exactly.
+void expect_group_matches(const json::Value& block,
+                          const GroupSummary& expected) {
+  EXPECT_EQ(block.at("family").text, expected.family);
+  EXPECT_EQ(block.at("scenarios").number,
+            static_cast<double>(expected.scenarios));
+  EXPECT_EQ(block.at("failed").number, static_cast<double>(expected.failed));
+  const auto& metrics = block.at("metrics").members;
+  EXPECT_EQ(metrics.size(), expected.metrics.size()) << expected.family;
+  for (const auto& [name, m] : metrics) {
+    ASSERT_TRUE(expected.metrics.count(name)) << name;
+    const MetricSummary got{static_cast<std::size_t>(m.at("count").number),
+                            m.at("mean").number, m.at("stddev").number,
+                            m.at("min").number,  m.at("max").number,
+                            m.at("p50").number,  m.at("p95").number};
+    EXPECT_TRUE(got == expected.metrics.at(name))
+        << expected.family << "/" << name;
+  }
+}
 
 Scenario quick_scenario(const std::string& name, const std::string& family,
                         const PolicySpec& policy, std::uint64_t seed) {
@@ -45,7 +87,7 @@ std::vector<Scenario> quick_campaign() {
           std::string("quick/") + policy + "/s" + std::to_string(seed),
           "quick", policy, seed));
   // One parameterised policy spec, so the policy_params descriptor fields
-  // are exercised by every report round trip below.
+  // are exercised by every report test below.
   scenarios.push_back(quick_scenario(
       "quick/hybrid-no-intertask/s1", "quick",
       PolicySpec(policy_names::hybrid).with("intertask", "0"), 1));
@@ -249,41 +291,42 @@ TEST(Report, JsonRoundTripPreservesEverything) {
   StatsAggregator aggregator;
   aggregator.add(results);
 
-  const std::string json = campaign_to_json(results, aggregator);
-  const ParsedCampaign parsed = campaign_from_json(json);
+  const json::Value report =
+      json::parse(campaign_to_json(results, aggregator), "campaign JSON");
 
-  EXPECT_EQ(parsed.schema, "drhw-campaign-v1");
-  ASSERT_EQ(parsed.scenarios.size(), results.size());
+  EXPECT_EQ(report.at("schema").text, "drhw-campaign-v1");
+  const auto& items = report.at("scenarios").items;
+  ASSERT_EQ(items.size(), results.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
-    const ParsedScenario& p = parsed.scenarios[i];
+    const json::Value& p = items[i];
     const Scenario& s = results[i].scenario;
-    EXPECT_EQ(p.name, s.name);
-    EXPECT_EQ(p.family, s.family);
-    EXPECT_EQ(p.workload, to_string(s.workload));
-    EXPECT_EQ(p.approach, s.sim.policy.name);
-    EXPECT_EQ(p.policy_params, s.sim.policy.params);
-    EXPECT_EQ(p.replacement, to_string(s.sim.replacement));
-    EXPECT_EQ(p.tiles, s.sim.platform.tiles);
-    EXPECT_EQ(p.reconfig_latency_us, s.sim.platform.reconfig_latency);
-    EXPECT_EQ(p.ports, s.sim.platform.reconfig_ports);
-    EXPECT_EQ(p.seed, s.sim.seed);
-    EXPECT_EQ(p.iterations, s.sim.iterations);
-    EXPECT_EQ(p.ok, results[i].ok);
+    EXPECT_EQ(p.at("name").text, s.name);
+    EXPECT_EQ(p.at("family").text, s.family);
+    EXPECT_EQ(p.at("workload").text, to_string(s.workload));
+    EXPECT_EQ(p.at("approach").text, s.sim.policy.name);
+    EXPECT_EQ(params_of(p.at("policy_params")), s.sim.policy.params);
+    EXPECT_EQ(p.at("replacement").text, to_string(s.sim.replacement));
+    EXPECT_EQ(p.at("tiles").number, s.sim.platform.tiles);
+    EXPECT_EQ(p.at("reconfig_latency_us").text,
+              std::to_string(s.sim.platform.reconfig_latency));
+    EXPECT_EQ(p.at("ports").number, s.sim.platform.reconfig_ports);
+    EXPECT_EQ(p.at("seed").text, std::to_string(s.sim.seed));
+    EXPECT_EQ(p.at("iterations").number, s.sim.iterations);
+    EXPECT_EQ(p.at("ok").boolean, results[i].ok);
     // Metric doubles survive the round trip bit-exactly.
     for (const auto& [name, value] : deterministic_metrics(results[i])) {
-      ASSERT_TRUE(p.metrics.count(name)) << name;
-      EXPECT_EQ(p.metrics.at(name), value) << name;
+      const json::Value* metric = p.at("metrics").find(name);
+      ASSERT_NE(metric, nullptr) << name;
+      EXPECT_EQ(metric->number, value) << name;
     }
   }
 
   const auto families = aggregator.by_family();
-  ASSERT_EQ(parsed.families.size(), families.size());
-  for (std::size_t i = 0; i < families.size(); ++i) {
-    EXPECT_EQ(parsed.families[i].family, families[i].family);
-    EXPECT_EQ(parsed.families[i].scenarios, families[i].scenarios);
-    EXPECT_EQ(parsed.families[i].metrics, families[i].metrics);
-  }
-  EXPECT_EQ(parsed.overall.metrics, aggregator.overall().metrics);
+  const auto& blocks = report.at("families").items;
+  ASSERT_EQ(blocks.size(), families.size());
+  for (std::size_t i = 0; i < families.size(); ++i)
+    expect_group_matches(blocks[i], families[i]);
+  expect_group_matches(report.at("overall"), aggregator.overall());
 }
 
 TEST(Report, CsvRoundTripPreservesScenarioRows) {
@@ -299,21 +342,26 @@ TEST(Report, CsvRoundTripPreservesScenarioRows) {
   options.record_wall_time = false;
   const auto results = CampaignRunner(options).run(scenarios);
 
-  const std::string csv = campaign_to_csv(results);
-  const auto parsed = campaign_from_csv(csv);
-  ASSERT_EQ(parsed.size(), results.size());
+  const auto rows = csv_rows(campaign_to_csv(results));
+  ASSERT_EQ(rows.size(), results.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(parsed[i].name, results[i].scenario.name);
-    EXPECT_EQ(parsed[i].family, results[i].scenario.family);
-    EXPECT_EQ(parsed[i].ok, results[i].ok);
-    EXPECT_EQ(parsed[i].error, results[i].error);
-    EXPECT_EQ(parsed[i].approach, results[i].scenario.sim.policy.name);
-    EXPECT_EQ(parsed[i].policy_params,
-              results[i].scenario.sim.policy.params);
-    EXPECT_EQ(parsed[i].seed, results[i].scenario.sim.seed);
+    const auto& row = rows[i];
+    const Scenario& s = results[i].scenario;
+    EXPECT_EQ(row.at("name"), s.name);
+    EXPECT_EQ(row.at("family"), s.family);
+    EXPECT_EQ(row.at("ok"), results[i].ok ? "1" : "0");
+    EXPECT_EQ(row.at("error"), results[i].error);
+    EXPECT_EQ(row.at("approach"), s.sim.policy.name);
+    // quick_campaign()'s parameters hold no ';', '=' or '\\', so the cell
+    // is the plain ';'-joined "k=v" list.
+    std::string params;
+    for (const auto& [key, value] : s.sim.policy.params)
+      params += (params.empty() ? "" : ";") + key + "=" + value;
+    EXPECT_EQ(row.at("policy_params"), params);
+    EXPECT_EQ(row.at("seed"), std::to_string(s.sim.seed));
     for (const auto& [name, value] : deterministic_metrics(results[i])) {
-      ASSERT_TRUE(parsed[i].metrics.count(name)) << name;
-      EXPECT_EQ(parsed[i].metrics.at(name), value) << name;
+      ASSERT_TRUE(row.count(name)) << name;
+      EXPECT_EQ(std::stod(row.at(name)), value) << name;
     }
   }
 }
@@ -339,15 +387,15 @@ TEST(Report, SingleSampleAggregatesAreFiniteAndRoundTrip) {
     for (double v : {m.mean, m.stddev, m.min, m.max, m.p50, m.p95})
       EXPECT_TRUE(std::isfinite(v)) << name;
   }
-  const ParsedCampaign parsed =
-      campaign_from_json(campaign_to_json({result}, aggregator));
-  EXPECT_EQ(parsed.overall.metrics, overall.metrics);
+  const json::Value report =
+      json::parse(campaign_to_json({result}, aggregator), "campaign JSON");
+  expect_group_matches(report.at("overall"), overall);
 }
 
 TEST(Report, NonFiniteMetricsSerialiseAsMissingNotGarbage) {
   // A NaN/inf measurement (e.g. a wall-clock anomaly) must not poison the
-  // reports: JSON writes null, CSV writes an empty cell, and both parse
-  // back as "metric missing" instead of throwing mid-document.
+  // reports: JSON writes null, CSV writes an empty cell, and both stay
+  // well-formed documents.
   ScenarioResult weird =
       run_scenario(quick_scenario("w/a", "w", policy_names::no_prefetch, 1),
                    /*record_wall_time=*/false);
@@ -363,15 +411,18 @@ TEST(Report, NonFiniteMetricsSerialiseAsMissingNotGarbage) {
   const std::string json = campaign_to_json({weird, inf}, aggregator);
   EXPECT_EQ(json.find("nan"), std::string::npos);
   EXPECT_EQ(json.find("inf"), std::string::npos);
-  const ParsedCampaign parsed = campaign_from_json(json);
-  ASSERT_EQ(parsed.scenarios.size(), 2u);
-  EXPECT_FALSE(parsed.scenarios[0].metrics.count("wall_ms"));
-  EXPECT_TRUE(parsed.scenarios[0].metrics.count("makespan_ms"));
+  const auto items = json::parse(json, "campaign JSON").at("scenarios").items;
+  ASSERT_EQ(items.size(), 2u);
+  for (const json::Value& item : items)
+    EXPECT_EQ(item.at("metrics").at("wall_ms").kind, json::Value::Kind::null);
+  EXPECT_EQ(items[0].at("metrics").at("makespan_ms").number,
+            deterministic_metrics(weird).at("makespan_ms"));
 
-  const auto rows = campaign_from_csv(campaign_to_csv({weird, inf}));
+  const auto rows = csv_rows(campaign_to_csv({weird, inf}));
   ASSERT_EQ(rows.size(), 2u);
-  EXPECT_FALSE(rows[0].metrics.count("wall_ms"));
-  EXPECT_FALSE(rows[1].metrics.count("wall_ms"));
+  EXPECT_EQ(rows[0].at("wall_ms"), "");
+  EXPECT_EQ(rows[1].at("wall_ms"), "");
+  EXPECT_NE(rows[0].at("makespan_ms"), "");
 }
 
 TEST(Report, CsvRoundTripsNamesWithCommasAndQuotes) {
@@ -381,24 +432,25 @@ TEST(Report, CsvRoundTripsNamesWithCommasAndQuotes) {
   ASSERT_TRUE(result.ok) << result.error;
   result.scenario.name = "sweep/\"quoted\",t=8,l=4ms";
   result.scenario.family = "fam,ily\"";
-  const auto rows = campaign_from_csv(campaign_to_csv({result}));
+  const auto rows = csv_rows(campaign_to_csv({result}));
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].name, result.scenario.name);
-  EXPECT_EQ(rows[0].family, result.scenario.family);
+  EXPECT_EQ(rows[0].at("name"), result.scenario.name);
+  EXPECT_EQ(rows[0].at("family"), result.scenario.family);
 
   StatsAggregator aggregator;
   aggregator.add(result);
-  const ParsedCampaign parsed =
-      campaign_from_json(campaign_to_json({result}, aggregator));
-  EXPECT_EQ(parsed.scenarios[0].name, result.scenario.name);
-  EXPECT_EQ(parsed.scenarios[0].family, result.scenario.family);
+  const auto items = json_scenarios({result}, aggregator);
+  ASSERT_EQ(items.size(), 1u);
+  EXPECT_EQ(items[0].at("name").text, result.scenario.name);
+  EXPECT_EQ(items[0].at("family").text, result.scenario.family);
 }
 
 TEST(Report, PolicyParamsWithSeparatorCharactersRoundTripLosslessly) {
   // Parameter values are arbitrary strings; the CSV cell's ';'/'=' joiners
-  // and the escape itself are backslash-escaped so both report formats
-  // stay lossless and agree. (The spec is mutated post-run, like the
-  // quoted-name test above — no registered policy needs such values.)
+  // and the escape itself are backslash-escaped so the cell stays
+  // unambiguous, and the JSON object carries the values verbatim. (The spec
+  // is mutated post-run, like the quoted-name test above — no registered
+  // policy needs such values.)
   ScenarioResult result =
       run_scenario(quick_scenario("pp/weird", "pp", policy_names::hybrid, 1),
                    /*record_wall_time=*/false);
@@ -406,15 +458,16 @@ TEST(Report, PolicyParamsWithSeparatorCharactersRoundTripLosslessly) {
   result.scenario.sim.policy.params = {
       {"tiers", "a;b=c"}, {"path", "x\\y"}, {"plain", "1"}};
 
-  const auto rows = campaign_from_csv(campaign_to_csv({result}));
+  const auto rows = csv_rows(campaign_to_csv({result}));
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].policy_params, result.scenario.sim.policy.params);
+  EXPECT_EQ(rows[0].at("policy_params"),
+            R"(path=x\\y;plain=1;tiers=a\;b\=c)");
 
   StatsAggregator aggregator;
   aggregator.add(result);
-  const ParsedCampaign parsed =
-      campaign_from_json(campaign_to_json({result}, aggregator));
-  EXPECT_EQ(parsed.scenarios[0].policy_params,
+  const auto items = json_scenarios({result}, aggregator);
+  ASSERT_EQ(items.size(), 1u);
+  EXPECT_EQ(params_of(items[0].at("policy_params")),
             result.scenario.sim.policy.params);
 }
 
@@ -484,24 +537,23 @@ TEST(Report, OnlinePoolFieldsAndMetricsRoundTrip) {
 
   StatsAggregator aggregator;
   aggregator.add(result);
-  const ParsedCampaign parsed =
-      campaign_from_json(campaign_to_json({result}, aggregator));
-  ASSERT_EQ(parsed.scenarios.size(), 1u);
-  EXPECT_EQ(parsed.scenarios[0].admission_policy, "window_reorder");
-  EXPECT_TRUE(parsed.scenarios[0].contiguous);
-  EXPECT_TRUE(parsed.scenarios[0].defrag);
-  EXPECT_EQ(parsed.scenarios[0].scheduler_cost_us, 50.0);
-  EXPECT_EQ(parsed.scenarios[0].metrics.at("frag_pct"), result.frag_pct);
+  const auto items = json_scenarios({result}, aggregator);
+  ASSERT_EQ(items.size(), 1u);
+  EXPECT_EQ(items[0].at("admission_policy").text, "window_reorder");
+  EXPECT_TRUE(items[0].at("contiguous").boolean);
+  EXPECT_TRUE(items[0].at("defrag").boolean);
+  EXPECT_EQ(items[0].at("scheduler_cost_us").number, 50.0);
+  EXPECT_EQ(items[0].at("metrics").at("frag_pct").number, result.frag_pct);
 
-  const auto rows = campaign_from_csv(campaign_to_csv({result}));
+  const auto rows = csv_rows(campaign_to_csv({result}));
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].admission_policy, "window_reorder");
-  EXPECT_TRUE(rows[0].contiguous);
-  EXPECT_TRUE(rows[0].defrag);
-  EXPECT_EQ(rows[0].scheduler_cost_us, 50.0);
-  EXPECT_EQ(rows[0].metrics.at("queue_skips"),
+  EXPECT_EQ(rows[0].at("admission_policy"), "window_reorder");
+  EXPECT_EQ(rows[0].at("contiguous"), "1");
+  EXPECT_EQ(rows[0].at("defrag"), "1");
+  EXPECT_EQ(std::stod(rows[0].at("scheduler_cost_us")), 50.0);
+  EXPECT_EQ(std::stod(rows[0].at("queue_skips")),
             static_cast<double>(result.queue_skips));
-  EXPECT_EQ(rows[0].metrics.at("response_p95_ms"), result.response_p95_ms);
+  EXPECT_EQ(std::stod(rows[0].at("response_p95_ms")), result.response_p95_ms);
 }
 
 TEST(Report, DeadlineFieldsAndMetricsRoundTrip) {
@@ -530,101 +582,24 @@ TEST(Report, DeadlineFieldsAndMetricsRoundTrip) {
 
   StatsAggregator aggregator;
   aggregator.add(result);
-  const ParsedCampaign parsed =
-      campaign_from_json(campaign_to_json({result}, aggregator));
-  ASSERT_EQ(parsed.scenarios.size(), 1u);
-  EXPECT_EQ(parsed.scenarios[0].arrival_kind, "sporadic");
-  EXPECT_EQ(parsed.scenarios[0].deadline_scale, 2.5);
-  EXPECT_EQ(parsed.scenarios[0].high_crit_fraction, 0.4);
-  EXPECT_TRUE(parsed.scenarios[0].preempt);
-  EXPECT_EQ(parsed.scenarios[0].metrics.at("deadline_miss_pct"),
+  const auto items = json_scenarios({result}, aggregator);
+  ASSERT_EQ(items.size(), 1u);
+  EXPECT_EQ(items[0].at("arrival_kind").text, "sporadic");
+  EXPECT_EQ(items[0].at("deadline_scale").number, 2.5);
+  EXPECT_EQ(items[0].at("high_crit_fraction").number, 0.4);
+  EXPECT_TRUE(items[0].at("preempt").boolean);
+  EXPECT_EQ(items[0].at("metrics").at("deadline_miss_pct").number,
             result.deadline_miss_pct);
 
-  const auto rows = campaign_from_csv(campaign_to_csv({result}));
+  const auto rows = csv_rows(campaign_to_csv({result}));
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].deadline_scale, 2.5);
-  EXPECT_EQ(rows[0].high_crit_fraction, 0.4);
-  EXPECT_TRUE(rows[0].preempt);
-  EXPECT_EQ(rows[0].metrics.at("preemptions"),
+  EXPECT_EQ(std::stod(rows[0].at("deadline_scale")), 2.5);
+  EXPECT_EQ(std::stod(rows[0].at("high_crit_fraction")), 0.4);
+  EXPECT_EQ(rows[0].at("preempt"), "1");
+  EXPECT_EQ(std::stod(rows[0].at("preemptions")),
             static_cast<double>(result.preemptions));
-  EXPECT_EQ(rows[0].metrics.at("max_tardiness_ms"), result.max_tardiness_ms);
-}
-
-TEST(Report, ReadsReportsWrittenBeforeTheDeadlineColumnsExisted) {
-  // Forward compatibility: a PR 6-era report — no deadline_scale /
-  // high_crit_fraction / preempt descriptor fields and no deadline metric
-  // columns — must parse with the neutral defaults, not throw. The
-  // literals below are frozen copies of the old writers' output shape.
-  const std::string old_json = R"({
-  "schema": "drhw-campaign-v1",
-  "scenarios": [
-    {
-      "name": "online_poisson/r20/hybrid",
-      "family": "online_poisson",
-      "workload": "multimedia",
-      "mode": "online",
-      "approach": "hybrid",
-      "policy_params": {},
-      "replacement": "lru",
-      "tiles": 16,
-      "reconfig_latency_us": 4000,
-      "ports": 1,
-      "isps": 1,
-      "seed": 2005,
-      "iterations": 40,
-      "arrival_kind": "poisson",
-      "arrival_rate_per_s": 20,
-      "port_discipline": "fifo",
-      "admission_policy": "fifo_hol",
-      "contiguous": false,
-      "defrag": false,
-      "scheduler_cost_us": 0,
-      "shared_isps": false,
-      "isp_discipline": "fifo",
-      "port_util_per_port_pct": [12.5],
-      "ok": true,
-      "error": "",
-      "metrics": {"makespan_ms": 100.5, "overhead_pct": 8.25, "loads": 42}
-    }
-  ],
-  "families": [],
-  "overall": {
-    "family": "",
-    "scenarios": 1,
-    "failed": 0,
-    "metrics": {}
-  }
-})";
-  const ParsedCampaign parsed = campaign_from_json(old_json);
-  ASSERT_EQ(parsed.scenarios.size(), 1u);
-  const ParsedScenario& p = parsed.scenarios[0];
-  EXPECT_EQ(p.name, "online_poisson/r20/hybrid");
-  EXPECT_EQ(p.arrival_kind, "poisson");
-  EXPECT_EQ(p.deadline_scale, 0.0);
-  EXPECT_EQ(p.high_crit_fraction, 0.0);
-  EXPECT_FALSE(p.preempt);
-  EXPECT_EQ(p.metrics.at("loads"), 42.0);
-  EXPECT_FALSE(p.metrics.count("deadline_miss_pct"));
-
-  const std::string old_csv =
-      "name,family,workload,mode,approach,policy_params,replacement,tiles,"
-      "reconfig_latency_us,ports,isps,seed,iterations,admission_policy,"
-      "contiguous,defrag,scheduler_cost_us,shared_isps,isp_discipline,"
-      "port_util_per_port_pct,ok,error,makespan_ms,overhead_pct,loads\n"
-      "online_poisson/r20/hybrid,online_poisson,multimedia,online,hybrid,,"
-      "lru,16,4000,1,1,2005,40,fifo_hol,0,0,0,0,fifo,12.5,1,,100.5,8.25,42\n";
-  const auto rows = campaign_from_csv(old_csv);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].name, "online_poisson/r20/hybrid");
-  EXPECT_EQ(rows[0].deadline_scale, 0.0);
-  EXPECT_FALSE(rows[0].preempt);
-  EXPECT_EQ(rows[0].metrics.at("overhead_pct"), 8.25);
-  EXPECT_FALSE(rows[0].metrics.count("max_tardiness_ms"));
-
-  // The symmetric direction: a reader of the *old* column set handed a
-  // *new* report sees the extra columns as plain metrics (CSV) or ignores
-  // unknown keys (JSON find()-based parsing) — the tolerant fallback the
-  // writers rely on is pinned by the round-trip tests above.
+  EXPECT_EQ(std::stod(rows[0].at("max_tardiness_ms")),
+            result.max_tardiness_ms);
 }
 
 }  // namespace

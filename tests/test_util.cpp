@@ -118,14 +118,6 @@ TEST(Table, AlignsColumns) {
   EXPECT_NE(out.find("| longer | 22    |"), std::string::npos);
 }
 
-TEST(Table, CsvOutput) {
-  TablePrinter t({"a", "b"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 TEST(Table, RowWidthMismatchThrows) {
   TablePrinter t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), InternalError);

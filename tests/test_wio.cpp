@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include "csv_rows.hpp"
 #include "policy/names.hpp"
 #include "runner/campaign.hpp"
 #include "runner/report.hpp"
 #include "sim/workloads.hpp"
+#include "util/json.hpp"
 #include "wio/fuzz.hpp"
 #include "wio/workload_build.hpp"
 #include "wio/workload_format.hpp"
@@ -257,7 +259,7 @@ TEST(WorkloadFormat, RejectsMixReferencingUnknownTask) {
 
 TEST(WorkloadFormat, LoadPrefixesThePath) {
   const std::string path =
-      testing::TempDir() + "/wio_bad_workload.dwl";
+      ::testing::TempDir() + "/wio_bad_workload.dwl";
   write_file(path, "drhw-workload-v1\nbogus 1\n");
   try {
     load_workload_file(path);
@@ -362,7 +364,7 @@ std::vector<Scenario> fuzz_campaign_scenarios(const std::string& dir,
 }
 
 TEST(WorkloadFuzz, FiftyWorkloadCampaignIsThreadCountInvariant) {
-  const std::string dir = testing::TempDir() + "/wio_fuzz_campaign";
+  const std::string dir = ::testing::TempDir() + "/wio_fuzz_campaign";
   std::filesystem::create_directories(dir);
   const auto scenarios =
       fuzz_campaign_scenarios(dir, QueueBackend::calendar);
@@ -381,7 +383,7 @@ TEST(WorkloadFuzz, FiftyWorkloadCampaignIsThreadCountInvariant) {
 }
 
 TEST(WorkloadFuzz, FiftyWorkloadCampaignIsQueueBackendInvariant) {
-  const std::string dir = testing::TempDir() + "/wio_fuzz_backends";
+  const std::string dir = ::testing::TempDir() + "/wio_fuzz_backends";
   std::filesystem::create_directories(dir);
   CampaignOptions options;
   options.record_wall_time = false;
@@ -428,7 +430,7 @@ TEST(WorkloadScenario, ValidateEnforcesFileFields) {
 }
 
 TEST(WorkloadScenario, ReportRoundTripsWorkloadFileAndQueueBackend) {
-  const std::string dir = testing::TempDir() + "/wio_report";
+  const std::string dir = ::testing::TempDir() + "/wio_report";
   std::filesystem::create_directories(dir);
   FuzzWorkloadOptions options;
   options.seed = 5;
@@ -449,17 +451,19 @@ TEST(WorkloadScenario, ReportRoundTripsWorkloadFileAndQueueBackend) {
 
   StatsAggregator aggregator;
   aggregator.add({result});
-  const auto parsed = campaign_from_json(campaign_to_json({result},
-                                                          aggregator));
-  ASSERT_EQ(parsed.scenarios.size(), 1u);
-  EXPECT_EQ(parsed.scenarios[0].workload, "file");
-  EXPECT_EQ(parsed.scenarios[0].workload_file, path);
-  EXPECT_EQ(parsed.scenarios[0].queue_backend, "heap");
+  const auto items =
+      json::parse(campaign_to_json({result}, aggregator), "campaign JSON")
+          .at("scenarios")
+          .items;
+  ASSERT_EQ(items.size(), 1u);
+  EXPECT_EQ(items[0].at("workload").text, "file");
+  EXPECT_EQ(items[0].at("workload_file").text, path);
+  EXPECT_EQ(items[0].at("queue_backend").text, "heap");
 
-  const auto rows = campaign_from_csv(campaign_to_csv({result}));
+  const auto rows = testing::csv_rows(campaign_to_csv({result}));
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].workload_file, path);
-  EXPECT_EQ(rows[0].queue_backend, "heap");
+  EXPECT_EQ(rows[0].at("workload_file"), path);
+  EXPECT_EQ(rows[0].at("queue_backend"), "heap");
 }
 
 }  // namespace

@@ -180,9 +180,9 @@ int usage() {
   return 2;
 }
 
-/// Shared unknown-flag behaviour of the campaign/online/genwork/trace
-/// subcommands: usage plus the registered policy and arrival-kind lists,
-/// exit code 2.
+/// Shared unknown-flag behaviour of the campaign/online/genwork/trace/
+/// schedule subcommands: usage plus the registered policy and arrival-kind
+/// lists, exit code 2.
 int usage_unknown(const char* subcommand, const std::string& flag) {
   std::cerr << "error: unknown or incomplete option '" << flag
             << "' for 'drhw_sched " << subcommand << "'\n";
@@ -995,17 +995,19 @@ int main(int argc, char** argv) {
       int tiles = 8, ports = 1;
       time_us latency = ms(4);
       std::vector<int> resident;
-      for (std::size_t i = 2; i + 1 < args.size(); i += 2) {
-        if (args[i] == "--tiles")
-          tiles = std::stoi(args[i + 1]);
-        else if (args[i] == "--latency-us")
-          latency = std::stoll(args[i + 1]);
-        else if (args[i] == "--ports")
-          ports = std::stoi(args[i + 1]);
-        else if (args[i] == "--resident")
-          resident = parse_id_list(args[i + 1]);
+      for (std::size_t i = 2; i < args.size(); ++i) {
+        const std::string& arg = args[i];
+        const bool has_value = i + 1 < args.size();
+        if (arg == "--tiles" && has_value)
+          tiles = std::stoi(args[++i]);
+        else if (arg == "--latency-us" && has_value)
+          latency = std::stoll(args[++i]);
+        else if (arg == "--ports" && has_value)
+          ports = std::stoi(args[++i]);
+        else if (arg == "--resident" && has_value)
+          resident = parse_id_list(args[++i]);
         else
-          return usage();
+          return usage_unknown("schedule", arg);
       }
       return cmd_schedule(args[1], tiles, latency, ports, resident);
     }
