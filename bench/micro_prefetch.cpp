@@ -8,11 +8,13 @@
 #include <cstdint>
 
 #include "graph/generators.hpp"
+#include "policy/names.hpp"
+#include "policy/registry.hpp"
 #include "prefetch/bnb.hpp"
 #include "prefetch/critical_subtasks.hpp"
-#include "prefetch/hybrid.hpp"
 #include "prefetch/list_prefetch.hpp"
 #include "schedule/list_scheduler.hpp"
+#include "sim/system_sim.hpp"
 
 namespace {
 
@@ -94,10 +96,14 @@ void BM_BranchAndBound(benchmark::State& state) {
 }
 BENCHMARK(BM_BranchAndBound)->DenseRange(4, 9, 1);
 
+/// A B&B load threshold below any load count: every CS-loop pass runs the
+/// list heuristic.
+constexpr int k_list_heuristic_only = -1;
+
 void run_critical_subtask_loop(benchmark::State& state, const Fixture& f,
-                               DesignScheduler scheduler) {
+                               int bnb_load_threshold) {
   HybridDesignOptions options;
-  options.scheduler = scheduler;
+  options.bnb_load_threshold = bnb_load_threshold;
   std::uint64_t nodes = 0;
   for (auto _ : state) {
     const HybridSchedule h =
@@ -110,7 +116,7 @@ void run_critical_subtask_loop(benchmark::State& state, const Fixture& f,
 
 void BM_CriticalSubtaskLoop(benchmark::State& state) {
   run_critical_subtask_loop(state, Fixture(static_cast<int>(state.range(0))),
-                            DesignScheduler::list_heuristic);
+                            k_list_heuristic_only);
 }
 BENCHMARK(BM_CriticalSubtaskLoop)->Arg(14)->Arg(56)->Arg(224);
 
@@ -122,24 +128,32 @@ BENCHMARK(BM_CriticalSubtaskLoop)->Arg(14)->Arg(56)->Arg(224);
 void BM_CriticalSubtaskLoopAutoSelect(benchmark::State& state) {
   run_critical_subtask_loop(
       state, Fixture(static_cast<int>(state.range(0)), ms(6)),
-      DesignScheduler::auto_select);
+      HybridDesignOptions().bnb_load_threshold);
 }
 BENCHMARK(BM_CriticalSubtaskLoopAutoSelect)->Arg(14);
 
+/// The run-time phase as both simulators run it: the hybrid policy's plan()
+/// and its sequential timing by evaluate_instance_plan().
 void BM_HybridRuntimePhase(benchmark::State& state) {
   Fixture f(static_cast<int>(state.range(0)));
   HybridDesignOptions options;
-  options.scheduler = DesignScheduler::list_heuristic;
-  const auto design =
+  options.bnb_load_threshold = k_list_heuristic_only;
+  PreparedScenario prep;
+  prep.graph = &f.graph;
+  prep.placement = f.placement;
+  prep.hybrid =
       compute_hybrid_schedule(f.graph, f.placement, f.platform, options);
+  const auto hybrid =
+      PolicyRegistry::instance().create(PolicySpec(policy_names::hybrid));
   std::vector<bool> resident(f.graph.size(), false);
   Rng rng(3);
   for (std::size_t s = 0; s < resident.size(); ++s)
     if (f.needs[s]) resident[s] = rng.next_bool(0.3);
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        hybrid_runtime(f.graph, f.placement, f.platform, design, resident)
-            .total_makespan);
+        evaluate_instance_plan(prep, f.platform,
+                               hybrid->plan(prep, resident, PolicyContext{}))
+            .span);
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_HybridRuntimePhase)

@@ -7,11 +7,12 @@
 #include <iostream>
 
 #include "platform/platform.hpp"
+#include "policy/names.hpp"
+#include "policy/registry.hpp"
 #include "prefetch/bnb.hpp"
-#include "prefetch/critical_subtasks.hpp"
-#include "prefetch/hybrid.hpp"
 #include "schedule/list_scheduler.hpp"
 #include "sim/gantt.hpp"
+#include "sim/system_sim.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -59,7 +60,11 @@ int main() {
             << render_gantt(graph, placement, optimal.eval) << "\n";
 
   // --- 5. Hybrid heuristic: design-time phase ---------------------------
-  const auto design = compute_hybrid_schedule(graph, placement, platform);
+  // prepare_scenario runs the whole design-time flow: the same placement as
+  // above, then the Figure 4 critical-subtask loop.
+  const PreparedScenario prep =
+      prepare_scenario(graph, platform.tiles, platform);
+  const HybridSchedule& design = prep.hybrid;
   std::cout << "design-time phase: critical subtasks = {";
   for (SubtaskId s : design.critical) std::cout << " " << graph.subtask(s).name;
   std::cout << " }, stored load order = {";
@@ -68,13 +73,21 @@ int main() {
   std::cout << " }\n";
 
   // --- 6. Run-time phase (Fig 5): subtask 3 reused, CS not resident -----
+  // The hybrid policy makes the run-time decision; evaluate_instance_plan
+  // times it exactly as the simulators do.
+  const auto hybrid =
+      PolicyRegistry::instance().create(PolicySpec(policy_names::hybrid));
+  auto run_hybrid = [&](const std::vector<bool>& resident) {
+    return evaluate_instance_plan(
+        prep, platform, hybrid->plan(prep, resident, PolicyContext{}));
+  };
   std::vector<bool> resident(graph.size(), false);
   resident[static_cast<std::size_t>(s3)] = true;  // L3 gets cancelled
-  const auto run = hybrid_runtime(graph, placement, platform, design, resident);
+  const SequentialSchedule run = run_hybrid(resident);
   std::cout << "\nrun-time phase (Fig 5b): initialization loads = "
             << run.init_loads.size() << " (b.1), cancelled loads = "
             << run.cancelled_loads
-            << ", total = " << fmt_ms(run.total_makespan) << " ms\n\n";
+            << ", total = " << fmt_ms(run.span) << " ms\n\n";
   GanttOptions options;
   options.init_duration = run.init_duration;
   options.init_loads = run.init_loads;
@@ -82,8 +95,8 @@ int main() {
 
   // --- 7. And if the critical subtask is resident: zero overhead --------
   resident[static_cast<std::size_t>(s1)] = true;
-  const auto warm = hybrid_runtime(graph, placement, platform, design, resident);
-  std::cout << "with ex1 reused as well: " << fmt_ms(warm.total_makespan)
+  const SequentialSchedule warm = run_hybrid(resident);
+  std::cout << "with ex1 reused as well: " << fmt_ms(warm.span)
             << " ms — equal to the ideal makespan; the tail of the port is\n"
                "idle and would prefetch the next task's initialization "
                "phase (Fig 5 b.3).\n";

@@ -3,9 +3,9 @@
 #include <algorithm>
 
 #include "policy/registry.hpp"
-#include "prefetch/hybrid.hpp"
 #include "prefetch/list_prefetch.hpp"
 #include "prefetch/load_plan.hpp"
+#include "sim/port_set.hpp"
 #include "sim/system_sim.hpp"
 #include "util/check.hpp"
 
@@ -55,18 +55,26 @@ SequentialSchedule evaluate_instance_plan(const PreparedScenario& prep,
       break;
     }
     case LoadPolicy::explicit_order: {
-      sched.init_loads.assign(
-          plan.loads.begin(),
-          plan.loads.begin() + static_cast<std::ptrdiff_t>(plan.init_count));
-      sched.init_duration = dispatch_init_loads(
-          graph, platform, sched.init_loads, sched.init_load_ends);
-      sched.eval = evaluate(
-          graph, placement, platform,
-          explicit_plan(graph, std::vector<SubtaskId>(
-                                   plan.loads.begin() +
-                                       static_cast<std::ptrdiff_t>(
-                                           plan.init_count),
-                                   plan.loads.end())));
+      const auto body = plan.loads.begin() +
+                        static_cast<std::ptrdiff_t>(plan.init_count);
+      sched.init_loads.assign(plan.loads.begin(), body);
+      // The initialization loads dispatch in order onto the earliest-free
+      // port, as in the online kernel (where they are exempt from the
+      // unit-order gate): this keeps the two rigs' spans equal at arrival
+      // rate -> 0 on multi-port platforms too.
+      PortSet ports(platform.reconfig_ports);
+      for (SubtaskId s : sched.init_loads) {
+        const time_us own = graph.subtask(s).load_time;
+        const std::size_t port = ports.earliest();
+        sched.init_load_ends.push_back(
+            ports.dispatch(port, ports.free_at(port),
+                           own != k_no_time ? own : platform.reconfig_latency));
+        sched.init_duration =
+            std::max(sched.init_duration, sched.init_load_ends.back());
+      }
+      const std::vector<SubtaskId> order(body, plan.loads.end());
+      sched.eval =
+          evaluate(graph, placement, platform, explicit_plan(graph, order));
       break;
     }
   }

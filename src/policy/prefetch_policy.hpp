@@ -193,7 +193,7 @@ class PrefetchPolicy {
 /// the initialization phase. This is the one translation from policy
 /// decisions to sequential timing — bit-identical to the pre-policy-layer
 /// per-approach code paths (on_demand_all / list_prefetch_with_priority /
-/// explicit_plan / hybrid_runtime).
+/// explicit_plan), and the only timing of the hybrid's run-time phase.
 SequentialSchedule evaluate_instance_plan(const PreparedScenario& prep,
                                           const PlatformConfig& platform,
                                           const InstancePlan& plan);

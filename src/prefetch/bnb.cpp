@@ -36,8 +36,8 @@ std::vector<std::vector<bool>> combined_ancestors(
 
 struct SearchContext {
   SearchContext(const SubtaskGraph& graph, const Placement& placement,
-                const PlatformConfig& platform, time_us port_from)
-      : timing(graph, placement, platform, port_from) {}
+                const PlatformConfig& platform)
+      : timing(graph, placement, platform) {}
 
   PrefixTiming timing;
   std::uint64_t node_limit = 0;
@@ -115,7 +115,7 @@ BnbResult optimal_prefetch(const SubtaskGraph& graph,
                            const PlatformConfig& platform,
                            const std::vector<bool>& needs_load,
                            const BnbOptions& options) {
-  SearchContext ctx(graph, placement, platform, options.port_available_from);
+  SearchContext ctx(graph, placement, platform);
   ctx.node_limit = options.node_limit;
   for (std::size_t s = 0; s < graph.size(); ++s)
     if (needs_load[s]) ctx.loads.push_back(static_cast<SubtaskId>(s));
@@ -170,8 +170,7 @@ BnbResult optimal_prefetch(const SubtaskGraph& graph,
   result.proven_optimal = !ctx.budget_exhausted;
   result.nodes_explored = ctx.nodes;
   LoadPlan plan = explicit_plan(graph, result.order);
-  result.eval = evaluate(graph, placement, platform, plan,
-                         options.port_available_from);
+  result.eval = evaluate(graph, placement, platform, plan);
   return result;
 }
 

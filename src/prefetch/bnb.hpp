@@ -41,8 +41,6 @@ struct BnbResult {
 };
 
 struct BnbOptions {
-  /// Port busy until this relative time (composition with init phases).
-  time_us port_available_from = 0;
   /// Search-node budget; the search returns the best order found so far
   /// (proven_optimal = false) when exceeded. 0 means unlimited.
   std::uint64_t node_limit = 2'000'000;

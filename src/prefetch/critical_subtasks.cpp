@@ -21,11 +21,7 @@ EvalResult schedule_pass(const SubtaskGraph& graph, const Placement& placement,
                          HybridSchedule& result) {
   int loads = 0;
   for (bool b : needs_load) loads += b;
-  const bool use_bnb =
-      options.scheduler == DesignScheduler::branch_and_bound ||
-      (options.scheduler == DesignScheduler::auto_select &&
-       loads <= options.bnb_load_threshold);
-  if (use_bnb) {
+  if (loads <= options.bnb_load_threshold) {
     BnbResult bnb = optimal_prefetch(graph, placement, platform, needs_load);
     result.bnb_nodes += bnb.nodes_explored;
     result.bnb_budget_hits += bnb.proven_optimal ? 0 : 1;
@@ -39,7 +35,8 @@ EvalResult schedule_pass(const SubtaskGraph& graph, const Placement& placement,
 HybridSchedule compute_hybrid_schedule(const SubtaskGraph& graph,
                                        const Placement& placement,
                                        const PlatformConfig& platform,
-                                       const HybridDesignOptions& options) {
+                                       const HybridDesignOptions& options,
+                                       FirstPass* first_pass) {
   const auto weights = subtask_weights(graph);
   const time_us ideal = ideal_makespan(graph, placement, platform);
 
@@ -55,6 +52,9 @@ HybridSchedule compute_hybrid_schedule(const SubtaskGraph& graph,
     ++result.loop_iterations;
     const EvalResult eval =
         schedule_pass(graph, placement, platform, needs, options, result);
+    if (first_pass != nullptr && result.loop_iterations == 1)
+      *first_pass = {eval.load_order, result.bnb_nodes,
+                     result.bnb_budget_hits};
     const time_us penalty = eval.makespan - ideal;
     DRHW_CHECK_MSG(penalty >= 0, "schedule beat the ideal makespan");
     if (penalty == 0) {

@@ -12,6 +12,11 @@
 ///    construction hides all of their latency (zero penalty);
 ///  * the CS initialization order (descending weight), used by the run-time
 ///    initialization phase and by the inter-task optimisation.
+///
+/// Each pass runs the B&B up to bnb_load_threshold pending loads and the
+/// list heuristic of ref. [7] above ("for large graphs we keep the heuristic
+/// presented in [7]"); the threshold is the only scheduler knob. The first
+/// pass loads every DRHW subtask, so its order is the design-time order.
 
 #include <cstdint>
 #include <vector>
@@ -20,16 +25,6 @@
 #include "prefetch/evaluator.hpp"
 
 namespace drhw {
-
-/// Which scheduler the design-time phase runs inside the CS loop.
-enum class DesignScheduler {
-  branch_and_bound,  ///< optimal; cost grows fast with the load count
-  list_heuristic,    ///< the near-optimal heuristic of ref. [7]
-  /// B&B while the load count is at most the threshold, else the list
-  /// heuristic — the paper's own policy ("for large graphs we keep the
-  /// heuristic presented in [7]").
-  auto_select,
-};
 
 /// Everything the run-time phase needs, produced once at design time.
 struct HybridSchedule {
@@ -49,10 +44,16 @@ struct HybridSchedule {
   int bnb_budget_hits = 0;
 };
 
+/// The CS loop's first pass: its load order and B&B statistics (zero when
+/// the list heuristic ran).
+struct FirstPass {
+  std::vector<SubtaskId> order;
+  std::uint64_t bnb_nodes = 0;
+  int bnb_budget_hits = 0;
+};
+
 struct HybridDesignOptions {
-  DesignScheduler scheduler = DesignScheduler::auto_select;
-  /// auto_select switches from B&B to the list heuristic above this many
-  /// pending loads.
+  /// B&B while at most this many loads are pending, list heuristic above.
   int bnb_load_threshold = 9;
   /// Compute the initial placement with the communication-aware list
   /// scheduler (list_schedule_icn) instead of the default one-subtask-per-
@@ -62,9 +63,11 @@ struct HybridDesignOptions {
 
 /// Runs the Figure 4 loop. Postcondition (checked): evaluating the stored
 /// order with the CS subset resident yields exactly the ideal makespan.
+/// When `first_pass` is given it receives the loop's first pass.
 HybridSchedule compute_hybrid_schedule(const SubtaskGraph& graph,
                                        const Placement& placement,
                                        const PlatformConfig& platform,
-                                       const HybridDesignOptions& options = {});
+                                       const HybridDesignOptions& options = {},
+                                       FirstPass* first_pass = nullptr);
 
 }  // namespace drhw

@@ -53,13 +53,12 @@ struct RequestEntry {
 class Simulation {
  public:
   Simulation(const SubtaskGraph& graph, const Placement& placement,
-             const PlatformConfig& platform, const LoadPlan& plan,
-             time_us port_available_from)
+             const PlatformConfig& platform, const LoadPlan& plan)
       : graph_(graph),
         placement_(placement),
         platform_(platform),
         plan_(plan),
-        ports_(platform.reconfig_ports, port_available_from) {}
+        ports_(platform.reconfig_ports) {}
 
   EvalResult run() {
     validate_plan();
@@ -377,11 +376,9 @@ class Simulation {
 }  // namespace
 
 EvalResult evaluate(const SubtaskGraph& graph, const Placement& placement,
-                    const PlatformConfig& platform, const LoadPlan& plan,
-                    time_us port_available_from) {
+                    const PlatformConfig& platform, const LoadPlan& plan) {
   platform.validate();
-  return Simulation(graph, placement, platform, plan, port_available_from)
-      .run();
+  return Simulation(graph, placement, platform, plan).run();
 }
 
 time_us ideal_makespan(const SubtaskGraph& graph, const Placement& placement,

@@ -46,17 +46,16 @@ struct EvalResult {
   int loads = 0;
 };
 
-/// Simulates one task instance.
+/// Simulates one task instance; the reconfiguration ports are free at its
+/// start (an initialization phase is timed before it, see
+/// evaluate_instance_plan in policy/prefetch_policy.hpp).
 ///
-/// \param port_available_from the reconfiguration port is busy with earlier
-///        work (e.g. an initialization phase) until this relative instant.
 /// \throws std::invalid_argument if the plan is malformed (needs_load on an
 ///         ISP subtask, explicit order not matching needs_load, duplicate
 ///         entries) or if an explicit order is infeasible (head-of-line
 ///         deadlock against the unit orders).
 EvalResult evaluate(const SubtaskGraph& graph, const Placement& placement,
-                    const PlatformConfig& platform, const LoadPlan& plan,
-                    time_us port_available_from = 0);
+                    const PlatformConfig& platform, const LoadPlan& plan);
 
 /// Ideal makespan: evaluate with no loads at all. Equals
 /// placement.ideal_makespan for placements built by list_schedule.

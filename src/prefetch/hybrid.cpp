@@ -1,70 +1,33 @@
 #include "prefetch/hybrid.hpp"
 
-#include <algorithm>
-
-#include "sim/port_set.hpp"
 #include "util/check.hpp"
 
 namespace drhw {
 
 HybridDecision hybrid_decide(const HybridSchedule& design,
                              const std::vector<bool>& resident) {
+  auto is_resident = [&](SubtaskId s) {
+    const auto idx = static_cast<std::size_t>(s);
+    DRHW_CHECK_MSG(idx < resident.size(),
+                   "resident flags do not cover the design's graph");
+    return resident[idx];
+  };
   HybridDecision decision;
   // Initialization phase: CS members not resident, in the design-time
   // (descending weight) order. These loads occupy the port back to back
   // before the stored schedule begins.
   for (SubtaskId s : design.critical)
-    if (!resident[static_cast<std::size_t>(s)])
-      decision.init_loads.push_back(s);
+    if (!is_resident(s)) decision.init_loads.push_back(s);
   // Stored schedule with cancellations: drop loads whose configuration is
   // resident; the relative order of the remaining loads is untouched.
   decision.load_order.reserve(design.stored_order.size());
   for (SubtaskId s : design.stored_order) {
-    if (resident[static_cast<std::size_t>(s)])
+    if (is_resident(s))
       ++decision.cancelled_loads;
     else
       decision.load_order.push_back(s);
   }
   return decision;
-}
-
-time_us dispatch_init_loads(const SubtaskGraph& graph,
-                            const PlatformConfig& platform,
-                            const std::vector<SubtaskId>& loads,
-                            std::vector<time_us>& ends) {
-  time_us makespan = 0;
-  ends.reserve(ends.size() + loads.size());
-  PortSet ports(platform.reconfig_ports);
-  for (SubtaskId s : loads) {
-    const time_us own = graph.subtask(s).load_time;
-    const time_us duration =
-        own != k_no_time ? own : platform.reconfig_latency;
-    const std::size_t port = ports.earliest();
-    const time_us end = ports.dispatch(port, ports.free_at(port), duration);
-    ends.push_back(end);
-    makespan = std::max(makespan, end);
-  }
-  return makespan;
-}
-
-HybridRunOutcome hybrid_runtime(const SubtaskGraph& graph,
-                                const Placement& placement,
-                                const PlatformConfig& platform,
-                                const HybridSchedule& design,
-                                const std::vector<bool>& resident) {
-  DRHW_CHECK(resident.size() == graph.size());
-  HybridRunOutcome outcome;
-
-  HybridDecision decision = hybrid_decide(design, resident);
-  outcome.init_loads = std::move(decision.init_loads);
-  outcome.cancelled_loads = decision.cancelled_loads;
-  outcome.init_duration = dispatch_init_loads(
-      graph, platform, outcome.init_loads, outcome.init_load_ends);
-
-  const LoadPlan plan = explicit_plan(graph, decision.load_order);
-  outcome.eval = evaluate(graph, placement, platform, plan);
-  outcome.total_makespan = outcome.init_duration + outcome.eval.makespan;
-  return outcome;
 }
 
 }  // namespace drhw

@@ -13,38 +13,17 @@
 ///     again"), leaving the rest of the schedule untouched.
 /// Everything else was fixed at design time, which is why the run-time
 /// overhead of the hybrid approach is negligible.
+///
+/// The `hybrid` policy turns hybrid_decide() into an InstancePlan, which
+/// evaluate_instance_plan() (policy/prefetch_policy.hpp) times.
 
 #include <vector>
 
-#include "platform/platform.hpp"
 #include "prefetch/critical_subtasks.hpp"
-#include "prefetch/evaluator.hpp"
 
 namespace drhw {
 
-/// Outcome of executing one task instance under the hybrid heuristic.
-struct HybridRunOutcome {
-  /// Critical subtasks actually loaded up front (CS minus resident ones).
-  std::vector<SubtaskId> init_loads;
-  /// Completion time of each init load (aligned with init_loads, relative
-  /// to the instance start). The loads dispatch in the pre-decided order
-  /// onto the earliest-free reconfiguration port, so with one port these
-  /// are the running sums of the load latencies; with reconfig_ports > 1
-  /// the phase overlaps and the ends interleave.
-  std::vector<time_us> init_load_ends;
-  /// Makespan of the initialization phase: the last init_load_ends entry's
-  /// maximum (sum of latencies with one port, shorter with several).
-  time_us init_duration = 0;
-  /// Evaluation of the stored design-time schedule (times relative to the
-  /// end of the initialization phase).
-  EvalResult eval;
-  /// init_duration + eval.makespan.
-  time_us total_makespan = 0;
-  /// Stored loads skipped because the configuration was resident.
-  int cancelled_loads = 0;
-};
-
-/// The *decision-only* part of the run-time phase — what actually executes
+/// The run-time phase's decision — what actually executes
 /// inside the scheduler's time slot on the embedded processor: pick the
 /// initialization loads (CS minus resident) and cancel resident stored
 /// loads. O(N) with no timing computation; this is why the hybrid approach
@@ -55,31 +34,9 @@ struct HybridDecision {
   int cancelled_loads = 0;
 };
 
+/// `resident[s]` marks subtasks whose configuration is already on their
+/// bound tile; every id the design names must index it (checked).
 HybridDecision hybrid_decide(const HybridSchedule& design,
                              const std::vector<bool>& resident);
-
-/// Times an initialization phase: dispatches `loads` in the given order
-/// onto the earliest-free of the platform's reconfiguration ports — back to
-/// back on a single-port platform, overlapped on a multi-port one. Appends
-/// each load's completion instant to `ends` (aligned with `loads`) and
-/// returns the phase makespan. This mirrors the online kernel exactly (its
-/// init loads are exempt from the unit-order gate, so every free port takes
-/// the next one), which is what keeps the sequential rigs' spans equal to
-/// the kernel's at arrival rate -> 0 for reconfig_ports > 1 — the one
-/// shared implementation for hybrid_runtime() and the policy layer's
-/// evaluate_instance_plan().
-time_us dispatch_init_loads(const SubtaskGraph& graph,
-                            const PlatformConfig& platform,
-                            const std::vector<SubtaskId>& loads,
-                            std::vector<time_us>& ends);
-
-/// Executes the run-time phase and evaluates the resulting schedule.
-/// `resident[s]` marks subtasks whose configuration is already on their
-/// bound tile (from the reuse module or a preceding inter-task prefetch).
-HybridRunOutcome hybrid_runtime(const SubtaskGraph& graph,
-                                const Placement& placement,
-                                const PlatformConfig& platform,
-                                const HybridSchedule& design,
-                                const std::vector<bool>& resident);
 
 }  // namespace drhw

@@ -17,8 +17,7 @@ namespace drhw {
 /// reusable later as an explicit plan.
 EvalResult list_prefetch(const SubtaskGraph& graph, const Placement& placement,
                          const PlatformConfig& platform,
-                         const std::vector<bool>& needs_load,
-                         time_us port_available_from = 0);
+                         const std::vector<bool>& needs_load);
 
 /// Same, but with a caller-supplied priority vector (ablation hook; the
 /// paper's choice is the ALAP weights from subtask_weights()).
@@ -26,7 +25,6 @@ EvalResult list_prefetch_with_priority(const SubtaskGraph& graph,
                                        const Placement& placement,
                                        const PlatformConfig& platform,
                                        const std::vector<bool>& needs_load,
-                                       const std::vector<time_us>& priority,
-                                       time_us port_available_from = 0);
+                                       const std::vector<time_us>& priority);
 
 }  // namespace drhw

@@ -47,8 +47,7 @@ std::vector<SubtaskId> combined_topological_order(const SubtaskGraph& graph,
 
 PrefixTiming::PrefixTiming(const SubtaskGraph& graph,
                            const Placement& placement,
-                           const PlatformConfig& platform,
-                           time_us port_available_from)
+                           const PlatformConfig& platform)
     : topo_(combined_topological_order(graph, placement)) {
   platform.validate();
   const std::size_t n = graph.size();
@@ -87,7 +86,7 @@ PrefixTiming::PrefixTiming(const SubtaskGraph& graph,
   load_end_.assign(n, k_no_time);
   levels_.push_back(
       Level{std::vector<time_us>(n, 0),
-            PortSet(platform.reconfig_ports, port_available_from), 0, 0});
+            PortSet(platform.reconfig_ports), 0, 0});
   recompute(levels_.front(), 0);
 }
 

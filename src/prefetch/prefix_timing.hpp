@@ -34,10 +34,9 @@ namespace drhw {
 
 class PrefixTiming {
  public:
-  /// The ports are busy until `port_available_from` (composition with an
-  /// initialization phase), as in evaluate().
+  /// The ports are free at the instance start, as in evaluate().
   PrefixTiming(const SubtaskGraph& graph, const Placement& placement,
-               const PlatformConfig& platform, time_us port_available_from = 0);
+               const PlatformConfig& platform);
 
   /// Appends the load of DRHW subtask `load` to the order (see the
   /// exactness contract above).

@@ -49,7 +49,6 @@ std::string prepare_key(const Scenario& scenario) {
       << "/" << p.isps << "/" << p.reconfig_energy << "/"
       << p.icn.mesh_width << "/" << p.icn.hop_latency << "/"
       << p.icn.isp_bridge_latency << "/"
-      << static_cast<int>(scenario.design.scheduler) << "/"
       << scenario.design.bnb_load_threshold << "/"
       << scenario.design.comm_aware_placement;
   return key.str();

@@ -7,7 +7,6 @@
 
 #include "policy/names.hpp"
 #include "policy/registry.hpp"
-#include "util/check.hpp"
 
 namespace drhw {
 
@@ -154,7 +153,6 @@ Scenario base_scenario(const std::string& name, const std::string& family,
 
 ScenarioRegistry ScenarioRegistry::builtin(int iterations,
                                            std::uint64_t seed) {
-  DRHW_CHECK(iterations >= 1);
   ScenarioRegistry registry;
 
   // Table 1: the deterministic columns — every (task, scenario) pair once,

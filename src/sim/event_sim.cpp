@@ -127,10 +127,10 @@ class OnlineSimulation {
     PhaseTimer setup_timer(perf_.setup_ns);
     options_.platform.validate();
     options_.arrivals.validate();
-    DRHW_CHECK_GE_MSG(options_.iterations, 1,
-                      "online run needs >= 1 iteration");
-    DRHW_CHECK_GE_MSG(options_.scheduler_cost, 0,
-                      "negative scheduler cost makes no sense");
+    if (options_.iterations < 1)
+      throw std::invalid_argument("online run needs >= 1 iteration");
+    if (options_.scheduler_cost < 0)
+      throw std::invalid_argument("scheduler cost must be >= 0");
     if (options_.deadline_scale < 0.0)
       throw std::invalid_argument("deadline scale must be >= 0");
     if (options_.high_criticality_fraction < 0.0 ||

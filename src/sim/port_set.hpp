@@ -12,10 +12,10 @@
 /// estimates and the online kernel pick the *same* port when free times
 /// tie (deterministic lowest-index winner), so a composed schedule never
 /// diverges from its estimate over a tie-break detail. The hybrid's
-/// initialization phase (prefetch/hybrid.cpp) dispatches its loads through
-/// a PortSet too, which is what makes the sequential rig's init_duration
-/// agree with the online kernel's overlapped init loads at
-/// reconfig_ports > 1.
+/// initialization phase (evaluate_instance_plan in
+/// policy/prefetch_policy.cpp) dispatches its loads through a PortSet too,
+/// which is what makes the sequential rig's init_duration agree with the
+/// online kernel's overlapped init loads at reconfig_ports > 1.
 ///
 /// The online kernel additionally reuses PortSet for the shared-ISP model:
 /// ISPs are just another pool of identical serialised servers.
@@ -34,9 +34,9 @@ namespace drhw {
 
 class PortSet {
  public:
-  explicit PortSet(int count, time_us available_from = 0) {
+  explicit PortSet(int count) {
     DRHW_CHECK_GE_MSG(count, 1, "a port set needs >= 1 resource");
-    free_.assign(static_cast<std::size_t>(count), available_from);
+    free_.assign(static_cast<std::size_t>(count), 0);
     busy_.assign(static_cast<std::size_t>(count), 0);
   }
 

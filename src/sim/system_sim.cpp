@@ -11,10 +11,6 @@
 #include "graph/algorithms.hpp"
 #include "policy/prefetch_policy.hpp"
 #include "policy/registry.hpp"
-#include "prefetch/bnb.hpp"
-#include "prefetch/hybrid.hpp"
-#include "prefetch/list_prefetch.hpp"
-#include "prefetch/load_plan.hpp"
 #include "reuse/config_store.hpp"
 #include "schedule/list_scheduler.hpp"
 #include "util/check.hpp"
@@ -45,22 +41,12 @@ PreparedScenario prepare_scenario(const SubtaskGraph& graph, int tiles,
     prepared.placement = list_schedule(graph, tiles, platform.isps);
   }
   prepared.weights = subtask_weights(graph);
-  std::vector<bool> all(graph.size(), false);
-  for (std::size_t s = 0; s < graph.size(); ++s)
-    all[s] = prepared.placement.on_drhw(static_cast<SubtaskId>(s));
-  int load_count = 0;
-  for (bool b : all) load_count += b;
-  if (load_count <= options.bnb_load_threshold) {
-    BnbResult bnb = optimal_prefetch(graph, prepared.placement, platform, all);
-    prepared.design_order = std::move(bnb.order);
-    prepared.design_bnb_nodes = bnb.nodes_explored;
-    prepared.design_bnb_budget_hits = bnb.proven_optimal ? 0 : 1;
-  } else {
-    prepared.design_order =
-        list_prefetch(graph, prepared.placement, platform, all).load_order;
-  }
-  prepared.hybrid =
-      compute_hybrid_schedule(graph, prepared.placement, platform, options);
+  FirstPass first_pass;
+  prepared.hybrid = compute_hybrid_schedule(graph, prepared.placement,
+                                            platform, options, &first_pass);
+  prepared.design_order = std::move(first_pass.order);
+  prepared.design_bnb_nodes = first_pass.bnb_nodes;
+  prepared.design_bnb_budget_hits = first_pass.bnb_budget_hits;
   prepared.replacement_values = prepared.weights;
   constexpr time_us k_critical_bonus = 1'000'000'000'000LL;
   for (SubtaskId s : prepared.hybrid.critical)

@@ -44,10 +44,10 @@ struct PreparedScenario {
   const SubtaskGraph* graph = nullptr;
   Placement placement;
   std::vector<time_us> weights;           ///< ALAP weights
-  std::vector<SubtaskId> design_order;    ///< B&B order loading everything
-  /// Statistics of the B&B search behind design_order (zero when the list
-  /// heuristic produced it): nodes explored, and 1 when the search hit its
-  /// node budget.
+  std::vector<SubtaskId> design_order;    ///< the CS loop's first pass
+  /// Statistics of that pass's B&B search (zero when the list heuristic
+  /// produced it): nodes explored, and 1 when the search hit its node
+  /// budget.
   std::uint64_t design_bnb_nodes = 0;
   int design_bnb_budget_hits = 0;
   HybridSchedule hybrid;                  ///< CS set + stored schedule

@@ -19,8 +19,7 @@ namespace drhw::testing {
 inline void expect_valid_schedule(const SubtaskGraph& graph,
                                   const Placement& placement,
                                   const PlatformConfig& platform,
-                                  const LoadPlan& plan, const EvalResult& r,
-                                  time_us port_available_from = 0) {
+                                  const LoadPlan& plan, const EvalResult& r) {
   const std::size_t n = graph.size();
   ASSERT_EQ(r.exec_start.size(), n);
 
@@ -49,7 +48,7 @@ inline void expect_valid_schedule(const SubtaskGraph& graph,
       EXPECT_EQ(r.load_end[s] - r.load_start[s],
                 own != k_no_time ? own : platform.reconfig_latency);
       EXPECT_LE(r.load_end[s], r.exec_start[s]);
-      EXPECT_GE(r.load_start[s], port_available_from);
+      EXPECT_GE(r.load_start[s], 0);
       const SubtaskId prev = placement.prev_on_unit(static_cast<SubtaskId>(s));
       if (prev != k_no_subtask) {
         EXPECT_GE(r.load_start[s], r.exec_end[static_cast<std::size_t>(prev)]);

@@ -2,7 +2,9 @@
 // DRHW_SCHED_BIN by CMake): workload parse errors exit 2 with
 // file:line:column diagnostics, unknown flags exit 2 with usage + the
 // registered policy/arrival lists on every subcommand, `schedule` rejects a
-// flag without its value, `genwork` is seed-deterministic, and the
+// flag without its value, `info`/`dot` reject extra arguments, bad user
+// input exits 1 without an internal-check message, `online --perf` prints
+// the kernel counters, `genwork` is seed-deterministic, and the
 // genwork -> campaign -> online --trace -> trace verify pipeline the CI lane
 // runs holds together.
 
@@ -12,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <sys/wait.h>
 
@@ -111,6 +114,54 @@ TEST(Cli, ScheduleRejectsAFlagWithoutItsValue) {
     EXPECT_EQ(result.output.find("optimal prefetch"), std::string::npos)
         << flags;
   }
+}
+
+TEST(Cli, InfoAndDotTakeExactlyOneGraph) {
+  // An extra argument is a usage error, not silently dropped.
+  const std::string dir = temp_dir("cli_info_dot");
+  const CliResult demo = run_cli("demo");
+  ASSERT_EQ(demo.exit_code, 0) << demo.output;
+  const std::string graph = dir + "/demo.json";
+  std::ofstream(graph) << demo.output;
+  ASSERT_EQ(run_cli("info " + graph).exit_code, 0);
+  ASSERT_EQ(run_cli("dot " + graph).exit_code, 0);
+  for (const std::string& args :
+       {"info " + graph + " --bogus", "dot " + graph + " extra"}) {
+    const CliResult result = run_cli(args);
+    EXPECT_EQ(result.exit_code, 2) << args << "\n" << result.output;
+    EXPECT_NE(result.output.find("usage:"), std::string::npos) << args;
+    EXPECT_EQ(result.output.find("ideal makespan"), std::string::npos)
+        << args;
+    EXPECT_EQ(result.output.find("digraph"), std::string::npos) << args;
+  }
+}
+
+TEST(Cli, OutOfRangeNumbersAreInputErrorsNotInternalFailures) {
+  // Bad user input exits 1 with its own message, not an internal check.
+  const std::pair<const char*, const char*> cases[] = {
+      {"online --iterations 0", "online run needs >= 1 iteration"},
+      {"campaign --iterations 0 --quiet", "iterations < 1"},
+      {"campaign --iterations 0 --dry-run", "iterations < 1"}};
+  for (const auto& [args, message] : cases) {
+    const CliResult result = run_cli(args);
+    EXPECT_EQ(result.exit_code, 1) << args << "\n" << result.output;
+    EXPECT_NE(result.output.find("error: "), std::string::npos) << args;
+    EXPECT_NE(result.output.find(message), std::string::npos)
+        << args << "\n" << result.output;
+    EXPECT_EQ(result.output.find("DRHW_CHECK"), std::string::npos) << args;
+  }
+}
+
+TEST(Cli, OnlinePerfPrintsTheKernelCounters) {
+  const CliResult result =
+      run_cli("online --approach hybrid --iterations 5 --perf");
+  ASSERT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("perf counters: hybrid"), std::string::npos)
+      << result.output;
+  for (const char* line : {"perf: events ", "  by kind: ", "queue depth max ",
+                           "  admission picks ", "backlog entries examined",
+                           "  phases: setup "})
+    EXPECT_NE(result.output.find(line), std::string::npos) << line;
 }
 
 TEST(Cli, GenworkIsSeedDeterministic) {

@@ -8,6 +8,7 @@
 #include "apps/multimedia.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "prefetch/bnb.hpp"
 #include "prefetch/critical_subtasks.hpp"
 #include "prefetch/list_prefetch.hpp"
 #include "schedule/list_scheduler.hpp"
@@ -142,7 +143,7 @@ TEST_P(CsLoopProperty, ListHeuristicSchedulerAlsoConverges) {
   const auto g = make_layered_graph(params, rng);
   const auto p = list_schedule(g, 5);
   HybridDesignOptions options;
-  options.scheduler = DesignScheduler::list_heuristic;
+  options.bnb_load_threshold = -1;  // below any load count: list heuristic
   const auto h = compute_hybrid_schedule(g, p, pf(5), options);
   const LoadPlan plan = explicit_plan(g, h.stored_order);
   const auto r = evaluate(g, p, pf(5), plan);
@@ -152,15 +153,57 @@ TEST_P(CsLoopProperty, ListHeuristicSchedulerAlsoConverges) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CsLoopProperty,
                          ::testing::Range<std::uint64_t>(1, 16));
 
+class FirstPassProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FirstPassProperty, IsTheSearchOverEveryLoad) {
+  // The loop's first pass loads every DRHW subtask with nothing reused, so
+  // it is exactly the search the design-time approach's order needs: the
+  // B&B up to the load threshold (same order, same node count), the list
+  // heuristic above it.
+  Rng rng(GetParam() * 7 + 3);
+  LayeredGraphParams params;
+  params.subtasks = 6 + static_cast<int>(GetParam() % 8);
+  params.max_exec = ms(12);
+  const auto g = make_layered_graph(params, rng);
+  const int tiles = 3 + static_cast<int>(GetParam() % 4);
+  const auto p = list_schedule(g, tiles);
+  std::vector<bool> all(g.size(), false);
+  int loads = 0;
+  for (std::size_t s = 0; s < g.size(); ++s) {
+    all[s] = p.on_drhw(static_cast<SubtaskId>(s));
+    loads += all[s];
+  }
+  for (int threshold : {loads, loads - 1}) {
+    HybridDesignOptions options;
+    options.bnb_load_threshold = threshold;
+    FirstPass first;
+    const auto h = compute_hybrid_schedule(g, p, pf(tiles), options, &first);
+    if (threshold >= loads) {
+      const BnbResult bnb = optimal_prefetch(g, p, pf(tiles), all);
+      EXPECT_EQ(first.order, bnb.order);
+      EXPECT_EQ(first.bnb_nodes, bnb.nodes_explored);
+      EXPECT_EQ(first.bnb_budget_hits, bnb.proven_optimal ? 0 : 1);
+    } else {
+      EXPECT_EQ(first.order, list_prefetch(g, p, pf(tiles), all).load_order);
+      EXPECT_EQ(first.bnb_nodes, 0u);
+      EXPECT_EQ(first.bnb_budget_hits, 0);
+    }
+    EXPECT_LE(first.bnb_nodes, h.bnb_nodes);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FirstPassProperty,
+                         ::testing::Range<std::uint64_t>(1, 13));
+
 TEST(CriticalSubtasks, BnbAndListSchedulersAgreeOnSmallChains) {
   // On chains the heuristic is optimal, so both backends find the same CS.
   Rng rng(77);
   const auto g = make_chain_graph(5, ms(5), ms(9), rng);
   const auto p = list_schedule(g, 5);
   HybridDesignOptions bnb;
-  bnb.scheduler = DesignScheduler::branch_and_bound;
+  bnb.bnb_load_threshold = static_cast<int>(g.size());  // always the B&B
   HybridDesignOptions list;
-  list.scheduler = DesignScheduler::list_heuristic;
+  list.bnb_load_threshold = -1;  // always the list heuristic
   const auto h1 = compute_hybrid_schedule(g, p, pf(5), bnb);
   const auto h2 = compute_hybrid_schedule(g, p, pf(5), list);
   EXPECT_EQ(h1.critical, h2.critical);

@@ -102,16 +102,6 @@ TEST(Evaluator, ResidentSubtaskNeedsNoLoad) {
   expect_valid_schedule(f.graph, f.placement, f.platform, plan, r);
 }
 
-TEST(Evaluator, PortAvailabilityDelaysLoads) {
-  Fig3 f;
-  const auto plan = explicit_plan(f.graph, {0, 1, 2, 3});
-  const auto base = evaluate(f.graph, f.placement, f.platform, plan, 0);
-  const auto shifted =
-      evaluate(f.graph, f.placement, f.platform, plan, ms(6));
-  EXPECT_EQ(shifted.load_start[0], ms(6));
-  EXPECT_EQ(shifted.makespan, base.makespan + ms(6));
-}
-
 TEST(Evaluator, ExplicitOrderValidation) {
   Fig3 f;
   LoadPlan plan = explicit_plan(f.graph, {0, 1, 2, 3});

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "csv_rows.hpp"
 #include "graph/generators.hpp"
@@ -20,6 +22,7 @@
 #include "runner/scenario.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/port_set.hpp"
+#include "sim/trace_hook.hpp"
 #include "sim/workloads.hpp"
 #include "util/json.hpp"
 
@@ -430,6 +433,76 @@ TEST(OnlineKernel, SharedIspContentionSerialisesIspExecutions) {
   EXPECT_EQ(shared_priority.sim.instances, shared.sim.instances);
 }
 
+/// Records which preparation each execution start belongs to.
+class ExecStartLog : public TraceSink {
+ public:
+  void on_preps(const std::vector<TracePrep>& preps) override {
+    preps_ = preps;
+  }
+  void record(const TraceEvent& ev) override {
+    if (ev.kind == TraceEvent::Kind::arrival) {
+      if (static_cast<std::size_t>(ev.job) >= prep_of_job_.size())
+        prep_of_job_.resize(static_cast<std::size_t>(ev.job) + 1, -1);
+      prep_of_job_[static_cast<std::size_t>(ev.job)] = ev.prep;
+    } else if (ev.kind == TraceEvent::Kind::exec_start) {
+      const auto prep = prep_of_job_[static_cast<std::size_t>(ev.job)];
+      starts.emplace_back(ev.t, preps_[static_cast<std::size_t>(prep)].name);
+    }
+  }
+  std::vector<std::pair<time_us, std::string>> starts;
+
+ private:
+  std::vector<TracePrep> preps_;
+  std::vector<std::int32_t> prep_of_job_;
+};
+
+TEST(OnlineKernel, SharedIspDisciplinePicksTheNextWaiter) {
+  // Three one-subtask software tasks arrive at 1, 2 and 3 ms on one shared
+  // ISP. "long" holds the server until 11 ms while "light" (ALAP weight
+  // 1 ms) and then "heavy" (5 ms) queue behind it. When the server frees,
+  // fifo serves the older request and priority the heavier one.
+  auto software_task = [](const std::string& name, time_us exec) {
+    SubtaskGraph g(name);
+    g.add_subtask({name, exec, Resource::isp});
+    g.finalize();
+    return g;
+  };
+  const std::vector<SubtaskGraph> graphs = {software_task("long", ms(10)),
+                                            software_task("light", ms(1)),
+                                            software_task("heavy", ms(5))};
+  const PlatformConfig platform = virtex2_platform(4);
+  std::vector<PreparedScenario> prepared;
+  for (const SubtaskGraph& graph : graphs)
+    prepared.push_back(prepare_scenario(graph, platform.tiles, platform));
+  const IterationSampler sampler = [&](Rng&) {
+    return std::vector<const PreparedScenario*>{&prepared[0], &prepared[1],
+                                                &prepared[2]};
+  };
+
+  for (const PortDiscipline discipline :
+       {PortDiscipline::fifo, PortDiscipline::priority}) {
+    OnlineSimOptions opt;
+    opt.platform = platform;
+    opt.policy = policy_names::hybrid;
+    opt.arrivals.kind = ArrivalProcess::Kind::periodic;
+    opt.arrivals.period_us = ms(1);
+    opt.shared_isps = true;
+    opt.isp_discipline = discipline;
+    opt.iterations = 1;
+    ExecStartLog log;
+    opt.trace = &log;
+    run_online_simulation(opt, sampler);
+    const std::string next =
+        discipline == PortDiscipline::fifo ? "light" : "heavy";
+    const std::string last =
+        discipline == PortDiscipline::fifo ? "heavy" : "light";
+    const time_us next_exec = next == "light" ? ms(1) : ms(5);
+    const std::vector<std::pair<time_us, std::string>> expected = {
+        {ms(1), "long"}, {ms(11), next}, {ms(11) + next_exec, last}};
+    EXPECT_EQ(log.starts, expected) << to_string(discipline);
+  }
+}
+
 TEST_F(OnlineFixture, PriorityDisciplineRunsAndStaysDeterministic) {
   auto opt = options(policy_names::runtime, 60.0);
   opt.port_discipline = PortDiscipline::priority;
@@ -733,6 +806,16 @@ TEST(ArrivalProcess, ValidatesAndNames) {
   EXPECT_THROW(sporadic.validate(), std::invalid_argument);
   EXPECT_STREQ(to_string(PortDiscipline::fifo), "fifo");
   EXPECT_STREQ(to_string(PortDiscipline::priority), "priority");
+}
+
+TEST_F(OnlineFixture, RunLengthAndSchedulerCostAreValidatedAsInput) {
+  // User-input errors, not internal invariants: std::invalid_argument.
+  auto opt = options(policy_names::hybrid, 40.0);
+  opt.iterations = 0;
+  EXPECT_THROW(run_online_simulation(opt, sampler), std::invalid_argument);
+  opt.iterations = 5;
+  opt.scheduler_cost = -1;
+  EXPECT_THROW(run_online_simulation(opt, sampler), std::invalid_argument);
 }
 
 TEST_F(OnlineFixture, DeadlineOptionsAreValidated) {

@@ -5,12 +5,15 @@
 
 #include "apps/multimedia.hpp"
 #include "graph/generators.hpp"
+#include "hybrid_run.hpp"
 #include "prefetch/hybrid.hpp"
-#include "util/check.hpp"
 #include "schedule/list_scheduler.hpp"
+#include "util/check.hpp"
 
 namespace drhw {
 namespace {
+
+using testing::run_hybrid;
 
 struct Prepared {
   SubtaskGraph graph;
@@ -34,10 +37,10 @@ TEST(HybridRuntime, AllCriticalResidentMeansZeroOverhead) {
   for (SubtaskId s : p.design.critical)
     resident[static_cast<std::size_t>(s)] = true;
   const auto out =
-      hybrid_runtime(p.graph, p.placement, p.platform, p.design, resident);
+      run_hybrid(p.graph, p.placement, p.platform, p.design, resident);
   EXPECT_TRUE(out.init_loads.empty());
   EXPECT_EQ(out.init_duration, 0);
-  EXPECT_EQ(out.total_makespan, p.design.ideal_makespan);
+  EXPECT_EQ(out.span, p.design.ideal_makespan);
   EXPECT_EQ(out.cancelled_loads, 0);
 }
 
@@ -45,13 +48,13 @@ TEST(HybridRuntime, NothingResidentPaysExactlyInitPhase) {
   const auto p = prepare_jpeg();
   const std::vector<bool> resident(p.graph.size(), false);
   const auto out =
-      hybrid_runtime(p.graph, p.placement, p.platform, p.design, resident);
+      run_hybrid(p.graph, p.placement, p.platform, p.design, resident);
   EXPECT_EQ(out.init_loads.size(), p.design.critical.size());
   EXPECT_EQ(out.init_duration,
             static_cast<time_us>(p.design.critical.size()) * ms(4));
   // The stored schedule itself hides everything, so the only overhead is
   // the initialization phase.
-  EXPECT_EQ(out.total_makespan,
+  EXPECT_EQ(out.span,
             p.design.ideal_makespan + out.init_duration);
 }
 
@@ -69,7 +72,7 @@ TEST(HybridRuntime, InitPhaseOverlapsLoadsAcrossReconfigurationPorts) {
   p.design = compute_hybrid_schedule(p.graph, p.placement, p.platform);
   const std::vector<bool> resident(p.graph.size(), false);
   const auto serial =
-      hybrid_runtime(p.graph, p.placement, p.platform, p.design, resident);
+      run_hybrid(p.graph, p.placement, p.platform, p.design, resident);
   const auto n = static_cast<time_us>(serial.init_loads.size());
   ASSERT_GE(n, 2);
   EXPECT_EQ(serial.init_duration, n * ms(4));
@@ -80,14 +83,14 @@ TEST(HybridRuntime, InitPhaseOverlapsLoadsAcrossReconfigurationPorts) {
   PlatformConfig two_ports = p.platform;
   two_ports.reconfig_ports = 2;
   const auto parallel =
-      hybrid_runtime(p.graph, p.placement, two_ports, p.design, resident);
+      run_hybrid(p.graph, p.placement, two_ports, p.design, resident);
   EXPECT_EQ(parallel.init_loads, serial.init_loads);
   EXPECT_EQ(parallel.init_duration, (n + 1) / 2 * ms(4));
   // First two loads start together on the two ports.
   ASSERT_GE(parallel.init_load_ends.size(), 2u);
   EXPECT_EQ(parallel.init_load_ends[0], ms(4));
   EXPECT_EQ(parallel.init_load_ends[1], ms(4));
-  EXPECT_LT(parallel.total_makespan, serial.total_makespan);
+  EXPECT_LT(parallel.span, serial.span);
 }
 
 TEST(HybridRuntime, ResidentNonCriticalLoadIsCancelled) {
@@ -97,12 +100,12 @@ TEST(HybridRuntime, ResidentNonCriticalLoadIsCancelled) {
   const SubtaskId cancelled = p.design.stored_order[1];
   resident[static_cast<std::size_t>(cancelled)] = true;
   const auto out =
-      hybrid_runtime(p.graph, p.placement, p.platform, p.design, resident);
+      run_hybrid(p.graph, p.placement, p.platform, p.design, resident);
   EXPECT_EQ(out.cancelled_loads, 1);
   EXPECT_EQ(out.eval.load_start[static_cast<std::size_t>(cancelled)],
             k_no_time);
   // Cancelling never hurts: still ideal + init.
-  EXPECT_EQ(out.total_makespan,
+  EXPECT_EQ(out.span,
             p.design.ideal_makespan + out.init_duration);
 }
 
@@ -111,7 +114,7 @@ TEST(HybridRuntime, CancellationPreservesRelativeOrder) {
   std::vector<bool> resident(p.graph.size(), false);
   resident[static_cast<std::size_t>(p.design.stored_order[0])] = true;
   const auto out =
-      hybrid_runtime(p.graph, p.placement, p.platform, p.design, resident);
+      run_hybrid(p.graph, p.placement, p.platform, p.design, resident);
   // Remaining loads appear in the stored order.
   std::vector<SubtaskId> expected;
   for (SubtaskId s : p.design.stored_order)
@@ -128,7 +131,7 @@ TEST(HybridRuntime, InitOrderFollowsDesignOrder) {
   const auto design = compute_hybrid_schedule(g, placement, platform);
   ASSERT_EQ(design.critical.size(), 2u);
   const std::vector<bool> resident(g.size(), false);
-  const auto out = hybrid_runtime(g, placement, platform, design, resident);
+  const auto out = run_hybrid(g, placement, platform, design, resident);
   EXPECT_EQ(out.init_loads, design.critical);
 }
 
@@ -152,11 +155,9 @@ TEST_P(HybridMonotonicity, MoreResidencyNeverHurts) {
     if (placement.on_drhw(static_cast<SubtaskId>(s)) && rng.next_bool(0.5))
       more[s] = true;
 
-  const auto base =
-      hybrid_runtime(g, placement, platform, design, some);
-  const auto better =
-      hybrid_runtime(g, placement, platform, design, more);
-  EXPECT_LE(better.total_makespan, base.total_makespan);
+  const auto base = run_hybrid(g, placement, platform, design, some);
+  const auto better = run_hybrid(g, placement, platform, design, more);
+  EXPECT_LE(better.span, base.span);
 }
 
 TEST_P(HybridMonotonicity, TotalNeverWorseThanInitPlusIdeal) {
@@ -168,10 +169,10 @@ TEST_P(HybridMonotonicity, TotalNeverWorseThanInitPlusIdeal) {
   const auto platform = virtex2_platform(5);
   const auto design = compute_hybrid_schedule(g, placement, platform);
   const std::vector<bool> resident(g.size(), false);
-  const auto out = hybrid_runtime(g, placement, platform, design, resident);
+  const auto out = run_hybrid(g, placement, platform, design, resident);
   // Stored schedule has zero penalty by construction, so the whole
   // instance costs exactly the initialization phase.
-  EXPECT_EQ(out.total_makespan, design.ideal_makespan + out.init_duration);
+  EXPECT_EQ(out.span, design.ideal_makespan + out.init_duration);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HybridMonotonicity,
@@ -180,9 +181,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HybridMonotonicity,
 TEST(HybridRuntime, RejectsWrongResidentSize) {
   const auto p = prepare_jpeg();
   const std::vector<bool> tiny(1, false);
-  EXPECT_THROW(
-      hybrid_runtime(p.graph, p.placement, p.platform, p.design, tiny),
-      InternalError);
+  EXPECT_THROW(hybrid_decide(p.design, tiny), InternalError);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "apps/pocket_gl.hpp"
+#include "hybrid_run.hpp"
 #include "prefetch/hybrid.hpp"
 #include "prefetch/load_plan.hpp"
 #include "schedule/list_scheduler.hpp"
@@ -45,7 +46,7 @@ TEST(HybridDecide, MatchesRuntimeOutcome) {
   resident[1] = true;  // blend resident
   const auto decision = hybrid_decide(design, resident);
   const auto outcome =
-      hybrid_runtime(g, placement, platform, design, resident);
+      testing::run_hybrid(g, placement, platform, design, resident);
   EXPECT_EQ(decision.init_loads, outcome.init_loads);
   EXPECT_EQ(decision.cancelled_loads, outcome.cancelled_loads);
   EXPECT_EQ(decision.load_order, outcome.eval.load_order);

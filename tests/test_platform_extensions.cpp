@@ -6,10 +6,10 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
+#include "hybrid_run.hpp"
 #include "platform/platform.hpp"
 #include "prefetch/bnb.hpp"
 #include "prefetch/critical_subtasks.hpp"
-#include "prefetch/hybrid.hpp"
 #include "prefetch/load_plan.hpp"
 #include "schedule/list_scheduler.hpp"
 #include "schedule_checks.hpp"
@@ -134,7 +134,7 @@ TEST(LoadTime, HeterogeneousInitPhase) {
   const auto p = list_schedule(g, 2);
   const auto design = compute_hybrid_schedule(g, p, pf);
   const std::vector<bool> cold(g.size(), false);
-  const auto out = hybrid_runtime(g, p, pf, design, cold);
+  const auto out = testing::run_hybrid(g, p, pf, design, cold);
   time_us expected = 0;
   for (SubtaskId s : out.init_loads)
     expected += g.subtask(s).load_time;

@@ -184,6 +184,46 @@ TEST(Trace, ContendedRunEmitsTheFullEventVocabulary) {
     EXPECT_TRUE(seen[static_cast<int>(kind)]) << to_string(kind);
 }
 
+TEST(Trace, BacklogPrefetchesAreTracedAsStartAndDoneInBothEncodings) {
+  // The contended scenario above keeps its small pool busy, so the backlog
+  // prefetch never finds an idle tile. A roomy pool under steady pressure
+  // does prefetch for queued instances; every prefetch the report counts
+  // must appear as one prefetch_start and one prefetch_done, and the replay
+  // must still verify.
+  const auto platform = virtex2_platform(16);
+  const auto workload = make_multimedia_workload(platform);
+  for (const TraceFormat format : {TraceFormat::jsonl, TraceFormat::binary}) {
+    SCOPED_TRACE(to_string(format));
+    const std::string path = testing::TempDir() + "/trace_prefetch." +
+                             to_string(format);
+    OnlineSimOptions options;
+    options.platform = platform;
+    options.policy = PolicySpec("hybrid");
+    options.arrivals.rate_per_s = 60.0;
+    options.seed = 7;
+    options.iterations = 60;
+    TraceRecorder recorder(path, format, options);
+    options.trace = &recorder;
+    const OnlineReport live =
+        run_online_simulation(options, multimedia_sampler(*workload));
+    recorder.finish(live);
+    const TraceData trace = read_trace(path);
+
+    long starts = 0, dones = 0;
+    for (const TraceEvent& ev : trace.events) {
+      starts += ev.kind == TraceEvent::Kind::prefetch_start;
+      dones += ev.kind == TraceEvent::Kind::prefetch_done;
+    }
+    ASSERT_GT(live.sim.intertask_prefetches, 0);
+    EXPECT_EQ(starts, live.sim.intertask_prefetches);
+    EXPECT_EQ(dones, live.sim.intertask_prefetches);
+    const auto mismatches = verify_trace(trace);
+    EXPECT_TRUE(mismatches.empty())
+        << mismatches.size() << " mismatch(es), first: "
+        << mismatches.front();
+  }
+}
+
 TEST(Trace, TruncatedTraceHasNoFooterAndVerifyThrows) {
   const std::string path = testing::TempDir() + "/trace_full.jsonl";
   record_run(path, TraceFormat::jsonl);

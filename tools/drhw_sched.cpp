@@ -126,16 +126,17 @@
 #include "graph/dot.hpp"
 #include "graph/serialization.hpp"
 #include "platform/platform.hpp"
+#include "policy/names.hpp"
 #include "policy/registry.hpp"
 #include "prefetch/bnb.hpp"
 #include "prefetch/critical_subtasks.hpp"
-#include "prefetch/hybrid.hpp"
 #include "runner/campaign.hpp"
 #include "runner/report.hpp"
 #include "runner/scenario.hpp"
 #include "schedule/list_scheduler.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/gantt.hpp"
+#include "sim/system_sim.hpp"
 #include "sim/workloads.hpp"
 #include "trace/trace.hpp"
 #include "util/table.hpp"
@@ -181,8 +182,8 @@ int usage() {
 }
 
 /// Shared unknown-flag behaviour of the campaign/online/genwork/trace/
-/// schedule subcommands: usage plus the registered policy and arrival-kind
-/// lists, exit code 2.
+/// schedule/info/dot subcommands: usage plus the registered policy and
+/// arrival-kind lists, exit code 2.
 int usage_unknown(const char* subcommand, const std::string& flag) {
   std::cerr << "error: unknown or incomplete option '" << flag
             << "' for 'drhw_sched " << subcommand << "'\n";
@@ -303,7 +304,8 @@ int cmd_schedule(const std::string& path, int tiles, time_us latency,
   platform.reconfig_ports = ports;
   platform.validate();
 
-  const auto placement = list_schedule(graph, tiles, 1);
+  const PreparedScenario prep = prepare_scenario(graph, tiles, platform);
+  const Placement& placement = prep.placement;
   std::cout << "ideal makespan: " << fmt_ms(placement.ideal_makespan)
             << " ms\n\n";
 
@@ -324,19 +326,21 @@ int cmd_schedule(const std::string& path, int tiles, time_us latency,
             << ")\n"
             << render_gantt(graph, placement, optimal.eval) << "\n";
 
-  const auto design = compute_hybrid_schedule(graph, placement, platform);
+  const HybridSchedule& design = prep.hybrid;
   std::vector<bool> resident(graph.size(), false);
   for (int id : resident_ids) {
     if (id < 0 || static_cast<std::size_t>(id) >= graph.size())
       throw std::invalid_argument("--resident id out of range");
     resident[static_cast<std::size_t>(id)] = true;
   }
-  const auto run =
-      hybrid_runtime(graph, placement, platform, design, resident);
+  const auto hybrid =
+      PolicyRegistry::instance().create(PolicySpec(policy_names::hybrid));
+  const SequentialSchedule run = evaluate_instance_plan(
+      prep, platform, hybrid->plan(prep, resident, PolicyContext{}));
   std::cout << "hybrid (|CS| = " << design.critical.size() << ", "
             << run.init_loads.size() << " init loads, "
             << run.cancelled_loads << " cancelled): "
-            << fmt_ms(run.total_makespan) << " ms\n"
+            << fmt_ms(run.span) << " ms\n"
             << "design-time CS loop: " << design.loop_iterations
             << " passes, " << design.bnb_nodes << " B&B nodes, "
             << design.bnb_budget_hits << " node-budget hits\n";
@@ -989,8 +993,10 @@ int main(int argc, char** argv) {
       }
       return usage_unknown("trace", action);
     }
-    if (args[0] == "info" && args.size() >= 2) return cmd_info(args[1]);
-    if (args[0] == "dot" && args.size() >= 2) return cmd_dot(args[1]);
+    if ((args[0] == "info" || args[0] == "dot") && args.size() >= 2) {
+      if (args.size() > 2) return usage_unknown(args[0].c_str(), args[2]);
+      return args[0] == "info" ? cmd_info(args[1]) : cmd_dot(args[1]);
+    }
     if (args[0] == "schedule" && args.size() >= 2) {
       int tiles = 8, ports = 1;
       time_us latency = ms(4);
