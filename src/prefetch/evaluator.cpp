@@ -65,12 +65,7 @@ class Simulation {
     init_state();
     init_result();
 
-    // Initial enables at t = 0. If the ports start out busy (composition
-    // with an initialization phase), a wake-up event re-triggers load
-    // selection the moment they free — without it the simulation could
-    // stall when nothing else can make progress in the meantime.
-    if (ports_.free_at(0) > 0)
-      events_.push({ports_.free_at(0), EventKind::load_done, k_no_subtask});
+    // Initial enables at t = 0; the ports start idle.
     for (std::size_t s = 0; s < n_; ++s) {
       const auto id = static_cast<SubtaskId>(s);
       if (placement_.position_of[s] == 0) mark_arrival(id, 0);
@@ -280,10 +275,6 @@ class Simulation {
   // -- event handlers ----------------------------------------------------
 
   void on_load_done(SubtaskId s, time_us t) {
-    if (s == k_no_subtask) {  // port-became-available wake-up
-      try_port(t);
-      return;
-    }
     config_done_[static_cast<std::size_t>(s)] = 1;
     try_exec(s, t);
     try_port(t);

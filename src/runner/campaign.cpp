@@ -192,14 +192,10 @@ void run_sched_cost(const Scenario& scenario, WorkloadCache& cache,
   result.hybrid_sched_us = hybrid_total / n;
 }
 
-/// The scenario's iteration sampler plus an owner handle keeping the cached
-/// workload (which the sampler captures by pointer) alive.
-struct SampledWorkload {
-  std::shared_ptr<const void> owner;
-  IterationSampler sampler;
-};
+}  // namespace
 
-SampledWorkload make_sampler(const Scenario& scenario, WorkloadCache& cache) {
+SampledWorkload sampled_workload(const Scenario& scenario,
+                                 WorkloadCache& cache) {
   switch (scenario.workload) {
     case WorkloadKind::multimedia: {
       const auto workload = cache.multimedia(scenario);
@@ -229,15 +225,17 @@ SampledWorkload make_sampler(const Scenario& scenario, WorkloadCache& cache) {
   throw std::invalid_argument("unknown workload kind");
 }
 
+namespace {
+
 void run_simulate(const Scenario& scenario, WorkloadCache& cache,
                   ScenarioResult& result) {
-  const SampledWorkload workload = make_sampler(scenario, cache);
+  const SampledWorkload workload = sampled_workload(scenario, cache);
   result.report = run_simulation(scenario.sim, workload.sampler);
 }
 
 void run_online(const Scenario& scenario, WorkloadCache& cache,
                 ScenarioResult& result) {
-  const SampledWorkload workload = make_sampler(scenario, cache);
+  const SampledWorkload workload = sampled_workload(scenario, cache);
   const OnlineSimOptions options = online_sim_options(scenario);
   OnlineReport report = run_online_simulation(options, workload.sampler);
   result.report = std::move(report.sim);

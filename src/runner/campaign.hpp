@@ -162,6 +162,22 @@ ScenarioResult run_scenario(const Scenario& scenario,
 /// sketch reports response percentiles in O(1) memory).
 OnlineSimOptions online_sim_options(const Scenario& scenario);
 
+/// The scenario's iteration sampler plus an owner handle keeping the cached
+/// workload (which the sampler captures by pointer) alive.
+struct SampledWorkload {
+  std::shared_ptr<const void> owner;
+  IterationSampler sampler;
+};
+
+/// The instance source of a scenario, as run_scenario() draws it: looks up
+/// (or prepares) the scenario's workload in `cache` and returns the sampler
+/// its kind and sampler fields select (random mix or exhaustive multimedia,
+/// Pocket GL by task or by merged frame, synthetic mix, .dwl file mix).
+/// The sampler stays valid while the returned `owner` lives, even after
+/// the cache is gone.
+SampledWorkload sampled_workload(const Scenario& scenario,
+                                 WorkloadCache& cache);
+
 /// Thread-pool campaign executor. Simulation scenarios run on the worker
 /// pool; sched_cost scenarios (wall-clock microbenchmarks) run serially
 /// afterwards so their timings never compete for cores.

@@ -30,7 +30,8 @@ namespace drhw {
 /// reads them when OnlineSimOptions::deadline_scale > 0, and a zero field
 /// falls back to the derived value (deadline_scale x ideal makespan for the
 /// deadline, the ArrivalProcess pace for the period, the seeded criticality
-/// draw for the level). See sim/workloads.hpp's assign_rt_attributes().
+/// draw for the level). A .dwl variant's `rt` line sets them
+/// (wio/workload_format.hpp); the built-in workloads keep the defaults.
 struct RtAttributes {
   time_us relative_deadline_us = 0;  ///< 0 = deadline_scale x ideal
   time_us period_us = 0;             ///< 0 = the ArrivalProcess pace

@@ -1,7 +1,6 @@
 #include "sim/workloads.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
@@ -51,21 +50,6 @@ std::unique_ptr<MultimediaWorkload> make_multimedia_workload(
     harmonize_replacement_values(workload->prepared[t]);
   }
   return workload;
-}
-
-void assign_rt_attributes(MultimediaWorkload& workload, double deadline_scale,
-                          double period_scale, int high_criticality_tasks) {
-  for (std::size_t t = 0; t < workload.prepared.size(); ++t)
-    for (PreparedScenario& prep : workload.prepared[t]) {
-      if (deadline_scale > 0.0)
-        prep.rt.relative_deadline_us = static_cast<time_us>(std::llround(
-            deadline_scale * static_cast<double>(prep.ideal)));
-      if (period_scale > 0.0)
-        prep.rt.period_us = static_cast<time_us>(
-            std::llround(period_scale * static_cast<double>(prep.ideal)));
-      prep.rt.criticality =
-          t < static_cast<std::size_t>(high_criticality_tasks) ? 1 : 0;
-    }
 }
 
 IterationSampler multimedia_sampler(const MultimediaWorkload& workload,

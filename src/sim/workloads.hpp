@@ -31,15 +31,6 @@ std::unique_ptr<MultimediaWorkload> make_multimedia_workload(
     const PlatformConfig& platform, const HybridDesignOptions& options = {},
     const std::vector<std::string>& task_filter = {});
 
-/// Stamps real-time attributes onto every prepared scenario of the
-/// workload: relative deadline = deadline_scale x the scenario's ideal
-/// makespan, period = period_scale x ideal (both skipped when the scale is
-/// 0, leaving the kernel-derived defaults), and the first
-/// `high_criticality_tasks` tasks marked high-criticality. Deterministic —
-/// no RNG — so campaigns stay bit-identical at any thread count.
-void assign_rt_attributes(MultimediaWorkload& workload, double deadline_scale,
-                          double period_scale, int high_criticality_tasks);
-
 /// Sampler modelling Section 7: "the applications executed during each
 /// iteration vary randomly" — every iteration includes each task with
 /// probability `include_prob` (at least one), shuffles the order, and draws

@@ -139,8 +139,7 @@ WorkloadFile workload_file_from_multimedia(const MultimediaWorkload& workload) {
             max_config, scenario.subtask(static_cast<SubtaskId>(s)).config);
   file.configs = max_config + 1;
 
-  for (std::size_t t = 0; t < workload.tasks.size(); ++t) {
-    const BenchmarkTask& task = workload.tasks[t];
+  for (const BenchmarkTask& task : workload.tasks) {
     WorkloadTask out_task;
     out_task.name = sanitize(task.name);
     for (std::size_t v = 0; v < task.scenarios.size(); ++v) {
@@ -148,14 +147,6 @@ WorkloadFile workload_file_from_multimedia(const MultimediaWorkload& workload) {
       WorkloadVariant variant;
       variant.name = "s" + std::to_string(v);
       variant.probability = task.scenario_probability[v];
-      if (t < workload.prepared.size() && v < workload.prepared[t].size()) {
-        const RtAttributes& rt = workload.prepared[t][v].rt;
-        if (rt.relative_deadline_us != 0 || rt.period_us != 0 ||
-            rt.criticality != 0) {
-          variant.has_rt = true;
-          variant.rt = rt;
-        }
-      }
       for (std::size_t s = 0; s < scenario.size(); ++s) {
         const Subtask& subtask = scenario.subtask(static_cast<SubtaskId>(s));
         WorkloadNode node;

@@ -4,7 +4,9 @@
 // registered policy/arrival lists on every subcommand, `schedule` rejects a
 // flag without its value, `info`/`dot` reject extra arguments, bad user
 // input exits 1 without an internal-check message, `online --perf` prints
-// the kernel counters, `genwork` is seed-deterministic, and the
+// the kernel counters, `online` prints the campaign's numbers for the same
+// workload file and runs the pocket_gl workload under every registered
+// policy, `genwork` is seed-deterministic, and the
 // genwork -> campaign -> online --trace -> trace verify pipeline the CI lane
 // runs holds together.
 
@@ -15,10 +17,15 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <sys/wait.h>
 
 #include <gtest/gtest.h>
+
+#include "csv_rows.hpp"
+#include "policy/registry.hpp"
+#include "util/table.hpp"
 
 namespace {
 
@@ -45,6 +52,29 @@ std::string temp_dir(const std::string& leaf) {
   const std::string dir = testing::TempDir() + "/" + leaf;
   std::filesystem::create_directories(dir);
   return dir;
+}
+
+/// The cells of the table row whose first cell is `first`, trimmed; empty
+/// when no row matches.
+std::vector<std::string> table_row(const std::string& output,
+                                   const std::string& first) {
+  std::istringstream lines(output);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::vector<std::string> cells;
+    std::istringstream fields(line);
+    std::string cell;
+    std::getline(fields, cell, '|');  // text before the first bar
+    while (std::getline(fields, cell, '|')) {
+      const auto begin = cell.find_first_not_of(' ');
+      const auto end = cell.find_last_not_of(' ');
+      cells.push_back(begin == std::string::npos
+                          ? std::string()
+                          : cell.substr(begin, end - begin + 1));
+    }
+    if (!cells.empty() && cells.front() == first) return cells;
+  }
+  return {};
 }
 
 std::string read_file(const std::string& path) {
@@ -139,7 +169,7 @@ TEST(Cli, InfoAndDotTakeExactlyOneGraph) {
 TEST(Cli, OutOfRangeNumbersAreInputErrorsNotInternalFailures) {
   // Bad user input exits 1 with its own message, not an internal check.
   const std::pair<const char*, const char*> cases[] = {
-      {"online --iterations 0", "online run needs >= 1 iteration"},
+      {"online --iterations 0", "iterations < 1"},
       {"campaign --iterations 0 --quiet", "iterations < 1"},
       {"campaign --iterations 0 --dry-run", "iterations < 1"}};
   for (const auto& [args, message] : cases) {
@@ -162,6 +192,46 @@ TEST(Cli, OnlinePerfPrintsTheKernelCounters) {
                            "  admission picks ", "backlog entries examined",
                            "  phases: setup "})
     EXPECT_NE(result.output.find(line), std::string::npos) << line;
+}
+
+TEST(Cli, OnlineAgreesWithTheCampaignOnAWorkloadFile) {
+  // `online` and `campaign --workload` describe the same Scenario (file
+  // kind, online mode, 8 tiles, seed 2005, the file's mix), so the hybrid
+  // row must print the campaign's numbers.
+  const std::string dir = temp_dir("cli_agreement");
+  const std::string workload =
+      std::string(DRHW_SOURCE_DIR) + "/examples/workloads/multimedia_mix.dwl";
+  const CliResult online =
+      run_cli("online --workload " + workload +
+              " --tiles 8 --approach hybrid --iterations 40 --seed 2005");
+  ASSERT_EQ(online.exit_code, 0) << online.output;
+  const CliResult campaign =
+      run_cli("campaign --workload " + workload +
+              " --iterations 40 --seed 2005 --quiet --csv " + dir + "/c.csv");
+  ASSERT_EQ(campaign.exit_code, 0) << campaign.output;
+
+  const std::vector<std::string> row = table_row(online.output, "hybrid");
+  ASSERT_GE(row.size(), 5u) << online.output;
+  bool found = false;
+  for (const auto& csv_row :
+       drhw::testing::csv_rows(read_file(dir + "/c.csv"))) {
+    if (csv_row.at("name") != "file/multimedia_mix/hybrid") continue;
+    found = true;
+    EXPECT_EQ(row[2], drhw::fmt_pct(std::stod(csv_row.at("overhead_pct")), 2));
+    EXPECT_EQ(row[4],
+              drhw::fmt(std::stod(csv_row.at("response_ms")), 1) + " ms");
+  }
+  EXPECT_TRUE(found) << "no file/multimedia_mix/hybrid row in the CSV";
+}
+
+TEST(Cli, OnlineRunsPocketGlUnderEveryPolicy) {
+  const CliResult result = run_cli("online --workload pocket_gl --iterations 5");
+  ASSERT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("online simulation: pocket_gl,"),
+            std::string::npos)
+      << result.output;
+  for (const std::string& policy : drhw::PolicyRegistry::instance().names())
+    EXPECT_EQ(table_row(result.output, policy).size(), 14u) << policy;
 }
 
 TEST(Cli, GenworkIsSeedDeterministic) {

@@ -24,6 +24,7 @@
 #include "sim/port_set.hpp"
 #include "sim/trace_hook.hpp"
 #include "sim/workloads.hpp"
+#include "trace/trace.hpp"
 #include "util/json.hpp"
 
 namespace drhw {
@@ -556,6 +557,74 @@ TEST_F(OnlineFixture, AdmissionPoliciesAndDefragReduceQueueingWhenFragmented) {
   // Same instance stream either way: identical work, different waiting.
   EXPECT_EQ(fifo.sim.total_ideal, backfill.sim.total_ideal);
   EXPECT_EQ(fifo.sim.instances, reorder_defrag.sim.instances);
+}
+
+TEST(OnlineKernel, DefragRemapsAnEmptyHeldTileForFree) {
+  // Hand-built fragmentation on 4 tiles, one port, periodic arrivals every
+  // 5 ms under no-prefetch (loads start only when a subtask is ready):
+  //   A (1 tile)  a: 20 ms          arrives  5 ms -> tile 0, retires 29 ms
+  //   B (2 tiles) r: 50 ms -> x, y  arrives 10 ms -> tiles 1-2
+  //   D (2 tiles) d1, d2            arrives 15 ms -> queued (1 tile free)
+  // When A retires, tiles 0 and 3 are free: D fits by count but not
+  // contiguously. B's root still executes on one of its tiles; its other
+  // tile waits for a subtask that is not DAG-ready, so it was never loaded.
+  // Defragmentation relocates that empty tile without the port (a remap,
+  // no migration) and D is admitted at the same instant.
+  const PlatformConfig platform = virtex2_platform(4);
+  const auto prepare = [&](SubtaskGraph& graph, int tiles) {
+    graph.finalize();
+    return prepare_scenario(graph, tiles, platform);
+  };
+  SubtaskGraph a("a");
+  a.add_subtask({"a", ms(20), Resource::drhw});
+  SubtaskGraph b("b");
+  const auto r = b.add_subtask({"r", ms(50), Resource::drhw});
+  b.add_edge(r, b.add_subtask({"x", ms(1), Resource::drhw}));
+  b.add_edge(r, b.add_subtask({"y", ms(1), Resource::drhw}));
+  SubtaskGraph d("d");
+  d.add_subtask({"d1", ms(1), Resource::drhw});
+  d.add_subtask({"d2", ms(1), Resource::drhw});
+  const PreparedScenario prep_a = prepare(a, 1);
+  const PreparedScenario prep_b = prepare(b, 2);
+  const PreparedScenario prep_d = prepare(d, 2);
+  ASSERT_EQ(prep_b.placement.tiles_occupied(), 2);
+  ASSERT_EQ(prep_d.placement.tiles_occupied(), 2);
+  const IterationSampler sampler = [&](Rng&) {
+    return std::vector<const PreparedScenario*>{&prep_a, &prep_b, &prep_d};
+  };
+
+  OnlineSimOptions opt;
+  opt.platform = platform;
+  opt.policy = policy_names::no_prefetch;
+  opt.arrivals.kind = ArrivalProcess::Kind::periodic;
+  opt.arrivals.period_us = ms(5);
+  opt.pool.contiguous = true;
+  opt.pool.defrag = true;
+  opt.iterations = 1;
+  const std::string path = ::testing::TempDir() + "/free_remap.jsonl";
+  TraceRecorder recorder(path, TraceFormat::jsonl, opt);
+  opt.trace = &recorder;
+  const OnlineReport report = run_online_simulation(opt, sampler);
+  recorder.finish(report);
+  const TraceData trace = read_trace(path);
+
+  const TraceEvent* remap = nullptr;
+  const TraceEvent* admit_d = nullptr;
+  bool migrated = false;
+  for (const TraceEvent& ev : trace.events) {
+    if (ev.kind == TraceEvent::Kind::remap && remap == nullptr) remap = &ev;
+    if (ev.kind == TraceEvent::Kind::admit && ev.job == 2) admit_d = &ev;
+    migrated |= ev.kind == TraceEvent::Kind::migration_start;
+  }
+  ASSERT_NE(remap, nullptr) << "no free remap recorded";
+  EXPECT_EQ(remap->job, 1) << "the remapped tile belongs to B";
+  EXPECT_EQ(remap->t, ms(29)) << "the remap happens when A retires";
+  EXPECT_FALSE(migrated) << "the empty tile must not cost a port migration";
+  EXPECT_GE(report.defrag_moves, 1);
+  ASSERT_NE(admit_d, nullptr) << "the fragmentation-blocked D never ran";
+  EXPECT_EQ(admit_d->t, remap->t);
+  EXPECT_EQ(report.sim.instances, 3);
+  EXPECT_TRUE(verify_trace(trace).empty());
 }
 
 TEST_F(OnlineFixture, FifoHolDefaultsMatchThePlainCountBasedKernel) {

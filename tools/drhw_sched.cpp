@@ -41,7 +41,10 @@
 //   --csv FILE         write the per-scenario CSV report
 //   --quiet            suppress per-scenario progress lines
 //
-// Options for `online` (one row per approach, shared arrival stream):
+// Options for `online`. The flags describe one online-mode Scenario, run
+// once per approach through the campaign engine's sampler and kernel
+// options (one table row each, shared arrival stream); --approach,
+// --perf and the --trace flags only steer the command itself:
 //   --workload W       multimedia | pocket_gl | a .dwl workload file
 //                      (default multimedia; a file's arrivals block is
 //                      applied unless arrival flags are given)
@@ -137,11 +140,9 @@
 #include "sim/event_sim.hpp"
 #include "sim/gantt.hpp"
 #include "sim/system_sim.hpp"
-#include "sim/workloads.hpp"
 #include "trace/trace.hpp"
 #include "util/table.hpp"
 #include "wio/fuzz.hpp"
-#include "wio/workload_build.hpp"
 #include "wio/workload_format.hpp"
 
 namespace {
@@ -495,42 +496,25 @@ int cmd_campaign(const CampaignCliOptions& cli) {
   return failed == 0 ? 0 : 1;
 }
 
+/// What `online` needs beyond the Scenario its flags describe.
 struct OnlineCliOptions {
+  /// The --workload value as given (multimedia, pocket_gl or a .dwl path),
+  /// printed in the banner.
   std::string workload = "multimedia";
-  int tiles = 16;
-  time_us latency = ms(4);
-  int ports = 1;
-  /// 0 = per-instance ISPs (the default model); > 0 = shared contended
-  /// pool of that many ISP servers.
-  int shared_isps = 0;
-  PortDiscipline isp_discipline = PortDiscipline::fifo;
-  ArrivalProcess arrivals;
-  PortDiscipline discipline = PortDiscipline::fifo;
-  ReplacementPolicy replacement = ReplacementPolicy::lru;
-  int lookahead = 1;
-  PoolOptions pool;
-  /// Fixed per-admission cost; k_no_time = use the Section 4 value of each
-  /// approach (--sched-cost-us paper).
-  time_us scheduler_cost = 0;
-  int iterations = 500;
-  std::uint64_t seed = 2005;
-  /// Real-time mode: 0 = deadlines off, > 0 = deadline_scale.
-  double deadline_scale = 0.0;
-  double crit_fraction = 0.25;
-  bool preempt = false;
-  /// Event-queue backend; reports are bit-identical between the two.
-  QueueBackend queue_backend = QueueBackend::calendar;
-  /// Print perf_summary() per approach after the table.
-  bool perf = false;
   /// Policies to run, one table row each; empty = every registered policy.
   std::vector<PolicySpec> policies;
-  /// Set when any arrival flag was given; a .dwl workload's arrivals block
-  /// then stays overridden by the command line.
-  bool user_arrivals = false;
+  /// Print perf_summary() per approach after the table.
+  bool perf = false;
   /// Record a structured event trace to this path (needs exactly one
   /// approach, so the trace maps to one report).
   std::string trace_path;
   TraceFormat trace_format = TraceFormat::jsonl;
+  /// --sched-cost-us paper: each row charges its approach's Section 4
+  /// per-admission cost instead of the scenario's fixed one.
+  bool paper_sched_cost = false;
+  /// Set when any arrival flag was given; a .dwl workload's arrivals block
+  /// then stays overridden by the command line.
+  bool user_arrivals = false;
 };
 
 bool ends_with(const std::string& text, const std::string& suffix) {
@@ -549,54 +533,39 @@ ReplacementPolicy replacement_from_string(const std::string& text) {
       "' (use lru, weight, critical-first, random or oracle)");
 }
 
-int cmd_online(OnlineCliOptions cli) {
-  PlatformConfig platform = virtex2_platform(cli.tiles);
-  platform.reconfig_latency = cli.latency;
-  platform.reconfig_ports = cli.ports;
-  if (cli.shared_isps > 0) platform.isps = cli.shared_isps;
-  platform.validate();
-  cli.pool.validate();
-
-  std::unique_ptr<MultimediaWorkload> multimedia;
-  std::unique_ptr<PocketGlWorkload> pocket_gl;
-  std::unique_ptr<FileWorkload> file_workload;
-  IterationSampler sampler;
-  if (cli.workload == "multimedia") {
-    multimedia = make_multimedia_workload(platform);
-    sampler = multimedia_sampler(*multimedia);
-  } else if (cli.workload == "pocket_gl") {
-    pocket_gl = make_pocket_gl_workload(platform);
-    sampler = pocket_gl_task_sampler(*pocket_gl);
-  } else if (ends_with(cli.workload, ".dwl")) {
-    const WorkloadFile workload = load_workload_file(cli.workload);
-    if (workload.has_arrivals && !cli.user_arrivals)
-      cli.arrivals = workload.arrivals;
-    file_workload = build_file_workload(workload, platform);
-    sampler = file_workload_sampler(*file_workload);
-  } else {
-    throw std::invalid_argument("online workload must be multimedia, "
-                                "pocket_gl or a .dwl file");
+int cmd_online(Scenario scenario, const OnlineCliOptions& cli) {
+  if (scenario.workload == WorkloadKind::file && !cli.user_arrivals) {
+    const WorkloadFile file = load_workload_file(scenario.workload_file);
+    if (file.has_arrivals) scenario.arrivals = file.arrivals;
   }
-  cli.arrivals.validate();
+  scenario.validate();
+  // The cache dies with this lambda: the sampler stays valid through the
+  // owner handle alone, as for any caller that keeps only the result.
+  const SampledWorkload workload = [&] {
+    WorkloadCache cache;
+    return sampled_workload(scenario, cache);
+  }();
 
-  std::cout << "online simulation: " << cli.workload << ", " << cli.tiles
-            << " tiles, " << cli.ports << " port(s), "
-            << to_string(cli.arrivals.kind) << " arrivals";
-  if (cli.arrivals.kind != ArrivalProcess::Kind::closed_loop)
-    std::cout << " @ " << fmt(cli.arrivals.rate_per_s, 1) << "/s";
-  std::cout << ", " << to_string(cli.discipline) << " port, "
-            << to_string(cli.pool.admission) << " admission";
-  if (cli.shared_isps > 0)
-    std::cout << ", " << cli.shared_isps << " shared ISP(s) ("
-              << to_string(cli.isp_discipline) << ")";
-  if (cli.deadline_scale > 0.0)
-    std::cout << ", deadlines x" << fmt(cli.deadline_scale, 1) << " (crit "
-              << fmt_pct(cli.crit_fraction * 100.0)
-              << (cli.preempt ? ", preempt" : "") << ")";
-  std::cout
-            << (cli.pool.contiguous ? " (contiguous)" : "")
-            << (cli.pool.defrag ? " + defrag" : "") << ", " << cli.iterations
-            << " iterations, seed " << cli.seed << "\n\n";
+  const PlatformConfig& platform = scenario.sim.platform;
+  const ArrivalProcess& arrivals = scenario.arrivals;
+  std::cout << "online simulation: " << cli.workload << ", " << platform.tiles
+            << " tiles, " << platform.reconfig_ports << " port(s), "
+            << to_string(arrivals.kind) << " arrivals";
+  if (arrivals.kind != ArrivalProcess::Kind::closed_loop)
+    std::cout << " @ " << fmt(arrivals.rate_per_s, 1) << "/s";
+  std::cout << ", " << to_string(scenario.port_discipline) << " port, "
+            << to_string(scenario.pool.admission) << " admission";
+  if (scenario.shared_isps)
+    std::cout << ", " << platform.isps << " shared ISP(s) ("
+              << to_string(scenario.isp_discipline) << ")";
+  if (scenario.deadline_scale > 0.0)
+    std::cout << ", deadlines x" << fmt(scenario.deadline_scale, 1)
+              << " (crit " << fmt_pct(scenario.high_crit_fraction * 100.0)
+              << (scenario.preempt ? ", preempt" : "") << ")";
+  std::cout << (scenario.pool.contiguous ? " (contiguous)" : "")
+            << (scenario.pool.defrag ? " + defrag" : "") << ", "
+            << scenario.sim.iterations << " iterations, seed "
+            << scenario.sim.seed << "\n\n";
 
   std::vector<PolicySpec> policies = cli.policies;
   if (policies.empty())
@@ -618,39 +587,24 @@ int cmd_online(OnlineCliOptions cli) {
                                "preemptions"});
   std::vector<std::pair<std::string, std::string>> perf_blocks;
   for (const PolicySpec& policy : policies) {
-    OnlineSimOptions options;
-    options.platform = platform;
-    options.policy = policy;
-    options.arrivals = cli.arrivals;
-    options.port_discipline = cli.discipline;
-    options.replacement = cli.replacement;
-    options.intertask_lookahead = cli.lookahead;
-    options.pool = cli.pool;
-    options.scheduler_cost = cli.scheduler_cost == k_no_time
-                                 ? paper_scheduler_cost(policy)
-                                 : cli.scheduler_cost;
-    options.shared_isps = cli.shared_isps > 0;
-    options.isp_discipline = cli.isp_discipline;
-    options.record_spans = false;
-    options.queue_backend = cli.queue_backend;
-    options.deadline_scale = cli.deadline_scale;
-    options.high_criticality_fraction = cli.crit_fraction;
-    options.preempt = cli.preempt;
-    options.seed = cli.seed;
-    options.iterations = cli.iterations;
+    scenario.sim.policy = policy;
+    if (cli.paper_sched_cost)
+      scenario.scheduler_cost = paper_scheduler_cost(policy);
+    OnlineSimOptions options = online_sim_options(scenario);
     std::unique_ptr<TraceRecorder> recorder;
     if (!cli.trace_path.empty()) {
       recorder = std::make_unique<TraceRecorder>(cli.trace_path,
                                                  cli.trace_format, options);
       options.trace = recorder.get();
     }
-    const OnlineReport report = run_online_simulation(options, sampler);
+    const OnlineReport report =
+        run_online_simulation(options, workload.sampler);
     if (recorder) {
       recorder->finish(report);
       std::cerr << "trace: " << cli.trace_path << " ("
                 << to_string(cli.trace_format) << ")\n";
     }
-    if (cli.deadline_scale > 0.0)
+    if (scenario.deadline_scale > 0.0)
       deadline_table.add_row({to_string(policy),
                               std::to_string(report.deadline_jobs),
                               fmt_pct(report.deadline_miss_pct, 2),
@@ -675,13 +629,13 @@ int cmd_online(OnlineCliOptions cli) {
                    std::to_string(report.sim.intertask_prefetches)});
   }
   table.print(std::cout);
-  if (cli.deadline_scale > 0.0) {
+  if (scenario.deadline_scale > 0.0) {
     std::cout << "\ndeadline summary:\n";
     deadline_table.print(std::cout);
   }
   for (const auto& [name, summary] : perf_blocks)
     std::cout << "\nperf counters: " << name << " ("
-              << to_string(cli.queue_backend) << " queue)\n"
+              << to_string(scenario.queue_backend) << " queue)\n"
               << summary;
   return 0;
 }
@@ -842,86 +796,106 @@ int main(int argc, char** argv) {
       return cmd_campaign(cli);
     }
     if (args[0] == "online") {
+      Scenario scenario;
+      scenario.name = scenario.family = "online";
+      scenario.mode = ScenarioMode::online;
+      scenario.sim.platform = virtex2_platform(16);
+      scenario.sim.iterations = 500;
+      scenario.sim.seed = 2005;
+      PlatformConfig& platform = scenario.sim.platform;
+      ArrivalProcess& arrivals = scenario.arrivals;
       OnlineCliOptions cli;
       for (std::size_t i = 1; i < args.size(); ++i) {
         const std::string& arg = args[i];
         const bool has_value = i + 1 < args.size();
-        if (arg == "--workload" && has_value)
+        if (arg == "--workload" && has_value) {
           cli.workload = args[++i];
+          scenario.workload_file.clear();
+          if (cli.workload == "multimedia")
+            scenario.workload = WorkloadKind::multimedia;
+          else if (cli.workload == "pocket_gl")
+            scenario.workload = WorkloadKind::pocket_gl;
+          else if (ends_with(cli.workload, ".dwl")) {
+            scenario.workload = WorkloadKind::file;
+            scenario.workload_file = cli.workload;
+          } else
+            throw std::invalid_argument("online workload must be multimedia, "
+                                        "pocket_gl or a .dwl file");
+        }
         else if (arg == "--tiles" && has_value)
-          cli.tiles = std::stoi(args[++i]);
+          platform.tiles = std::stoi(args[++i]);
         else if (arg == "--latency-us" && has_value)
-          cli.latency = std::stoll(args[++i]);
+          platform.reconfig_latency = std::stoll(args[++i]);
         else if (arg == "--ports" && has_value)
-          cli.ports = std::stoi(args[++i]);
+          platform.reconfig_ports = std::stoi(args[++i]);
         else if (arg == "--arrivals" && has_value) {
-          cli.arrivals.kind = parse_arrivals_arg(args[++i]);
+          arrivals.kind = parse_arrivals_arg(args[++i]);
           cli.user_arrivals = true;
         }
         else if (arg == "--rate" && has_value) {
-          cli.arrivals.rate_per_s = std::stod(args[++i]);
+          arrivals.rate_per_s = std::stod(args[++i]);
           cli.user_arrivals = true;
         }
         else if (arg == "--period-us" && has_value) {
-          cli.arrivals.period_us = std::stoll(args[++i]);
+          arrivals.period_us = std::stoll(args[++i]);
           cli.user_arrivals = true;
         }
         else if (arg == "--deadline-scale" && has_value)
-          cli.deadline_scale = std::stod(args[++i]);
+          scenario.deadline_scale = std::stod(args[++i]);
         else if (arg == "--crit-fraction" && has_value)
-          cli.crit_fraction = std::stod(args[++i]);
+          scenario.high_crit_fraction = std::stod(args[++i]);
         else if (arg == "--preempt")
-          cli.preempt = true;
+          scenario.preempt = true;
         else if (arg == "--burst" && has_value) {
-          cli.arrivals.burst_size = std::stoi(args[++i]);
+          arrivals.burst_size = std::stoi(args[++i]);
           cli.user_arrivals = true;
         }
         else if (arg == "--think-us" && has_value) {
-          cli.arrivals.think_time = std::stoll(args[++i]);
+          arrivals.think_time = std::stoll(args[++i]);
           cli.user_arrivals = true;
         }
         else if (arg == "--discipline" && has_value)
-          cli.discipline = port_discipline_from_string(args[++i]);
+          scenario.port_discipline = port_discipline_from_string(args[++i]);
         else if (arg == "--isp" && has_value) {
-          cli.shared_isps = std::stoi(args[++i]);
-          if (cli.shared_isps < 1)
+          platform.isps = std::stoi(args[++i]);
+          if (platform.isps < 1)
             throw std::invalid_argument("--isp needs a positive ISP count");
+          scenario.shared_isps = true;
         }
         else if (arg == "--isp-discipline" && has_value)
-          cli.isp_discipline = port_discipline_from_string(args[++i]);
+          scenario.isp_discipline = port_discipline_from_string(args[++i]);
         else if (arg == "--replacement" && has_value)
-          cli.replacement = replacement_from_string(args[++i]);
+          scenario.sim.replacement = replacement_from_string(args[++i]);
         else if (arg == "--lookahead" && has_value)
-          cli.lookahead = std::stoi(args[++i]);
+          scenario.sim.intertask_lookahead = std::stoi(args[++i]);
         else if (arg == "--admission" && has_value)
-          cli.pool.admission = admission_policy_from_string(args[++i]);
+          scenario.pool.admission = admission_policy_from_string(args[++i]);
         else if (arg == "--contiguous")
-          cli.pool.contiguous = true;
+          scenario.pool.contiguous = true;
         else if (arg == "--defrag") {
-          cli.pool.contiguous = true;
-          cli.pool.defrag = true;
+          scenario.pool.contiguous = true;
+          scenario.pool.defrag = true;
         }
         else if (arg == "--window" && has_value)
-          cli.pool.reorder_window = std::stoi(args[++i]);
+          scenario.pool.reorder_window = std::stoi(args[++i]);
         else if (arg == "--max-bypass" && has_value)
-          cli.pool.max_bypass = std::stoi(args[++i]);
+          scenario.pool.max_bypass = std::stoi(args[++i]);
         else if (arg == "--sched-cost-us" && has_value) {
           const std::string& value = args[++i];
-          if (value == "paper") {
-            cli.scheduler_cost = k_no_time;  // per-approach Section 4 value
-          } else {
-            cli.scheduler_cost = std::stoll(value);
-            if (cli.scheduler_cost < 0)
+          cli.paper_sched_cost = value == "paper";
+          if (!cli.paper_sched_cost) {
+            scenario.scheduler_cost = std::stoll(value);
+            if (scenario.scheduler_cost < 0)
               throw std::invalid_argument(
                   "--sched-cost-us needs a non-negative value or 'paper'");
           }
         }
         else if (arg == "--iterations" && has_value)
-          cli.iterations = std::stoi(args[++i]);
+          scenario.sim.iterations = std::stoi(args[++i]);
         else if (arg == "--seed" && has_value)
-          cli.seed = std::stoull(args[++i]);
+          scenario.sim.seed = std::stoull(args[++i]);
         else if (arg == "--queue" && has_value)
-          cli.queue_backend = queue_backend_from_string(args[++i]);
+          scenario.queue_backend = queue_backend_from_string(args[++i]);
         else if (arg == "--perf")
           cli.perf = true;
         else if (arg == "--trace" && has_value)
@@ -935,7 +909,7 @@ int main(int argc, char** argv) {
         else
           return usage_unknown("online", arg);
       }
-      return cmd_online(cli);
+      return cmd_online(std::move(scenario), cli);
     }
     if (args[0] == "genwork") {
       GenworkCliOptions cli;
