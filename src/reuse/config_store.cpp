@@ -16,7 +16,7 @@ ConfigId ConfigStore::config_on(PhysTileId tile) const {
 }
 
 std::optional<PhysTileId> ConfigStore::find(ConfigId config) const {
-  if (config == k_no_config) return std::nullopt;
+  if (!holds(config)) return std::nullopt;
   for (std::size_t t = 0; t < tiles_.size(); ++t)
     if (tiles_[t].config == config) return static_cast<PhysTileId>(t);
   return std::nullopt;
@@ -28,9 +28,21 @@ void ConfigStore::record_load(PhysTileId tile, ConfigId config, time_us when,
   DRHW_CHECK_MSG(when >= state.last_used,
                  "configuration load recorded before the tile's last event — "
                  "per-tile timeline must be monotone");
-  state.config = config;
+  if (config < k_no_config)
+    throw std::invalid_argument("negative configuration id");
+  set_config(state, config);
   state.last_used = when;
   state.value = value;
+}
+
+void ConfigStore::set_config(Tile& state, ConfigId config) {
+  if (state.config != k_no_config)
+    --resident_[static_cast<std::size_t>(state.config)];
+  state.config = config;
+  if (config == k_no_config) return;
+  const auto idx = static_cast<std::size_t>(config);
+  if (idx >= resident_.size()) resident_.resize(idx + 1, 0);
+  ++resident_[idx];
 }
 
 void ConfigStore::record_use(PhysTileId tile, time_us when) {
@@ -58,12 +70,16 @@ double ConfigStore::value_of(PhysTileId tile) const {
 }
 
 void ConfigStore::clear() {
-  for (auto& tile : tiles_) tile = Tile{};
+  for (auto& tile : tiles_) {
+    set_config(tile, k_no_config);
+    tile = Tile{};
+  }
 }
 
 void ConfigStore::reset(int tiles) {
   if (tiles < 0) throw std::invalid_argument("config store needs >= 0 tiles");
-  tiles_.assign(static_cast<std::size_t>(tiles), Tile{});
+  clear();
+  tiles_.resize(static_cast<std::size_t>(tiles));
 }
 
 std::size_t ConfigStore::checked(PhysTileId tile) const {

@@ -6,6 +6,7 @@
 /// replacement policy. This is the state the reuse and replacement modules
 /// (paper Figure 2, refs [6,7]) operate on across task instances.
 
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -25,13 +26,22 @@ class ConfigStore {
   /// Configuration currently on `tile` (k_no_config when empty).
   ConfigId config_on(PhysTileId tile) const;
 
-  /// Finds a tile holding `config`, if any.
+  /// The lowest-numbered tile holding `config`, if any. bind_tiles()'s
+  /// reuse matching depends on that choice. O(1) when no tile holds it
+  /// (the resident count is 0), O(tiles) otherwise.
   std::optional<PhysTileId> find(ConfigId config) const;
 
-  bool holds(ConfigId config) const { return find(config).has_value(); }
+  /// Whether some tile holds `config`. O(1): reads the resident count.
+  bool holds(ConfigId config) const {
+    return config >= 0 &&
+           static_cast<std::size_t>(config) < resident_.size() &&
+           resident_[static_cast<std::size_t>(config)] > 0;
+  }
 
   /// Records that `config` was loaded onto `tile` at absolute time `when`
   /// with replacement value `value` (typically the subtask's ALAP weight).
+  /// \throws std::invalid_argument for a negative id other than
+  ///         k_no_config (which empties the tile).
   void record_load(PhysTileId tile, ConfigId config, time_us when,
                    double value);
 
@@ -49,12 +59,13 @@ class ConfigStore {
   double value_of(PhysTileId tile) const;
 
   /// Forgets every resident configuration (e.g. between experiments).
+  /// O(tiles): only the tiles' own resident counts are undone.
   void clear();
 
   /// Re-initialises to `tiles` empty tiles, keeping the storage capacity.
   /// The online kernel rebuilds its per-admission binding view through
   /// this instead of constructing a fresh store (allocation-free once the
-  /// high-water tile count is reached).
+  /// high-water tile and configuration counts are reached). O(tiles).
   void reset(int tiles);
 
  private:
@@ -64,7 +75,12 @@ class ConfigStore {
     double value = 0.0;
   };
   std::size_t checked(PhysTileId tile) const;
+  /// Puts `config` on `state`, keeping resident_ in step.
+  void set_config(Tile& state, ConfigId config);
   std::vector<Tile> tiles_;
+  /// Per configuration id: how many tiles hold it. Grows to the highest
+  /// id ever loaded and keeps that size.
+  std::vector<int> resident_;
 };
 
 }  // namespace drhw

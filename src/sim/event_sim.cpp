@@ -254,6 +254,9 @@ class OnlineSimulation {
       candidate_cache_.resize(preps_.size());
       for (std::size_t p = 0; p < preps_.size(); ++p)
         candidate_cache_[p] = policy_->intertask_candidates(*preps_[p]);
+      // Generation stamps of the queue head's configurations (index
+      // config + 1, like inflight_): the backlog prefetch's protected set.
+      head_stamp_.assign(static_cast<std::size_t>(max_config + 2), 0);
     }
     // The per-preparation constants retire accounting folds in.
     std::vector<TracePrep> prep_table(preps_.size());
@@ -645,14 +648,31 @@ class OnlineSimulation {
     slot.cancelled = plan.cancelled_loads;
     slot.init_pending = static_cast<int>(slot.init_count);
     slot.init_done = slot.init_pending == 0;
-    if (plan.load_policy == LoadPolicy::explicit_order) slot.order = plan.loads;
-    if (plan.load_policy == LoadPolicy::priority)
-      slot.priority = plan.priority;  // empty = ALAP weights
+    if (plan.load_policy != LoadPolicy::on_demand) slot.order = plan.loads;
     for (std::size_t i = 0; i < plan.loads.size(); ++i) {
       arena_.needs[base + static_cast<std::size_t>(plan.loads[i])] = 1;
       if (i < plan.init_count)
         arena_.init_load[base + static_cast<std::size_t>(plan.loads[i])] = 1;
     }
+    if (plan.load_policy != LoadPolicy::priority) return;
+    // The port serves a priority plan in one fixed order, the sequential
+    // evaluator's heap order: priority descending, lower id on ties.
+    const std::vector<time_us>& priority =
+        plan.priority.empty() ? prep.weights : plan.priority;
+    DRHW_CHECK_EQ_MSG(priority.size(), prep.graph->size(),
+                      "instance plan: priority vector size mismatch");
+    std::sort(slot.order.begin(), slot.order.end(),
+              [&](SubtaskId a, SubtaskId b) {
+                return by_priority(priority, a, b);
+              });
+  }
+
+  /// Port order of a priority plan: higher priority first, then lower id.
+  static bool by_priority(const std::vector<time_us>& priority, SubtaskId a,
+                          SubtaskId b) {
+    const time_us pa = priority[static_cast<std::size_t>(a)];
+    const time_us pb = priority[static_cast<std::size_t>(b)];
+    return pa != pb ? pa > pb : a < b;
   }
 
   // -- state transitions (mirroring the single-instance evaluator) -------
@@ -777,14 +797,22 @@ class OnlineSimulation {
   SubtaskId job_candidate(std::int32_t j) const {
     const InstanceSlot& slot = slot_of(j);
     if (!slot.sched_done) return k_no_subtask;  // decision still in flight
-    const SubtaskGraph& graph = *prep_of(j).graph;
     const std::size_t base = base_of(j);
     switch (slot.policy) {
-      case LoadPolicy::explicit_order: {
+      case LoadPolicy::explicit_order:
+      case LoadPolicy::priority: {
+        // Both serve slot.order from the next_explicit cursor, which
+        // start_job_load() keeps past the started prefix.
+        const bool priority = slot.policy == LoadPolicy::priority;
         for (std::size_t i = slot.next_explicit; i < slot.order.size(); ++i) {
           const SubtaskId s = slot.order[i];
           const std::size_t idx = base + static_cast<std::size_t>(s);
           if (arena_.load_started[idx]) continue;
+          // Priority: the first arrived load, with no head-of-line block.
+          if (priority) {
+            if (arena_.arrived[idx] != k_no_time) return s;
+            continue;
+          }
           // Initialization-phase loads are not gated on the unit order —
           // they precede every execution of the instance, and on
           // multi-port platforms they dispatch in parallel.
@@ -803,25 +831,11 @@ class OnlineSimulation {
         }
         return k_no_subtask;
       }
-      case LoadPolicy::priority: {
-        const std::vector<time_us>& priority =
-            slot.priority.empty() ? prep_of(j).weights : slot.priority;
-        SubtaskId best = k_no_subtask;
-        for (std::size_t s = 0; s < graph.size(); ++s) {
-          const std::size_t idx = base + s;
-          if (!arena_.needs[idx] || arena_.load_started[idx] ||
-              arena_.arrived[idx] == k_no_time)
-            continue;
-          if (best == k_no_subtask ||
-              priority[s] > priority[static_cast<std::size_t>(best)])
-            best = static_cast<SubtaskId>(s);
-        }
-        return best;
-      }
       case LoadPolicy::on_demand: {
         SubtaskId best = k_no_subtask;
         time_us best_ready = 0;
-        for (std::size_t s = 0; s < graph.size(); ++s) {
+        const std::size_t n = prep_of(j).graph->size();
+        for (std::size_t s = 0; s < n; ++s) {
           const std::size_t idx = base + s;
           if (!arena_.needs[idx] || arena_.load_started[idx] ||
               arena_.arrived[idx] == k_no_time ||
@@ -859,7 +873,7 @@ class OnlineSimulation {
           prep.placement.tile_of[static_cast<std::size_t>(s)])];
       fold_.record(ev);
     }
-    if (slot.policy == LoadPolicy::explicit_order)
+    if (slot.policy != LoadPolicy::on_demand)
       while (slot.next_explicit < slot.order.size() &&
              arena_.load_started[base + static_cast<std::size_t>(
                                             slot.order[slot.next_explicit])])
@@ -877,30 +891,39 @@ class OnlineSimulation {
   /// Prefetches one configuration for a queued (arrived, unadmitted)
   /// instance onto a free tile. Returns true if a load was started.
   bool start_backlog_prefetch(std::size_t port, time_us t) {
-    if (pool_.queue_empty())
-      return false;  // empty backlog: the common idle-port case, O(1)
+    // Exact early exits: an empty backlog (the common idle-port case), a
+    // closed lookahead, or no free tile for prefetch_victim() to return.
+    if (pool_.queue_empty() || options_.intertask_lookahead <= 0 ||
+        pool_.free_count() == 0)
+      return false;
+    ++perf_.backlog_walks;
     // Configurations the queue's head wants must not be evicted from free
     // tiles — that would trade a hidden load for an exposed one.
     // protected_scratch_ is a member: no allocation on the event path.
-    std::fill(protected_scratch_.begin(), protected_scratch_.end(), 0);
-    {
+    const std::int32_t head_prep =
+        job_prep_[static_cast<std::size_t>(pool_.queue_head())];
+    if (head_prep != stamped_prep_) {  // a new head: stamp its configs
+      stamped_prep_ = head_prep;
+      ++head_generation_;
       const SubtaskGraph& head = *prep_of(pool_.queue_head()).graph;
-      const ConfigStore& store = pool_.store();
-      for (std::size_t t2 = 0; t2 < protected_scratch_.size(); ++t2) {
-        const ConfigId resident =
-            store.config_on(static_cast<PhysTileId>(t2));
-        if (resident == k_no_config) continue;
-        for (std::size_t s = 0; s < head.size(); ++s)
-          if (head.subtask(static_cast<SubtaskId>(s)).config == resident) {
-            protected_scratch_[t2] = 1;
-            break;
-          }
+      for (std::size_t s = 0; s < head.size(); ++s) {
+        const ConfigId config =
+            head.subtask(static_cast<SubtaskId>(s)).config;
+        if (config != k_no_config)
+          head_stamp_[static_cast<std::size_t>(config + 1)] =
+              head_generation_;
       }
     }
+    const ConfigStore& store = pool_.store();
+    for (std::size_t t2 = 0; t2 < protected_scratch_.size(); ++t2)
+      protected_scratch_[t2] =
+          head_stamp_[static_cast<std::size_t>(
+              store.config_on(static_cast<PhysTileId>(t2)) + 1)] ==
+          head_generation_;
     // One forward walk over the first `intertask_lookahead` queued jobs;
     // the first prefetch started, or an exhausted pool, ends it.
     const auto lookahead =
-        static_cast<std::size_t>(std::max(options_.intertask_lookahead, 0));
+        static_cast<std::size_t>(options_.intertask_lookahead);
     bool started = false;
     pool_.visit_queued(lookahead, [&](std::int32_t queued) {
       const PreparedScenario& prep = prep_of(queued);
@@ -1453,6 +1476,11 @@ class OnlineSimulation {
   // Per-preparation caches (indexed like preps_), built in setup_arenas().
   std::vector<const std::vector<time_us>*> values_cache_;
   std::vector<std::vector<SubtaskId>> candidate_cache_;
+  /// Per configuration (index config + 1): the head_generation_ that last
+  /// stamped it, i.e. whether preparation stamped_prep_ uses it.
+  std::vector<std::uint64_t> head_stamp_;
+  std::uint64_t head_generation_ = 0;
+  std::int32_t stamped_prep_ = -1;
   NextUseIndex next_use_index_;  ///< oracle policy only
 
   long retired_ = 0;

@@ -61,7 +61,6 @@ std::int32_t InstanceArena::acquire(std::int32_t job, std::size_t graph_size) {
   slot.init_done = true;
   slot.policy = LoadPolicy::on_demand;
   slot.order.clear();
-  slot.priority.clear();
   slot.next_explicit = 0;
   slot.init_count = 0;
   slot.init_pending = 0;

@@ -43,10 +43,10 @@ struct InstanceSlot {
   bool sched_done = true;
   bool init_done = true;
   LoadPolicy policy = LoadPolicy::on_demand;
-  std::vector<SubtaskId> order;  ///< explicit port order (init prefix first)
-  /// priority discipline: per-subtask priority override from the
-  /// InstancePlan; empty = the prepared scenario's ALAP weights.
-  std::vector<time_us> priority;
+  /// Port order of an explicit plan (init prefix first) or of a priority
+  /// plan (priority descending, lower id on ties); empty for on_demand.
+  std::vector<SubtaskId> order;
+  /// Cursor into `order`: every entry before it has started loading.
   std::size_t next_explicit = 0;
   std::size_t init_count = 0;  ///< leading entries of `order` that are
                                ///< initialization-phase loads

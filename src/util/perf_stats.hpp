@@ -8,12 +8,13 @@
 ///  * **Deterministic counters** — event counts by kind, queue push/pop
 ///    totals, queue-depth high-water mark and log2 depth histogram,
 ///    tracked allocation counts of the kernel-owned containers (event
-///    queue storage, instance arena, pool admission queue), and the
-///    admission work (picks, backlog entries examined). These are pure
-///    functions of the simulated scenario: identical across repeats,
-///    campaign-runner thread counts and queue backends (except queue depth,
-///    which legitimately differs between the eager-arrival heap backend and
-///    the streaming-arrival calendar backend). The campaign reports expose
+///    queue storage, instance arena, pool admission queue), the
+///    admission work (picks, backlog entries examined) and the
+///    backlog-prefetch walks. These are pure functions of the simulated
+///    scenario: identical across repeats, campaign-runner thread counts
+///    and queue backends (except queue depth, which legitimately differs
+///    between the eager-arrival heap backend and the streaming-arrival
+///    calendar backend). The campaign reports expose
 ///    only this subset, so the 1-vs-8-thread bit-identity contract holds.
 ///
 ///  * **Wall-clock phase timers** — setup / event-loop / finalize
@@ -68,6 +69,10 @@ struct PerfCounters {
   /// select_urgent().
   std::uint64_t admission_picks = 0;
   std::uint64_t admission_examined = 0;
+  /// Backlog-prefetch walks: idle-port calls of the inter-task prefetch
+  /// that passed its early exits (non-empty backlog, open lookahead, a
+  /// free tile) and walked the queue.
+  std::uint64_t backlog_walks = 0;
 
   // --- wall clock (nondeterministic; never enters campaign outputs) -------
   std::int64_t setup_ns = 0;

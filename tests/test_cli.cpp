@@ -190,7 +190,7 @@ TEST(Cli, OnlinePerfPrintsTheKernelCounters) {
       << result.output;
   for (const char* line : {"perf: events ", "  by kind: ", "queue depth max ",
                            "  admission picks ", "backlog entries examined",
-                           "  phases: setup "})
+                           ", backlog walks ", "  phases: setup "})
     EXPECT_NE(result.output.find(line), std::string::npos) << line;
 }
 

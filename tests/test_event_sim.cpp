@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <memory>
@@ -69,6 +70,81 @@ struct OnlineFixture : ::testing::Test {
   std::unique_ptr<MultimediaWorkload> workload;
   IterationSampler sampler;
 };
+
+/// `run-time` with an explicit priority vector in place of the ALAP
+/// weights: three levels, (s * 7) % 3, so most loads tie and the order is
+/// unlike the weights'. The online kernel sorts a custom priority once at
+/// admission and serves it from its load cursor; the sequential evaluator
+/// pops a heap that breaks ties toward the lower id. Registered before
+/// the EveryRegisteredPolicy sweep enumerates the registry, so the sweep
+/// covers it too.
+class TiedPriorityPolicy : public PrefetchPolicy {
+ public:
+  TiedPriorityPolicy()
+      : inner_(PolicyRegistry::instance().create(
+            PolicySpec(policy_names::runtime))) {}
+  bool uses_reuse() const override { return inner_->uses_reuse(); }
+  bool uses_intertask() const override { return inner_->uses_intertask(); }
+  time_us scheduler_cost() const override { return inner_->scheduler_cost(); }
+  InstancePlan plan(const PreparedScenario& prep,
+                    const std::vector<bool>& resident,
+                    const PolicyContext& context) override {
+    InstancePlan out = inner_->plan(prep, resident, context);
+    out.priority.resize(prep.graph->size());
+    for (std::size_t s = 0; s < out.priority.size(); ++s)
+      out.priority[s] = static_cast<time_us>((s * 7) % 3);
+    return out;
+  }
+  std::vector<SubtaskId> intertask_candidates(
+      const PreparedScenario& future) const override {
+    return inner_->intertask_candidates(future);
+  }
+  const std::vector<time_us>& replacement_values(
+      const PreparedScenario& prep,
+      ReplacementPolicy replacement) const override {
+    return inner_->replacement_values(prep, replacement);
+  }
+
+ private:
+  std::unique_ptr<PrefetchPolicy> inner_;
+};
+
+constexpr const char* k_tied_priority = "tied-priority";
+
+const bool k_tied_priority_registered = [] {
+  PolicyRegistry::instance().add(
+      k_tied_priority, "run-time with a three-level tied priority (test)",
+      [](const PolicyParams& params) -> std::unique_ptr<PrefetchPolicy> {
+        reject_unknown_params(k_tied_priority, params, {});
+        return std::make_unique<TiedPriorityPolicy>();
+      });
+  return true;
+}();
+
+/// EveryRegisteredPolicy.RateToZeroMatchesSequentialSimulator/tied_priority
+/// checks the kernel's priority cursor against the sequential heap on one
+/// and two ports. This keeps that check from being vacuous: on one port the
+/// tied priority must time instances differently from the ALAP weights.
+TEST(OnlineKernel, TiedPriorityReordersThePortAgainstTheWeights) {
+  ASSERT_TRUE(k_tied_priority_registered);
+  const auto names = PolicyRegistry::instance().names();
+  EXPECT_NE(std::find(names.begin(), names.end(), k_tied_priority),
+            names.end());
+  const PlatformConfig pf = virtex2_platform(16);
+  const auto workload = make_multimedia_workload(pf);
+  const auto sampler = multimedia_sampler(*workload);
+  std::vector<std::vector<time_us>> spans;
+  for (const char* policy : {k_tied_priority, policy_names::runtime}) {
+    OnlineSimOptions opt;
+    opt.platform = pf;
+    opt.policy = policy;
+    opt.arrivals.rate_per_s = 0.0001;  // one instance live at a time
+    opt.seed = 7;
+    opt.iterations = 60;
+    spans.push_back(run_online_simulation(opt, sampler).spans);
+  }
+  EXPECT_NE(spans[0], spans[1]);
+}
 
 /// Registry-driven coverage: every policy registered in the PolicyRegistry
 /// runs through both simulators, parameterized by name — a newly registered

@@ -114,6 +114,8 @@ TEST_F(PerfStatsOnline, DeterministicCountersAreBackendInvariant) {
   const OnlineReport heap = run_online_simulation(options, sampler);
   EXPECT_EQ(calendar.perf.events_total, heap.perf.events_total);
   EXPECT_EQ(calendar.perf.events_by_kind, heap.perf.events_by_kind);
+  EXPECT_EQ(calendar.perf.backlog_walks, heap.perf.backlog_walks);
+  EXPECT_GT(calendar.perf.backlog_walks, 0u);
   EXPECT_GT(heap.perf.queue_depth_max, calendar.perf.queue_depth_max);
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 
 #include "apps/multimedia.hpp"
 #include "graph/algorithms.hpp"
@@ -10,6 +12,7 @@
 #include "reuse/config_store.hpp"
 #include "reuse/reuse_module.hpp"
 #include "schedule/list_scheduler.hpp"
+#include "util/rng.hpp"
 
 namespace drhw {
 namespace {
@@ -89,6 +92,68 @@ TEST(ConfigStore, RelocateEnforcesInvariants) {
   // Destination timeline stays monotone.
   store.record_load(1, 8, ms(9), 1.0);
   EXPECT_THROW(store.relocate(0, 1, ms(5)), InternalError);
+}
+
+TEST(ConfigStore, RejectsNegativeConfigIds) {
+  ConfigStore store(2);
+  EXPECT_THROW(store.record_load(0, -2, ms(1), 1.0), std::invalid_argument);
+  store.record_load(0, 3, ms(1), 1.0);
+  store.record_load(0, k_no_config, ms(2), 1.0);  // empties the tile
+  EXPECT_FALSE(store.holds(3));
+  EXPECT_FALSE(store.holds(k_no_config));
+}
+
+/// holds() reads a resident count and find() skips its scan when that
+/// count is 0; both must agree, after every mutation, with a brute-force
+/// scan of config_on(): the same answer and the lowest tile.
+TEST(ConfigStore, ResidentIndexAgreesWithABruteForceScan) {
+  constexpr int k_configs = 6;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    ConfigStore store(static_cast<int>(rng.next_int(1, 6)));
+    time_us now = 0;
+    for (int step = 0; step < 400; ++step) {
+      now += static_cast<time_us>(rng.next_below(3));
+      const auto tile = [&] {
+        return static_cast<PhysTileId>(rng.next_below(
+            static_cast<std::uint64_t>(store.tiles())));
+      };
+      switch (rng.next_below(20)) {
+        case 0:
+          store.clear();
+          break;
+        case 1:
+          store.reset(static_cast<int>(rng.next_int(1, 6)));
+          now = 0;  // fresh tiles: their timelines restart
+          break;
+        case 2:
+        case 3:
+        case 4: {
+          const PhysTileId from = tile(), to = tile();
+          if (from != to && store.config_on(from) != k_no_config)
+            store.relocate(from, to, now);
+          break;
+        }
+        case 5:
+        case 6:
+          store.record_use(tile(), now);
+          break;
+        default:
+          store.record_load(
+              tile(), static_cast<ConfigId>(rng.next_int(-1, k_configs - 1)),
+              now, 1.0);
+      }
+      for (ConfigId c = -1; c <= k_configs; ++c) {
+        std::optional<PhysTileId> lowest;
+        for (PhysTileId t = 0; t < store.tiles() && !lowest; ++t)
+          if (c != k_no_config && store.config_on(t) == c) lowest = t;
+        ASSERT_EQ(store.holds(c), lowest.has_value())
+            << "seed " << seed << " step " << step << " config " << c;
+        ASSERT_EQ(store.find(c), lowest)
+            << "seed " << seed << " step " << step << " config " << c;
+      }
+    }
+  }
 }
 
 struct BindFixture : ::testing::Test {
