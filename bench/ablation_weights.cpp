@@ -94,9 +94,12 @@ int main() {
                                       Priority::topo_order,
                                       Priority::reverse_topo};
       for (int p = 0; p < 4; ++p) {
-        const auto r = list_prefetch_with_priority(
-            *g, placement, platform, needs,
-            make_priority(*g, priorities[p]));
+        // The heuristic with this priority: a priority plan over every
+        // DRHW load, heaviest priority first.
+        LoadPlan plan = on_demand_all(*g, placement);
+        plan.policy = LoadPolicy::priority;
+        order_by_weight(plan.loads, make_priority(*g, priorities[p]));
+        const auto r = evaluate(*g, placement, platform, plan);
         heur[p] +=
             static_cast<double>(r.makespan - placement.ideal_makespan);
       }

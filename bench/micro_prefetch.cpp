@@ -43,9 +43,7 @@ struct Fixture {
 
 void BM_EvaluatorNoLoads(benchmark::State& state) {
   Fixture f(static_cast<int>(state.range(0)));
-  LoadPlan none;
-  none.policy = LoadPolicy::explicit_order;
-  none.needs_load.assign(f.graph.size(), false);
+  const LoadPlan none{LoadPolicy::explicit_order, {}};
   for (auto _ : state)
     benchmark::DoNotOptimize(
         evaluate(f.graph, f.placement, f.platform, none).makespan);
@@ -64,9 +62,7 @@ BENCHMARK(BM_ListPrefetch)->RangeMultiplier(2)->Range(14, 448)->Complexity();
 
 void BM_OnDemand(benchmark::State& state) {
   Fixture f(static_cast<int>(state.range(0)));
-  LoadPlan plan;
-  plan.policy = LoadPolicy::on_demand;
-  plan.needs_load = f.needs;
+  const LoadPlan plan = on_demand_all(f.graph, f.placement);
   for (auto _ : state)
     benchmark::DoNotOptimize(
         evaluate(f.graph, f.placement, f.platform, plan).makespan);

@@ -36,9 +36,7 @@ int main() {
   std::cout << "ideal makespan (Fig 3a): "
             << fmt_ms(placement.ideal_makespan) << " ms\n\n";
 
-  LoadPlan none;
-  none.policy = LoadPolicy::explicit_order;
-  none.needs_load.assign(graph.size(), false);
+  const LoadPlan none{LoadPolicy::explicit_order, {}};
   std::cout << render_gantt(graph, placement,
                             evaluate(graph, placement, platform, none))
             << "\n";

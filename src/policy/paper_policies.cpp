@@ -3,11 +3,10 @@
 // implementations (pinned by tests/test_golden_campaign.cpp and the
 // registry-driven rate->0 equivalence in tests/test_event_sim.cpp).
 
-#include <algorithm>
-
 #include "policy/names.hpp"
 #include "policy/registry.hpp"
 #include "prefetch/hybrid.hpp"
+#include "prefetch/load_plan.hpp"
 #include "sim/system_sim.hpp"
 
 namespace drhw {
@@ -72,6 +71,7 @@ class RuntimeHeuristicPolicy : public PrefetchPolicy {
     for (std::size_t s = 0; s < prep.graph->size(); ++s)
       if (prep.placement.on_drhw(static_cast<SubtaskId>(s)) && !resident[s])
         out.loads.push_back(static_cast<SubtaskId>(s));
+    order_by_weight(out.loads, prep.weights);
     return out;
   }
   std::vector<SubtaskId> intertask_candidates(
@@ -82,13 +82,7 @@ class RuntimeHeuristicPolicy : public PrefetchPolicy {
     for (std::size_t s = 0; s < future.graph->size(); ++s)
       if (future.placement.on_drhw(static_cast<SubtaskId>(s)))
         candidates.push_back(static_cast<SubtaskId>(s));
-    std::sort(candidates.begin(), candidates.end(),
-              [&](SubtaskId a, SubtaskId b) {
-                const auto wa = future.weights[static_cast<std::size_t>(a)];
-                const auto wb = future.weights[static_cast<std::size_t>(b)];
-                if (wa != wb) return wa > wb;
-                return a < b;
-              });
+    order_by_weight(candidates, future.weights);
     return candidates;
   }
 

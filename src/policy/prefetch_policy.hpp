@@ -9,9 +9,10 @@
 /// CLI and the benches. This interface inverts that: a PrefetchPolicy owns
 /// every per-approach decision and the kernels are pure timing engines that
 /// ask it
-///   * what to load and in which port discipline for one admitted instance
-///     (plan(): the init-phase load set, the stored/explicit order, the
-///     run-time priority discipline, and the cancelled stored loads),
+///   * what to load, in which order and in which port discipline for one
+///     admitted instance (plan(): the init-phase loads, the stored/explicit
+///     order or the run-time priority order, and the cancelled stored
+///     loads),
 ///   * which configurations to prefetch for a *future* instance during port
 ///     idle periods (intertask_candidates(): the Section 6 inter-task
 ///     optimisation / the online backlog prefetch),
@@ -104,13 +105,15 @@ struct PolicyContext {
 /// One admitted instance's load plan — the policy's whole answer for the
 /// instance. Both kernels consume it: the online kernel turns it into port
 /// requests event by event, the sequential rig times it via
-/// evaluate_instance_plan().
+/// evaluate_instance_plan(). Both call check_instance_plan() first.
 struct InstancePlan {
   /// Discipline the port serves this instance's loads under.
   LoadPolicy load_policy = LoadPolicy::on_demand;
-  /// Subtasks whose configuration must be loaded. For explicit_order this
-  /// is the exact port order (initialization prefix first); for on_demand /
-  /// priority it is an unordered need set.
+  /// Subtasks whose configuration must be loaded, with LoadPlan::loads'
+  /// meaning: the port order for explicit_order and priority (a run-time
+  /// policy orders its own loads, usually with order_by_weight()), a need
+  /// set for on_demand. An explicit order lists its initialization prefix
+  /// first.
   std::vector<SubtaskId> loads;
   /// Leading entries of `loads` that form an initialization phase: they
   /// precede every execution of the instance and are exempt from the
@@ -118,10 +121,13 @@ struct InstancePlan {
   std::size_t init_count = 0;
   /// Stored loads cancelled because the configuration was resident.
   int cancelled_loads = 0;
-  /// priority discipline only: per-subtask priority vector (higher loads
-  /// first). Empty = the prepared scenario's ALAP weights.
-  std::vector<time_us> priority;
 };
+
+/// The plan invariants that do not depend on the graph: the initialization
+/// prefix fits in `loads`, and only an explicit order has one. A plan that
+/// broke them would stall the online kernel, so both kernels reject it.
+/// \throws InternalError (a policy bug) on a violation.
+void check_instance_plan(const InstancePlan& plan);
 
 /// Sequential timing of one instance (instance-relative times), produced by
 /// evaluate_instance_plan() from an InstancePlan.
@@ -188,12 +194,11 @@ class PrefetchPolicy {
 
 /// Times an InstancePlan on one platform, sequential-rig semantics: the
 /// initialization prefix dispatches onto the earliest-free of
-/// `platform.reconfig_ports` (back to back with one port), then the body is
-/// evaluated under the plan's discipline with times relative to the end of
-/// the initialization phase. This is the one translation from policy
-/// decisions to sequential timing — bit-identical to the pre-policy-layer
-/// per-approach code paths (on_demand_all / list_prefetch_with_priority /
-/// explicit_plan), and the only timing of the hybrid's run-time phase.
+/// `platform.reconfig_ports` (back to back with one port), then evaluate()
+/// times the loads after the prefix under the plan's discipline, relative
+/// to the end of the initialization phase. This is the one translation
+/// from policy decisions to sequential timing, and the only timing of the
+/// hybrid's run-time phase.
 SequentialSchedule evaluate_instance_plan(const PreparedScenario& prep,
                                           const PlatformConfig& platform,
                                           const InstancePlan& plan);

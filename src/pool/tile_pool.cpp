@@ -192,13 +192,6 @@ void TilePoolManager::rebuild_index() {
     std::make_heap(heap.begin(), heap.end(), later);
 }
 
-std::vector<PhysTileId> TilePoolManager::offer(
-    std::int32_t job, const std::vector<ConfigId>& wanted) const {
-  std::vector<PhysTileId> out;
-  offer_into(job, wanted, out);
-  return out;
-}
-
 void TilePoolManager::offer_into(std::int32_t job,
                                  const std::vector<ConfigId>& wanted,
                                  std::vector<PhysTileId>& out) const {
@@ -211,7 +204,7 @@ void TilePoolManager::offer_into(std::int32_t job,
 
   const std::size_t pos = position_of(job);
   DRHW_CHECK_LT_MSG(pos, queue_.size(),
-                    "offer() for a job that is not queued");
+                    "offer_into() for a job that is not queued");
   const int needed = queue_[pos].needed;
   if (needed == 0) return;
 
@@ -247,7 +240,7 @@ void TilePoolManager::offer_into(std::int32_t job,
     }
   }
   DRHW_CHECK_GE_MSG(best_start, 0,
-                    "offer() called without a fitting contiguous block");
+                    "offer_into() called without a fitting contiguous block");
   for (int t = best_start; t < best_start + needed; ++t) out.push_back(t);
 }
 

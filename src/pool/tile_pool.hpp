@@ -47,7 +47,7 @@
 /// sim/online_accounting.hpp).
 ///
 /// The pool never touches the event queue or the port: the simulator asks
-/// it *what* to do (select / offer / plan_defrag) and tells it what
+/// it *what* to do (select / offer_into / plan_defrag) and tells it what
 /// happened (occupy / release / reserve / finish_*). That keeps every
 /// policy decision in one place and the simulator a pure event dispatcher.
 
@@ -167,7 +167,7 @@ class TilePoolManager {
 
   /// Next admissible queued job under the admission policy, or -1. Charges
   /// the queue-skip metric for every older instance the pick overtakes; the
-  /// caller must follow up with offer() + occupy() for the returned job.
+  /// caller must follow up with offer_into() + occupy() for the returned job.
   std::int32_t select(time_us now);
 
   /// Deadline-aware admission (the online kernel's EDF/LLF path): among
@@ -176,7 +176,7 @@ class TilePoolManager {
   /// configured `max_bypass` starvation bound still protects the queue
   /// head: once the head has been overtaken that many times, nothing else
   /// is admitted until the head fits. Charges the queue-skip metric like
-  /// select(); same offer() + occupy() follow-up contract. Reads the pick
+  /// select(); same offer_into() + occupy() follow-up contract. Reads the pick
   /// off the urgency index: the minimum over the heap tops of the
   /// footprints that fit, O(tiles + log queue) per pick plus the lazily
   /// deleted entries it pops (each popped once).
@@ -186,12 +186,8 @@ class TilePoolManager {
   /// pools offer every free tile (the PR 2 view). Contiguous pools offer
   /// the best free block of the job's size: most `wanted` configurations
   /// already resident, least overlap with the active defragmentation
-  /// window, leftmost.
-  std::vector<PhysTileId> offer(std::int32_t job,
-                                const std::vector<ConfigId>& wanted) const;
-
-  /// offer() into caller-owned storage (cleared first) — the allocation-
-  /// free admission path of the online kernel.
+  /// window, leftmost. Written into caller-owned storage (cleared first),
+  /// so admission does not allocate.
   void offer_into(std::int32_t job, const std::vector<ConfigId>& wanted,
                   std::vector<PhysTileId>& out) const;
 

@@ -1,6 +1,5 @@
 #include "prefetch/bnb.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "graph/algorithms.hpp"
@@ -119,13 +118,7 @@ BnbResult optimal_prefetch(const SubtaskGraph& graph,
   ctx.node_limit = options.node_limit;
   for (std::size_t s = 0; s < graph.size(); ++s)
     if (needs_load[s]) ctx.loads.push_back(static_cast<SubtaskId>(s));
-  const auto weight = subtask_weights(graph);
-  std::sort(ctx.loads.begin(), ctx.loads.end(), [&](SubtaskId a, SubtaskId b) {
-    const auto wa = weight[static_cast<std::size_t>(a)];
-    const auto wb = weight[static_cast<std::size_t>(b)];
-    if (wa != wb) return wa > wb;
-    return a < b;
-  });
+  order_by_weight(ctx.loads, subtask_weights(graph));
 
   // Load i must come after load j when j's subtask must have *executed*
   // before load i's tile becomes reconfigurable (i.e. j precedes, in the
@@ -169,8 +162,8 @@ BnbResult optimal_prefetch(const SubtaskGraph& graph,
   result.order = ctx.best_order;
   result.proven_optimal = !ctx.budget_exhausted;
   result.nodes_explored = ctx.nodes;
-  LoadPlan plan = explicit_plan(graph, result.order);
-  result.eval = evaluate(graph, placement, platform, plan);
+  result.eval = evaluate(graph, placement, platform,
+                         LoadPlan{LoadPolicy::explicit_order, result.order});
   return result;
 }
 

@@ -1,6 +1,5 @@
 #include "prefetch/critical_subtasks.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "graph/algorithms.hpp"
@@ -79,13 +78,7 @@ HybridSchedule compute_hybrid_schedule(const SubtaskGraph& graph,
 
   // Initialization order: descending weight ("the subtask with the greatest
   // weight is loaded first"), ties toward the lower id.
-  std::sort(result.critical.begin(), result.critical.end(),
-            [&](SubtaskId a, SubtaskId b) {
-              const auto wa = weights[static_cast<std::size_t>(a)];
-              const auto wb = weights[static_cast<std::size_t>(b)];
-              if (wa != wb) return wa > wb;
-              return a < b;
-            });
+  order_by_weight(result.critical, weights);
   return result;
 }
 

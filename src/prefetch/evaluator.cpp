@@ -29,16 +29,6 @@ struct Event {
   }
 };
 
-/// Max-heap entry for the priority policy (heap pops the largest first).
-struct PriorityEntry {
-  time_us priority = 0;
-  SubtaskId subtask = 0;
-  friend bool operator<(const PriorityEntry& a, const PriorityEntry& b) {
-    if (a.priority != b.priority) return a.priority < b.priority;
-    return a.subtask > b.subtask;  // lower id wins ties
-  }
-};
-
 /// Min-heap entry for the on-demand policy (FIFO by request time).
 struct RequestEntry {
   time_us requested_at = 0;
@@ -105,35 +95,24 @@ class Simulation {
   }
 
  private:
+  /// Checks every load id and records its position in the plan.
   void validate_plan() {
-    if (plan_.needs_load.size() != n_)
-      throw std::invalid_argument("plan.needs_load size mismatch");
-    for (std::size_t s = 0; s < n_; ++s) {
-      if (plan_.needs_load[s] &&
-          !placement_.on_drhw(static_cast<SubtaskId>(s)))
-        throw std::invalid_argument("needs_load set for a non-DRHW subtask");
+    load_rank_.assign(n_, k_not_loaded);
+    for (std::size_t i = 0; i < plan_.loads.size(); ++i) {
+      const SubtaskId s = plan_.loads[i];
+      if (s < 0 || static_cast<std::size_t>(s) >= n_)
+        throw std::invalid_argument("plan load id out of range");
+      if (!placement_.on_drhw(s))
+        throw std::invalid_argument("plan loads a non-DRHW subtask");
+      std::size_t& rank = load_rank_[static_cast<std::size_t>(s)];
+      if (rank != k_not_loaded)
+        throw std::invalid_argument("plan loads a subtask twice");
+      rank = i;
     }
-    if (plan_.policy == LoadPolicy::explicit_order) {
-      std::vector<char> seen(n_, 0);
-      for (SubtaskId s : plan_.order) {
-        if (s < 0 || static_cast<std::size_t>(s) >= n_)
-          throw std::invalid_argument("explicit order id out of range");
-        const auto idx = static_cast<std::size_t>(s);
-        if (!plan_.needs_load[idx])
-          throw std::invalid_argument(
-              "explicit order contains a subtask without needs_load");
-        if (seen[idx]++)
-          throw std::invalid_argument("explicit order contains duplicates");
-      }
-      std::size_t needed = 0;
-      for (std::size_t s = 0; s < n_; ++s) needed += plan_.needs_load[s];
-      if (needed != plan_.order.size())
-        throw std::invalid_argument(
-            "explicit order does not cover every required load");
-    }
-    if (plan_.policy == LoadPolicy::priority &&
-        plan_.priority.size() != n_)
-      throw std::invalid_argument("plan.priority size mismatch");
+  }
+
+  bool planned(std::size_t idx) const {
+    return load_rank_[idx] != k_not_loaded;
   }
 
   void init_state() {
@@ -165,9 +144,9 @@ class Simulation {
     const auto idx = static_cast<std::size_t>(s);
     DRHW_CHECK(arrival_[idx] == k_no_time);
     arrival_[idx] = t;
-    if (plan_.needs_load[idx]) {
+    if (planned(idx)) {
       if (plan_.policy == LoadPolicy::priority)
-        eligible_.push({plan_.priority[idx], s});
+        eligible_.push(load_rank_[idx]);
       else if (plan_.policy == LoadPolicy::on_demand &&
                dag_ready_[idx] != k_no_time)
         requests_.push({dag_ready_[idx], s});
@@ -181,7 +160,7 @@ class Simulation {
     const auto idx = static_cast<std::size_t>(s);
     DRHW_CHECK(dag_ready_[idx] == k_no_time);
     dag_ready_[idx] = t;
-    if (plan_.needs_load[idx] && plan_.policy == LoadPolicy::on_demand &&
+    if (planned(idx) && plan_.policy == LoadPolicy::on_demand &&
         arrival_[idx] != k_no_time) {
       requests_.push({t, s});
       try_port(t);
@@ -193,7 +172,7 @@ class Simulation {
     const auto idx = static_cast<std::size_t>(s);
     if (started_[idx]) return;
     if (dag_ready_[idx] == k_no_time || arrival_[idx] == k_no_time) return;
-    if (plan_.needs_load[idx] && !config_done_[idx]) return;
+    if (planned(idx) && !config_done_[idx]) return;
     started_[idx] = 1;
     result_.exec_start[idx] = t;
     result_.exec_end[idx] = t + graph_.subtask(s).exec_time;
@@ -231,30 +210,20 @@ class Simulation {
   SubtaskId select_load(time_us) {
     switch (plan_.policy) {
       case LoadPolicy::explicit_order: {
-        while (next_explicit_ < plan_.order.size()) {
-          const SubtaskId s = plan_.order[next_explicit_];
-          const auto idx = static_cast<std::size_t>(s);
-          if (load_started_[idx]) {  // defensive; orders are duplicate-free
-            ++next_explicit_;
-            continue;
-          }
-          if (arrival_[idx] == k_no_time) return k_no_subtask;  // HOL block
-          ++next_explicit_;
-          return s;
-        }
-        return k_no_subtask;
+        if (next_explicit_ == plan_.loads.size()) return k_no_subtask;
+        const SubtaskId s = plan_.loads[next_explicit_];
+        if (arrival_[static_cast<std::size_t>(s)] == k_no_time)
+          return k_no_subtask;  // head-of-line block
+        ++next_explicit_;
+        return s;
       }
       case LoadPolicy::priority: {
-        while (!eligible_.empty()) {
-          const SubtaskId s = eligible_.top().subtask;
-          if (load_started_[static_cast<std::size_t>(s)]) {
-            eligible_.pop();
-            continue;
-          }
-          eligible_.pop();
-          return s;
-        }
-        return k_no_subtask;
+        // The arrived load earliest in the plan's order; each subtask
+        // arrives once, so each plan position is pushed once.
+        if (eligible_.empty()) return k_no_subtask;
+        const std::size_t rank = eligible_.top();
+        eligible_.pop();
+        return plan_.loads[rank];
       }
       case LoadPolicy::on_demand: {
         while (!requests_.empty()) {
@@ -352,9 +321,14 @@ class Simulation {
   const std::size_t n_ = graph_.size();
 
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
-  std::priority_queue<PriorityEntry> eligible_;
+  /// priority policy: plan positions of the arrived loads, earliest first.
+  std::priority_queue<std::size_t, std::vector<std::size_t>, std::greater<>>
+      eligible_;
   std::priority_queue<RequestEntry, std::vector<RequestEntry>, std::greater<>>
       requests_;
+  static constexpr std::size_t k_not_loaded = static_cast<std::size_t>(-1);
+  /// Position of each subtask in plan_.loads, k_not_loaded if not loaded.
+  std::vector<std::size_t> load_rank_;
   std::vector<int> preds_left_;
   std::vector<time_us> dag_ready_;
   std::vector<time_us> arrival_;
@@ -374,10 +348,9 @@ EvalResult evaluate(const SubtaskGraph& graph, const Placement& placement,
 
 time_us ideal_makespan(const SubtaskGraph& graph, const Placement& placement,
                        const PlatformConfig& platform) {
-  LoadPlan none;
-  none.policy = LoadPolicy::explicit_order;
-  none.needs_load.assign(graph.size(), false);
-  return evaluate(graph, placement, platform, none).makespan;
+  return evaluate(graph, placement, platform,
+                  LoadPlan{LoadPolicy::explicit_order, {}})
+      .makespan;
 }
 
 }  // namespace drhw

@@ -50,9 +50,9 @@ struct EvalResult {
 /// start (an initialization phase is timed before it, see
 /// evaluate_instance_plan in policy/prefetch_policy.hpp).
 ///
-/// \throws std::invalid_argument if the plan is malformed (needs_load on an
-///         ISP subtask, explicit order not matching needs_load, duplicate
-///         entries) or if an explicit order is infeasible (head-of-line
+/// \throws std::invalid_argument if the plan is malformed (a load id out
+///         of range, a load for an ISP subtask, or the same subtask loaded
+///         twice) or if an explicit order is infeasible (head-of-line
 ///         deadlock against the unit orders).
 EvalResult evaluate(const SubtaskGraph& graph, const Placement& placement,
                     const PlatformConfig& platform, const LoadPlan& plan);

@@ -7,19 +7,10 @@ namespace drhw {
 EvalResult list_prefetch(const SubtaskGraph& graph, const Placement& placement,
                          const PlatformConfig& platform,
                          const std::vector<bool>& needs_load) {
-  return list_prefetch_with_priority(graph, placement, platform, needs_load,
-                                     subtask_weights(graph));
-}
-
-EvalResult list_prefetch_with_priority(const SubtaskGraph& graph,
-                                       const Placement& placement,
-                                       const PlatformConfig& platform,
-                                       const std::vector<bool>& needs_load,
-                                       const std::vector<time_us>& priority) {
-  LoadPlan plan;
-  plan.policy = LoadPolicy::priority;
-  plan.needs_load = needs_load;
-  plan.priority = priority;
+  LoadPlan plan{LoadPolicy::priority, {}};
+  for (std::size_t s = 0; s < needs_load.size(); ++s)
+    if (needs_load[s]) plan.loads.push_back(static_cast<SubtaskId>(s));
+  order_by_weight(plan.loads, subtask_weights(graph));
   return evaluate(graph, placement, platform, plan);
 }
 

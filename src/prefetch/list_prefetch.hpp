@@ -12,19 +12,12 @@
 
 namespace drhw {
 
-/// Runs the weight-priority prefetch heuristic over `needs_load`.
-/// Returns the evaluation; EvalResult::load_order is the realized order,
-/// reusable later as an explicit plan.
+/// Runs the weight-priority prefetch heuristic over `needs_load`: a
+/// priority plan over those subtasks in order_by_weight() order of the
+/// ALAP weights. Returns the evaluation; EvalResult::load_order is the
+/// realized order, reusable later as an explicit plan.
 EvalResult list_prefetch(const SubtaskGraph& graph, const Placement& placement,
                          const PlatformConfig& platform,
                          const std::vector<bool>& needs_load);
-
-/// Same, but with a caller-supplied priority vector (ablation hook; the
-/// paper's choice is the ALAP weights from subtask_weights()).
-EvalResult list_prefetch_with_priority(const SubtaskGraph& graph,
-                                       const Placement& placement,
-                                       const PlatformConfig& platform,
-                                       const std::vector<bool>& needs_load,
-                                       const std::vector<time_us>& priority);
 
 }  // namespace drhw

@@ -1,44 +1,25 @@
 #include "prefetch/load_plan.hpp"
 
-#include "graph/algorithms.hpp"
+#include <algorithm>
 
 namespace drhw {
 
 LoadPlan on_demand_all(const SubtaskGraph& graph, const Placement& placement) {
   LoadPlan plan;
   plan.policy = LoadPolicy::on_demand;
-  plan.needs_load.assign(graph.size(), false);
   for (std::size_t s = 0; s < graph.size(); ++s)
-    plan.needs_load[s] = placement.on_drhw(static_cast<SubtaskId>(s));
+    if (placement.on_drhw(static_cast<SubtaskId>(s)))
+      plan.loads.push_back(static_cast<SubtaskId>(s));
   return plan;
 }
 
-std::vector<bool> loads_excluding(const SubtaskGraph& graph,
-                                  const Placement& placement,
-                                  const std::vector<bool>& resident) {
-  std::vector<bool> needs(graph.size(), false);
-  for (std::size_t s = 0; s < graph.size(); ++s)
-    needs[s] = placement.on_drhw(static_cast<SubtaskId>(s)) &&
-               !(s < resident.size() && resident[s]);
-  return needs;
-}
-
-LoadPlan priority_plan(const SubtaskGraph& graph, std::vector<bool> needs) {
-  LoadPlan plan;
-  plan.policy = LoadPolicy::priority;
-  plan.needs_load = std::move(needs);
-  plan.priority = subtask_weights(graph);
-  return plan;
-}
-
-LoadPlan explicit_plan(const SubtaskGraph& graph,
-                       std::vector<SubtaskId> order) {
-  LoadPlan plan;
-  plan.policy = LoadPolicy::explicit_order;
-  plan.needs_load.assign(graph.size(), false);
-  for (SubtaskId s : order) plan.needs_load[static_cast<std::size_t>(s)] = true;
-  plan.order = std::move(order);
-  return plan;
+void order_by_weight(std::vector<SubtaskId>& ids,
+                     const std::vector<time_us>& weights) {
+  std::sort(ids.begin(), ids.end(), [&](SubtaskId a, SubtaskId b) {
+    const time_us wa = weights[static_cast<std::size_t>(a)];
+    const time_us wb = weights[static_cast<std::size_t>(b)];
+    return wa != wb ? wa > wb : a < b;
+  });
 }
 
 }  // namespace drhw

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file load_plan.hpp
-/// Description of which configurations must be loaded for one task instance
-/// and in what discipline the reconfiguration port serves them.
+/// Which configurations must be loaded for one task instance, in which
+/// order, and in what discipline the reconfiguration port serves them.
 
 #include <vector>
 
@@ -18,9 +18,11 @@ enum class LoadPolicy {
   /// its predecessors have finished; pending requests are served
   /// first-come-first-served among the currently loadable ones.
   on_demand,
-  /// The run-time list-scheduling heuristic of ref. [7]: whenever the port is
-  /// free, start the loadable configuration with the highest priority
-  /// (typically the ALAP weight), regardless of whether the subtask is ready.
+  /// The run-time list-scheduling heuristic of ref. [7]: whenever a port is
+  /// free, start the first load in the plan's order whose subtask has
+  /// arrived on its unit, regardless of whether the subtask is ready. No
+  /// head-of-line block: a later arrived load overtakes an earlier one
+  /// that has not arrived. The paper's order is order_by_weight().
   priority,
   /// A fixed load order decided at design time (branch & bound or a stored
   /// hybrid schedule). Head-of-line semantics: the port serves the order
@@ -28,33 +30,24 @@ enum class LoadPolicy {
   explicit_order,
 };
 
-/// Which subtasks need a load, plus policy-specific data.
+/// One instance's loads under one port discipline.
 struct LoadPlan {
   LoadPolicy policy = LoadPolicy::on_demand;
-  /// Per subtask: true if its configuration must be loaded before execution.
-  /// Must be false for ISP subtasks. Reused (resident) subtasks are false.
-  std::vector<bool> needs_load;
-  /// policy == explicit_order: the exact port order; must contain every
-  /// subtask with needs_load set, exactly once.
-  std::vector<SubtaskId> order;
-  /// policy == priority: per-subtask priority (higher loads first). Usually
-  /// the ALAP weights. Ties break toward the lower subtask id.
-  std::vector<time_us> priority;
+  /// Subtasks whose configuration must be loaded before they execute, each
+  /// DRHW-placed and listed once; resident (reused) and ISP subtasks are
+  /// absent. For explicit_order and priority this is the port order; for
+  /// on_demand it is a need set and its order is ignored.
+  std::vector<SubtaskId> loads;
 };
 
 /// Plan loading every DRHW subtask on demand (the no-prefetch baseline).
 LoadPlan on_demand_all(const SubtaskGraph& graph, const Placement& placement);
 
-/// Plan loading every DRHW subtask except those marked resident.
-std::vector<bool> loads_excluding(const SubtaskGraph& graph,
-                                  const Placement& placement,
-                                  const std::vector<bool>& resident);
-
-/// Plan with priority policy over `needs` using the graph's ALAP weights.
-LoadPlan priority_plan(const SubtaskGraph& graph, std::vector<bool> needs);
-
-/// Plan with an explicit order covering exactly `order`.
-LoadPlan explicit_plan(const SubtaskGraph& graph,
-                       std::vector<SubtaskId> order);
+/// Sorts `ids` into the paper's reconfiguration order: heaviest weight
+/// first (usually the ALAP weights of subtask_weights()), lower id on ties.
+/// The run-time heuristic, the branch & bound's candidate order and the
+/// hybrid's initialization phase all use it.
+void order_by_weight(std::vector<SubtaskId>& ids,
+                     const std::vector<time_us>& weights);
 
 }  // namespace drhw

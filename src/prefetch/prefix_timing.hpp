@@ -4,8 +4,9 @@
 /// Incremental timing of a growing explicit load order: the bound the
 /// branch & bound (prefetch/bnb.hpp) evaluates at every search node.
 ///
-/// The state answers "what is the makespan of evaluate(explicit_plan(prefix))"
-/// without re-running the event-driven evaluator. It keeps one timing level
+/// The state answers "what is the makespan of evaluate() on an explicit_order
+/// LoadPlan whose loads are the prefix" without re-running the event-driven
+/// evaluator. It keeps one timing level
 /// per prefix length:
 ///  * level 0 is the no-load schedule, computed over a topological order of
 ///    the combined precedence relation (graph edges plus the per-unit

@@ -127,13 +127,6 @@ void bind_tiles(const SubtaskGraph& graph, const Placement& placement,
   }
 }
 
-std::vector<ConfigId> first_subtask_configs(const SubtaskGraph& graph,
-                                            const Placement& placement) {
-  std::vector<ConfigId> configs;
-  first_subtask_configs_into(graph, placement, configs);
-  return configs;
-}
-
 void first_subtask_configs_into(const SubtaskGraph& graph,
                                 const Placement& placement,
                                 std::vector<ConfigId>& out) {

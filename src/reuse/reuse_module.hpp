@@ -83,10 +83,7 @@ void bind_tiles(const SubtaskGraph& graph, const Placement& placement,
 /// first subtask on a tile can be reused — every later one is preceded by
 /// an overwriting load). Used by the pool layer's placement-aware
 /// contiguous block selection so admission lands where reuse is richest.
-std::vector<ConfigId> first_subtask_configs(const SubtaskGraph& graph,
-                                            const Placement& placement);
-
-/// first_subtask_configs() into caller-owned storage (cleared first).
+/// Written into caller-owned storage (cleared first).
 void first_subtask_configs_into(const SubtaskGraph& graph,
                                 const Placement& placement,
                                 std::vector<ConfigId>& out);

@@ -633,46 +633,30 @@ class OnlineSimulation {
     context.live_instances = static_cast<int>(live_.size());
     context.queued_instances = static_cast<int>(pool_.queued());
     const InstancePlan plan = policy_->plan(prep, resident, context);
-    // The same invariants evaluate_instance_plan() enforces sequentially:
-    // a plan that violates them here would not abort but silently stall
-    // the kernel (init_pending could never drain), so fail fast instead.
-    DRHW_CHECK_LE_MSG(plan.init_count, plan.loads.size(),
-                      "instance plan: init prefix longer than the load list");
-    DRHW_CHECK_MSG(plan.init_count == 0 ||
-                       plan.load_policy == LoadPolicy::explicit_order,
-                   "instance plan: an initialization phase requires an "
-                   "explicit order");
+    check_instance_plan(plan);
 
     slot.policy = plan.load_policy;
     slot.init_count = plan.init_count;
     slot.cancelled = plan.cancelled_loads;
     slot.init_pending = static_cast<int>(slot.init_count);
     slot.init_done = slot.init_pending == 0;
+    // Explicit and priority plans are served in plan order.
     if (plan.load_policy != LoadPolicy::on_demand) slot.order = plan.loads;
+    // The ids evaluate() rejects: a bad one here would index outside the
+    // instance's arena row or load onto no tile. `needs` starts zeroed,
+    // so it also catches duplicates without allocating.
+    const std::size_t n = prep.graph->size();
     for (std::size_t i = 0; i < plan.loads.size(); ++i) {
-      arena_.needs[base + static_cast<std::size_t>(plan.loads[i])] = 1;
-      if (i < plan.init_count)
-        arena_.init_load[base + static_cast<std::size_t>(plan.loads[i])] = 1;
+      const SubtaskId s = plan.loads[i];
+      DRHW_CHECK_MSG(s >= 0 && static_cast<std::size_t>(s) < n,
+                     "instance plan: load id out of range");
+      DRHW_CHECK_MSG(prep.placement.on_drhw(s),
+                     "instance plan: load for a non-DRHW subtask");
+      const std::size_t idx = base + static_cast<std::size_t>(s);
+      DRHW_CHECK_MSG(!arena_.needs[idx], "instance plan: duplicate load");
+      arena_.needs[idx] = 1;
+      if (i < plan.init_count) arena_.init_load[idx] = 1;
     }
-    if (plan.load_policy != LoadPolicy::priority) return;
-    // The port serves a priority plan in one fixed order, the sequential
-    // evaluator's heap order: priority descending, lower id on ties.
-    const std::vector<time_us>& priority =
-        plan.priority.empty() ? prep.weights : plan.priority;
-    DRHW_CHECK_EQ_MSG(priority.size(), prep.graph->size(),
-                      "instance plan: priority vector size mismatch");
-    std::sort(slot.order.begin(), slot.order.end(),
-              [&](SubtaskId a, SubtaskId b) {
-                return by_priority(priority, a, b);
-              });
-  }
-
-  /// Port order of a priority plan: higher priority first, then lower id.
-  static bool by_priority(const std::vector<time_us>& priority, SubtaskId a,
-                          SubtaskId b) {
-    const time_us pa = priority[static_cast<std::size_t>(a)];
-    const time_us pb = priority[static_cast<std::size_t>(b)];
-    return pa != pb ? pa > pb : a < b;
   }
 
   // -- state transitions (mirroring the single-instance evaluator) -------

@@ -43,8 +43,8 @@ struct InstanceSlot {
   bool sched_done = true;
   bool init_done = true;
   LoadPolicy policy = LoadPolicy::on_demand;
-  /// Port order of an explicit plan (init prefix first) or of a priority
-  /// plan (priority descending, lower id on ties); empty for on_demand.
+  /// The plan's loads in port order (InstancePlan::loads) for an explicit
+  /// plan (init prefix first) or a priority plan; empty for on_demand.
   std::vector<SubtaskId> order;
   /// Cursor into `order`: every entry before it has started loading.
   std::size_t next_explicit = 0;

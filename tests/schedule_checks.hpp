@@ -9,11 +9,21 @@
 #include <algorithm>
 #include <vector>
 
+#include "graph/algorithms.hpp"
 #include "platform/platform.hpp"
 #include "prefetch/evaluator.hpp"
 #include "schedule/placement.hpp"
 
 namespace drhw::testing {
+
+/// The run-time heuristic's plan over every DRHW subtask: a priority plan
+/// in order_by_weight() order of the ALAP weights (what list_prefetch runs).
+inline LoadPlan weight_priority_plan(const SubtaskGraph& graph,
+                                     const Placement& placement) {
+  LoadPlan plan{LoadPolicy::priority, on_demand_all(graph, placement).loads};
+  order_by_weight(plan.loads, subtask_weights(graph));
+  return plan;
+}
 
 /// Asserts all structural invariants of an evaluation result.
 inline void expect_valid_schedule(const SubtaskGraph& graph,
@@ -40,8 +50,10 @@ inline void expect_valid_schedule(const SubtaskGraph& graph,
   // Loads: exactly the planned ones, each lasting the subtask's
   // reconfiguration latency, completing before the execution, starting
   // after the previous execution on the same tile.
+  std::vector<bool> planned(n, false);
+  for (SubtaskId s : plan.loads) planned[static_cast<std::size_t>(s)] = true;
   for (std::size_t s = 0; s < n; ++s) {
-    if (plan.needs_load[s]) {
+    if (planned[s]) {
       ASSERT_NE(r.load_start[s], k_no_time) << "missing load for " << s;
       const time_us own =
           graph.subtask(static_cast<SubtaskId>(s)).load_time;

@@ -61,7 +61,7 @@ TEST(CriticalSubtasks, StoredScheduleHasZeroPenaltyUnderCsAssumption) {
     for (const auto& g : task.scenarios) {
       const auto p = list_schedule(g, 8);
       const auto h = compute_hybrid_schedule(g, p, pf(8));
-      const LoadPlan plan = explicit_plan(g, h.stored_order);
+      const LoadPlan plan{LoadPolicy::explicit_order, h.stored_order};
       const auto r = evaluate(g, p, pf(8), plan);
       EXPECT_EQ(r.makespan, h.ideal_makespan) << g.name();
     }
@@ -131,7 +131,7 @@ TEST_P(CsLoopProperty, TerminatesWithZeroPenaltyOnRandomGraphs) {
     EXPECT_EQ(seen[s], p.on_drhw(static_cast<SubtaskId>(s)) ? 1 : 0);
 
   // Zero-penalty postcondition.
-  const LoadPlan plan = explicit_plan(g, h.stored_order);
+  const LoadPlan plan{LoadPolicy::explicit_order, h.stored_order};
   const auto r = evaluate(g, p, pf(tiles), plan);
   EXPECT_EQ(r.makespan, h.ideal_makespan);
 }
@@ -145,7 +145,7 @@ TEST_P(CsLoopProperty, ListHeuristicSchedulerAlsoConverges) {
   HybridDesignOptions options;
   options.bnb_load_threshold = -1;  // below any load count: list heuristic
   const auto h = compute_hybrid_schedule(g, p, pf(5), options);
-  const LoadPlan plan = explicit_plan(g, h.stored_order);
+  const LoadPlan plan{LoadPolicy::explicit_order, h.stored_order};
   const auto r = evaluate(g, p, pf(5), plan);
   EXPECT_EQ(r.makespan, h.ideal_makespan);
 }

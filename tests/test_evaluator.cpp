@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "platform/platform.hpp"
 #include "prefetch/evaluator.hpp"
@@ -13,6 +14,7 @@ namespace drhw {
 namespace {
 
 using testing::expect_valid_schedule;
+using testing::weight_priority_plan;
 
 /// The Figure 3 example: 1 -> {2, 3} -> 4 on three tiles, 4 ms loads.
 struct Fig3 {
@@ -41,9 +43,7 @@ struct Fig3 {
 
 TEST(Evaluator, NoLoadsReproducesIdealSchedule) {
   Fig3 f;
-  LoadPlan none;
-  none.needs_load.assign(f.graph.size(), false);
-  none.policy = LoadPolicy::explicit_order;
+  const LoadPlan none{LoadPolicy::explicit_order, {}};
   const auto r = evaluate(f.graph, f.placement, f.platform, none);
   EXPECT_EQ(r.makespan, f.placement.ideal_makespan);
   EXPECT_EQ(r.makespan, ms(26));  // Fig 3a
@@ -67,7 +67,7 @@ TEST(Evaluator, OnDemandMatchesFig3b) {
 
 TEST(Evaluator, PrefetchOrderMatchesFig3c) {
   Fig3 f;
-  const auto plan = explicit_plan(f.graph, {0, 1, 2, 3});
+  const LoadPlan plan{LoadPolicy::explicit_order, {0, 1, 2, 3}};
   const auto r = evaluate(f.graph, f.placement, f.platform, plan);
   // With prefetch only the first load penalises the system: +4 ms.
   EXPECT_EQ(r.makespan, ms(30));
@@ -83,8 +83,7 @@ TEST(Evaluator, PrefetchOrderMatchesFig3c) {
 
 TEST(Evaluator, PriorityPolicyHidesAllButFirst) {
   Fig3 f;
-  std::vector<bool> all(f.graph.size(), true);
-  LoadPlan plan = priority_plan(f.graph, all);
+  const LoadPlan plan = weight_priority_plan(f.graph, f.placement);
   const auto r = evaluate(f.graph, f.placement, f.platform, plan);
   EXPECT_EQ(r.makespan, ms(30));
   expect_valid_schedule(f.graph, f.placement, f.platform, plan, r);
@@ -92,33 +91,33 @@ TEST(Evaluator, PriorityPolicyHidesAllButFirst) {
 
 TEST(Evaluator, ResidentSubtaskNeedsNoLoad) {
   Fig3 f;
-  std::vector<bool> resident(f.graph.size(), false);
-  resident[0] = true;  // subtask 1 reused
-  LoadPlan plan = priority_plan(
-      f.graph, loads_excluding(f.graph, f.placement, resident));
+  // Subtask 1 (id 0) is reused: its load is left out of the plan.
+  LoadPlan plan{LoadPolicy::priority, {1, 2, 3}};
+  order_by_weight(plan.loads, subtask_weights(f.graph));
   const auto r = evaluate(f.graph, f.placement, f.platform, plan);
   EXPECT_EQ(r.makespan, f.placement.ideal_makespan);  // zero overhead
   EXPECT_EQ(r.load_start[0], k_no_time);
   expect_valid_schedule(f.graph, f.placement, f.platform, plan, r);
 }
 
-TEST(Evaluator, ExplicitOrderValidation) {
+TEST(Evaluator, MalformedPlansThrowUnderEveryPolicy) {
   Fig3 f;
-  LoadPlan plan = explicit_plan(f.graph, {0, 1, 2, 3});
-  plan.order = {0, 1, 2};  // missing a load
-  EXPECT_THROW(evaluate(f.graph, f.placement, f.platform, plan),
-               std::invalid_argument);
-  plan.order = {0, 1, 2, 2};  // duplicate
-  EXPECT_THROW(evaluate(f.graph, f.placement, f.platform, plan),
-               std::invalid_argument);
-  plan.order = {0, 1, 2, 3, 3};  // too long
-  EXPECT_THROW(evaluate(f.graph, f.placement, f.platform, plan),
-               std::invalid_argument);
-  LoadPlan bad;
-  bad.policy = LoadPolicy::explicit_order;
-  bad.needs_load.assign(2, false);  // wrong size
-  EXPECT_THROW(evaluate(f.graph, f.placement, f.platform, bad),
-               std::invalid_argument);
+  for (const LoadPolicy policy : {LoadPolicy::on_demand, LoadPolicy::priority,
+                                  LoadPolicy::explicit_order}) {
+    const int label = static_cast<int>(policy);
+    EXPECT_NO_THROW(evaluate(f.graph, f.placement, f.platform,
+                             LoadPlan{policy, {0, 1, 2, 3}}))
+        << label;
+    for (const std::vector<SubtaskId>& loads :
+         {std::vector<SubtaskId>{0, 1, 2, 2},  // duplicate
+          std::vector<SubtaskId>{0, 1, 2, 4},  // past the graph
+          std::vector<SubtaskId>{-1, 0, 1}}) {
+      EXPECT_THROW(evaluate(f.graph, f.placement, f.platform,
+                            LoadPlan{policy, loads}),
+                   std::invalid_argument)
+          << label;
+    }
+  }
 }
 
 TEST(Evaluator, RejectsLoadForIspSubtask) {
@@ -126,9 +125,7 @@ TEST(Evaluator, RejectsLoadForIspSubtask) {
   g.add_subtask({"sw", ms(5), Resource::isp, k_no_config, 0});
   g.finalize();
   const auto p = list_schedule(g, 1, 1);
-  LoadPlan plan;
-  plan.policy = LoadPolicy::on_demand;
-  plan.needs_load = {true};
+  const LoadPlan plan{LoadPolicy::on_demand, {0}};
   EXPECT_THROW(evaluate(g, p, virtex2_platform(1), plan),
                std::invalid_argument);
 }
@@ -143,7 +140,7 @@ TEST(Evaluator, InfeasibleExplicitOrderThrows) {
   g.add_edge(a, b);
   g.finalize();
   const auto p = list_schedule(g, 1);
-  const auto plan = explicit_plan(g, {b, a});
+  const LoadPlan plan{LoadPolicy::explicit_order, {b, a}};
   EXPECT_THROW(evaluate(g, p, virtex2_platform(1), plan),
                std::invalid_argument);
 }
@@ -155,7 +152,7 @@ TEST(Evaluator, SharedTileLoadWaitsForPreviousExecution) {
   g.add_edge(a, b);
   g.finalize();
   const auto p = list_schedule(g, 1);  // both on tile 0
-  const auto plan = explicit_plan(g, {a, b});
+  const LoadPlan plan{LoadPolicy::explicit_order, {a, b}};
   const auto r = evaluate(g, p, virtex2_platform(1), plan);
   // L(a) [0,4], Ex(a) [4,9], L(b) [9,13], Ex(b) [13,18].
   EXPECT_EQ(r.load_start[static_cast<std::size_t>(b)], ms(9));
@@ -184,9 +181,7 @@ TEST(Evaluator, IdealMakespanHelperAgrees) {
 
 TEST(Evaluator, TileLastExecEndReported) {
   Fig3 f;
-  LoadPlan none;
-  none.policy = LoadPolicy::explicit_order;
-  none.needs_load.assign(f.graph.size(), false);
+  const LoadPlan none{LoadPolicy::explicit_order, {}};
   const auto r = evaluate(f.graph, f.placement, f.platform, none);
   ASSERT_EQ(r.tile_last_exec_end.size(),
             static_cast<std::size_t>(f.placement.tiles_used));
@@ -200,10 +195,7 @@ TEST(Evaluator, DeterministicAcrossRuns) {
   params.subtasks = 25;
   const auto g = make_layered_graph(params, rng);
   const auto p = list_schedule(g, 4);
-  std::vector<bool> all(g.size());
-  for (std::size_t s = 0; s < g.size(); ++s)
-    all[s] = p.on_drhw(static_cast<SubtaskId>(s));
-  const LoadPlan plan = priority_plan(g, all);
+  const LoadPlan plan = weight_priority_plan(g, p);
   const auto r1 = evaluate(g, p, virtex2_platform(4), plan);
   const auto r2 = evaluate(g, p, virtex2_platform(4), plan);
   EXPECT_EQ(r1.makespan, r2.makespan);

@@ -10,6 +10,7 @@
 #include <cctype>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "graph/generators.hpp"
 #include "policy/names.hpp"
 #include "policy/registry.hpp"
+#include "prefetch/load_plan.hpp"
 #include "runner/campaign.hpp"
 #include "runner/report.hpp"
 #include "runner/scenario.hpp"
@@ -26,6 +28,7 @@
 #include "sim/trace_hook.hpp"
 #include "sim/workloads.hpp"
 #include "trace/trace.hpp"
+#include "util/check.hpp"
 #include "util/json.hpp"
 
 namespace drhw {
@@ -71,13 +74,12 @@ struct OnlineFixture : ::testing::Test {
   IterationSampler sampler;
 };
 
-/// `run-time` with an explicit priority vector in place of the ALAP
-/// weights: three levels, (s * 7) % 3, so most loads tie and the order is
-/// unlike the weights'. The online kernel sorts a custom priority once at
-/// admission and serves it from its load cursor; the sequential evaluator
-/// pops a heap that breaks ties toward the lower id. Registered before
-/// the EveryRegisteredPolicy sweep enumerates the registry, so the sweep
-/// covers it too.
+/// `run-time` with its loads ordered by a three-level priority in place of
+/// the ALAP weights: (s * 7) % 3, so most loads tie (lower id first) and
+/// the order is unlike the weights'. The online kernel serves the plan's
+/// order from its load cursor; the sequential evaluator pops a heap of
+/// plan positions. Registered before the EveryRegisteredPolicy sweep
+/// enumerates the registry, so the sweep covers it too.
 class TiedPriorityPolicy : public PrefetchPolicy {
  public:
   TiedPriorityPolicy()
@@ -90,9 +92,10 @@ class TiedPriorityPolicy : public PrefetchPolicy {
                     const std::vector<bool>& resident,
                     const PolicyContext& context) override {
     InstancePlan out = inner_->plan(prep, resident, context);
-    out.priority.resize(prep.graph->size());
-    for (std::size_t s = 0; s < out.priority.size(); ++s)
-      out.priority[s] = static_cast<time_us>((s * 7) % 3);
+    std::vector<time_us> tiers(prep.graph->size());
+    for (std::size_t s = 0; s < tiers.size(); ++s)
+      tiers[s] = static_cast<time_us>((s * 7) % 3);
+    order_by_weight(out.loads, tiers);
     return out;
   }
   std::vector<SubtaskId> intertask_candidates(
@@ -120,6 +123,94 @@ const bool k_tied_priority_registered = [] {
       });
   return true;
 }();
+
+/// `run-time` whose plan breaks one load-id rule, picked by `defect`:
+/// `range` appends an id past the graph, `isp` appends an ISP-placed
+/// subtask, `dup` repeats the first load. With no defect (the default,
+/// which the EveryRegisteredPolicy sweep runs) it is plain `run-time`.
+class MalformedPlanPolicy : public PrefetchPolicy {
+ public:
+  explicit MalformedPlanPolicy(std::string defect)
+      : defect_(std::move(defect)),
+        inner_(PolicyRegistry::instance().create(
+            PolicySpec(policy_names::runtime))) {}
+  bool uses_reuse() const override { return inner_->uses_reuse(); }
+  bool uses_intertask() const override { return inner_->uses_intertask(); }
+  time_us scheduler_cost() const override { return inner_->scheduler_cost(); }
+  InstancePlan plan(const PreparedScenario& prep,
+                    const std::vector<bool>& resident,
+                    const PolicyContext& context) override {
+    InstancePlan out = inner_->plan(prep, resident, context);
+    const auto n = static_cast<SubtaskId>(prep.graph->size());
+    if (defect_ == "range") out.loads.push_back(n);
+    if (defect_ == "dup" && !out.loads.empty())
+      out.loads.push_back(out.loads.front());
+    if (defect_ == "isp")
+      for (SubtaskId s = 0; s < n; ++s)
+        if (!prep.placement.on_drhw(s)) {
+          out.loads.push_back(s);
+          break;
+        }
+    return out;
+  }
+  const std::vector<time_us>& replacement_values(
+      const PreparedScenario& prep,
+      ReplacementPolicy replacement) const override {
+    return inner_->replacement_values(prep, replacement);
+  }
+
+ private:
+  std::string defect_;
+  std::unique_ptr<PrefetchPolicy> inner_;
+};
+
+constexpr const char* k_malformed_plan = "malformed-plan";
+
+const bool k_malformed_plan_registered = [] {
+  PolicyRegistry::instance().add(
+      k_malformed_plan,
+      "run-time with one malformed load id (test; defect=range|isp|dup)",
+      [](const PolicyParams& params) -> std::unique_ptr<PrefetchPolicy> {
+        reject_unknown_params(k_malformed_plan, params, {"defect"});
+        const auto it = params.find("defect");
+        const std::string defect = it == params.end() ? "" : it->second;
+        if (!defect.empty() && defect != "range" && defect != "isp" &&
+            defect != "dup")
+          throw std::invalid_argument("malformed-plan: unknown defect '" +
+                                      defect + "'");
+        return std::make_unique<MalformedPlanPolicy>(defect);
+      });
+  return true;
+}();
+
+/// The kernel rejects each malformed load id at admission instead of
+/// indexing past the instance's state or loading onto no tile.
+TEST(OnlineKernel, MalformedPlanLoadIdsThrow) {
+  ASSERT_TRUE(k_malformed_plan_registered);
+  const PlatformConfig pf = virtex2_platform(16);
+  LayeredGraphParams params;
+  params.subtasks = 14;
+  params.isp_fraction = 0.4;
+  Rng graph_rng(5);
+  const SubtaskGraph graph = make_layered_graph(params, graph_rng);
+  const PreparedScenario prep = prepare_scenario(graph, pf.tiles, pf);
+  ASSERT_LT(graph.drhw_count(), graph.size());  // an ISP subtask exists
+  const IterationSampler sampler = [&](Rng&) {
+    return std::vector<const PreparedScenario*>{&prep};
+  };
+  OnlineSimOptions opt;
+  opt.platform = pf;
+  opt.arrivals.rate_per_s = 40.0;
+  opt.seed = 7;
+  opt.iterations = 50;
+  opt.policy = k_malformed_plan;
+  EXPECT_NO_THROW(run_online_simulation(opt, sampler));
+  for (const char* defect : {"range", "isp", "dup"}) {
+    opt.policy = PolicySpec(k_malformed_plan).with("defect", defect);
+    EXPECT_THROW(run_online_simulation(opt, sampler), InternalError)
+        << defect;
+  }
+}
 
 /// EveryRegisteredPolicy.RateToZeroMatchesSequentialSimulator/tied_priority
 /// checks the kernel's priority cursor against the sequential heap on one

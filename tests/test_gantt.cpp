@@ -36,9 +36,7 @@ TEST_F(GanttFixture, RendersPortAndTileRows) {
 }
 
 TEST_F(GanttFixture, LoadMarkersPresentOnlyWhenLoading) {
-  LoadPlan none;
-  none.policy = LoadPolicy::explicit_order;
-  none.needs_load.assign(graph.size(), false);
+  const LoadPlan none{LoadPolicy::explicit_order, {}};
   const auto ideal = evaluate(graph, placement, platform, none);
   auto text = render_gantt(graph, placement, ideal);
   text.erase(text.rfind("scale"));  // drop the legend line (mentions '#')
@@ -51,7 +49,7 @@ TEST_F(GanttFixture, LoadMarkersPresentOnlyWhenLoading) {
 }
 
 TEST_F(GanttFixture, InitPhaseRendered) {
-  const auto plan = explicit_plan(graph, {1, 2, 3});
+  const LoadPlan plan{LoadPolicy::explicit_order, {1, 2, 3}};
   const auto r = evaluate(graph, placement, platform, plan);
   GanttOptions options;
   options.init_duration = ms(4);

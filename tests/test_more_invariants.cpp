@@ -8,6 +8,7 @@
 #include "apps/pocket_gl.hpp"
 #include "hybrid_run.hpp"
 #include "prefetch/hybrid.hpp"
+#include "prefetch/list_prefetch.hpp"
 #include "prefetch/load_plan.hpp"
 #include "schedule/list_scheduler.hpp"
 
@@ -88,9 +89,8 @@ TEST(Evaluator, LastLoadEndIsMaxLoadEnd) {
   const auto platform = virtex2_platform(6);
   const auto frame = merge_frame(app, app.combos[0]);
   const auto placement = list_schedule(frame, platform.tiles);
-  std::vector<bool> needs(frame.size(), true);
-  const LoadPlan plan = priority_plan(frame, needs);
-  const auto r = evaluate(frame, placement, platform, plan);
+  const auto r = list_prefetch(frame, placement, platform,
+                               std::vector<bool>(frame.size(), true));
   time_us expected = k_no_time;
   for (std::size_t s = 0; s < frame.size(); ++s)
     if (r.load_end[s] != k_no_time)

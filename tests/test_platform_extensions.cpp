@@ -59,9 +59,7 @@ TEST(Icn, CommunicationDelaysSuccessors) {
   pf.icn.mesh_width = 2;
   pf.icn.hop_latency = us(500);
   const auto p = list_schedule_icn(g, pf);
-  LoadPlan none;
-  none.policy = LoadPolicy::explicit_order;
-  none.needs_load.assign(g.size(), false);
+  const LoadPlan none{LoadPolicy::explicit_order, {}};
   const auto r = evaluate(g, p, pf, none);
   // Both subtasks on different tiles: the second waits for the message.
   const time_us hops = icn_comm_latency(
@@ -106,7 +104,7 @@ TEST(Icn, HybridFlowStillConvergesWithComm) {
   pf.icn.hop_latency = us(200);
   const auto p = list_schedule_icn(g, pf);
   const auto design = compute_hybrid_schedule(g, p, pf);
-  const LoadPlan plan = explicit_plan(g, design.stored_order);
+  const LoadPlan plan{LoadPolicy::explicit_order, design.stored_order};
   const auto r = evaluate(g, p, pf, plan);
   EXPECT_EQ(r.makespan, design.ideal_makespan);
 }
@@ -116,7 +114,7 @@ TEST(LoadTime, PerSubtaskOverrideUsed) {
   g.subtask_mutable(1).load_time = ms(1);  // small bitstream
   const auto pf = virtex2_platform(2);
   const auto p = list_schedule(g, 2);
-  const auto plan = explicit_plan(g, {0, 1});
+  const LoadPlan plan{LoadPolicy::explicit_order, {0, 1}};
   const auto r = evaluate(g, p, pf, plan);
   EXPECT_EQ(r.load_end[0] - r.load_start[0], ms(4));  // platform default
   EXPECT_EQ(r.load_end[1] - r.load_start[1], ms(1));  // override
@@ -173,7 +171,6 @@ TEST(MultiPort, TwoPortsLoadInParallel) {
   g.add_edge(a, c);
   g.finalize();
   const auto p = list_schedule(g, 3);
-  std::vector<bool> needs(g.size(), true);
 
   PlatformConfig one = virtex2_platform(3);
   PlatformConfig two = virtex2_platform(3);
@@ -181,7 +178,7 @@ TEST(MultiPort, TwoPortsLoadInParallel) {
   PlatformConfig three = virtex2_platform(3);
   three.reconfig_ports = 3;
 
-  const LoadPlan plan = priority_plan(g, needs);
+  const LoadPlan plan = testing::weight_priority_plan(g, p);
   const auto r1 = evaluate(g, p, one, plan);
   const auto r2 = evaluate(g, p, two, plan);
   EXPECT_LT(r2.makespan, r1.makespan);
@@ -202,8 +199,7 @@ TEST(MultiPort, ExtraPortsNeverHurt) {
     params.subtasks = 10;
     const auto g = make_layered_graph(params, rng);
     const auto p = list_schedule(g, 4);
-    std::vector<bool> needs(g.size(), true);
-    const LoadPlan plan = priority_plan(g, needs);
+    const LoadPlan plan = testing::weight_priority_plan(g, p);
     time_us prev = std::numeric_limits<time_us>::max();
     for (int ports = 1; ports <= 4; ++ports) {
       PlatformConfig pf = virtex2_platform(4);

@@ -173,7 +173,8 @@ TEST(TilePool, ContiguousAdmissionNeedsARunNotJustACount) {
   pool.release(2, 2);
   EXPECT_EQ(pool.largest_free_block(), 4);
   EXPECT_EQ(pool.select(2), 3);
-  const auto offer = pool.offer(3, {});
+  std::vector<PhysTileId> offer;
+  pool.offer_into(3, {}, offer);
   ASSERT_EQ(offer.size(), 3u);
   for (std::size_t i = 1; i < offer.size(); ++i)
     EXPECT_EQ(offer[i], offer[i - 1] + 1) << "offer must be contiguous";
@@ -186,13 +187,14 @@ TEST(TilePool, ContiguousOfferPrefersBlocksWithWantedConfigs) {
   force_occupy(pool, 1, {2, 3}, 0);
   pool.store().record_load(4, 77, ms(1), 1.0);
   pool.enqueue(2, 2, 2);
-  const auto offer = pool.offer(2, {77});
+  std::vector<PhysTileId> offer;
+  pool.offer_into(2, {77}, offer);
   ASSERT_EQ(offer.size(), 2u);
   EXPECT_EQ(offer[0], 4);
   EXPECT_EQ(offer[1], 5);
   // Without the wanted config the leftmost block wins.
-  const auto plain = pool.offer(2, {});
-  EXPECT_EQ(plain[0], 0);
+  pool.offer_into(2, {}, offer);
+  EXPECT_EQ(offer[0], 0);
 }
 
 TEST(TilePool, PrefetchVictimPrefersEmptyThenLowValueThenLru) {
@@ -548,6 +550,7 @@ TEST(TilePool, SelectUrgentMatchesALinearScan) {
         std::mt19937 rng(seed);
         std::vector<UrgentReference::Entry> jobs;  // by job id
         std::vector<std::int32_t> live;            // admitted jobs
+        std::vector<PhysTileId> offered;
         const auto enqueue = [&](std::int32_t job, time_us now) {
           const UrgentReference::Entry& w = jobs[static_cast<std::size_t>(job)];
           pool.enqueue(job, w.needed, now, w.urgency);
@@ -571,7 +574,8 @@ TEST(TilePool, SelectUrgentMatchesALinearScan) {
             ASSERT_EQ(job, expected) << "step " << step;
             ASSERT_EQ(counter.skips, ref.skips) << "step " << step;
             if (job < 0) continue;
-            pool.occupy(job, pool.offer(job, {}), step);
+            pool.offer_into(job, {}, offered);
+            pool.occupy(job, offered, step);
             live.push_back(job);
           } else if (!live.empty()) {
             const std::size_t at = rng() % live.size();

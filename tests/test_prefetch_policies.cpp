@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "platform/platform.hpp"
 #include "prefetch/bnb.hpp"
@@ -46,7 +47,9 @@ time_us brute_force_optimum(const SubtaskGraph& g, const Placement& p,
   do {
     try {
       best = std::min(
-          best, evaluate(g, p, platform, explicit_plan(g, order)).makespan);
+          best,
+          evaluate(g, p, platform, LoadPlan{LoadPolicy::explicit_order, order})
+              .makespan);
     } catch (const std::invalid_argument&) {
       // Infeasible order: a load waits on a tile whose previous execution
       // needs a load queued behind it.
@@ -86,10 +89,8 @@ TEST_P(RandomGraphPrefetch, PolicyOrdering) {
   const auto needs = all_drhw(graph_, placement_);
   const auto bnb = optimal_prefetch(graph_, placement_, platform_, needs);
   const auto list = list_prefetch(graph_, placement_, platform_, needs);
-  LoadPlan od;
-  od.policy = LoadPolicy::on_demand;
-  od.needs_load = needs;
-  const auto ondemand = evaluate(graph_, placement_, platform_, od);
+  const auto ondemand = evaluate(graph_, placement_, platform_,
+                                 on_demand_all(graph_, placement_));
   const time_us ideal = placement_.ideal_makespan;
 
   EXPECT_GE(bnb.eval.makespan, ideal);
@@ -100,20 +101,18 @@ TEST_P(RandomGraphPrefetch, PolicyOrdering) {
 TEST_P(RandomGraphPrefetch, AllPoliciesProduceValidSchedules) {
   const auto needs = all_drhw(graph_, placement_);
   {
-    LoadPlan plan;
-    plan.policy = LoadPolicy::on_demand;
-    plan.needs_load = needs;
+    const LoadPlan plan = on_demand_all(graph_, placement_);
     const auto r = evaluate(graph_, placement_, platform_, plan);
     expect_valid_schedule(graph_, placement_, platform_, plan, r);
   }
   {
-    const LoadPlan plan = priority_plan(graph_, needs);
+    const LoadPlan plan = testing::weight_priority_plan(graph_, placement_);
     const auto r = evaluate(graph_, placement_, platform_, plan);
     expect_valid_schedule(graph_, placement_, platform_, plan, r);
   }
   {
     const auto bnb = optimal_prefetch(graph_, placement_, platform_, needs);
-    const LoadPlan plan = explicit_plan(graph_, bnb.order);
+    const LoadPlan plan{LoadPolicy::explicit_order, bnb.order};
     expect_valid_schedule(graph_, placement_, platform_, plan, bnb.eval);
   }
 }
@@ -189,7 +188,7 @@ void walk_against_evaluator(const SubtaskGraph& g, const Placement& p,
   std::vector<char> in_prefix(g.size(), 0);
   std::size_t deepest = 0;
   for (int step = 0; step <= 150; ++step) {
-    const LoadPlan plan = explicit_plan(g, timing.prefix());
+    const LoadPlan plan{LoadPolicy::explicit_order, timing.prefix()};
     ASSERT_EQ(timing.makespan(),
               evaluate(g, p, platform, plan).makespan)
         << "step " << step << ", prefix of " << timing.depth();
@@ -286,25 +285,41 @@ TEST(Bnb, NodeBudgetFallsBackGracefully) {
   EXPECT_GE(r.eval.makespan, p.ideal_makespan);
 }
 
-TEST(ListPrefetch, CustomPriorityChangesOrder) {
+TEST(ListPrefetch, PlanOrderNotWeightsDecidesThePortOrder) {
   Rng rng(8);
   const auto g = make_fork_join_graph(3, 1, ms(10), ms(10), rng);
   const auto p = list_schedule(g, static_cast<int>(g.size()));
-  std::vector<bool> needs(g.size(), true);
-  // Reverse priorities: branch 3 should be loaded before branch 1.
-  std::vector<time_us> prio(g.size());
-  for (std::size_t s = 0; s < g.size(); ++s)
-    prio[s] = static_cast<time_us>(s);
-  const auto r = list_prefetch_with_priority(g, p, virtex2_platform(8), needs,
-                                             prio);
-  // Subtask ids 1..3 are the branches; highest priority (3) loads first
-  // among the branches.
-  std::size_t pos1 = 0, pos3 = 0;
-  for (std::size_t i = 0; i < r.load_order.size(); ++i) {
-    if (r.load_order[i] == 1) pos1 = i;
-    if (r.load_order[i] == 3) pos3 = i;
-  }
-  EXPECT_LT(pos3, pos1);
+  // Source 0, branches 1..3 of equal weight, sink 4. The paper's order is
+  // heaviest first with ties toward the lower id.
+  const auto weights = subtask_weights(g);
+  ASSERT_EQ(weights[1], weights[2]);
+  ASSERT_EQ(weights[2], weights[3]);
+  std::vector<SubtaskId> by_weight{4, 3, 2, 1, 0};
+  order_by_weight(by_weight, weights);
+  EXPECT_EQ(by_weight, (std::vector<SubtaskId>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(list_prefetch(g, p, virtex2_platform(8),
+                          std::vector<bool>(g.size(), true))
+                .load_order,
+            by_weight);
+
+  // A priority plan in the reversed order. Every subtask heads its own
+  // tile, so all arrive at t = 0, in id order: the idle port takes 0, the
+  // first to arrive. By the time it frees, 1..4 have arrived, and the port
+  // follows the plan, not the weights: the light sink first, then the
+  // tied branches with the higher id first.
+  const LoadPlan reversed{LoadPolicy::priority, {4, 3, 2, 1, 0}};
+  const auto r = evaluate(g, p, virtex2_platform(8), reversed);
+  EXPECT_EQ(r.load_order, (std::vector<SubtaskId>{0, 4, 3, 2, 1}));
+  expect_valid_schedule(g, p, virtex2_platform(8), reversed, r);
+
+  // Ties by hand: equal weights keep the lower id first.
+  const std::vector<time_us> hand{5, 9, 5, 9, 1, 5};
+  std::vector<SubtaskId> ids{5, 4, 3, 2, 1, 0};
+  order_by_weight(ids, hand);
+  EXPECT_EQ(ids, (std::vector<SubtaskId>{1, 3, 0, 2, 5, 4}));
+  std::vector<SubtaskId> tied{2, 0, 5};
+  order_by_weight(tied, hand);
+  EXPECT_EQ(tied, (std::vector<SubtaskId>{0, 2, 5}));
 }
 
 TEST(ListPrefetch, ComplexityScalesNearLinear) {

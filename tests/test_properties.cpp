@@ -59,7 +59,7 @@ TEST_P(EndToEndProperty, HybridPipelineInvariants) {
   std::vector<SubtaskId> order;
   for (SubtaskId id : design.stored_order)
     if (!resident[static_cast<std::size_t>(id)]) order.push_back(id);
-  const LoadPlan plan = explicit_plan(s.graph, order);
+  const LoadPlan plan{LoadPolicy::explicit_order, order};
   expect_valid_schedule(s.graph, s.placement, s.platform, plan, out.eval);
 
   // Init + cancelled + executed loads partition the DRHW subtasks not
@@ -92,10 +92,8 @@ TEST_P(EndToEndProperty, DominanceChain) {
 
   const auto bnb = optimal_prefetch(s.graph, s.placement, s.platform, needs);
   const auto list = list_prefetch(s.graph, s.placement, s.platform, needs);
-  LoadPlan od;
-  od.policy = LoadPolicy::on_demand;
-  od.needs_load = needs;
-  const auto ondemand = evaluate(s.graph, s.placement, s.platform, od);
+  const auto ondemand = evaluate(s.graph, s.placement, s.platform,
+                                 on_demand_all(s.graph, s.placement));
 
   EXPECT_LE(s.placement.ideal_makespan, bnb.eval.makespan);
   EXPECT_LE(bnb.eval.makespan, list.makespan);
@@ -104,10 +102,7 @@ TEST_P(EndToEndProperty, DominanceChain) {
 
 TEST_P(EndToEndProperty, MixedIspDrhwGraphsWork) {
   auto s = random_scenario(GetParam() * 3 + 1, 14, /*isp_fraction=*/0.4);
-  std::vector<bool> needs(s.graph.size(), false);
-  for (std::size_t i = 0; i < needs.size(); ++i)
-    needs[i] = s.placement.on_drhw(static_cast<SubtaskId>(i));
-  const LoadPlan plan = priority_plan(s.graph, needs);
+  const LoadPlan plan = testing::weight_priority_plan(s.graph, s.placement);
   const auto r = evaluate(s.graph, s.placement, s.platform, plan);
   expect_valid_schedule(s.graph, s.placement, s.platform, plan, r);
   // ISP subtasks never load.
@@ -125,7 +120,7 @@ TEST_P(EndToEndProperty, ExplicitReplayReproducesDynamicPolicies) {
   for (std::size_t i = 0; i < needs.size(); ++i)
     needs[i] = s.placement.on_drhw(static_cast<SubtaskId>(i));
   const auto dynamic = list_prefetch(s.graph, s.placement, s.platform, needs);
-  const LoadPlan replay = explicit_plan(s.graph, dynamic.load_order);
+  const LoadPlan replay{LoadPolicy::explicit_order, dynamic.load_order};
   const auto replayed = evaluate(s.graph, s.placement, s.platform, replay);
   EXPECT_EQ(replayed.makespan, dynamic.makespan);
 }

@@ -322,7 +322,8 @@ TEST_F(BindFixture, RandomPolicyStaysInRange) {
 }
 
 TEST_F(BindFixture, FirstSubtaskConfigsAreTheReusableSet) {
-  const auto wanted = first_subtask_configs(*graph, placement);
+  std::vector<ConfigId> wanted;
+  first_subtask_configs_into(*graph, placement, wanted);
   // One entry per occupied virtual tile, in tile order, none empty.
   EXPECT_EQ(wanted.size(),
             static_cast<std::size_t>(placement.tiles_occupied()));
