@@ -72,23 +72,26 @@ struct SearchContext {
 
   bool available(std::size_t i) const { return !chosen[i] && waiting[i] == 0; }
 
-  void dfs() {
+  /// Counts a node against the budget; false once the budget is spent.
+  bool enter() {
     ++nodes;
     if (node_limit != 0 && nodes > node_limit) {
       budget_exhausted = true;
-      return;
+      return false;
     }
+    return true;
+  }
+
+  /// Enters a node whose makespan is below the incumbent's (the root, or a
+  /// child that passed the check in the loop below).
+  void dfs() {
+    if (!enter()) return;
     const std::size_t depth = timing.depth();
     if (depth == loads.size()) {
-      if (timing.makespan() < best_makespan) {
-        best_makespan = timing.makespan();
-        best_order = timing.prefix();
-      }
+      best_makespan = timing.makespan();
+      best_order = timing.prefix();
       return;
     }
-    // Adding loads never shortens a schedule, so the prefix makespan is an
-    // admissible lower bound for every completion of the prefix.
-    if (depth != 0 && timing.makespan() >= best_makespan) return;
 
     // Candidates: unchosen loads whose required predecessors are all chosen,
     // in `loads` order.
@@ -97,8 +100,16 @@ struct SearchContext {
     for (std::size_t i = 0; i < loads.size(); ++i)
       if (available(i)) here.push_back(static_cast<int>(i));
     for (int i : here) {
+      const SubtaskId load = loads[static_cast<std::size_t>(i)];
+      // Adding loads never shortens a schedule, so a child's makespan bounds
+      // every completion of it. One no better than the incumbent is counted
+      // as a node but never timed or expanded (see bnb.hpp).
+      if (timing.makespan_after(load) >= best_makespan) {
+        if (!enter()) return;
+        continue;
+      }
       mark(i);
-      timing.extend(loads[static_cast<std::size_t>(i)]);
+      timing.extend(load);
       dfs();
       timing.undo();
       unmark(i);

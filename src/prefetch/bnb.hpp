@@ -23,6 +23,17 @@
 /// (if it did, it would have had to come first), so appending it at the end
 /// moves only itself and its downstream cone, never an earlier dispatch. The
 /// returned `eval` is still a full evaluate() of the best order.
+///
+/// The same rule makes a child's makespan computable exactly in O(ports)
+/// before the child is built (PrefixTiming::makespan_after), and the search
+/// prices every candidate that way first. A child whose makespan is >= the
+/// incumbent's is counted as a node (with the same budget check) and
+/// skipped without being timed. A search that extends every candidate and
+/// prunes on entry would have done exactly that with it and nothing else:
+/// such a leaf does not replace the incumbent (that takes a strict `<`), and
+/// such an interior node returns before expanding. Node counts, the
+/// returned order, `proven_optimal` and the budget fallback are therefore
+/// identical to that search's; only the children entered are timed.
 
 #include <cstdint>
 #include <vector>

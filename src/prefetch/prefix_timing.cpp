@@ -83,6 +83,23 @@ PrefixTiming::PrefixTiming(const SubtaskGraph& graph,
   }
   pred_begin_.push_back(pred_.size());
 
+  // Reverse topological order: every successor's tail is final before the
+  // subtask's own is read.
+  std::vector<time_us> after(n, 0);  // longest chain after the subtask ends
+  tail_.resize(n);
+  for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
+    const auto v = static_cast<std::size_t>(*it);
+    tail_[v] = exec_time_[v] + after[v];
+    for (std::size_t e = pred_begin_[v]; e < pred_begin_[v + 1]; ++e) {
+      time_us& a = after[static_cast<std::size_t>(pred_[e])];
+      a = std::max(a, pred_comm_[e] + tail_[v]);
+    }
+    if (prev_[v] != k_no_subtask) {
+      time_us& a = after[static_cast<std::size_t>(prev_[v])];
+      a = std::max(a, tail_[v]);
+    }
+  }
+
   load_end_.assign(n, k_no_time);
   levels_.push_back(
       Level{std::vector<time_us>(n, 0),
@@ -111,6 +128,23 @@ void PrefixTiming::recompute(Level& level, std::size_t from) const {
   level.makespan = makespan;
 }
 
+time_us PrefixTiming::dispatch_start(const Level& level, std::size_t idx,
+                                     std::size_t port) const {
+  // Explicit-order head-of-line dispatch: after the previous load, once the
+  // tile's previous execution ended, on the earliest-free port.
+  time_us t = std::max(level.last_dispatch, level.ports.free_at(port));
+  if (prev_[idx] != k_no_subtask)
+    t = std::max(t, level.exec_end[static_cast<std::size_t>(prev_[idx])]);
+  return t;
+}
+
+time_us PrefixTiming::makespan_after(SubtaskId load) const {
+  const auto idx = static_cast<std::size_t>(load);
+  const Level& level = levels_[prefix_.size()];
+  const time_us t = dispatch_start(level, idx, level.ports.earliest());
+  return std::max(level.makespan, t + load_time_[idx] + tail_[idx]);
+}
+
 void PrefixTiming::extend(SubtaskId load) {
   const auto idx = static_cast<std::size_t>(load);
   DRHW_CHECK_MSG(on_drhw_[idx], "only DRHW subtasks are loaded");
@@ -122,12 +156,8 @@ void PrefixTiming::extend(SubtaskId load) {
     levels_[depth + 1] = levels_[depth];
   Level& level = levels_[depth + 1];
 
-  // Explicit-order head-of-line dispatch: after the previous load, once the
-  // tile's previous execution ended, on the earliest-free port.
   const std::size_t port = level.ports.earliest();
-  time_us t = std::max(level.last_dispatch, level.ports.free_at(port));
-  if (prev_[idx] != k_no_subtask)
-    t = std::max(t, level.exec_end[static_cast<std::size_t>(prev_[idx])]);
+  const time_us t = dispatch_start(level, idx, port);
   load_end_[idx] = level.ports.dispatch(port, t, load_time_[idx]);
   level.last_dispatch = t;
 

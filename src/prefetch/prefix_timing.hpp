@@ -16,13 +16,21 @@
 ///    earliest port free time) on the earliest-free port (lowest index on
 ///    ties, PortSet::earliest), then recomputes the execution end of L and of
 ///    every subtask after it in the topological order;
-///  * undo() pops the level.
+///  * undo() pops the level;
+///  * makespan_after(L) prices a child without creating its level: the
+///    dispatch start extend(L) would use, plus L's load time, plus L's
+///    precomputed tail (its execution and the longest chain after it).
 ///
 /// Exactness contract: L must not be, or precede in the combined relation,
 /// the subtask executed before any prefix load on that load's tile, so that
 /// appending L never moves an earlier dispatch. The branch & bound's
 /// `must_precede` rule guarantees it (see bnb.hpp). Under that contract the
 /// makespan equals the evaluator's for the same explicit order exactly.
+/// It also makes makespan_after(L) exact rather than a bound: the timing is
+/// max-plus, so appending L only raises L's downstream cone, and each
+/// subtask there then ends at the later of its old end and L's load end
+/// plus a fixed chain length. The new makespan is therefore max(makespan(),
+/// load end of L + tail of L), the value makespan() reports after extend(L).
 
 #include <cstddef>
 #include <vector>
@@ -44,6 +52,9 @@ class PrefixTiming {
   void extend(SubtaskId load);
   /// Removes the most recently appended load.
   void undo();
+  /// The makespan() that extend(load) would produce, in O(ports) and
+  /// without changing the state (same contract as extend()).
+  time_us makespan_after(SubtaskId load) const;
 
   /// Makespan of the current prefix, the other subtasks' configurations
   /// taken as resident.
@@ -65,6 +76,10 @@ class PrefixTiming {
 
   /// Recomputes level.exec_end from topological position `from` onward.
   void recompute(Level& level, std::size_t from) const;
+  /// When extend() would dispatch the load of subtask `idx` on `port` of
+  /// `level`.
+  time_us dispatch_start(const Level& level, std::size_t idx,
+                         std::size_t port) const;
 
   std::vector<SubtaskId> topo_;
   std::vector<std::size_t> topo_pos_;  ///< per subtask: index into topo_
@@ -76,6 +91,9 @@ class PrefixTiming {
   std::vector<std::size_t> pred_begin_;
   std::vector<SubtaskId> pred_;
   std::vector<time_us> pred_comm_;
+  /// Per subtask: its execution time plus the longest chain after it over
+  /// graph edges (with their ICN latency) and the unit chain.
+  std::vector<time_us> tail_;
 
   /// Per subtask: load completion while in the prefix, else k_no_time.
   std::vector<time_us> load_end_;

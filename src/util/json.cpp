@@ -166,18 +166,60 @@ class Parser {
           out += '\f';
           break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          const unsigned long code =
-              std::strtoul(text_.substr(pos_, 4).c_str(), nullptr, 16);
-          pos_ += 4;
-          // The repo's writers only escape control characters, so a plain
-          // one-byte append is sufficient.
-          out += static_cast<char>(code);
+          unsigned code = parse_hex4();
+          if (code >= 0xDC00 && code <= 0xDFFF) fail("lone low surrogate");
+          if (code >= 0xD800 && code <= 0xDBFF) {
+            if (text_.compare(pos_, 2, "\\u") != 0)
+              fail("lone high surrogate");
+            pos_ += 2;
+            const unsigned low = parse_hex4();
+            if (low < 0xDC00 || low > 0xDFFF) fail("lone high surrogate");
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+          }
+          append_utf8(out, code);
           break;
         }
         default:
           fail("unknown escape");
       }
+    }
+  }
+
+  /// The four hex digits of a `\u` escape, as a code unit.
+  unsigned parse_hex4() {
+    if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i, ++pos_) {
+      const char c = text_[pos_];
+      unsigned digit = 0;
+      if (c >= '0' && c <= '9')
+        digit = static_cast<unsigned>(c - '0');
+      else if (c >= 'a' && c <= 'f')
+        digit = static_cast<unsigned>(c - 'a' + 10);
+      else if (c >= 'A' && c <= 'F')
+        digit = static_cast<unsigned>(c - 'A' + 10);
+      else
+        fail("non-hex digit in \\u escape");
+      code = code * 16 + digit;
+    }
+    return code;
+  }
+
+  static void append_utf8(std::string& out, unsigned code) {
+    if (code < 0x80) {
+      out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      out += static_cast<char>(0xC0 | (code >> 6));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else if (code < 0x10000) {
+      out += static_cast<char>(0xE0 | (code >> 12));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+      out += static_cast<char>(0xF0 | (code >> 18));
+      out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
     }
   }
 

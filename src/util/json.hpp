@@ -8,6 +8,10 @@
 /// objects, arrays, strings, numbers, booleans and null — exactly the
 /// subset the repo's writers emit; it is not a general-purpose JSON
 /// library.
+///
+/// A `\uXXXX` escape needs four hex digits and is stored as UTF-8; a
+/// surrogate pair becomes one four-byte code point, and a lone surrogate
+/// or a non-hex digit is a parse error.
 
 #include <string>
 #include <utility>

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -179,7 +180,8 @@ std::vector<SubtaskId> appendable_loads(
 }
 
 /// A random walk of extend/undo steps over feasible prefixes, checking the
-/// incremental makespan against a from-scratch evaluation at every step.
+/// incremental makespan against a from-scratch evaluation at every step, and
+/// makespan_after() against extend() for every load appendable there.
 void walk_against_evaluator(const SubtaskGraph& g, const Placement& p,
                             const PlatformConfig& platform, Rng& rng) {
   const auto needs = all_drhw(g, p);
@@ -193,6 +195,14 @@ void walk_against_evaluator(const SubtaskGraph& g, const Placement& p,
               evaluate(g, p, platform, plan).makespan)
         << "step " << step << ", prefix of " << timing.depth();
     const auto appendable = appendable_loads(p, needs, in_prefix, before);
+    // The O(ports) price of every child is its makespan once entered.
+    for (SubtaskId load : appendable) {
+      const time_us priced = timing.makespan_after(load);
+      timing.extend(load);
+      ASSERT_EQ(priced, timing.makespan())
+          << "step " << step << ", appending " << load;
+      timing.undo();
+    }
     if (appendable.empty() && timing.depth() == 0) break;  // nothing to load
     if (!appendable.empty() && (timing.depth() == 0 || rng.next_bool(0.65))) {
       const SubtaskId load = appendable[rng.pick_index(appendable)];
@@ -210,11 +220,15 @@ void walk_against_evaluator(const SubtaskGraph& g, const Placement& p,
                          std::count(needs.begin(), needs.end(), true)));
 }
 
-TEST(PrefixTiming, MatchesEvaluatorOnRandomExtendUndoWalks) {
-  // Differential test of the B&B's incremental bound over every platform
-  // feature its timing depends on. Seeds 1-8, 17-24 and 33-40: one block of
-  // eight walks per port count.
-  std::uint64_t seed = 0;
+/// Runs `body(graph, placement, platform, rng)` over every platform feature
+/// the prefix timing depends on: 1-3 ports, bus or mesh ICN, with or without
+/// ISP subtasks, with or without per-subtask load times. Each of the 24 cases
+/// seeds its own Rng; seeds run from `seed_base` + 1 in one block of eight
+/// per port count, 16 apart.
+template <class Body>
+void for_each_platform_case(std::uint64_t seed_base, std::size_t subtasks,
+                            Body body) {
+  std::uint64_t seed = seed_base;
   for (int ports = 1; ports <= 3; ++ports, seed += 8)
     for (bool mesh : {false, true})
       for (double isp_fraction : {0.0, 0.3})
@@ -225,7 +239,7 @@ TEST(PrefixTiming, MatchesEvaluatorOnRandomExtendUndoWalks) {
                        " overrides=" + std::to_string(overrides));
           Rng rng(++seed);
           LayeredGraphParams params;
-          params.subtasks = 12;
+          params.subtasks = subtasks;
           params.max_exec = ms(10);
           params.isp_fraction = isp_fraction;
           SubtaskGraph g = make_layered_graph(params, rng);
@@ -243,8 +257,106 @@ TEST(PrefixTiming, MatchesEvaluatorOnRandomExtendUndoWalks) {
               if (rng.next_bool(0.5))
                 g.subtask_mutable(static_cast<SubtaskId>(s)).load_time =
                     ms(rng.next_int(1, 7));
-          walk_against_evaluator(g, p, platform, rng);
+          body(g, p, platform, rng);
         }
+}
+
+TEST(PrefixTiming, MatchesEvaluatorOnRandomExtendUndoWalks) {
+  // Differential test of the B&B's incremental bound and its O(ports) child
+  // price.
+  for_each_platform_case(0, 12, walk_against_evaluator);
+}
+
+/// The branch & bound as it was before children were priced, sharing only
+/// PrefixTiming and order_by_weight() with optimal_prefetch(): extend every
+/// candidate, count it on entry, prune it there when it is no better than
+/// the incumbent, and fall back to the greedy order when the budget ends
+/// the search before any leaf.
+BnbResult reference_search(const SubtaskGraph& g, const Placement& p,
+                           const PlatformConfig& platform,
+                           const std::vector<bool>& needs,
+                           std::uint64_t node_limit) {
+  const auto before = must_finish_before(g, p);
+  const auto weights = subtask_weights(g);
+  const auto count =
+      static_cast<std::size_t>(std::count(needs.begin(), needs.end(), true));
+  PrefixTiming timing(g, p, platform);
+  std::vector<char> in_prefix(g.size(), 0);
+  auto candidates = [&] {
+    auto c = appendable_loads(p, needs, in_prefix, before);
+    order_by_weight(c, weights);
+    return c;
+  };
+  BnbResult r;
+  time_us best = std::numeric_limits<time_us>::max();
+  std::function<void()> dfs = [&] {
+    if (++r.nodes_explored > node_limit && node_limit != 0) {
+      r.proven_optimal = false;
+      return;
+    }
+    if (timing.depth() == count) {
+      if (timing.makespan() < best) {
+        best = timing.makespan();
+        r.order = timing.prefix();
+      }
+      return;
+    }
+    if (timing.depth() != 0 && timing.makespan() >= best) return;
+    for (SubtaskId load : candidates()) {
+      timing.extend(load);
+      in_prefix[static_cast<std::size_t>(load)] = 1;
+      dfs();
+      timing.undo();
+      in_prefix[static_cast<std::size_t>(load)] = 0;
+      if (!r.proven_optimal) return;
+    }
+  };
+  dfs();
+  if (r.order.size() != count) {
+    r.order.clear();
+    while (r.order.size() < count) {
+      r.order.push_back(candidates().front());
+      in_prefix[static_cast<std::size_t>(r.order.back())] = 1;
+    }
+  }
+  return r;
+}
+
+/// optimal_prefetch() against reference_search() on random need sets of
+/// every platform case, with the node budget `node_limit`.
+void expect_search_matches_reference(std::uint64_t node_limit) {
+  for_each_platform_case(
+      100, 11,
+      [&](const SubtaskGraph& g, const Placement& p,
+          const PlatformConfig& platform, Rng& rng) {
+        for (int trial = 0; trial < 3; ++trial) {
+          std::vector<bool> needs = all_drhw(g, p);
+          if (trial != 0)
+            for (std::size_t s = 0; s < needs.size(); ++s)
+              needs[s] = needs[s] && rng.next_bool(0.7);
+          BnbOptions options;
+          options.node_limit = node_limit;
+          const BnbResult got =
+              optimal_prefetch(g, p, platform, needs, options);
+          const BnbResult want =
+              reference_search(g, p, platform, needs, node_limit);
+          SCOPED_TRACE("trial " + std::to_string(trial));
+          EXPECT_EQ(got.order, want.order);
+          EXPECT_EQ(got.nodes_explored, want.nodes_explored);
+          EXPECT_EQ(got.proven_optimal, want.proven_optimal);
+        }
+      });
+}
+
+TEST(Bnb, MatchesTheSearchThatTimesEveryChild) {
+  expect_search_matches_reference(0);
+}
+
+TEST(Bnb, BudgetExhaustionMatchesTheSearchThatTimesEveryChild) {
+  for (std::uint64_t limit : {1, 5, 50}) {
+    SCOPED_TRACE("node_limit=" + std::to_string(limit));
+    expect_search_matches_reference(limit);
+  }
 }
 
 TEST(Bnb, EmptyLoadSetIsIdeal) {

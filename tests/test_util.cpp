@@ -1,14 +1,18 @@
 // Unit tests for src/util: RNG determinism and distribution, statistics,
-// table formatting, and the invariant-checking macros.
+// table formatting, the invariant-checking macros and the JSON reader's
+// string escapes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 #include "util/p2_quantile.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -276,6 +280,34 @@ TEST(QuantileSketch, BundlesOrderedPercentiles) {
   EXPECT_NEAR(sketch.p50(), 50.0, 3.0);
   EXPECT_NEAR(sketch.p95(), 95.0, 3.0);
   EXPECT_NEAR(sketch.p99(), 99.0, 3.0);
+}
+
+std::string parse_string(const std::string& literal) {
+  return json::parse(literal, "test JSON").text;
+}
+
+TEST(Json, ShortEscapes) {
+  EXPECT_EQ(parse_string(R"("a\"b\\c\/d\n\t\r\b\f")"),
+            "a\"b\\c/d\n\t\r\b\f");
+}
+
+TEST(Json, UnicodeEscapesAreUtf8) {
+  EXPECT_EQ(parse_string(R"("A\u001f")"), "A\x1f");
+  EXPECT_EQ(parse_string(R"("\u0000")"), std::string(1, '\0'));
+  EXPECT_EQ(parse_string(R"("\u00e9")"), "\xc3\xa9");
+  EXPECT_EQ(parse_string(R"("\u0141")"), "\xc5\x81");
+  EXPECT_EQ(parse_string(R"("\u20AC")"), "\xe2\x82\xac");
+  EXPECT_EQ(parse_string(R"("\uffff")"), "\xef\xbf\xbf");
+  // A surrogate pair is one four-byte code point (U+1F600).
+  EXPECT_EQ(parse_string(R"("\ud83d\ude00")"), "\xf0\x9f\x98\x80");
+}
+
+TEST(Json, MalformedUnicodeEscapesAreRejected) {
+  for (const char* bad :
+       {R"("\uzzzz")", R"("\u12g4")", R"("\u-123")", R"("\u 123")",
+        R"("\u12")", R"("\ud800")", R"("\ud800x")", R"("\ud800A")",
+        R"("\udc00")", R"("\ude00\ud83d")"})
+    EXPECT_THROW(json::parse(bad), std::invalid_argument) << bad;
 }
 
 }  // namespace
