@@ -11,7 +11,9 @@
 #include <map>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "prefetch/hybrid.hpp"
@@ -41,36 +43,77 @@ std::shared_ptr<const SyntheticWorkload> make_synthetic_workload(
   return workload;
 }
 
-/// Everything prepare_scenario() reads: platform shape + design options.
-std::string prepare_key(const Scenario& scenario) {
-  const PlatformConfig& p = scenario.sim.platform;
-  std::ostringstream key;
-  key << p.tiles << "/" << p.reconfig_latency << "/" << p.reconfig_ports
-      << "/" << p.isps << "/" << p.reconfig_energy << "/"
-      << p.icn.mesh_width << "/" << p.icn.hop_latency << "/"
-      << p.icn.isp_bridge_latency << "/"
-      << scenario.design.bnb_load_threshold << "/"
-      << scenario.design.comm_aware_placement;
-  return key.str();
+/// The kind a workload is cached under: both Pocket GL kinds read one
+/// prepared renderer.
+WorkloadKind cached_kind(WorkloadKind kind) {
+  return kind == WorkloadKind::pocket_gl_frames ? WorkloadKind::pocket_gl
+                                                : kind;
 }
 
 }  // namespace
 
+std::string WorkloadCache::key(const Scenario& scenario) {
+  std::ostringstream key;
+  key << std::hexfloat << to_string(cached_kind(scenario.workload));
+  const auto field = [&key](const auto& value) { key << '/' << value; };
+  const PlatformConfig& p = scenario.sim.platform;
+  field(p.tiles);
+  field(p.reconfig_latency);
+  field(p.reconfig_ports);
+  field(p.isps);
+  field(p.reconfig_energy);
+  field(p.icn.mesh_width);
+  field(p.icn.hop_latency);
+  field(p.icn.isp_bridge_latency);
+  field(scenario.design.bnb_load_threshold);
+  field(scenario.design.comm_aware_placement);
+  switch (scenario.workload) {
+    case WorkloadKind::multimedia:
+      for (const std::string& task : scenario.task_filter) field(task);
+      break;
+    case WorkloadKind::pocket_gl:
+    case WorkloadKind::pocket_gl_frames:
+      break;
+    case WorkloadKind::synthetic: {
+      const SyntheticParams& g = scenario.synthetic;
+      field(g.tasks);
+      field(g.graph_seed);
+      field(g.graph.subtasks);
+      field(g.graph.min_layer_width);
+      field(g.graph.max_layer_width);
+      field(g.graph.min_exec);
+      field(g.graph.max_exec);
+      field(g.graph.edge_density);
+      field(g.graph.isp_fraction);
+      break;
+    }
+    case WorkloadKind::file:
+      field(scenario.workload_file);
+      break;
+  }
+  return key.str();
+}
+
 template <typename T, typename Build>
-std::shared_ptr<const T> WorkloadCache::lookup(FutureMap<T>& cache,
-                                               const std::string& key,
+std::shared_ptr<const T> WorkloadCache::lookup(const Scenario& scenario,
+                                               WorkloadKind kind,
                                                Build build) {
-  std::promise<std::shared_ptr<const T>> promise;
-  std::shared_future<std::shared_ptr<const T>> future;
+  if (cached_kind(scenario.workload) != kind)
+    throw std::invalid_argument(
+        "scenario '" + scenario.name + "' reads a " +
+        to_string(scenario.workload) + " workload, not " + to_string(kind));
+  const std::string key = WorkloadCache::key(scenario);
+  std::promise<std::shared_ptr<const void>> promise;
+  std::shared_future<std::shared_ptr<const void>> future;
   bool builder = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = cache.find(key);
-    if (it != cache.end()) {
+    const auto it = workloads_.find(key);
+    if (it != workloads_.end()) {
       future = it->second;
     } else {
       future = promise.get_future().share();
-      cache.emplace(key, future);
+      workloads_.emplace(key, future);
       builder = true;
     }
   }
@@ -81,45 +124,38 @@ std::shared_ptr<const T> WorkloadCache::lookup(FutureMap<T>& cache,
       promise.set_exception(std::current_exception());
     }
   }
-  return future.get();
+  return std::static_pointer_cast<const T>(future.get());
 }
 
 std::shared_ptr<const MultimediaWorkload> WorkloadCache::multimedia(
     const Scenario& scenario) {
-  std::string key = prepare_key(scenario);
-  for (const std::string& task : scenario.task_filter) key += "/" + task;
-  return lookup(multimedia_, key, [scenario] {
-    return std::shared_ptr<const MultimediaWorkload>(
-        make_multimedia_workload(scenario.sim.platform, scenario.design,
-                                 scenario.task_filter));
-  });
+  return lookup<MultimediaWorkload>(
+      scenario, WorkloadKind::multimedia, [&scenario] {
+        return std::shared_ptr<const MultimediaWorkload>(
+            make_multimedia_workload(scenario.sim.platform, scenario.design,
+                                     scenario.task_filter));
+      });
 }
 
 std::shared_ptr<const PocketGlWorkload> WorkloadCache::pocket_gl(
     const Scenario& scenario) {
-  return lookup(pocket_gl_, prepare_key(scenario), [scenario] {
-    return std::shared_ptr<const PocketGlWorkload>(
-        make_pocket_gl_workload(scenario.sim.platform, scenario.design));
-  });
+  return lookup<PocketGlWorkload>(
+      scenario, WorkloadKind::pocket_gl, [&scenario] {
+        return std::shared_ptr<const PocketGlWorkload>(
+            make_pocket_gl_workload(scenario.sim.platform, scenario.design));
+      });
 }
 
 std::shared_ptr<const SyntheticWorkload> WorkloadCache::synthetic(
     const Scenario& scenario) {
-  std::ostringstream key;
-  const SyntheticParams& p = scenario.synthetic;
-  key << prepare_key(scenario) << "/" << p.tasks << "/" << p.graph_seed << "/"
-      << p.graph.subtasks << "/" << p.graph.min_layer_width << "/"
-      << p.graph.max_layer_width << "/" << p.graph.min_exec << "/"
-      << p.graph.max_exec << "/" << p.graph.edge_density << "/"
-      << p.graph.isp_fraction;
-  return lookup(synthetic_, key.str(),
-                [scenario] { return make_synthetic_workload(scenario); });
+  return lookup<SyntheticWorkload>(
+      scenario, WorkloadKind::synthetic,
+      [&scenario] { return make_synthetic_workload(scenario); });
 }
 
 std::shared_ptr<const FileWorkload> WorkloadCache::file(
     const Scenario& scenario) {
-  const std::string key = prepare_key(scenario) + "/" + scenario.workload_file;
-  return lookup(file_, key, [scenario] {
+  return lookup<FileWorkload>(scenario, WorkloadKind::file, [&scenario] {
     return std::shared_ptr<const FileWorkload>(build_file_workload(
         load_workload_file(scenario.workload_file), scenario.sim.platform,
         scenario.design));
@@ -342,13 +378,23 @@ std::vector<ScenarioResult> CampaignRunner::run(
 
   // sched_cost scenarios are wall-clock microbenchmarks; running them
   // while other scenarios compete for cores would corrupt their timings,
-  // so they execute serially after the parallel phase.
+  // so they execute serially after the parallel phase. The parallel phase
+  // runs leaders first (see CampaignRunner): the first scenario of each
+  // workload key, then every follower, each group in catalogue order.
   std::vector<std::size_t> parallel_indices;
+  std::vector<std::size_t> followers;
   std::vector<std::size_t> serial_indices;
-  for (std::size_t i = 0; i < scenarios.size(); ++i)
-    (scenarios[i].mode == ScenarioMode::sched_cost ? serial_indices
-                                                   : parallel_indices)
-        .push_back(i);
+  std::set<std::string> keys;
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    if (scenarios[i].mode == ScenarioMode::sched_cost)
+      serial_indices.push_back(i);
+    else if (keys.insert(WorkloadCache::key(scenarios[i])).second)
+      parallel_indices.push_back(i);
+    else
+      followers.push_back(i);
+  }
+  parallel_indices.insert(parallel_indices.end(), followers.begin(),
+                          followers.end());
 
   std::atomic<std::size_t> completed{0};
   std::mutex callback_mutex;

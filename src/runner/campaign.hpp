@@ -33,37 +33,37 @@ struct SyntheticWorkload {
 /// approaches of a Figure 6/7 grid point share one prepared workload
 /// instead of redoing the B&B and hybrid design flow. Thread-safe; each
 /// workload is built exactly once even under concurrent lookups, and a
-/// build failure propagates to every scenario that needs it. Keys cover
-/// every field preparation depends on (platform shape, design options,
-/// task filter / generator parameters).
+/// build failure propagates to every scenario that needs it.
 class WorkloadCache {
  public:
+  /// The identity of the workload `scenario` reads: its kind (pocket_gl
+  /// and pocket_gl_frames share one tag, only their samplers differ) plus
+  /// every field preparation reads — platform shape and design options,
+  /// then the task filter (multimedia), the generator parameters
+  /// (synthetic) or the path (file). Doubles are written exactly, so
+  /// scenarios share a workload only when preparation cannot tell them
+  /// apart. Every accessor below looks its workload up under this key.
+  static std::string key(const Scenario& scenario);
+
+  /// Each accessor throws std::invalid_argument when the scenario's kind
+  /// is not the one it builds.
   std::shared_ptr<const MultimediaWorkload> multimedia(
       const Scenario& scenario);
-  /// Shared by WorkloadKind::pocket_gl and pocket_gl_frames (only the
-  /// sampler differs).
+  /// WorkloadKind::pocket_gl and pocket_gl_frames.
   std::shared_ptr<const PocketGlWorkload> pocket_gl(const Scenario& scenario);
   std::shared_ptr<const SyntheticWorkload> synthetic(
       const Scenario& scenario);
-  /// WorkloadKind::file: parses + builds scenario.workload_file. Keyed on
-  /// the path and the platform/design fields, so a grid of approaches over
-  /// one file shares a single build.
+  /// WorkloadKind::file: parses + builds scenario.workload_file.
   std::shared_ptr<const FileWorkload> file(const Scenario& scenario);
 
  private:
-  template <typename T>
-  using FutureMap =
-      std::map<std::string, std::shared_future<std::shared_ptr<const T>>>;
-
   template <typename T, typename Build>
-  std::shared_ptr<const T> lookup(FutureMap<T>& cache, const std::string& key,
+  std::shared_ptr<const T> lookup(const Scenario& scenario, WorkloadKind kind,
                                   Build build);
 
   std::mutex mutex_;
-  FutureMap<MultimediaWorkload> multimedia_;
-  FutureMap<PocketGlWorkload> pocket_gl_;
-  FutureMap<SyntheticWorkload> synthetic_;
-  FutureMap<FileWorkload> file_;
+  std::map<std::string, std::shared_future<std::shared_ptr<const void>>>
+      workloads_;
 };
 
 /// Outcome of one scenario execution.
@@ -131,7 +131,10 @@ struct ScenarioResult {
   /// mode only).
   double hybrid_sched_us = 0.0;
   /// Wall-clock execution time of this scenario in milliseconds.
-  /// Non-deterministic; excluded from aggregate statistics.
+  /// Non-deterministic; excluded from aggregate statistics. On a cold
+  /// cache it includes building the scenario's workload (for a leader,
+  /// see CampaignRunner) or waiting for another thread's build of it (for
+  /// a follower at the tail of the campaign).
   double wall_ms = 0.0;
   bool ok = false;
   /// Exception text when ok is false.
@@ -181,6 +184,19 @@ SampledWorkload sampled_workload(const Scenario& scenario,
 /// Thread-pool campaign executor. Simulation scenarios run on the worker
 /// pool; sched_cost scenarios (wall-clock microbenchmarks) run serially
 /// afterwards so their timings never compete for cores.
+///
+/// Dispatch order: leaders first. The pool's cursor walks the first
+/// scenario of each distinct WorkloadCache::key ("leaders") in catalogue
+/// order, then every other scenario ("followers") in catalogue order. The
+/// catalogue lists the approaches of a grid point side by side, so in
+/// catalogue order a cold cache would start several workers on one
+/// workload, one building it and the rest blocked on that build; leaders
+/// first starts the distinct builds side by side instead, and a follower
+/// finds its workload ready except at the very tail of the campaign. The
+/// order is a pure function of the scenario list. It is the order in which
+/// scenarios start, so the completion order `on_result` sees follows it:
+/// exactly at one thread (leaders, followers, then sched_cost), roughly at
+/// more. Results are returned in scenario order either way.
 class CampaignRunner {
  public:
   explicit CampaignRunner(CampaignOptions options = {});

@@ -111,6 +111,111 @@ std::vector<Scenario> quick_campaign() {
   return scenarios;
 }
 
+/// The built-in Section 4 scalability scenario at 14 subtasks, timed over
+/// `timing_calls` calls per measurement.
+Scenario scalability_n14(int timing_calls) {
+  const auto registry = ScenarioRegistry::builtin(1, 1);
+  const auto& all = registry.scenarios();
+  const auto it = std::find_if(all.begin(), all.end(), [](const Scenario& s) {
+    return s.name == "scalability/n14";
+  });
+  if (it == all.end()) throw std::logic_error("no scalability/n14 scenario");
+  Scenario s = *it;
+  s.timing_calls = timing_calls;
+  return s;
+}
+
+Scenario multimedia_scenario(const std::string& name, int tiles,
+                             const PolicySpec& policy) {
+  Scenario s;
+  s.name = name;
+  s.family = "mm";
+  s.task_filter = {"jpeg_dec"};
+  s.sim.platform = virtex2_platform(tiles);
+  s.sim.policy = policy;
+  s.sim.iterations = 20;
+  return s;
+}
+
+/// A campaign whose scenarios share workloads, listed as the built-in
+/// catalogue lists them (a grid point's approaches side by side): one
+/// multimedia grid point with three approaches, Pocket GL by task next to
+/// Pocket GL by frame (one prepared renderer), a second multimedia tile
+/// count and a sched_cost scenario in the middle.
+std::vector<Scenario> shared_campaign() {
+  std::vector<Scenario> scenarios;
+  scenarios.push_back(
+      multimedia_scenario("mm/t8/none", 8, policy_names::no_prefetch));
+  scenarios.push_back(
+      multimedia_scenario("mm/t8/hybrid", 8, policy_names::hybrid));
+  Scenario gl;
+  gl.name = "gl/hybrid";
+  gl.family = "gl";
+  gl.workload = WorkloadKind::pocket_gl;
+  gl.sim.platform = virtex2_platform(6);
+  gl.sim.policy = policy_names::hybrid;
+  gl.sim.iterations = 10;
+  scenarios.push_back(gl);
+  scenarios.push_back(scalability_n14(3));
+  Scenario frames = gl;
+  frames.name = "gl/design-time";
+  frames.workload = WorkloadKind::pocket_gl_frames;
+  frames.sim.policy = policy_names::design_time;
+  scenarios.push_back(frames);
+  scenarios.push_back(
+      multimedia_scenario("mm/t9/none", 9, policy_names::no_prefetch));
+  scenarios.push_back(
+      multimedia_scenario("mm/t8/runtime", 8, policy_names::runtime));
+  return scenarios;
+}
+
+/// Expects no two of `workloads` to be one cached workload.
+template <typename T>
+void expect_all_distinct(
+    const std::vector<std::shared_ptr<const T>>& workloads) {
+  for (std::size_t i = 0; i < workloads.size(); ++i)
+    for (std::size_t j = i + 1; j < workloads.size(); ++j)
+      EXPECT_NE(workloads[i].get(), workloads[j].get()) << i << " vs " << j;
+}
+
+/// Runs `scenarios` at `threads` threads without wall-clock readings; the
+/// sched_cost host timings are zeroed too.
+std::vector<ScenarioResult> run_without_host_time(
+    const std::vector<Scenario>& scenarios, int threads) {
+  CampaignOptions options;
+  options.threads = threads;
+  options.record_wall_time = false;
+  auto results = CampaignRunner(options).run(scenarios);
+  for (ScenarioResult& r : results) r.list_sched_us = r.hybrid_sched_us = 0.0;
+  return results;
+}
+
+/// Runs `scenarios` at `threads_a` and `threads_b` threads and expects
+/// bit-identical results, aggregates and serialised reports.
+void expect_identical_across_threads(const std::vector<Scenario>& scenarios,
+                                     int threads_a, int threads_b) {
+  const auto serial = run_without_host_time(scenarios, threads_a);
+  const auto parallel = run_without_host_time(scenarios, threads_b);
+
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_TRUE(serial[i].ok) << serial[i].error;
+    EXPECT_EQ(serial[i].scenario.name, parallel[i].scenario.name);
+    EXPECT_EQ(deterministic_metrics(serial[i]),
+              deterministic_metrics(parallel[i]))
+        << serial[i].scenario.name;
+  }
+
+  // Aggregates and the full serialised reports are bit-identical.
+  StatsAggregator agg_serial, agg_parallel;
+  agg_serial.add(serial);
+  agg_parallel.add(parallel);
+  EXPECT_EQ(agg_serial.overall().metrics, agg_parallel.overall().metrics);
+  EXPECT_EQ(campaign_to_json(serial, agg_serial),
+            campaign_to_json(parallel, agg_parallel));
+  EXPECT_EQ(campaign_to_csv(serial), campaign_to_csv(parallel));
+}
+
 TEST(ScenarioRegistry, BuiltinEnumeratesThePaperExperiments) {
   const auto registry = ScenarioRegistry::builtin(100, 2005);
   EXPECT_GE(registry.size(), 100u);
@@ -201,35 +306,10 @@ TEST(SweepBuilder, ExpandsTheCartesianProduct) {
 }
 
 TEST(CampaignRunner, ResultsAreIdenticalAcrossThreadCounts) {
-  const auto scenarios = quick_campaign();
-
-  CampaignOptions one;
-  one.threads = 1;
-  one.record_wall_time = false;
-  const auto serial = CampaignRunner(one).run(scenarios);
-
-  CampaignOptions eight;
-  eight.threads = 8;
-  eight.record_wall_time = false;
-  const auto parallel = CampaignRunner(eight).run(scenarios);
-
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_TRUE(serial[i].ok) << serial[i].error;
-    EXPECT_EQ(serial[i].scenario.name, parallel[i].scenario.name);
-    EXPECT_EQ(deterministic_metrics(serial[i]),
-              deterministic_metrics(parallel[i]))
-        << serial[i].scenario.name;
-  }
-
-  // Aggregates and the full serialised reports are bit-identical.
-  StatsAggregator agg_serial, agg_parallel;
-  agg_serial.add(serial);
-  agg_parallel.add(parallel);
-  EXPECT_EQ(agg_serial.overall().metrics, agg_parallel.overall().metrics);
-  EXPECT_EQ(campaign_to_json(serial, agg_serial),
-            campaign_to_json(parallel, agg_parallel));
-  EXPECT_EQ(campaign_to_csv(serial), campaign_to_csv(parallel));
+  expect_identical_across_threads(quick_campaign(), 1, 8);
+  // Shared workloads: leaders and followers of one key on different
+  // threads, and sched_cost reading a workload the pool did not build.
+  expect_identical_across_threads(shared_campaign(), 1, 4);
 }
 
 TEST(CampaignRunner, ProgressCallbackSeesEveryScenario) {
@@ -248,6 +328,112 @@ TEST(CampaignRunner, ProgressCallbackSeesEveryScenario) {
   CampaignRunner(options).run(scenarios);
   EXPECT_EQ(seen.size(), scenarios.size());
   EXPECT_EQ(last_total, scenarios.size());
+}
+
+TEST(CampaignRunner, DispatchesLeadersFirstThenFollowersThenSchedCost) {
+  const auto scenarios = shared_campaign();
+  CampaignOptions options;
+  options.threads = 1;
+  options.record_wall_time = false;
+  std::vector<std::string> order;
+  options.on_result = [&](const ScenarioResult& result, std::size_t,
+                          std::size_t) {
+    order.push_back(result.scenario.name);
+  };
+  const auto results = CampaignRunner(options).run(scenarios);
+  const std::vector<std::string> expected = {
+      // Leaders: the first scenario of each workload key.
+      "mm/t8/none", "gl/hybrid", "mm/t9/none",
+      // Followers: every other scenario.
+      "mm/t8/hybrid", "gl/design-time", "mm/t8/runtime",
+      // sched_cost runs serially after the pool.
+      "scalability/n14"};
+  EXPECT_EQ(order, expected);
+  // Results stay in scenario order.
+  ASSERT_EQ(results.size(), scenarios.size());
+  for (std::size_t i = 0; i < results.size(); ++i)
+    EXPECT_EQ(results[i].scenario.name, scenarios[i].name);
+}
+
+TEST(CampaignRunner, SchedCostScenarioRunsLastAndTimesBothSchedulers) {
+  std::vector<Scenario> scenarios = {
+      scalability_n14(3),
+      quick_scenario("quick/hybrid", "quick", policy_names::hybrid, 1)};
+  CampaignOptions options;
+  options.threads = 4;
+  std::vector<std::string> order;
+  options.on_result = [&](const ScenarioResult& result, std::size_t,
+                          std::size_t) {
+    order.push_back(result.scenario.name);
+  };
+  const auto results = CampaignRunner(options).run(scenarios);
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_EQ(order.back(), "scalability/n14");
+  ASSERT_TRUE(results[0].ok) << results[0].error;
+  EXPECT_TRUE(results[1].ok) << results[1].error;
+  // Host timings: only their sign is deterministic.
+  EXPECT_GT(results[0].list_sched_us, 0.0);
+  EXPECT_GT(results[0].hybrid_sched_us, 0.0);
+}
+
+TEST(WorkloadCache, ScenariosShareAWorkloadExactlyWhenTheirKeysMatch) {
+  WorkloadCache cache;
+  const Scenario base = multimedia_scenario("a", 8, policy_names::hybrid);
+  Scenario other_approach = base;
+  other_approach.name = "b";
+  other_approach.sim.policy = policy_names::runtime;
+  other_approach.sim.seed = 99;
+  other_approach.include_prob = 0.5;
+  EXPECT_EQ(WorkloadCache::key(base), WorkloadCache::key(other_approach));
+  EXPECT_EQ(cache.multimedia(base).get(),
+            cache.multimedia(other_approach).get());
+
+  // Each field preparation reads gives its own workload.
+  Scenario tiles = base;
+  tiles.sim.platform.tiles = 9;
+  Scenario ports = base;
+  ports.sim.platform.reconfig_ports = 2;
+  Scenario threshold = base;
+  threshold.design.bnb_load_threshold = 4;
+  Scenario filter = base;
+  filter.task_filter = {"jpeg_dec", "mpeg_enc"};
+  std::vector<std::shared_ptr<const MultimediaWorkload>> workloads;
+  for (const Scenario& s : {base, tiles, ports, threshold, filter})
+    workloads.push_back(cache.multimedia(s));
+  expect_all_distinct(workloads);
+
+  // Pocket GL by task and by frame read one prepared renderer.
+  Scenario tasks;
+  tasks.workload = WorkloadKind::pocket_gl;
+  tasks.sim.platform = virtex2_platform(5);
+  Scenario frames = tasks;
+  frames.workload = WorkloadKind::pocket_gl_frames;
+  EXPECT_EQ(cache.pocket_gl(tasks).get(), cache.pocket_gl(frames).get());
+  // A multimedia and a Pocket GL scenario on one platform do not collide,
+  // and an accessor refuses a scenario of another kind.
+  Scenario mm = tasks;
+  mm.workload = WorkloadKind::multimedia;
+  EXPECT_NE(WorkloadCache::key(mm), WorkloadCache::key(tasks));
+  EXPECT_THROW(cache.multimedia(tasks), std::invalid_argument);
+}
+
+TEST(WorkloadCache, KeyWritesGeneratorDoublesExactly) {
+  // The generator reads edge_density; a 6-significant-digit key would fold
+  // 0.3 and 0.3000001 into one cache entry.
+  Scenario a = quick_scenario("a", "f", policy_names::hybrid, 1);
+  a.synthetic.graph.edge_density = 0.3;
+  a.synthetic.graph.isp_fraction = 0.25;
+  Scenario b = a;
+  b.synthetic.graph.edge_density = 0.3000001;
+  Scenario c = a;
+  c.synthetic.graph.isp_fraction = 0.2500001;
+  Scenario d = a;
+  d.sim.platform.reconfig_energy = 4.0000001;
+  WorkloadCache cache;
+  std::vector<std::shared_ptr<const SyntheticWorkload>> workloads;
+  for (const Scenario& s : {a, b, c, d})
+    workloads.push_back(cache.synthetic(s));
+  expect_all_distinct(workloads);
 }
 
 TEST(CampaignRunner, CapturesScenarioFailuresWithoutAborting) {
