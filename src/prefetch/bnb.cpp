@@ -10,29 +10,6 @@ namespace drhw {
 
 namespace {
 
-/// Ancestor sets over the combined precedence relation: graph edges plus the
-/// per-unit execution chains, accumulated along the topological order
-/// `topo`. Entry [v][u] true iff u must finish before v can start.
-std::vector<std::vector<bool>> combined_ancestors(
-    const SubtaskGraph& graph, const Placement& placement,
-    const std::vector<SubtaskId>& topo) {
-  const std::size_t n = graph.size();
-  std::vector<std::vector<bool>> anc(n, std::vector<bool>(n, false));
-  for (SubtaskId v : topo) {
-    std::vector<bool>& av = anc[static_cast<std::size_t>(v)];
-    auto inherit = [&](SubtaskId p) {
-      const std::vector<bool>& ap = anc[static_cast<std::size_t>(p)];
-      av[static_cast<std::size_t>(p)] = true;
-      for (std::size_t w = 0; w < n; ++w)
-        if (ap[w]) av[w] = true;
-    };
-    for (SubtaskId p : graph.predecessors(v)) inherit(p);
-    const SubtaskId prev = placement.prev_on_unit(v);
-    if (prev != k_no_subtask) inherit(prev);
-  }
-  return anc;
-}
-
 struct SearchContext {
   SearchContext(const SubtaskGraph& graph, const Placement& placement,
                 const PlatformConfig& platform)
@@ -49,28 +26,49 @@ struct SearchContext {
   /// and which loads it must precede.
   std::vector<int> waiting;
   std::vector<std::vector<int>> unlocks;
-  std::vector<char> chosen;
-  /// Per search depth: the candidate load indices of the node there.
-  std::vector<std::vector<int>> candidates;
+  /// The available loads: unchosen, with every must-precede load chosen.
+  /// One bit per load index, 64 to a word, as many words as the loads need.
+  std::vector<std::uint64_t> ready;
 
   time_us best_makespan = std::numeric_limits<time_us>::max();
   std::vector<SubtaskId> best_order;
   std::uint64_t nodes = 0;
   bool budget_exhausted = false;
 
-  void mark(int i) {
-    chosen[static_cast<std::size_t>(i)] = 1;
-    for (int k : unlocks[static_cast<std::size_t>(i)])
-      --waiting[static_cast<std::size_t>(k)];
+  static std::uint64_t bit(std::size_t i) {
+    return std::uint64_t{1} << (i % 64);
+  }
+  void set_ready(std::size_t i) { ready[i / 64] |= bit(i); }
+  void clear_ready(std::size_t i) { ready[i / 64] &= ~bit(i); }
+
+  /// Chooses load i: it leaves the ready set, and every load whose last
+  /// unchosen must-precede load it was joins it.
+  void mark(std::size_t i) {
+    clear_ready(i);
+    for (int k : unlocks[i])
+      if (--waiting[static_cast<std::size_t>(k)] == 0)
+        set_ready(static_cast<std::size_t>(k));
   }
 
-  void unmark(int i) {
-    for (int k : unlocks[static_cast<std::size_t>(i)])
-      ++waiting[static_cast<std::size_t>(k)];
-    chosen[static_cast<std::size_t>(i)] = 0;
+  /// Undoes mark(i), which must be the latest mark still in effect.
+  void unmark(std::size_t i) {
+    for (int k : unlocks[i])
+      if (waiting[static_cast<std::size_t>(k)]++ == 0)
+        clear_ready(static_cast<std::size_t>(k));
+    set_ready(i);
   }
 
-  bool available(std::size_t i) const { return !chosen[i] && waiting[i] == 0; }
+  /// The first available load index >= `from`, or loads.size() if none.
+  std::size_t next_ready(std::size_t from) const {
+    std::size_t w = from / 64;
+    if (w >= ready.size()) return loads.size();
+    std::uint64_t bits = ready[w] & (~std::uint64_t{0} << (from % 64));
+    while (bits == 0) {
+      if (++w == ready.size()) return loads.size();
+      bits = ready[w];
+    }
+    return w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits));
+  }
 
   /// Counts a node against the budget; false once the budget is spent.
   bool enter() {
@@ -93,14 +91,12 @@ struct SearchContext {
       return;
     }
 
-    // Candidates: unchosen loads whose required predecessors are all chosen,
-    // in `loads` order.
-    std::vector<int>& here = candidates[depth];
-    here.clear();
-    for (std::size_t i = 0; i < loads.size(); ++i)
-      if (available(i)) here.push_back(static_cast<int>(i));
-    for (int i : here) {
-      const SubtaskId load = loads[static_cast<std::size_t>(i)];
+    // Candidates: the available loads, in `loads` order. Each child's
+    // mark/unmark pair restores the ready set, so walking the live set
+    // visits exactly the loads available on entry.
+    for (std::size_t i = next_ready(0); i < loads.size();
+         i = next_ready(i + 1)) {
+      const SubtaskId load = loads[i];
       // Adding loads never shortens a schedule, so a child's makespan bounds
       // every completion of it. One no better than the incumbent is counted
       // as a node but never timed or expanded (see bnb.hpp).
@@ -131,29 +127,27 @@ BnbResult optimal_prefetch(const SubtaskGraph& graph,
     if (needs_load[s]) ctx.loads.push_back(static_cast<SubtaskId>(s));
   order_by_weight(ctx.loads, subtask_weights(graph));
 
-  // Load i must come after load j when j's subtask must have *executed*
-  // before load i's tile becomes reconfigurable (i.e. j precedes, in the
-  // combined relation, the subtask scheduled immediately before i's).
+  // Load i must come after load j when j's subtask reaches i's gate, the
+  // execution before i on its tile: its dispatch waits for that execution,
+  // which waits for j's load.
   const std::size_t count = ctx.loads.size();
-  const auto anc =
-      combined_ancestors(graph, placement, ctx.timing.topo_order());
+  std::vector<int> waiter(ctx.timing.gate_count(), -1);  // load index
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t gate = ctx.timing.gate_of(ctx.loads[i]);
+    if (gate != PrefixTiming::k_no_gate) waiter[gate] = static_cast<int>(i);
+  }
   ctx.waiting.assign(count, 0);
   ctx.unlocks.assign(count, {});
-  for (std::size_t i = 0; i < count; ++i) {
-    const SubtaskId prev = placement.prev_on_unit(ctx.loads[i]);
-    if (prev == k_no_subtask) continue;
-    const std::vector<bool>& before = anc[static_cast<std::size_t>(prev)];
-    for (std::size_t j = 0; j < count; ++j) {
-      const SubtaskId a = ctx.loads[j];
-      if (i != j && (a == prev || before[static_cast<std::size_t>(a)])) {
-        ++ctx.waiting[i];
-        ctx.unlocks[j].push_back(static_cast<int>(i));
-      }
-    }
-  }
-  ctx.chosen.assign(count, 0);
-  ctx.candidates.assign(count, {});
-  for (auto& c : ctx.candidates) c.reserve(count);
+  for (std::size_t j = 0; j < count; ++j)
+    ctx.timing.for_each_gate_reached(ctx.loads[j], [&](std::size_t gate) {
+      const int i = waiter[gate];
+      if (i < 0) return;
+      ++ctx.waiting[static_cast<std::size_t>(i)];
+      ctx.unlocks[j].push_back(i);
+    });
+  ctx.ready.assign((count + 63) / 64, 0);
+  for (std::size_t i = 0; i < count; ++i)
+    if (ctx.waiting[i] == 0) ctx.set_ready(i);
   ctx.dfs();
 
   if (ctx.best_order.size() != count) {
@@ -162,10 +156,9 @@ BnbResult optimal_prefetch(const SubtaskGraph& graph,
     // is always feasible.
     ctx.best_order.clear();
     while (ctx.best_order.size() < count) {
-      std::size_t pick = 0;
-      while (pick < count && !ctx.available(pick)) ++pick;
+      const std::size_t pick = ctx.next_ready(0);
       DRHW_CHECK_MSG(pick < count, "load precedence is cyclic");
-      ctx.mark(static_cast<int>(pick));
+      ctx.mark(pick);
       ctx.best_order.push_back(ctx.loads[pick]);
     }
   }

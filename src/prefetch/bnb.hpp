@@ -13,16 +13,24 @@
 ///
 /// The bound at a search node is the makespan of its prefix with every
 /// other configuration taken as resident. It is computed incrementally
-/// (prefetch/prefix_timing.hpp): appending a load dispatches it after the
-/// prefix and re-times only the subtasks after it in a topological order;
-/// backtracking pops the level. This is exact, not an approximation,
-/// because of the search's `must_precede` rule: load L may only be chosen
-/// after every load that precedes (in the combined relation of graph edges
-/// and unit orders) the subtask executed before L on its tile. A load not yet
-/// chosen therefore never feeds the tile release of an earlier prefix load
-/// (if it did, it would have had to come first), so appending it at the end
-/// moves only itself and its downstream cone, never an earlier dispatch. The
-/// returned `eval` is still a full evaluate() of the best order.
+/// (prefetch/prefix_timing.hpp) from a gate table: a load's dispatch waits
+/// for its gate, the execution before it on its tile, and the timing is
+/// max-plus, so each gate's end is the maximum of its no-load end and, per
+/// prefix load that reaches it, the load's end plus the longest path
+/// between them. Appending a load dispatches it after the prefix and raises
+/// the ends of the gates it reaches; backtracking pops the level. This is
+/// exact, not an approximation, because of the search's `must_precede`
+/// rule, read from the same table: load L may only be chosen after every
+/// load whose subtask reaches L's gate (over graph edges and unit orders).
+/// A load not yet chosen therefore never feeds the gate of an earlier
+/// prefix load (if it did, it would have had to come first), so appending
+/// it at the end never moves an earlier dispatch. The returned `eval` is
+/// still a full evaluate() of the best order.
+///
+/// The loads available at a node (unchosen, every must-precede load chosen)
+/// are kept as a bitset over the weight-ordered loads, as many 64-bit words
+/// as there are loads, and updated as loads are chosen and released; a node
+/// walks it in that order.
 ///
 /// The same rule makes a child's makespan computable exactly in O(ports)
 /// before the child is built (PrefixTiming::makespan_after), and the search

@@ -313,9 +313,14 @@ ScenarioResult run_scenario_cached(const Scenario& scenario,
   const auto t0 = std::chrono::steady_clock::now();
   try {
     scenario.validate();
-    if (scenario.mode == ScenarioMode::sched_cost)
-      run_sched_cost(scenario, cache, result);
-    else if (scenario.mode == ScenarioMode::online)
+    if (scenario.mode == ScenarioMode::sched_cost) {
+      // Its results are host-clock readings: without them the scenario
+      // only prepares its workload.
+      if (record_wall_time)
+        run_sched_cost(scenario, cache, result);
+      else
+        cache.synthetic(scenario);
+    } else if (scenario.mode == ScenarioMode::online)
       run_online(scenario, cache, result);
     else
       run_simulate(scenario, cache, result);

@@ -144,8 +144,9 @@ struct ScenarioResult {
 struct CampaignOptions {
   /// Worker threads; 0 picks std::thread::hardware_concurrency().
   int threads = 0;
-  /// Record per-scenario wall-clock times. Disable for bit-identical
-  /// reports across runs and thread counts.
+  /// Record host-clock readings: per-scenario wall-clock times and the
+  /// sched_cost timings (list_sched_us, hybrid_sched_us, left at 0 when
+  /// off). Disable for bit-identical reports across runs and thread counts.
   bool record_wall_time = true;
   /// Progress callback, invoked under a mutex after each scenario with
   /// (result, completed count, total count).

@@ -32,6 +32,17 @@
 
 namespace drhw {
 
+/// The index of the earliest of `count` (>= 1) free times; ties break to
+/// the lowest index (strict `<` scan), the tie-break every user of PortSet
+/// relies on. Design-time timing that keeps free times in its own storage
+/// (prefetch/prefix_timing.hpp) picks its port here too.
+inline std::size_t earliest_free(const time_us* free, std::size_t count) {
+  std::size_t best = 0;
+  for (std::size_t p = 1; p < count; ++p)
+    if (free[p] < free[best]) best = p;
+  return best;
+}
+
 class PortSet {
  public:
   explicit PortSet(int count) {
@@ -42,13 +53,9 @@ class PortSet {
 
   std::size_t size() const { return free_.size(); }
 
-  /// The earliest-free resource; ties break to the lowest index (strict
-  /// `<` scan), the tie-break every user of this class relies on.
+  /// The earliest-free resource (earliest_free(): lowest index on ties).
   std::size_t earliest() const {
-    std::size_t best = 0;
-    for (std::size_t p = 1; p < free_.size(); ++p)
-      if (free_[p] < free_[best]) best = p;
-    return best;
+    return earliest_free(free_.data(), free_.size());
   }
 
   time_us free_at(std::size_t port) const { return free_[port]; }

@@ -263,8 +263,11 @@ void for_each_platform_case(std::uint64_t seed_base, std::size_t subtasks,
 
 TEST(PrefixTiming, MatchesEvaluatorOnRandomExtendUndoWalks) {
   // Differential test of the B&B's incremental bound and its O(ports) child
-  // price.
-  for_each_platform_case(0, 12, walk_against_evaluator);
+  // price. The 30-subtask graphs have many gates and long unit chains.
+  for (std::size_t subtasks : {12, 30}) {
+    SCOPED_TRACE("subtasks=" + std::to_string(subtasks));
+    for_each_platform_case(0, subtasks, walk_against_evaluator);
+  }
 }
 
 /// The branch & bound as it was before children were priced, sharing only
@@ -323,10 +326,14 @@ BnbResult reference_search(const SubtaskGraph& g, const Placement& p,
 }
 
 /// optimal_prefetch() against reference_search() on random need sets of
-/// every platform case, with the node budget `node_limit`.
-void expect_search_matches_reference(std::uint64_t node_limit) {
+/// every platform case over `subtasks`-subtask graphs, with the node budget
+/// `node_limit`. Trial 0 of each case loads every DRHW subtask. Returns the
+/// most loads any search ordered.
+std::size_t expect_search_matches_reference(std::uint64_t node_limit,
+                                            std::size_t subtasks = 11) {
+  std::size_t most_loads = 0;
   for_each_platform_case(
-      100, 11,
+      100, subtasks,
       [&](const SubtaskGraph& g, const Placement& p,
           const PlatformConfig& platform, Rng& rng) {
         for (int trial = 0; trial < 3; ++trial) {
@@ -334,6 +341,9 @@ void expect_search_matches_reference(std::uint64_t node_limit) {
           if (trial != 0)
             for (std::size_t s = 0; s < needs.size(); ++s)
               needs[s] = needs[s] && rng.next_bool(0.7);
+          most_loads = std::max(
+              most_loads, static_cast<std::size_t>(
+                              std::count(needs.begin(), needs.end(), true)));
           BnbOptions options;
           options.node_limit = node_limit;
           const BnbResult got =
@@ -346,6 +356,7 @@ void expect_search_matches_reference(std::uint64_t node_limit) {
           EXPECT_EQ(got.proven_optimal, want.proven_optimal);
         }
       });
+  return most_loads;
 }
 
 TEST(Bnb, MatchesTheSearchThatTimesEveryChild) {
@@ -356,6 +367,13 @@ TEST(Bnb, BudgetExhaustionMatchesTheSearchThatTimesEveryChild) {
   for (std::uint64_t limit : {1, 5, 50}) {
     SCOPED_TRACE("node_limit=" + std::to_string(limit));
     expect_search_matches_reference(limit);
+  }
+  // Over 64 loads the ready set spans more than one machine word. 50 nodes
+  // end the widest searches before any leaf (the greedy fallback); 500
+  // reach leaves and prune.
+  for (std::uint64_t limit : {50, 500}) {
+    SCOPED_TRACE("72 subtasks, node_limit=" + std::to_string(limit));
+    EXPECT_GE(expect_search_matches_reference(limit, 72), 70u);
   }
 }
 

@@ -178,16 +178,13 @@ void expect_all_distinct(
       EXPECT_NE(workloads[i].get(), workloads[j].get()) << i << " vs " << j;
 }
 
-/// Runs `scenarios` at `threads` threads without wall-clock readings; the
-/// sched_cost host timings are zeroed too.
+/// Runs `scenarios` at `threads` threads without host-clock readings.
 std::vector<ScenarioResult> run_without_host_time(
     const std::vector<Scenario>& scenarios, int threads) {
   CampaignOptions options;
   options.threads = threads;
   options.record_wall_time = false;
-  auto results = CampaignRunner(options).run(scenarios);
-  for (ScenarioResult& r : results) r.list_sched_us = r.hybrid_sched_us = 0.0;
-  return results;
+  return CampaignRunner(options).run(scenarios);
 }
 
 /// Runs `scenarios` at `threads_a` and `threads_b` threads and expects
@@ -353,6 +350,13 @@ TEST(CampaignRunner, DispatchesLeadersFirstThenFollowersThenSchedCost) {
   ASSERT_EQ(results.size(), scenarios.size());
   for (std::size_t i = 0; i < results.size(); ++i)
     EXPECT_EQ(results[i].scenario.name, scenarios[i].name);
+  // Without wall time, sched_cost records no host timings either.
+  const ScenarioResult& sched_cost = results[3];
+  ASSERT_EQ(sched_cost.scenario.name, "scalability/n14");
+  EXPECT_TRUE(sched_cost.ok) << sched_cost.error;
+  EXPECT_EQ(sched_cost.list_sched_us, 0.0);
+  EXPECT_EQ(sched_cost.hybrid_sched_us, 0.0);
+  EXPECT_EQ(sched_cost.wall_ms, 0.0);
 }
 
 TEST(CampaignRunner, SchedCostScenarioRunsLastAndTimesBothSchedulers) {
