@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/check.hpp"
-
 namespace drhw {
 
 std::vector<time_us> asap_start_times(const SubtaskGraph& graph) {
@@ -27,22 +25,6 @@ time_us critical_path_length(const SubtaskGraph& graph) {
   return end;
 }
 
-std::vector<time_us> alap_start_times(const SubtaskGraph& graph,
-                                      time_us deadline) {
-  if (deadline == k_no_time) deadline = critical_path_length(graph);
-  std::vector<time_us> start(graph.size(), 0);
-  const auto& topo = graph.topological_order();
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const SubtaskId v = *it;
-    time_us latest_end = deadline;
-    for (SubtaskId s : graph.successors(v))
-      latest_end = std::min(latest_end, start[static_cast<std::size_t>(s)]);
-    start[static_cast<std::size_t>(v)] =
-        latest_end - graph.subtask(v).exec_time;
-  }
-  return start;
-}
-
 std::vector<time_us> subtask_weights(const SubtaskGraph& graph) {
   std::vector<time_us> weight(graph.size(), 0);
   const auto& topo = graph.topological_order();
@@ -54,41 +36,6 @@ std::vector<time_us> subtask_weights(const SubtaskGraph& graph) {
     weight[static_cast<std::size_t>(v)] = graph.subtask(v).exec_time + tail;
   }
   return weight;
-}
-
-bool reaches(const SubtaskGraph& graph, SubtaskId ancestor,
-             SubtaskId descendant) {
-  if (ancestor == descendant) return false;
-  std::vector<bool> seen(graph.size(), false);
-  std::vector<SubtaskId> stack{ancestor};
-  while (!stack.empty()) {
-    SubtaskId v = stack.back();
-    stack.pop_back();
-    for (SubtaskId s : graph.successors(v)) {
-      if (s == descendant) return true;
-      if (!seen[static_cast<std::size_t>(s)]) {
-        seen[static_cast<std::size_t>(s)] = true;
-        stack.push_back(s);
-      }
-    }
-  }
-  return false;
-}
-
-std::vector<std::vector<bool>> reachability(const SubtaskGraph& graph) {
-  const std::size_t n = graph.size();
-  std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
-  const auto& topo = graph.topological_order();
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const auto v = static_cast<std::size_t>(*it);
-    for (SubtaskId s : graph.successors(*it)) {
-      const auto sv = static_cast<std::size_t>(s);
-      reach[v][sv] = true;
-      for (std::size_t w = 0; w < n; ++w)
-        if (reach[sv][w]) reach[v][w] = true;
-    }
-  }
-  return reach;
 }
 
 }  // namespace drhw

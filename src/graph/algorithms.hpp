@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file algorithms.hpp
-/// Graph-analysis primitives used by the schedulers: ASAP/ALAP levels,
+/// Graph-analysis primitives used by the schedulers: ASAP start times,
 /// critical-path length, and the ALAP weights of the paper's Section 5.
 
 #include <vector>
@@ -17,24 +17,11 @@ std::vector<time_us> asap_start_times(const SubtaskGraph& graph);
 /// Critical-path length: makespan with unlimited resources and no loads.
 time_us critical_path_length(const SubtaskGraph& graph);
 
-/// Latest start time of every subtask such that the graph still finishes in
-/// `deadline` (classic ALAP pass). deadline defaults to the critical path.
-std::vector<time_us> alap_start_times(const SubtaskGraph& graph,
-                                      time_us deadline = k_no_time);
-
 /// The paper's subtask weights (Section 5): "the longest path (in terms of
 /// execution time) from the beginning of the execution of the subtask to the
 /// end of the execution of the whole graph with an ALAP schedule". This is
 /// the bottom level b(v) = exec(v) + max over successors of b(succ); critical
 /// path nodes carry the largest weights.
 std::vector<time_us> subtask_weights(const SubtaskGraph& graph);
-
-/// True if `ancestor` reaches `descendant` through directed edges.
-bool reaches(const SubtaskGraph& graph, SubtaskId ancestor,
-             SubtaskId descendant);
-
-/// Transitive-closure reachability matrix; entry [u][v] is true iff u
-/// reaches v (u != v). O(V*E/64) via bitset-free dynamic programming.
-std::vector<std::vector<bool>> reachability(const SubtaskGraph& graph);
 
 }  // namespace drhw

@@ -108,49 +108,4 @@ SubtaskGraph make_chain_graph(int length, time_us min_exec, time_us max_exec,
   return graph;
 }
 
-namespace {
-
-/// Fragment of a series-parallel graph under construction: entry and exit
-/// node lists that the composition operators stitch together.
-struct Fragment {
-  std::vector<SubtaskId> entries;
-  std::vector<SubtaskId> exits;
-};
-
-Fragment make_leaf(SubtaskGraph& graph, Rng& rng, time_us lo, time_us hi) {
-  const auto id = graph.add_subtask(Subtask{
-      "sp" + std::to_string(graph.size()), rng.next_int(lo, hi),
-      Resource::drhw, k_no_config, 0.0});
-  return Fragment{{id}, {id}};
-}
-
-}  // namespace
-
-SubtaskGraph make_series_parallel_graph(int operations, time_us min_exec,
-                                        time_us max_exec, Rng& rng) {
-  DRHW_CHECK(operations >= 0);
-  SubtaskGraph graph("series_parallel");
-  std::vector<Fragment> pool{make_leaf(graph, rng, min_exec, max_exec)};
-
-  for (int op = 0; op < operations; ++op) {
-    Fragment leaf = make_leaf(graph, rng, min_exec, max_exec);
-    const std::size_t i = rng.pick_index(pool);
-    Fragment& target = pool[i];
-    if (rng.next_bool(0.5)) {
-      // Series: target -> leaf.
-      for (SubtaskId e : target.exits)
-        for (SubtaskId s : leaf.entries) graph.add_edge(e, s);
-      target.exits = leaf.exits;
-    } else {
-      // Parallel: merge entry/exit sets.
-      target.entries.insert(target.entries.end(), leaf.entries.begin(),
-                            leaf.entries.end());
-      target.exits.insert(target.exits.end(), leaf.exits.begin(),
-                          leaf.exits.end());
-    }
-  }
-  graph.finalize();
-  return graph;
-}
-
 }  // namespace drhw

@@ -34,9 +34,4 @@ SubtaskGraph make_fork_join_graph(int width, int chain_length, time_us min_exec,
 SubtaskGraph make_chain_graph(int length, time_us min_exec, time_us max_exec,
                               Rng& rng);
 
-/// Random series-parallel graph built by recursive series/parallel
-/// composition; `operations` controls the composition count.
-SubtaskGraph make_series_parallel_graph(int operations, time_us min_exec,
-                                        time_us max_exec, Rng& rng);
-
 }  // namespace drhw

@@ -126,6 +126,9 @@ SubtaskGraph graph_from_json(const std::string& text) {
       throw std::invalid_argument("unknown top-level field '" + key + "'");
     }
   }
+  // An empty graph has nothing to schedule; reject it here as the .dwl
+  // reader does, before a scheduler's internal checks see it.
+  if (graph.size() == 0) malformed("the graph has no subtasks");
   for (const auto& [from, to] : edges) graph.add_edge(from, to);
   graph.finalize();
   return graph;

@@ -27,7 +27,7 @@ namespace drhw {
 /// Serialises a (finalized or unfinalized) graph to JSON text.
 std::string graph_to_json(const SubtaskGraph& graph);
 
-/// Parses JSON text into a finalized graph.
+/// Parses JSON text into a finalized graph of at least one subtask.
 /// Throws std::invalid_argument with a location hint on malformed input.
 SubtaskGraph graph_from_json(const std::string& json);
 

@@ -28,8 +28,8 @@ struct Subtask {
   /// Identity of the configuration bitstream. Defaults to "unique per node";
   /// builders may share ConfigIds across tasks to model reusable configs.
   ConfigId config = k_no_config;
-  /// Energy consumed by one execution (arbitrary units; used by the TCM
-  /// Pareto layer and the energy ablation, not by timing).
+  /// Energy consumed by one execution (arbitrary units; read by the energy
+  /// accounting of both simulators, not by timing).
   double exec_energy = 0.0;
   /// Reconfiguration latency of this subtask's bitstream; k_no_time selects
   /// the platform default. Heterogeneous values model differing bitstream

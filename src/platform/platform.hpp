@@ -42,8 +42,8 @@ struct PlatformConfig {
   int reconfig_ports = 1;
   /// Number of instruction-set processors (each runs one subtask at a time).
   int isps = 1;
-  /// Energy cost of one reconfiguration (arbitrary units; used by the
-  /// energy accounting and the TCM Pareto layer only).
+  /// Energy cost of one reconfiguration (arbitrary units; read by the
+  /// energy accounting only, not by timing).
   double reconfig_energy = 4.0;
   /// Communication model.
   IcnConfig icn;

@@ -3,7 +3,7 @@
 /// \file critical_subtasks.hpp
 /// The design-time phase of the hybrid heuristic (paper Sections 4-5).
 ///
-/// For one (scenario, Pareto-point) schedule it computes:
+/// For one scenario's schedule it computes:
 ///  * the Critical Subtask (CS) subset — iteratively, per Figure 4: run the
 ///    prefetch scheduler assuming the CS members are reused and everything
 ///    else is loaded; while the makespan penalty is non-zero, move the

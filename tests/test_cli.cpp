@@ -168,10 +168,27 @@ TEST(Cli, InfoAndDotTakeExactlyOneGraph) {
 
 TEST(Cli, OutOfRangeNumbersAreInputErrorsNotInternalFailures) {
   // Bad user input exits 1 with its own message, not an internal check.
-  const std::pair<const char*, const char*> cases[] = {
+  // A numeric flag value must be a whole number of its type: no prefix
+  // read ("8x" as 8, "1e3" as 1) and no wrapped sign on a seed.
+  const std::string dir = temp_dir("cli_bad_numbers");
+  const std::string empty_graph = dir + "/empty.json";
+  std::ofstream(empty_graph) << R"({"name":"t","subtasks":[],"edges":[]})";
+  const std::pair<std::string, std::string> cases[] = {
       {"online --iterations 0", "iterations < 1"},
       {"campaign --iterations 0 --quiet", "iterations < 1"},
-      {"campaign --iterations 0 --dry-run", "iterations < 1"}};
+      {"campaign --iterations 0 --dry-run", "iterations < 1"},
+      {"online --iterations 1e3", "--iterations needs an integer, got '1e3'"},
+      {"online --tiles 8x", "--tiles needs an integer, got '8x'"},
+      {"online --tiles 99999999999", "--tiles value '99999999999' is out of "
+                                     "range"},
+      {"online --rate nan", "--rate needs a finite number, got 'nan'"},
+      {"online --seed -1", "--seed needs a non-negative integer, got '-1'"},
+      {"campaign --seed -3 --dry-run",
+       "--seed needs a non-negative integer, got '-3'"},
+      {"genwork --out " + dir + " --seed -1",
+       "--seed needs a non-negative integer, got '-1'"},
+      {"campaign --threads -1 --dry-run", "--threads needs a count >= 0"},
+      {"schedule " + empty_graph, "graph JSON: the graph has no subtasks"}};
   for (const auto& [args, message] : cases) {
     const CliResult result = run_cli(args);
     EXPECT_EQ(result.exit_code, 1) << args << "\n" << result.output;
@@ -179,6 +196,23 @@ TEST(Cli, OutOfRangeNumbersAreInputErrorsNotInternalFailures) {
     EXPECT_NE(result.output.find(message), std::string::npos)
         << args << "\n" << result.output;
     EXPECT_EQ(result.output.find("DRHW_CHECK"), std::string::npos) << args;
+  }
+  // The rejected genwork seed wrote no workload file.
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    EXPECT_NE(entry.path().extension(), ".dwl") << entry.path();
+}
+
+TEST(Cli, NumericFlagsAcceptWholeValues) {
+  // Doubles keep their exponent form, and --sched-cost-us keeps its
+  // 'paper' keyword beside a number.
+  for (const char* args :
+       {"online --rate 1e2 --iterations 5 --approach hybrid",
+        "online --sched-cost-us paper --iterations 5 --approach hybrid",
+        "online --sched-cost-us 250 --iterations 5 --approach hybrid"}) {
+    const CliResult result = run_cli(args);
+    EXPECT_EQ(result.exit_code, 0) << args << "\n" << result.output;
+    EXPECT_NE(table_row(result.output, "hybrid").size(), 0u)
+        << args << "\n" << result.output;
   }
 }
 

@@ -87,18 +87,5 @@ TEST(Generators, ChainShape) {
     EXPECT_EQ(g.successors(static_cast<SubtaskId>(s)).size(), 1u);
 }
 
-class SeriesParallelTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(SeriesParallelTest, AcyclicAndSized) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7 + 1);
-  const auto g =
-      make_series_parallel_graph(GetParam(), ms(1), ms(10), rng);
-  EXPECT_EQ(g.size(), static_cast<std::size_t>(GetParam()) + 1);
-  EXPECT_TRUE(g.finalized());  // finalize() would have thrown on a cycle
-}
-
-INSTANTIATE_TEST_SUITE_P(Ops, SeriesParallelTest,
-                         ::testing::Values(0, 1, 5, 20, 100));
-
 }  // namespace
 }  // namespace drhw

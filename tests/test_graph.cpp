@@ -1,5 +1,5 @@
 // Unit tests for the subtask-graph model and its analysis passes
-// (ASAP/ALAP, critical path, ALAP weights, reachability).
+// (ASAP times, critical path, ALAP weights).
 
 #include <gtest/gtest.h>
 
@@ -127,22 +127,6 @@ TEST(Algorithms, CriticalPathDiamond) {
   EXPECT_EQ(critical_path_length(diamond()), 45);  // a + c + d
 }
 
-TEST(Algorithms, AlapTimesDiamond) {
-  const auto g = diamond();
-  const auto alap = alap_start_times(g);
-  EXPECT_EQ(alap[0], 0);
-  EXPECT_EQ(alap[2], 10);   // c is on the critical path
-  EXPECT_EQ(alap[1], 20);   // b has 10 units of slack
-  EXPECT_EQ(alap[3], 40);
-}
-
-TEST(Algorithms, AlapWithExtendedDeadlineShifts) {
-  const auto g = diamond();
-  const auto alap = alap_start_times(g, 100);
-  EXPECT_EQ(alap[0], 55);
-  EXPECT_EQ(alap[3], 95);
-}
-
 TEST(Algorithms, WeightsAreAlapLongestPathToEnd) {
   const auto g = diamond();
   const auto w = subtask_weights(g);
@@ -159,20 +143,6 @@ TEST(Algorithms, WeightsMonotoneAlongEdges) {
     for (SubtaskId s : g.successors(static_cast<SubtaskId>(v)))
       EXPECT_GE(w[v], g.subtask(static_cast<SubtaskId>(v)).exec_time +
                           w[static_cast<std::size_t>(s)]);
-}
-
-TEST(Algorithms, Reachability) {
-  const auto g = diamond();
-  EXPECT_TRUE(reaches(g, 0, 3));
-  EXPECT_TRUE(reaches(g, 0, 1));
-  EXPECT_FALSE(reaches(g, 1, 2));
-  EXPECT_FALSE(reaches(g, 3, 0));
-  EXPECT_FALSE(reaches(g, 0, 0));
-  const auto m = reachability(g);
-  EXPECT_TRUE(m[0][3]);
-  EXPECT_TRUE(m[1][3]);
-  EXPECT_FALSE(m[1][2]);
-  EXPECT_FALSE(m[3][0]);
 }
 
 TEST(Dot, EmitsAllNodesAndEdges) {

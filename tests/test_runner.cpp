@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <set>
 
@@ -263,6 +264,98 @@ TEST(ScenarioRegistry, RejectsDuplicatesAndInvalidDescriptors) {
   Scenario bad_param = quick_scenario(
       "e", "f", PolicySpec(policy_names::hybrid).with("typo", "1"), 1);
   EXPECT_THROW(registry.add(bad_param), std::invalid_argument);
+}
+
+TEST(ScenarioRegistry, ValidateRejectsEachBadDescriptorWithItsMessage) {
+  // One bad field per row on top of a valid descriptor; each row must hit
+  // its own throw, so the message is compared whole.
+  Scenario base;
+  base.name = "v";
+  base.family = "f";
+  ASSERT_NO_THROW(base.validate());
+  struct Case {
+    std::function<void(Scenario&)> spoil;
+    std::string message;
+  };
+  const std::string prefix = "scenario 'v': ";
+  const Case cases[] = {
+      {[](Scenario& s) { s.name.clear(); }, "scenario without a name"},
+      {[](Scenario& s) { s.family.clear(); }, "scenario 'v' without a family"},
+      {[](Scenario& s) { s.sim.platform.tiles = 0; },
+       "platform needs >= 1 tile"},
+      {[](Scenario& s) { s.sim.iterations = 0; }, prefix + "iterations < 1"},
+      {[](Scenario& s) { s.include_prob = 0.0; },
+       prefix + "include_prob outside (0, 1]"},
+      {[](Scenario& s) { s.include_prob = 1.5; },
+       prefix + "include_prob outside (0, 1]"},
+      {[](Scenario& s) {
+         s.workload = WorkloadKind::synthetic;
+         s.synthetic.tasks = 0;
+       },
+       prefix + "synthetic.tasks < 1"},
+      {[](Scenario& s) {
+         s.workload = WorkloadKind::synthetic;
+         s.synthetic.graph.subtasks = 0;
+       },
+       prefix + "synthetic graph without subtasks"},
+      {[](Scenario& s) { s.workload = WorkloadKind::file; },
+       prefix + "file workload without a workload_file"},
+      {[](Scenario& s) { s.workload_file = "mix.dwl"; },
+       prefix + "workload_file requires the file kind"},
+      {[](Scenario& s) {
+         s.workload = WorkloadKind::pocket_gl;
+         s.task_filter = {"jpeg_dec"};
+       },
+       prefix + "task_filter requires multimedia"},
+      {[](Scenario& s) {
+         s.workload = WorkloadKind::pocket_gl;
+         s.exhaustive = true;
+       },
+       prefix + "exhaustive requires multimedia"},
+      {[](Scenario& s) {
+         s.workload = WorkloadKind::synthetic;
+         s.mode = ScenarioMode::sched_cost;
+         s.timing_calls = 0;
+       },
+       prefix + "timing_calls < 1"},
+      {[](Scenario& s) { s.mode = ScenarioMode::sched_cost; },
+       prefix + "sched_cost requires a synthetic workload"},
+      {[](Scenario& s) {
+         s.mode = ScenarioMode::online;
+         s.arrivals.rate_per_s = 0.0;
+       },
+       prefix + "arrival rate must be positive"},
+      {[](Scenario& s) { s.scheduler_cost = -1; },
+       prefix + "negative scheduler cost"},
+      {[](Scenario& s) { s.deadline_scale = -0.5; },
+       prefix + "negative deadline_scale"},
+      {[](Scenario& s) { s.high_crit_fraction = -0.1; },
+       prefix + "high_crit_fraction outside [0, 1]"},
+      {[](Scenario& s) { s.high_crit_fraction = 1.1; },
+       prefix + "high_crit_fraction outside [0, 1]"},
+      {[](Scenario& s) {
+         s.mode = ScenarioMode::online;
+         s.preempt = true;
+       },
+       prefix + "preempt requires deadline_scale > 0"},
+      {[](Scenario& s) { s.deadline_scale = 2.0; },
+       prefix + "deadlines require online mode"},
+      {[](Scenario& s) {
+         s.shared_isps = true;
+         s.sim.platform.isps = 0;
+       },
+       prefix + "shared-ISP contention needs a platform with >= 1 ISP"},
+  };
+  for (const Case& c : cases) {
+    Scenario s = base;
+    c.spoil(s);
+    try {
+      s.validate();
+      ADD_FAILURE() << "accepted: " << c.message;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), c.message);
+    }
+  }
 }
 
 TEST(ScenarioRegistry, MatchFiltersByNameAndFamily) {

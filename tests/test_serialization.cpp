@@ -104,8 +104,21 @@ TEST(Serialization, RejectsMalformedInput) {
               "edges":[[0,1],[1,0]]})"),
       std::invalid_argument);
   // Trailing junk after the closing brace.
-  EXPECT_THROW(graph_from_json(R"({"name":"t","subtasks":[],"edges":[]} x)"),
-               std::invalid_argument);
+  EXPECT_THROW(
+      graph_from_json(
+          R"({"name":"t","subtasks":[{"name":"a","exec_us":1,"resource":"isp"}],"edges":[]} x)"),
+      std::invalid_argument);
+  // No subtasks, from an empty array or a missing key: nothing to schedule.
+  for (const char* empty : {R"({"name":"t","subtasks":[],"edges":[]})",
+                            R"({"name":"t","edges":[]})"}) {
+    try {
+      graph_from_json(empty);
+      ADD_FAILURE() << "accepted " << empty;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("no subtasks"), std::string::npos)
+          << e.what();
+    }
+  }
   // Numbers beyond double range parse as inf and must be rejected before
   // the cast to an integer time, not escape as std::out_of_range.
   EXPECT_THROW(

@@ -114,7 +114,10 @@
 //   --until-us T       window end in simulated us (default: the horizon)
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -122,6 +125,8 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -236,6 +241,30 @@ ArrivalProcess::Kind parse_arrivals_arg(const std::string& text) {
       std::cerr << "  " << name << "\n";
     std::exit(2);
   }
+}
+
+/// Parses a whole flag value as a T. std::from_chars reads no leading
+/// whitespace or '+', and no '-' for an unsigned T, so a trailing character
+/// ("8x"), an exponent on an integer ("1e3"), a sign on a seed and an
+/// out-of-range value are input errors that name the flag, never a silently
+/// read prefix or a wrapped value. Doubles must also be finite.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text) {
+  T value{};
+  const char* const last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  if (error == std::errc::result_out_of_range)
+    throw std::invalid_argument(flag + " value '" + text + "' is out of range");
+  bool ok = error == std::errc() && end == last;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    const char* kind = std::is_floating_point_v<T> ? "a finite number"
+                       : std::is_unsigned_v<T>     ? "a non-negative integer"
+                                                   : "an integer";
+    throw std::invalid_argument(flag + " needs " + kind + ", got '" + text +
+                                "'");
+  }
+  return value;
 }
 
 std::string read_file(const std::string& path) {
@@ -734,7 +763,8 @@ std::vector<int> parse_id_list(const std::string& arg) {
   std::vector<int> ids;
   std::istringstream is(arg);
   std::string token;
-  while (std::getline(is, token, ',')) ids.push_back(std::stoi(token));
+  while (std::getline(is, token, ','))
+    ids.push_back(parse_number<int>("--resident", token));
   return ids;
 }
 
@@ -762,12 +792,17 @@ int main(int argc, char** argv) {
           cli.quiet = true;
         else if (arg == "--filter" && has_value)
           cli.filter = args[++i];
-        else if (arg == "--threads" && has_value)
-          cli.threads = std::stoi(args[++i]);
+        else if (arg == "--threads" && has_value) {
+          cli.threads = parse_number<int>(arg, args[++i]);
+          if (cli.threads < 0)
+            throw std::invalid_argument(
+                "--threads needs a count >= 0 (0 = hardware concurrency), "
+                "got '" + args[i] + "'");
+        }
         else if (arg == "--iterations" && has_value)
-          cli.iterations = std::stoi(args[++i]);
+          cli.iterations = parse_number<int>(arg, args[++i]);
         else if (arg == "--seed" && has_value)
-          cli.seed = std::stoull(args[++i]);
+          cli.seed = parse_number<std::uint64_t>(arg, args[++i]);
         else if (arg == "--json" && has_value)
           cli.json_path = args[++i];
         else if (arg == "--csv" && has_value)
@@ -823,41 +858,41 @@ int main(int argc, char** argv) {
                                         "pocket_gl or a .dwl file");
         }
         else if (arg == "--tiles" && has_value)
-          platform.tiles = std::stoi(args[++i]);
+          platform.tiles = parse_number<int>(arg, args[++i]);
         else if (arg == "--latency-us" && has_value)
-          platform.reconfig_latency = std::stoll(args[++i]);
+          platform.reconfig_latency = parse_number<time_us>(arg, args[++i]);
         else if (arg == "--ports" && has_value)
-          platform.reconfig_ports = std::stoi(args[++i]);
+          platform.reconfig_ports = parse_number<int>(arg, args[++i]);
         else if (arg == "--arrivals" && has_value) {
           arrivals.kind = parse_arrivals_arg(args[++i]);
           cli.user_arrivals = true;
         }
         else if (arg == "--rate" && has_value) {
-          arrivals.rate_per_s = std::stod(args[++i]);
+          arrivals.rate_per_s = parse_number<double>(arg, args[++i]);
           cli.user_arrivals = true;
         }
         else if (arg == "--period-us" && has_value) {
-          arrivals.period_us = std::stoll(args[++i]);
+          arrivals.period_us = parse_number<time_us>(arg, args[++i]);
           cli.user_arrivals = true;
         }
         else if (arg == "--deadline-scale" && has_value)
-          scenario.deadline_scale = std::stod(args[++i]);
+          scenario.deadline_scale = parse_number<double>(arg, args[++i]);
         else if (arg == "--crit-fraction" && has_value)
-          scenario.high_crit_fraction = std::stod(args[++i]);
+          scenario.high_crit_fraction = parse_number<double>(arg, args[++i]);
         else if (arg == "--preempt")
           scenario.preempt = true;
         else if (arg == "--burst" && has_value) {
-          arrivals.burst_size = std::stoi(args[++i]);
+          arrivals.burst_size = parse_number<int>(arg, args[++i]);
           cli.user_arrivals = true;
         }
         else if (arg == "--think-us" && has_value) {
-          arrivals.think_time = std::stoll(args[++i]);
+          arrivals.think_time = parse_number<time_us>(arg, args[++i]);
           cli.user_arrivals = true;
         }
         else if (arg == "--discipline" && has_value)
           scenario.port_discipline = port_discipline_from_string(args[++i]);
         else if (arg == "--isp" && has_value) {
-          platform.isps = std::stoi(args[++i]);
+          platform.isps = parse_number<int>(arg, args[++i]);
           if (platform.isps < 1)
             throw std::invalid_argument("--isp needs a positive ISP count");
           scenario.shared_isps = true;
@@ -867,7 +902,7 @@ int main(int argc, char** argv) {
         else if (arg == "--replacement" && has_value)
           scenario.sim.replacement = replacement_from_string(args[++i]);
         else if (arg == "--lookahead" && has_value)
-          scenario.sim.intertask_lookahead = std::stoi(args[++i]);
+          scenario.sim.intertask_lookahead = parse_number<int>(arg, args[++i]);
         else if (arg == "--admission" && has_value)
           scenario.pool.admission = admission_policy_from_string(args[++i]);
         else if (arg == "--contiguous")
@@ -877,23 +912,23 @@ int main(int argc, char** argv) {
           scenario.pool.defrag = true;
         }
         else if (arg == "--window" && has_value)
-          scenario.pool.reorder_window = std::stoi(args[++i]);
+          scenario.pool.reorder_window = parse_number<int>(arg, args[++i]);
         else if (arg == "--max-bypass" && has_value)
-          scenario.pool.max_bypass = std::stoi(args[++i]);
+          scenario.pool.max_bypass = parse_number<int>(arg, args[++i]);
         else if (arg == "--sched-cost-us" && has_value) {
           const std::string& value = args[++i];
           cli.paper_sched_cost = value == "paper";
           if (!cli.paper_sched_cost) {
-            scenario.scheduler_cost = std::stoll(value);
+            scenario.scheduler_cost = parse_number<time_us>(arg, value);
             if (scenario.scheduler_cost < 0)
               throw std::invalid_argument(
                   "--sched-cost-us needs a non-negative value or 'paper'");
           }
         }
         else if (arg == "--iterations" && has_value)
-          scenario.sim.iterations = std::stoi(args[++i]);
+          scenario.sim.iterations = parse_number<int>(arg, args[++i]);
         else if (arg == "--seed" && has_value)
-          scenario.sim.seed = std::stoull(args[++i]);
+          scenario.sim.seed = parse_number<std::uint64_t>(arg, args[++i]);
         else if (arg == "--queue" && has_value)
           scenario.queue_backend = queue_backend_from_string(args[++i]);
         else if (arg == "--perf")
@@ -919,19 +954,19 @@ int main(int argc, char** argv) {
         if (arg == "--out" && has_value)
           cli.out_dir = args[++i];
         else if (arg == "--count" && has_value)
-          cli.count = std::stoi(args[++i]);
+          cli.count = parse_number<int>(arg, args[++i]);
         else if (arg == "--seed" && has_value)
-          cli.fuzz.seed = std::stoull(args[++i]);
+          cli.fuzz.seed = parse_number<std::uint64_t>(arg, args[++i]);
         else if (arg == "--tasks" && has_value)
-          cli.fuzz.tasks = std::stoi(args[++i]);
+          cli.fuzz.tasks = parse_number<int>(arg, args[++i]);
         else if (arg == "--variants" && has_value)
-          cli.fuzz.variants = std::stoi(args[++i]);
+          cli.fuzz.variants = parse_number<int>(arg, args[++i]);
         else if (arg == "--configs" && has_value)
-          cli.fuzz.configs = std::stoi(args[++i]);
+          cli.fuzz.configs = parse_number<int>(arg, args[++i]);
         else if (arg == "--min-nodes" && has_value)
-          cli.fuzz.min_nodes = std::stoi(args[++i]);
+          cli.fuzz.min_nodes = parse_number<int>(arg, args[++i]);
         else if (arg == "--max-nodes" && has_value)
-          cli.fuzz.max_nodes = std::stoi(args[++i]);
+          cli.fuzz.max_nodes = parse_number<int>(arg, args[++i]);
         else
           return usage_unknown("genwork", arg);
       }
@@ -955,11 +990,11 @@ int main(int argc, char** argv) {
           else if (arg == "--out" && has_value)
             out_path = args[++i];
           else if (arg == "--width" && has_value)
-            options.width = std::stoi(args[++i]);
+            options.width = parse_number<int>(arg, args[++i]);
           else if (arg == "--from-us" && has_value)
-            options.from = std::stoll(args[++i]);
+            options.from = parse_number<time_us>(arg, args[++i]);
           else if (arg == "--until-us" && has_value)
-            options.until = std::stoll(args[++i]);
+            options.until = parse_number<time_us>(arg, args[++i]);
           else
             return usage_unknown("trace", arg);
         }
@@ -979,11 +1014,11 @@ int main(int argc, char** argv) {
         const std::string& arg = args[i];
         const bool has_value = i + 1 < args.size();
         if (arg == "--tiles" && has_value)
-          tiles = std::stoi(args[++i]);
+          tiles = parse_number<int>(arg, args[++i]);
         else if (arg == "--latency-us" && has_value)
-          latency = std::stoll(args[++i]);
+          latency = parse_number<time_us>(arg, args[++i]);
         else if (arg == "--ports" && has_value)
-          ports = std::stoi(args[++i]);
+          ports = parse_number<int>(arg, args[++i]);
         else if (arg == "--resident" && has_value)
           resident = parse_id_list(args[++i]);
         else
