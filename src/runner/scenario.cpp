@@ -92,6 +92,9 @@ void Scenario::validate() const {
   if (scheduler_cost < 0)
     throw std::invalid_argument("scenario '" + name +
                                 "': negative scheduler cost");
+  if (sim.intertask_lookahead < 0)
+    throw std::invalid_argument("scenario '" + name +
+                                "': negative intertask_lookahead");
   if (deadline_scale < 0.0)
     throw std::invalid_argument("scenario '" + name +
                                 "': negative deadline_scale");

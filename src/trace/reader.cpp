@@ -9,6 +9,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "trace/trace_detail.hpp"
 #include "util/json.hpp"
@@ -16,11 +17,6 @@
 namespace drhw {
 
 namespace {
-
-constexpr std::size_t k_known_kinds =
-    static_cast<std::size_t>(TraceEvent::Kind::run_end) + 1;
-// Fixed part of a binary event payload, before the tile list.
-constexpr std::size_t k_fixed_payload = 88;
 
 /// Collects the admit events' tile lists into one flat store while the
 /// events are read, and points each event at its slice once the store no
@@ -58,31 +54,22 @@ class TileCollector {
 };
 
 TraceEvent event_from_json(const json::Value& obj, TraceEvent::Kind kind,
-                           std::size_t index, TileCollector& tiles) {
-  auto num = [&](const char* key, double fallback) {
-    const json::Value* v = obj.find(key);
-    return v != nullptr ? v->number : fallback;
-  };
+                           const std::string& context, std::size_t index,
+                           TileCollector& tiles) {
+  namespace td = trace_detail;
   TraceEvent ev;
   ev.kind = kind;
-  ev.t = static_cast<time_us>(num("t", 0.0));
-  ev.job = static_cast<std::int32_t>(num("job", -1.0));
-  ev.subtask = static_cast<std::int32_t>(num("sub", -1.0));
-  ev.prep = static_cast<std::int32_t>(num("prep", -1.0));
-  ev.config = static_cast<std::int64_t>(num("cfg", -1.0));
-  ev.unit = static_cast<std::int32_t>(num("unit", -1.0));
-  ev.duration = static_cast<time_us>(num("dur", 0.0));
-  ev.src = static_cast<std::int32_t>(num("src", -1.0));
-  ev.dst = static_cast<std::int32_t>(num("dst", -1.0));
-  ev.loads = static_cast<std::int64_t>(num("loads", 0.0));
-  ev.aux = static_cast<std::int64_t>(num("aux", 0.0));
-  ev.init = static_cast<std::int64_t>(num("init", 0.0));
-  ev.deadline = static_cast<time_us>(
-      num("dl", static_cast<double>(k_no_time)));
-  ev.value = num("val", 0.0);
-  if (const json::Value* list = obj.find("tiles"))
-    for (const json::Value& v : list->items)
-      tiles.add(index, static_cast<PhysTileId>(v.number));
+  td::visit_event_fields(
+      [&](const char* key, auto, auto& field) {
+        if (const json::Value* v = obj.find(key))
+          td::read_json(*v, context, key, field);
+      },
+      ev);
+  if (const json::Value* list = obj.find("tiles")) {
+    std::vector<PhysTileId> ids;
+    td::read_json(*list, context, "tiles", ids);
+    for (const PhysTileId tile : ids) tiles.add(index, tile);
+  }
   return ev;
 }
 
@@ -101,8 +88,8 @@ TraceData read_jsonl(const std::string& text) {
       have_header = true;
       continue;
     }
-    const json::Value obj = json::parse(
-        line, "trace line " + std::to_string(line_no));
+    const std::string context = "trace line " + std::to_string(line_no);
+    const json::Value obj = json::parse(line, context);
     if (const json::Value* report = obj.find("report")) {
       trace.live = online_report_from_json(*report);
       trace.has_live = true;
@@ -110,13 +97,13 @@ TraceData read_jsonl(const std::string& text) {
     }
     const json::Value* name = obj.find("ev");
     if (name == nullptr)
-      throw std::invalid_argument("trace line " + std::to_string(line_no) +
+      throw std::invalid_argument(context +
                                   ": neither an event nor the footer");
     TraceEvent::Kind kind{};
     if (!trace_detail::kind_from_string(name->text, kind))
       continue;  // an event kind from a newer writer
     trace.events.push_back(
-        event_from_json(obj, kind, trace.events.size(), tiles));
+        event_from_json(obj, kind, context, trace.events.size(), tiles));
   }
   if (!have_header)
     throw std::invalid_argument("trace: empty file (no header line)");
@@ -128,29 +115,24 @@ TraceEvent event_from_binary(const unsigned char* p, std::size_t len,
                              TraceEvent::Kind kind, std::size_t index,
                              TileCollector& tiles) {
   namespace td = trace_detail;
-  if (len < k_fixed_payload + 2)
+  constexpr std::size_t k_before_tiles =
+      td::k_fixed_payload + sizeof(std::uint16_t);
+  if (len < k_before_tiles)
     throw std::invalid_argument("trace: truncated binary event payload");
   TraceEvent ev;
   ev.kind = kind;
-  ev.t = td::get_i64(p);
-  ev.job = td::get_i32(p + 8);
-  ev.subtask = td::get_i32(p + 12);
-  ev.prep = td::get_i32(p + 16);
-  ev.config = td::get_i64(p + 20);
-  ev.unit = td::get_i32(p + 28);
-  ev.duration = td::get_i64(p + 32);
-  ev.src = td::get_i32(p + 40);
-  ev.dst = td::get_i32(p + 44);
-  ev.loads = td::get_i64(p + 48);
-  ev.aux = td::get_i64(p + 56);
-  ev.init = td::get_i64(p + 64);
-  ev.deadline = td::get_i64(p + 72);
-  ev.value = td::get_f64(p + 80);
-  const std::uint16_t n_tiles = td::get_u16(p + 88);
-  if (len < k_fixed_payload + 2 + 4ull * n_tiles)
+  td::visit_event_fields(
+      [&](const char*, auto, auto& field) {
+        field = td::get_le<std::remove_reference_t<decltype(field)>>(p);
+        p += sizeof(field);
+      },
+      ev);
+  const auto n_tiles = td::get_le<std::uint16_t>(p);
+  p += sizeof(n_tiles);
+  if (len < k_before_tiles + sizeof(PhysTileId) * n_tiles)
     throw std::invalid_argument("trace: binary event tile list truncated");
-  for (std::uint16_t i = 0; i < n_tiles; ++i)
-    tiles.add(index, td::get_i32(p + 90 + 4 * i));
+  for (std::uint16_t i = 0; i < n_tiles; ++i, p += sizeof(PhysTileId))
+    tiles.add(index, td::get_le<PhysTileId>(p));
   return ev;
 }
 
@@ -161,7 +143,7 @@ TraceData read_binary(const std::string& text) {
   std::size_t at = sizeof(td::k_magic);
   if (size < at + 4)
     throw std::invalid_argument("trace: binary header frame truncated");
-  const std::uint32_t header_len = td::get_u32(data + at);
+  const std::uint32_t header_len = td::get_le<std::uint32_t>(data + at);
   at += 4;
   if (size < at + header_len)
     throw std::invalid_argument("trace: binary header truncated");
@@ -176,7 +158,7 @@ TraceData read_binary(const std::string& text) {
     if (kind_byte == td::k_footer_kind) {
       if (size < at + 4)
         throw std::invalid_argument("trace: binary footer frame truncated");
-      const std::uint32_t report_len = td::get_u32(data + at);
+      const std::uint32_t report_len = td::get_le<std::uint32_t>(data + at);
       at += 4;
       if (size < at + report_len)
         throw std::invalid_argument("trace: binary footer truncated");
@@ -188,11 +170,11 @@ TraceData read_binary(const std::string& text) {
     }
     if (size < at + 2)
       throw std::invalid_argument("trace: binary record frame truncated");
-    const std::uint16_t payload_len = td::get_u16(data + at);
+    const std::uint16_t payload_len = td::get_le<std::uint16_t>(data + at);
     at += 2;
     if (size < at + payload_len)
       throw std::invalid_argument("trace: binary record truncated");
-    if (kind_byte < k_known_kinds)
+    if (kind_byte < td::k_kind_count)
       trace.events.push_back(event_from_binary(
           data + at, payload_len, static_cast<TraceEvent::Kind>(kind_byte),
           trace.events.size(), tiles));

@@ -12,7 +12,15 @@ namespace drhw {
 
 namespace {
 
-std::ofstream& stream(void* out) { return *static_cast<std::ofstream*>(out); }
+/// Writes `frame` (the bytes before the length), the payload's length at
+/// Length's width, then the payload.
+template <typename Length>
+void write_framed(std::ofstream& out, std::string frame,
+                  const std::string& payload) {
+  trace_detail::put_le(frame, static_cast<Length>(payload.size()));
+  out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+}
 
 }  // namespace
 
@@ -33,52 +41,38 @@ TraceRecorder::TraceRecorder(const std::string& path, TraceFormat format,
   header_.shared_isps = options.shared_isps;
   header_.record_spans = options.record_spans;
 
-  auto* out = new std::ofstream(
+  out_ = std::make_unique<std::ofstream>(
       path, format == TraceFormat::binary
                 ? std::ios::binary | std::ios::trunc
                 : std::ios::openmode(std::ios::trunc));
-  if (!out->is_open()) {
-    delete out;
+  if (!out_->is_open())
     throw std::runtime_error("trace: cannot open '" + path +
                              "' for writing");
-  }
-  out_ = out;
 }
 
-TraceRecorder::~TraceRecorder() {
-  delete static_cast<std::ofstream*>(out_);
-  out_ = nullptr;
-}
+TraceRecorder::~TraceRecorder() = default;
 
 void TraceRecorder::flush_header() {
   if (header_written_) return;
   header_written_ = true;
   const std::string json = trace_detail::header_to_json(header_);
-  std::ofstream& out = stream(out_);
-  if (format_ == TraceFormat::jsonl) {
-    out << json << '\n';
-  } else {
-    out.write(trace_detail::k_magic, sizeof(trace_detail::k_magic));
-    std::string frame;
-    trace_detail::put_u32(frame, static_cast<std::uint32_t>(json.size()));
-    out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-    out.write(json.data(), static_cast<std::streamsize>(json.size()));
-  }
+  if (format_ == TraceFormat::jsonl)
+    *out_ << json << '\n';
+  else
+    write_framed<std::uint32_t>(
+        *out_,
+        std::string(trace_detail::k_magic, sizeof(trace_detail::k_magic)),
+        json);
 }
 
 void TraceRecorder::record(const TraceEvent& ev) {
   flush_header();
-  std::ofstream& out = stream(out_);
-  if (format_ == TraceFormat::jsonl) {
-    out << trace_detail::event_to_json(ev) << '\n';
-  } else {
-    const std::string payload = trace_detail::event_to_binary(ev);
-    std::string frame;
-    frame.push_back(static_cast<char>(ev.kind));
-    trace_detail::put_u16(frame, static_cast<std::uint16_t>(payload.size()));
-    out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  }
+  if (format_ == TraceFormat::jsonl)
+    *out_ << trace_detail::event_to_json(ev) << '\n';
+  else
+    write_framed<std::uint16_t>(*out_,
+                                std::string(1, static_cast<char>(ev.kind)),
+                                trace_detail::event_to_binary(ev));
 }
 
 void TraceRecorder::finish(const OnlineReport& live) {
@@ -86,18 +80,15 @@ void TraceRecorder::finish(const OnlineReport& live) {
   finished_ = true;
   flush_header();  // a run with zero events still gets a valid trace
   const std::string json = online_report_to_json(live);
-  std::ofstream& out = stream(out_);
-  if (format_ == TraceFormat::jsonl) {
-    out << "{\"report\":" << json << "}\n";
-  } else {
-    std::string frame;
-    frame.push_back(static_cast<char>(trace_detail::k_footer_kind));
-    trace_detail::put_u32(frame, static_cast<std::uint32_t>(json.size()));
-    out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-    out.write(json.data(), static_cast<std::streamsize>(json.size()));
-  }
-  out.flush();
-  if (!out) throw std::runtime_error("trace: write to '" + path_ + "' failed");
+  if (format_ == TraceFormat::jsonl)
+    *out_ << "{\"report\":" << json << "}\n";
+  else
+    write_framed<std::uint32_t>(
+        *out_, std::string(1, static_cast<char>(trace_detail::k_footer_kind)),
+        json);
+  out_->flush();
+  if (!*out_)
+    throw std::runtime_error("trace: write to '" + path_ + "' failed");
 }
 
 void TraceRecorder::on_preps(const std::vector<TracePrep>& preps) {

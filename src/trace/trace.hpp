@@ -24,14 +24,19 @@
 /// one exclusion is OnlineReport::perf: wall-clock phase timers and
 /// queue-internal counters are not simulation state and are not serialised.
 ///
-/// Extension policy: adding event kinds or fields is backward-compatible —
-/// readers ignore unknown JSONL keys and skip unknown framed binary
-/// records; removing or renaming anything, or changing an emission site,
-/// requires bumping the schema id.
+/// Extension policy: a field is one line in its list in trace_detail.hpp
+/// (visit_event_fields(), visit_header_fields(), visit_prep_fields()), which
+/// both encodings' writers and readers loop over. Adding event kinds, header
+/// fields or JSONL keys is backward-compatible — readers ignore unknown
+/// JSONL keys and skip unknown framed binary records. A new event field
+/// also moves the binary tile count, which a v1 reader finds at a fixed
+/// offset, so it bumps the schema id, as removing or renaming anything, or
+/// changing an emission site, does.
 /// Rendering: render_trace_ascii()/render_trace_svg() draw a per-port +
 /// per-tile (+ ISP) timeline — `drhw_sched trace render`.
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -113,7 +118,7 @@ class TraceRecorder final : public TraceSink {
   TraceHeader header_;
   bool header_written_ = false;
   bool finished_ = false;
-  void* out_ = nullptr;  ///< std::ofstream, kept out of this header
+  std::unique_ptr<std::ofstream> out_;
 };
 
 /// Reads a trace in either encoding (sniffs the binary magic). Throws

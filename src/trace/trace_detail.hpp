@@ -1,8 +1,9 @@
 #pragma once
 
 /// \file trace_detail.hpp
-/// Encoding constants and helpers shared by the trace writer
-/// (recorder.cpp) and reader (reader.cpp). Not part of the public API.
+/// Encoding constants, field lists and helpers shared by the trace writer
+/// (recorder.cpp, schema.cpp) and reader (reader.cpp, report_json.cpp).
+/// Not part of the public API.
 ///
 /// Binary layout (`drhw-trace-v1`, little-endian throughout):
 ///   magic "DRHWTRC1"
@@ -11,87 +12,230 @@
 ///   records: u8 kind, u16 payload-length, payload — the length frame is
 ///   what lets a v1 reader skip record kinds a later writer added
 ///   footer: u8 0xFF, u32 report-length, report JSON bytes
-/// Event payload field order: t i64, job i32, subtask i32, prep i32,
-/// config i64, unit i32, duration i64, src i32, dst i32, loads i64,
-/// aux i64, init i64, deadline i64, value f64, u16 tile-count, tiles i32
-/// each.
+/// Event payload: the visit_event_fields() fields in list order, each at
+/// its member's width (k_fixed_payload bytes), then u16 tile-count and
+/// one i32 per tile.
 
+#include <charconv>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <ostream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "trace/trace.hpp"
+#include "util/json.hpp"
+#include "util/numfmt.hpp"
 
 namespace drhw::trace_detail {
 
 inline constexpr char k_magic[8] = {'D', 'R', 'H', 'W', 'T', 'R', 'C', '1'};
 inline constexpr std::uint8_t k_footer_kind = 0xFF;
+inline constexpr std::size_t k_kind_count =
+    static_cast<std::size_t>(TraceEvent::Kind::run_end) + 1;
+
+/// Marks the one event field the JSONL writer never omits.
+struct AlwaysWritten {};
+
+/// The scalar payload fields of a TraceEvent, in binary payload order:
+/// f(jsonl_key, omitted_default, event.field...). The JSONL writer omits a
+/// field equal to its default; the binary payload carries every field at
+/// its member's width. The defaults are TraceEvent's own, so a reader that
+/// starts from TraceEvent{} reads an omitted field back unchanged. Both
+/// encodings' writers and readers loop over this list: a field is one
+/// line here.
+template <typename F, typename... Events>
+constexpr void visit_event_fields(F&& f, Events&... ev) {
+  f("t", AlwaysWritten{}, ev.t...);
+  f("job", -1, ev.job...);
+  f("sub", -1, ev.subtask...);
+  f("prep", -1, ev.prep...);
+  f("cfg", -1, ev.config...);
+  f("unit", -1, ev.unit...);
+  f("dur", 0, ev.duration...);
+  f("src", -1, ev.src...);
+  f("dst", -1, ev.dst...);
+  f("loads", 0, ev.loads...);
+  f("aux", 0, ev.aux...);
+  f("init", 0, ev.init...);
+  f("dl", k_no_time, ev.deadline...);
+  f("val", 0.0, ev.value...);
+}
+
+/// Bytes of an event payload before its tile count.
+inline constexpr std::size_t k_fixed_payload = [] {
+  std::size_t size = 0;
+  TraceEvent ev;
+  visit_event_fields(
+      [&](const char*, auto, const auto& field) { size += sizeof(field); },
+      ev);
+  return size;
+}();
+
+/// The header object's fields, in JSON key order: f(key, header.field...).
+/// The header writer and reader loop over it; "preps" is an array of
+/// visit_prep_fields() objects.
+template <typename F, typename... Headers>
+void visit_header_fields(F&& f, Headers&... h) {
+  f("schema", h.schema...);
+  f("policy", h.policy...);
+  f("arrivals", h.arrivals...);
+  f("queue_backend", h.queue_backend...);
+  f("seed", h.seed...);
+  f("iterations", h.iterations...);
+  f("tiles", h.tiles...);
+  f("reconfig_ports", h.reconfig_ports...);
+  f("isps", h.isps...);
+  f("reconfig_latency", h.reconfig_latency...);
+  f("reconfig_energy", h.reconfig_energy...);
+  f("deadline_scale", h.deadline_scale...);
+  f("shared_isps", h.shared_isps...);
+  f("record_spans", h.record_spans...);
+  f("preps", h.preps...);
+}
+
+template <typename F, typename... Preps>
+void visit_prep_fields(F&& f, Preps&... p) {
+  f("name", p.name...);
+  f("ideal", p.ideal...);
+  f("drhw_subtasks", p.drhw_subtasks...);
+  f("exec_energy", p.exec_energy...);
+  f("subtasks", p.subtasks...);
+}
 
 /// Reverse of to_string(TraceEvent::Kind). False on an unknown name —
 /// forward compatibility: JSONL readers drop such events.
 bool kind_from_string(const std::string& text, TraceEvent::Kind& out);
 
-// --- little-endian byte packing (shift-based: no aliasing, no
-// host-endianness dependence) ----------------------------------------------
+// --- little-endian byte packing at the value's own width (shift-based: no
+// aliasing, no host-endianness dependence; a double travels as its bits) --
 
-inline void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-inline void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-inline void put_i32(std::string& out, std::int32_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
-
-inline void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-inline void put_i64(std::string& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-inline void put_f64(std::string& out, double v) {
+template <typename T>
+void put_le(std::string& out, T value) {
   std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
+  if constexpr (std::is_floating_point_v<T>)
+    std::memcpy(&bits, &value, sizeof(value));
+  else
+    bits = static_cast<std::uint64_t>(value);
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    out.push_back(static_cast<char>((bits >> (8 * i)) & 0xFF));
 }
 
-inline std::uint16_t get_u16(const unsigned char* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
+template <typename T>
+T get_le(const unsigned char* p) {
+  std::uint64_t bits = 0;
+  for (std::size_t i = sizeof(T); i-- > 0;) bits = (bits << 8) | p[i];
+  T value{};
+  if constexpr (std::is_floating_point_v<T>)
+    std::memcpy(&value, &bits, sizeof(value));
+  else
+    value = static_cast<T>(bits);
+  return value;
 }
 
-inline std::uint32_t get_u32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
+// --- JSON values, shared by the header, event and footer codecs ----------
+
+/// `{"key":value,...}`; visit(f) calls f(key, value) once per field.
+template <typename Visit>
+void write_object(std::ostream& out, Visit&& visit);
+
+/// A string escaped, a bool as true/false, an integer as is, a double
+/// shortest-exact (null when non-finite, so it parses back bit-identical),
+/// a TracePrep as an object, a vector as an array.
+template <typename T>
+void write_json(std::ostream& out, const T& value) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    out << '"' << json_escape(value) << '"';
+  } else if constexpr (std::is_same_v<T, bool>) {
+    out << (value ? "true" : "false");
+  } else if constexpr (std::is_floating_point_v<T>) {
+    out << fmt_json_double(value);
+  } else if constexpr (std::is_integral_v<T>) {
+    out << value;
+  } else if constexpr (std::is_same_v<T, TracePrep>) {
+    write_object(out, [&](auto&& f) { visit_prep_fields(f, value); });
+  } else {
+    out << '[';
+    for (std::size_t i = 0; i < value.size(); ++i) {
+      if (i > 0) out << ',';
+      write_json(out, value[i]);
+    }
+    out << ']';
+  }
 }
 
-inline std::int32_t get_i32(const unsigned char* p) {
-  return static_cast<std::int32_t>(get_u32(p));
+template <typename Visit>
+void write_object(std::ostream& out, Visit&& visit) {
+  char separator = '{';
+  visit([&](const char* key, const auto& value) {
+    out << separator << '"' << key << "\":";
+    write_json(out, value);
+    separator = ',';
+  });
+  out << '}';
 }
 
-inline std::uint64_t get_u64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
+/// Throws std::invalid_argument "<context>: key '<key>' is not <expected>".
+[[noreturn]] void wrong_kind(std::string_view context, std::string_view key,
+                             const char* expected);
+
+/// Reads the present keys of one field list (visit as for write_object);
+/// missing keys keep their defaults.
+template <typename Visit>
+void read_object(const json::Value& obj, std::string_view context,
+                 Visit&& visit);
+
+/// Reverse of write_json(). Integers are parsed exactly from the number's
+/// text at the field's own width and signedness, so no double round trip
+/// can round or wrap them; doubles accept null. A wrong JSON kind, an
+/// exponent or fraction on an integer, or an out-of-range integer throws
+/// via wrong_kind().
+template <typename T>
+void read_json(const json::Value& v, std::string_view context,
+               std::string_view key, T& out) {
+  using Kind = json::Value::Kind;
+  if constexpr (std::is_same_v<T, std::string>) {
+    if (v.kind != Kind::string) wrong_kind(context, key, "a string");
+    out = v.text;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    if (v.kind != Kind::boolean) wrong_kind(context, key, "a boolean");
+    out = v.boolean;
+  } else if constexpr (std::is_floating_point_v<T>) {
+    if (v.kind == Kind::null)
+      out = std::numeric_limits<T>::quiet_NaN();
+    else if (v.kind == Kind::number)
+      out = v.number;
+    else
+      wrong_kind(context, key, "a number");
+  } else if constexpr (std::is_integral_v<T>) {
+    const char* const last = v.text.data() + v.text.size();
+    const auto [end, error] = std::from_chars(v.text.data(), last, out);
+    if (v.kind != Kind::number || error != std::errc() || end != last)
+      wrong_kind(context, key, "an integer");
+  } else if constexpr (std::is_same_v<T, TracePrep>) {
+    read_object(v, context, [&](auto&& f) { visit_prep_fields(f, out); });
+  } else {
+    if (v.kind != Kind::array) wrong_kind(context, key, "an array");
+    out.assign(v.items.size(), {});
+    for (std::size_t i = 0; i < out.size(); ++i)
+      read_json(v.items[i], context, key, out[i]);
+  }
 }
 
-inline std::int64_t get_i64(const unsigned char* p) {
-  return static_cast<std::int64_t>(get_u64(p));
-}
-
-inline double get_f64(const unsigned char* p) {
-  const std::uint64_t bits = get_u64(p);
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
+template <typename Visit>
+void read_object(const json::Value& obj, std::string_view context,
+                 Visit&& visit) {
+  if (obj.kind != json::Value::Kind::object)
+    throw std::invalid_argument(std::string(context) +
+                                ": expected a JSON object");
+  visit([&](const char* key, auto& field) {
+    if (const json::Value* v = obj.find(key))
+      read_json(*v, context, key, field);
+  });
 }
 
 /// Header JSON object — shared verbatim between the JSONL first line and

@@ -173,6 +173,11 @@ TEST(Cli, OutOfRangeNumbersAreInputErrorsNotInternalFailures) {
   const std::string dir = temp_dir("cli_bad_numbers");
   const std::string empty_graph = dir + "/empty.json";
   std::ofstream(empty_graph) << R"({"name":"t","subtasks":[],"edges":[]})";
+  const std::string trace = dir + "/small.trace.jsonl";
+  ASSERT_EQ(run_cli("online --approach hybrid --iterations 5 --trace " + trace)
+                .exit_code,
+            0);
+  const std::string render = "trace render " + trace;
   const std::pair<std::string, std::string> cases[] = {
       {"online --iterations 0", "iterations < 1"},
       {"campaign --iterations 0 --quiet", "iterations < 1"},
@@ -188,7 +193,14 @@ TEST(Cli, OutOfRangeNumbersAreInputErrorsNotInternalFailures) {
       {"genwork --out " + dir + " --seed -1",
        "--seed needs a non-negative integer, got '-1'"},
       {"campaign --threads -1 --dry-run", "--threads needs a count >= 0"},
-      {"schedule " + empty_graph, "graph JSON: the graph has no subtasks"}};
+      {"schedule " + empty_graph, "graph JSON: the graph has no subtasks"},
+      {"online --lookahead -1", "negative intertask_lookahead"},
+      {render + " --width 0", "--width needs a value > 0, got '0'"},
+      {render + " --from-us -5", "--from-us needs a value >= 0, got '-5'"},
+      {render + " --from-us 100 --until-us 50",
+       "--until-us needs a value > --from-us (100), got 50"},
+      {render + " --until-us 0", "--until-us needs a value > --from-us (0), "
+                                 "got 0"}};
   for (const auto& [args, message] : cases) {
     const CliResult result = run_cli(args);
     EXPECT_EQ(result.exit_code, 1) << args << "\n" << result.output;

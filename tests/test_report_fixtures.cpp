@@ -1,14 +1,16 @@
-// Frozen report bytes. The campaign JSON/CSV writers and the trace-footer
-// writer are fed hand-built results — every metric set to a distinct
-// value, so a swapped, dropped or renamed field changes the output — and
-// compared against literal strings. Any change to these literals is a
+// Frozen report bytes. The campaign JSON/CSV writers and the trace
+// writers (header, events, footer) are fed hand-built results — every
+// metric set to a distinct value, so a swapped, dropped or renamed field
+// changes the output — and compared against literal strings. Any change to these literals is a
 // report format change: older readers and stored reports depend on them.
 
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <limits>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "runner/report.hpp"
 #include "trace/trace.hpp"
@@ -454,6 +456,141 @@ TEST(ReportFixtures, TraceFooterBytesAreFrozenInBothEncodings) {
   const std::string binary = read_file(binary_path);
   ASSERT_GE(binary.size(), footer.size());
   EXPECT_EQ(binary.substr(binary.size() - footer.size()), footer);
+}
+
+
+// The header line / block of a trace recorded with fixture_trace_options()
+// and fixture_trace_preps().
+const char* const k_trace_header_json =
+    "{\"schema\":\"drhw-trace-v1\",\"policy\":\"edf_hybrid[intertask=0]\""
+    ",\"arrivals\":\"bursty\",\"queue_backend\":\"heap\""
+    ",\"seed\":9876543210123,\"iterations\":42,\"tiles\":12"
+    ",\"reconfig_ports\":2,\"isps\":3,\"reconfig_latency\":2500"
+    ",\"reconfig_energy\":0.1,\"deadline_scale\":1.25,\"shared_isps\":true"
+    ",\"record_spans\":false,\"preps\":[{\"name\":\"jpeg \\\"dec\\\"\""
+    ",\"ideal\":18000,\"drhw_subtasks\":5,\"exec_energy\":2.5"
+    ",\"subtasks\":7},{\"name\":\"mpeg\",\"ideal\":33000"
+    ",\"drhw_subtasks\":3,\"exec_energy\":0.75,\"subtasks\":4}]}";
+
+// Every header field off its default.
+OnlineSimOptions fixture_trace_options() {
+  OnlineSimOptions options;
+  options.policy = PolicySpec("edf_hybrid").with("intertask", "0");
+  options.arrivals.kind = ArrivalProcess::Kind::bursty;
+  options.queue_backend = QueueBackend::heap;
+  options.seed = 9876543210123ull;
+  options.iterations = 42;
+  options.platform.tiles = 12;
+  options.platform.reconfig_ports = 2;
+  options.platform.isps = 3;
+  options.platform.reconfig_latency = 2500;
+  options.platform.reconfig_energy = 0.1;
+  options.deadline_scale = 1.25;
+  options.shared_isps = true;
+  options.record_spans = false;
+  return options;
+}
+
+std::vector<TracePrep> fixture_trace_preps() {
+  TracePrep jpeg;
+  jpeg.name = "jpeg \"dec\"";
+  jpeg.ideal = 18000;
+  jpeg.drhw_subtasks = 5;
+  jpeg.exec_energy = 2.5;
+  jpeg.subtasks = 7;
+  TracePrep mpeg;
+  mpeg.name = "mpeg";
+  mpeg.ideal = 33000;
+  mpeg.drhw_subtasks = 3;
+  mpeg.exec_energy = 0.75;
+  mpeg.subtasks = 4;
+  return {jpeg, mpeg};
+}
+
+/// "4452..." -> "DR...".
+std::string from_hex(const std::string& hex) {
+  std::string bytes;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2)
+    bytes.push_back(
+        static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  return bytes;
+}
+
+// Two events, one with every payload field off its default (and a 3-tile
+// admit list), one with every field at its default: the JSONL writer
+// omits defaults except `t`, the binary payload always carries them all.
+TEST(ReportFixtures, TraceHeaderAndEventBytesAreFrozenInBothEncodings) {
+  const std::string jsonl_path = testing::TempDir() + "/fixture.events.jsonl";
+  const std::string binary_path = testing::TempDir() + "/fixture.events.bin";
+  const PhysTileId tiles[] = {5, 1, 3};
+  TraceEvent full(TraceEvent::Kind::admit, 1234567, 3);
+  full.subtask = 4;
+  full.prep = 1;
+  full.config = 77;
+  full.unit = 2;
+  full.duration = 5000;
+  full.src = 6;
+  full.dst = -2;
+  full.loads = 8;
+  full.aux = 9;
+  full.init = 10;
+  full.deadline = 250000;
+  full.value = 0.1;
+  full.tiles = tiles;
+  full.tile_count = 3;
+  for (const auto& [path, format] :
+       {std::pair{jsonl_path, TraceFormat::jsonl},
+        std::pair{binary_path, TraceFormat::binary}}) {
+    TraceRecorder recorder(path, format, fixture_trace_options());
+    recorder.on_preps(fixture_trace_preps());
+    recorder.record(full);
+    recorder.record(TraceEvent{});
+    recorder.finish(fixture_online_report());
+  }
+
+  const std::string header = k_trace_header_json;
+  const std::string footer = k_footer_json;
+  EXPECT_EQ(read_file(jsonl_path),
+            header +
+                "\n{\"ev\":\"admit\",\"t\":1234567,\"job\":3,\"sub\":4"
+                ",\"prep\":1,\"cfg\":77,\"unit\":2,\"dur\":5000,\"src\":6"
+                ",\"dst\":-2,\"loads\":8,\"aux\":9,\"init\":10,\"dl\":250000"
+                ",\"val\":0.1,\"tiles\":[5,1,3]}\n"
+                "{\"ev\":\"arrival\",\"t\":0}\n"
+                "{\"report\":" +
+                footer + "}\n");
+
+  const std::string admit_record = from_hex(
+      "01" "6600"                        // kind admit, 102-byte payload
+      "87d6120000000000"                 // t
+      "03000000" "04000000" "01000000"   // job, subtask, prep
+      "4d00000000000000"                 // config
+      "02000000"                         // unit
+      "8813000000000000"                 // duration
+      "06000000" "feffffff"              // src, dst
+      "0800000000000000"                 // loads
+      "0900000000000000"                 // aux
+      "0a00000000000000"                 // init
+      "90d0030000000000"                 // deadline
+      "9a9999999999b93f"                 // value
+      "0300" "05000000" "01000000" "03000000");  // 3 tiles
+  const std::string default_record = from_hex(
+      "00" "5a00"                        // kind arrival, 90-byte payload
+      "0000000000000000"                 // t
+      "ffffffff" "ffffffff" "ffffffff"   // job, subtask, prep
+      "ffffffffffffffff"                 // config
+      "ffffffff"                         // unit
+      "0000000000000000"                 // duration
+      "ffffffff" "ffffffff"              // src, dst
+      "0000000000000000"                 // loads
+      "0000000000000000"                 // aux
+      "0000000000000000"                 // init
+      "ffffffffffffffff"                 // deadline
+      "0000000000000000"                 // value
+      "0000");                           // no tiles
+  EXPECT_EQ(read_file(binary_path),
+            from_hex("4452485754524331" "d1010000") + header + admit_record +
+                default_record + from_hex("ff" "77030000") + footer);
 }
 
 }  // namespace

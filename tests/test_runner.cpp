@@ -327,6 +327,8 @@ TEST(ScenarioRegistry, ValidateRejectsEachBadDescriptorWithItsMessage) {
        prefix + "arrival rate must be positive"},
       {[](Scenario& s) { s.scheduler_cost = -1; },
        prefix + "negative scheduler cost"},
+      {[](Scenario& s) { s.sim.intertask_lookahead = -1; },
+       prefix + "negative intertask_lookahead"},
       {[](Scenario& s) { s.deadline_scale = -0.5; },
        prefix + "negative deadline_scale"},
       {[](Scenario& s) { s.high_crit_fraction = -0.1; },

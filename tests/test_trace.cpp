@@ -8,8 +8,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,6 +23,7 @@
 #include "policy/registry.hpp"
 #include "sim/workloads.hpp"
 #include "trace/trace.hpp"
+#include "trace/trace_detail.hpp"
 #include "util/json.hpp"
 
 namespace drhw {
@@ -132,6 +138,24 @@ TEST(Trace, EncodingsCarryTheSameStream) {
             online_report_to_json(replay_trace(b.trace)));
   EXPECT_EQ(online_report_to_json(a.trace.live),
             online_report_to_json(b.trace.live));
+  // And every event reads back the same, field by field over the one
+  // field list both encodings are written from (doubles bitwise).
+  for (std::size_t i = 0; i < a.trace.events.size(); ++i) {
+    const TraceEvent& jsonl = a.trace.events[i];
+    const TraceEvent& binary = b.trace.events[i];
+    ASSERT_EQ(jsonl.kind, binary.kind) << "event " << i;
+    trace_detail::visit_event_fields(
+        [&](const char* key, auto, const auto& x, const auto& y) {
+          EXPECT_EQ(std::memcmp(&x, &y, sizeof(x)), 0)
+              << "event " << i << " " << key << ": " << x << " vs " << y;
+        },
+        jsonl, binary);
+    EXPECT_EQ(std::vector<PhysTileId>(jsonl.tiles,
+                                      jsonl.tiles + jsonl.tile_count),
+              std::vector<PhysTileId>(binary.tiles,
+                                      binary.tiles + binary.tile_count))
+        << "event " << i;
+  }
 }
 
 std::vector<std::vector<PhysTileId>> admit_tiles(const TraceData& trace) {
@@ -267,6 +291,76 @@ TEST(Trace, ReaderSkipsUnknownJsonlEventKinds) {
   const TraceData trace = read_trace(spliced_path);
   EXPECT_EQ(trace.events.size(), run.trace.events.size());
   EXPECT_TRUE(verify_trace(trace).empty());
+}
+
+// Writes `lines` (one per line) as a JSONL trace and expects read_trace()
+// to reject it with a message naming `key`.
+void expect_jsonl_rejected(const std::string& lines, const char* key) {
+  const std::string path = testing::TempDir() + "/trace_bad.jsonl";
+  std::ofstream(path, std::ios::trunc) << lines;
+  try {
+    read_trace(path);
+    ADD_FAILURE() << "accepted " << lines;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(std::string("'") + key + "'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Integers are read exactly from the number's text at the field's own
+// width and signedness: a string, an exponent, a fraction or an
+// out-of-range value is an error naming the key, never a cast double.
+TEST(Trace, JsonlReaderRejectsWrongKindsAndOutOfRangeNumbers) {
+  const std::string header = "{\"schema\":\"drhw-trace-v1\"}\n";
+  for (const auto& [event, key] :
+       {std::pair<const char*, const char*>{
+            R"({"ev":"arrival","t":"5"})", "t"},
+        {R"({"ev":"arrival","t":1e30})", "t"},
+        {R"({"ev":"arrival","t":0,"job":2147483648})", "job"},
+        {R"({"ev":"arrival","t":0,"sub":1.5})", "sub"},
+        {R"({"ev":"arrival","t":0,"dl":null})", "dl"},
+        {R"({"ev":"frag","t":0,"val":"x"})", "val"},
+        {R"({"ev":"admit","t":0,"tiles":[1,"2"]})", "tiles"},
+        {R"({"ev":"admit","t":0,"tiles":3})", "tiles"}})
+    expect_jsonl_rejected(header + event + "\n", key);
+  for (const auto& [fields, key] :
+       {std::pair<const char*, const char*>{R"("seed":-1)", "seed"},
+        {R"("seed":18446744073709551616)", "seed"},
+        {R"("seed":1e30)", "seed"},
+        {R"("tiles":"8")", "tiles"},
+        {R"("shared_isps":1)", "shared_isps"},
+        {R"("policy":3)", "policy"},
+        {R"("preps":[{"ideal":-0.5}])", "ideal"}})
+    expect_jsonl_rejected(
+        std::string("{\"schema\":\"drhw-trace-v1\",") + fields + "}\n", key);
+}
+
+// The largest seed `online --seed` accepts reads back exactly in both
+// encodings, and so does every other header field: the read header writes
+// the recorded header line again.
+TEST(Trace, HeaderRoundTripsTheLargestSeedInBothEncodings) {
+  OnlineSimOptions options;
+  options.seed = std::numeric_limits<std::uint64_t>::max();
+  for (const TraceFormat format : {TraceFormat::jsonl, TraceFormat::binary}) {
+    const std::string path =
+        testing::TempDir() + "/trace_seed." + to_string(format);
+    {
+      TraceRecorder recorder(path, format, options);
+      recorder.on_preps({TracePrep{"p", 1000, 2, 0.5, 3}});
+      recorder.finish(OnlineReport{});
+    }
+    const TraceData trace = read_trace(path);
+    EXPECT_EQ(trace.header.seed, std::numeric_limits<std::uint64_t>::max())
+        << to_string(format);
+    const std::string json = trace_detail::header_to_json(trace.header);
+    EXPECT_NE(json.find("\"seed\":18446744073709551615,"), std::string::npos)
+        << json;
+    std::ifstream in(path, std::ios::binary);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find(json), std::string::npos) << to_string(format);
+  }
 }
 
 TEST(Trace, RenderersProduceOutput) {

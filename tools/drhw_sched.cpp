@@ -109,9 +109,10 @@
 // Options for `trace render`:
 //   --format F         ascii | svg (default ascii)
 //   --out FILE         write the rendering to FILE instead of stdout
-//   --width N          timeline width in characters / pixels
-//   --from-us T        window start in simulated us (default 0)
-//   --until-us T       window end in simulated us (default: the horizon)
+//   --width N          timeline width in characters / pixels (> 0)
+//   --from-us T        window start in simulated us (>= 0, default 0)
+//   --until-us T       window end in simulated us (> --from-us, default:
+//                      the horizon)
 
 #include <algorithm>
 #include <charconv>
@@ -982,6 +983,7 @@ int main(int argc, char** argv) {
         TraceRenderOptions options;
         std::string format = "ascii";
         std::string out_path;
+        bool until_given = false;
         for (std::size_t i = 3; i < args.size(); ++i) {
           const std::string& arg = args[i];
           const bool has_value = i + 1 < args.size();
@@ -989,15 +991,27 @@ int main(int argc, char** argv) {
             format = args[++i];
           else if (arg == "--out" && has_value)
             out_path = args[++i];
-          else if (arg == "--width" && has_value)
+          else if (arg == "--width" && has_value) {
             options.width = parse_number<int>(arg, args[++i]);
-          else if (arg == "--from-us" && has_value)
+            if (options.width <= 0)
+              throw std::invalid_argument("--width needs a value > 0, got '" +
+                                          args[i] + "'");
+          } else if (arg == "--from-us" && has_value) {
             options.from = parse_number<time_us>(arg, args[++i]);
-          else if (arg == "--until-us" && has_value)
+            if (options.from < 0)
+              throw std::invalid_argument(
+                  "--from-us needs a value >= 0, got '" + args[i] + "'");
+          } else if (arg == "--until-us" && has_value) {
             options.until = parse_number<time_us>(arg, args[++i]);
-          else
+            until_given = true;
+          } else
             return usage_unknown("trace", arg);
         }
+        if (until_given && options.until <= options.from)
+          throw std::invalid_argument(
+              "--until-us needs a value > --from-us (" +
+              std::to_string(options.from) + "), got " +
+              std::to_string(options.until));
         return cmd_trace_render(path, format, out_path, options);
       }
       return usage_unknown("trace", action);
