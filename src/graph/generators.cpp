@@ -67,45 +67,4 @@ SubtaskGraph make_layered_graph(const LayeredGraphParams& params, Rng& rng) {
   return graph;
 }
 
-SubtaskGraph make_fork_join_graph(int width, int chain_length, time_us min_exec,
-                                  time_us max_exec, Rng& rng) {
-  DRHW_CHECK(width >= 1 && chain_length >= 1);
-  SubtaskGraph graph("fork_join");
-  const auto src = graph.add_subtask(
-      make_node("fork", random_exec(rng, min_exec, max_exec), Resource::drhw));
-  std::vector<SubtaskId> tails;
-  for (int w = 0; w < width; ++w) {
-    SubtaskId prev = src;
-    for (int c = 0; c < chain_length; ++c) {
-      const auto id = graph.add_subtask(make_node(
-          "b" + std::to_string(w) + "_" + std::to_string(c),
-          random_exec(rng, min_exec, max_exec), Resource::drhw));
-      graph.add_edge(prev, id);
-      prev = id;
-    }
-    tails.push_back(prev);
-  }
-  const auto sink = graph.add_subtask(
-      make_node("join", random_exec(rng, min_exec, max_exec), Resource::drhw));
-  for (SubtaskId t : tails) graph.add_edge(t, sink);
-  graph.finalize();
-  return graph;
-}
-
-SubtaskGraph make_chain_graph(int length, time_us min_exec, time_us max_exec,
-                              Rng& rng) {
-  DRHW_CHECK(length >= 1);
-  SubtaskGraph graph("chain");
-  SubtaskId prev = k_no_subtask;
-  for (int i = 0; i < length; ++i) {
-    const auto id = graph.add_subtask(
-        make_node("c" + std::to_string(i),
-                  random_exec(rng, min_exec, max_exec), Resource::drhw));
-    if (prev != k_no_subtask) graph.add_edge(prev, id);
-    prev = id;
-  }
-  graph.finalize();
-  return graph;
-}
-
 }  // namespace drhw

@@ -25,13 +25,4 @@ struct LayeredGraphParams {
 /// in the previous layer (except layer 0), guaranteeing a connected pipeline.
 SubtaskGraph make_layered_graph(const LayeredGraphParams& params, Rng& rng);
 
-/// Fork-join graph: source -> `width` parallel chains of `chain_length`
-/// nodes -> sink. Models data-parallel decoders such as the parallel JPEG.
-SubtaskGraph make_fork_join_graph(int width, int chain_length, time_us min_exec,
-                                  time_us max_exec, Rng& rng);
-
-/// Pure chain of `length` nodes. Models sequential pipelines.
-SubtaskGraph make_chain_graph(int length, time_us min_exec, time_us max_exec,
-                              Rng& rng);
-
 }  // namespace drhw

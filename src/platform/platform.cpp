@@ -26,13 +26,4 @@ PlatformConfig virtex2_platform(int tiles) {
   return cfg;
 }
 
-PlatformConfig coarse_grain_platform(int tiles, time_us latency) {
-  PlatformConfig cfg;
-  cfg.tiles = tiles;
-  cfg.reconfig_latency = latency;
-  cfg.isps = 1;
-  cfg.validate();
-  return cfg;
-}
-
 }  // namespace drhw

@@ -73,9 +73,4 @@ time_us icn_comm_latency(const PlatformConfig& platform, TileId from_unit,
 /// style tiles with a 4 ms reconfiguration latency and one ISP.
 PlatformConfig virtex2_platform(int tiles);
 
-/// Factory for a coarse-grain array: same topology, but with the much
-/// smaller reconfiguration latency that Section 4 argues motivates the
-/// hybrid approach (default 0.5 ms).
-PlatformConfig coarse_grain_platform(int tiles, time_us latency = us(500));
-
 }  // namespace drhw

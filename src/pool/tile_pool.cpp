@@ -42,7 +42,6 @@ TilePoolManager::TilePoolManager(int tiles, const PoolOptions& options)
     : options_(options), store_(tiles) {
   options_.validate();
   const auto n = static_cast<std::size_t>(tiles);
-  held_.assign(n, 0);
   reserved_.assign(n, 0);
   migrating_.assign(n, 0);
   owner_.assign(n, -1);
@@ -251,7 +250,6 @@ void TilePoolManager::occupy(std::int32_t job,
   for (const PhysTileId t : tiles) {
     const std::size_t idx = checked(t);
     DRHW_CHECK_MSG(tile_free(idx), "occupying a tile that is not free");
-    held_[idx] = 1;
     owner_[idx] = job;
   }
   const std::size_t pos = position_of(job);
@@ -283,11 +281,8 @@ void TilePoolManager::occupy(std::int32_t job,
 
 void TilePoolManager::release(std::int32_t job, time_us now) {
   touch(now);
-  for (std::size_t t = 0; t < held_.size(); ++t)
-    if (owner_[t] == job) {
-      held_[t] = 0;
-      owner_[t] = -1;
-    }
+  for (std::int32_t& owner : owner_)
+    if (owner == job) owner = -1;
 }
 
 // --- backlog-prefetch reservations ------------------------------------------
@@ -334,10 +329,6 @@ ConfigId TilePoolManager::finish_prefetch(PhysTileId tile, time_us now) {
 
 // --- occupancy queries ------------------------------------------------------
 
-bool TilePoolManager::held(PhysTileId tile) const {
-  return held_[checked(tile)] != 0;
-}
-
 bool TilePoolManager::reserved(PhysTileId tile) const {
   return reserved_[checked(tile)] != 0;
 }
@@ -348,13 +339,13 @@ std::int32_t TilePoolManager::owner(PhysTileId tile) const {
 
 int TilePoolManager::free_count() const {
   int free = 0;
-  for (std::size_t t = 0; t < held_.size(); ++t) free += tile_free(t);
+  for (std::size_t t = 0; t < owner_.size(); ++t) free += tile_free(t);
   return free;
 }
 
 int TilePoolManager::largest_free_block() const {
   int best = 0, run = 0;
-  for (std::size_t t = 0; t < held_.size(); ++t) {
+  for (std::size_t t = 0; t < owner_.size(); ++t) {
     run = tile_free(t) ? run + 1 : 0;
     best = std::max(best, run);
   }
@@ -391,7 +382,7 @@ TilePoolManager::WindowScan TilePoolManager::scan_window(
       ++scan.migrating;
       continue;
     }
-    if (held_[idx]) {
+    if (owner_[idx] >= 0) {
       if (!movable[idx]) {
         scan.feasible = false;
         return scan;
@@ -436,7 +427,7 @@ std::optional<MigrationPlan> TilePoolManager::plan_defrag(
 
   PhysTileId src = k_no_phys_tile;
   for (int t = defrag_window_; t < defrag_window_ + needed; ++t)
-    if (held_[static_cast<std::size_t>(t)] &&
+    if (owner_[static_cast<std::size_t>(t)] >= 0 &&
         !migrating_[static_cast<std::size_t>(t)]) {
       src = t;
       break;
@@ -465,13 +456,11 @@ void TilePoolManager::begin_migration(const MigrationPlan& plan, time_us now) {
   touch(now);
   DRHW_CHECK_MSG(plan.needs_port(), "free remaps use apply_remap()");
   const std::size_t src = checked(plan.src);
-  DRHW_CHECK(held_[src] && !migrating_[src]);
+  DRHW_CHECK(owner_[src] >= 0 && !migrating_[src]);
   const std::size_t dst = checked(plan.dst);
-  DRHW_CHECK_MSG(!held_[dst] && !reserved_[dst] && !migrating_[dst],
-                 "migration destination is not free");
+  DRHW_CHECK_MSG(tile_free(dst), "migration destination is not free");
   reserved_[dst] = 1;
   migrating_[src] = 1;
-  ++migrations_in_flight_;
 }
 
 bool TilePoolManager::finish_migration(const MigrationPlan& plan,
@@ -482,17 +471,14 @@ bool TilePoolManager::finish_migration(const MigrationPlan& plan,
   DRHW_CHECK(migrating_[src] && reserved_[dst]);
   reserved_[dst] = 0;
   migrating_[src] = 0;
-  --migrations_in_flight_;
   // The transfer only holds when the owner is still live on `src` and no
   // competing load overwrote the source mid-flight; otherwise the loaded
   // copy stays behind as an ordinary reusable cached configuration.
-  const bool transfer = held_[src] && owner_[src] == plan.owner &&
+  const bool transfer = owner_[src] >= 0 && owner_[src] == plan.owner &&
                         store_.config_on(plan.src) == plan.config;
   if (transfer) {
     store_.relocate(plan.src, plan.dst, now);
-    held_[dst] = 1;
     owner_[dst] = plan.owner;
-    held_[src] = 0;
     owner_[src] = -1;
   } else {
     store_.record_load(plan.dst, plan.config, now, plan.value);
@@ -512,11 +498,10 @@ void TilePoolManager::apply_remap(const MigrationPlan& plan, time_us now) {
   DRHW_CHECK_MSG(!plan.needs_port(), "port migrations use begin/finish");
   const std::size_t src = checked(plan.src);
   const std::size_t dst = checked(plan.dst);
-  DRHW_CHECK(held_[src] && !migrating_[src] && owner_[src] == plan.owner);
-  DRHW_CHECK(!held_[dst] && !reserved_[dst] && !migrating_[dst]);
-  held_[dst] = 1;
+  DRHW_CHECK(owner_[src] >= 0 && !migrating_[src] &&
+             owner_[src] == plan.owner);
+  DRHW_CHECK(tile_free(dst));
   owner_[dst] = plan.owner;
-  held_[src] = 0;
   owner_[src] = -1;
   if (trace_) {
     TraceEvent ev(TraceEvent::Kind::remap, now, plan.owner);
@@ -530,23 +515,20 @@ void TilePoolManager::apply_remap(const MigrationPlan& plan, time_us now) {
 
 void TilePoolManager::begin_checkpoint(PhysTileId tile) {
   const std::size_t idx = checked(tile);
-  DRHW_CHECK_MSG(held_[idx] && !migrating_[idx] && !reserved_[idx],
+  DRHW_CHECK_MSG(owner_[idx] >= 0 && !migrating_[idx] && !reserved_[idx],
                  "checkpointing a tile that is not quietly held");
   migrating_[idx] = 1;
-  ++migrations_in_flight_;
 }
 
 void TilePoolManager::finish_checkpoint(PhysTileId tile, time_us now) {
   touch(now);
   const std::size_t idx = checked(tile);
-  DRHW_CHECK_MSG(held_[idx] && migrating_[idx],
+  DRHW_CHECK_MSG(owner_[idx] >= 0 && migrating_[idx],
                  "checkpoint completion on a tile that is not checkpointing");
   migrating_[idx] = 0;
-  --migrations_in_flight_;
   // Free with the resident configuration left cached — release() semantics,
   // per tile: the store keeps the config, so the victim's re-admission
   // finds it through the reuse module.
-  held_[idx] = 0;
   owner_[idx] = -1;
 }
 
@@ -564,7 +546,7 @@ void TilePoolManager::touch(time_us now) {
 }
 
 std::size_t TilePoolManager::checked(PhysTileId tile) const {
-  if (tile < 0 || static_cast<std::size_t>(tile) >= held_.size())
+  if (tile < 0 || static_cast<std::size_t>(tile) >= owner_.size())
     throw std::invalid_argument("physical tile id out of range");
   return static_cast<std::size_t>(tile);
 }

@@ -115,7 +115,7 @@ class TilePoolManager {
  public:
   TilePoolManager(int tiles, const PoolOptions& options);
 
-  int tiles() const { return static_cast<int>(held_.size()); }
+  int tiles() const { return static_cast<int>(owner_.size()); }
   const PoolOptions& options() const { return options_; }
   ConfigStore& store() { return store_; }
   const ConfigStore& store() const { return store_; }
@@ -211,16 +211,11 @@ class TilePoolManager {
 
   // --- occupancy queries ---------------------------------------------------
 
-  bool held(PhysTileId tile) const;
   bool reserved(PhysTileId tile) const;
   std::int32_t owner(PhysTileId tile) const;
   bool migrating(PhysTileId tile) const {
     return migrating_[checked(tile)] != 0;
   }
-  /// Concurrent defragmentation relocations through the port(s). Each
-  /// spare reconfiguration port may carry its own migration; the kernel
-  /// starts one per free port while plan_defrag() keeps producing plans.
-  int migrations_in_flight() const { return migrations_in_flight_; }
   int free_count() const;
   /// Longest run of adjacent free tiles.
   int largest_free_block() const;
@@ -314,7 +309,7 @@ class TilePoolManager {
   /// tile that is being copied out would gate their executions on a
   /// migration that will never wake them.
   bool tile_free(std::size_t idx) const {
-    return !held_[idx] && !reserved_[idx] && !migrating_[idx];
+    return owner_[idx] < 0 && !reserved_[idx] && !migrating_[idx];
   }
   /// One defragmentation window's state under the current occupancy.
   struct WindowScan {
@@ -331,8 +326,8 @@ class TilePoolManager {
 
   PoolOptions options_;
   ConfigStore store_;
-  std::vector<char> held_, reserved_;
-  std::vector<std::int32_t> owner_;
+  std::vector<char> reserved_;
+  std::vector<std::int32_t> owner_;  ///< live instance per tile, -1: not held
   std::vector<ConfigId> prefetch_config_;
   std::vector<double> prefetch_value_;
   std::vector<Waiting> queue_;
@@ -345,7 +340,6 @@ class TilePoolManager {
   TraceSink* trace_ = nullptr;
 
   std::vector<char> migrating_;  ///< per-tile: source of an in-flight move
-  int migrations_in_flight_ = 0;
   int defrag_window_ = -1;       ///< sticky target window start
   int defrag_window_size_ = 0;   ///< its extent (the planned-for head's need)
   std::int32_t defrag_target_ = -1; ///< queue head the window was planned for

@@ -20,7 +20,7 @@
 /// contract the golden pins and the 1-vs-8-thread bit-identity tests ride
 /// on. The heap backend is retained for differential testing
 /// (tests/test_event_sim.cpp runs both and requires bit-identical
-/// OnlineReports) and as the baseline side of bench/throughput_horizon.
+/// OnlineReports).
 ///
 /// The queue also feeds the perf-counter layer (util/perf_stats.hpp):
 /// push/pop totals, per-kind event counts, depth histogram, and tracked

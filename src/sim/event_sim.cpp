@@ -385,9 +385,8 @@ class OnlineSimulation {
       return;
     }
     if (options_.queue_backend == QueueBackend::heap) {
-      // The PR 2..5 baseline: the whole stream eagerly pre-pushed. Kept
-      // verbatim so the heap side of the throughput bench measures the
-      // kernel it replaces.
+      // The earlier binary-heap kernel: the whole stream eagerly
+      // pre-pushed, kept verbatim for the differential tests.
       for (std::size_t j = 0; j < job_prep_.size(); ++j)
         events_.push(job_arrival_[j], k_ev_arrival,
                      static_cast<std::int32_t>(j), k_no_subtask);

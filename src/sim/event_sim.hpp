@@ -192,9 +192,9 @@ struct OnlineSimOptions {
   /// Global event-queue backend (sim/event_queue.hpp). The calendar queue
   /// is the production default — O(1) expected per event, with the
   /// arrival stream injected lazily in sorted order so the queue holds
-  /// only the live working set. The heap backend reproduces the PR 2..5
+  /// only the live working set. The heap backend reproduces the earlier
   /// binary-heap kernel (arrivals eagerly pre-pushed) for differential
-  /// testing and as the throughput-bench baseline. Both backends pop in
+  /// testing. Both backends pop in
   /// the same deterministic order, so every report is bit-identical
   /// between them (asserted by tests/test_event_sim.cpp).
   QueueBackend queue_backend = QueueBackend::calendar;

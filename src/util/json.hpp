@@ -3,10 +3,9 @@
 /// \file json.hpp
 /// Minimal recursive-descent JSON reader, the repo's only one. Users: the
 /// trace header and footer readers (trace/schema.cpp, trace/reader.cpp,
-/// trace/report_json.cpp), the graph format (graph/serialization.cpp) and
-/// the standalone perf-gate comparator (tools/perf_compare.cpp). Covers
-/// objects, arrays, strings, numbers, booleans and null — exactly the
-/// subset the repo's writers emit; it is not a general-purpose JSON
+/// trace/report_json.cpp) and the graph format (graph/serialization.cpp).
+/// Covers objects, arrays, strings, numbers, booleans and null — exactly
+/// the subset the repo's writers emit; it is not a general-purpose JSON
 /// library.
 ///
 /// A `\uXXXX` escape needs four hex digits and is stored as UTF-8; a

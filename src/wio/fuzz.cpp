@@ -2,22 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "util/rng.hpp"
 
 namespace drhw {
 
 WorkloadFile fuzz_workload(const FuzzWorkloadOptions& options) {
+  const auto reject = [](const char* what) {
+    throw std::invalid_argument(std::string("fuzz workload: ") + what);
+  };
+  if (options.tasks < 1) reject("tasks < 1");
+  if (options.variants < 1) reject("variants < 1");
+  if (options.configs < 1) reject("configs < 1");
+  if (options.min_nodes < 1) reject("min_nodes < 1");
+  if (options.max_nodes < options.min_nodes) reject("max_nodes < min_nodes");
+
   Rng rng(options.seed);
   WorkloadFile file;
-  file.configs = std::max(options.configs, 1);
+  file.configs = options.configs;
 
-  const int tasks = std::max(options.tasks, 1);
-  const int variants = std::max(options.variants, 1);
-  const int min_nodes = std::max(options.min_nodes, 1);
-  const int max_nodes = std::max(options.max_nodes, min_nodes);
-
-  for (int t = 0; t < tasks; ++t) {
+  for (int t = 0; t < options.tasks; ++t) {
     WorkloadTask task;
     task.name = "task" + std::to_string(t);
 
@@ -27,7 +32,7 @@ WorkloadFile fuzz_workload(const FuzzWorkloadOptions& options) {
     // compatible with harmonize_replacement_values (same config ids) and
     // models the paper's per-scenario execution-time variation.
     const int nodes = static_cast<int>(
-        rng.next_int(min_nodes, max_nodes));
+        rng.next_int(options.min_nodes, options.max_nodes));
     std::vector<bool> isp(static_cast<std::size_t>(nodes));
     std::vector<ConfigId> cfg(static_cast<std::size_t>(nodes), k_no_config);
     std::vector<time_us> base(static_cast<std::size_t>(nodes));
@@ -55,10 +60,10 @@ WorkloadFile fuzz_workload(const FuzzWorkloadOptions& options) {
     }
 
     double remaining = 1.0;
-    for (int v = 0; v < variants; ++v) {
+    for (int v = 0; v < options.variants; ++v) {
       WorkloadVariant variant;
       variant.name = "s" + std::to_string(v);
-      if (v + 1 == variants) {
+      if (v + 1 == options.variants) {
         variant.probability = remaining;
       } else {
         variant.probability =

@@ -26,7 +26,9 @@ struct FuzzWorkloadOptions {
 
 /// Generates one random workload model. Always parseable and buildable:
 /// edges only point forward, exec times are positive, every config id is
-/// inside the declared space.
+/// inside the declared space. Throws std::invalid_argument naming the
+/// field when tasks, variants, configs or min_nodes is < 1, or when
+/// max_nodes < min_nodes.
 WorkloadFile fuzz_workload(const FuzzWorkloadOptions& options);
 
 /// fuzz_workload + canonical serialisation. Byte-identical per seed.

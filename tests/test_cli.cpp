@@ -192,6 +192,14 @@ TEST(Cli, OutOfRangeNumbersAreInputErrorsNotInternalFailures) {
        "--seed needs a non-negative integer, got '-3'"},
       {"genwork --out " + dir + " --seed -1",
        "--seed needs a non-negative integer, got '-1'"},
+      {"genwork --out " + dir + " --tasks 0", "fuzz workload: tasks < 1"},
+      {"genwork --out " + dir + " --variants 0",
+       "fuzz workload: variants < 1"},
+      {"genwork --out " + dir + " --configs 0", "fuzz workload: configs < 1"},
+      {"genwork --out " + dir + " --min-nodes 0",
+       "fuzz workload: min_nodes < 1"},
+      {"genwork --out " + dir + " --min-nodes 5 --max-nodes 2",
+       "fuzz workload: max_nodes < min_nodes"},
       {"campaign --threads -1 --dry-run", "--threads needs a count >= 0"},
       {"schedule " + empty_graph, "graph JSON: the graph has no subtasks"},
       {"online --lookahead -1", "negative intertask_lookahead"},
@@ -209,7 +217,7 @@ TEST(Cli, OutOfRangeNumbersAreInputErrorsNotInternalFailures) {
         << args << "\n" << result.output;
     EXPECT_EQ(result.output.find("DRHW_CHECK"), std::string::npos) << args;
   }
-  // The rejected genwork seed wrote no workload file.
+  // The rejected genwork seed and shapes wrote no workload file.
   for (const auto& entry : std::filesystem::directory_iterator(dir))
     EXPECT_NE(entry.path().extension(), ".dwl") << entry.path();
 }

@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "apps/multimedia.hpp"
+#include "fixtures.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "prefetch/bnb.hpp"
@@ -15,6 +16,8 @@
 
 namespace drhw {
 namespace {
+
+using testing::make_chain_graph;
 
 PlatformConfig pf(int tiles) { return virtex2_platform(tiles); }
 

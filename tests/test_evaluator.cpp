@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fixtures.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "platform/platform.hpp"
@@ -14,6 +15,7 @@ namespace drhw {
 namespace {
 
 using testing::expect_valid_schedule;
+using testing::make_fork_join_graph;
 using testing::weight_priority_plan;
 
 /// The Figure 3 example: 1 -> {2, 3} -> 4 on three tiles, 4 ms loads.

@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include "fixtures.hpp"
 #include "graph/generators.hpp"
 
 namespace drhw {
 namespace {
+
+using testing::make_chain_graph;
+using testing::make_fork_join_graph;
 
 class LayeredGraphTest : public ::testing::TestWithParam<int> {};
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/multimedia.hpp"
+#include "fixtures.hpp"
 #include "graph/generators.hpp"
 #include "hybrid_run.hpp"
 #include "prefetch/hybrid.hpp"
@@ -13,6 +14,7 @@
 namespace drhw {
 namespace {
 
+using testing::make_chain_graph;
 using testing::run_hybrid;
 
 struct Prepared {

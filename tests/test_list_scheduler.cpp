@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include "fixtures.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "schedule/list_scheduler.hpp"
 
 namespace drhw {
 namespace {
+
+using testing::make_fork_join_graph;
 
 SubtaskGraph chain4() {
   SubtaskGraph g("chain4");

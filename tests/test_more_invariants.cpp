@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "apps/pocket_gl.hpp"
+#include "fixtures.hpp"
 #include "hybrid_run.hpp"
 #include "prefetch/hybrid.hpp"
 #include "prefetch/list_prefetch.hpp"
@@ -14,6 +15,8 @@
 
 namespace drhw {
 namespace {
+
+using testing::coarse_grain_platform;
 
 TEST(FrameMerge, MergedIdealEqualsSumOfTaskIdeals) {
   // The frame pipeline is sequential, so the merged graph's ideal makespan

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fixtures.hpp"
 #include "graph/generators.hpp"
 #include "hybrid_run.hpp"
 #include "platform/platform.hpp"
@@ -17,6 +18,7 @@
 namespace drhw {
 namespace {
 
+using testing::coarse_grain_platform;
 using testing::expect_valid_schedule;
 
 SubtaskGraph chain(int length, time_us exec) {

@@ -244,15 +244,12 @@ TEST(TilePool, DefragPlansAMigrationThatOpensTheNeededRun) {
   EXPECT_TRUE(plan->needs_port());
   EXPECT_EQ(plan->owner, 1);
   pool.begin_migration(*plan, ms(2));
-  EXPECT_EQ(pool.migrations_in_flight(), 1);
   EXPECT_TRUE(pool.migrating(plan->src));
   EXPECT_TRUE(pool.finish_migration(*plan, ms(6)));
-  EXPECT_EQ(pool.migrations_in_flight(), 0);
   // Ownership moved, the configuration travelled, the source keeps a
   // cached copy, and the head now fits.
-  EXPECT_TRUE(pool.held(plan->dst));
   EXPECT_EQ(pool.owner(plan->dst), 1);
-  EXPECT_FALSE(pool.held(plan->src));
+  EXPECT_EQ(pool.owner(plan->src), -1);
   EXPECT_EQ(pool.store().config_on(plan->dst),
             pool.store().config_on(plan->src));
   EXPECT_GE(pool.largest_free_block(), 3);
@@ -272,7 +269,7 @@ TEST(TilePool, DefragRemapsEmptyHeldTilesForFree) {
   EXPECT_FALSE(plan->needs_port());  // nothing to copy
   pool.apply_remap(*plan, ms(1));
   EXPECT_EQ(pool.owner(plan->dst), 1);
-  EXPECT_FALSE(pool.held(plan->src));
+  EXPECT_EQ(pool.owner(plan->src), -1);
   EXPECT_EQ(metrics.defrag_moves(), 1);
 }
 
@@ -292,9 +289,8 @@ TEST(TilePool, DefragAbortsTransferWhenTheSourceChangedMidFlight) {
   EXPECT_FALSE(pool.finish_migration(*plan, ms(6)));
   // The owner keeps the (rewritten) source; the destination holds the old
   // configuration as a reusable cached copy on a free tile.
-  EXPECT_TRUE(pool.held(plan->src));
   EXPECT_EQ(pool.owner(plan->src), 1);
-  EXPECT_FALSE(pool.held(plan->dst));
+  EXPECT_EQ(pool.owner(plan->dst), -1);
   EXPECT_EQ(pool.store().config_on(plan->dst), plan->config);
 }
 
@@ -351,7 +347,6 @@ TEST(TilePool, TwoMigrationsRunConcurrentlyWithIndependentCommits) {
   EXPECT_NE(second->dst, first->dst);
   pool.begin_migration(*second, ms(3));
 
-  EXPECT_EQ(pool.migrations_in_flight(), 2);
   EXPECT_TRUE(pool.migrating(first->src));
   EXPECT_TRUE(pool.migrating(second->src));
   // Both sources and both destinations are excluded from every free view.
@@ -362,11 +357,9 @@ TEST(TilePool, TwoMigrationsRunConcurrentlyWithIndependentCommits) {
 
   // Moves land out of order; each transfers independently.
   EXPECT_TRUE(pool.finish_migration(*second, ms(6)));
-  EXPECT_EQ(pool.migrations_in_flight(), 1);
   EXPECT_TRUE(pool.migrating(first->src));
   EXPECT_FALSE(pool.migrating(second->src));
   EXPECT_TRUE(pool.finish_migration(*first, ms(7)));
-  EXPECT_EQ(pool.migrations_in_flight(), 0);
   EXPECT_EQ(metrics.defrag_moves(), 2);
   // The window is clear: the head admits.
   EXPECT_GE(pool.largest_free_block(), 6);
@@ -394,11 +387,11 @@ TEST(TilePool, ConcurrentMigrationsAbortIndependently) {
   // aborts (cached copy at the destination), the other still transfers.
   pool.store().record_load(first->src, 99, ms(4), 2.0);
   EXPECT_FALSE(pool.finish_migration(*first, ms(6)));
-  EXPECT_TRUE(pool.held(first->src));
-  EXPECT_FALSE(pool.held(first->dst));
+  EXPECT_EQ(pool.owner(first->src), 1);
+  EXPECT_EQ(pool.owner(first->dst), -1);
   EXPECT_TRUE(pool.finish_migration(*second, ms(7)));
-  EXPECT_TRUE(pool.held(second->dst));
-  EXPECT_FALSE(pool.held(second->src));
+  EXPECT_EQ(pool.owner(second->dst), 1);
+  EXPECT_EQ(pool.owner(second->src), -1);
 }
 
 TEST(TilePool, FragmentationMetricIsTimeWeighted) {
@@ -434,15 +427,12 @@ TEST(TilePool, CheckpointLifecycleFreesTilesButKeepsConfigsCached) {
   pool.begin_checkpoint(1);
   EXPECT_TRUE(pool.migrating(0));
   EXPECT_TRUE(pool.migrating(1));
-  EXPECT_EQ(pool.migrations_in_flight(), 2);
   EXPECT_EQ(pool.free_count(), 2);  // checkpointing tiles are not free
 
   pool.finish_checkpoint(0, ms(5));
   pool.finish_checkpoint(1, ms(5));
-  EXPECT_EQ(pool.migrations_in_flight(), 0);
-  EXPECT_FALSE(pool.held(0));
-  EXPECT_FALSE(pool.held(1));
   EXPECT_EQ(pool.owner(0), -1);
+  EXPECT_EQ(pool.owner(1), -1);
   EXPECT_EQ(pool.free_count(), 4);
   // The configurations stay as reusable cached copies.
   EXPECT_EQ(pool.store().config_on(0), 10);

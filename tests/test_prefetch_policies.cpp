@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "fixtures.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "platform/platform.hpp"
@@ -27,6 +28,8 @@ namespace drhw {
 namespace {
 
 using testing::expect_valid_schedule;
+using testing::make_chain_graph;
+using testing::make_fork_join_graph;
 
 std::vector<bool> all_drhw(const SubtaskGraph& g, const Placement& p) {
   std::vector<bool> needs(g.size(), false);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/multimedia.hpp"
+#include "fixtures.hpp"
 #include "platform/platform.hpp"
 #include "prefetch/bnb.hpp"
 #include "prefetch/load_plan.hpp"
@@ -14,6 +15,8 @@
 
 namespace drhw {
 namespace {
+
+using testing::coarse_grain_platform;
 
 struct Columns {
   time_us ideal = 0;

@@ -690,9 +690,11 @@ int cmd_genwork(const GenworkCliOptions& cli) {
     std::snprintf(name, sizeof(name), "fuzz%06llu.dwl",
                   static_cast<unsigned long long>(options.seed));
     const auto path = std::filesystem::path(cli.out_dir) / name;
+    // Generated before the file is opened: a rejected shape writes none.
+    const std::string text = fuzz_workload_text(options);
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out) throw std::invalid_argument("cannot write " + path.string());
-    out << fuzz_workload_text(options);
+    out << text;
   }
   std::cout << cli.count << " workload(s) in " << cli.out_dir << " (seeds "
             << cli.fuzz.seed << ".."
