@@ -329,10 +329,6 @@ ConfigId TilePoolManager::finish_prefetch(PhysTileId tile, time_us now) {
 
 // --- occupancy queries ------------------------------------------------------
 
-bool TilePoolManager::reserved(PhysTileId tile) const {
-  return reserved_[checked(tile)] != 0;
-}
-
 std::int32_t TilePoolManager::owner(PhysTileId tile) const {
   return owner_[checked(tile)];
 }

@@ -211,7 +211,6 @@ class TilePoolManager {
 
   // --- occupancy queries ---------------------------------------------------
 
-  bool reserved(PhysTileId tile) const;
   std::int32_t owner(PhysTileId tile) const;
   bool migrating(PhysTileId tile) const {
     return migrating_[checked(tile)] != 0;

@@ -6,9 +6,11 @@
 /// has_live false (truncated traces still read and render).
 
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <type_traits>
 
 #include "trace/trace_detail.hpp"
@@ -111,74 +113,157 @@ TraceData read_jsonl(const std::string& text) {
   return trace;
 }
 
-TraceEvent event_from_binary(const unsigned char* p, std::size_t len,
-                             TraceEvent::Kind kind, std::size_t index,
+/// Bounds-checked reads from one span of a binary trace. A read past the
+/// span's end throws std::invalid_argument with the current overrun
+/// message.
+class ByteCursor {
+ public:
+  ByteCursor(const unsigned char* at, const unsigned char* end,
+             const char* overrun)
+      : at_(at), end_(end), overrun_(overrun) {}
+
+  void on_overrun(const char* message) { overrun_ = message; }
+  bool empty() const { return at_ == end_; }
+
+  /// The next `count` bytes as a cursor of their own.
+  ByteCursor take(std::uint64_t count) {
+    need(count);
+    const unsigned char* const start = at_;
+    at_ += count;
+    return {start, at_, overrun_};
+  }
+
+  std::string_view view() const {
+    return {reinterpret_cast<const char*>(at_), left()};
+  }
+
+  std::uint8_t byte() {
+    need(1);
+    return *at_++;
+  }
+
+  template <typename T>
+  T le() {
+    need(sizeof(T));
+    const T value = trace_detail::get_le<T>(at_);
+    at_ += sizeof(T);
+    return value;
+  }
+
+  std::uint64_t varint() {
+    std::uint64_t value = 0;
+    for (std::size_t i = 0;; ++i) {
+      const std::uint8_t b = byte();
+      if (i + 1 == trace_detail::k_max_varint && b > 1)
+        throw std::invalid_argument(
+            (b & 0x80) != 0 ? "trace: binary varint longer than 10 bytes"
+                            : "trace: binary varint overflows 64 bits");
+      value |= static_cast<std::uint64_t>(b & 0x7F) << (7 * i);
+      if ((b & 0x80) == 0) return value;
+    }
+  }
+
+  /// A zigzag varint that must fit T.
+  template <typename T>
+  T signed_varint() {
+    const std::int64_t value = trace_detail::unzigzag(varint());
+    if (value < std::numeric_limits<T>::min() ||
+        value > std::numeric_limits<T>::max())
+      throw std::invalid_argument("trace: binary event field out of range");
+    return static_cast<T>(value);
+  }
+
+ private:
+  std::size_t left() const { return static_cast<std::size_t>(end_ - at_); }
+  void need(std::uint64_t count) const {
+    if (count > left()) throw std::invalid_argument(overrun_);
+  }
+
+  const unsigned char* at_ = nullptr;
+  const unsigned char* end_ = nullptr;
+  const char* overrun_ = nullptr;
+};
+
+/// The payload's presence mask, then `t`: the running time `t` plus the
+/// recorded delta (wrapping, as the writer subtracts).
+std::uint64_t read_mask_and_time(ByteCursor& in, time_us& t) {
+  const std::uint64_t mask = in.varint();
+  t = static_cast<time_us>(trace_detail::bits_of(t) +
+                           static_cast<std::uint64_t>(
+                               trace_detail::unzigzag(in.varint())));
+  return mask;
+}
+
+TraceEvent event_from_binary(ByteCursor in, TraceEvent::Kind kind,
+                             time_us& t, std::size_t index,
                              TileCollector& tiles) {
   namespace td = trace_detail;
-  constexpr std::size_t k_before_tiles =
-      td::k_fixed_payload + sizeof(std::uint16_t);
-  if (len < k_before_tiles)
-    throw std::invalid_argument("trace: truncated binary event payload");
   TraceEvent ev;
   ev.kind = kind;
+  const std::uint64_t mask = read_mask_and_time(in, t);
+  if (mask >> td::k_tiles_bit >> 1 != 0)
+    throw std::invalid_argument(
+        "trace: binary event mask names a field past the list");
+  unsigned bit = 0;
   td::visit_event_fields(
-      [&](const char*, auto, auto& field) {
-        field = td::get_le<std::remove_reference_t<decltype(field)>>(p);
-        p += sizeof(field);
+      [&](const char*, auto omitted, auto& field) {
+        using T = std::remove_reference_t<decltype(field)>;
+        if constexpr (std::is_same_v<decltype(omitted), td::AlwaysWritten>)
+          field = t;
+        else if (((mask >> bit++) & 1) == 0)
+          return;
+        else if constexpr (std::is_floating_point_v<T>)
+          field = in.le<T>();
+        else
+          field = in.signed_varint<T>();
       },
       ev);
-  const auto n_tiles = td::get_le<std::uint16_t>(p);
-  p += sizeof(n_tiles);
-  if (len < k_before_tiles + sizeof(PhysTileId) * n_tiles)
-    throw std::invalid_argument("trace: binary event tile list truncated");
-  for (std::uint16_t i = 0; i < n_tiles; ++i, p += sizeof(PhysTileId))
-    tiles.add(index, td::get_le<PhysTileId>(p));
+  if ((mask >> td::k_tiles_bit) & 1) {
+    const std::uint64_t count = in.varint();
+    for (std::uint64_t i = 0; i < count; ++i)
+      tiles.add(index, in.signed_varint<PhysTileId>());
+  }
+  if (!in.empty())
+    throw std::invalid_argument(
+        "trace: binary event payload has trailing bytes");
   return ev;
 }
 
 TraceData read_binary(const std::string& text) {
   namespace td = trace_detail;
   const auto* data = reinterpret_cast<const unsigned char*>(text.data());
-  const std::size_t size = text.size();
-  std::size_t at = sizeof(td::k_magic);
-  if (size < at + 4)
-    throw std::invalid_argument("trace: binary header frame truncated");
-  const std::uint32_t header_len = td::get_le<std::uint32_t>(data + at);
-  at += 4;
-  if (size < at + header_len)
-    throw std::invalid_argument("trace: binary header truncated");
+  ByteCursor in(data + sizeof(td::k_magic), data + text.size(),
+                "trace: binary header frame truncated");
+  const auto header_len = in.le<std::uint32_t>();
+  in.on_overrun("trace: binary header truncated");
   TraceData trace;
-  TileCollector tiles;
   trace.header = td::header_from_json(
-      std::string(text, at, header_len));
-  at += header_len;
-  while (at < size) {
-    const std::uint8_t kind_byte = data[at];
-    ++at;
+      std::string(in.take(header_len).view()));
+  // The header names its schema; a matching header under another magic is
+  // damage, not a version.
+  if (std::memcmp(data, td::k_magic, sizeof(td::k_magic)) != 0)
+    throw std::invalid_argument("trace: binary magic does not match schema " +
+                                trace.header.schema);
+  TileCollector tiles;
+  time_us t = 0;
+  while (!in.empty()) {
+    in.on_overrun("trace: binary record frame truncated");
+    const std::uint8_t kind_byte = in.byte();
+    const std::uint64_t length = in.varint();
+    in.on_overrun("trace: binary record truncated");
+    ByteCursor payload = in.take(length);
+    payload.on_overrun("trace: binary event field truncated");
     if (kind_byte == td::k_footer_kind) {
-      if (size < at + 4)
-        throw std::invalid_argument("trace: binary footer frame truncated");
-      const std::uint32_t report_len = td::get_le<std::uint32_t>(data + at);
-      at += 4;
-      if (size < at + report_len)
-        throw std::invalid_argument("trace: binary footer truncated");
-      trace.live = online_report_from_json(json::parse(
-          std::string(text, at, report_len), "trace report"));
+      trace.live = online_report_from_json(
+          json::parse(std::string(payload.view()), "trace report"));
       trace.has_live = true;
-      at += report_len;
-      continue;
-    }
-    if (size < at + 2)
-      throw std::invalid_argument("trace: binary record frame truncated");
-    const std::uint16_t payload_len = td::get_le<std::uint16_t>(data + at);
-    at += 2;
-    if (size < at + payload_len)
-      throw std::invalid_argument("trace: binary record truncated");
-    if (kind_byte < td::k_kind_count)
+    } else if (kind_byte < td::k_kind_count) {
       trace.events.push_back(event_from_binary(
-          data + at, payload_len, static_cast<TraceEvent::Kind>(kind_byte),
+          payload, static_cast<TraceEvent::Kind>(kind_byte), t,
           trace.events.size(), tiles));
-    at += payload_len;  // unknown kinds: skip the frame
+    } else {
+      read_mask_and_time(payload, t);  // a later writer's kind: skip the rest
+    }
   }
   tiles.finish(trace);
   return trace;
@@ -197,7 +282,7 @@ TraceData read_trace(const std::string& path) {
   const std::string text = buffer.str();
   if (text.size() >= sizeof(trace_detail::k_magic) &&
       std::memcmp(text.data(), trace_detail::k_magic,
-                  sizeof(trace_detail::k_magic)) == 0)
+                  trace_detail::k_magic_family) == 0)
     return read_binary(text);
   return read_jsonl(text);
 }

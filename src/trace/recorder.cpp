@@ -1,7 +1,9 @@
 /// \file recorder.cpp
-/// Streaming TraceSink: serialises every event straight to the output
-/// file. The header is flushed lazily at the first event so that the prep
-/// table (handed over during simulator setup) lands in the header.
+/// Buffered TraceSink: encodes every event into one member buffer and
+/// writes the buffer to the output file whenever it passes
+/// k_flush_bytes, and at finish(). The header is encoded lazily at the
+/// first event so that the prep table (handed over during simulator setup)
+/// lands in the header.
 
 #include <fstream>
 #include <stdexcept>
@@ -12,15 +14,8 @@ namespace drhw {
 
 namespace {
 
-/// Writes `frame` (the bytes before the length), the payload's length at
-/// Length's width, then the payload.
-template <typename Length>
-void write_framed(std::ofstream& out, std::string frame,
-                  const std::string& payload) {
-  trace_detail::put_le(frame, static_cast<Length>(payload.size()));
-  out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-}
+/// Buffered bytes past which record() writes the buffer to the file.
+constexpr std::size_t k_flush_bytes = std::size_t{64} << 10;
 
 }  // namespace
 
@@ -48,44 +43,58 @@ TraceRecorder::TraceRecorder(const std::string& path, TraceFormat format,
   if (!out_->is_open())
     throw std::runtime_error("trace: cannot open '" + path +
                              "' for writing");
+  buffer_.reserve(2 * k_flush_bytes);
 }
 
-TraceRecorder::~TraceRecorder() = default;
+// A recorder dropped without finish() (the run threw) still leaves the
+// events it buffered: a trace without a footer, which reads as truncated.
+TraceRecorder::~TraceRecorder() {
+  if (!finished_) write_buffer();
+}
 
-void TraceRecorder::flush_header() {
+void TraceRecorder::write_buffer() {
+  out_->write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+  buffer_.clear();
+}
+
+void TraceRecorder::append_header() {
   if (header_written_) return;
   header_written_ = true;
   const std::string json = trace_detail::header_to_json(header_);
-  if (format_ == TraceFormat::jsonl)
-    *out_ << json << '\n';
-  else
-    write_framed<std::uint32_t>(
-        *out_,
-        std::string(trace_detail::k_magic, sizeof(trace_detail::k_magic)),
-        json);
+  if (format_ == TraceFormat::jsonl) {
+    buffer_ += json;
+    buffer_ += '\n';
+  } else {
+    buffer_.append(trace_detail::k_magic, sizeof(trace_detail::k_magic));
+    trace_detail::put_le(buffer_, static_cast<std::uint32_t>(json.size()));
+    buffer_ += json;
+  }
 }
 
 void TraceRecorder::record(const TraceEvent& ev) {
-  flush_header();
+  append_header();
   if (format_ == TraceFormat::jsonl)
-    *out_ << trace_detail::event_to_json(ev) << '\n';
+    trace_detail::append_event_json(buffer_, ev);
   else
-    write_framed<std::uint16_t>(*out_,
-                                std::string(1, static_cast<char>(ev.kind)),
-                                trace_detail::event_to_binary(ev));
+    trace_detail::append_event_binary(buffer_, ev, last_t_);
+  if (buffer_.size() > k_flush_bytes) write_buffer();
 }
 
 void TraceRecorder::finish(const OnlineReport& live) {
   if (finished_) return;
   finished_ = true;
-  flush_header();  // a run with zero events still gets a valid trace
+  append_header();  // a run with zero events still gets a valid trace
   const std::string json = online_report_to_json(live);
-  if (format_ == TraceFormat::jsonl)
-    *out_ << "{\"report\":" << json << "}\n";
-  else
-    write_framed<std::uint32_t>(
-        *out_, std::string(1, static_cast<char>(trace_detail::k_footer_kind)),
-        json);
+  if (format_ == TraceFormat::jsonl) {
+    buffer_ += "{\"report\":";
+    buffer_ += json;
+    buffer_ += "}\n";
+  } else {
+    buffer_.push_back(static_cast<char>(trace_detail::k_footer_kind));
+    trace_detail::put_varint(buffer_, json.size());
+    buffer_ += json;
+  }
+  write_buffer();
   out_->flush();
   if (!*out_)
     throw std::runtime_error("trace: write to '" + path_ + "' failed");

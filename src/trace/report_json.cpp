@@ -5,7 +5,6 @@
 /// through the shortest-exact formatter, so a written report parses back
 /// bit-identical and verify_trace() can compare bitwise.
 
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 
@@ -31,24 +30,25 @@ constexpr std::string_view k_context = "trace report";
 }  // namespace
 
 std::string online_report_to_json(const OnlineReport& report) {
-  std::ostringstream out;
-  out << "{\"sim\":{";
+  std::string out = "{\"sim\":{";
   bool in_sim = true;
   bool first = true;
   visit_report_fields(
       [&](std::string_view name, const auto& value) {
         if (in_sim && !is_sim_field(name)) {
-          out << '}';
+          out += '}';
           in_sim = false;
         }
-        if (!first) out << ',';
+        if (!first) out += ',';
         first = false;
-        out << '"' << json_key(name) << "\":";
+        out += '"';
+        out += json_key(name);
+        out += "\":";
         trace_detail::write_json(out, value);
       },
       report);
-  out << '}';
-  return out.str();
+  out += '}';
+  return out;
 }
 
 OnlineReport online_report_from_json(const json::Value& root) {

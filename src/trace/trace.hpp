@@ -1,16 +1,17 @@
 #pragma once
 
 /// \file trace.hpp
-/// Structured event traces of online runs — schema `drhw-trace-v1`.
+/// Structured event traces of online runs — schema `drhw-trace-v2`.
 ///
 /// A trace is the full observable history of one online simulation: a
 /// header (platform constants, policy, per-preparation retire constants), a
 /// stream of timed events — the events the kernel and the tile pool fold
 /// into their report (sim/trace_hook.hpp) — and a footer carrying the live
 /// OnlineReport. Two encodings share the schema: JSONL (one object per
-/// line — greppable, diffable, the bless format) and a compact
-/// length-framed binary for long runs. The reader sniffs the magic, so
-/// every consumer takes either.
+/// line — greppable, diffable, the bless format) and a compact binary for
+/// long runs: length-framed records whose payload carries only the fields
+/// off their defaults, as varints, with `t` delta-coded (trace_detail.hpp).
+/// The reader sniffs the magic, so every consumer takes either.
 ///
 /// The subsystem's contract is *replay verification*: replay_trace()
 /// re-derives the entire OnlineReport from the event stream alone, by
@@ -28,9 +29,11 @@
 /// (visit_event_fields(), visit_header_fields(), visit_prep_fields()), which
 /// both encodings' writers and readers loop over. Adding event kinds, header
 /// fields or JSONL keys is backward-compatible — readers ignore unknown
-/// JSONL keys and skip unknown framed binary records. A new event field
-/// also moves the binary tile count, which a v1 reader finds at a fixed
-/// offset, so it bumps the schema id, as removing or renaming anything, or
+/// JSONL keys and skip unknown framed binary records (a record of any kind
+/// but the footer opens with the presence mask and the `t` delta, so a
+/// skipped event still advances the reader's running time). A new event
+/// field takes a new binary mask bit, which a reader of the older schema
+/// rejects, so it bumps the schema id, as removing or renaming anything, or
 /// changing an emission site, does.
 /// Rendering: render_trace_ascii()/render_trace_svg() draw a per-port +
 /// per-tile (+ ISP) timeline — `drhw_sched trace render`.
@@ -50,7 +53,7 @@ namespace json {
 struct Value;  // util/json.hpp
 }  // namespace json
 
-inline constexpr const char* k_trace_schema = "drhw-trace-v1";
+inline constexpr const char* k_trace_schema = "drhw-trace-v2";
 
 enum class TraceFormat { jsonl, binary };
 
@@ -90,8 +93,9 @@ struct TraceData {
 
 /// Records a run to `path` while acting as its TraceSink: construct, run
 /// the simulation with OnlineSimOptions::trace pointing here, then call
-/// finish() with the returned report. Streaming — events are written as
-/// they happen, nothing is buffered past the header.
+/// finish() with the returned report. Events are encoded into one buffer
+/// that goes to the file each time it passes 64 KiB and at finish(), so
+/// recording allocates nothing per event.
 class TraceRecorder final : public TraceSink {
  public:
   /// Throws std::runtime_error when `path` cannot be opened for writing.
@@ -105,19 +109,22 @@ class TraceRecorder final : public TraceSink {
   /// std::runtime_error when the stream failed.
   void finish(const OnlineReport& live);
 
-  // TraceSink: the prep table goes into the header, each event is written
+  // TraceSink: the prep table goes into the header, each event is encoded
   // as it arrives.
   void on_preps(const std::vector<TracePrep>& preps) override;
   void record(const TraceEvent& ev) override;
 
  private:
-  void flush_header();
+  void append_header();
+  void write_buffer();
 
   std::string path_;
   TraceFormat format_;
   TraceHeader header_;
   bool header_written_ = false;
   bool finished_ = false;
+  time_us last_t_ = 0;  ///< the binary encoding's delta base
+  std::string buffer_;  ///< encoded bytes not yet written to out_
   std::unique_ptr<std::ofstream> out_;
 };
 

@@ -220,6 +220,12 @@ TEST(Cli, OutOfRangeNumbersAreInputErrorsNotInternalFailures) {
   // The rejected genwork seed and shapes wrote no workload file.
   for (const auto& entry : std::filesystem::directory_iterator(dir))
     EXPECT_NE(entry.path().extension(), ".dwl") << entry.path();
+  // Nor an output directory: a rejected shape leaves no trace on disk.
+  const std::string fresh = dir + "/c";
+  std::filesystem::remove_all(fresh);
+  const CliResult rejected = run_cli("genwork --out " + fresh + " --tasks 0");
+  EXPECT_EQ(rejected.exit_code, 1) << rejected.output;
+  EXPECT_FALSE(std::filesystem::exists(fresh)) << fresh;
 }
 
 TEST(Cli, NumericFlagsAcceptWholeValues) {
@@ -338,7 +344,7 @@ TEST(Cli, GenworkCampaignTraceVerifyPipeline) {
 
   const CliResult info = run_cli("trace info " + trace_path);
   EXPECT_EQ(info.exit_code, 0) << info.output;
-  EXPECT_NE(info.output.find("drhw-trace-v1"), std::string::npos);
+  EXPECT_NE(info.output.find("drhw-trace-v2"), std::string::npos);
 }
 
 TEST(Cli, TraceRecordingRequiresASingleApproach) {

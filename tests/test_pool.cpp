@@ -219,10 +219,8 @@ TEST(TilePool, PrefetchVictimPrefersEmptyThenLowValueThenLru) {
 TEST(TilePool, PrefetchReservationLifecycle) {
   TilePoolManager pool(2, PoolOptions{});
   pool.reserve(1, 42, 3.0, ms(1));
-  EXPECT_TRUE(pool.reserved(1));
   EXPECT_EQ(pool.free_count(), 1);
   EXPECT_EQ(pool.finish_prefetch(1, ms(5)), 42);
-  EXPECT_FALSE(pool.reserved(1));
   EXPECT_EQ(pool.store().config_on(1), 42);
   EXPECT_EQ(pool.store().last_used(1), ms(5));
   EXPECT_EQ(pool.free_count(), 2);  // cached configs stay free

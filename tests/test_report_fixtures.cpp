@@ -3,17 +3,21 @@
 // metric set to a distinct value, so a swapped, dropped or renamed field
 // changes the output — and compared against literal strings. Any change to these literals is a
 // report format change: older readers and stored reports depend on them.
+// The frozen binary trace also seeds the reader's hostile-bytes test:
+// every prefix of it and seeded bit flips must read or be rejected.
 
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "runner/report.hpp"
 #include "trace/trace.hpp"
+#include "util/rng.hpp"
 
 namespace drhw {
 namespace {
@@ -462,7 +466,7 @@ TEST(ReportFixtures, TraceFooterBytesAreFrozenInBothEncodings) {
 // The header line / block of a trace recorded with fixture_trace_options()
 // and fixture_trace_preps().
 const char* const k_trace_header_json =
-    "{\"schema\":\"drhw-trace-v1\",\"policy\":\"edf_hybrid[intertask=0]\""
+    "{\"schema\":\"drhw-trace-v2\",\"policy\":\"edf_hybrid[intertask=0]\""
     ",\"arrivals\":\"bursty\",\"queue_backend\":\"heap\""
     ",\"seed\":9876543210123,\"iterations\":42,\"tiles\":12"
     ",\"reconfig_ports\":2,\"isps\":3,\"reconfig_latency\":2500"
@@ -517,11 +521,10 @@ std::string from_hex(const std::string& hex) {
 }
 
 // Two events, one with every payload field off its default (and a 3-tile
-// admit list), one with every field at its default: the JSONL writer
-// omits defaults except `t`, the binary payload always carries them all.
-TEST(ReportFixtures, TraceHeaderAndEventBytesAreFrozenInBothEncodings) {
-  const std::string jsonl_path = testing::TempDir() + "/fixture.events.jsonl";
-  const std::string binary_path = testing::TempDir() + "/fixture.events.bin";
+// admit list), one with every field at its default: both encodings omit
+// defaults except `t`, which the binary payload carries as a delta from
+// the previous event's (here a negative one).
+void write_fixture_trace(const std::string& path, TraceFormat format) {
   const PhysTileId tiles[] = {5, 1, 3};
   TraceEvent full(TraceEvent::Kind::admit, 1234567, 3);
   full.subtask = 4;
@@ -538,15 +541,18 @@ TEST(ReportFixtures, TraceHeaderAndEventBytesAreFrozenInBothEncodings) {
   full.value = 0.1;
   full.tiles = tiles;
   full.tile_count = 3;
-  for (const auto& [path, format] :
-       {std::pair{jsonl_path, TraceFormat::jsonl},
-        std::pair{binary_path, TraceFormat::binary}}) {
-    TraceRecorder recorder(path, format, fixture_trace_options());
-    recorder.on_preps(fixture_trace_preps());
-    recorder.record(full);
-    recorder.record(TraceEvent{});
-    recorder.finish(fixture_online_report());
-  }
+  TraceRecorder recorder(path, format, fixture_trace_options());
+  recorder.on_preps(fixture_trace_preps());
+  recorder.record(full);
+  recorder.record(TraceEvent{});
+  recorder.finish(fixture_online_report());
+}
+
+TEST(ReportFixtures, TraceHeaderAndEventBytesAreFrozenInBothEncodings) {
+  const std::string jsonl_path = testing::TempDir() + "/fixture.events.jsonl";
+  const std::string binary_path = testing::TempDir() + "/fixture.events.bin";
+  write_fixture_trace(jsonl_path, TraceFormat::jsonl);
+  write_fixture_trace(binary_path, TraceFormat::binary);
 
   const std::string header = k_trace_header_json;
   const std::string footer = k_footer_json;
@@ -561,36 +567,59 @@ TEST(ReportFixtures, TraceHeaderAndEventBytesAreFrozenInBothEncodings) {
                 footer + "}\n");
 
   const std::string admit_record = from_hex(
-      "01" "6600"                        // kind admit, 102-byte payload
-      "87d6120000000000"                 // t
-      "03000000" "04000000" "01000000"   // job, subtask, prep
-      "4d00000000000000"                 // config
-      "02000000"                         // unit
-      "8813000000000000"                 // duration
-      "06000000" "feffffff"              // src, dst
-      "0800000000000000"                 // loads
-      "0900000000000000"                 // aux
-      "0a00000000000000"                 // init
-      "90d0030000000000"                 // deadline
-      "9a9999999999b93f"                 // value
-      "0300" "05000000" "01000000" "03000000");  // 3 tiles
+      "01" "22"          // kind admit, 34-byte payload
+      "ff7f"             // presence mask: all 13 optional fields + tiles
+      "8eda9601"         // t: +1234567
+      "06" "08" "02"     // job 3, subtask 4, prep 1
+      "9a01"             // config 77
+      "04"               // unit 2
+      "904e"             // duration 5000
+      "0c" "03"          // src 6, dst -2
+      "10" "12" "14"     // loads 8, aux 9, init 10
+      "a0c21e"           // deadline 250000
+      "9a9999999999b93f" // value 0.1, raw bits
+      "03" "0a" "02" "06");  // 3 tiles: 5, 1, 3
   const std::string default_record = from_hex(
-      "00" "5a00"                        // kind arrival, 90-byte payload
-      "0000000000000000"                 // t
-      "ffffffff" "ffffffff" "ffffffff"   // job, subtask, prep
-      "ffffffffffffffff"                 // config
-      "ffffffff"                         // unit
-      "0000000000000000"                 // duration
-      "ffffffff" "ffffffff"              // src, dst
-      "0000000000000000"                 // loads
-      "0000000000000000"                 // aux
-      "0000000000000000"                 // init
-      "ffffffffffffffff"                 // deadline
-      "0000000000000000"                 // value
-      "0000");                           // no tiles
+      "00" "05"          // kind arrival, 5-byte payload
+      "00"               // presence mask: every field at its default
+      "8dda9601");       // t: -1234567, back to 0
   EXPECT_EQ(read_file(binary_path),
-            from_hex("4452485754524331" "d1010000") + header + admit_record +
-                default_record + from_hex("ff" "77030000") + footer);
+            from_hex("4452485754524332" "d1010000") + header + admit_record +
+                default_record + from_hex("ff" "f706") + footer);
+}
+
+// Hostile bytes: every prefix of the fixture's binary trace, and 1,000
+// seeded single-bit flips of it, either read or are rejected with
+// std::invalid_argument — never another exception, a crash or (under the
+// sanitizers) an out-of-bounds read.
+TEST(ReportFixtures, BinaryReaderReadsOrRejectsEveryPrefixAndBitFlip) {
+  const std::string fixture_path = testing::TempDir() + "/fixture.hostile.bin";
+  write_fixture_trace(fixture_path, TraceFormat::binary);
+  const std::string fixture = read_file(fixture_path);
+  ASSERT_TRUE(read_trace(fixture_path).has_live);
+  const std::string path = testing::TempDir() + "/hostile.bin";
+  const auto reads_or_rejects = [&](const std::string& bytes,
+                                    const std::string& what) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    try {
+      read_trace(path);
+    } catch (const std::invalid_argument&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": " << e.what();
+    }
+  };
+  for (std::size_t size = 0; size < fixture.size(); ++size)
+    reads_or_rejects(fixture.substr(0, size),
+                     "prefix of " + std::to_string(size) + " bytes");
+  Rng rng(20260101);
+  for (int flip = 0; flip < 1000; ++flip) {
+    std::string bytes = fixture;
+    const std::size_t at = rng.next_below(bytes.size());
+    const int bit = static_cast<int>(rng.next_below(8));
+    bytes[at] = static_cast<char>(bytes[at] ^ (1 << bit));
+    reads_or_rejects(bytes, "bit " + std::to_string(bit) + " of byte " +
+                                std::to_string(at) + " flipped");
+  }
 }
 
 }  // namespace

@@ -293,6 +293,165 @@ TEST(Trace, ReaderSkipsUnknownJsonlEventKinds) {
   EXPECT_TRUE(verify_trace(trace).empty());
 }
 
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// "0a ff" -> "\x0a\xff" (spaces ignored).
+std::string hex(const std::string& text) {
+  std::string bytes;
+  std::string digits;
+  for (const char c : text) {
+    if (c == ' ') continue;
+    digits.push_back(c);
+    if (digits.size() == 2) {
+      bytes.push_back(static_cast<char>(std::stoi(digits, nullptr, 16)));
+      digits.clear();
+    }
+  }
+  return bytes;
+}
+
+/// A binary trace with a minimal header, then `records` (hex).
+std::string binary_trace(const std::string& records,
+                         const char* magic = "DRHWTRC2",
+                         const std::string& schema = k_trace_schema) {
+  const std::string header = "{\"schema\":\"" + schema + "\"}";
+  std::string bytes = magic;
+  trace_detail::put_le(bytes, static_cast<std::uint32_t>(header.size()));
+  return bytes + header + hex(records);
+}
+
+TEST(Trace, ReaderSkipsUnknownBinaryRecordKinds) {
+  const std::string path = testing::TempDir() + "/trace_fwd.bin";
+  const TracedRun run = record_run(path, TraceFormat::binary);
+  // Splice two records of a kind from the future after the header: each
+  // opens with a presence mask and a `t` delta (+7, then -7) and carries a
+  // payload this reader cannot decode. The reader skips both by their
+  // frames and keeps its running time, so every event reads back.
+  const std::string text = read_bytes(path);
+  const std::size_t header_end =
+      12 + trace_detail::get_le<std::uint32_t>(
+               reinterpret_cast<const unsigned char*>(text.data()) + 8);
+  const std::string spliced = text.substr(0, header_end) +
+                              hex("40 05  ff01 0e ffff  41 03  00 0d 2a") +
+                              text.substr(header_end);
+  const std::string spliced_path = testing::TempDir() + "/trace_fwd2.bin";
+  write_bytes(spliced_path, spliced);
+
+  const TraceData trace = read_trace(spliced_path);
+  ASSERT_EQ(trace.events.size(), run.trace.events.size());
+  for (std::size_t i = 0; i < trace.events.size(); ++i)
+    ASSERT_EQ(trace.events[i].t, run.trace.events[i].t) << "event " << i;
+  EXPECT_TRUE(verify_trace(trace).empty());
+
+  // A skipped record's delta (+7) still moves the time the next event's
+  // delta (+3) starts from.
+  const std::string small_path = testing::TempDir() + "/trace_fwd3.bin";
+  write_bytes(small_path, binary_trace("40 03  00 0e 2a  00 02  00 06"));
+  const TraceData small = read_trace(small_path);
+  ASSERT_EQ(small.events.size(), 1u);
+  EXPECT_EQ(small.events[0].t, 10);
+}
+
+// Each malformed binary input is rejected with std::invalid_argument and a
+// message that names what is wrong.
+TEST(Trace, BinaryReaderNamesEachMalformedRecord) {
+  const std::string path = testing::TempDir() + "/trace_bad.bin";
+  for (const auto& [bytes, message] :
+       {std::pair<std::string, const char*>{
+            binary_trace("00 0b  80808080808080808080 00"),
+            "varint longer than 10 bytes"},
+        {binary_trace("00 0b  ffffffffffffffffff02 00"),
+         "varint overflows 64 bits"},
+        {binary_trace("00 04  808001 00"), "mask names a field past the list"},
+        {binary_trace("00 05  00 00"), "binary record truncated"},
+        {binary_trace("00 80"), "binary record frame truncated"},
+        {binary_trace("00 02  01 00"), "binary event field truncated"},
+        {binary_trace("00 05  8020 00 0000"), "binary event field truncated"},
+        {binary_trace("00 07  01 00 8080808010"), "field out of range"},
+        {binary_trace("00 04  8040 00 05"), "binary event field truncated"},
+        {binary_trace("00 03  00 00 00"), "payload has trailing bytes"},
+        {binary_trace("", "DRHWTRC1", "drhw-trace-v1"),
+         "schema 'drhw-trace-v1' is not drhw-trace-v2"},
+        {binary_trace("", "DRHWTRC7"), "magic does not match"},
+        {std::string("DRHWTRC2") + hex("0a00"), "header frame truncated"},
+        {std::string("DRHWTRC2") + hex("0a000000") + "{}",
+         "binary header truncated"}}) {
+    write_bytes(path, bytes);
+    try {
+      read_trace(path);
+      ADD_FAILURE() << "accepted, expected: " << message;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what() << " (expected: " << message << ")";
+    }
+  }
+}
+
+// A 20,000-tile admit needs a payload longer than 65,535 bytes, and the
+// extremes of every field type read back bit for bit: the 64-bit limits,
+// k_no_time, a `t` that goes back in time by the whole range, NaN and
+// -0.0.
+TEST(Trace, BinaryRoundTripsLargeAdmitsAndExtremeValues) {
+  constexpr std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+  std::vector<PhysTileId> tiles(20000);
+  for (std::size_t i = 0; i < tiles.size(); ++i)
+    tiles[i] = static_cast<PhysTileId>(i * 104729 % 70001) - 35000;
+  TraceEvent admit(TraceEvent::Kind::admit, 1000, 5);
+  admit.tiles = tiles.data();
+  admit.tile_count = static_cast<std::uint32_t>(tiles.size());
+  TraceEvent low(TraceEvent::Kind::retire, 999, 6);
+  low.config = lo;
+  low.loads = lo;
+  low.aux = lo;
+  low.init = lo;
+  low.deadline = k_no_time;
+  low.value = std::numeric_limits<double>::quiet_NaN();
+  TraceEvent high(TraceEvent::Kind::preempt, lo,
+                  std::numeric_limits<std::int32_t>::min());
+  high.config = hi;
+  high.loads = hi;
+  high.aux = hi;
+  high.init = hi;
+  high.unit = std::numeric_limits<std::int32_t>::max();
+  high.value = -0.0;
+  TraceEvent last(TraceEvent::Kind::run_end, hi);
+  last.deadline = lo;
+  const std::vector<TraceEvent> events = {admit, low, high, last};
+
+  const std::string path = testing::TempDir() + "/trace_extremes.bin";
+  {
+    TraceRecorder recorder(path, TraceFormat::binary, OnlineSimOptions{});
+    for (const TraceEvent& ev : events) recorder.record(ev);
+    recorder.finish(OnlineReport{});
+  }
+  const TraceData trace = read_trace(path);
+  ASSERT_EQ(trace.events.size(), events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& read = trace.events[i];
+    ASSERT_EQ(read.kind, events[i].kind) << "event " << i;
+    trace_detail::visit_event_fields(
+        [&](const char* key, auto, const auto& x, const auto& y) {
+          EXPECT_EQ(std::memcmp(&x, &y, sizeof(x)), 0)
+              << "event " << i << " " << key << ": " << x << " vs " << y;
+        },
+        read, events[i]);
+    EXPECT_EQ(std::vector<PhysTileId>(read.tiles,
+                                      read.tiles + read.tile_count),
+              std::vector<PhysTileId>(events[i].tiles,
+                                      events[i].tiles + events[i].tile_count))
+        << "event " << i;
+  }
+}
+
 // Writes `lines` (one per line) as a JSONL trace and expects read_trace()
 // to reject it with a message naming `key`.
 void expect_jsonl_rejected(const std::string& lines, const char* key) {
@@ -312,7 +471,7 @@ void expect_jsonl_rejected(const std::string& lines, const char* key) {
 // width and signedness: a string, an exponent, a fraction or an
 // out-of-range value is an error naming the key, never a cast double.
 TEST(Trace, JsonlReaderRejectsWrongKindsAndOutOfRangeNumbers) {
-  const std::string header = "{\"schema\":\"drhw-trace-v1\"}\n";
+  const std::string header = "{\"schema\":\"drhw-trace-v2\"}\n";
   for (const auto& [event, key] :
        {std::pair<const char*, const char*>{
             R"({"ev":"arrival","t":"5"})", "t"},
@@ -333,7 +492,7 @@ TEST(Trace, JsonlReaderRejectsWrongKindsAndOutOfRangeNumbers) {
         {R"("policy":3)", "policy"},
         {R"("preps":[{"ideal":-0.5}])", "ideal"}})
     expect_jsonl_rejected(
-        std::string("{\"schema\":\"drhw-trace-v1\",") + fields + "}\n", key);
+        std::string("{\"schema\":\"drhw-trace-v2\",") + fields + "}\n", key);
 }
 
 // The largest seed `online --seed` accepts reads back exactly in both

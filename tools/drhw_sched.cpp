@@ -48,7 +48,7 @@
 //   --workload W       multimedia | pocket_gl | a .dwl workload file
 //                      (default multimedia; a file's arrivals block is
 //                      applied unless arrival flags are given)
-//   --trace FILE       record a structured event trace (drhw-trace-v1) of
+//   --trace FILE       record a structured event trace (drhw-trace-v2) of
 //                      the run; needs exactly one --approach
 //   --trace-format F   jsonl | binary trace encoding (default jsonl)
 //   --tiles N          DRHW tiles (default 16)
@@ -682,7 +682,6 @@ struct GenworkCliOptions {
 int cmd_genwork(const GenworkCliOptions& cli) {
   if (cli.count < 1)
     throw std::invalid_argument("--count needs a positive value");
-  std::filesystem::create_directories(cli.out_dir);
   for (int i = 0; i < cli.count; ++i) {
     FuzzWorkloadOptions options = cli.fuzz;
     options.seed = cli.fuzz.seed + static_cast<std::uint64_t>(i);
@@ -690,8 +689,10 @@ int cmd_genwork(const GenworkCliOptions& cli) {
     std::snprintf(name, sizeof(name), "fuzz%06llu.dwl",
                   static_cast<unsigned long long>(options.seed));
     const auto path = std::filesystem::path(cli.out_dir) / name;
-    // Generated before the file is opened: a rejected shape writes none.
+    // Generated before the directory and the file are created: a rejected
+    // shape leaves neither behind.
     const std::string text = fuzz_workload_text(options);
+    if (i == 0) std::filesystem::create_directories(cli.out_dir);
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out) throw std::invalid_argument("cannot write " + path.string());
     out << text;
