@@ -1,11 +1,10 @@
-// Ablation: platform-model extensions beyond the paper — ICN communication
-// latency (per-hop mesh cost) and multi-port reconfiguration controllers —
-// evaluated on the Table 1 tasks without reuse, like the paper's
-// deterministic columns (every task scenario once, optimal prefetch order).
+// Ablation: multi-port reconfiguration controllers, a platform-model
+// extension beyond the paper, evaluated on the Table 1 tasks without reuse,
+// like the paper's deterministic columns (every task scenario once, optimal
+// prefetch order).
 //
-// Both sweeps are expressed as campaign-engine scenarios: the ICN sweep
-// registers a packed/spread scenario pair per hop latency, the port sweep
-// is a cartesian build_sweep() over ports x approach.
+// The sweep is expressed as campaign-engine scenarios: a cartesian
+// build_sweep() over ports x approach.
 
 #include <iostream>
 #include <map>
@@ -35,68 +34,6 @@ Scenario multimedia_exhaustive(const std::string& name,
 
 int main() {
   using namespace drhw;
-
-  std::cout
-      << "ICN communication-latency sweep (3x3 mesh, multimedia set, no "
-         "reuse).\n"
-         "Two initial-schedule styles are compared under the *same* ICN "
-         "cost model:\n"
-         "  packed  — communication-aware list scheduler (pulls chains "
-         "onto one tile),\n"
-         "  spread  — communication-oblivious scheduler (one subtask per "
-         "tile).\n"
-         "Packing minimises communication but removes every prefetch "
-         "window: a load\non a shared tile cannot start before the "
-         "previous execution finishes.\n\n";
-
-  const time_us hops[] = {us(0), us(100), us(250), us(500), ms(1), ms(4)};
-  ScenarioRegistry icn_registry;
-  for (const time_us hop : hops) {
-    for (const bool packed : {true, false}) {
-      Scenario s = multimedia_exhaustive(
-          "ablation_icn/hop" + std::to_string(hop) + "/" +
-              (packed ? "packed" : "spread"),
-          "ablation_icn");
-      s.sim.platform = virtex2_platform(9);
-      s.sim.platform.icn.mesh_width = 3;
-      s.sim.platform.icn.hop_latency = hop;
-      s.sim.platform.icn.isp_bridge_latency = hop;
-      s.sim.policy = policy_names::design_time;
-      s.design.comm_aware_placement = packed;
-      icn_registry.add(std::move(s));
-    }
-  }
-  const auto icn_results = CampaignRunner().run(icn_registry.scenarios());
-
-  std::map<time_us, std::map<bool, SimReport>> icn_rows;
-  for (const ScenarioResult& result : icn_results) {
-    if (!result.ok) {
-      std::cerr << result.scenario.name << " failed: " << result.error
-                << "\n";
-      return 1;
-    }
-    icn_rows[result.scenario.sim.platform.icn.hop_latency]
-            [result.scenario.design.comm_aware_placement] = result.report;
-  }
-
-  TablePrinter icn_table({"hop latency", "packed: total", "packed: prefetch",
-                          "spread: total", "spread: prefetch"});
-  for (const time_us hop : hops) {
-    const SimReport& packed = icn_rows.at(hop).at(true);
-    const SimReport& spread = icn_rows.at(hop).at(false);
-    icn_table.add_row(
-        {fmt_ms(hop, 2) + " ms",
-         fmt(static_cast<double>(packed.total_actual) / 1000.0, 1) + " ms",
-         "+" + fmt_pct(packed.overhead_pct, 1),
-         fmt(static_cast<double>(spread.total_actual) / 1000.0, 1) + " ms",
-         "+" + fmt_pct(spread.overhead_pct, 1)});
-  }
-  icn_table.print(std::cout);
-  std::cout << "\nAs long as a hop costs less than the exposed load latency, "
-               "the spread placement\nwins overall even though it pays for "
-               "every message — prefetchability beats\nlocality, which is "
-               "why the paper's initial schedules use one subtask per "
-               "tile.\n\n";
 
   std::cout << "Reconfiguration-port sweep (multimedia set, no reuse)\n\n";
   SweepConfig sweep;

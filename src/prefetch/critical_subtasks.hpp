@@ -55,9 +55,9 @@ struct FirstPass {
 struct HybridDesignOptions {
   /// B&B while at most this many loads are pending, list heuristic above.
   int bnb_load_threshold = 9;
-  /// Compute the initial placement with the communication-aware list
-  /// scheduler (list_schedule_icn) instead of the default one-subtask-per-
-  /// tile scheduler. Only relevant under a non-ideal ICN model.
+  /// No effect: the library never reads it. Kept only because the
+  /// benchmark harness (perfbench/perfbench.cpp) still names it; it goes
+  /// once that harness stops reading it (ROADMAP item 1).
   bool comm_aware_placement = false;
 };
 

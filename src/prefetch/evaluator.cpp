@@ -12,7 +12,7 @@ namespace drhw {
 
 namespace {
 
-enum class EventKind : int { load_done = 0, comm_arrival = 1, exec_done = 2 };
+enum class EventKind : int { load_done = 0, exec_done = 1 };
 
 struct Event {
   time_us time = 0;
@@ -69,9 +69,6 @@ class Simulation {
       switch (ev.kind) {
         case EventKind::load_done:
           on_load_done(ev.subtask, ev.time);
-          break;
-        case EventKind::comm_arrival:
-          on_comm_arrival(ev.subtask, ev.time);
           break;
         case EventKind::exec_done:
           on_exec_done(ev.subtask, ev.time);
@@ -266,35 +263,10 @@ class Simulation {
       result_.tile_last_exec_end[static_cast<std::size_t>(tile)] = std::max(
           result_.tile_last_exec_end[static_cast<std::size_t>(tile)], t);
 
-    // Wake successors: data travels over the ICN, so a successor learns of
-    // the completion only after the communication latency.
-    for (SubtaskId succ : graph_.successors(s)) {
-      const time_us comm = edge_comm(s, succ);
-      if (comm == 0) {
-        if (--preds_left_[static_cast<std::size_t>(succ)] == 0)
-          mark_dag_ready(succ, t);
-      } else {
-        events_.push({t + comm, EventKind::comm_arrival, succ});
-      }
-    }
+    for (SubtaskId succ : graph_.successors(s))
+      if (--preds_left_[static_cast<std::size_t>(succ)] == 0)
+        mark_dag_ready(succ, t);
     try_port(t);
-  }
-
-  void on_comm_arrival(SubtaskId succ, time_us t) {
-    if (--preds_left_[static_cast<std::size_t>(succ)] == 0)
-      mark_dag_ready(succ, t);
-  }
-
-  /// ICN latency of the edge from -> to under the placement.
-  time_us edge_comm(SubtaskId from, SubtaskId to) const {
-    const auto f = static_cast<std::size_t>(from);
-    const auto g = static_cast<std::size_t>(to);
-    const bool from_isp = placement_.tile_of[f] == k_no_tile;
-    const bool to_isp = placement_.tile_of[g] == k_no_tile;
-    return icn_comm_latency(
-        platform_, from_isp ? placement_.isp_of[f] : placement_.tile_of[f],
-        from_isp, to_isp ? placement_.isp_of[g] : placement_.tile_of[g],
-        to_isp);
   }
 
   void finalize_result() {

@@ -62,13 +62,8 @@ PrefixTiming::PrefixTiming(const SubtaskGraph& graph,
 
   std::vector<SubtaskId> prev(n);
   std::vector<time_us> exec_time(n);
-  // Graph predecessors with their ICN edge latency, CSR by subtask.
-  std::vector<std::size_t> pred_begin;
-  std::vector<SubtaskId> pred;
-  std::vector<time_us> pred_comm;
   on_drhw_.resize(n);
   load_time_.resize(n);
-  pred_begin.reserve(n + 1);
   for (std::size_t s = 0; s < n; ++s) {
     const auto id = static_cast<SubtaskId>(s);
     prev[s] = placement.prev_on_unit(id);
@@ -76,35 +71,18 @@ PrefixTiming::PrefixTiming(const SubtaskGraph& graph,
     exec_time[s] = graph.subtask(id).exec_time;
     const time_us own = graph.subtask(id).load_time;
     load_time_[s] = own != k_no_time ? own : platform.reconfig_latency;
-    pred_begin.push_back(pred.size());
-    // The evaluator's edge_comm(): data travels over the ICN between the
-    // two subtasks' units.
-    const bool to_isp = !on_drhw_[s];
-    const TileId to_unit = to_isp ? placement.isp_of[s] : placement.tile_of[s];
-    for (SubtaskId p : graph.predecessors(id)) {
-      const auto pi = static_cast<std::size_t>(p);
-      const bool from_isp = !placement.on_drhw(p);
-      const TileId from_unit =
-          from_isp ? placement.isp_of[pi] : placement.tile_of[pi];
-      pred.push_back(p);
-      pred_comm.push_back(
-          icn_comm_latency(platform, from_unit, from_isp, to_unit, to_isp));
-    }
   }
-  pred_begin.push_back(pred.size());
 
   // The latest input of v's execution under the execution ends `end`: the
-  // previous execution on its unit and every predecessor's data arrival,
-  // the evaluator's try_exec condition. Ends and the result are k_unreached
-  // where no path arrives.
+  // previous execution on its unit and every predecessor's end, the
+  // evaluator's try_exec condition. Ends and the result are k_unreached
+  // where no path arrives; it is below every end, so max() skips it.
   auto latest_input = [&](std::size_t v, const std::vector<time_us>& end) {
     time_us latest = k_unreached;
     if (prev[v] != k_no_subtask)
       latest = end[static_cast<std::size_t>(prev[v])];
-    for (std::size_t e = pred_begin[v]; e < pred_begin[v + 1]; ++e) {
-      const time_us in = end[static_cast<std::size_t>(pred[e])];
-      if (in != k_unreached) latest = std::max(latest, in + pred_comm[e]);
-    }
+    for (SubtaskId p : graph.predecessors(static_cast<SubtaskId>(v)))
+      latest = std::max(latest, end[static_cast<std::size_t>(p)]);
     return latest;
   };
 
@@ -125,9 +103,9 @@ PrefixTiming::PrefixTiming(const SubtaskGraph& graph,
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const auto v = static_cast<std::size_t>(*it);
     tail_[v] = exec_time[v] + after[v];
-    for (std::size_t e = pred_begin[v]; e < pred_begin[v + 1]; ++e) {
-      time_us& a = after[static_cast<std::size_t>(pred[e])];
-      a = std::max(a, pred_comm[e] + tail_[v]);
+    for (SubtaskId p : graph.predecessors(static_cast<SubtaskId>(v))) {
+      time_us& a = after[static_cast<std::size_t>(p)];
+      a = std::max(a, tail_[v]);
     }
     if (prev[v] != k_no_subtask) {
       time_us& a = after[static_cast<std::size_t>(prev[v])];

@@ -20,16 +20,16 @@
 /// max-plus linear. Each execution ends at its start plus its execution time,
 /// and it starts at the maximum of its own load end (0 when it is resident),
 /// the end of the previous execution on its unit, and every graph
-/// predecessor's end plus the ICN latency of the edge. Unrolled, an
-/// execution end is the maximum, over its inputs, of the input plus the
-/// longest path from that input to it. The inputs are the time origin,
-/// which contributes the execution's end in the no-load schedule, and the
-/// load end of every prefix load, which contributes that end plus the
-/// longest path from it to the execution's end (over graph edges with their
-/// ICN latency and unit chains, the load's own execution included). Max
-/// distributes over the inputs, so the contributions superpose. The constructor therefore stores, per DRHW subtask L, the
-/// gates L reaches with the longest path to each, and tail(L), L's
-/// execution plus the longest chain after it. A level then holds:
+/// predecessor's end. Unrolled, an execution end is the maximum, over its
+/// inputs, of the input plus the longest path from that input to it. The
+/// inputs are the time origin, which contributes the execution's end in the
+/// no-load schedule, and the load end of every prefix load, which
+/// contributes that end plus the longest path from it to the execution's end
+/// (over graph edges and unit chains, the load's own execution included).
+/// Max distributes over the inputs, so the contributions superpose. The
+/// constructor therefore stores, per DRHW subtask L, the gates L reaches with
+/// the longest path to each, and tail(L), L's execution plus the longest
+/// chain after it. A level then holds:
 ///  * the end of every gate;
 ///  * the ports' free times and the last dispatch start;
 ///  * the makespan.
@@ -123,8 +123,8 @@ class PrefixTiming {
 
   std::vector<bool> on_drhw_;
   std::vector<time_us> load_time_;
-  /// Per subtask: its execution time plus the longest chain after it over
-  /// graph edges (with their ICN latency) and the unit chain.
+  /// Per subtask: its execution time plus the longest chain of executions
+  /// after it over graph edges and the unit chain.
   std::vector<time_us> tail_;
   std::vector<std::size_t> gate_of_;  ///< per subtask, or k_no_gate
   /// The gate table, CSR by subtask (DRHW subtasks only).

@@ -20,7 +20,7 @@ void bind_tiles(const SubtaskGraph& graph, const Placement& placement,
                 const ConfigStore& store, ReplacementPolicy policy,
                 const std::vector<time_us>& values, Rng& rng,
                 const NextUseRank& next_use, Binding& binding) {
-  if (placement.tiles_occupied() > store.tiles())
+  if (placement.tiles_used > store.tiles())
     throw std::invalid_argument("placement needs more tiles than available");
   DRHW_CHECK(values.size() == graph.size());
 
@@ -32,13 +32,10 @@ void bind_tiles(const SubtaskGraph& graph, const Placement& placement,
   std::vector<char> claimed(static_cast<std::size_t>(store.tiles()), 0);
 
   // Phase 1 — reuse matching: a virtual tile whose first subtask's
-  // configuration is resident binds to that physical tile. ICN-aware
-  // placements may contain empty virtual tiles (a mesh position no subtask
-  // was assigned to); they execute nothing and stay unbound.
+  // configuration is resident binds to that physical tile.
   for (int v = 0; v < placement.tiles_used; ++v) {
-    const auto& seq = placement.tile_sequence[static_cast<std::size_t>(v)];
-    if (seq.empty()) continue;
-    const SubtaskId first = seq.front();
+    const SubtaskId first =
+        placement.tile_sequence[static_cast<std::size_t>(v)].front();
     const ConfigId config = graph.subtask(first).config;
     if (const auto tile = store.find(config);
         tile && !claimed[static_cast<std::size_t>(*tile)]) {
@@ -52,8 +49,6 @@ void bind_tiles(const SubtaskGraph& graph, const Placement& placement,
   // Phase 2 — replacement: bind the rest, preferring empty tiles, then the
   // policy's victim among the unclaimed.
   for (int v = 0; v < placement.tiles_used; ++v) {
-    if (placement.tile_sequence[static_cast<std::size_t>(v)].empty())
-      continue;  // unbound by design, see phase 1
     auto& slot = binding.phys_of_tile[static_cast<std::size_t>(v)];
     if (slot != k_no_phys_tile) continue;
 
@@ -132,7 +127,6 @@ void first_subtask_configs_into(const SubtaskGraph& graph,
                                 std::vector<ConfigId>& out) {
   out.clear();
   for (const auto& seq : placement.tile_sequence) {
-    if (seq.empty()) continue;
     const ConfigId config = graph.subtask(seq.front()).config;
     if (config != k_no_config) out.push_back(config);
   }

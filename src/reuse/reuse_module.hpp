@@ -38,9 +38,7 @@ enum class ReplacementPolicy {
 
 /// Result of binding one placement onto the physical tile pool.
 struct Binding {
-  /// Physical tile for each virtual tile of the placement. Virtual tiles
-  /// with an empty execution sequence (possible in ICN-aware placements)
-  /// stay at k_no_phys_tile — they execute nothing and hold no tile.
+  /// Physical tile for each virtual tile of the placement.
   std::vector<PhysTileId> phys_of_tile;
   /// Per subtask: configuration already resident on its bound tile.
   std::vector<bool> resident;
@@ -79,9 +77,9 @@ void bind_tiles(const SubtaskGraph& graph, const Placement& placement,
                 const NextUseRank& next_use, Binding& out);
 
 /// The configurations bind_tiles() can reuse for this placement: the
-/// first-subtask configuration of every occupied virtual tile (only the
-/// first subtask on a tile can be reused — every later one is preceded by
-/// an overwriting load). Used by the pool layer's placement-aware
+/// first-subtask configuration of every virtual tile (only the first
+/// subtask on a tile can be reused — every later one is preceded by an
+/// overwriting load). Used by the pool layer's placement-aware
 /// contiguous block selection so admission lands where reuse is richest.
 /// Written into caller-owned storage (cleared first).
 void first_subtask_configs_into(const SubtaskGraph& graph,

@@ -62,11 +62,7 @@ std::string WorkloadCache::key(const Scenario& scenario) {
   field(p.reconfig_ports);
   field(p.isps);
   field(p.reconfig_energy);
-  field(p.icn.mesh_width);
-  field(p.icn.hop_latency);
-  field(p.icn.isp_bridge_latency);
   field(scenario.design.bnb_load_threshold);
-  field(scenario.design.comm_aware_placement);
   switch (scenario.workload) {
     case WorkloadKind::multimedia:
       for (const std::string& task : scenario.task_filter) field(task);

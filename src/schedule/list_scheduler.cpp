@@ -12,17 +12,14 @@ namespace drhw {
 
 namespace {
 
-/// Chooses the unit giving the earliest start; ties broken toward the unit
-/// with the smallest availability time (longest idle), then lowest index.
-/// `ready_on` yields the unit-dependent ready time (ICN-aware callers fold
-/// communication latencies into it).
-template <typename ReadyFn>
-int pick_unit(const std::vector<time_us>& avail, const ReadyFn& ready_on) {
+/// Chooses the unit giving the earliest start for a subtask ready at
+/// `ready`; ties broken toward the unit with the smallest availability time
+/// (longest idle), then lowest index.
+int pick_unit(const std::vector<time_us>& avail, time_us ready) {
   int best = 0;
-  time_us best_start = std::max(ready_on(0), avail[0]);
+  time_us best_start = std::max(ready, avail[0]);
   for (int u = 1; u < static_cast<int>(avail.size()); ++u) {
-    const time_us start =
-        std::max(ready_on(u), avail[static_cast<std::size_t>(u)]);
+    const time_us start = std::max(ready, avail[static_cast<std::size_t>(u)]);
     const time_us best_avail = avail[static_cast<std::size_t>(best)];
     const time_us this_avail = avail[static_cast<std::size_t>(u)];
     if (start < best_start ||
@@ -34,8 +31,9 @@ int pick_unit(const std::vector<time_us>& avail, const ReadyFn& ready_on) {
   return best;
 }
 
-Placement schedule_impl(const SubtaskGraph& graph, int tiles, int isps,
-                        const PlatformConfig* icn_platform) {
+}  // namespace
+
+Placement list_schedule(const SubtaskGraph& graph, int tiles, int isps) {
   const std::size_t n = graph.size();
   bool has_drhw = false;
   bool has_isp = false;
@@ -71,22 +69,11 @@ Placement schedule_impl(const SubtaskGraph& graph, int tiles, int isps,
     preds_left[s] =
         static_cast<int>(graph.predecessors(static_cast<SubtaskId>(s)).size());
 
-  // Unit-dependent ready time: the latest predecessor completion plus the
-  // ICN latency from the predecessor's unit to the candidate unit.
-  const auto ready_on = [&](SubtaskId s, int unit, bool unit_is_isp) {
+  // Ready once the latest predecessor completes.
+  const auto ready_time = [&](SubtaskId s) {
     time_us ready = 0;
-    for (SubtaskId p : graph.predecessors(s)) {
-      const auto pidx = static_cast<std::size_t>(p);
-      time_us arrive = placement.ideal_end[pidx];
-      if (icn_platform != nullptr) {
-        const bool p_isp = placement.tile_of[pidx] == k_no_tile;
-        arrive += icn_comm_latency(
-            *icn_platform,
-            p_isp ? placement.isp_of[pidx] : placement.tile_of[pidx], p_isp,
-            unit, unit_is_isp);
-      }
-      ready = std::max(ready, arrive);
-    }
+    for (SubtaskId p : graph.predecessors(s))
+      ready = std::max(ready, placement.ideal_end[static_cast<std::size_t>(p)]);
     return ready;
   };
 
@@ -108,11 +95,11 @@ Placement schedule_impl(const SubtaskGraph& graph, int tiles, int isps,
     const bool drhw = graph.subtask(pick).resource == Resource::drhw;
     auto& avail = drhw ? tile_avail : isp_avail;
     auto& sequences = drhw ? placement.tile_sequence : placement.isp_sequence;
-    const int unit =
-        pick_unit(avail, [&](int u) { return ready_on(pick, u, !drhw); });
+    const time_us ready = ready_time(pick);
+    const int unit = pick_unit(avail, ready);
     const auto uidx = static_cast<std::size_t>(unit);
 
-    const time_us start = std::max(ready_on(pick, unit, !drhw), avail[uidx]);
+    const time_us start = std::max(ready, avail[uidx]);
     const time_us end = start + graph.subtask(pick).exec_time;
     avail[uidx] = end;
     placement.ideal_start[idx] = start;
@@ -145,17 +132,9 @@ Placement schedule_impl(const SubtaskGraph& graph, int tiles, int isps,
   return placement;
 }
 
-}  // namespace
-
-Placement list_schedule(const SubtaskGraph& graph, int tiles, int isps) {
-  return schedule_impl(graph, tiles, isps, nullptr);
-}
-
 Placement list_schedule_icn(const SubtaskGraph& graph,
                             const PlatformConfig& platform) {
-  platform.validate();
-  return schedule_impl(graph, platform.tiles, std::max(platform.isps, 1),
-                       &platform);
+  return list_schedule(graph, platform.tiles, platform.isps);
 }
 
 }  // namespace drhw

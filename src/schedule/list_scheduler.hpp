@@ -18,15 +18,16 @@ namespace drhw {
 /// has been idle longest (and then the lowest unit index), which spreads
 /// subtasks over tiles — this maximises the prefetcher's room to overlap
 /// loads with computation and matches the placements in the paper's figures.
+/// Every idle unit ties with every other, so the units used are always
+/// 0..used-1 and no virtual tile of the result is empty.
 ///
 /// Throws std::invalid_argument if `tiles` < 1 while DRHW subtasks exist, or
 /// `isps` < 1 while ISP subtasks exist.
 Placement list_schedule(const SubtaskGraph& graph, int tiles, int isps = 1);
 
-/// Communication-aware variant: ready times include the platform's ICN
-/// latencies (per-hop mesh cost, ISP bridge), so the scheduler trades
-/// parallelism against locality. With the default ideal interconnect this
-/// is identical to list_schedule().
+/// Same as list_schedule(graph, platform.tiles, platform.isps). Kept only
+/// because the benchmark harness (perfbench/perfbench.cpp) still names it;
+/// it goes once that harness stops reading it (ROADMAP item 1).
 Placement list_schedule_icn(const SubtaskGraph& graph,
                             const PlatformConfig& platform);
 

@@ -28,6 +28,9 @@ void Placement::validate(const SubtaskGraph& graph) const {
   if (tile_sequence.size() != static_cast<std::size_t>(tiles_used) ||
       isp_sequence.size() != static_cast<std::size_t>(isps_used))
     throw std::invalid_argument("placement sequence count mismatch");
+  for (const auto& seq : tile_sequence)
+    if (seq.empty())
+      throw std::invalid_argument("placement has an empty virtual tile");
 
   std::vector<int> seen(n, 0);
   auto check_sequences = [&](const std::vector<std::vector<SubtaskId>>& seqs,

@@ -20,7 +20,7 @@ namespace drhw {
 /// Assignment + per-unit execution order + ideal (reconfiguration-free)
 /// timing for one subtask graph.
 struct Placement {
-  int tiles_used = 0;  ///< number of virtual DRHW tiles actually used
+  int tiles_used = 0;  ///< number of virtual DRHW tiles, none empty
   int isps_used = 0;   ///< number of ISP units actually used
 
   /// Per subtask: virtual tile (DRHW subtasks) or k_no_tile (ISP subtasks).
@@ -43,24 +43,15 @@ struct Placement {
   /// k_no_subtask if `s` is first on its unit.
   SubtaskId prev_on_unit(SubtaskId s) const;
 
-  /// Virtual tiles that actually execute something. ICN-aware placements
-  /// may contain empty virtual tiles (tile ids double as mesh coordinates,
-  /// so holes cannot be compacted away); only the occupied ones claim a
-  /// physical tile.
-  int tiles_occupied() const {
-    int occupied = 0;
-    for (const auto& seq : tile_sequence) occupied += !seq.empty();
-    return occupied;
-  }
-
   /// True when `s` is mapped to a DRHW tile.
   bool on_drhw(SubtaskId s) const {
     return tile_of[static_cast<std::size_t>(s)] != k_no_tile;
   }
 
   /// Consistency check against the graph: every subtask appears exactly once
-  /// on a unit of its resource kind, positions match sequences, and the
-  /// combined precedence relation (graph edges + unit orders) is acyclic.
+  /// on a unit of its resource kind, positions match sequences, no virtual
+  /// tile is empty (each one claims a physical tile), and the combined
+  /// precedence relation (graph edges + unit orders) is acyclic.
   /// Throws std::invalid_argument on violations.
   void validate(const SubtaskGraph& graph) const;
 };

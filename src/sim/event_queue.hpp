@@ -14,9 +14,8 @@
 ///
 /// Both backends pop in exactly the same order: the total order is
 ///   (time, kind, job, subtask, seq)
-/// where `seq` is the global push sequence number — equal-key events (two
-/// communication edges landing on the same successor at the same instant)
-/// pop in insertion order under *both* backends, which is the determinism
+/// where `seq` is the global push sequence number — equal-key events pop
+/// in insertion order under *both* backends, which is the determinism
 /// contract the golden pins and the 1-vs-8-thread bit-identity tests ride
 /// on. The heap backend is retained for differential testing
 /// (tests/test_event_sim.cpp runs both and requires bit-identical

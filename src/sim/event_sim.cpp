@@ -82,10 +82,11 @@ namespace {
 /// execution becoming ready at the same instant, and instance arrivals
 /// (which snapshot the configuration store for binding) observe every
 /// completion of that instant first. Scheduler-decision completions come
-/// last: the decision takes the full charged interval.
+/// last: the decision takes the full charged interval. The numbers index
+/// PerfCounters::events_by_kind, which readers take by position, so they
+/// stay fixed (1 is unused).
 enum EventKind : int {
   k_ev_load_done = 0,
-  k_ev_comm = 1,
   k_ev_exec_done = 2,
   k_ev_arrival = 3,
   k_ev_sched_done = 4,
@@ -182,9 +183,6 @@ class OnlineSimulation {
         switch (ev.kind) {
           case k_ev_load_done:
             on_load_done(ev.job, ev.subtask, ev.time);
-            break;
-          case k_ev_comm:
-            on_comm_arrival(ev.job, ev.subtask, ev.time);
             break;
           case k_ev_exec_done:
             on_exec_done(ev.job, ev.subtask, ev.time);
@@ -493,7 +491,7 @@ class OnlineSimulation {
   /// Sends `j` to the pool's admission backlog. Its urgency is fixed by
   /// its deadline, so a preempted victim re-enters with the same key.
   void enqueue(std::int32_t j, time_us t) {
-    pool_.enqueue(j, prep_of(j).placement.tiles_occupied(), t,
+    pool_.enqueue(j, prep_of(j).placement.tiles_used, t,
                   urgent_admission() ? admission_urgency_of(j) : 0);
   }
 
@@ -552,31 +550,19 @@ class OnlineSimulation {
         oracle = make_oracle(static_cast<std::size_t>(index));
       bind_tiles(graph, placement, view_store_, options_.replacement,
                  values_of(index), bind_rng_, oracle, binding_scratch_);
-      slot.phys_of_tile.assign(binding_scratch_.phys_of_tile.size(),
-                               k_no_phys_tile);
-      for (std::size_t v = 0; v < binding_scratch_.phys_of_tile.size(); ++v)
-        if (binding_scratch_.phys_of_tile[v] != k_no_phys_tile)
-          slot.phys_of_tile[v] = free_tiles[static_cast<std::size_t>(
-              binding_scratch_.phys_of_tile[v])];
+      const std::vector<PhysTileId>& bound = binding_scratch_.phys_of_tile;
+      slot.phys_of_tile.resize(bound.size());
+      for (std::size_t v = 0; v < bound.size(); ++v)
+        slot.phys_of_tile[v] = free_tiles[static_cast<std::size_t>(bound[v])];
       resident = &binding_scratch_.resident;
       slot.reused = binding_scratch_.reused_subtasks;
     } else {
-      slot.phys_of_tile.assign(static_cast<std::size_t>(placement.tiles_used),
-                               k_no_phys_tile);
-      std::size_t next_free = 0;
-      for (int v = 0; v < placement.tiles_used; ++v) {
-        if (placement.tile_sequence[static_cast<std::size_t>(v)].empty())
-          continue;
-        slot.phys_of_tile[static_cast<std::size_t>(v)] =
-            free_tiles[next_free++];
-      }
+      slot.phys_of_tile.assign(free_tiles.begin(),
+                               free_tiles.begin() + placement.tiles_used);
       resident_scratch_.assign(graph.size(), false);
       resident = &resident_scratch_;
     }
-    occupied_scratch_.clear();
-    for (const PhysTileId p : slot.phys_of_tile)
-      if (p != k_no_phys_tile) occupied_scratch_.push_back(p);
-    pool_.occupy(index, occupied_scratch_, t);
+    pool_.occupy(index, slot.phys_of_tile, t);
 
     build_plan(slot, base, prep, *resident, t);
 
@@ -594,8 +580,8 @@ class OnlineSimulation {
       ev.aux = slot.cancelled;
       ev.init = static_cast<std::int64_t>(slot.init_count);
       if (trace_) {
-        ev.tiles = occupied_scratch_.data();
-        ev.tile_count = static_cast<std::uint32_t>(occupied_scratch_.size());
+        ev.tiles = slot.phys_of_tile.data();
+        ev.tile_count = static_cast<std::uint32_t>(slot.phys_of_tile.size());
       }
       fold_.record(ev);
     }
@@ -695,9 +681,9 @@ class OnlineSimulation {
     const TileId tile =
         prep_of(j).placement.tile_of[static_cast<std::size_t>(s)];
     if (tile != k_no_tile) {
-      const PhysTileId phys = slot.phys_of_tile[static_cast<std::size_t>(tile)];
       // A tile being defragmented cannot execute until the move lands.
-      if (phys != k_no_phys_tile && pool_.migrating(phys)) return;
+      if (pool_.migrating(slot.phys_of_tile[static_cast<std::size_t>(tile)]))
+        return;
     } else if (options_.shared_isps) {
       // Shared ISPs: the execution must win one of the contended servers.
       if (arena_.isp_queued[idx]) return;  // already waiting
@@ -950,7 +936,7 @@ class OnlineSimulation {
       const std::size_t base = base_of(j);
       for (std::size_t vt = 0; vt < slot.phys_of_tile.size(); ++vt) {
         const PhysTileId p = slot.phys_of_tile[vt];
-        if (p == k_no_phys_tile || pool_.migrating(p)) continue;
+        if (pool_.migrating(p)) continue;
         bool busy = false;
         for (const SubtaskId s : placement.tile_sequence[vt]) {
           const std::size_t idx = base + static_cast<std::size_t>(s);
@@ -1059,16 +1045,10 @@ class OnlineSimulation {
         busy = (arena_.started[base + s] && !arena_.finished[base + s]) ||
                arena_.isp_queued[base + s];
       if (busy) continue;
-      bool holds_tile = false;
-      for (const PhysTileId p : slot.phys_of_tile) {
-        if (p == k_no_phys_tile) continue;
-        if (pool_.migrating(p)) {
-          busy = true;
-          break;
-        }
-        holds_tile = true;
-      }
-      if (busy || !holds_tile) continue;
+      if (slot.phys_of_tile.empty()) continue;  // holds no tile
+      if (std::any_of(slot.phys_of_tile.begin(), slot.phys_of_tile.end(),
+                      [&](PhysTileId p) { return pool_.migrating(p); }))
+        continue;
       victim = v;
       victim_deadline = deadline;
     }
@@ -1092,8 +1072,7 @@ class OnlineSimulation {
       // re-check cannot spin the port.
       preempt_waiting_.erase(preempt_waiting_.begin());
       InstanceSlot& slot = slot_of(victim);
-      for (const PhysTileId p : slot.phys_of_tile)
-        if (p != k_no_phys_tile) pool_.begin_checkpoint(p);
+      for (const PhysTileId p : slot.phys_of_tile) pool_.begin_checkpoint(p);
       checkpoint_victim_ = victim;
       // One state-writeout charge on the port, at reconfiguration cost —
       // the migration-to-store this models.
@@ -1115,8 +1094,7 @@ class OnlineSimulation {
   void finish_preempt(std::int32_t victim, time_us t) {
     const std::int32_t slot_id = job_slot_[static_cast<std::size_t>(victim)];
     InstanceSlot& slot = arena_.slot(slot_id);
-    for (const PhysTileId p : slot.phys_of_tile)
-      if (p != k_no_phys_tile) pool_.finish_checkpoint(p, t);
+    for (const PhysTileId p : slot.phys_of_tile) pool_.finish_checkpoint(p, t);
     // The fold charges the dropped stint's loads and gives back its
     // queueing (sim/online_accounting.cpp).
     TraceEvent ev(TraceEvent::Kind::preempt, t, victim);
@@ -1282,11 +1260,6 @@ class OnlineSimulation {
     try_port(t);
   }
 
-  void on_comm_arrival(std::int32_t j, SubtaskId s, time_us t) {
-    if (--arena_.preds_left[base_of(j) + static_cast<std::size_t>(s)] == 0)
-      mark_dag_ready(j, s, t);
-  }
-
   void on_exec_done(std::int32_t j, SubtaskId s, time_us t) {
     InstanceSlot& slot = slot_of(j);
     const PreparedScenario& prep = prep_of(j);
@@ -1318,30 +1291,11 @@ class OnlineSimulation {
       pool_.store().record_use(
           slot.phys_of_tile[static_cast<std::size_t>(tile)], t);
 
-    for (SubtaskId succ : graph.successors(s)) {
-      const time_us comm = edge_comm(prep, s, succ);
-      if (comm == 0) {
-        if (--arena_.preds_left[base + static_cast<std::size_t>(succ)] == 0)
-          mark_dag_ready(j, succ, t);
-      } else {
-        events_.push(t + comm, k_ev_comm, j, succ);
-      }
-    }
+    for (SubtaskId succ : graph.successors(s))
+      if (--arena_.preds_left[base + static_cast<std::size_t>(succ)] == 0)
+        mark_dag_ready(j, succ, t);
     if (slot.finished_count == graph.size()) retire(j, t);
     try_port(t);
-  }
-
-  time_us edge_comm(const PreparedScenario& prep, SubtaskId from,
-                    SubtaskId to) const {
-    const Placement& placement = prep.placement;
-    const auto f = static_cast<std::size_t>(from);
-    const auto g = static_cast<std::size_t>(to);
-    const bool from_isp = placement.tile_of[f] == k_no_tile;
-    const bool to_isp = placement.tile_of[g] == k_no_tile;
-    return icn_comm_latency(
-        options_.platform,
-        from_isp ? placement.isp_of[f] : placement.tile_of[f], from_isp,
-        to_isp ? placement.isp_of[g] : placement.tile_of[g], to_isp);
   }
 
   void retire(std::int32_t j, time_us t) {
@@ -1444,7 +1398,6 @@ class OnlineSimulation {
   long isp_seq_ = 0;
   std::vector<char> protected_scratch_;  ///< backlog-prefetch scratch
   std::vector<char> movable_scratch_;    ///< defrag-planning scratch
-  std::vector<PhysTileId> occupied_scratch_;   ///< admission scratch
   std::vector<PhysTileId> free_tiles_scratch_; ///< offer_into() target
   std::vector<ConfigId> wanted_scratch_;       ///< reusable-config scratch
   std::vector<bool> resident_scratch_;  ///< non-reuse policies: all false

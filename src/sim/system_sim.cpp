@@ -33,13 +33,7 @@ PreparedScenario prepare_scenario(const SubtaskGraph& graph, int tiles,
                                   const HybridDesignOptions& options) {
   PreparedScenario prepared;
   prepared.graph = &graph;
-  if (options.comm_aware_placement) {
-    PlatformConfig sized = platform;
-    sized.tiles = tiles;
-    prepared.placement = list_schedule_icn(graph, sized);
-  } else {
-    prepared.placement = list_schedule(graph, tiles, platform.isps);
-  }
+  prepared.placement = list_schedule(graph, tiles, platform.isps);
   prepared.weights = subtask_weights(graph);
   FirstPass first_pass;
   prepared.hybrid = compute_hybrid_schedule(graph, prepared.placement,
@@ -291,7 +285,6 @@ class SystemSimulation {
         static_cast<std::size_t>(store_.tiles()), clock_);
     for (int v = 0; v < placement.tiles_used; ++v) {
       const PhysTileId phys = binding.phys_of_tile[static_cast<std::size_t>(v)];
-      if (phys == k_no_phys_tile) continue;  // empty virtual tile, unbound
       tile_free[static_cast<std::size_t>(phys)] =
           offset +
           sched.eval.tile_last_exec_end[static_cast<std::size_t>(v)];

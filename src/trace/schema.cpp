@@ -93,7 +93,7 @@ void append_event_json(std::string& out, const TraceEvent& ev) {
   visit_event_fields(
       [&](const char* key, auto omitted, const auto& value) {
         if constexpr (!std::is_same_v<decltype(omitted), AlwaysWritten>)
-          if (value == omitted) return;
+          if (!differs(value, omitted)) return;
         out += ",\"";
         out += key;
         out += "\":";

@@ -55,10 +55,13 @@ struct AlwaysWritten {};
 
 /// The scalar payload fields of a TraceEvent, in payload order:
 /// f(jsonl_key, omitted_default, event.field...). Both writers omit a field
-/// equal to its default (the binary writer compares doubles bitwise); the
-/// defaults are TraceEvent's own, so a reader that starts from
-/// TraceEvent{} reads an omitted field back unchanged. Both encodings'
-/// writers and readers loop over this list: a field is one line here.
+/// equal to its default by one rule, differs() in schema.cpp, which compares
+/// doubles bitwise, so -0.0 and NaN are written; the defaults are
+/// TraceEvent's own, so a reader that starts from TraceEvent{} reads an
+/// omitted field back unchanged. JSON has no NaN, so JSONL writes one as
+/// null and reads it back as a positive quiet NaN: binary is the lossless
+/// encoding. Both encodings' writers and readers loop over this list: a
+/// field is one line here.
 template <typename F, typename... Events>
 constexpr void visit_event_fields(F&& f, Events&... ev) {
   f("t", AlwaysWritten{}, ev.t...);

@@ -31,8 +31,6 @@ const char* kind_name(std::size_t kind) {
   switch (kind) {
     case 0:
       return "load_done";
-    case 1:
-      return "comm";
     case 2:
       return "exec_done";
     case 3:

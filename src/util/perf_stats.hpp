@@ -44,7 +44,7 @@ namespace drhw {
 struct PerfCounters {
   // --- deterministic (scenario-determined) --------------------------------
   /// Events dispatched by the run loop, total and by Event::kind
-  /// (kind-indexed; the online kernel uses kinds 0..4).
+  /// (kind-indexed; the online kernel uses kinds 0 and 2..4).
   std::uint64_t events_total = 0;
   std::array<std::uint64_t, 8> events_by_kind{};
   std::uint64_t queue_pushes = 0;

@@ -129,6 +129,29 @@ TEST(Placement, ValidateCatchesTampering) {
   EXPECT_THROW(missing.validate(g), std::invalid_argument);
 }
 
+TEST(Placement, ValidateRejectsAnEmptyVirtualTile) {
+  // Every virtual tile claims a physical tile at binding, so a hole in the
+  // range would hold a tile that executes nothing.
+  SubtaskGraph g;
+  const auto a = g.add_subtask({"a", ms(1), Resource::drhw, k_no_config, 0});
+  const auto b = g.add_subtask({"b", ms(1), Resource::drhw, k_no_config, 0});
+  g.finalize();
+  Placement p;
+  p.tiles_used = 3;
+  p.tile_of = {0, 2};
+  p.isp_of = {k_no_tile, k_no_tile};
+  p.tile_sequence = {{a}, {}, {b}};
+  p.position_of = {0, 0};
+  p.ideal_start = {0, 0};
+  p.ideal_end = {ms(1), ms(1)};
+  EXPECT_THROW(p.validate(g), std::invalid_argument);
+
+  p.tiles_used = 2;
+  p.tile_of = {0, 1};
+  p.tile_sequence = {{a}, {b}};
+  EXPECT_NO_THROW(p.validate(g));
+}
+
 TEST(Placement, ValidateCatchesOrderCycle) {
   // Unit order b-before-a conflicts with edge a -> b.
   SubtaskGraph g;

@@ -1,7 +1,6 @@
-// Tests for the platform-model extensions: ICN communication latencies,
-// heterogeneous per-bitstream load times, and multi-port reconfiguration
-// controllers. The defaults (ideal ICN, uniform latency, one port) must
-// keep the paper's semantics bit-for-bit.
+// Tests for the platform-model extensions: heterogeneous per-bitstream load
+// times and multi-port reconfiguration controllers. The defaults (uniform
+// latency, one port) must keep the paper's semantics bit-for-bit.
 
 #include <gtest/gtest.h>
 
@@ -32,83 +31,6 @@ SubtaskGraph chain(int length, time_us exec) {
   }
   g.finalize();
   return g;
-}
-
-TEST(Icn, LatencyGeometry) {
-  PlatformConfig pf = virtex2_platform(9);
-  pf.icn.mesh_width = 3;  // 3x3 mesh
-  pf.icn.hop_latency = us(100);
-  pf.icn.isp_bridge_latency = us(250);
-  // Same unit: free.
-  EXPECT_EQ(icn_comm_latency(pf, 4, false, 4, false), 0);
-  // Tile 0 (0,0) -> tile 8 (2,2): 4 hops.
-  EXPECT_EQ(icn_comm_latency(pf, 0, false, 8, false), us(400));
-  // Tile 1 (1,0) -> tile 7 (1,2): 2 hops.
-  EXPECT_EQ(icn_comm_latency(pf, 1, false, 7, false), us(200));
-  // ISP traffic pays the bridge.
-  EXPECT_EQ(icn_comm_latency(pf, 0, true, 5, false), us(250));
-  EXPECT_EQ(icn_comm_latency(pf, 5, false, 0, true), us(250));
-}
-
-TEST(Icn, IdealInterconnectIsFree) {
-  const PlatformConfig pf = virtex2_platform(8);  // mesh_width = 0
-  EXPECT_EQ(icn_comm_latency(pf, 0, false, 7, false), 0);
-}
-
-TEST(Icn, CommunicationDelaysSuccessors) {
-  const auto g = chain(2, ms(10));
-  PlatformConfig pf = virtex2_platform(4);
-  pf.icn.mesh_width = 2;
-  pf.icn.hop_latency = us(500);
-  const auto p = list_schedule_icn(g, pf);
-  const LoadPlan none{LoadPolicy::explicit_order, {}};
-  const auto r = evaluate(g, p, pf, none);
-  // Both subtasks on different tiles: the second waits for the message.
-  const time_us hops = icn_comm_latency(
-      pf, p.tile_of[0], false, p.tile_of[1], false);
-  EXPECT_EQ(r.exec_start[1], r.exec_end[0] + hops);
-  EXPECT_EQ(r.makespan, p.ideal_makespan);  // scheduler and evaluator agree
-}
-
-TEST(Icn, SchedulerPrefersNearbyTiles) {
-  // With expensive hops, packing a chain onto one tile beats spreading it.
-  const auto g = chain(3, ms(2));
-  PlatformConfig pf = virtex2_platform(9);
-  pf.icn.mesh_width = 3;
-  pf.icn.hop_latency = ms(5);  // prohibitively expensive
-  const auto p = list_schedule_icn(g, pf);
-  // All three end up on the same tile: communication is free there.
-  EXPECT_EQ(p.tiles_used, 1);
-  EXPECT_EQ(p.ideal_makespan, ms(6));
-}
-
-TEST(Icn, EvaluatorMatchesSchedulerUnderIcn) {
-  for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    Rng rng(seed);
-    LayeredGraphParams params;
-    params.subtasks = 12;
-    const auto g = make_layered_graph(params, rng);
-    PlatformConfig pf = virtex2_platform(4);
-    pf.icn.mesh_width = 2;
-    pf.icn.hop_latency = us(300);
-    const auto p = list_schedule_icn(g, pf);
-    EXPECT_EQ(ideal_makespan(g, p, pf), p.ideal_makespan) << "seed " << seed;
-  }
-}
-
-TEST(Icn, HybridFlowStillConvergesWithComm) {
-  Rng rng(11);
-  LayeredGraphParams params;
-  params.subtasks = 10;
-  const auto g = make_layered_graph(params, rng);
-  PlatformConfig pf = virtex2_platform(4);
-  pf.icn.mesh_width = 2;
-  pf.icn.hop_latency = us(200);
-  const auto p = list_schedule_icn(g, pf);
-  const auto design = compute_hybrid_schedule(g, p, pf);
-  const LoadPlan plan{LoadPolicy::explicit_order, design.stored_order};
-  const auto r = evaluate(g, p, pf, plan);
-  EXPECT_EQ(r.makespan, design.ideal_makespan);
 }
 
 TEST(LoadTime, PerSubtaskOverrideUsed) {
@@ -216,12 +138,6 @@ TEST(MultiPort, ExtraPortsNeverHurt) {
 TEST(MultiPort, ValidationRejectsZeroPorts) {
   PlatformConfig pf = virtex2_platform(4);
   pf.reconfig_ports = 0;
-  EXPECT_THROW(pf.validate(), std::invalid_argument);
-}
-
-TEST(Icn, ValidationRejectsNegativeLatency) {
-  PlatformConfig pf = virtex2_platform(4);
-  pf.icn.hop_latency = -1;
   EXPECT_THROW(pf.validate(), std::invalid_argument);
 }
 

@@ -224,44 +224,38 @@ void walk_against_evaluator(const SubtaskGraph& g, const Placement& p,
 }
 
 /// Runs `body(graph, placement, platform, rng)` over every platform feature
-/// the prefix timing depends on: 1-3 ports, bus or mesh ICN, with or without
-/// ISP subtasks, with or without per-subtask load times. Each of the 24 cases
-/// seeds its own Rng; seeds run from `seed_base` + 1 in one block of eight
-/// per port count, 16 apart.
+/// the prefix timing depends on: 1-3 ports, with or without ISP subtasks,
+/// with or without per-subtask load times. Each of the 12 cases seeds its
+/// own Rng; seeds run from `seed_base` + 1 in one block of four per port
+/// count, 16 apart.
 template <class Body>
 void for_each_platform_case(std::uint64_t seed_base, std::size_t subtasks,
                             Body body) {
-  std::uint64_t seed = seed_base;
-  for (int ports = 1; ports <= 3; ++ports, seed += 8)
-    for (bool mesh : {false, true})
-      for (double isp_fraction : {0.0, 0.3})
-        for (bool overrides : {false, true}) {
-          SCOPED_TRACE("ports=" + std::to_string(ports) +
-                       " mesh=" + std::to_string(mesh) +
-                       " isp_fraction=" + std::to_string(isp_fraction) +
-                       " overrides=" + std::to_string(overrides));
-          Rng rng(++seed);
-          LayeredGraphParams params;
-          params.subtasks = subtasks;
-          params.max_exec = ms(10);
-          params.isp_fraction = isp_fraction;
-          SubtaskGraph g = make_layered_graph(params, rng);
-          PlatformConfig platform = virtex2_platform(5);
-          platform.reconfig_ports = ports;
-          platform.isps = 2;
-          if (mesh) {
-            platform.icn.mesh_width = 3;
-            platform.icn.hop_latency = 700;
-            platform.icn.isp_bridge_latency = 1300;
-          }
-          const Placement p = list_schedule(g, platform.tiles, platform.isps);
-          if (overrides)
-            for (std::size_t s = 0; s < g.size(); ++s)
-              if (rng.next_bool(0.5))
-                g.subtask_mutable(static_cast<SubtaskId>(s)).load_time =
-                    ms(rng.next_int(1, 7));
-          body(g, p, platform, rng);
-        }
+  for (int ports = 1; ports <= 3; ++ports) {
+    std::uint64_t seed = seed_base + 16 * static_cast<std::uint64_t>(ports - 1);
+    for (double isp_fraction : {0.0, 0.3})
+      for (bool overrides : {false, true}) {
+        SCOPED_TRACE("ports=" + std::to_string(ports) +
+                     " isp_fraction=" + std::to_string(isp_fraction) +
+                     " overrides=" + std::to_string(overrides));
+        Rng rng(++seed);
+        LayeredGraphParams params;
+        params.subtasks = subtasks;
+        params.max_exec = ms(10);
+        params.isp_fraction = isp_fraction;
+        SubtaskGraph g = make_layered_graph(params, rng);
+        PlatformConfig platform = virtex2_platform(5);
+        platform.reconfig_ports = ports;
+        platform.isps = 2;
+        const Placement p = list_schedule(g, platform.tiles, platform.isps);
+        if (overrides)
+          for (std::size_t s = 0; s < g.size(); ++s)
+            if (rng.next_bool(0.5))
+              g.subtask_mutable(static_cast<SubtaskId>(s)).load_time =
+                  ms(rng.next_int(1, 7));
+        body(g, p, platform, rng);
+      }
+  }
 }
 
 TEST(PrefixTiming, MatchesEvaluatorOnRandomExtendUndoWalks) {

@@ -195,31 +195,6 @@ TEST_F(BindFixture, MatchesResidentFirstSubtask) {
             5);
 }
 
-TEST_F(BindFixture, SkipsEmptyVirtualTiles) {
-  // ICN-aware placements may leave a mesh position unused in the middle of
-  // the virtual tile range (only trailing empties are compacted, because
-  // tile ids double as mesh coordinates). Binding must leave such tiles
-  // unbound instead of crashing or wasting a physical tile on them.
-  Placement holed = placement;
-  holed.tile_sequence.insert(holed.tile_sequence.begin() + 1,
-                             std::vector<SubtaskId>{});
-  holed.tiles_used = static_cast<int>(holed.tile_sequence.size());
-  for (std::size_t s = 0; s < graph->size(); ++s)
-    if (holed.tile_of[s] >= 1) ++holed.tile_of[s];
-  ConfigStore store(6);
-  const auto b = bind_tiles(*graph, holed, store, ReplacementPolicy::lru,
-                            weights, rng);
-  ASSERT_EQ(b.phys_of_tile.size(), 5u);
-  EXPECT_EQ(b.phys_of_tile[1], k_no_phys_tile);
-  std::set<PhysTileId> bound;
-  for (std::size_t v = 0; v < b.phys_of_tile.size(); ++v)
-    if (v != 1) {
-      EXPECT_NE(b.phys_of_tile[v], k_no_phys_tile);
-      bound.insert(b.phys_of_tile[v]);
-    }
-  EXPECT_EQ(bound.size(), 4u) << "each non-empty tile gets a distinct tile";
-}
-
 TEST_F(BindFixture, OnlyFirstPositionSubtaskCanBeReused) {
   // Pack the chain onto one tile: only the first subtask may match.
   const auto packed = list_schedule(*graph, 1);
@@ -324,11 +299,9 @@ TEST_F(BindFixture, RandomPolicyStaysInRange) {
 TEST_F(BindFixture, FirstSubtaskConfigsAreTheReusableSet) {
   std::vector<ConfigId> wanted;
   first_subtask_configs_into(*graph, placement, wanted);
-  // One entry per occupied virtual tile, in tile order, none empty.
-  EXPECT_EQ(wanted.size(),
-            static_cast<std::size_t>(placement.tiles_occupied()));
+  // One entry per virtual tile, in tile order.
+  EXPECT_EQ(wanted.size(), static_cast<std::size_t>(placement.tiles_used));
   for (std::size_t v = 0; v < placement.tile_sequence.size(); ++v) {
-    if (placement.tile_sequence[v].empty()) continue;
     const ConfigId config =
         graph->subtask(placement.tile_sequence[v].front()).config;
     EXPECT_NE(std::find(wanted.begin(), wanted.end(), config), wanted.end());

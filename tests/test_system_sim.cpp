@@ -189,33 +189,6 @@ TEST(OracleReplacement, SeesBeyondTheLookaheadWindow) {
   EXPECT_EQ(r.reused_subtasks, 3);
 }
 
-TEST(MeshPlacement, ReuseApproachesRunOnCommAwarePlacements) {
-  // Regression: ICN-aware placements can leave an empty virtual tile in the
-  // middle of the range; binding used to crash on it, so any reuse approach
-  // on a mesh platform with comm-aware placement aborted mid-campaign.
-  PlatformConfig mesh = virtex2_platform(9);
-  mesh.icn.mesh_width = 3;
-  mesh.icn.hop_latency = us(50);
-  mesh.icn.isp_bridge_latency = us(120);
-  HybridDesignOptions design;
-  design.comm_aware_placement = true;
-  const auto workload = make_multimedia_workload(mesh, design);
-  for (const char* a : {policy_names::runtime,
-                        policy_names::runtime_intertask,
-                        policy_names::hybrid}) {
-    SimOptions opt;
-    opt.platform = mesh;
-    opt.policy = a;
-    opt.replacement = ReplacementPolicy::critical_first;
-    opt.intertask_lookahead = 3;
-    opt.seed = 5;
-    opt.iterations = 40;
-    const auto r = run_simulation(opt, multimedia_sampler(*workload, 0.9));
-    EXPECT_GT(r.instances, 0) << a;
-    EXPECT_GE(r.total_actual, r.total_ideal) << a;
-  }
-}
-
 struct PocketGlFixture : ::testing::Test {
   void SetUp() override {
     platform = virtex2_platform(8);

@@ -452,6 +452,24 @@ TEST(Trace, BinaryRoundTripsLargeAdmitsAndExtremeValues) {
   }
 }
 
+// Both writers omit a field by one bitwise rule, so a JSONL `val` of -0.0
+// is written ("-0") and reads back with its sign.
+TEST(Trace, JsonlKeepsTheSignOfANegativeZeroValue) {
+  TraceEvent frag(TraceEvent::Kind::frag, 250, -1);
+  frag.value = -0.0;
+  const std::string path = testing::TempDir() + "/trace_negzero.jsonl";
+  {
+    TraceRecorder recorder(path, TraceFormat::jsonl, OnlineSimOptions{});
+    recorder.record(frag);
+    recorder.finish(OnlineReport{});
+  }
+  const TraceData trace = read_trace(path);
+  ASSERT_EQ(trace.events.size(), 1u);
+  EXPECT_EQ(trace.events[0].kind, TraceEvent::Kind::frag);
+  EXPECT_EQ(trace.events[0].value, 0.0);
+  EXPECT_TRUE(std::signbit(trace.events[0].value));
+}
+
 // Writes `lines` (one per line) as a JSONL trace and expects read_trace()
 // to reject it with a message naming `key`.
 void expect_jsonl_rejected(const std::string& lines, const char* key) {
