@@ -349,7 +349,6 @@ OnlineSimOptions online_sim_options(const Scenario& scenario) {
   options.deadline_scale = scenario.deadline_scale;
   options.high_criticality_fraction = scenario.high_crit_fraction;
   options.preempt = scenario.preempt;
-  options.queue_backend = scenario.queue_backend;
   options.record_spans = false;
   options.seed = scenario.sim.seed;
   options.iterations = scenario.sim.iterations;

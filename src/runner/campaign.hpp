@@ -104,9 +104,8 @@ struct ScenarioResult {
   /// Online mode only: the kernel's deterministic perf counters
   /// (util/perf_stats.hpp) — events dispatched, event-queue high-water
   /// depth, tracked allocations after warm-up. Pure functions of the
-  /// scenario under the default queue backend, so they aggregate like any
-  /// simulated-time metric; the wall-clock phase timers deliberately stay
-  /// out of campaign results.
+  /// scenario, so they aggregate like any simulated-time metric; the
+  /// wall-clock phase timers deliberately stay out of campaign results.
   std::uint64_t perf_events_total = 0;
   std::uint64_t perf_queue_depth_max = 0;
   std::uint64_t perf_steady_allocs = 0;

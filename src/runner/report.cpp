@@ -46,9 +46,9 @@ double makespan_ms(const Result& r) {
 
 /// The one list of campaign metrics, in CSV column order (the JSON
 /// "metrics" objects and the aggregate blocks list them by name). Kernel
-/// perf counters are deterministic under every campaign scenario's default
-/// queue backend, so they aggregate like simulated-time metrics; real-time
-/// metrics are zero when a scenario runs without deadlines.
+/// perf counters are deterministic per scenario, so they aggregate like
+/// simulated-time metrics; real-time metrics are zero when a scenario runs
+/// without deadlines.
 const MetricColumn k_metric_columns[] = {
     {"makespan_ms", Scope::simulation, makespan_ms},
     {"overhead_pct", Scope::simulation, sim_field<&SimReport::overhead_pct>},
@@ -272,8 +272,6 @@ std::string campaign_to_json(const std::vector<ScenarioResult>& results,
          << "      \"high_crit_fraction\": "
          << fmt_json_double(s.high_crit_fraction) << ",\n"
          << "      \"preempt\": " << (s.preempt ? "true" : "false") << ",\n"
-         << "      \"queue_backend\": \"" << to_string(s.queue_backend)
-         << "\",\n"
          << "      \"port_util_per_port_pct\": [";
       for (std::size_t p = 0; p < result.port_utilisation_per_port_pct.size();
            ++p)
@@ -361,7 +359,7 @@ std::string campaign_to_csv(const std::vector<ScenarioResult>& results) {
         "replacement,tiles,"
         "reconfig_latency_us,ports,isps,seed,iterations,admission_policy,"
         "contiguous,defrag,scheduler_cost_us,shared_isps,isp_discipline,"
-        "deadline_scale,high_crit_fraction,preempt,queue_backend,"
+        "deadline_scale,high_crit_fraction,preempt,"
         "port_util_per_port_pct,ok,error";
   for (const MetricColumn& column : k_metric_columns)
     os << "," << column.name;
@@ -383,8 +381,8 @@ std::string campaign_to_csv(const std::vector<ScenarioResult>& results) {
        << (s.shared_isps ? "1" : "0") << "," << to_string(s.isp_discipline)
        << "," << fmt_csv_double(s.deadline_scale) << ","
        << fmt_csv_double(s.high_crit_fraction) << ","
-       << (s.preempt ? "1" : "0") << "," << to_string(s.queue_backend)
-       << "," << fmt_port_vector(result.port_utilisation_per_port_pct) << ","
+       << (s.preempt ? "1" : "0") << ","
+       << fmt_port_vector(result.port_utilisation_per_port_pct) << ","
        << (result.ok ? "1" : "0") << "," << csv_escape(result.error);
     for (const MetricColumn& column : k_metric_columns) {
       os << ",";

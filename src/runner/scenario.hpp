@@ -127,8 +127,8 @@ struct Scenario {
   /// instances when a high-criticality arrival cannot be admitted.
   /// Requires deadline_scale > 0.
   bool preempt = false;
-  /// Online mode only: event-queue backend. Any backend must produce
-  /// bit-identical reports (pinned by the determinism tests).
+  /// Read by nothing; perfbench.cpp:381 copies it; deleted with ROADMAP
+  /// item 1.
   QueueBackend queue_backend = QueueBackend::calendar;
   /// Timed calls per measurement in sched_cost mode.
   int timing_calls = 50;

@@ -1,7 +1,6 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "util/check.hpp"
 
@@ -16,69 +15,28 @@ constexpr unsigned k_max_shift = 40;
 
 }  // namespace
 
-const char* to_string(QueueBackend backend) {
-  switch (backend) {
-    case QueueBackend::calendar:
-      return "calendar";
-    case QueueBackend::heap:
-      return "heap";
-  }
-  return "?";
-}
-
-QueueBackend queue_backend_from_string(const std::string& text) {
-  if (text == "calendar") return QueueBackend::calendar;
-  if (text == "heap") return QueueBackend::heap;
-  throw std::invalid_argument("unknown queue backend '" + text +
-                              "' (use calendar or heap)");
-}
-
-EventQueue::EventQueue(QueueBackend backend, PerfCounters* perf)
-    : backend_(backend), perf_(perf) {
-  if (backend_ == QueueBackend::calendar) {
-    buckets_.assign(k_min_buckets, {});
-    mask_ = k_min_buckets - 1;
-  } else {
-    heap_.reserve(1024);
-  }
+EventQueue::EventQueue(PerfCounters* perf) : perf_(perf) {
+  buckets_.assign(k_min_buckets, {});
+  mask_ = k_min_buckets - 1;
 }
 
 void EventQueue::push(time_us time, std::int32_t kind, std::int32_t job,
                       SubtaskId subtask) {
   DRHW_CHECK_GE_MSG(time, 0, "events cannot be scheduled before t = 0");
   const Event ev{time, kind, job, subtask, next_seq_++};
-  if (backend_ == QueueBackend::calendar)
-    calendar_push(ev);
-  else
-    heap_push(ev);
+  calendar_push(ev);
   ++size_;
   if (perf_) perf_->note_push(kind, size_);
 }
 
 Event EventQueue::pop() {
   DRHW_CHECK_GT_MSG(size_, 0u, "pop from an empty event queue");
-  const Event ev = backend_ == QueueBackend::calendar ? calendar_pop()
-                                                      : heap_pop();
+  const Event ev = calendar_pop();
   --size_;
   DRHW_CHECK_GE_MSG(ev.time, last_pop_,
                     "event queue popped backwards in time");
   last_pop_ = ev.time;
   if (perf_) perf_->note_pop();
-  return ev;
-}
-
-// --- binary heap ------------------------------------------------------------
-
-void EventQueue::heap_push(const Event& ev) {
-  note_grow(heap_);
-  heap_.push_back(ev);
-  std::push_heap(heap_.begin(), heap_.end(), event_after);
-}
-
-Event EventQueue::heap_pop() {
-  std::pop_heap(heap_.begin(), heap_.end(), event_after);
-  const Event ev = heap_.back();
-  heap_.pop_back();
   return ev;
 }
 

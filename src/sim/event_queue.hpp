@@ -1,25 +1,20 @@
 #pragma once
 
 /// \file event_queue.hpp
-/// The online kernel's global event queue, behind a small backend switch.
+/// The online kernel's global event queue: a calendar queue (Brown 1988)
+/// with O(1) expected operations. Events hash into time-bucketed "days"
+/// of an adaptively sized "year"; pops scan the current day, pushes insert
+/// into a short sorted day list. The kernel streams its arrivals (each
+/// popped arrival pushes the next), so the queue holds only the live
+/// working set, not the whole instance stream.
 ///
-/// PR 2..5 drove the kernel off one std::priority_queue. A binary heap is
-/// O(log n) per operation with n = *every* pending event; at million-
-/// instance horizons the eagerly-pushed arrival stream alone keeps n near
-/// the instance count, so every push/pop pays ~20 cache-missing levels.
-/// The calendar queue (Brown 1988) replaces that with O(1) expected
-/// operations: events hash into time-bucketed "days" of an adaptively
-/// sized "year"; pops scan the current day, pushes insert into a short
-/// sorted day list.
-///
-/// Both backends pop in exactly the same order: the total order is
+/// Pops follow one total order:
 ///   (time, kind, job, subtask, seq)
 /// where `seq` is the global push sequence number — equal-key events pop
-/// in insertion order under *both* backends, which is the determinism
-/// contract the golden pins and the 1-vs-8-thread bit-identity tests ride
-/// on. The heap backend is retained for differential testing
-/// (tests/test_event_sim.cpp runs both and requires bit-identical
-/// OnlineReports).
+/// in insertion order, which is the determinism contract the golden pins
+/// and the 1-vs-8-thread bit-identity tests ride on.
+/// tests/test_event_queue.cpp checks the pop order against a
+/// std::priority_queue oracle under the same event_after() and seq stamps.
 ///
 /// The queue also feeds the perf-counter layer (util/perf_stats.hpp):
 /// push/pop totals, per-kind event counts, depth histogram, and tracked
@@ -27,7 +22,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/ids.hpp"
@@ -48,9 +42,8 @@ struct Event {
 };
 
 /// Strict weak ordering "a pops after b". (time, kind, job, subtask) is
-/// the pre-existing deterministic order of the kernel; `seq` resolves the
-/// only remaining duplicates (same-instant comm events onto one successor)
-/// to insertion order.
+/// the pre-existing deterministic order of the kernel; `seq` resolves any
+/// remaining duplicates to insertion order.
 inline bool event_after(const Event& a, const Event& b) {
   if (a.time != b.time) return a.time > b.time;
   if (a.kind != b.kind) return a.kind > b.kind;
@@ -59,22 +52,17 @@ inline bool event_after(const Event& a, const Event& b) {
   return a.seq > b.seq;
 }
 
-enum class QueueBackend {
-  calendar,  ///< Brown calendar queue, O(1) expected (the default)
-  heap,      ///< binary heap baseline (differential testing, bench)
-};
-
-const char* to_string(QueueBackend backend);
-QueueBackend queue_backend_from_string(const std::string& text);
+/// One value: the calendar queue is the only event queue. Kept only for
+/// the shim fields Scenario::queue_backend and
+/// OnlineSimOptions::queue_backend; deleted with ROADMAP item 1.
+enum class QueueBackend { calendar };
 
 /// Min-queue of simulation events under event_after(). Not thread-safe;
 /// one instance per simulation run.
 class EventQueue {
  public:
-  explicit EventQueue(QueueBackend backend = QueueBackend::calendar,
-                      PerfCounters* perf = nullptr);
+  explicit EventQueue(PerfCounters* perf = nullptr);
 
-  QueueBackend backend() const { return backend_; }
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
@@ -87,7 +75,6 @@ class EventQueue {
   Event pop();
 
  private:
-  // calendar internals -------------------------------------------------
   std::size_t bucket_of(time_us t) const {
     return static_cast<std::size_t>(
                static_cast<std::uint64_t>(t) >> shift_) &
@@ -105,20 +92,14 @@ class EventQueue {
   /// repositions the day cursor onto it.
   void calendar_seek_min();
 
-  void heap_push(const Event& ev);
-  Event heap_pop();
-
   void note_grow(const std::vector<Event>& v) {
     if (perf_ && v.size() == v.capacity()) perf_->note_alloc();
   }
 
-  QueueBackend backend_;
   PerfCounters* perf_;
   std::size_t size_ = 0;
   std::uint64_t next_seq_ = 0;
   time_us last_pop_ = 0;
-
-  std::vector<Event> heap_;
 
   std::vector<std::vector<Event>> buckets_;
   std::size_t mask_ = 0;       ///< bucket count - 1 (power of two)

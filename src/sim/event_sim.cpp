@@ -146,7 +146,6 @@ class OnlineSimulation {
           "shared-ISP contention needs a platform with >= 1 ISP");
     pool_.set_perf_counters(&perf_);
     pool_.set_trace_sink(&fold_);
-    events_ = EventQueue(options_.queue_backend, &perf_);
 
     // Draw the whole instance stream up front. The sampler is the only
     // consumer of this generator, so the stream equals the sequential
@@ -188,10 +187,11 @@ class OnlineSimulation {
             on_exec_done(ev.job, ev.subtask, ev.time);
             break;
           case k_ev_arrival:
-            // Lazy injection: the next arrival enters the queue the moment
+            // Streamed arrivals: the next one enters the queue the moment
             // this one leaves it, so the queue holds the live working set
-            // instead of the whole stream.
-            if (lazy_arrivals_) push_next_arrival(ev.job);
+            // instead of the whole stream. Closed loop has no stream
+            // (arrival_order_ stays empty); its arrivals follow retires.
+            if (!arrival_order_.empty()) push_next_arrival(ev.job);
             on_arrival(ev.job, ev.time);
             break;
           case k_ev_sched_done:
@@ -382,21 +382,12 @@ class OnlineSimulation {
       events_.push(0, k_ev_arrival, 0, k_no_subtask);
       return;
     }
-    if (options_.queue_backend == QueueBackend::heap) {
-      // The earlier binary-heap kernel: the whole stream eagerly
-      // pre-pushed, kept verbatim for the differential tests.
-      for (std::size_t j = 0; j < job_prep_.size(); ++j)
-        events_.push(job_arrival_[j], k_ev_arrival,
-                     static_cast<std::int32_t>(j), k_no_subtask);
-      return;
-    }
-    // Lazy injection (calendar default): arrivals sorted by (time, job) —
-    // bursty streams can be non-monotone in job order — and fed to the
-    // queue one at a time. Popping arrival k pushes arrival k+1, whose
-    // time is >= the pop instant, so the global pop order is provably the
-    // one the eager push produces (arrivals order after same-instant
+    // Streamed arrivals: sorted by (time, job) — bursty streams can be
+    // non-monotone in job order — and fed to the queue one at a time.
+    // Popping arrival k pushes arrival k+1, whose time is >= the pop
+    // instant, so the global pop order is the one pushing the whole
+    // stream up front would produce (arrivals order after same-instant
     // completions under the kind order either way).
-    lazy_arrivals_ = true;
     arrival_order_.resize(job_prep_.size());
     for (std::size_t j = 0; j < arrival_order_.size(); ++j)
       arrival_order_[j] = static_cast<std::int32_t>(j);
@@ -1377,8 +1368,7 @@ class OnlineSimulation {
   std::vector<time_us> job_arrival_;
   std::vector<std::int32_t> job_slot_;
 
-  EventQueue events_;  ///< re-made onto the configured backend in the ctor
-  bool lazy_arrivals_ = false;
+  EventQueue events_{&perf_};
   std::vector<std::int32_t> arrival_order_;  ///< jobs by (arrival, id)
   std::size_t arrival_cursor_ = 0;
 

@@ -189,14 +189,9 @@ struct OnlineSimOptions {
   /// victim re-enters the backlog and re-admits with cached configs. Off
   /// by default.
   bool preempt = false;
-  /// Global event-queue backend (sim/event_queue.hpp). The calendar queue
-  /// is the production default — O(1) expected per event, with the
-  /// arrival stream injected lazily in sorted order so the queue holds
-  /// only the live working set. The heap backend reproduces the earlier
-  /// binary-heap kernel (arrivals eagerly pre-pushed) for differential
-  /// testing. Both backends pop in
-  /// the same deterministic order, so every report is bit-identical
-  /// between them (asserted by tests/test_event_sim.cpp).
+  /// Read by nothing; perfbench.cpp:381 copies it; deleted with ROADMAP
+  /// item 1. The kernel always runs the calendar queue
+  /// (sim/event_queue.hpp) with streamed arrivals.
   QueueBackend queue_backend = QueueBackend::calendar;
   /// Collect per-instance admit -> retire spans into OnlineReport::spans
   /// (equivalence tests). Off for long-horizon runs — the streaming

@@ -24,7 +24,6 @@ TraceRecorder::TraceRecorder(const std::string& path, TraceFormat format,
     : path_(path), format_(format) {
   header_.policy = to_string(options.policy);
   header_.arrivals = to_string(options.arrivals.kind);
-  header_.queue_backend = to_string(options.queue_backend);
   header_.seed = options.seed;
   header_.iterations = options.iterations;
   header_.tiles = options.platform.tiles;

@@ -33,8 +33,11 @@
 /// but the footer opens with the presence mask and the `t` delta, so a
 /// skipped event still advances the reader's running time). A new event
 /// field takes a new binary mask bit, which a reader of the older schema
-/// rejects, so it bumps the schema id, as removing or renaming anything, or
-/// changing an emission site, does.
+/// rejects, so it bumps the schema id, as removing or renaming an event
+/// field, or changing an emission site, does. A header key may be dropped
+/// without a bump: the header reader (read_object() in trace_detail.hpp)
+/// leaves a missing key at its default and skips unknown ones, so readers
+/// on either side of the drop read both kinds of header.
 /// Rendering: render_trace_ascii()/render_trace_svg() draw a per-port +
 /// per-tile (+ ISP) timeline — `drhw_sched trace render`.
 
@@ -64,9 +67,8 @@ const char* to_string(TraceEvent::Kind kind);
 
 struct TraceHeader {
   std::string schema = k_trace_schema;
-  std::string policy;         ///< PolicySpec string form
-  std::string arrivals;       ///< arrival kind name (provenance)
-  std::string queue_backend;  ///< provenance; replay is backend-agnostic
+  std::string policy;    ///< PolicySpec string form
+  std::string arrivals;  ///< arrival kind name (provenance)
   std::uint64_t seed = 0;
   int iterations = 0;
   int tiles = 0;

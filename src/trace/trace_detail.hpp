@@ -102,7 +102,6 @@ void visit_header_fields(F&& f, Headers&... h) {
   f("schema", h.schema...);
   f("policy", h.policy...);
   f("arrivals", h.arrivals...);
-  f("queue_backend", h.queue_backend...);
   f("seed", h.seed...);
   f("iterations", h.iterations...);
   f("tiles", h.tiles...);

@@ -11,11 +11,9 @@
 ///    queue storage, instance arena, pool admission queue), the
 ///    admission work (picks, backlog entries examined) and the
 ///    backlog-prefetch walks. These are pure functions of the simulated
-///    scenario: identical across repeats, campaign-runner thread counts
-///    and queue backends (except queue depth, which legitimately differs
-///    between the eager-arrival heap backend and the streaming-arrival
-///    calendar backend). The campaign reports expose
-///    only this subset, so the 1-vs-8-thread bit-identity contract holds.
+///    scenario: identical across repeats and campaign-runner thread
+///    counts. The campaign reports expose only this subset, so the
+///    1-vs-8-thread bit-identity contract holds.
 ///
 ///  * **Wall-clock phase timers** — setup / event-loop / finalize
 ///    nanoseconds measured with std::chrono::steady_clock. Nondeterministic

@@ -98,9 +98,11 @@ TEST(Cli, WorkloadParseErrorExitsTwoWithPosition) {
 }
 
 TEST(Cli, UnknownFlagExitsTwoWithRegisteredLists) {
+  // The removed event-queue backend flag is unknown like any other.
   for (const char* subcommand :
        {"campaign --frobnicate", "online --frobnicate",
-        "genwork --frobnicate", "trace frobnicate x"}) {
+        "genwork --frobnicate", "trace frobnicate x",
+        "campaign --queue heap", "online --queue heap"}) {
     const CliResult result = run_cli(subcommand);
     EXPECT_EQ(result.exit_code, 2) << subcommand << "\n" << result.output;
     EXPECT_NE(result.output.find("usage:"), std::string::npos) << subcommand;

@@ -1,12 +1,14 @@
-// Tests for the pluggable event queue (sim/event_queue.hpp): both backends
-// pop every workload in the identical deterministic order, equal-timestamp
-// events pop in insertion-sequence order (the satellite bugfix contract),
-// and the calendar-specific paths — behind-the-cursor rewind, grow/shrink
-// rebuilds, the fruitless-lap seek — preserve that order.
+// Tests for the calendar event queue (sim/event_queue.hpp): it pops every
+// workload in the order of a std::priority_queue oracle under the same
+// event_after() and seq stamps, equal-timestamp events pop in
+// insertion-sequence order, and the calendar-specific paths —
+// behind-the-cursor rewind, grow/shrink rebuilds, the fruitless-lap seek —
+// preserve that order.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <queue>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -28,12 +30,33 @@ bool operator==(const PoppedEvent& a, const PoppedEvent& b) {
          a.subtask == b.subtask && a.seq == b.seq;
 }
 
+/// The reference ordering: a binary heap under event_after(), stamping
+/// `seq` in push order exactly as EventQueue does.
+class OracleQueue {
+ public:
+  bool empty() const { return heap_.empty(); }
+  void push(time_us time, std::int32_t kind, std::int32_t job,
+            SubtaskId subtask) {
+    heap_.push({time, kind, job, subtask, next_seq_++});
+  }
+  Event pop() {
+    const Event ev = heap_.top();
+    heap_.pop();
+    return ev;
+  }
+
+ private:
+  std::priority_queue<Event, std::vector<Event>, decltype(&event_after)>
+      heap_{&event_after};
+  std::uint64_t next_seq_ = 0;
+};
+
 /// Replays push/pop `ops` (push when the op is >= 0, as many pops when
 /// negative) and returns the popped trace.
-std::vector<PoppedEvent> replay(QueueBackend backend,
-                                const std::vector<Event>& pushes,
+template <typename Queue>
+std::vector<PoppedEvent> replay(const std::vector<Event>& pushes,
                                 const std::vector<int>& ops) {
-  EventQueue queue(backend);
+  Queue queue;
   std::vector<PoppedEvent> trace;
   std::size_t next = 0;
   for (const int op : ops) {
@@ -54,39 +77,36 @@ std::vector<PoppedEvent> replay(QueueBackend backend,
   return trace;
 }
 
-TEST(EventQueue, EqualTimestampEventsPopInInsertionOrderOnBothBackends) {
-  // Same (time, kind, job, subtask) pushed twice: only the push sequence
-  // distinguishes them, and it must — the kernel relies on same-instant
-  // comm events onto one successor draining in insertion order.
-  for (const QueueBackend backend :
-       {QueueBackend::calendar, QueueBackend::heap}) {
-    EventQueue queue(backend);
-    for (int i = 0; i < 8; ++i) queue.push(ms(1), 1, 7, 3);
-    std::uint64_t last_seq = 0;
-    for (int i = 0; i < 8; ++i) {
-      const Event ev = queue.pop();
-      if (i > 0) {
-        EXPECT_GT(ev.seq, last_seq) << to_string(backend);
-      }
-      last_seq = ev.seq;
+TEST(EventQueue, EqualTimestampEventsPopInInsertionOrder) {
+  // Same (time, kind, job, subtask) pushed repeatedly: only the push
+  // sequence distinguishes them, and it must, so equal-key events drain
+  // in insertion order.
+  EventQueue queue;
+  for (int i = 0; i < 8; ++i) queue.push(ms(1), 1, 7, 3);
+  std::uint64_t last_seq = 0;
+  for (int i = 0; i < 8; ++i) {
+    const Event ev = queue.pop();
+    if (i > 0) {
+      EXPECT_GT(ev.seq, last_seq);
     }
-    EXPECT_TRUE(queue.empty());
+    last_seq = ev.seq;
   }
+  EXPECT_TRUE(queue.empty());
 }
 
 TEST(EventQueue, InterleavedKindsAtOneInstantPopInKernelOrder) {
   // The kernel's same-instant order: completions (kinds 0..2) before
   // arrivals (3) before sched-done (4), then job, then subtask, then seq.
-  // Push shuffled, expect sorted under event_after on both backends.
+  // Push shuffled, expect sorted under event_after, as the oracle pops.
   std::vector<Event> pushes;
   for (const std::int32_t kind : {3, 0, 4, 2, 1})
     for (const std::int32_t job : {2, 0, 1})
       pushes.push_back({ms(5), kind, job, 0, 0});
   const std::vector<int> ops(pushes.size(), 1);
-  const auto calendar = replay(QueueBackend::calendar, pushes, ops);
-  const auto heap = replay(QueueBackend::heap, pushes, ops);
+  const auto calendar = replay<EventQueue>(pushes, ops);
+  const auto oracle = replay<OracleQueue>(pushes, ops);
   ASSERT_EQ(calendar.size(), pushes.size());
-  EXPECT_TRUE(calendar == heap);
+  EXPECT_TRUE(calendar == oracle);
   for (std::size_t i = 1; i < calendar.size(); ++i) {
     EXPECT_LE(calendar[i - 1].kind, calendar[i].kind);
     if (calendar[i - 1].kind == calendar[i].kind) {
@@ -95,7 +115,7 @@ TEST(EventQueue, InterleavedKindsAtOneInstantPopInKernelOrder) {
   }
 }
 
-TEST(EventQueue, RandomWorkloadsDrainIdenticallyOnBothBackends) {
+TEST(EventQueue, RandomWorkloadsDrainInTheOracleOrder) {
   // Fuzzed push/pop interleavings with clustered timestamps (lots of
   // same-day and same-instant collisions) — the popped traces must match
   // event for event, including the seq stamps.
@@ -118,12 +138,12 @@ TEST(EventQueue, RandomWorkloadsDrainIdenticallyOnBothBackends) {
       ops.push_back(1);
       if (r % 3 == 1) ops.push_back(-1 - static_cast<int>(r % 2));
     }
-    const auto calendar = replay(QueueBackend::calendar, pushes, ops);
-    const auto heap = replay(QueueBackend::heap, pushes, ops);
-    ASSERT_EQ(calendar.size(), heap.size());
+    const auto calendar = replay<EventQueue>(pushes, ops);
+    const auto oracle = replay<OracleQueue>(pushes, ops);
+    ASSERT_EQ(calendar.size(), oracle.size());
     for (std::size_t i = 0; i < calendar.size(); ++i)
-      ASSERT_TRUE(calendar[i] == heap[i]) << "round " << round << " pop "
-                                          << i;
+      ASSERT_TRUE(calendar[i] == oracle[i]) << "round " << round << " pop "
+                                            << i;
     // The trace is sorted under the queue's total order.
     for (std::size_t i = 1; i < calendar.size(); ++i)
       ASSERT_LE(calendar[i - 1].time, calendar[i].time);
@@ -134,7 +154,7 @@ TEST(EventQueue, SparseFarJumpsLapTheCursorAndSeekTheMinimum) {
   // Events many empty "years" apart: each pop forces a fruitless lap and
   // the calendar_seek_min repositioning, which must keep time order and
   // the day cursor consistent with later same-day pushes.
-  EventQueue queue(QueueBackend::calendar);
+  EventQueue queue;
   for (const std::int32_t j : {0, 1, 2, 3})
     queue.push(static_cast<time_us>(j) * ms(4000), 0, j, 0);
   EXPECT_EQ(queue.pop().job, 0);
@@ -151,7 +171,7 @@ TEST(EventQueue, SparseFarJumpsLapTheCursorAndSeekTheMinimum) {
 
 TEST(EventQueue, GrowAndShrinkRebuildsPreserveOrderAndCountResizes) {
   PerfCounters perf;
-  EventQueue queue(QueueBackend::calendar, &perf);
+  EventQueue queue(&perf);
   // 16 initial buckets: pushing > 32 pending events forces a grow rebuild.
   std::vector<time_us> times;
   Rng rng(7);
@@ -169,7 +189,7 @@ TEST(EventQueue, GrowAndShrinkRebuildsPreserveOrderAndCountResizes) {
 
 TEST(EventQueue, PerfCountersSeeEveryPushAndPop) {
   PerfCounters perf;
-  EventQueue queue(QueueBackend::heap, &perf);
+  EventQueue queue(&perf);
   for (int i = 0; i < 10; ++i) queue.push(ms(i), i % 5, i, 0);
   EXPECT_EQ(perf.queue_pushes, 10u);
   EXPECT_EQ(perf.queue_depth_max, 10u);

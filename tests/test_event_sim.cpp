@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "csv_rows.hpp"
+#include "digest.hpp"
 #include "graph/generators.hpp"
 #include "policy/names.hpp"
 #include "policy/registry.hpp"
@@ -1171,33 +1173,33 @@ TEST_F(OnlineFixture, PreemptionStrictlyReducesHighCriticalityMisses) {
   EXPECT_EQ(on.high_crit_misses, again.high_crit_misses);
 }
 
-/// Asserts two online reports are bit-identical, spans included.
-void expect_reports_identical(const OnlineReport& a, const OnlineReport& b,
-                              const std::string& label) {
-  EXPECT_EQ(a.spans, b.spans) << label;
-  EXPECT_EQ(a.sim.instances, b.sim.instances) << label;
-  EXPECT_EQ(a.sim.total_actual, b.sim.total_actual) << label;
-  EXPECT_EQ(a.sim.total_ideal, b.sim.total_ideal) << label;
-  EXPECT_EQ(a.sim.loads, b.sim.loads) << label;
-  EXPECT_EQ(a.sim.reused_subtasks, b.sim.reused_subtasks) << label;
-  EXPECT_EQ(a.sim.cancelled_loads, b.sim.cancelled_loads) << label;
-  EXPECT_EQ(a.horizon, b.horizon) << label;
-  EXPECT_EQ(a.mean_response_ms, b.mean_response_ms) << label;
-  EXPECT_EQ(a.max_response_ms, b.max_response_ms) << label;
-  EXPECT_EQ(a.mean_queueing_ms, b.mean_queueing_ms) << label;
-  EXPECT_EQ(a.max_queueing_ms, b.max_queueing_ms) << label;
-  EXPECT_EQ(a.port_utilisation_pct, b.port_utilisation_pct) << label;
-  EXPECT_EQ(a.response_p50_ms, b.response_p50_ms) << label;
-  EXPECT_EQ(a.response_p99_ms, b.response_p99_ms) << label;
+/// FNV-1a over every OnlineReport field except the perf counters, the
+/// per-instance span list included.
+std::uint64_t report_digest(const OnlineReport& report) {
+  return testing::fnv1a(online_report_to_json(report));
 }
 
-TEST_F(OnlineFixture, QueueBackendsProduceBitIdenticalReports) {
-  // Differential fuzz over the backend switch: the calendar queue (lazy
-  // arrival injection, bucket rebuilds, cursor laps) and the PR 2..5
-  // binary heap (arrivals eagerly pre-pushed) must be observationally
-  // indistinguishable — every report field including the per-instance
-  // span list is bit-identical across policies, rates, arrival processes
-  // and contention knobs.
+TEST_F(OnlineFixture, ContentionSweepReportsMatchPinnedDigests) {
+  // Every report field pinned across policies, rates, arrival processes
+  // and contention knobs. The digests were recorded where a binary heap
+  // with the whole arrival stream pushed up front produced bit-identical
+  // reports to the calendar queue with streamed arrivals, so they witness
+  // the kernel's pop order, not just a rerun of it.
+  const std::uint64_t expected[] = {
+      0x8585f57ce47145faULL, 0xa16ed2b45edc1269ULL, 0xf7a106cac1ed49f9ULL,
+      0x971cfaa482188452ULL, 0xabc30dce588834ccULL, 0x119f3b39e7f21ff6ULL,
+      0xca87546194ec4824ULL, 0x26435eed15ba3e27ULL, 0x597a12a602dbe821ULL,
+      0xe8491eae5676517dULL, 0x7727c622986f2824ULL, 0xdc11b78262d71785ULL,
+      0xdadce1bdc9c0ec97ULL, 0x4cf5b251ec647ab4ULL, 0xc35b993528c7fcc6ULL,
+      0xff153278b0e943f2ULL, 0xb899225577e7b074ULL, 0x7149fee1e00f65f5ULL,
+      0x0ad12b0f90f7dcb2ULL, 0x5a7284918ad26f3fULL, 0x562cdd1d12dafac9ULL,
+      0xa9e910cacecd139cULL, 0xbb1bb3275b406ec0ULL, 0x110f565ba5425e87ULL,
+      0xa8e9469672444a1bULL, 0xe432fd8f35f9fd1dULL, 0xc83d0ea975517075ULL,
+      0x9cbd5554ff77d955ULL, 0x5b52016bc9883852ULL, 0x107bd15c1cecdfb1ULL,
+      0x00e46acbca4665a0ULL, 0x3abb7401774dda15ULL, 0x9dc791c0fa268651ULL,
+      0x4314e55181ab6a40ULL, 0xf83c1054e98e3de6ULL, 0x3e3339f5cfa03b64ULL,
+  };
+  std::size_t row = 0;
   for (const char* policy :
        {policy_names::no_prefetch, policy_names::runtime_intertask,
         policy_names::hybrid}) {
@@ -1215,43 +1217,36 @@ TEST_F(OnlineFixture, QueueBackendsProduceBitIdenticalReports) {
           opt.platform.reconfig_ports = seed % 2 == 1 ? 2 : 1;
           opt.shared_isps = rate > 100.0;
           opt.scheduler_cost = seed == 2005 ? 70 : 0;
-          opt.queue_backend = QueueBackend::calendar;
-          const auto calendar = run_online_simulation(opt, sampler);
-          opt.queue_backend = QueueBackend::heap;
-          const auto heap = run_online_simulation(opt, sampler);
-          const std::string label = std::string(policy) + " seed " +
-                                    std::to_string(seed) + " rate " +
-                                    std::to_string(rate) + " " +
-                                    to_string(kind);
-          expect_reports_identical(calendar, heap, label);
+          const auto report = run_online_simulation(opt, sampler);
+          ASSERT_LT(row, std::size(expected));
+          EXPECT_EQ(report_digest(report), expected[row++])
+              << policy << " seed " << seed << " rate " << rate << " "
+              << to_string(kind);
         }
       }
     }
   }
+  EXPECT_EQ(row, std::size(expected));
 }
 
-TEST_F(OnlineFixture, EqualTimestampCollisionsDrainIdenticallyOnBothBackends) {
-  // Regression for the equal-timestamp ordering bugfix: zero-gap bursts
-  // drop whole batches of arrivals on one microsecond, and the multimedia
-  // tasks' equal load/exec latencies pile load-done, exec-done, comm and
-  // sched-done events onto the same instants. Before the queue stamped an
-  // insertion sequence, the two backends could legally disagree on the
-  // drain order of such ties; now the kernel order (time, kind, job,
-  // subtask, seq) is total and the backends must match span for span.
+TEST_F(OnlineFixture, EqualTimestampCollisionsMatchPinnedDigest) {
+  // Zero-gap bursts drop whole batches of arrivals on one microsecond, and
+  // the multimedia tasks' equal load/exec latencies pile load-done,
+  // exec-done and sched-done events onto the same instants. The kernel
+  // order (time, kind, job, subtask, seq) is total, so the drain order of
+  // such ties is fixed; the digest was recorded where the heap and the
+  // calendar queue matched span for span.
   OnlineSimOptions opt = options(policy_names::hybrid, 200.0);
   opt.iterations = 120;
   opt.arrivals.kind = ArrivalProcess::Kind::bursty;
   opt.arrivals.burst_size = 8;
   opt.arrivals.intra_burst_gap = 0;  // all 8 arrivals share one timestamp
-  opt.queue_backend = QueueBackend::calendar;
-  const auto calendar = run_online_simulation(opt, sampler);
-  opt.queue_backend = QueueBackend::heap;
-  const auto heap = run_online_simulation(opt, sampler);
-  ASSERT_GT(calendar.spans.size(), 0u);
-  expect_reports_identical(calendar, heap, "zero-gap bursts");
+  const auto report = run_online_simulation(opt, sampler);
+  ASSERT_EQ(report.spans.size(), 379u);
+  EXPECT_EQ(report_digest(report), 0x40f811c8babbfddcULL);
   // The scenario really does produce simultaneous arrivals: with bursts of
   // 8 at rate 200/s the backlog must exceed what staggered arrivals reach.
-  EXPECT_GT(calendar.mean_queueing_ms, 0.0);
+  EXPECT_GT(report.mean_queueing_ms, 0.0);
 }
 
 }  // namespace

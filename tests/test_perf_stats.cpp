@@ -1,12 +1,13 @@
 // Tests for the kernel perf-counter layer (util/perf_stats.hpp): the
 // log2 histogram bucketing, the warm-up accounting, the tentpole
 // contract — on a long-horizon online run the kernel performs zero tracked
-// heap allocations after warm-up, under both queue backends — and the
-// admission work bound of the deadline-aware (urgency-indexed) path.
+// heap allocations after warm-up — the pinned deterministic counters, and
+// the admission work bound of the deadline-aware (urgency-indexed) path.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -72,35 +73,29 @@ TEST_F(PerfStatsOnline, SteadyStateAllocationCountIsZeroOnLongHorizonRuns) {
   // The arena/SoA tentpole pin: once the first half of the instance stream
   // has retired, the kernel-owned containers (event queue storage, arena
   // slots, pool queues, live list) never grow again — a long saturated run
-  // performs zero tracked allocations in the steady state. Holds on both
-  // backends; the heap grows its eagerly-pushed arrival backlog during
-  // setup, long before the warm-up boundary.
-  for (const QueueBackend backend :
-       {QueueBackend::calendar, QueueBackend::heap}) {
-    OnlineSimOptions options;
-    options.platform = platform;
-    options.policy = PolicySpec(policy_names::hybrid);
-    options.arrivals.rate_per_s = 120.0;
-    options.queue_backend = backend;
-    options.record_spans = false;
-    options.seed = 2005;
-    options.iterations = 3000;
-    const OnlineReport report = run_online_simulation(options, sampler);
-    EXPECT_GT(report.perf.allocations, 0u) << to_string(backend);
-    EXPECT_EQ(report.perf.steady_allocations(), 0u) << to_string(backend);
-    EXPECT_EQ(report.perf.queue_pushes, report.perf.queue_pops)
-        << to_string(backend);
-    EXPECT_EQ(report.perf.events_total, report.perf.queue_pops)
-        << to_string(backend);
-    EXPECT_GT(report.perf.arena_slots_peak, 0u);
-    EXPECT_GE(report.perf.loop_ns, 0);
-  }
+  // performs zero tracked allocations in the steady state.
+  OnlineSimOptions options;
+  options.platform = platform;
+  options.policy = PolicySpec(policy_names::hybrid);
+  options.arrivals.rate_per_s = 120.0;
+  options.record_spans = false;
+  options.seed = 2005;
+  options.iterations = 3000;
+  const OnlineReport report = run_online_simulation(options, sampler);
+  EXPECT_GT(report.perf.allocations, 0u);
+  EXPECT_EQ(report.perf.steady_allocations(), 0u);
+  EXPECT_EQ(report.perf.queue_pushes, report.perf.queue_pops);
+  EXPECT_EQ(report.perf.events_total, report.perf.queue_pops);
+  EXPECT_GT(report.perf.arena_slots_peak, 0u);
+  EXPECT_GE(report.perf.loop_ns, 0);
 }
 
-TEST_F(PerfStatsOnline, DeterministicCountersAreBackendInvariant) {
-  // Event totals and per-kind counts are pure functions of the scenario:
-  // identical between the two queue backends (depth differs legitimately —
-  // the heap holds the eagerly-pushed arrival stream).
+TEST_F(PerfStatsOnline, DeterministicCountersMatchTheirPins) {
+  // Event totals, per-kind counts and backlog walks are pure functions of
+  // the scenario; these were recorded where a binary heap with the whole
+  // arrival stream pushed up front counted the same. Streamed arrivals
+  // keep the queue at the live working set: its depth stays a handful of
+  // events, where the heap's reached 1,269 (about one per instance).
   OnlineSimOptions options;
   options.platform = platform;
   options.policy = PolicySpec(policy_names::hybrid);
@@ -108,15 +103,13 @@ TEST_F(PerfStatsOnline, DeterministicCountersAreBackendInvariant) {
   options.record_spans = false;
   options.seed = 11;
   options.iterations = 400;
-  options.queue_backend = QueueBackend::calendar;
-  const OnlineReport calendar = run_online_simulation(options, sampler);
-  options.queue_backend = QueueBackend::heap;
-  const OnlineReport heap = run_online_simulation(options, sampler);
-  EXPECT_EQ(calendar.perf.events_total, heap.perf.events_total);
-  EXPECT_EQ(calendar.perf.events_by_kind, heap.perf.events_by_kind);
-  EXPECT_EQ(calendar.perf.backlog_walks, heap.perf.backlog_walks);
-  EXPECT_GT(calendar.perf.backlog_walks, 0u);
-  EXPECT_GT(heap.perf.queue_depth_max, calendar.perf.queue_depth_max);
+  const OnlineReport report = run_online_simulation(options, sampler);
+  ASSERT_EQ(report.sim.instances, 1267);
+  EXPECT_EQ(report.perf.events_total, 14101u);
+  EXPECT_EQ(report.perf.events_by_kind,
+            (std::array<std::uint64_t, 8>{5535, 0, 7299, 1267}));
+  EXPECT_EQ(report.perf.backlog_walks, 4303u);
+  EXPECT_EQ(report.perf.queue_depth_max, 9u);
 }
 
 TEST(PerfStatsAdmission, UrgentAdmissionWorkIsBoundedPerPick) {

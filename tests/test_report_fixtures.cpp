@@ -210,7 +210,6 @@ const char* const k_campaign_json = R"json({
       "deadline_scale": 1.5,
       "high_crit_fraction": 0.25,
       "preempt": true,
-      "queue_backend": "calendar",
       "port_util_per_port_pct": [50, 25],
       "ok": true,
       "error": "",
@@ -373,7 +372,7 @@ const char* const k_campaign_csv =
     ",replacement,tiles,reconfig_latency_us,ports,isps,seed"
     ",iterations,admission_policy,contiguous,defrag,scheduler_cost_us"
     ",shared_isps,isp_discipline,deadline_scale,high_crit_fraction"
-    ",preempt,queue_backend,port_util_per_port_pct,ok,error"
+    ",preempt,port_util_per_port_pct,ok,error"
     ",makespan_ms,overhead_pct,reuse_pct,reuse_hits,loads,energy"
     ",energy_saved,response_ms,response_max_ms,response_p50_ms"
     ",response_p95_ms,response_p99_ms,queueing_ms,queueing_max_ms"
@@ -384,22 +383,22 @@ const char* const k_campaign_csv =
     ",mean_lateness_ms,max_tardiness_ms,preemptions,list_sched_us"
     ",hybrid_sched_us,wall_ms\n"
     "fx/simulate,fixture,multimedia,,simulate,hybrid,,lru,8,4000,1,1"
-    ",7,3,fifo_hol,0,0,0,0,fifo,0,0.25,0,calendar,,1,,100.25"
+    ",7,3,fifo_hol,0,0,0,0,fifo,0,0.25,0,,1,,100.25"
     ",11.38888888888889,22.5,9,31,812.75,0.1,,,,,,,,,,,,,,,,,,,,,,,,,"
     ",,1.5\n"
     "fx/online,fixture_online,multimedia,,online,hybrid,,lru,8,4000,2"
-    ",1,7,3,fifo_hol,0,0,0,0,fifo,1.5,0.25,1,calendar,50;25,1,"
+    ",1,7,3,fifo_hol,0,0,0,0,fifo,1.5,0.25,1,50;25,1,"
     ",123.456,11.38888888888889,22.5,9,31,812.75,0.1,4.25,19.5,3.5"
     ",15.25,18.875,1.125,7.75,37.5,12.0625,2,250.5,6.5,5,6,1001,17,8"
     ",12,3,25,33.333333333333336,-0.75,2.25,1,,,2.5\n"
     "fx/sched_cost,fixture,multimedia,,sched_cost,hybrid,,lru,8,4000"
-    ",1,1,7,3,fifo_hol,0,0,0,0,fifo,0,0.25,0,calendar,,1,,,,,,,,,,,,,"
+    ",1,1,7,3,fifo_hol,0,0,0,0,fifo,0,0.25,0,,1,,,,,,,,,,,,,"
     ",,,,,,,,,,,,,,,,,,,,12.5,0.625,3.5\n"
     "fx/failed,fixture,multimedia,,simulate,hybrid,,lru,8,4000,1,1,7"
-    ",3,fifo_hol,0,0,0,0,fifo,0,0.25,0,calendar,,0,\"bad \"\"tiles\"\""
+    ",3,fifo_hol,0,0,0,0,fifo,0,0.25,0,,0,\"bad \"\"tiles\"\""
     ", expected > 0\",,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,0.25\n"
     "fx/nan,fixture,multimedia,,simulate,hybrid,,lru,8,4000,1,1,7,3"
-    ",fifo_hol,0,0,0,0,fifo,0,0.25,0,calendar,,1,,100.25"
+    ",fifo_hol,0,0,0,0,fifo,0,0.25,0,,1,,100.25"
     ",11.38888888888889,22.5,9,31,,0.1,,,,,,,,,,,,,,,,,,,,,,,,,,,4.5\n";
 
 // online_report_to_json() of fixture_online_report(): the trace footer.
@@ -467,7 +466,7 @@ TEST(ReportFixtures, TraceFooterBytesAreFrozenInBothEncodings) {
 // and fixture_trace_preps().
 const char* const k_trace_header_json =
     "{\"schema\":\"drhw-trace-v2\",\"policy\":\"edf_hybrid[intertask=0]\""
-    ",\"arrivals\":\"bursty\",\"queue_backend\":\"heap\""
+    ",\"arrivals\":\"bursty\""
     ",\"seed\":9876543210123,\"iterations\":42,\"tiles\":12"
     ",\"reconfig_ports\":2,\"isps\":3,\"reconfig_latency\":2500"
     ",\"reconfig_energy\":0.1,\"deadline_scale\":1.25,\"shared_isps\":true"
@@ -481,7 +480,6 @@ OnlineSimOptions fixture_trace_options() {
   OnlineSimOptions options;
   options.policy = PolicySpec("edf_hybrid").with("intertask", "0");
   options.arrivals.kind = ArrivalProcess::Kind::bursty;
-  options.queue_backend = QueueBackend::heap;
   options.seed = 9876543210123ull;
   options.iterations = 42;
   options.platform.tiles = 12;
@@ -584,7 +582,7 @@ TEST(ReportFixtures, TraceHeaderAndEventBytesAreFrozenInBothEncodings) {
       "00"               // presence mask: every field at its default
       "8dda9601");       // t: -1234567, back to 0
   EXPECT_EQ(read_file(binary_path),
-            from_hex("4452485754524332" "d1010000") + header + admit_record +
+            from_hex("4452485754524332" "ba010000") + header + admit_record +
                 default_record + from_hex("ff" "f706") + footer);
 }
 

@@ -2,15 +2,19 @@
 // line/column diagnostics, canonical-writer stability, the committed
 // multimedia mix file vs the in-code builder, sampler parity, the fuzz
 // generator's determinism, and campaign bit-identity over a directory of
-// fuzzed workloads at different thread counts and queue backends.
+// fuzzed workloads at different thread counts, with every scenario's
+// metrics pinned.
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "csv_rows.hpp"
+#include "digest.hpp"
 #include "policy/names.hpp"
 #include "runner/campaign.hpp"
 #include "runner/report.hpp"
@@ -339,8 +343,7 @@ TEST(WorkloadFuzz, GeneratedWorkloadsParseAndBuild) {
 
 // --- satellite: fuzzed campaign determinism ------------------------------
 
-std::vector<Scenario> fuzz_campaign_scenarios(const std::string& dir,
-                                              QueueBackend backend) {
+std::vector<Scenario> fuzz_campaign_scenarios(const std::string& dir) {
   std::vector<Scenario> scenarios;
   for (int i = 0; i < 50; ++i) {
     FuzzWorkloadOptions options;
@@ -357,7 +360,6 @@ std::vector<Scenario> fuzz_campaign_scenarios(const std::string& dir,
     s.sim.policy = PolicySpec{std::string(policy_names::hybrid)};
     s.sim.seed = 7;
     s.sim.iterations = 25;
-    s.queue_backend = backend;
     scenarios.push_back(std::move(s));
   }
   return scenarios;
@@ -366,8 +368,7 @@ std::vector<Scenario> fuzz_campaign_scenarios(const std::string& dir,
 TEST(WorkloadFuzz, FiftyWorkloadCampaignIsThreadCountInvariant) {
   const std::string dir = ::testing::TempDir() + "/wio_fuzz_campaign";
   std::filesystem::create_directories(dir);
-  const auto scenarios =
-      fuzz_campaign_scenarios(dir, QueueBackend::calendar);
+  const auto scenarios = fuzz_campaign_scenarios(dir);
 
   CampaignOptions serial_options;
   serial_options.threads = 1;
@@ -382,36 +383,52 @@ TEST(WorkloadFuzz, FiftyWorkloadCampaignIsThreadCountInvariant) {
   EXPECT_EQ(campaign_to_csv(serial), campaign_to_csv(parallel));
 }
 
-TEST(WorkloadFuzz, FiftyWorkloadCampaignIsQueueBackendInvariant) {
-  const std::string dir = ::testing::TempDir() + "/wio_fuzz_backends";
+/// FNV-1a over one result's deterministic metrics (names and round-trip
+/// values, kernel perf counters included).
+std::uint64_t metrics_digest(const ScenarioResult& result) {
+  std::string text;
+  char value[32];
+  for (const auto& [name, v] : deterministic_metrics(result)) {
+    std::snprintf(value, sizeof(value), "%.17g", v);
+    text += name + "=" + value + ";";
+  }
+  return testing::fnv1a(text);
+}
+
+TEST(WorkloadFuzz, FiftyWorkloadCampaignMatchesPinnedDigests) {
+  // Every metric of every fuzzed scenario, pinned. The digests were
+  // recorded where a binary heap with the whole arrival stream pushed up
+  // front matched the calendar queue on every simulated-time metric.
+  const std::uint64_t expected[] = {
+      0x9e119bd519140ee1ULL, 0xdb9d016c04b4145cULL, 0x9173332fe03dc66eULL,
+      0x0740d14b2e025069ULL, 0x13eb00a3ab8fb311ULL, 0xaffd0b77a908e8f6ULL,
+      0x3c0b3c4d2c23393fULL, 0x85187cf7ee5faa95ULL, 0x23d868f0c79900cfULL,
+      0x67d89a6790525e95ULL, 0xe14881250953b539ULL, 0x0f6bd6c8429c23cdULL,
+      0x30a00d3d0ddfe95cULL, 0x5f1ee616d52bff36ULL, 0x14f7d4d54531e4cbULL,
+      0x815543e675b5843dULL, 0xbdbb0d9b9fe37debULL, 0xd8e2e8159c51ab99ULL,
+      0xb8dd961ed3789246ULL, 0xfa5271c27508869eULL, 0xfe9a215dc2c96d18ULL,
+      0xf3a828e2002b5933ULL, 0x4a13a7afac5d4dabULL, 0x0cea1595b2855332ULL,
+      0xe6bac290010e3b05ULL, 0xc1bbeb987c5e639fULL, 0xab7da2c75450868bULL,
+      0xc352426096705ffdULL, 0x74e0415fd03e07f4ULL, 0x3641264a7f720d6cULL,
+      0xa3c5cfdabb3fd542ULL, 0x8676ff529b27ae2aULL, 0x56861e9c05276e5bULL,
+      0x958ecf617d9b1ddbULL, 0x1e37cf64f90bca1eULL, 0xb84a6c50a618eee2ULL,
+      0x09a0fcafbbd0db30ULL, 0x110129baf5b234b9ULL, 0x0277c0806f4f1f56ULL,
+      0x646d59b501a92d03ULL, 0x3cc4bc62d9588b5cULL, 0x4225508e9e2eb86fULL,
+      0xc894a188d0bfe847ULL, 0x0e3efff29358b01eULL, 0x5f8437db75630c4fULL,
+      0x3e11290a6768a17eULL, 0x3c09feee655950daULL, 0x1730eaef02070f8cULL,
+      0xc91bad0343efcdfcULL, 0xa33710c94636e69aULL,
+  };
+  const std::string dir = ::testing::TempDir() + "/wio_fuzz_digests";
   std::filesystem::create_directories(dir);
   CampaignOptions options;
   options.record_wall_time = false;
-  const auto calendar = CampaignRunner(options).run(
-      fuzz_campaign_scenarios(dir, QueueBackend::calendar));
-  const auto heap = CampaignRunner(options).run(
-      fuzz_campaign_scenarios(dir, QueueBackend::heap));
-  ASSERT_EQ(calendar.size(), heap.size());
-  for (std::size_t i = 0; i < calendar.size(); ++i) {
-    const ScenarioResult& a = calendar[i];
-    const ScenarioResult& b = heap[i];
-    ASSERT_TRUE(a.ok) << a.error;
-    ASSERT_TRUE(b.ok) << b.error;
-    // Every simulated-time metric must match bit-for-bit; only the
-    // descriptor (queue_backend) and the kernel perf counters may differ.
-    EXPECT_EQ(a.report.total_actual, b.report.total_actual) << a.scenario.name;
-    EXPECT_EQ(a.report.loads, b.report.loads) << a.scenario.name;
-    EXPECT_EQ(a.report.reused_subtasks, b.report.reused_subtasks);
-    EXPECT_DOUBLE_EQ(a.report.energy, b.report.energy);
-    EXPECT_DOUBLE_EQ(a.mean_response_ms, b.mean_response_ms)
-        << a.scenario.name;
-    EXPECT_DOUBLE_EQ(a.max_response_ms, b.max_response_ms);
-    EXPECT_DOUBLE_EQ(a.mean_queueing_ms, b.mean_queueing_ms);
-    EXPECT_DOUBLE_EQ(a.port_utilisation_pct, b.port_utilisation_pct);
-    EXPECT_DOUBLE_EQ(a.horizon_ms, b.horizon_ms);
-    EXPECT_DOUBLE_EQ(a.response_p99_ms, b.response_p99_ms);
-    EXPECT_DOUBLE_EQ(a.frag_pct, b.frag_pct);
-    EXPECT_EQ(a.queue_skips, b.queue_skips);
+  const auto results = CampaignRunner(options).run(
+      fuzz_campaign_scenarios(dir));
+  ASSERT_EQ(results.size(), std::size(expected));
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].ok) << results[i].error;
+    EXPECT_EQ(metrics_digest(results[i]), expected[i])
+        << results[i].scenario.name;
   }
 }
 
@@ -429,7 +446,7 @@ TEST(WorkloadScenario, ValidateEnforcesFileFields) {
   EXPECT_THROW(s.validate(), std::invalid_argument);
 }
 
-TEST(WorkloadScenario, ReportRoundTripsWorkloadFileAndQueueBackend) {
+TEST(WorkloadScenario, ReportRoundTripsWorkloadFile) {
   const std::string dir = ::testing::TempDir() + "/wio_report";
   std::filesystem::create_directories(dir);
   FuzzWorkloadOptions options;
@@ -445,7 +462,6 @@ TEST(WorkloadScenario, ReportRoundTripsWorkloadFileAndQueueBackend) {
   s.mode = ScenarioMode::online;
   s.sim.policy = PolicySpec{std::string(policy_names::hybrid)};
   s.sim.iterations = 10;
-  s.queue_backend = QueueBackend::heap;
   const ScenarioResult result = run_scenario(s, /*record_wall_time=*/false);
   ASSERT_TRUE(result.ok) << result.error;
 
@@ -458,12 +474,10 @@ TEST(WorkloadScenario, ReportRoundTripsWorkloadFileAndQueueBackend) {
   ASSERT_EQ(items.size(), 1u);
   EXPECT_EQ(items[0].at("workload").text, "file");
   EXPECT_EQ(items[0].at("workload_file").text, path);
-  EXPECT_EQ(items[0].at("queue_backend").text, "heap");
 
   const auto rows = testing::csv_rows(campaign_to_csv({result}));
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].at("workload_file"), path);
-  EXPECT_EQ(rows[0].at("queue_backend"), "heap");
 }
 
 }  // namespace

@@ -2,9 +2,9 @@
 /// Determinism linter for the drhw source tree.
 ///
 /// Every guarantee this repository makes — golden Table 1 / Fig 6 pins,
-/// 1-vs-8-thread campaign bit-identity, calendar-vs-heap report equality —
-/// rests on the simulated timeline never observing anything nondeterministic:
-/// no hash-table iteration order, no wall clock, no address-space layout.
+/// 1-vs-8-thread campaign bit-identity, pinned report digests — rests on
+/// the simulated timeline never observing anything nondeterministic: no
+/// hash-table iteration order, no wall clock, no address-space layout.
 /// The tier-1 tests catch a violation only after it drifts a pinned number;
 /// this linter catches the hazard *pattern* at review time instead.
 ///

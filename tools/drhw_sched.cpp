@@ -35,8 +35,6 @@
 //                      online mode, one scenario per registered policy;
 //                      repeatable)
 //   --workload-dir DIR same, over every .dwl file in DIR (sorted by name)
-//   --queue B          calendar | heap event-queue backend for the file
-//                      scenarios (default calendar)
 //   --json FILE        write the full JSON report
 //   --csv FILE         write the per-scenario CSV report
 //   --quiet            suppress per-scenario progress lines
@@ -86,9 +84,6 @@
 //                      "paper" picks the Section 4 value per approach
 //   --iterations N     sampler batches to draw (default 500)
 //   --seed S           RNG seed (default 2005)
-//   --queue B          calendar | heap event-queue backend (default
-//                      calendar; both pop in the same order, reports are
-//                      bit-identical)
 //   --perf             print the kernel perf-counter summary per approach
 //                      (event counts, queue depth histogram, allocation
 //                      counts, phase timings) after the table
@@ -165,7 +160,7 @@ int usage() {
                "       drhw_sched campaign [--list] [--list-policies]"
                " [--dry-run]"
                " [--filter STR] [--threads N] [--iterations N] [--seed S]"
-               " [--workload FILE] [--workload-dir DIR] [--queue B]"
+               " [--workload FILE] [--workload-dir DIR]"
                " [--json FILE] [--csv FILE] [--quiet]\n"
                "       drhw_sched online [--workload W|FILE.dwl] [--tiles N]"
                " [--latency-us L] [--ports N] [--arrivals K] [--rate R]"
@@ -175,7 +170,7 @@ int usage() {
                " [--replacement R] [--lookahead N] [--admission P]"
                " [--contiguous] [--defrag] [--window N] [--max-bypass N]"
                " [--sched-cost-us C]"
-               " [--iterations N] [--seed S] [--queue B] [--perf]"
+               " [--iterations N] [--seed S] [--perf]"
                " [--trace FILE] [--trace-format F]"
                " [--approach P] [--list-policies]\n"
                "       drhw_sched genwork [--out DIR] [--count N] [--seed S]"
@@ -399,7 +394,6 @@ struct CampaignCliOptions {
   /// .dwl files (from --workload and --workload-dir). Non-empty replaces
   /// the built-in registry with one "file/<stem>" family per file.
   std::vector<std::string> workload_files;
-  QueueBackend queue_backend = QueueBackend::calendar;
   std::string json_path;
   std::string csv_path;
 };
@@ -425,7 +419,6 @@ ScenarioRegistry file_registry(const CampaignCliOptions& cli) {
       s.sim.iterations = cli.iterations;
       s.sim.seed = cli.seed;
       if (workload.has_arrivals) s.arrivals = workload.arrivals;
-      s.queue_backend = cli.queue_backend;
       registry.add(std::move(s));
     }
   }
@@ -664,9 +657,7 @@ int cmd_online(Scenario scenario, const OnlineCliOptions& cli) {
     deadline_table.print(std::cout);
   }
   for (const auto& [name, summary] : perf_blocks)
-    std::cout << "\nperf counters: " << name << " ("
-              << to_string(scenario.queue_backend) << " queue)\n"
-              << summary;
+    std::cout << "\nperf counters: " << name << "\n" << summary;
   return 0;
 }
 
@@ -708,8 +699,7 @@ int cmd_trace_info(const std::string& path) {
   const TraceData trace = read_trace(path);
   const TraceHeader& h = trace.header;
   std::cout << "schema: " << h.schema << "\n"
-            << "policy: " << h.policy << ", " << h.arrivals << " arrivals, "
-            << h.queue_backend << " queue\n"
+            << "policy: " << h.policy << ", " << h.arrivals << " arrivals\n"
             << "seed: " << h.seed << ", iterations: " << h.iterations << "\n"
             << "platform: " << h.tiles << " tiles, " << h.reconfig_ports
             << " port(s), " << h.isps << " isp(s), "
@@ -827,8 +817,6 @@ int main(int argc, char** argv) {
           cli.workload_files.insert(cli.workload_files.end(), found.begin(),
                                     found.end());
         }
-        else if (arg == "--queue" && has_value)
-          cli.queue_backend = queue_backend_from_string(args[++i]);
         else
           return usage_unknown("campaign", arg);
       }
@@ -933,8 +921,6 @@ int main(int argc, char** argv) {
           scenario.sim.iterations = parse_number<int>(arg, args[++i]);
         else if (arg == "--seed" && has_value)
           scenario.sim.seed = parse_number<std::uint64_t>(arg, args[++i]);
-        else if (arg == "--queue" && has_value)
-          scenario.queue_backend = queue_backend_from_string(args[++i]);
         else if (arg == "--perf")
           cli.perf = true;
         else if (arg == "--trace" && has_value)

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Drives every production surface of drhw_sched once: the built-in
-# campaign (both event-queue backends), generated and committed .dwl
-# workloads, the `online` flag matrix, both trace encodings through
-# info/verify/render, and the graph flow (demo, info, schedule, dot).
+# campaign, generated and committed .dwl workloads, the `online` flag
+# matrix, both trace encodings through info/verify/render, and the graph
+# flow (demo, info, schedule, dot).
 #
 # Usage: tools/production_surfaces.sh BUILD_DIR OUT_DIR
 #
@@ -21,7 +21,6 @@ run() { "$sched" "$@" > /dev/null; }
 
 # Campaigns: every built-in scenario, generated and committed workloads.
 run campaign --iterations 30 --quiet --json campaign.json --csv campaign.csv
-run campaign --iterations 30 --queue heap --quiet --json campaign-heap.json
 run genwork --out genwork --count 6
 run campaign --workload-dir genwork --quiet --json genwork.json
 run campaign --workload "$root/examples/workloads/multimedia_mix.dwl" \
