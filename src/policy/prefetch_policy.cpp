@@ -30,21 +30,25 @@ void check_instance_plan(const InstancePlan& plan) {
       "instance plan: an initialization phase requires an explicit order");
 }
 
-SequentialSchedule evaluate_instance_plan(const PreparedScenario& prep,
-                                          const PlatformConfig& platform,
-                                          const InstancePlan& plan) {
+void evaluate_instance_plan(const PreparedScenario& prep,
+                            const PlatformConfig& platform,
+                            const InstancePlan& plan,
+                            SequentialWorkspace& workspace,
+                            SequentialSchedule& sched) {
   check_instance_plan(plan);
   const SubtaskGraph& graph = *prep.graph;
   const auto body =
       plan.loads.begin() + static_cast<std::ptrdiff_t>(plan.init_count);
-  SequentialSchedule sched;
   sched.cancelled_loads = plan.cancelled_loads;
   sched.init_loads.assign(plan.loads.begin(), body);
+  sched.init_load_ends.clear();
+  sched.init_duration = 0;
   // The initialization loads dispatch in order onto the earliest-free
   // port, as in the online kernel (where they are exempt from the
   // unit-order gate): this keeps the two rigs' spans equal at arrival
   // rate -> 0 on multi-port platforms too.
-  PortSet ports(platform.reconfig_ports);
+  PortSet& ports = workspace.init_ports;
+  ports.reset(platform.reconfig_ports);
   for (SubtaskId s : sched.init_loads) {
     const time_us own = graph.subtask(s).load_time;
     const std::size_t port = ports.earliest();
@@ -54,9 +58,19 @@ SequentialSchedule evaluate_instance_plan(const PreparedScenario& prep,
     sched.init_duration =
         std::max(sched.init_duration, sched.init_load_ends.back());
   }
-  sched.eval = evaluate(graph, prep.placement, platform,
-                        LoadPlan{plan.load_policy, {body, plan.loads.end()}});
+  workspace.body.policy = plan.load_policy;
+  workspace.body.loads.assign(body, plan.loads.end());
+  workspace.eval.evaluate(graph, prep.placement, platform, workspace.body,
+                          sched.eval);
   sched.span = sched.init_duration + sched.eval.makespan;
+}
+
+SequentialSchedule evaluate_instance_plan(const PreparedScenario& prep,
+                                          const PlatformConfig& platform,
+                                          const InstancePlan& plan) {
+  SequentialWorkspace workspace;
+  SequentialSchedule sched;
+  evaluate_instance_plan(prep, platform, plan, workspace, sched);
   return sched;
 }
 

@@ -45,6 +45,7 @@
 #include "policy/policy_spec.hpp"
 #include "prefetch/evaluator.hpp"
 #include "reuse/reuse_module.hpp"
+#include "sim/port_set.hpp"
 #include "util/time.hpp"
 
 namespace drhw {
@@ -192,13 +193,31 @@ class PrefetchPolicy {
   std::string name_;
 };
 
+/// Reusable storage of evaluate_instance_plan(): the evaluator's workspace,
+/// the plan body handed to it and the initialization phase's ports. The
+/// sequential rig keeps one for its whole run.
+struct SequentialWorkspace {
+  EvalWorkspace eval;
+  LoadPlan body;  ///< the plan's loads after its initialization prefix
+  PortSet init_ports{1};
+};
+
 /// Times an InstancePlan on one platform, sequential-rig semantics: the
 /// initialization prefix dispatches onto the earliest-free of
-/// `platform.reconfig_ports` (back to back with one port), then evaluate()
-/// times the loads after the prefix under the plan's discipline, relative
-/// to the end of the initialization phase. This is the one translation
-/// from policy decisions to sequential timing, and the only timing of the
-/// hybrid's run-time phase.
+/// `platform.reconfig_ports` (back to back with one port), then the
+/// evaluator times the loads after the prefix under the plan's discipline,
+/// relative to the end of the initialization phase. This is the one
+/// translation from policy decisions to sequential timing, and the only
+/// timing of the hybrid's run-time phase. Writes into `out` (its vectors
+/// keep their capacity), so a caller timing a stream of instances
+/// allocates nothing once the largest graph has been seen.
+void evaluate_instance_plan(const PreparedScenario& prep,
+                            const PlatformConfig& platform,
+                            const InstancePlan& plan,
+                            SequentialWorkspace& workspace,
+                            SequentialSchedule& out);
+
+/// evaluate_instance_plan() over a fresh workspace, for one-off callers.
 SequentialSchedule evaluate_instance_plan(const PreparedScenario& prep,
                                           const PlatformConfig& platform,
                                           const InstancePlan& plan);

@@ -252,6 +252,7 @@ void TilePoolManager::occupy(std::int32_t job,
     DRHW_CHECK_MSG(tile_free(idx), "occupying a tile that is not free");
     owner_[idx] = job;
   }
+  occupancy_changed();
   const std::size_t pos = position_of(job);
   DRHW_CHECK_LT_MSG(pos, queue_.size(),
                     "occupy() for a job that is not queued");
@@ -283,6 +284,7 @@ void TilePoolManager::release(std::int32_t job, time_us now) {
   touch(now);
   for (std::int32_t& owner : owner_)
     if (owner == job) owner = -1;
+  occupancy_changed();
 }
 
 // --- backlog-prefetch reservations ------------------------------------------
@@ -312,6 +314,7 @@ void TilePoolManager::reserve(PhysTileId tile, ConfigId config, double value,
   const std::size_t idx = checked(tile);
   DRHW_CHECK_MSG(tile_free(idx), "reserving a tile that is not free");
   reserved_[idx] = 1;
+  occupancy_changed();
   prefetch_config_[idx] = config;
   prefetch_value_[idx] = value;
 }
@@ -323,6 +326,7 @@ ConfigId TilePoolManager::finish_prefetch(PhysTileId tile, time_us now) {
   const ConfigId config = prefetch_config_[idx];
   store_.record_load(tile, config, now, prefetch_value_[idx]);
   reserved_[idx] = 0;
+  occupancy_changed();
   prefetch_config_[idx] = k_no_config;
   return config;
 }
@@ -334,18 +338,23 @@ std::int32_t TilePoolManager::owner(PhysTileId tile) const {
 }
 
 int TilePoolManager::free_count() const {
-  int free = 0;
-  for (std::size_t t = 0; t < owner_.size(); ++t) free += tile_free(t);
-  return free;
+  if (free_count_ < 0) {
+    free_count_ = 0;
+    for (std::size_t t = 0; t < owner_.size(); ++t) free_count_ += tile_free(t);
+  }
+  return free_count_;
 }
 
 int TilePoolManager::largest_free_block() const {
-  int best = 0, run = 0;
-  for (std::size_t t = 0; t < owner_.size(); ++t) {
-    run = tile_free(t) ? run + 1 : 0;
-    best = std::max(best, run);
+  if (largest_block_ < 0) {
+    int best = 0, run = 0;
+    for (std::size_t t = 0; t < owner_.size(); ++t) {
+      run = tile_free(t) ? run + 1 : 0;
+      best = std::max(best, run);
+    }
+    largest_block_ = best;
   }
-  return best;
+  return largest_block_;
 }
 
 double TilePoolManager::fragmentation_pct() const {
@@ -457,6 +466,7 @@ void TilePoolManager::begin_migration(const MigrationPlan& plan, time_us now) {
   DRHW_CHECK_MSG(tile_free(dst), "migration destination is not free");
   reserved_[dst] = 1;
   migrating_[src] = 1;
+  occupancy_changed();
 }
 
 bool TilePoolManager::finish_migration(const MigrationPlan& plan,
@@ -479,6 +489,7 @@ bool TilePoolManager::finish_migration(const MigrationPlan& plan,
   } else {
     store_.record_load(plan.dst, plan.config, now, plan.value);
   }
+  occupancy_changed();
   if (trace_) {
     TraceEvent ev(TraceEvent::Kind::migration_done, now);
     ev.src = plan.src;
@@ -499,6 +510,7 @@ void TilePoolManager::apply_remap(const MigrationPlan& plan, time_us now) {
   DRHW_CHECK(tile_free(dst));
   owner_[dst] = plan.owner;
   owner_[src] = -1;
+  occupancy_changed();
   if (trace_) {
     TraceEvent ev(TraceEvent::Kind::remap, now, plan.owner);
     ev.src = plan.src;
@@ -514,6 +526,7 @@ void TilePoolManager::begin_checkpoint(PhysTileId tile) {
   DRHW_CHECK_MSG(owner_[idx] >= 0 && !migrating_[idx] && !reserved_[idx],
                  "checkpointing a tile that is not quietly held");
   migrating_[idx] = 1;
+  occupancy_changed();
 }
 
 void TilePoolManager::finish_checkpoint(PhysTileId tile, time_us now) {
@@ -526,6 +539,7 @@ void TilePoolManager::finish_checkpoint(PhysTileId tile, time_us now) {
   // per tile: the store keeps the config, so the victim's re-admission
   // finds it through the reuse module.
   owner_[idx] = -1;
+  occupancy_changed();
 }
 
 // --- metrics ----------------------------------------------------------------

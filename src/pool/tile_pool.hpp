@@ -215,6 +215,9 @@ class TilePoolManager {
   bool migrating(PhysTileId tile) const {
     return migrating_[checked(tile)] != 0;
   }
+  /// Free tiles. This and largest_free_block() are cached until the next
+  /// occupancy change: admission asks after every event, the occupancy
+  /// changes far less often.
   int free_count() const;
   /// Longest run of adjacent free tiles.
   int largest_free_block() const;
@@ -320,8 +323,16 @@ class TilePoolManager {
                          const std::vector<char>& movable) const;
   std::size_t checked(PhysTileId tile) const;
   /// Emits the fragmentation that held since the last occupancy change, if
-  /// simulated time moved on since then.
+  /// simulated time moved on since then. Mutators call it first, while the
+  /// cached counts still describe the old occupancy.
   void touch(time_us now);
+  /// Drops the cached free_count() / largest_free_block(). Every mutator of
+  /// owner_, reserved_ or migrating_ calls it *after* its change: clearing
+  /// first would let touch() re-cache the occupancy about to change.
+  void occupancy_changed() {
+    free_count_ = -1;
+    largest_block_ = -1;
+  }
 
   PoolOptions options_;
   ConfigStore store_;
@@ -344,6 +355,8 @@ class TilePoolManager {
   std::int32_t defrag_target_ = -1; ///< queue head the window was planned for
 
   time_us last_change_ = 0;  ///< instant of the last frag sample
+  mutable int free_count_ = -1;     ///< free_count() cache, -1: stale
+  mutable int largest_block_ = -1;  ///< largest_free_block() cache
 };
 
 }  // namespace drhw

@@ -1,56 +1,33 @@
 #include "prefetch/evaluator.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 #include <stdexcept>
 #include <vector>
 
-#include "sim/port_set.hpp"
 #include "util/check.hpp"
 
 namespace drhw {
 
 namespace {
+constexpr std::size_t k_not_loaded = static_cast<std::size_t>(-1);
+}  // namespace
 
-enum class EventKind : int { load_done = 0, exec_done = 1 };
-
-struct Event {
-  time_us time = 0;
-  EventKind kind = EventKind::load_done;
-  SubtaskId subtask = 0;
-  // Later events compare greater (min-heap via std::greater). Load
-  // completions are processed before execution completions at equal times so
-  // a just-loaded configuration is visible to a subtask becoming ready at
-  // the same instant; id breaks remaining ties deterministically.
-  friend bool operator>(const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time > b.time;
-    if (a.kind != b.kind) return a.kind > b.kind;
-    return a.subtask > b.subtask;
-  }
-};
-
-/// Min-heap entry for the on-demand policy (FIFO by request time).
-struct RequestEntry {
-  time_us requested_at = 0;
-  SubtaskId subtask = 0;
-  friend bool operator>(const RequestEntry& a, const RequestEntry& b) {
-    if (a.requested_at != b.requested_at)
-      return a.requested_at > b.requested_at;
-    return a.subtask > b.subtask;
-  }
-};
-
-class Simulation {
+/// One evaluation over an EvalWorkspace's storage, writing into a
+/// caller-owned EvalResult.
+class EvalRun {
  public:
-  Simulation(const SubtaskGraph& graph, const Placement& placement,
-             const PlatformConfig& platform, const LoadPlan& plan)
+  EvalRun(const SubtaskGraph& graph, const Placement& placement,
+          const PlatformConfig& platform, const LoadPlan& plan,
+          EvalWorkspace& ws, EvalResult& result)
       : graph_(graph),
         placement_(placement),
         platform_(platform),
         plan_(plan),
-        ports_(platform.reconfig_ports) {}
+        ws_(ws),
+        result_(result) {}
 
-  EvalResult run() {
+  void run() {
     validate_plan();
     init_state();
     init_result();
@@ -63,9 +40,9 @@ class Simulation {
     }
     try_port(0);
 
-    while (!events_.empty()) {
-      const Event ev = events_.top();
-      events_.pop();
+    while (!ws_.events_.empty()) {
+      const Event ev = ws_.events_.front();
+      heap_pop(ws_.events_);
       switch (ev.kind) {
         case EventKind::load_done:
           on_load_done(ev.subtask, ev.time);
@@ -77,7 +54,7 @@ class Simulation {
     }
 
     for (std::size_t s = 0; s < n_; ++s) {
-      if (!finished_[s]) {
+      if (!ws_.finished_[s]) {
         // Only a user-supplied explicit order can wedge the port; the
         // dynamic policies always make progress.
         if (plan_.policy == LoadPolicy::explicit_order)
@@ -88,20 +65,33 @@ class Simulation {
       }
     }
     finalize_result();
-    return std::move(result_);
   }
 
  private:
+  using Event = EvalWorkspace::Event;
+  using EventKind = EvalWorkspace::EventKind;
+
+  template <class T>
+  static void heap_push(std::vector<T>& heap, const T& entry) {
+    heap.push_back(entry);
+    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+  }
+  template <class T>
+  static void heap_pop(std::vector<T>& heap) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    heap.pop_back();
+  }
+
   /// Checks every load id and records its position in the plan.
   void validate_plan() {
-    load_rank_.assign(n_, k_not_loaded);
+    ws_.load_rank_.assign(n_, k_not_loaded);
     for (std::size_t i = 0; i < plan_.loads.size(); ++i) {
       const SubtaskId s = plan_.loads[i];
       if (s < 0 || static_cast<std::size_t>(s) >= n_)
         throw std::invalid_argument("plan load id out of range");
       if (!placement_.on_drhw(s))
         throw std::invalid_argument("plan loads a non-DRHW subtask");
-      std::size_t& rank = load_rank_[static_cast<std::size_t>(s)];
+      std::size_t& rank = ws_.load_rank_[static_cast<std::size_t>(s)];
       if (rank != k_not_loaded)
         throw std::invalid_argument("plan loads a subtask twice");
       rank = i;
@@ -109,44 +99,52 @@ class Simulation {
   }
 
   bool planned(std::size_t idx) const {
-    return load_rank_[idx] != k_not_loaded;
+    return ws_.load_rank_[idx] != k_not_loaded;
   }
 
   void init_state() {
-    preds_left_.assign(n_, 0);
-    dag_ready_.assign(n_, k_no_time);
-    arrival_.assign(n_, k_no_time);
-    started_.assign(n_, 0);
-    finished_.assign(n_, 0);
-    load_started_.assign(n_, 0);
-    config_done_.assign(n_, 0);
+    ws_.events_.clear();
+    ws_.eligible_.clear();
+    ws_.requests_.clear();
+    ws_.preds_left_.assign(n_, 0);
+    ws_.dag_ready_.assign(n_, k_no_time);
+    ws_.arrival_.assign(n_, k_no_time);
+    ws_.started_.assign(n_, 0);
+    ws_.finished_.assign(n_, 0);
+    ws_.load_started_.assign(n_, 0);
+    ws_.config_done_.assign(n_, 0);
+    ws_.ports_.reset(platform_.reconfig_ports);
     for (std::size_t s = 0; s < n_; ++s)
-      preds_left_[s] = static_cast<int>(
+      ws_.preds_left_[s] = static_cast<int>(
           graph_.predecessors(static_cast<SubtaskId>(s)).size());
   }
 
   void init_result() {
+    result_.makespan = 0;
     result_.exec_start.assign(n_, k_no_time);
     result_.exec_end.assign(n_, k_no_time);
     result_.load_start.assign(n_, k_no_time);
     result_.load_end.assign(n_, k_no_time);
     result_.delayed_by_load.assign(n_, false);
+    result_.load_order.clear();
+    result_.last_load_end = k_no_time;
     result_.tile_last_exec_end.assign(
         static_cast<std::size_t>(placement_.tiles_used), 0);
+    result_.loads = 0;
   }
 
   // -- state transitions -----------------------------------------------
 
   void mark_arrival(SubtaskId s, time_us t) {
     const auto idx = static_cast<std::size_t>(s);
-    DRHW_CHECK(arrival_[idx] == k_no_time);
-    arrival_[idx] = t;
+    DRHW_CHECK(ws_.arrival_[idx] == k_no_time);
+    ws_.arrival_[idx] = t;
     if (planned(idx)) {
       if (plan_.policy == LoadPolicy::priority)
-        eligible_.push(load_rank_[idx]);
+        heap_push(ws_.eligible_, ws_.load_rank_[idx]);
       else if (plan_.policy == LoadPolicy::on_demand &&
-               dag_ready_[idx] != k_no_time)
-        requests_.push({dag_ready_[idx], s});
+               ws_.dag_ready_[idx] != k_no_time)
+        heap_push(ws_.requests_, {ws_.dag_ready_[idx], s});
       try_port(t);
     } else {
       try_exec(s, t);
@@ -155,11 +153,11 @@ class Simulation {
 
   void mark_dag_ready(SubtaskId s, time_us t) {
     const auto idx = static_cast<std::size_t>(s);
-    DRHW_CHECK(dag_ready_[idx] == k_no_time);
-    dag_ready_[idx] = t;
+    DRHW_CHECK(ws_.dag_ready_[idx] == k_no_time);
+    ws_.dag_ready_[idx] = t;
     if (planned(idx) && plan_.policy == LoadPolicy::on_demand &&
-        arrival_[idx] != k_no_time) {
-      requests_.push({t, s});
+        ws_.arrival_[idx] != k_no_time) {
+      heap_push(ws_.requests_, {t, s});
       try_port(t);
     }
     try_exec(s, t);
@@ -167,13 +165,15 @@ class Simulation {
 
   void try_exec(SubtaskId s, time_us t) {
     const auto idx = static_cast<std::size_t>(s);
-    if (started_[idx]) return;
-    if (dag_ready_[idx] == k_no_time || arrival_[idx] == k_no_time) return;
-    if (planned(idx) && !config_done_[idx]) return;
-    started_[idx] = 1;
+    if (ws_.started_[idx]) return;
+    if (ws_.dag_ready_[idx] == k_no_time || ws_.arrival_[idx] == k_no_time)
+      return;
+    if (planned(idx) && !ws_.config_done_[idx]) return;
+    ws_.started_[idx] = 1;
     result_.exec_start[idx] = t;
     result_.exec_end[idx] = t + graph_.subtask(s).exec_time;
-    events_.push({result_.exec_end[idx], EventKind::exec_done, s});
+    heap_push(ws_.events_,
+              Event{result_.exec_end[idx], EventKind::exec_done, s});
   }
 
   /// Reconfiguration latency of one subtask (per-bitstream override or the
@@ -186,30 +186,32 @@ class Simulation {
   /// Starts loads on every free port while loads are serviceable under the
   /// plan's policy.
   void try_port(time_us t) {
+    PortSet& ports = ws_.ports_;
     for (;;) {
       // Earliest-free port, lowest index on ties — the same PortSet scan
       // the online kernel uses, so the design-time estimate and the
       // run-time kernel never diverge over a tie-break.
-      const std::size_t port = ports_.earliest();
-      if (!ports_.idle_at(port, t)) return;  // LoadDone will retrigger us
-      const SubtaskId s = select_load(t);
+      const std::size_t port = ports.earliest();
+      if (!ports.idle_at(port, t)) return;  // LoadDone will retrigger us
+      const SubtaskId s = select_load();
       if (s == k_no_subtask) return;
       const auto idx = static_cast<std::size_t>(s);
-      load_started_[idx] = 1;
+      ws_.load_started_[idx] = 1;
       result_.load_start[idx] = t;
-      result_.load_end[idx] = ports_.dispatch(port, t, load_duration(s));
+      result_.load_end[idx] = ports.dispatch(port, t, load_duration(s));
       result_.load_order.push_back(s);
       ++result_.loads;
-      events_.push({result_.load_end[idx], EventKind::load_done, s});
+      heap_push(ws_.events_,
+                Event{result_.load_end[idx], EventKind::load_done, s});
     }
   }
 
-  SubtaskId select_load(time_us) {
+  SubtaskId select_load() {
     switch (plan_.policy) {
       case LoadPolicy::explicit_order: {
         if (next_explicit_ == plan_.loads.size()) return k_no_subtask;
         const SubtaskId s = plan_.loads[next_explicit_];
-        if (arrival_[static_cast<std::size_t>(s)] == k_no_time)
+        if (ws_.arrival_[static_cast<std::size_t>(s)] == k_no_time)
           return k_no_subtask;  // head-of-line block
         ++next_explicit_;
         return s;
@@ -217,19 +219,16 @@ class Simulation {
       case LoadPolicy::priority: {
         // The arrived load earliest in the plan's order; each subtask
         // arrives once, so each plan position is pushed once.
-        if (eligible_.empty()) return k_no_subtask;
-        const std::size_t rank = eligible_.top();
-        eligible_.pop();
+        if (ws_.eligible_.empty()) return k_no_subtask;
+        const std::size_t rank = ws_.eligible_.front();
+        heap_pop(ws_.eligible_);
         return plan_.loads[rank];
       }
       case LoadPolicy::on_demand: {
-        while (!requests_.empty()) {
-          const SubtaskId s = requests_.top().subtask;
-          if (load_started_[static_cast<std::size_t>(s)]) {
-            requests_.pop();
-            continue;
-          }
-          requests_.pop();
+        while (!ws_.requests_.empty()) {
+          const SubtaskId s = ws_.requests_.front().subtask;
+          heap_pop(ws_.requests_);
+          if (ws_.load_started_[static_cast<std::size_t>(s)]) continue;
           return s;
         }
         return k_no_subtask;
@@ -241,14 +240,14 @@ class Simulation {
   // -- event handlers ----------------------------------------------------
 
   void on_load_done(SubtaskId s, time_us t) {
-    config_done_[static_cast<std::size_t>(s)] = 1;
+    ws_.config_done_[static_cast<std::size_t>(s)] = 1;
     try_exec(s, t);
     try_port(t);
   }
 
   void on_exec_done(SubtaskId s, time_us t) {
     const auto idx = static_cast<std::size_t>(s);
-    finished_[idx] = 1;
+    ws_.finished_[idx] = 1;
 
     // Advance the unit: the next subtask in sequence arrives.
     const TileId tile = placement_.tile_of[idx];
@@ -264,21 +263,18 @@ class Simulation {
           result_.tile_last_exec_end[static_cast<std::size_t>(tile)], t);
 
     for (SubtaskId succ : graph_.successors(s))
-      if (--preds_left_[static_cast<std::size_t>(succ)] == 0)
+      if (--ws_.preds_left_[static_cast<std::size_t>(succ)] == 0)
         mark_dag_ready(succ, t);
     try_port(t);
   }
 
   void finalize_result() {
-    result_.makespan = 0;
-    result_.last_load_end = k_no_time;
     for (std::size_t s = 0; s < n_; ++s) {
       result_.makespan = std::max(result_.makespan, result_.exec_end[s]);
       if (result_.load_end[s] != k_no_time) {
         result_.last_load_end =
             std::max(result_.last_load_end, result_.load_end[s]);
-        const time_us other =
-            std::max(dag_ready_[s], arrival_[s]);
+        const time_us other = std::max(ws_.dag_ready_[s], ws_.arrival_[s]);
         result_.delayed_by_load[s] =
             result_.exec_start[s] == result_.load_end[s] &&
             result_.load_end[s] > other;
@@ -290,32 +286,26 @@ class Simulation {
   const Placement& placement_;
   const PlatformConfig& platform_;
   const LoadPlan& plan_;
+  EvalWorkspace& ws_;
+  EvalResult& result_;
   const std::size_t n_ = graph_.size();
-
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
-  /// priority policy: plan positions of the arrived loads, earliest first.
-  std::priority_queue<std::size_t, std::vector<std::size_t>, std::greater<>>
-      eligible_;
-  std::priority_queue<RequestEntry, std::vector<RequestEntry>, std::greater<>>
-      requests_;
-  static constexpr std::size_t k_not_loaded = static_cast<std::size_t>(-1);
-  /// Position of each subtask in plan_.loads, k_not_loaded if not loaded.
-  std::vector<std::size_t> load_rank_;
-  std::vector<int> preds_left_;
-  std::vector<time_us> dag_ready_;
-  std::vector<time_us> arrival_;
-  std::vector<char> started_, finished_, load_started_, config_done_;
-  PortSet ports_;
   std::size_t next_explicit_ = 0;
-  EvalResult result_;
 };
 
-}  // namespace
+void EvalWorkspace::evaluate(const SubtaskGraph& graph,
+                             const Placement& placement,
+                             const PlatformConfig& platform,
+                             const LoadPlan& plan, EvalResult& out) {
+  platform.validate();
+  EvalRun(graph, placement, platform, plan, *this, out).run();
+}
 
 EvalResult evaluate(const SubtaskGraph& graph, const Placement& placement,
                     const PlatformConfig& platform, const LoadPlan& plan) {
-  platform.validate();
-  return Simulation(graph, placement, platform, plan).run();
+  EvalWorkspace workspace;
+  EvalResult result;
+  workspace.evaluate(graph, placement, platform, plan, result);
+  return result;
 }
 
 time_us ideal_makespan(const SubtaskGraph& graph, const Placement& placement,

@@ -18,6 +18,7 @@
 #include "platform/platform.hpp"
 #include "prefetch/load_plan.hpp"
 #include "schedule/placement.hpp"
+#include "sim/port_set.hpp"
 
 namespace drhw {
 
@@ -46,9 +47,73 @@ struct EvalResult {
   int loads = 0;
 };
 
+/// Reusable storage of the evaluator. One evaluation needs a dozen
+/// per-subtask vectors, three heaps and a port set; a caller timing one
+/// instance after another (the Section 7 rig times every instance of its
+/// stream) keeps one workspace and evaluates into one EvalResult, so once
+/// the largest graph has been seen an evaluation allocates nothing. The
+/// heaps are vectors driven by std::push_heap/std::pop_heap under
+/// std::greater, which is what std::priority_queue does, so the pop order —
+/// and every timing — equals a fresh evaluate()'s.
+///
+/// Not thread-safe: one workspace per thread of evaluation.
+class EvalWorkspace {
+ public:
+  /// Simulates one task instance into `out`, whose vectors are re-assigned
+  /// (keeping their capacity) and whose scalars are reset. Same semantics
+  /// and exceptions as evaluate(); after a throw `out` is unspecified and
+  /// the workspace stays usable.
+  void evaluate(const SubtaskGraph& graph, const Placement& placement,
+                const PlatformConfig& platform, const LoadPlan& plan,
+                EvalResult& out);
+
+ private:
+  friend class EvalRun;  // evaluator.cpp: one evaluation over this storage
+
+  enum class EventKind : int { load_done = 0, exec_done = 1 };
+  struct Event {
+    time_us time = 0;
+    EventKind kind = EventKind::load_done;
+    SubtaskId subtask = 0;
+    // Later events compare greater (a min-heap under std::greater). Load
+    // completions are processed before execution completions at equal
+    // times so a just-loaded configuration is visible to a subtask becoming
+    // ready at the same instant; id breaks remaining ties deterministically.
+    friend bool operator>(const Event& a, const Event& b) {
+      if (a.time != b.time) return a.time > b.time;
+      if (a.kind != b.kind) return a.kind > b.kind;
+      return a.subtask > b.subtask;
+    }
+  };
+  /// Min-heap entry for the on-demand policy (FIFO by request time).
+  struct Request {
+    time_us requested_at = 0;
+    SubtaskId subtask = 0;
+    friend bool operator>(const Request& a, const Request& b) {
+      if (a.requested_at != b.requested_at)
+        return a.requested_at > b.requested_at;
+      return a.subtask > b.subtask;
+    }
+  };
+
+  std::vector<Event> events_;
+  /// priority policy: plan positions of the arrived loads, earliest first.
+  std::vector<std::size_t> eligible_;
+  std::vector<Request> requests_;
+  /// Position of each subtask in the plan's loads, or k_not_loaded.
+  std::vector<std::size_t> load_rank_;
+  std::vector<int> preds_left_;
+  std::vector<time_us> dag_ready_;
+  std::vector<time_us> arrival_;
+  std::vector<char> started_, finished_, load_started_, config_done_;
+  PortSet ports_{1};
+};
+
 /// Simulates one task instance; the reconfiguration ports are free at its
 /// start (an initialization phase is timed before it, see
-/// evaluate_instance_plan in policy/prefetch_policy.hpp).
+/// evaluate_instance_plan in policy/prefetch_policy.hpp). A thin wrapper
+/// over a fresh EvalWorkspace, for one-off callers (design-time tools,
+/// examples, tests).
 ///
 /// \throws std::invalid_argument if the plan is malformed (a load id out
 ///         of range, a load for an ISP subtask, or the same subtask loaded

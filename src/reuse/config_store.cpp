@@ -11,17 +11,6 @@ ConfigStore::ConfigStore(int tiles) {
   tiles_.resize(static_cast<std::size_t>(tiles));
 }
 
-ConfigId ConfigStore::config_on(PhysTileId tile) const {
-  return tiles_[checked(tile)].config;
-}
-
-std::optional<PhysTileId> ConfigStore::find(ConfigId config) const {
-  if (!holds(config)) return std::nullopt;
-  for (std::size_t t = 0; t < tiles_.size(); ++t)
-    if (tiles_[t].config == config) return static_cast<PhysTileId>(t);
-  return std::nullopt;
-}
-
 void ConfigStore::record_load(PhysTileId tile, ConfigId config, time_us when,
                               double value) {
   auto& state = tiles_[checked(tile)];
@@ -61,14 +50,6 @@ void ConfigStore::relocate(PhysTileId from, PhysTileId to, time_us when) {
   record_load(to, source.config, when, source.value);
 }
 
-time_us ConfigStore::last_used(PhysTileId tile) const {
-  return tiles_[checked(tile)].last_used;
-}
-
-double ConfigStore::value_of(PhysTileId tile) const {
-  return tiles_[checked(tile)].value;
-}
-
 void ConfigStore::clear() {
   for (auto& tile : tiles_) {
     set_config(tile, k_no_config);
@@ -76,16 +57,8 @@ void ConfigStore::clear() {
   }
 }
 
-void ConfigStore::reset(int tiles) {
-  if (tiles < 0) throw std::invalid_argument("config store needs >= 0 tiles");
-  clear();
-  tiles_.resize(static_cast<std::size_t>(tiles));
-}
-
-std::size_t ConfigStore::checked(PhysTileId tile) const {
-  if (tile < 0 || static_cast<std::size_t>(tile) >= tiles_.size())
-    throw std::invalid_argument("physical tile id out of range");
-  return static_cast<std::size_t>(tile);
+void ConfigStore::throw_out_of_range() {
+  throw std::invalid_argument("physical tile id out of range");
 }
 
 }  // namespace drhw

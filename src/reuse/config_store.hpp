@@ -7,7 +7,6 @@
 /// (paper Figure 2, refs [6,7]) operate on across task instances.
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "util/ids.hpp"
@@ -24,12 +23,10 @@ class ConfigStore {
   int tiles() const { return static_cast<int>(tiles_.size()); }
 
   /// Configuration currently on `tile` (k_no_config when empty).
-  ConfigId config_on(PhysTileId tile) const;
-
-  /// The lowest-numbered tile holding `config`, if any. bind_tiles()'s
-  /// reuse matching depends on that choice. O(1) when no tile holds it
-  /// (the resident count is 0), O(tiles) otherwise.
-  std::optional<PhysTileId> find(ConfigId config) const;
+  /// \throws std::invalid_argument for a tile id out of range.
+  ConfigId config_on(PhysTileId tile) const {
+    return tiles_[checked(tile)].config;
+  }
 
   /// Whether some tile holds `config`. O(1): reads the resident count.
   bool holds(ConfigId config) const {
@@ -55,18 +52,14 @@ class ConfigStore {
   /// it remains a reusable cached copy until something overwrites it.
   void relocate(PhysTileId from, PhysTileId to, time_us when);
 
-  time_us last_used(PhysTileId tile) const;
-  double value_of(PhysTileId tile) const;
+  time_us last_used(PhysTileId tile) const {
+    return tiles_[checked(tile)].last_used;
+  }
+  double value_of(PhysTileId tile) const { return tiles_[checked(tile)].value; }
 
   /// Forgets every resident configuration (e.g. between experiments).
   /// O(tiles): only the tiles' own resident counts are undone.
   void clear();
-
-  /// Re-initialises to `tiles` empty tiles, keeping the storage capacity.
-  /// The online kernel rebuilds its per-admission binding view through
-  /// this instead of constructing a fresh store (allocation-free once the
-  /// high-water tile and configuration counts are reached). O(tiles).
-  void reset(int tiles);
 
  private:
   struct Tile {
@@ -74,7 +67,15 @@ class ConfigStore {
     time_us last_used = 0;
     double value = 0.0;
   };
-  std::size_t checked(PhysTileId tile) const;
+  /// `tile` as an index into tiles_. The accessors above are inline — the
+  /// replacement module reads them for every candidate tile of every bind —
+  /// so the throw stays out of line.
+  std::size_t checked(PhysTileId tile) const {
+    if (tile < 0 || static_cast<std::size_t>(tile) >= tiles_.size())
+      throw_out_of_range();
+    return static_cast<std::size_t>(tile);
+  }
+  [[noreturn]] static void throw_out_of_range();
   /// Puts `config` on `state`, keeping resident_ in step.
   void set_config(Tile& state, ConfigId config);
   std::vector<Tile> tiles_;

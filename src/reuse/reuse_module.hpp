@@ -36,45 +36,53 @@ enum class ReplacementPolicy {
   oracle,        ///< evict the configuration whose next use is farthest away
 };
 
-/// Result of binding one placement onto the physical tile pool.
+/// Result of binding one placement onto the physical tile pool. Callers
+/// binding one instance after another keep one Binding: bind_tiles()
+/// re-assigns every vector, keeping its capacity, so a bind allocates
+/// nothing once the widest placement and candidate list have been seen.
 struct Binding {
   /// Physical tile for each virtual tile of the placement.
   std::vector<PhysTileId> phys_of_tile;
   /// Per subtask: configuration already resident on its bound tile.
   std::vector<bool> resident;
   int reused_subtasks = 0;
+
+  // Scratch of bind_tiles(), indexed by candidate position.
+  std::vector<char> claimed;             ///< candidate already bound
+  std::vector<std::size_t> unclaimed;    ///< random_tile's draw set
 };
 
 /// Extra knowledge for the oracle policy: rank of the next use of a
 /// configuration (lower = needed sooner); return a large value for "never".
 using NextUseRank = std::function<long(ConfigId)>;
 
-/// Binds the placement's virtual tiles to physical tiles.
+/// Binds the placement's virtual tiles to the `candidates` — an ascending
+/// list of distinct physical tiles of `store` — writing the result into
+/// `out`. The sequential rig offers every tile of its store; the online
+/// kernel offers the tiles its pool hands out for the instance
+/// (TilePoolManager::offer_into()), and the store's other tiles are never
+/// read.
 ///
 /// Phase 1 matches virtual tiles whose first subtask's configuration is
-/// already resident (reuse). Phase 2 assigns the remaining virtual tiles,
-/// choosing victims per `policy`; empty tiles are always preferred over
-/// evictions. The store itself is not modified — loads are recorded by the
-/// caller as the schedule executes.
+/// already resident (reuse): such a tile binds to the lowest candidate
+/// holding that configuration, if no earlier virtual tile claimed it.
+/// Phase 2 assigns the remaining virtual tiles, the first unclaimed empty
+/// candidate first; once none is left it evicts the policy's victim among
+/// the unclaimed candidates, scanned in ascending order with a strict
+/// comparison, so ties go to the lowest tile (random_tile draws over the
+/// unclaimed candidates in that order). The store itself is not modified —
+/// loads are recorded by the caller as the schedule executes.
 ///
 /// \param values per-subtask replacement value (ALAP weights).
 /// \param next_use only consulted when policy == oracle (may be null
 ///        otherwise).
 /// \throws std::invalid_argument when the placement needs more tiles than
-///         the store has.
-Binding bind_tiles(const SubtaskGraph& graph, const Placement& placement,
-                   const ConfigStore& store, ReplacementPolicy policy,
-                   const std::vector<time_us>& values, Rng& rng,
-                   const NextUseRank& next_use = nullptr);
-
-/// bind_tiles() into caller-owned storage: `out`'s vectors are re-assigned
-/// (keeping their capacity), so a caller binding many instances — the
-/// online kernel admits one per arrival — reuses one Binding as scratch
-/// instead of allocating three vectors per admission.
+///         there are candidates.
 void bind_tiles(const SubtaskGraph& graph, const Placement& placement,
-                const ConfigStore& store, ReplacementPolicy policy,
-                const std::vector<time_us>& values, Rng& rng,
-                const NextUseRank& next_use, Binding& out);
+                const ConfigStore& store,
+                const std::vector<PhysTileId>& candidates,
+                ReplacementPolicy policy, const std::vector<time_us>& values,
+                Rng& rng, const NextUseRank& next_use, Binding& out);
 
 /// The configurations bind_tiles() can reuse for this placement: the
 /// first-subtask configuration of every virtual tile (only the first

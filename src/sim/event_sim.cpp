@@ -123,8 +123,7 @@ class OnlineSimulation {
         fold_(accounting_constants(options), options.trace),
         policy_(PolicyRegistry::instance().create(options.policy)),
         pool_(options.platform.tiles, options.pool),
-        bind_rng_(options.seed ^ 0x5DEECE66DULL),
-        view_store_(1) {
+        bind_rng_(options.seed ^ 0x5DEECE66DULL) {
     PhaseTimer setup_timer(perf_.setup_ns);
     options_.platform.validate();
     options_.arrivals.validate();
@@ -525,26 +524,15 @@ class OnlineSimulation {
     pool_.offer_into(index, wanted_scratch_, free_tiles_scratch_);
     const std::vector<PhysTileId>& free_tiles = free_tiles_scratch_;
 
-    const ConfigStore& store = pool_.store();
     const std::vector<bool>* resident = nullptr;
     if (policy_->uses_reuse()) {
-      view_store_.reset(static_cast<int>(free_tiles.size()));
-      for (std::size_t i = 0; i < free_tiles.size(); ++i) {
-        const PhysTileId p = free_tiles[i];
-        if (store.config_on(p) != k_no_config)
-          view_store_.record_load(static_cast<PhysTileId>(i),
-                                  store.config_on(p), store.last_used(p),
-                                  store.value_of(p));
-      }
       NextUseRank oracle;
       if (options_.replacement == ReplacementPolicy::oracle)
         oracle = make_oracle(static_cast<std::size_t>(index));
-      bind_tiles(graph, placement, view_store_, options_.replacement,
-                 values_of(index), bind_rng_, oracle, binding_scratch_);
-      const std::vector<PhysTileId>& bound = binding_scratch_.phys_of_tile;
-      slot.phys_of_tile.resize(bound.size());
-      for (std::size_t v = 0; v < bound.size(); ++v)
-        slot.phys_of_tile[v] = free_tiles[static_cast<std::size_t>(bound[v])];
+      bind_tiles(graph, placement, pool_.store(), free_tiles,
+                 options_.replacement, values_of(index), bind_rng_, oracle,
+                 binding_scratch_);
+      slot.phys_of_tile = binding_scratch_.phys_of_tile;
       resident = &binding_scratch_.resident;
       slot.reused = binding_scratch_.reused_subtasks;
     } else {
@@ -1355,9 +1343,6 @@ class OnlineSimulation {
   std::unique_ptr<PrefetchPolicy> policy_;  ///< the scheduling strategy
   TilePoolManager pool_;  ///< tile occupancy, admission queue, defrag state
   Rng bind_rng_;
-  /// Per-admission binding view over the offered free tiles; reset() per
-  /// admit instead of constructed (allocation-free at steady state).
-  ConfigStore view_store_;
 
   // The arrival stream in SoA form: per job one int32 into preps_, the
   // arrival time, and the arena slot id (k_slot_queued before admission,

@@ -17,10 +17,10 @@
 ///    (pool/tile_pool.hpp). Arrived instances queue there and a pluggable
 ///    AdmissionPolicy decides who goes next (FIFO head-of-line by default,
 ///    bit-identical to PR 2; bounded backfill and windowed best-fit
-///    reordering optional). Binding onto the offered tiles goes through
-///    the existing ConfigStore / bind_tiles reuse machinery, so
-///    configurations left behind by retired instances are reused across
-///    live instances. With contiguous allocation on, the pool can also run
+///    reordering optional). The reuse module binds the instance directly
+///    over the tiles the pool offers (bind_tiles() on the pool's own
+///    ConfigStore, no per-admission copy), so configurations left behind
+///    by retired instances are reused across live instances. With contiguous allocation on, the pool can also run
 ///    an online defragmentation pass: idle resident configurations of live
 ///    instances are relocated through the port (at real reconfiguration
 ///    latency) to open contiguous room for a fragmentation-blocked head.

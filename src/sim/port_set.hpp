@@ -45,10 +45,15 @@ inline std::size_t earliest_free(const time_us* free, std::size_t count) {
 
 class PortSet {
  public:
-  explicit PortSet(int count) {
+  explicit PortSet(int count) { reset(count); }
+
+  /// Back to `count` idle resources with no busy time, keeping the
+  /// storage (a reused evaluator workspace resets instead of rebuilding).
+  void reset(int count) {
     DRHW_CHECK_GE_MSG(count, 1, "a port set needs >= 1 resource");
     free_.assign(static_cast<std::size_t>(count), 0);
     busy_.assign(static_cast<std::size_t>(count), 0);
+    total_busy_ = 0;
   }
 
   std::size_t size() const { return free_.size(); }

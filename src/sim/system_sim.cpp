@@ -4,8 +4,6 @@
 #include <deque>
 #include <limits>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "graph/algorithms.hpp"
@@ -84,7 +82,11 @@ class SystemSimulation {
         policy_(PolicyRegistry::instance().create(options.policy)),
         sampler_(sampler),
         rng_(options.seed),
-        store_(options.platform.tiles) {}
+        store_(options.platform.tiles) {
+    all_tiles_.resize(static_cast<std::size_t>(store_.tiles()));
+    for (int t = 0; t < store_.tiles(); ++t)
+      all_tiles_[static_cast<std::size_t>(t)] = t;
+  }
 
   SimReport run() {
     options_.platform.validate();
@@ -98,16 +100,16 @@ class SystemSimulation {
       // The inter-task optimisation can only look at tasks the run-time
       // scheduler has already emitted — within the same iteration batch,
       // or anywhere in the stream for repeating pipelines.
-      std::vector<const PreparedScenario*> upcoming;
+      upcoming_.clear();
       for (const QueuedInstance& queued : queue_) {
-        if (static_cast<int>(upcoming.size()) >= options_.intertask_lookahead)
+        if (static_cast<int>(upcoming_.size()) >= options_.intertask_lookahead)
           break;
         if (!options_.cross_iteration_lookahead &&
             queued.batch != current.batch)
           break;
-        upcoming.push_back(queued.scenario);
+        upcoming_.push_back(queued.scenario);
       }
-      step(*current.scenario, upcoming);
+      step(*current.scenario, upcoming_);
     }
     report_.finish();
     return report_;
@@ -175,23 +177,22 @@ class SystemSimulation {
     const Placement& placement = inst.placement;
     const bool reuse_on = policy_->uses_reuse();
 
-    Binding binding;
+    Binding& binding = binding_;
     if (reuse_on) {
       NextUseRank oracle;
       if (options_.replacement == ReplacementPolicy::oracle)
         oracle = make_next_use_oracle();
-      binding = bind_tiles(graph, placement, store_, options_.replacement,
-                           values_for(inst), rng_, oracle);
+      bind_tiles(graph, placement, store_, all_tiles_, options_.replacement,
+                 values_for(inst), rng_, oracle, binding);
     } else {
-      binding.phys_of_tile.resize(
-          static_cast<std::size_t>(placement.tiles_used));
-      for (int v = 0; v < placement.tiles_used; ++v)
-        binding.phys_of_tile[static_cast<std::size_t>(v)] = v;
+      binding.phys_of_tile.assign(
+          all_tiles_.begin(), all_tiles_.begin() + placement.tiles_used);
       binding.resident.assign(graph.size(), false);
+      binding.reused_subtasks = 0;
     }
 
-    const SequentialSchedule sched =
-        schedule_instance(inst, binding, upcoming.size());
+    schedule_instance(inst, binding, upcoming.size());
+    const SequentialSchedule& sched = sched_;
 
     // Commit the timeline into the shared configuration store.
     if (reuse_on) commit_to_store(inst, binding, sched);
@@ -206,9 +207,9 @@ class SystemSimulation {
     clock_ += sched.span;
   }
 
-  SequentialSchedule schedule_instance(const PreparedScenario& inst,
-                                       const Binding& binding,
-                                       std::size_t upcoming_count) {
+  /// Plans and times one instance into sched_.
+  void schedule_instance(const PreparedScenario& inst, const Binding& binding,
+                         std::size_t upcoming_count) {
     PolicyContext context;
     context.now = clock_;
     context.ports = options_.platform.reconfig_ports;
@@ -216,8 +217,8 @@ class SystemSimulation {
     context.live_instances = 0;  // instances run strictly one at a time
     context.queued_instances = static_cast<int>(upcoming_count);
     const InstancePlan plan = policy_->plan(inst, binding.resident, context);
-    const SequentialSchedule sched =
-        evaluate_instance_plan(inst, options_.platform, plan);
+    evaluate_instance_plan(inst, options_.platform, plan, workspace_, sched_);
+    const SequentialSchedule& sched = sched_;
     // Observed-pressure accounting for future PolicyContexts: the port was
     // busy for every init and scheduled load of this instance.
     const SubtaskGraph& graph = *inst.graph;
@@ -226,7 +227,6 @@ class SystemSimulation {
     for (std::size_t s = 0; s < graph.size(); ++s)
       if (sched.eval.load_end[s] != k_no_time)
         port_busy_ += sched.eval.load_end[s] - sched.eval.load_start[s];
-    return sched;
   }
 
   void commit_to_store(const PreparedScenario& inst, const Binding& binding,
@@ -281,8 +281,8 @@ class SystemSimulation {
 
     // A tile may be reconfigured for a future task once this instance has
     // no executions left on it.
-    std::vector<time_us> tile_free(
-        static_cast<std::size_t>(store_.tiles()), clock_);
+    std::vector<time_us>& tile_free = tile_free_;
+    tile_free.assign(static_cast<std::size_t>(store_.tiles()), clock_);
     for (int v = 0; v < placement.tiles_used; ++v) {
       const PhysTileId phys = binding.phys_of_tile[static_cast<std::size_t>(v)];
       tile_free[static_cast<std::size_t>(phys)] =
@@ -294,30 +294,33 @@ class SystemSimulation {
     // *immediately* next task must not be evicted (that would trade one
     // hidden load for one exposed one); for deeper tasks the value ordering
     // below already steers evictions toward cheap-to-reload configurations.
-    std::unordered_set<ConfigId> protected_configs;
+    const std::uint64_t call = ++tail_calls_;
     if (!upcoming.empty()) {
       const SubtaskGraph& next_graph = *upcoming.front()->graph;
       for (std::size_t s = 0; s < next_graph.size(); ++s)
-        protected_configs.insert(
-            next_graph.subtask(static_cast<SubtaskId>(s)).config);
+        mark_of(next_graph.subtask(static_cast<SubtaskId>(s)).config)
+            .protected_in = call;
     }
     // Belady-style victim ranking within the emitted horizon: a resident
     // configuration used again soon is a worse victim than one whose next
-    // use is far away (or unknown).
-    std::unordered_map<ConfigId, long> next_use;
+    // use is far away (or unknown). The nearest use counts.
     for (std::size_t d = 0; d < upcoming.size(); ++d) {
       const SubtaskGraph& g = *upcoming[d]->graph;
-      for (std::size_t s = 0; s < g.size(); ++s)
-        next_use.try_emplace(g.subtask(static_cast<SubtaskId>(s)).config,
-                             static_cast<long>(d));
+      for (std::size_t s = 0; s < g.size(); ++s) {
+        ConfigMark& mark = mark_of(g.subtask(static_cast<SubtaskId>(s)).config);
+        if (mark.ranked_in == call) continue;
+        mark.ranked_in = call;
+        mark.next_use = static_cast<long>(d);
+      }
     }
     const auto use_rank = [&](ConfigId c) -> long {
-      const auto it = next_use.find(c);
-      return it == next_use.end() ? std::numeric_limits<long>::max()
-                                  : it->second;
+      const ConfigMark& mark = mark_of(c);
+      return mark.ranked_in == call ? mark.next_use
+                                    : std::numeric_limits<long>::max();
     };
 
-    std::vector<char> targeted(static_cast<std::size_t>(store_.tiles()), 0);
+    std::vector<char>& targeted = targeted_;
+    targeted.assign(static_cast<std::size_t>(store_.tiles()), 0);
     for (const PreparedScenario* future : upcoming) {
       const SubtaskGraph& future_graph = *future->graph;
 
@@ -336,8 +339,7 @@ class SystemSimulation {
           const auto idx = static_cast<std::size_t>(t);
           if (targeted[idx]) continue;
           const ConfigId resident = store_.config_on(t);
-          if (resident != k_no_config &&
-              protected_configs.count(resident) > 0)
+          if (resident != k_no_config && mark_of(resident).protected_in == call)
             continue;
           const time_us start = std::max(port_cursor, tile_free[idx]);
           if (start + duration > window_end) continue;
@@ -375,6 +377,20 @@ class SystemSimulation {
     }
   }
 
+  /// tail_prefetch()'s per-configuration marks, indexed config + 1 (so
+  /// k_no_config has one too). A mark belongs to the current call only
+  /// when it carries that call's number: nothing is cleared per call.
+  struct ConfigMark {
+    std::uint64_t protected_in = 0;  ///< call in which the next task uses it
+    std::uint64_t ranked_in = 0;     ///< call in which next_use was set
+    long next_use = 0;  ///< distance of its nearest use in the lookahead
+  };
+  ConfigMark& mark_of(ConfigId config) {
+    const auto idx = static_cast<std::size_t>(config + 1);
+    if (idx >= config_marks_.size()) config_marks_.resize(idx + 1);
+    return config_marks_[idx];
+  }
+
   void account(const PreparedScenario& inst, const Binding& binding,
                const SequentialSchedule& sched) {
     const SubtaskGraph& graph = *inst.graph;
@@ -402,6 +418,18 @@ class SystemSimulation {
   const IterationSampler& sampler_;
   Rng rng_;
   ConfigStore store_;
+  std::vector<PhysTileId> all_tiles_;  ///< 0..tiles-1: every bind's candidates
+
+  // Per-instance storage, reused across the whole stream so that binding,
+  // timing and the tail prefetch allocate nothing at steady state.
+  std::vector<const PreparedScenario*> upcoming_;  ///< emitted lookahead
+  Binding binding_;
+  SequentialWorkspace workspace_;
+  SequentialSchedule sched_;
+  std::vector<time_us> tile_free_;  ///< tail_prefetch(): per tile
+  std::vector<char> targeted_;      ///< tail_prefetch(): per tile
+  std::vector<ConfigMark> config_marks_;
+  std::uint64_t tail_calls_ = 0;  ///< tail_prefetch() calls so far
   std::deque<QueuedInstance> queue_;
   int iterations_drawn_ = 0;
   long consumed_ = 0;  ///< instances popped off the queue so far

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "fixtures.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -203,6 +206,89 @@ TEST(Evaluator, DeterministicAcrossRuns) {
   EXPECT_EQ(r1.makespan, r2.makespan);
   EXPECT_EQ(r1.load_order, r2.load_order);
   EXPECT_EQ(r1.exec_start, r2.exec_start);
+}
+
+/// Field-by-field equality of two evaluations.
+void expect_same_result(const EvalResult& actual, const EvalResult& expected,
+                        const std::string& where) {
+  EXPECT_EQ(actual.makespan, expected.makespan) << where;
+  EXPECT_EQ(actual.exec_start, expected.exec_start) << where;
+  EXPECT_EQ(actual.exec_end, expected.exec_end) << where;
+  EXPECT_EQ(actual.load_start, expected.load_start) << where;
+  EXPECT_EQ(actual.load_end, expected.load_end) << where;
+  EXPECT_EQ(actual.delayed_by_load, expected.delayed_by_load) << where;
+  EXPECT_EQ(actual.load_order, expected.load_order) << where;
+  EXPECT_EQ(actual.last_load_end, expected.last_load_end) << where;
+  EXPECT_EQ(actual.tile_last_exec_end, expected.tile_last_exec_end) << where;
+  EXPECT_EQ(actual.loads, expected.loads) << where;
+}
+
+/// One workspace and one result object carried through a mixed sequence —
+/// every port discipline, 1 to 3 ports, graphs growing and shrinking, ISP
+/// subtasks, partial (reuse-thinned) plans, and an infeasible explicit
+/// order that throws mid-sequence — must reproduce a fresh evaluate()
+/// every time: nothing of one evaluation may leak into the next.
+TEST(EvalWorkspace, ReusedStorageMatchesFreshEvaluations) {
+  EvalWorkspace workspace;
+  EvalResult out;
+  Rng rng(77);
+  int evaluations = 0;
+  for (const int subtasks : {25, 3, 40, 8, 1, 30, 12}) {
+    LayeredGraphParams params;
+    params.subtasks = subtasks;
+    params.isp_fraction = subtasks % 2 == 0 ? 0.2 : 0.0;
+    const auto g = make_layered_graph(params, rng);
+    const int tiles = static_cast<int>(rng.next_int(1, 6));
+    const auto p = list_schedule(g, tiles);
+    for (int ports = 1; ports <= 3; ++ports) {
+      PlatformConfig platform = virtex2_platform(tiles);
+      platform.reconfig_ports = ports;
+      const LoadPlan on_demand = on_demand_all(g, p);
+      const LoadPlan priority = weight_priority_plan(g, p);
+      // The port order on-demand served is a feasible explicit order.
+      LoadPlan explicit_plan{LoadPolicy::explicit_order,
+                             evaluate(g, p, platform, on_demand).load_order};
+      // Thinned plans: every third load "resident" (left out).
+      LoadPlan thinned = priority;
+      for (std::size_t i = thinned.loads.size(); i-- > 0;)
+        if (i % 3 == 1)
+          thinned.loads.erase(thinned.loads.begin() +
+                              static_cast<std::ptrdiff_t>(i));
+      const std::vector<const LoadPlan*> plans{&on_demand, &priority,
+                                               &explicit_plan, &thinned};
+      for (const LoadPlan* plan : plans) {
+        workspace.evaluate(g, p, platform, *plan, out);
+        expect_same_result(out, evaluate(g, p, platform, *plan),
+                           "subtasks " + std::to_string(subtasks) +
+                               " ports " + std::to_string(ports) +
+                               " policy " +
+                               std::to_string(static_cast<int>(plan->policy)));
+        ++evaluations;
+      }
+    }
+
+    // An infeasible explicit order throws out of the workspace, which must
+    // stay usable: the next evaluation starts from clean state.
+    SubtaskGraph pair;
+    const auto a =
+        pair.add_subtask({"a", ms(5), Resource::drhw, k_no_config, 0});
+    const auto b =
+        pair.add_subtask({"b", ms(5), Resource::drhw, k_no_config, 0});
+    pair.add_edge(a, b);
+    pair.finalize();
+    const auto one_tile = list_schedule(pair, 1);
+    EXPECT_THROW(workspace.evaluate(pair, one_tile, virtex2_platform(1),
+                                    LoadPlan{LoadPolicy::explicit_order,
+                                             {b, a}},
+                                    out),
+                 std::invalid_argument);
+    const LoadPlan valid{LoadPolicy::explicit_order, {a, b}};
+    workspace.evaluate(pair, one_tile, virtex2_platform(1), valid, out);
+    expect_same_result(out,
+                       evaluate(pair, one_tile, virtex2_platform(1), valid),
+                       "after the throw");
+  }
+  EXPECT_EQ(evaluations, 7 * 3 * 4);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <random>
 #include <vector>
 
@@ -581,6 +583,227 @@ TEST(TilePool, SelectUrgentMatchesALinearScan) {
               if (pool.owner(t) == job) pool.finish_checkpoint(t, step);
             enqueue(job, step);
           }
+        }
+      }
+}
+
+/// Remembers the value of the last frag event the pool emitted.
+struct FragProbe final : TraceSink {
+  void record(const TraceEvent& ev) override {
+    if (ev.kind != TraceEvent::Kind::frag) return;
+    ++samples;
+    last = ev.value;
+  }
+  long samples = 0;
+  double last = 0.0;
+};
+
+/// The test's own occupancy model of a pool: who holds each tile, and
+/// whether it is reserved or the source of an in-flight move.
+struct OccupancyModel {
+  explicit OccupancyModel(int tiles)
+      : owner(static_cast<std::size_t>(tiles), -1),
+        reserved(static_cast<std::size_t>(tiles), 0),
+        migrating(static_cast<std::size_t>(tiles), 0) {}
+  bool free(std::size_t t) const {
+    return owner[t] < 0 && !reserved[t] && !migrating[t];
+  }
+  int free_count() const {
+    int count = 0;
+    for (std::size_t t = 0; t < owner.size(); ++t) count += free(t);
+    return count;
+  }
+  int largest_block() const {
+    int best = 0, run = 0;
+    for (std::size_t t = 0; t < owner.size(); ++t) {
+      run = free(t) ? run + 1 : 0;
+      best = std::max(best, run);
+    }
+    return best;
+  }
+  double fragmentation_pct() const {
+    const int count = free_count();
+    return count == 0 ? 0.0
+                      : 100.0 * (1.0 - static_cast<double>(largest_block()) /
+                                           static_cast<double>(count));
+  }
+  std::vector<PhysTileId> tiles_where(
+      const std::function<bool(std::size_t)>& keep) const {
+    std::vector<PhysTileId> out;
+    for (std::size_t t = 0; t < owner.size(); ++t)
+      if (keep(t)) out.push_back(static_cast<PhysTileId>(t));
+    return out;
+  }
+  std::vector<std::int32_t> owner;
+  std::vector<char> reserved, migrating;
+};
+
+/// free_count() and largest_free_block() are cached between occupancy
+/// changes. Random occupy / release / reserve / prefetch / migration /
+/// remap / checkpoint sequences, on count-based and contiguous pools, with
+/// and without a trace sink (with one, every mutator reads
+/// fragmentation_pct() before it changes anything): after every step the
+/// pool's counts must equal a recount of the model, and every frag sample
+/// must carry the fragmentation that held before the step.
+TEST(TilePool, CachedCapacityMatchesARecountAfterEveryChange) {
+  for (const bool traced : {false, true})
+    for (const bool contiguous : {false, true})
+      for (const unsigned seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(::testing::Message() << "traced=" << traced
+                                          << " contiguous=" << contiguous
+                                          << " seed=" << seed);
+        std::mt19937 rng(seed);
+        const int tiles = 1 + static_cast<int>(rng() % 9);
+        PoolOptions options;
+        options.contiguous = contiguous;
+        TilePoolManager pool(tiles, options);
+        FragProbe probe;
+        if (traced) pool.set_trace_sink(&probe);
+        OccupancyModel model(tiles);
+        std::vector<std::int32_t> live;
+        std::vector<PhysTileId> prefetching, checkpointing;
+        std::vector<MigrationPlan> moving;
+        std::int32_t next_job = 0;
+        time_us now = 0;
+        const auto pick = [&](const std::vector<PhysTileId>& from) {
+          return from[rng() % from.size()];
+        };
+        for (int step = 0; step < 2000; ++step) {
+          now += static_cast<time_us>(rng() % 3);
+          const double frag_before = model.fragmentation_pct();
+          const long samples_before = probe.samples;
+          const std::vector<PhysTileId> free_tiles =
+              model.tiles_where([&](std::size_t t) { return model.free(t); });
+          // Held, quiet tiles: a migration, remap or checkpoint source.
+          const std::vector<PhysTileId> quiet =
+              model.tiles_where([&](std::size_t t) {
+                return model.owner[t] >= 0 && !model.migrating[t];
+              });
+          switch (rng() % 9) {
+            case 0:
+            case 1: {  // occupy a random free subset
+              if (free_tiles.empty()) break;
+              std::vector<PhysTileId> take;
+              for (const PhysTileId t : free_tiles)
+                if (rng() % 2 == 0) take.push_back(t);
+              if (take.empty()) take.push_back(pick(free_tiles));
+              const std::int32_t job = next_job++;
+              pool.enqueue(job, static_cast<int>(take.size()), now);
+              pool.occupy(job, take, now);
+              for (const PhysTileId t : take)
+                model.owner[static_cast<std::size_t>(t)] = job;
+              live.push_back(job);
+              break;
+            }
+            case 2: {  // release a job that is not being checkpointed
+              if (live.empty()) break;
+              const std::int32_t job = live[rng() % live.size()];
+              bool checkpointed = false;
+              for (const PhysTileId t : checkpointing)
+                checkpointed |= model.owner[static_cast<std::size_t>(t)] == job;
+              if (checkpointed) break;
+              pool.release(job, now);
+              for (std::int32_t& owner : model.owner)
+                if (owner == job) owner = -1;
+              live.erase(std::find(live.begin(), live.end(), job));
+              break;
+            }
+            case 3: {  // reserve a free tile for a backlog prefetch
+              if (free_tiles.empty()) break;
+              const PhysTileId t = pick(free_tiles);
+              pool.reserve(t, static_cast<ConfigId>(rng() % 4), 1.0, now);
+              model.reserved[static_cast<std::size_t>(t)] = 1;
+              prefetching.push_back(t);
+              break;
+            }
+            case 4: {  // a prefetch lands
+              if (prefetching.empty()) break;
+              const std::size_t at = rng() % prefetching.size();
+              const PhysTileId t = prefetching[at];
+              pool.finish_prefetch(t, now);
+              model.reserved[static_cast<std::size_t>(t)] = 0;
+              prefetching.erase(prefetching.begin() +
+                                static_cast<std::ptrdiff_t>(at));
+              break;
+            }
+            case 5: {  // start a port-charged move, or land one
+              if (!moving.empty() && rng() % 2 == 0) {
+                const MigrationPlan plan = moving.back();
+                moving.pop_back();
+                const auto src = static_cast<std::size_t>(plan.src);
+                const auto dst = static_cast<std::size_t>(plan.dst);
+                const bool transfer =
+                    model.owner[src] == plan.owner &&
+                    pool.store().config_on(plan.src) == plan.config;
+                ASSERT_EQ(pool.finish_migration(plan, now), transfer);
+                model.reserved[dst] = 0;
+                model.migrating[src] = 0;
+                if (transfer) {
+                  model.owner[dst] = plan.owner;
+                  model.owner[src] = -1;
+                }
+                break;
+              }
+              if (quiet.empty() || free_tiles.empty()) break;
+              MigrationPlan plan;
+              plan.src = pick(quiet);
+              plan.dst = pick(free_tiles);
+              plan.owner = model.owner[static_cast<std::size_t>(plan.src)];
+              plan.config = pool.store().config_on(plan.src);
+              if (plan.config == k_no_config) plan.config = 7;
+              pool.begin_migration(plan, now);
+              model.reserved[static_cast<std::size_t>(plan.dst)] = 1;
+              model.migrating[static_cast<std::size_t>(plan.src)] = 1;
+              moving.push_back(plan);
+              break;
+            }
+            case 6: {  // free remap of a held tile
+              if (quiet.empty() || free_tiles.empty()) break;
+              MigrationPlan plan;
+              plan.src = pick(quiet);
+              plan.dst = pick(free_tiles);
+              plan.owner = model.owner[static_cast<std::size_t>(plan.src)];
+              pool.apply_remap(plan, now);
+              model.owner[static_cast<std::size_t>(plan.dst)] = plan.owner;
+              model.owner[static_cast<std::size_t>(plan.src)] = -1;
+              break;
+            }
+            case 7: {  // start checkpointing a quiet, unreserved tile
+              const std::vector<PhysTileId> victims =
+                  model.tiles_where([&](std::size_t t) {
+                    return model.owner[t] >= 0 && !model.migrating[t] &&
+                           !model.reserved[t];
+                  });
+              if (victims.empty()) break;
+              const PhysTileId t = pick(victims);
+              pool.begin_checkpoint(t);
+              model.migrating[static_cast<std::size_t>(t)] = 1;
+              checkpointing.push_back(t);
+              break;
+            }
+            default: {  // a checkpoint writeout lands
+              if (checkpointing.empty()) break;
+              const std::size_t at = rng() % checkpointing.size();
+              const PhysTileId t = checkpointing[at];
+              pool.finish_checkpoint(t, now);
+              model.migrating[static_cast<std::size_t>(t)] = 0;
+              model.owner[static_cast<std::size_t>(t)] = -1;
+              checkpointing.erase(checkpointing.begin() +
+                                  static_cast<std::ptrdiff_t>(at));
+              break;
+            }
+          }
+          ASSERT_EQ(pool.free_count(), model.free_count()) << "step " << step;
+          ASSERT_EQ(pool.largest_free_block(), model.largest_block())
+              << "step " << step;
+          ASSERT_EQ(pool.fragmentation_pct(), model.fragmentation_pct())
+              << "step " << step;
+          if (probe.samples != samples_before) {
+            ASSERT_EQ(probe.last, frag_before) << "step " << step;
+          }
+        }
+        if (traced) {
+          EXPECT_GT(probe.samples, 100);
         }
       }
 }
