@@ -27,8 +27,9 @@
 /// the run (they are not shared between runs), and must be deterministic:
 /// the same construction parameters, instance stream and contexts must
 /// yield the same decisions. intertask_candidates() must additionally be a
-/// pure function of (policy parameters, prepared scenario) — both kernels
-/// cache it per distinct preparation.
+/// pure function of (policy parameters, prepared scenario): the online
+/// kernel caches it per distinct preparation, and the sequential rig calls
+/// it afresh for every upcoming instance, so both must see the same list.
 ///
 /// Adding a policy touches only this subsystem: implement the interface in
 /// a new translation unit, register a factory (see registry.cpp's builtin
@@ -177,8 +178,9 @@ class PrefetchPolicy {
 
   /// Candidate loads to prefetch for a *future* instance during port idle
   /// periods, in prefetch order. Only consulted when uses_intertask().
-  /// Must be a pure function of (policy parameters, prep) — both kernels
-  /// cache the result per distinct preparation.
+  /// Must be a pure function of (policy parameters, prep): the online
+  /// kernel caches the result per distinct preparation, while the
+  /// sequential rig calls it for every upcoming instance.
   virtual std::vector<SubtaskId> intertask_candidates(
       const PreparedScenario& future) const;
 

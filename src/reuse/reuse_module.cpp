@@ -10,12 +10,11 @@ namespace drhw {
 void bind_tiles(const SubtaskGraph& graph, const Placement& placement,
                 const ConfigStore& store,
                 const std::vector<PhysTileId>& candidates,
-                ReplacementPolicy policy, const std::vector<time_us>& values,
-                Rng& rng, const NextUseRank& next_use, Binding& binding) {
+                ReplacementPolicy policy, Rng& rng,
+                const NextUseRank& next_use, Binding& binding) {
   const std::size_t count = candidates.size();
   if (static_cast<std::size_t>(placement.tiles_used) > count)
     throw std::invalid_argument("placement needs more tiles than available");
-  DRHW_CHECK(values.size() == graph.size());
 
   binding.reused_subtasks = 0;
   binding.phys_of_tile.assign(static_cast<std::size_t>(placement.tiles_used),

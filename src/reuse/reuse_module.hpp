@@ -73,7 +73,6 @@ using NextUseRank = std::function<long(ConfigId)>;
 /// unclaimed candidates in that order). The store itself is not modified —
 /// loads are recorded by the caller as the schedule executes.
 ///
-/// \param values per-subtask replacement value (ALAP weights).
 /// \param next_use only consulted when policy == oracle (may be null
 ///        otherwise).
 /// \throws std::invalid_argument when the placement needs more tiles than
@@ -81,8 +80,8 @@ using NextUseRank = std::function<long(ConfigId)>;
 void bind_tiles(const SubtaskGraph& graph, const Placement& placement,
                 const ConfigStore& store,
                 const std::vector<PhysTileId>& candidates,
-                ReplacementPolicy policy, const std::vector<time_us>& values,
-                Rng& rng, const NextUseRank& next_use, Binding& out);
+                ReplacementPolicy policy, Rng& rng,
+                const NextUseRank& next_use, Binding& out);
 
 /// The configurations bind_tiles() can reuse for this placement: the
 /// first-subtask configuration of every virtual tile (only the first

@@ -1,9 +1,12 @@
 #include "runner/report.hpp"
 
+#include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/numfmt.hpp"
 #include "util/stats.hpp"
+#include "util/table.hpp"
 
 namespace drhw {
 
@@ -392,6 +395,89 @@ std::string campaign_to_csv(const std::vector<ScenarioResult>& results) {
     os << "\n";
   }
   return os.str();
+}
+
+// --- pivot tables ----------------------------------------------------------
+
+std::vector<std::string> metric_names() {
+  std::vector<std::string> names;
+  for (const MetricColumn& column : k_metric_columns)
+    names.push_back(column.name);
+  return names;
+}
+
+std::size_t name_segments(const std::string& name) {
+  return static_cast<std::size_t>(std::count(name.begin(), name.end(), '/')) +
+         1;
+}
+
+namespace {
+
+/// `name` split at segment `segment`: {the name without it, the segment}.
+std::pair<std::string, std::string> split_at_segment(const std::string& name,
+                                                     std::size_t segment) {
+  if (segment >= name_segments(name))
+    throw std::invalid_argument("scenario '" + name + "' has no segment " +
+                                std::to_string(segment));
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < segment; ++i) begin = name.find('/', begin) + 1;
+  const std::size_t end = std::min(name.find('/', begin), name.size());
+  std::string rest =
+      segment == 0 ? name.substr(std::min(end + 1, name.size()))
+                   : name.substr(0, begin - 1) + name.substr(end);
+  return {std::move(rest), name.substr(begin, end - begin)};
+}
+
+/// The position of `key` in `order`, appending it when first seen.
+std::size_t first_seen_index(std::map<std::string, std::size_t>& index_of,
+                             std::vector<std::string>& order,
+                             const std::string& key) {
+  const auto [it, inserted] = index_of.emplace(key, order.size());
+  if (inserted) order.push_back(key);
+  return it->second;
+}
+
+}  // namespace
+
+PivotTable pivot_results(const std::vector<ScenarioResult>& results,
+                         std::size_t segment, const std::string& metric) {
+  const auto column = std::find_if(
+      std::begin(k_metric_columns), std::end(k_metric_columns),
+      [&](const MetricColumn& c) { return metric == c.name; });
+  if (column == std::end(k_metric_columns))
+    throw std::invalid_argument("unknown metric '" + metric + "'");
+
+  PivotTable table;
+  table.metric = metric;
+  table.segment = segment;
+  std::map<std::string, std::size_t> row_of, column_of;
+  std::vector<std::pair<std::size_t, std::size_t>> cell_of;  // per result
+  for (const ScenarioResult& result : results) {
+    const auto [row, value] = split_at_segment(result.scenario.name, segment);
+    cell_of.emplace_back(first_seen_index(row_of, table.rows, row),
+                         first_seen_index(column_of, table.columns, value));
+  }
+  table.cells.assign(table.rows.size(), std::vector<std::optional<double>>(
+                                            table.columns.size()));
+  for (std::size_t i = 0; i < results.size(); ++i)
+    if (results[i].ok && carries(results[i], column->scope))
+      table.cells[cell_of[i].first][cell_of[i].second] =
+          column->get(results[i]);
+  return table;
+}
+
+void print_pivot(std::ostream& os, const PivotTable& table) {
+  std::vector<std::string> headers{"scenario"};
+  headers.insert(headers.end(), table.columns.begin(), table.columns.end());
+  TablePrinter printer(std::move(headers));
+  for (std::size_t r = 0; r < table.rows.size(); ++r) {
+    std::vector<std::string> line{table.rows[r]};
+    for (const std::optional<double>& cell : table.cells[r])
+      line.push_back(cell ? fmt(*cell, 2) : std::string());
+    printer.add_row(std::move(line));
+  }
+  os << table.metric << " by name segment " << table.segment << "\n";
+  printer.print(os);
 }
 
 }  // namespace drhw

@@ -8,14 +8,18 @@
 /// tool reads one back, so no reader ships. The tests check the writers
 /// against literal fixtures and read their output with util/json's parser
 /// and a test-side CSV splitter; CI loads its smoke campaigns' reports
-/// with Python's json and csv modules.
+/// with Python's json and csv modules. pivot_results() lays one metric out
+/// as a table over a scenario-name segment (`drhw_sched campaign
+/// --pivot`), reading the same metric list as the writers.
 ///
 /// Only deterministic metrics enter the aggregates; wall-clock fields
 /// (wall_ms, the sched_cost timings) are reported per scenario but never
 /// aggregated, so aggregate blocks are bit-identical across thread counts
 /// and machines.
 
+#include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,5 +88,39 @@ std::string campaign_to_json(const std::vector<ScenarioResult>& results,
 
 /// Per-scenario results as CSV (one header row, one row per scenario).
 std::string campaign_to_csv(const std::vector<ScenarioResult>& results);
+
+// --- pivot tables ----------------------------------------------------------
+
+/// Every campaign metric name, in CSV column order: the names a report
+/// row and a pivot cell can carry.
+std::vector<std::string> metric_names();
+
+/// The number of '/'-separated segments in a scenario name.
+std::size_t name_segments(const std::string& name);
+
+/// One metric spread over one segment of the '/'-separated scenario names
+/// (segment 0 is the family). Columns are the segment's distinct values
+/// and rows the names with that segment removed, both in the order the
+/// results list them (catalogue order), so every result lands in exactly
+/// one cell.
+struct PivotTable {
+  std::string metric;
+  std::size_t segment = 0;
+  std::vector<std::string> columns;
+  std::vector<std::string> rows;
+  /// cells[row][column]; empty where no result landed, where the result
+  /// failed, or where it does not carry the metric.
+  std::vector<std::vector<std::optional<double>>> cells;
+};
+
+/// Pivots `results` over name segment `segment` with `metric` in the
+/// cells. Reads the results only.
+/// \throws std::invalid_argument when `metric` is not a campaign metric or
+///         a result's name has no segment `segment`.
+PivotTable pivot_results(const std::vector<ScenarioResult>& results,
+                         std::size_t segment, const std::string& metric);
+
+/// Renders a pivot as an aligned text table, cells with two decimals.
+void print_pivot(std::ostream& os, const PivotTable& table);
 
 }  // namespace drhw

@@ -530,8 +530,7 @@ class OnlineSimulation {
       if (options_.replacement == ReplacementPolicy::oracle)
         oracle = make_oracle(static_cast<std::size_t>(index));
       bind_tiles(graph, placement, pool_.store(), free_tiles,
-                 options_.replacement, values_of(index), bind_rng_, oracle,
-                 binding_scratch_);
+                 options_.replacement, bind_rng_, oracle, binding_scratch_);
       slot.phys_of_tile = binding_scratch_.phys_of_tile;
       resident = &binding_scratch_.resident;
       slot.reused = binding_scratch_.reused_subtasks;

@@ -183,7 +183,7 @@ class SystemSimulation {
       if (options_.replacement == ReplacementPolicy::oracle)
         oracle = make_next_use_oracle();
       bind_tiles(graph, placement, store_, all_tiles_, options_.replacement,
-                 values_for(inst), rng_, oracle, binding);
+                 rng_, oracle, binding);
     } else {
       binding.phys_of_tile.assign(
           all_tiles_.begin(), all_tiles_.begin() + placement.tiles_used);

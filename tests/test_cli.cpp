@@ -6,7 +6,9 @@
 // input exits 1 without an internal-check message, `online --perf` prints
 // the kernel counters, `online` prints the campaign's numbers for the same
 // workload file and runs the pocket_gl workload under every registered
-// policy, `genwork` is seed-deterministic, and the
+// policy, `campaign --pivot` rejects an unknown metric or a missing name
+// segment before any scenario runs and prints Table 1's columns,
+// `genwork` is seed-deterministic, and the
 // genwork -> campaign -> online --trace -> trace verify pipeline the CI lane
 // runs holds together.
 
@@ -112,6 +114,40 @@ TEST(Cli, UnknownFlagExitsTwoWithRegisteredLists) {
               std::string::npos)
         << subcommand;
   }
+}
+
+TEST(Cli, PivotRejectsBadRequestsBeforeAnyScenarioRuns) {
+  // Without --quiet every finished scenario prints a "[done/total]" line,
+  // so their absence shows that nothing ran.
+  const CliResult metric = run_cli("campaign --pivot 2:no_such_metric");
+  EXPECT_EQ(metric.exit_code, 2) << metric.output;
+  EXPECT_NE(metric.output.find("unknown metric 'no_such_metric'"),
+            std::string::npos)
+      << metric.output;
+  for (const char* name : {"overhead_pct", "response_p95_ms", "wall_ms"})
+    EXPECT_NE(metric.output.find(std::string("  ") + name + "\n"),
+              std::string::npos)
+        << name;
+  EXPECT_EQ(metric.output.find("[1/"), std::string::npos) << metric.output;
+
+  const CliResult segment =
+      run_cli("campaign --filter fig6 --pivot 5:overhead_pct");
+  EXPECT_EQ(segment.exit_code, 2) << segment.output;
+  EXPECT_NE(segment.output.find("has no segment 5"), std::string::npos)
+      << segment.output;
+  EXPECT_EQ(segment.output.find("[1/"), std::string::npos) << segment.output;
+}
+
+TEST(Cli, PivotPrintsTheTable1Columns) {
+  const CliResult result =
+      run_cli("campaign --filter table1 --quiet --pivot 2:overhead_pct");
+  ASSERT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_EQ(table_row(result.output, "scenario"),
+            (std::vector<std::string>{"scenario", "no-prefetch",
+                                      "design-time"}));
+  // Table 1's JPEG decoder row: +20% on demand, +5% with prefetch.
+  EXPECT_EQ(table_row(result.output, "table1/jpeg_dec"),
+            (std::vector<std::string>{"table1/jpeg_dec", "19.75", "4.94"}));
 }
 
 TEST(Cli, ScheduleReportsDesignTimeSearchStatistics) {

@@ -13,6 +13,7 @@
 #include "prefetch/critical_subtasks.hpp"
 #include "prefetch/list_prefetch.hpp"
 #include "schedule/list_scheduler.hpp"
+#include "sim/workloads.hpp"
 
 namespace drhw {
 namespace {
@@ -105,6 +106,26 @@ TEST(CriticalSubtasks, IspOnlyTaskHasNoCriticals) {
   EXPECT_TRUE(h.critical.empty());
   EXPECT_TRUE(h.stored_order.empty());
   EXPECT_EQ(h.loop_iterations, 1);
+}
+
+TEST(CriticalSubtasks, PocketGlCriticalShareMatchesThePaper) {
+  // Section 7: 62% of the Pocket GL subtasks are critical. Counted over
+  // every task of every inter-task scenario at 5 tiles, as Figure 7's
+  // hybrid runs them (the share does not depend on the tile count for
+  // these small tasks).
+  const auto workload = make_pocket_gl_workload(pf(5));
+  int critical = 0, total = 0;
+  for (const auto& combo : workload->app.combos) {
+    for (std::size_t t = 0; t < workload->app.tasks.size(); ++t) {
+      const PreparedScenario& prepared =
+          workload->prepared[t][static_cast<std::size_t>(
+              combo.scenario_of_task[t])];
+      critical += static_cast<int>(prepared.hybrid.critical.size());
+      total += static_cast<int>(prepared.graph->size());
+    }
+  }
+  EXPECT_EQ(critical, 124);
+  EXPECT_EQ(total, 200);  // 124 / 200 = 62.0%
 }
 
 class CsLoopProperty : public ::testing::TestWithParam<std::uint64_t> {};

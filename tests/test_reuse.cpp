@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "apps/multimedia.hpp"
-#include "graph/algorithms.hpp"
 #include "util/check.hpp"
 #include "reuse/config_store.hpp"
 #include "reuse/reuse_module.hpp"
@@ -161,14 +160,12 @@ TEST(ConfigStore, ResidentIndexAgreesWithABruteForceScan) {
 
 /// bind_tiles() over every tile of `store`, the sequential rig's call.
 Binding bind_all(const SubtaskGraph& graph, const Placement& placement,
-                 const ConfigStore& store, ReplacementPolicy policy,
-                 const std::vector<time_us>& values, Rng& rng,
+                 const ConfigStore& store, ReplacementPolicy policy, Rng& rng,
                  const NextUseRank& next_use = nullptr) {
   std::vector<PhysTileId> every(static_cast<std::size_t>(store.tiles()));
   std::iota(every.begin(), every.end(), 0);
   Binding binding;
-  bind_tiles(graph, placement, store, every, policy, values, rng, next_use,
-             binding);
+  bind_tiles(graph, placement, store, every, policy, rng, next_use, binding);
   return binding;
 }
 
@@ -178,19 +175,17 @@ struct BindFixture : ::testing::Test {
     task = make_jpeg_decoder(cs);
     graph = &task.scenarios[0];
     placement = list_schedule(*graph, 4);
-    weights = subtask_weights(*graph);
   }
   BenchmarkTask task;
   const SubtaskGraph* graph = nullptr;
   Placement placement;
-  std::vector<time_us> weights;
   Rng rng{1};
 };
 
 TEST_F(BindFixture, ColdStoreBindsEmptyTilesNoReuse) {
   ConfigStore store(6);
-  const auto b = bind_all(*graph, placement, store, ReplacementPolicy::lru,
-                          weights, rng);
+  const auto b =
+      bind_all(*graph, placement, store, ReplacementPolicy::lru, rng);
   EXPECT_EQ(b.reused_subtasks, 0);
   ASSERT_EQ(b.phys_of_tile.size(), 4u);
   std::set<PhysTileId> distinct(b.phys_of_tile.begin(), b.phys_of_tile.end());
@@ -202,8 +197,8 @@ TEST_F(BindFixture, MatchesResidentFirstSubtask) {
   ConfigStore store(6);
   // Park subtask 2's config on physical tile 5.
   store.record_load(5, graph->subtask(2).config, ms(1), 1.0);
-  const auto b = bind_all(*graph, placement, store, ReplacementPolicy::lru,
-                          weights, rng);
+  const auto b =
+      bind_all(*graph, placement, store, ReplacementPolicy::lru, rng);
   EXPECT_EQ(b.reused_subtasks, 1);
   EXPECT_TRUE(b.resident[2]);
   // Subtask 2 sits alone on virtual tile 2 (chain spread on 4 tiles).
@@ -217,8 +212,7 @@ TEST_F(BindFixture, OnlyFirstPositionSubtaskCanBeReused) {
   ConfigStore store(2);
   store.record_load(0, graph->subtask(packed.tile_sequence[0][1]).config,
                     ms(1), 1.0);
-  const auto b = bind_all(*graph, packed, store, ReplacementPolicy::lru,
-                          weights, rng);
+  const auto b = bind_all(*graph, packed, store, ReplacementPolicy::lru, rng);
   EXPECT_EQ(b.reused_subtasks, 0) << "second-position config is dead";
 }
 
@@ -230,8 +224,7 @@ TEST_F(BindFixture, LruEvictsOldest) {
   g.add_subtask({"x", ms(5), Resource::drhw, 999, 0});
   g.finalize();
   const auto p = list_schedule(g, 1);
-  const auto w = subtask_weights(g);
-  const auto b = bind_all(g, p, store, ReplacementPolicy::lru, w, rng);
+  const auto b = bind_all(g, p, store, ReplacementPolicy::lru, rng);
   EXPECT_EQ(b.phys_of_tile[0], 0);
 }
 
@@ -244,9 +237,7 @@ TEST_F(BindFixture, WeightAwareEvictsLowestValue) {
   g.add_subtask({"x", ms(5), Resource::drhw, 999, 0});
   g.finalize();
   const auto p = list_schedule(g, 1);
-  const auto w = subtask_weights(g);
-  const auto b =
-      bind_all(g, p, store, ReplacementPolicy::weight_aware, w, rng);
+  const auto b = bind_all(g, p, store, ReplacementPolicy::weight_aware, rng);
   EXPECT_EQ(b.phys_of_tile[0], 1);
 }
 
@@ -259,14 +250,13 @@ TEST_F(BindFixture, OracleEvictsFarthestNextUse) {
   g.add_subtask({"x", ms(5), Resource::drhw, 999, 0});
   g.finalize();
   const auto p = list_schedule(g, 1);
-  const auto w = subtask_weights(g);
   const auto next_use = [](ConfigId c) -> long {
     if (c == 100) return 1;
     if (c == 101) return 7;  // farthest: the right victim
     return 3;
   };
   const auto b =
-      bind_all(g, p, store, ReplacementPolicy::oracle, w, rng, next_use);
+      bind_all(g, p, store, ReplacementPolicy::oracle, rng, next_use);
   EXPECT_EQ(b.phys_of_tile[0], 1);
 }
 
@@ -277,31 +267,30 @@ TEST_F(BindFixture, OracleWithoutNextUseThrows) {
   g.add_subtask({"x", ms(5), Resource::drhw, 999, 0});
   g.finalize();
   const auto p = list_schedule(g, 1);
-  const auto w = subtask_weights(g);
-  EXPECT_THROW(bind_all(g, p, store, ReplacementPolicy::oracle, w, rng),
+  EXPECT_THROW(bind_all(g, p, store, ReplacementPolicy::oracle, rng),
                InternalError);
 }
 
 TEST_F(BindFixture, EmptyTilesPreferredOverEvictions) {
   ConfigStore store(6);
   store.record_load(0, 100, ms(1), 1.0);  // one occupied tile
-  const auto b = bind_all(*graph, placement, store, ReplacementPolicy::lru,
-                          weights, rng);
+  const auto b =
+      bind_all(*graph, placement, store, ReplacementPolicy::lru, rng);
   for (PhysTileId t : b.phys_of_tile) EXPECT_NE(t, 0);
 }
 
 TEST_F(BindFixture, ThrowsWhenPlacementTooWide) {
   ConfigStore store(2);  // placement needs 4
-  EXPECT_THROW(bind_all(*graph, placement, store, ReplacementPolicy::lru,
-                        weights, rng),
-               std::invalid_argument);
+  EXPECT_THROW(
+      bind_all(*graph, placement, store, ReplacementPolicy::lru, rng),
+      std::invalid_argument);
 }
 
 TEST_F(BindFixture, RandomPolicyStaysInRange) {
   ConfigStore store(5);
   for (int t = 0; t < 5; ++t) store.record_load(t, 100 + t, ms(1), 1.0);
-  const auto b = bind_all(*graph, placement, store,
-                          ReplacementPolicy::random_tile, weights, rng);
+  const auto b =
+      bind_all(*graph, placement, store, ReplacementPolicy::random_tile, rng);
   std::set<PhysTileId> distinct(b.phys_of_tile.begin(), b.phys_of_tile.end());
   EXPECT_EQ(distinct.size(), 4u);
   for (PhysTileId t : b.phys_of_tile) {
@@ -481,14 +470,13 @@ TEST(BindTiles, CandidateSubsetsBindLikeTheViewOfTheSubset) {
         graph,
         static_cast<int>(rng.next_int(
             1, static_cast<std::int64_t>(candidates.size()))));
-    const auto weights = subtask_weights(graph);
 
     for (const ReplacementPolicy policy : k_policies) {
       Rng expected_rng(seed * 31 + 7), actual_rng(seed * 31 + 7);
       const Binding expected = bind_through_view(
           graph, placement, store, candidates, policy, expected_rng, next_use);
-      bind_tiles(graph, placement, store, candidates, policy, weights,
-                 actual_rng, next_use, reused);
+      bind_tiles(graph, placement, store, candidates, policy, actual_rng,
+                 next_use, reused);
       const std::string where = "seed " + std::to_string(seed) + " policy " +
                                 to_string(policy);
       ASSERT_EQ(reused.phys_of_tile, expected.phys_of_tile) << where;

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <set>
 
 #include "csv_rows.hpp"
@@ -765,6 +766,58 @@ TEST(Report, AggregatorExcludesWallClockMetrics) {
   EXPECT_FALSE(overall.metrics.count("list_sched_us"));
   EXPECT_TRUE(overall.metrics.count("overhead_pct"));
   EXPECT_EQ(overall.scenarios, results.size());
+}
+
+TEST(Report, PivotSpreadsOneNameSegmentInCatalogueOrder) {
+  // Hand-built results: the pivot reads results only, nothing runs.
+  const auto result = [](const std::string& name, double overhead) {
+    ScenarioResult r;
+    r.scenario.name = name;
+    r.ok = true;
+    r.report.overhead_pct = overhead;
+    return r;
+  };
+  std::vector<ScenarioResult> results = {result("a/t2/y", 1.0),
+                                         result("a/t2/x", 2.0),
+                                         result("a/t1/x", 3.0),
+                                         result("a/t1/y", 4.0)};
+  ScenarioResult failed = result("a/t3/y", 5.0);
+  failed.ok = false;
+  ScenarioResult cost = result("a/t3/x", 6.0);
+  cost.scenario.mode = ScenarioMode::sched_cost;
+  cost.list_sched_us = 7.5;
+  results.push_back(failed);
+  results.push_back(cost);
+
+  using Row = std::vector<std::optional<double>>;
+  const PivotTable overhead = pivot_results(results, 2, "overhead_pct");
+  EXPECT_EQ(overhead.columns, (std::vector<std::string>{"y", "x"}));
+  EXPECT_EQ(overhead.rows, (std::vector<std::string>{"a/t2", "a/t1", "a/t3"}));
+  ASSERT_EQ(overhead.cells.size(), 3u);
+  EXPECT_EQ(overhead.cells[0], (Row{1.0, 2.0}));
+  EXPECT_EQ(overhead.cells[1], (Row{4.0, 3.0}));
+  // A failed result and a sched_cost one carry no overhead_pct.
+  EXPECT_EQ(overhead.cells[2], (Row{std::nullopt, std::nullopt}));
+
+  // A host metric pivots too; only the sched_cost result carries it.
+  const PivotTable timing = pivot_results(results, 1, "list_sched_us");
+  EXPECT_EQ(timing.columns, (std::vector<std::string>{"t2", "t1", "t3"}));
+  EXPECT_EQ(timing.rows, (std::vector<std::string>{"a/y", "a/x"}));
+  EXPECT_EQ(timing.cells[0], (Row{std::nullopt, std::nullopt, std::nullopt}));
+  EXPECT_EQ(timing.cells[1], (Row{std::nullopt, std::nullopt, 7.5}));
+  // Every result carries wall_ms, but a failed one's cell stays empty.
+  const PivotTable wall = pivot_results(results, 2, "wall_ms");
+  EXPECT_EQ(wall.cells[2], (Row{std::nullopt, 0.0}));
+
+  // Segment 0 is the family: the rows keep the rest of the name.
+  const PivotTable by_family = pivot_results(results, 0, "overhead_pct");
+  EXPECT_EQ(by_family.columns, (std::vector<std::string>{"a"}));
+  EXPECT_EQ(by_family.rows.front(), "t2/y");
+
+  EXPECT_THROW(pivot_results(results, 3, "overhead_pct"),
+               std::invalid_argument);
+  EXPECT_THROW(pivot_results(results, 2, "no_such_metric"),
+               std::invalid_argument);
 }
 
 TEST(SweepBuilder, ExpandsAdmissionAndDefragAxes) {

@@ -37,6 +37,10 @@
 //   --workload-dir DIR same, over every .dwl file in DIR (sorted by name)
 //   --json FILE        write the full JSON report
 //   --csv FILE         write the per-scenario CSV report
+//   --pivot SEG:METRIC print METRIC with the distinct values of name
+//                      segment SEG (0 = family) as columns and the rest
+//                      of the name as rows (repeatable; an unknown metric
+//                      lists the valid ones and exits 2)
 //   --quiet            suppress per-scenario progress lines
 //
 // Options for `online`. The flags describe one online-mode Scenario, run
@@ -161,7 +165,8 @@ int usage() {
                " [--dry-run]"
                " [--filter STR] [--threads N] [--iterations N] [--seed S]"
                " [--workload FILE] [--workload-dir DIR]"
-               " [--json FILE] [--csv FILE] [--quiet]\n"
+               " [--json FILE] [--csv FILE] [--pivot SEG:METRIC]"
+               " [--quiet]\n"
                "       drhw_sched online [--workload W|FILE.dwl] [--tiles N]"
                " [--latency-us L] [--ports N] [--arrivals K] [--rate R]"
                " [--burst N] [--think-us T] [--discipline D]"
@@ -237,6 +242,19 @@ ArrivalProcess::Kind parse_arrivals_arg(const std::string& text) {
       std::cerr << "  " << name << "\n";
     std::exit(2);
   }
+}
+
+/// Parses a --pivot metric name. An unknown metric prints the campaign
+/// metrics and exits 2, mirroring parse_policy_arg().
+std::string parse_metric_arg(const std::string& text) {
+  const std::vector<std::string> names = metric_names();
+  if (std::find(names.begin(), names.end(), text) == names.end()) {
+    std::cerr << "error: unknown metric '" << text
+              << "'\ncampaign metrics:\n";
+    for (const std::string& name : names) std::cerr << "  " << name << "\n";
+    std::exit(2);
+  }
+  return text;
 }
 
 /// Parses a whole flag value as a T. std::from_chars reads no leading
@@ -396,6 +414,8 @@ struct CampaignCliOptions {
   std::vector<std::string> workload_files;
   std::string json_path;
   std::string csv_path;
+  /// --pivot requests as (name segment, metric), one table each.
+  std::vector<std::pair<std::size_t, std::string>> pivots;
 };
 
 /// One scenario family per workload file: every registered prefetch policy
@@ -435,6 +455,14 @@ int cmd_campaign(const CampaignCliOptions& cli) {
     std::cerr << "no scenario matches filter '" << cli.filter << "'\n";
     return 1;
   }
+  for (const auto& [segment, metric] : cli.pivots)
+    for (const Scenario& s : scenarios)
+      if (segment >= name_segments(s.name)) {
+        std::cerr << "error: --pivot " << segment << ":" << metric
+                  << ": scenario '" << s.name << "' has no segment "
+                  << segment << "\n";
+        return 2;
+      }
 
   if (cli.list || cli.dry_run) {
     TablePrinter table({"name", "workload", "approach", "tiles", "latency",
@@ -507,6 +535,10 @@ int cmd_campaign(const CampaignCliOptions& cli) {
             << results.size() << " scenarios in " << fmt(wall_s, 1) << " s ("
             << fmt(static_cast<double>(results.size()) / wall_s, 1)
             << "/s)\n";
+  for (const auto& [segment, metric] : cli.pivots) {
+    std::cout << "\n";
+    print_pivot(std::cout, pivot_results(results, segment, metric));
+  }
 
   if (json_out.is_open()) {
     json_out << campaign_to_json(results, aggregator);
@@ -801,6 +833,15 @@ int main(int argc, char** argv) {
           cli.json_path = args[++i];
         else if (arg == "--csv" && has_value)
           cli.csv_path = args[++i];
+        else if (arg == "--pivot" && has_value) {
+          const std::string spec = args[++i];
+          const std::size_t colon = spec.find(':');
+          if (colon == std::string::npos)
+            return usage_unknown("campaign", arg + " " + spec);
+          cli.pivots.emplace_back(
+              parse_number<std::size_t>(arg, spec.substr(0, colon)),
+              parse_metric_arg(spec.substr(colon + 1)));
+        }
         else if (arg == "--workload" && has_value)
           cli.workload_files.push_back(args[++i]);
         else if (arg == "--workload-dir" && has_value) {

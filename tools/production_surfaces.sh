@@ -1,8 +1,8 @@
 #!/bin/sh
 # Drives every production surface of drhw_sched once: the built-in
-# campaign, generated and committed .dwl workloads, the `online` flag
-# matrix, both trace encodings through info/verify/render, and the graph
-# flow (demo, info, schedule, dot).
+# campaign, generated and committed .dwl workloads, campaign pivot tables,
+# the `online` flag matrix, both trace encodings through
+# info/verify/render, and the graph flow (demo, info, schedule, dot).
 #
 # Usage: tools/production_surfaces.sh BUILD_DIR OUT_DIR
 #
@@ -25,6 +25,9 @@ run genwork --out genwork --count 6
 run campaign --workload-dir genwork --quiet --json genwork.json
 run campaign --workload "$root/examples/workloads/multimedia_mix.dwl" \
   --quiet --json mix.json
+# Figure 6 as pivot tables (the family's approaches as columns).
+run campaign --filter fig6 --iterations 30 --quiet --pivot 2:overhead_pct \
+  --pivot 2:reuse_pct
 
 # The online flag matrix.
 busy="--tiles 12 --rate 120 --iterations 150"
