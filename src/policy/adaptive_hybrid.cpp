@@ -15,12 +15,7 @@
 // pressure at each admission (PolicyContext::contenders(): how many other
 // live or queued instances are competing for the ports) and plans the
 // instance as a full hybrid when calm, as run-time+inter-task when
-// pressured.
-//
-// Parameters:
-//   min_contenders=N   contention threshold at and above which the
-//                      pressured plan is used (default 2)
-//   beyond_critical=B  forwarded to the calm hybrid's tail prefetch
+// pressured (two or more contenders). It takes no parameters.
 
 #include "policy/names.hpp"
 #include "policy/registry.hpp"
@@ -31,11 +26,9 @@ namespace {
 
 class AdaptiveHybridPolicy : public PrefetchPolicy {
  public:
-  AdaptiveHybridPolicy(long min_contenders, bool beyond_critical)
-      : min_contenders_(min_contenders),
-        calm_(PolicyRegistry::instance().create(
-            PolicySpec(policy_names::hybrid)
-                .with("beyond_critical", beyond_critical ? "1" : "0"))),
+  AdaptiveHybridPolicy()
+      : calm_(PolicyRegistry::instance().create(
+            PolicySpec(policy_names::hybrid))),
         pressured_(PolicyRegistry::instance().create(
             PolicySpec(policy_names::runtime_intertask))) {}
 
@@ -49,7 +42,7 @@ class AdaptiveHybridPolicy : public PrefetchPolicy {
                     const std::vector<bool>& resident,
                     const PolicyContext& context) override {
     PrefetchPolicy& pick =
-        context.contenders() >= min_contenders_ ? *pressured_ : *calm_;
+        context.contenders() >= k_min_contenders ? *pressured_ : *calm_;
     return pick.plan(prep, resident, context);
   }
 
@@ -63,7 +56,8 @@ class AdaptiveHybridPolicy : public PrefetchPolicy {
   }
 
  private:
-  const long min_contenders_;
+  /// Contention at and above which the pressured plan is used.
+  static constexpr int k_min_contenders = 2;
   const std::unique_ptr<PrefetchPolicy> calm_;
   const std::unique_ptr<PrefetchPolicy> pressured_;
 };
@@ -76,16 +70,10 @@ void register_adaptive_hybrid(PolicyRegistry& registry) {
   registry.add(
       policy_names::adaptive_hybrid,
       "hybrid when the port is calm, run-time+inter-task under pressure "
-      "(params: min_contenders=N, beyond_critical=0|1)",
+      "(two or more contenders)",
       [](const PolicyParams& params) {
-        reject_unknown_params(policy_names::adaptive_hybrid, params,
-                              {"min_contenders", "beyond_critical"});
-        const long min_contenders = param_long(params, "min_contenders", 2);
-        if (min_contenders < 0)
-          throw std::invalid_argument(
-              "policy 'adaptive_hybrid': min_contenders must be >= 0");
-        return std::make_unique<AdaptiveHybridPolicy>(
-            min_contenders, param_bool(params, "beyond_critical", false));
+        reject_unknown_params(policy_names::adaptive_hybrid, params, {});
+        return std::make_unique<AdaptiveHybridPolicy>();
       });
 }
 

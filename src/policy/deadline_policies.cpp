@@ -23,10 +23,7 @@
 // With deadlines off the hook is never consulted and each policy is
 // bit-identical to its delegate — this is what keeps the rate→0 equivalence
 // pins of test_event_sim.cpp green for the whole family with zero test
-// edits.
-//
-// Parameters:
-//   edf_hybrid: beyond_critical=0|1  forwarded to the hybrid's tail prefetch
+// edits. None of the three takes parameters.
 
 #include "policy/names.hpp"
 #include "policy/registry.hpp"
@@ -95,15 +92,11 @@ void register_deadline_policies(PolicyRegistry& registry) {
   registry.add(
       policy_names::edf_hybrid,
       "earliest-deadline-first admission over the paper's hybrid planner "
-      "(params: beyond_critical=0|1; needs online --deadline-scale)",
+      "(needs online --deadline-scale)",
       [](const PolicyParams& params) {
-        reject_unknown_params(policy_names::edf_hybrid, params,
-                              {"beyond_critical"});
-        const bool beyond = param_bool(params, "beyond_critical", false);
+        reject_unknown_params(policy_names::edf_hybrid, params, {});
         return std::make_unique<DeadlinePolicy>(
-            AdmissionUrgency::deadline,
-            PolicySpec(policy_names::hybrid)
-                .with("beyond_critical", beyond ? "1" : "0"));
+            AdmissionUrgency::deadline, PolicySpec(policy_names::hybrid));
       });
 }
 

@@ -65,21 +65,6 @@ bool param_bool(const PolicyParams& params, const std::string& key,
                               it->second + "' is not a boolean (use 0/1)");
 }
 
-long param_long(const PolicyParams& params, const std::string& key,
-                long fallback) {
-  const auto it = params.find(key);
-  if (it == params.end()) return fallback;
-  try {
-    std::size_t used = 0;
-    const long value = std::stol(it->second, &used);
-    if (used != it->second.size()) throw std::invalid_argument("trailing");
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("policy parameter '" + key + "': '" +
-                                it->second + "' is not an integer");
-  }
-}
-
 void reject_unknown_params(const std::string& policy,
                            const PolicyParams& params,
                            std::initializer_list<const char*> allowed) {

@@ -12,7 +12,7 @@
 /// Canonical text form, used by scenario names and the CLI:
 ///   "hybrid"                       name only
 ///   "hybrid[intertask=0]"          one parameter
-///   "adaptive_hybrid[min_contenders=3,beyond_critical=1]"
+///   "hybrid[beyond_critical=1,intertask=0]"
 /// Parameter order is normalised (sorted by key) so equal specs always
 /// render identically.
 
@@ -65,10 +65,6 @@ std::string to_string(const PolicySpec& spec);
 /// `fallback`. Throws std::invalid_argument on any other value.
 bool param_bool(const PolicyParams& params, const std::string& key,
                 bool fallback);
-
-/// Integer parameter with a fallback. Throws on non-numeric values.
-long param_long(const PolicyParams& params, const std::string& key,
-                long fallback);
 
 /// Throws std::invalid_argument when `params` contains a key not listed in
 /// `allowed` — every factory calls this so unknown parameters fail loudly

@@ -27,9 +27,8 @@
 /// the run (they are not shared between runs), and must be deterministic:
 /// the same construction parameters, instance stream and contexts must
 /// yield the same decisions. intertask_candidates() must additionally be a
-/// pure function of (policy parameters, prepared scenario): the online
-/// kernel caches it per distinct preparation, and the sequential rig calls
-/// it afresh for every upcoming instance, so both must see the same list.
+/// pure function of (policy parameters, prepared scenario): both engines
+/// cache it per distinct preparation.
 ///
 /// Adding a policy touches only this subsystem: implement the interface in
 /// a new translation unit, register a factory (see registry.cpp's builtin
@@ -178,9 +177,8 @@ class PrefetchPolicy {
 
   /// Candidate loads to prefetch for a *future* instance during port idle
   /// periods, in prefetch order. Only consulted when uses_intertask().
-  /// Must be a pure function of (policy parameters, prep): the online
-  /// kernel caches the result per distinct preparation, while the
-  /// sequential rig calls it for every upcoming instance.
+  /// Must be a pure function of (policy parameters, prep): both engines
+  /// cache the result per distinct preparation.
   virtual std::vector<SubtaskId> intertask_candidates(
       const PreparedScenario& future) const;
 

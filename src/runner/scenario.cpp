@@ -426,6 +426,120 @@ ScenarioRegistry ScenarioRegistry::builtin(int iterations,
   return registry;
 }
 
+ScenarioRegistry ScenarioRegistry::ablations(int iterations,
+                                             std::uint64_t seed) {
+  ScenarioRegistry registry;
+
+  // The Figure 6 multimedia mix or the Figure 7 Pocket GL loop (task by
+  // task) at one tile count.
+  struct Point {
+    const char* tag = "";
+    WorkloadKind workload = WorkloadKind::multimedia;
+    int tiles = 8;
+  };
+  const auto point_scenario = [&](const std::string& family,
+                                  const Point& point,
+                                  const std::string& rest,
+                                  const PolicySpec& policy) {
+    Scenario s = base_scenario(family + "/" + point.tag + "/" + rest, family,
+                               point.tiles, policy, seed, iterations);
+    s.workload = point.workload;
+    return s;
+  };
+  const auto mm = WorkloadKind::multimedia;
+  const auto gl = WorkloadKind::pocket_gl;
+
+  // Replacement policy x the run-time approaches; Pocket GL looks three
+  // tasks ahead across iterations, as in fig7.
+  for (const Point& point : {Point{"mm_t8", mm, 8}, Point{"mm_t12", mm, 12},
+                             Point{"gl_t5", gl, 5}, Point{"gl_t8", gl, 8}})
+    for (ReplacementPolicy replacement :
+         {ReplacementPolicy::lru, ReplacementPolicy::weight_aware,
+          ReplacementPolicy::critical_first, ReplacementPolicy::random_tile,
+          ReplacementPolicy::oracle})
+      for (const char* policy :
+           {policy_names::runtime, policy_names::runtime_intertask,
+            policy_names::hybrid}) {
+        Scenario s = point_scenario(
+            "ablation_replacement", point,
+            std::string(to_string(replacement)) + "/" + policy, policy);
+        s.sim.replacement = replacement;
+        s.sim.cross_iteration_lookahead = point.workload == gl;
+        s.sim.intertask_lookahead = point.workload == gl ? 3 : 1;
+        registry.add(std::move(s));
+      }
+
+  // The Section 6 inter-task optimisation: the hybrid with and without its
+  // tail prefetch, the lookahead depth and horizon, and the prefetch of
+  // loads beyond the critical set, under each workload's fig6/fig7
+  // replacement policy.
+  struct Lookahead {
+    const char* tag = "";
+    bool intertask = true;
+    bool cross_iteration = false;
+    int depth = 1;
+    bool beyond_critical = false;
+  };
+  for (const Point& point :
+       {Point{"mm_t8", mm, 8}, Point{"gl_t5", gl, 5}, Point{"gl_t8", gl, 8}})
+    for (const Lookahead& config :
+         {Lookahead{"no_intertask", false, false, 1, false},
+          Lookahead{"next_task", true, false, 1, false},
+          Lookahead{"cross_d1", true, true, 1, false},
+          Lookahead{"cross_d3", true, true, 3, false},
+          Lookahead{"cross_d3_beyond", true, true, 3, true}}) {
+      PolicySpec policy(policy_names::hybrid);
+      if (!config.intertask) policy = policy.with("intertask", "0");
+      if (config.beyond_critical)
+        policy = policy.with("beyond_critical", "1");
+      Scenario s =
+          point_scenario("ablation_intertask", point, config.tag, policy);
+      s.sim.replacement = point.workload == gl
+                              ? ReplacementPolicy::critical_first
+                              : ReplacementPolicy::lru;
+      s.sim.cross_iteration_lookahead = config.cross_iteration;
+      s.sim.intertask_lookahead = config.depth;
+      registry.add(std::move(s));
+    }
+
+  // Reconfiguration latency, from Virtex-II fine grain (4 ms) down to a
+  // fast coarse-grain array (0.25 ms), multimedia mix at 8 tiles.
+  SweepConfig latency;
+  latency.family = "ablation_latency";
+  latency.base = base_scenario("ablation_latency/base", "ablation_latency", 8,
+                               policy_names::hybrid, seed, iterations);
+  latency.latencies = {ms(4), ms(2), ms(1), us(500), us(250)};
+  latency.policies = {policy_names::no_prefetch, policy_names::design_time,
+                      policy_names::runtime, policy_names::hybrid};
+  registry.add(build_sweep(latency));
+
+  // Multi-port reconfiguration controllers on the Table 1 columns: every
+  // (task, scenario) pair once, no reuse.
+  SweepConfig ports;
+  ports.family = "ablation_ports";
+  ports.base = base_scenario("ablation_ports/base", "ablation_ports", 8,
+                             policy_names::no_prefetch, seed, 1);
+  ports.base.exhaustive = true;
+  ports.ports = {1, 2, 3, 4};
+  ports.policies = {policy_names::no_prefetch, policy_names::design_time};
+  registry.add(build_sweep(ports));
+
+  // Section 4's "20 tasks with 14 subtasks" batch: list_sched_us is the
+  // mean cost per task graph, with every subtask a pending load.
+  Scenario batch = base_scenario("ablation_scalability/batch20x14",
+                                 "ablation_scalability", 8,
+                                 policy_names::hybrid, seed, 1);
+  batch.mode = ScenarioMode::sched_cost;
+  batch.workload = WorkloadKind::synthetic;
+  batch.synthetic.tasks = 20;
+  batch.synthetic.graph.subtasks = 14;
+  batch.synthetic.graph_seed = 100;
+  batch.time_all_loads = true;
+  registry.add(std::move(batch));
+
+  return registry;
+}
+
 std::vector<Scenario> build_sweep(const SweepConfig& config) {
   const std::vector<int> tiles =
       config.tiles.empty() ? std::vector<int>{config.base.sim.platform.tiles}

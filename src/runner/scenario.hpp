@@ -182,6 +182,24 @@ class ScenarioRegistry {
   static ScenarioRegistry builtin(int iterations = 1000,
                                   std::uint64_t seed = 2005);
 
+  /// The ablation catalogue (`drhw_sched campaign --catalogue ablation`),
+  /// kept out of builtin() so the built-in campaign, its goldens and its
+  /// reports do not move:
+  ///   ablation_replacement/* {multimedia t8, t12; Pocket GL t5, t8} x
+  ///                        replacement policy x {run-time,
+  ///                        run-time+inter-task, hybrid}
+  ///   ablation_intertask/* hybrid with/without the tail prefetch, the
+  ///                        lookahead depth, cross-iteration lookahead and
+  ///                        beyond_critical, on three workload points
+  ///   ablation_latency/*   reconfiguration latency 4..0.25 ms x four
+  ///                        approaches, multimedia at 8 tiles
+  ///   ablation_ports/*     reconfiguration ports 1..4, Table 1 columns
+  ///   ablation_scalability/batch20x14  the Section 4 "20 tasks with 14
+  ///                        subtasks" batch (sched_cost, every load timed)
+  /// Every name starts with "ablation_", so none collides with builtin().
+  static ScenarioRegistry ablations(int iterations = 1000,
+                                    std::uint64_t seed = 2005);
+
  private:
   std::vector<Scenario> scenarios_;
 };

@@ -4,6 +4,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 
 #include "graph/algorithms.hpp"
@@ -324,7 +325,7 @@ class SystemSimulation {
     for (const PreparedScenario* future : upcoming) {
       const SubtaskGraph& future_graph = *future->graph;
 
-      for (SubtaskId s : policy_->intertask_candidates(*future)) {
+      for (SubtaskId s : candidates_of(*future)) {
         const ConfigId config = future_graph.subtask(s).config;
         if (store_.holds(config)) continue;
         const time_us duration = load_duration(future_graph, s);
@@ -375,6 +376,14 @@ class SystemSimulation {
         report_.energy += options_.platform.reconfig_energy;
       }
     }
+  }
+
+  /// The policy's candidate loads for one preparation, computed on its
+  /// first use: intertask_candidates() is pure in (parameters, prep).
+  const std::vector<SubtaskId>& candidates_of(const PreparedScenario& prep) {
+    auto [it, fresh] = candidate_cache_.try_emplace(&prep);
+    if (fresh) it->second = policy_->intertask_candidates(prep);
+    return it->second;
   }
 
   /// tail_prefetch()'s per-configuration marks, indexed config + 1 (so
@@ -429,6 +438,8 @@ class SystemSimulation {
   std::vector<time_us> tile_free_;  ///< tail_prefetch(): per tile
   std::vector<char> targeted_;      ///< tail_prefetch(): per tile
   std::vector<ConfigMark> config_marks_;
+  std::unordered_map<const PreparedScenario*, std::vector<SubtaskId>>
+      candidate_cache_;  ///< candidates_of(), per preparation
   std::uint64_t tail_calls_ = 0;  ///< tail_prefetch() calls so far
   std::deque<QueuedInstance> queue_;
   int iterations_drawn_ = 0;

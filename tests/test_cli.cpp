@@ -8,7 +8,8 @@
 // workload file and runs the pocket_gl workload under every registered
 // policy, `campaign --pivot` rejects an unknown metric or a missing name
 // segment before any scenario runs and prints Table 1's columns,
-// `genwork` is seed-deterministic, and the
+// `campaign --catalogue ablation` validates a catalogue disjoint from the
+// built-in one, `genwork` is seed-deterministic, and the
 // genwork -> campaign -> online --trace -> trace verify pipeline the CI lane
 // runs holds together.
 
@@ -16,6 +17,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -27,6 +29,7 @@
 
 #include "csv_rows.hpp"
 #include "policy/registry.hpp"
+#include "runner/scenario.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -148,6 +151,52 @@ TEST(Cli, PivotPrintsTheTable1Columns) {
   // Table 1's JPEG decoder row: +20% on demand, +5% with prefetch.
   EXPECT_EQ(table_row(result.output, "table1/jpeg_dec"),
             (std::vector<std::string>{"table1/jpeg_dec", "19.75", "4.94"}));
+}
+
+TEST(Cli, AblationCatalogueIsOptInAndDisjointFromTheBuiltIn) {
+  using drhw::Scenario;
+  using drhw::ScenarioRegistry;
+  const ScenarioRegistry ablations = ScenarioRegistry::ablations();
+  const ScenarioRegistry builtin_registry = ScenarioRegistry::builtin();
+  std::set<std::string> builtin_names;
+  for (const Scenario& s : builtin_registry.scenarios())
+    builtin_names.insert(s.name);
+  for (const Scenario& s : ablations.scenarios())
+    EXPECT_EQ(builtin_names.count(s.name), 0u) << s.name;
+
+  const CliResult ablation =
+      run_cli("campaign --catalogue ablation --list --dry-run");
+  ASSERT_EQ(ablation.exit_code, 0) << ablation.output;
+  EXPECT_NE(ablation.output.find("dry run: " +
+                                 std::to_string(ablations.size()) +
+                                 " scenarios validated"),
+            std::string::npos)
+      << ablation.output;
+  for (const Scenario& s : ablations.scenarios())
+    EXPECT_FALSE(table_row(ablation.output, s.name).empty()) << s.name;
+
+  const CliResult builtin = run_cli("campaign --dry-run");
+  ASSERT_EQ(builtin.exit_code, 0) << builtin.output;
+  EXPECT_NE(builtin.output.find("dry run: " +
+                                std::to_string(builtin_names.size()) +
+                                " scenarios validated"),
+            std::string::npos)
+      << builtin.output;
+  EXPECT_EQ(builtin_names.size(), 240u);
+
+  const std::string workloads =
+      std::string(DRHW_SOURCE_DIR) + "/examples/workloads";
+  for (const std::string& args :
+       {std::string("campaign --catalogue nope --dry-run"),
+        "campaign --catalogue ablation --workload " + workloads +
+            "/multimedia_mix.dwl --dry-run",
+        "campaign --workload-dir " + workloads +
+            " --catalogue ablation --dry-run"}) {
+    const CliResult rejected = run_cli(args);
+    EXPECT_EQ(rejected.exit_code, 2) << args << "\n" << rejected.output;
+    EXPECT_NE(rejected.output.find("catalogue"), std::string::npos)
+        << rejected.output;
+  }
 }
 
 TEST(Cli, ScheduleReportsDesignTimeSearchStatistics) {

@@ -29,8 +29,10 @@
 //   --filter STR       keep scenarios whose name or family contains STR
 //   --threads N        worker threads (default: hardware concurrency)
 //   --iterations N     override the per-scenario iteration count
-//   --seed S           base RNG seed for the built-in registry
-//   --workload FILE    replace the built-in registry with one scenario
+//   --seed S           base RNG seed of the catalogue
+//   --catalogue C      builtin | ablation (default builtin): the paper's
+//                      experiments, or ScenarioRegistry::ablations()
+//   --workload FILE    replace the built-in catalogue with one scenario
 //                      family per .dwl workload file (family "file/<stem>",
 //                      online mode, one scenario per registered policy;
 //                      repeatable)
@@ -164,6 +166,7 @@ int usage() {
                "       drhw_sched campaign [--list] [--list-policies]"
                " [--dry-run]"
                " [--filter STR] [--threads N] [--iterations N] [--seed S]"
+               " [--catalogue builtin|ablation]"
                " [--workload FILE] [--workload-dir DIR]"
                " [--json FILE] [--csv FILE] [--pivot SEG:METRIC]"
                " [--quiet]\n"
@@ -409,8 +412,11 @@ struct CampaignCliOptions {
   int threads = 0;
   int iterations = 1000;
   std::uint64_t seed = 2005;
+  /// --catalogue ablation: ScenarioRegistry::ablations() instead of
+  /// builtin().
+  bool ablation = false;
   /// .dwl files (from --workload and --workload-dir). Non-empty replaces
-  /// the built-in registry with one "file/<stem>" family per file.
+  /// the catalogue with one "file/<stem>" family per file.
   std::vector<std::string> workload_files;
   std::string json_path;
   std::string csv_path;
@@ -446,10 +452,10 @@ ScenarioRegistry file_registry(const CampaignCliOptions& cli) {
 }
 
 int cmd_campaign(const CampaignCliOptions& cli) {
-  const auto registry = cli.workload_files.empty()
-                            ? ScenarioRegistry::builtin(cli.iterations,
-                                                        cli.seed)
-                            : file_registry(cli);
+  const auto registry =
+      !cli.workload_files.empty() ? file_registry(cli)
+      : cli.ablation ? ScenarioRegistry::ablations(cli.iterations, cli.seed)
+                     : ScenarioRegistry::builtin(cli.iterations, cli.seed);
   const std::vector<Scenario> scenarios = registry.match(cli.filter);
   if (scenarios.empty()) {
     std::cerr << "no scenario matches filter '" << cli.filter << "'\n";
@@ -829,6 +835,15 @@ int main(int argc, char** argv) {
           cli.iterations = parse_number<int>(arg, args[++i]);
         else if (arg == "--seed" && has_value)
           cli.seed = parse_number<std::uint64_t>(arg, args[++i]);
+        else if (arg == "--catalogue" && has_value) {
+          const std::string catalogue = args[++i];
+          if (catalogue != "builtin" && catalogue != "ablation") {
+            std::cerr << "error: unknown catalogue '" << catalogue
+                      << "' (builtin | ablation)\n";
+            return 2;
+          }
+          cli.ablation = catalogue == "ablation";
+        }
         else if (arg == "--json" && has_value)
           cli.json_path = args[++i];
         else if (arg == "--csv" && has_value)
@@ -860,6 +875,11 @@ int main(int argc, char** argv) {
         }
         else
           return usage_unknown("campaign", arg);
+      }
+      if (cli.ablation && !cli.workload_files.empty()) {
+        std::cerr << "error: --catalogue ablation cannot be combined with "
+                     "--workload/--workload-dir\n";
+        return 2;
       }
       return cmd_campaign(cli);
     }

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Drives every production surface of drhw_sched once: the built-in
-# campaign, generated and committed .dwl workloads, campaign pivot tables,
-# the `online` flag matrix, both trace encodings through
+# Drives every production surface of drhw_sched once: the built-in and
+# ablation campaigns, generated and committed .dwl workloads, campaign
+# pivot tables, the `online` flag matrix, both trace encodings through
 # info/verify/render, and the graph flow (demo, info, schedule, dot).
 #
 # Usage: tools/production_surfaces.sh BUILD_DIR OUT_DIR
@@ -19,8 +19,10 @@ cd "$2"
 
 run() { "$sched" "$@" > /dev/null; }
 
-# Campaigns: every built-in scenario, generated and committed workloads.
+# Campaigns: every built-in and ablation scenario, generated and committed
+# workloads.
 run campaign --iterations 30 --quiet --json campaign.json --csv campaign.csv
+run campaign --catalogue ablation --iterations 30 --quiet --json ablation.json
 run genwork --out genwork --count 6
 run campaign --workload-dir genwork --quiet --json genwork.json
 run campaign --workload "$root/examples/workloads/multimedia_mix.dwl" \
