@@ -79,8 +79,10 @@ void count_nodes(benchmark::State& state, std::uint64_t nodes) {
       total, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 
-void BM_BranchAndBound(benchmark::State& state) {
+/// The search over the fixture's loads with `ports` reconfiguration ports.
+void BM_BranchAndBound(benchmark::State& state, int ports) {
   Fixture f(static_cast<int>(state.range(0)));
+  f.platform.reconfig_ports = ports;
   std::uint64_t nodes = 0;
   for (auto _ : state) {
     const BnbResult r =
@@ -90,7 +92,13 @@ void BM_BranchAndBound(benchmark::State& state) {
   }
   count_nodes(state, nodes);
 }
+void BM_BranchAndBound(benchmark::State& state) {
+  BM_BranchAndBound(state, 1);
+}
 BENCHMARK(BM_BranchAndBound)->DenseRange(4, 9, 1);
+// More ports time the multi-port term of the completion bound.
+BENCHMARK_CAPTURE(BM_BranchAndBound, ports2, 2)->DenseRange(4, 9, 1);
+BENCHMARK_CAPTURE(BM_BranchAndBound, ports3, 3)->DenseRange(4, 9, 1);
 
 /// A B&B load threshold below any load count: every CS-loop pass runs the
 /// list heuristic.

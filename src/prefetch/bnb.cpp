@@ -81,7 +81,8 @@ struct SearchContext {
   }
 
   /// Enters a node whose makespan is below the incumbent's (the root, or a
-  /// child that passed the check in the loop below).
+  /// child that passed the check in the loop below), and expands it unless
+  /// its completion bound is no better than the incumbent.
   void dfs() {
     if (!enter()) return;
     const std::size_t depth = timing.depth();
@@ -90,6 +91,8 @@ struct SearchContext {
       best_order = timing.prefix();
       return;
     }
+    // The port-capacity bound over the loads left (see bnb.hpp).
+    if (timing.completion_bound() >= best_makespan) return;
 
     // Candidates: the available loads, in `loads` order. Each child's
     // mark/unmark pair restores the ready set, so walking the live set
@@ -126,6 +129,7 @@ BnbResult optimal_prefetch(const SubtaskGraph& graph,
   for (std::size_t s = 0; s < graph.size(); ++s)
     if (needs_load[s]) ctx.loads.push_back(static_cast<SubtaskId>(s));
   order_by_weight(ctx.loads, subtask_weights(graph));
+  ctx.timing.set_loads(ctx.loads);
 
   // Load i must come after load j when j's subtask reaches i's gate, the
   // execution before i on its tile: its dispatch waits for that execution,

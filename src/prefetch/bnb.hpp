@@ -42,6 +42,27 @@
 /// such an interior node returns before expanding. Node counts, the
 /// returned order, `proven_optimal` and the budget fallback are therefore
 /// identical to that search's; only the children entered are timed.
+///
+/// A second bound prunes an entered interior node before it expands:
+/// PrefixTiming::completion_bound(), the prefix's makespan raised by a
+/// port-capacity term over the loads not yet chosen. Those loads dispatch
+/// after the prefix's last dispatch, so with their load times summed over
+/// every leading set of them by tail (execution plus the longest chain
+/// after it, longest first), the ports cannot finish the set before its
+/// work spread over the j earliest-starting ports, for the best j; its last
+/// load then still runs its tail. The node is pruned when that bound is
+/// >= the incumbent's makespan, the same rule as for a child's makespan.
+///
+/// Why no order moves with it. The incumbent is replaced only on a strict
+/// improvement, so the search returns the first optimal leaf in
+/// depth-first candidate order. The bound is admissible: no completion of
+/// the node has a smaller makespan. A node it prunes therefore has only
+/// leaves >= the incumbent of that moment, none of which could have
+/// replaced it. The search makes the same incumbent updates in the same
+/// order and returns the same leaf, only after fewer nodes. This holds
+/// while the node budget is not reached (no built-in search reaches it).
+/// A search that runs out of budget stops at a different point than it
+/// would without the bound, so its best-found order can differ.
 
 #include <cstdint>
 #include <vector>

@@ -1,6 +1,8 @@
 #include "prefetch/prefix_timing.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 
 #include "sim/port_set.hpp"
 #include "util/check.hpp"
@@ -153,7 +155,41 @@ PrefixTiming::PrefixTiming(const SubtaskGraph& graph,
   for (std::size_t g = 0; g < gates_; ++g)
     levels_[g] = no_load_end[static_cast<std::size_t>(gate_subtask[g])];
   levels_[makespan_slot()] = no_load_makespan;
+  start_sums_.resize(ports_);
   loaded_.assign(n, 0);
+}
+
+void PrefixTiming::set_loads(const std::vector<SubtaskId>& loads) {
+  by_tail_ = loads;
+  std::sort(by_tail_.begin(), by_tail_.end(), [&](SubtaskId a, SubtaskId b) {
+    const time_us ta = tail_[static_cast<std::size_t>(a)];
+    const time_us tb = tail_[static_cast<std::size_t>(b)];
+    return ta != tb ? ta > tb : a < b;
+  });
+}
+
+time_us PrefixTiming::completion_bound() const {
+  const time_us* here = level(depth());
+  const time_us last = here[last_dispatch_slot()];
+  for (std::size_t p = 0; p < ports_; ++p)
+    start_sums_[p] = std::max(here[ports_slot() + p], last);
+  std::sort(start_sums_.begin(), start_sums_.end());
+  std::partial_sum(start_sums_.begin(), start_sums_.end(), start_sums_.begin());
+
+  time_us bound = here[makespan_slot()];
+  time_us work = 0;  // total load time of the leading set
+  for (SubtaskId load : by_tail_) {
+    const auto idx = static_cast<std::size_t>(load);
+    if (loaded_[idx]) continue;
+    work += load_time_[idx];
+    time_us end = std::numeric_limits<time_us>::max();
+    for (std::size_t j = 1; j <= ports_; ++j) {
+      const auto width = static_cast<time_us>(j);
+      end = std::min(end, (start_sums_[j - 1] + work + width - 1) / width);
+    }
+    bound = std::max(bound, end + tail_[idx]);
+  }
+  return bound;
 }
 
 time_us PrefixTiming::dispatch_start(const time_us* level, std::size_t idx,

@@ -40,6 +40,20 @@
 /// makespan_after(L) prices a child without creating its level: the same
 /// dispatch start, plus L's load time, plus tail(L).
 ///
+/// completion_bound() bounds every completion of the prefix from below: the
+/// makespan, raised by a port-capacity term over the loads not yet chosen
+/// (the need set given to set_loads(), sorted once by tail, longest first).
+/// Each of them dispatches after the last dispatch, so a port starts serving
+/// them no earlier than max(its free time, last dispatch). For every leading
+/// set S of the tail-sorted list, the load of S that ends last ends no
+/// earlier than min over j = 1..ports of ceil((sum of the j earliest port
+/// starts + total load time of S) / j): whichever j ports carry S, the one
+/// that finishes last finishes no earlier than their average finish, and
+/// times are whole microseconds. That load still has its tail to run, which
+/// is at least the smallest tail in S. The bound is
+/// the maximum of these values and the makespan, in O(loads x ports) per
+/// call and without allocating.
+///
 /// Exactness contract: L must not be, or reach, the gate of any prefix load,
 /// so that appending L never moves an earlier dispatch (which would change
 /// an input already folded into the table). The branch & bound's
@@ -73,6 +87,14 @@ class PrefixTiming {
   /// The makespan() that extend(load) would produce, in O(ports) and
   /// without changing the state (same contract as extend()).
   time_us makespan_after(SubtaskId load) const;
+
+  /// Declares the need set completion_bound() covers: the loads the
+  /// completions order, those not yet in the prefix appended after it.
+  void set_loads(const std::vector<SubtaskId>& loads);
+  /// A lower bound on the makespan of every order that extends the prefix
+  /// with the declared loads not yet in it (see the file comment); the
+  /// makespan itself when none is left.
+  time_us completion_bound() const;
 
   /// Makespan of the current prefix, the other subtasks' configurations
   /// taken as resident.
@@ -130,6 +152,13 @@ class PrefixTiming {
   /// The gate table, CSR by subtask (DRHW subtasks only).
   std::vector<std::size_t> reach_begin_;
   std::vector<GatePath> reach_;
+
+  /// The need set of set_loads(), by descending tail (ties toward the
+  /// lower id).
+  std::vector<SubtaskId> by_tail_;
+  /// completion_bound()'s scratch: the ports' start times, sorted, then
+  /// summed in place (entry j - 1 holds the sum of the j earliest).
+  mutable std::vector<time_us> start_sums_;
 
   std::vector<char> loaded_;  ///< per subtask: in the prefix
   std::vector<SubtaskId> prefix_;

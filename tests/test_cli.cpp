@@ -206,11 +206,11 @@ TEST(Cli, ScheduleReportsDesignTimeSearchStatistics) {
   std::ofstream(dir + "/demo.json") << demo.output;
   const CliResult result = run_cli("schedule " + dir + "/demo.json --tiles 4");
   ASSERT_EQ(result.exit_code, 0) << result.output;
-  EXPECT_NE(result.output.find("optimal prefetch: 31.0 ms (B&B: 36 nodes, "
+  EXPECT_NE(result.output.find("optimal prefetch: 31.0 ms (B&B: 11 nodes, "
                                "proven optimal)"),
             std::string::npos)
       << result.output;
-  EXPECT_NE(result.output.find("design-time CS loop: 2 passes, 43 B&B nodes, "
+  EXPECT_NE(result.output.find("design-time CS loop: 2 passes, 18 B&B nodes, "
                                "0 node-budget hits"),
             std::string::npos)
       << result.output;

@@ -231,15 +231,17 @@ void expect_witness(const std::string& filter, const DesignWitness& expected) {
 
 TEST(GoldenCampaign, DesignTimeSearchIsExactlyPinned) {
   // Exactness witness for the branch & bound: the node counts and orders
-  // of every design-time search behind three built-in workloads. Identical
-  // node counts mean identical pruning decisions, so an optimisation of
-  // the search that keeps these pins cannot move any schedule. Pinned
-  // before the search switched to the incremental prefix bound.
+  // of every design-time search behind three built-in workloads. The
+  // digests prove that no schedule moved: they were pinned before the
+  // search switched to the incremental prefix bound, and held when the
+  // port-capacity completion bound cut the node counts. The node counts
+  // pin the pruning itself; a change that moves them must keep every
+  // digest, search and pass count.
   DesignWitness table1;
   table1.graphs = 6;
   table1.searches = 6;
-  table1.nodes = 7631;
-  table1.cs_nodes = 7818;
+  table1.nodes = 118;
+  table1.cs_nodes = 224;
   table1.cs_passes = 15;
   table1.digest = 0xdc2b845014a6232bULL;
   expect_witness("table1", table1);
@@ -247,19 +249,20 @@ TEST(GoldenCampaign, DesignTimeSearchIsExactlyPinned) {
   DesignWitness fig7;
   fig7.graphs = 60;
   fig7.searches = 40;
-  fig7.nodes = 238;
-  fig7.cs_nodes = 1127942;
+  fig7.nodes = 162;
+  fig7.cs_nodes = 2931;
   fig7.cs_passes = 182;
   fig7.digest = 0x649b414c1e7025c7ULL;
   expect_witness("fig7/tiles10/", fig7);
 
-  // The longest single preparation of the catalogue: six 14-subtask
-  // synthetic graphs (graph seed 2005), 3.5 M search nodes in total.
+  // The longest single preparation of the catalogue without the completion
+  // bound (3.5 M search nodes): six 14-subtask synthetic graphs (graph seed
+  // 2005).
   DesignWitness multiport;
   multiport.graphs = 6;
   multiport.searches = 1;
-  multiport.nodes = 172332;
-  multiport.cs_nodes = 3306296;
+  multiport.nodes = 49;
+  multiport.cs_nodes = 980;
   multiport.cs_passes = 49;
   multiport.digest = 0x0e680655a44f8eadULL;
   expect_witness("online_multiport/t16/l4000/p1/", multiport);

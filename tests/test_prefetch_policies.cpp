@@ -1,7 +1,9 @@
 // Tests for the prefetch schedulers: branch & bound optimality (against a
-// brute-force oracle over every load permutation), the incremental prefix
-// bound the B&B searches with (against the event-driven evaluator), the
-// list heuristic of ref. [7], and the ordering relations between policies.
+// brute-force oracle over every load permutation) and order (against an
+// enumeration of every feasible order, which also checks the completion
+// bound), the incremental prefix bound the B&B searches with (against the
+// event-driven evaluator), the list heuristic of ref. [7], and the ordering
+// relations between policies.
 //
 // drhw-lint: allow-file(wall-clock: Section 4 cost bound times the host)
 
@@ -38,15 +40,20 @@ std::vector<bool> all_drhw(const SubtaskGraph& g, const Placement& p) {
   return needs;
 }
 
+std::vector<SubtaskId> loads_of(const std::vector<bool>& needs) {
+  std::vector<SubtaskId> loads;
+  for (std::size_t s = 0; s < needs.size(); ++s)
+    if (needs[s]) loads.push_back(static_cast<SubtaskId>(s));
+  return loads;
+}
+
 /// The optimum by brute force, sharing no code with the branch & bound:
 /// every permutation of the loads scored by the event-driven evaluator.
 /// Orders the evaluator rejects as head-of-line deadlocks are skipped.
 time_us brute_force_optimum(const SubtaskGraph& g, const Placement& p,
                             const PlatformConfig& platform,
                             const std::vector<bool>& needs) {
-  std::vector<SubtaskId> order;
-  for (std::size_t s = 0; s < g.size(); ++s)
-    if (needs[s]) order.push_back(static_cast<SubtaskId>(s));
+  std::vector<SubtaskId> order = loads_of(needs);
   time_us best = std::numeric_limits<time_us>::max();
   do {
     try {
@@ -269,9 +276,9 @@ TEST(PrefixTiming, MatchesEvaluatorOnRandomExtendUndoWalks) {
 
 /// The branch & bound as it was before children were priced, sharing only
 /// PrefixTiming and order_by_weight() with optimal_prefetch(): extend every
-/// candidate, count it on entry, prune it there when it is no better than
-/// the incumbent, and fall back to the greedy order when the budget ends
-/// the search before any leaf.
+/// candidate, count it on entry, prune it there when its makespan or its
+/// completion bound is no better than the incumbent, and fall back to the
+/// greedy order when the budget ends the search before any leaf.
 BnbResult reference_search(const SubtaskGraph& g, const Placement& p,
                            const PlatformConfig& platform,
                            const std::vector<bool>& needs,
@@ -281,6 +288,7 @@ BnbResult reference_search(const SubtaskGraph& g, const Placement& p,
   const auto count =
       static_cast<std::size_t>(std::count(needs.begin(), needs.end(), true));
   PrefixTiming timing(g, p, platform);
+  timing.set_loads(loads_of(needs));
   std::vector<char> in_prefix(g.size(), 0);
   auto candidates = [&] {
     auto c = appendable_loads(p, needs, in_prefix, before);
@@ -302,6 +310,7 @@ BnbResult reference_search(const SubtaskGraph& g, const Placement& p,
       return;
     }
     if (timing.depth() != 0 && timing.makespan() >= best) return;
+    if (timing.completion_bound() >= best) return;
     for (SubtaskId load : candidates()) {
       timing.extend(load);
       in_prefix[static_cast<std::size_t>(load)] = 1;
@@ -372,6 +381,101 @@ TEST(Bnb, BudgetExhaustionMatchesTheSearchThatTimesEveryChild) {
     SCOPED_TRACE("72 subtasks, node_limit=" + std::to_string(limit));
     EXPECT_GE(expect_search_matches_reference(limit, 72), 70u);
   }
+}
+
+/// The first optimal order of an exhaustive enumeration, and what the
+/// enumeration saw of the completion bound.
+struct ExhaustiveOrder {
+  std::vector<SubtaskId> order;
+  time_us makespan = std::numeric_limits<time_us>::max();
+  /// Prefixes whose completion bound exceeded their makespan: the
+  /// port-capacity term was the binding one.
+  std::size_t capacity_bound_prefixes = 0;
+};
+
+/// Enumerates every feasible load order depth first, in the search's own
+/// candidate order (appendable loads by weight), scoring each leaf with the
+/// event-driven evaluator, and keeps the first order with the minimum
+/// makespan. At every prefix it checks that PrefixTiming::completion_bound()
+/// is at most the best makespan of any completion of that prefix.
+ExhaustiveOrder exhaustive_first_optimal(const SubtaskGraph& g,
+                                         const Placement& p,
+                                         const PlatformConfig& platform,
+                                         const std::vector<bool>& needs) {
+  const auto before = must_finish_before(g, p);
+  const auto weights = subtask_weights(g);
+  const std::vector<SubtaskId> loads = loads_of(needs);
+  PrefixTiming timing(g, p, platform);
+  timing.set_loads(loads);
+  std::vector<char> in_prefix(g.size(), 0);
+  ExhaustiveOrder result;
+  // Returns the best makespan over the completions of the current prefix.
+  std::function<time_us()> best_completion = [&]() -> time_us {
+    const time_us bound = timing.completion_bound();
+    if (bound > timing.makespan()) ++result.capacity_bound_prefixes;
+    if (timing.depth() == loads.size()) {
+      const time_us makespan =
+          evaluate(g, p, platform,
+                   LoadPlan{LoadPolicy::explicit_order, timing.prefix()})
+              .makespan;
+      EXPECT_EQ(bound, makespan) << "complete order";
+      if (makespan < result.makespan) {
+        result.makespan = makespan;
+        result.order = timing.prefix();
+      }
+      return makespan;
+    }
+    auto candidates = appendable_loads(p, needs, in_prefix, before);
+    order_by_weight(candidates, weights);
+    EXPECT_FALSE(candidates.empty()) << "no feasible load to append";
+    time_us best = std::numeric_limits<time_us>::max();
+    for (SubtaskId load : candidates) {
+      timing.extend(load);
+      in_prefix[static_cast<std::size_t>(load)] = 1;
+      best = std::min(best, best_completion());
+      timing.undo();
+      in_prefix[static_cast<std::size_t>(load)] = 0;
+    }
+    EXPECT_LE(bound, best) << "prefix of " << timing.depth();
+    return best;
+  };
+  best_completion();
+  return result;
+}
+
+TEST(Bnb, ReturnsTheFirstOptimalOrderOfTheExhaustiveEnumeration) {
+  // The order, not just the makespan: the bounds may only cut subtrees that
+  // cannot hold the first optimal leaf, so the search returns that leaf.
+  // Need sets are random, capped at 8 loads to keep the enumeration small.
+  std::size_t capacity_bound_prefixes[4] = {0, 0, 0, 0};
+  for_each_platform_case(
+      300, 12,
+      [&](const SubtaskGraph& g, const Placement& p,
+          const PlatformConfig& platform, Rng& rng) {
+        for (int trial = 0; trial < 4; ++trial) {
+          std::vector<bool> needs = all_drhw(g, p);
+          if (trial != 0)
+            for (std::size_t s = 0; s < needs.size(); ++s)
+              needs[s] = needs[s] && rng.next_bool(0.75);
+          for (auto loads = loads_of(needs); loads.size() > 8;) {
+            const std::size_t k = rng.pick_index(loads);
+            needs[static_cast<std::size_t>(loads[k])] = false;
+            loads.erase(loads.begin() + static_cast<std::ptrdiff_t>(k));
+          }
+          SCOPED_TRACE("trial " + std::to_string(trial));
+          const ExhaustiveOrder want =
+              exhaustive_first_optimal(g, p, platform, needs);
+          const BnbResult got = optimal_prefetch(g, p, platform, needs);
+          EXPECT_TRUE(got.proven_optimal);
+          EXPECT_EQ(got.order, want.order);
+          EXPECT_EQ(got.eval.makespan, want.makespan);
+          capacity_bound_prefixes[platform.reconfig_ports] +=
+              want.capacity_bound_prefixes;
+        }
+      });
+  // The port-capacity term was checked where it binds, on every port count.
+  for (int ports = 1; ports <= 3; ++ports)
+    EXPECT_GT(capacity_bound_prefixes[ports], 0u) << ports << " ports";
 }
 
 TEST(Bnb, EmptyLoadSetIsIdeal) {
