@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks of the scheduling kernels: the
 // evaluator, the run-time list-prefetch heuristic [7] (N log N), the
-// branch & bound search, the critical-subtask loop, and the hybrid
-// run-time phase (which the paper argues is effectively free).
+// branch & bound search, the critical-subtask loop, the hybrid run-time
+// phase (which the paper argues is effectively free), and the replacement
+// module's tile binding.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 #include "prefetch/bnb.hpp"
 #include "prefetch/critical_subtasks.hpp"
 #include "prefetch/list_prefetch.hpp"
+#include "reuse/reuse_module.hpp"
 #include "schedule/list_scheduler.hpp"
 #include "sim/system_sim.hpp"
 
@@ -164,5 +166,45 @@ BENCHMARK(BM_HybridRuntimePhase)
     ->RangeMultiplier(2)
     ->Range(14, 448)
     ->Complexity();
+
+/// One bind of a placement spanning the pool onto a full store whose
+/// residents none of its subtasks use, so every virtual tile evicts: the
+/// replacement module's worst case, once per admitted instance in both
+/// simulators. Recency and value repeat across tiles, so ties are ranked.
+void BM_BindTiles(benchmark::State& state, ReplacementPolicy policy) {
+  const int tiles = static_cast<int>(state.range(0));
+  Rng rng(static_cast<std::uint64_t>(tiles) * 17 + 5);
+  LayeredGraphParams params;
+  params.subtasks = 2 * tiles;
+  params.min_layer_width = tiles / 2;
+  params.max_layer_width = tiles;
+  const SubtaskGraph graph = make_layered_graph(params, rng);
+  const Placement placement = list_schedule(graph, tiles);
+  ConfigStore store(tiles);
+  NextUseIndex index;
+  std::vector<PhysTileId> candidates;
+  for (PhysTileId t = 0; t < tiles; ++t) {
+    const auto config = static_cast<ConfigId>(1000 + t);
+    store.record_load(t, config, ms(t % 5), static_cast<double>(t % 3));
+    index.add(config, (t * 7) % tiles);
+    candidates.push_back(t);
+  }
+  const NextUseRank next_use = index.rank_from(0);
+  Rng bind_rng(1);
+  Binding binding;
+  for (auto _ : state) {
+    bind_tiles(graph, placement, store, candidates, policy, bind_rng,
+               next_use, binding);
+    benchmark::DoNotOptimize(binding.phys_of_tile.data());
+  }
+  state.counters["victims"] = placement.tiles_used;
+}
+BENCHMARK_CAPTURE(BM_BindTiles, lru, ReplacementPolicy::lru)->Arg(8)->Arg(16);
+BENCHMARK_CAPTURE(BM_BindTiles, weight, ReplacementPolicy::weight_aware)
+    ->Arg(8)
+    ->Arg(16);
+BENCHMARK_CAPTURE(BM_BindTiles, oracle, ReplacementPolicy::oracle)
+    ->Arg(8)
+    ->Arg(16);
 
 }  // namespace

@@ -71,6 +71,7 @@ void TilePoolManager::enqueue(std::int32_t job, int needed, time_us now,
   std::vector<Ranked>& heap = by_need_[static_cast<std::size_t>(needed)];
   heap.push_back(Ranked{urgency, seq});
   std::push_heap(heap.begin(), heap.end(), later);
+  if (needed <= failed_room_) failed_room_ = -1;  // a pick may exist now
 }
 
 std::int32_t TilePoolManager::queue_head() const {
@@ -89,9 +90,16 @@ int TilePoolManager::capacity() const {
   return options_.contiguous ? largest_free_block() : free_count();
 }
 
+bool TilePoolManager::cannot_pick(int room, bool urgent) {
+  if (room > failed_room_ || urgent != failed_urgent_) return false;
+  if (perf_) ++perf_->admission_skipped;
+  return true;
+}
+
 std::int32_t TilePoolManager::select(time_us now) {
   if (queued_count_ == 0) return -1;
   const int room = capacity();
+  if (cannot_pick(room, false)) return -1;
   const std::size_t none = queue_.size();
   std::size_t pick = none;
   std::uint64_t examined = 1;  // the head
@@ -137,12 +145,13 @@ std::int32_t TilePoolManager::select(time_us now) {
     ++perf_->admission_picks;
     perf_->admission_examined += examined;
   }
-  return take(pick, now);
+  return take(pick, room, false, now);
 }
 
 std::int32_t TilePoolManager::select_urgent(time_us now) {
   if (queued_count_ == 0) return -1;
   const int room = capacity();
+  if (cannot_pick(room, true)) return -1;
   const Ranked* best = nullptr;
   std::uint64_t examined = 0;
   for (int need = 0; need <= room; ++need) {
@@ -166,11 +175,18 @@ std::int32_t TilePoolManager::select_urgent(time_us now) {
                       : static_cast<std::size_t>(best->seq - seq_base_);
   if (best != nullptr && pick != head_ && head().skips >= options_.max_bypass)
     pick = head().needed <= room ? head_ : queue_.size();
-  return take(pick, now);
+  return take(pick, room, true, now);
 }
 
-std::int32_t TilePoolManager::take(std::size_t pick, time_us now) {
-  if (pick >= queue_.size()) return -1;
+std::int32_t TilePoolManager::take(std::size_t pick, int room, bool urgent,
+                                   time_us now) {
+  if (pick >= queue_.size()) {
+    failed_room_ =
+        urgent == failed_urgent_ ? std::max(failed_room_, room) : room;
+    failed_urgent_ = urgent;
+    return -1;
+  }
+  failed_room_ = -1;  // the skips below change what the rules read
   for (std::size_t i = head_; i < pick; ++i)
     if (queue_[i].job >= 0) {
       ++queue_[i].skips;
@@ -258,6 +274,7 @@ void TilePoolManager::occupy(std::int32_t job,
                     "occupy() for a job that is not queued");
   queue_[pos].job = -1;  // tombstone; skips/needed are dead with it
   --queued_count_;
+  failed_room_ = -1;  // the queue changed under the remembered failure
   last_pick_ = static_cast<std::size_t>(-1);
   while (head_ < queue_.size() && queue_[head_].job < 0) ++head_;
   if (queued_count_ == 0) {

@@ -298,8 +298,17 @@ class TilePoolManager {
   /// (contiguous pools) or the free-tile count.
   int capacity() const;
   /// Charges a queue skip to every live entry older than `pick`, remembers
-  /// the pick and returns its job (-1 when `pick` is past the end).
-  std::int32_t take(std::size_t pick, time_us now);
+  /// the pick and returns its job. When `pick` is past the end (nothing
+  /// admissible at `room`), remembers the failed room instead and returns
+  /// -1; `urgent` names the rule that failed (select_urgent()).
+  std::int32_t take(std::size_t pick, int room, bool urgent, time_us now);
+  /// True when the remembered failure of the same rule already answers a
+  /// poll at `room` (counted as a skipped poll). Exact: every admission
+  /// rule reads the backlog only through `needed <= room` and the head's
+  /// skips, and only a pick changes skips, so a rule that picked nothing
+  /// at room r picks nothing at any room <= r until a pick, an occupy(),
+  /// or an enqueue() whose footprint fits r.
+  bool cannot_pick(int room, bool urgent);
   /// Refills the urgency index from the live queue entries.
   void rebuild_index();
   /// Oldest live queue entry; queued_count_ must be > 0.
@@ -344,6 +353,8 @@ class TilePoolManager {
   std::size_t head_ = 0;          ///< first possibly-live queue_ position
   std::size_t queued_count_ = 0;  ///< live (non-tombstone) entries
   std::size_t last_pick_ = static_cast<std::size_t>(-1);  ///< select()'s pick
+  int failed_room_ = -1;        ///< largest room with no pick, -1: none
+  bool failed_urgent_ = false;  ///< failed_room_ is select_urgent()'s
   std::uint64_t seq_base_ = 0;    ///< enqueue sequence of queue_[0]
   std::vector<std::vector<Ranked>> by_need_;  ///< urgency heap per footprint
   PerfCounters* perf_ = nullptr;

@@ -47,9 +47,20 @@ struct Binding {
   std::vector<bool> resident;
   int reused_subtasks = 0;
 
+  /// One occupied candidate as the replacement policy ranks it: the
+  /// fields the policy does not read stay zero.
+  struct Victim {
+    long next_use = 0;   ///< oracle: rank of the next use (farthest first)
+    double value = 0.0;  ///< weight_aware / critical_first (lowest first)
+    time_us last_used = 0;     ///< every ranked policy (oldest first)
+    std::size_t position = 0;  ///< candidate position (lowest first)
+  };
+
   // Scratch of bind_tiles(), indexed by candidate position.
+  std::vector<ConfigId> configs;         ///< each candidate's configuration
   std::vector<char> claimed;             ///< candidate already bound
   std::vector<std::size_t> unclaimed;    ///< random_tile's draw set
+  std::vector<Victim> victims;           ///< ranked victims, best first
 };
 
 /// Extra knowledge for the oracle policy: rank of the next use of a
@@ -67,11 +78,16 @@ using NextUseRank = std::function<long(ConfigId)>;
 /// already resident (reuse): such a tile binds to the lowest candidate
 /// holding that configuration, if no earlier virtual tile claimed it.
 /// Phase 2 assigns the remaining virtual tiles, the first unclaimed empty
-/// candidate first; once none is left it evicts the policy's victim among
-/// the unclaimed candidates, scanned in ascending order with a strict
-/// comparison, so ties go to the lowest tile (random_tile draws over the
-/// unclaimed candidates in that order). The store itself is not modified —
-/// loads are recorded by the caller as the schedule executes.
+/// candidate first; once none is left it evicts the policy's victims among
+/// the unclaimed candidates. Binding does not change the store, so their
+/// order is fixed for the whole bind: they are ranked once, by the
+/// policy's key with the candidate position as the last tie-break (so ties
+/// go to the lowest tile), and taken best first — lru by (last_used,
+/// position), weight_aware and critical_first by (value, last_used,
+/// position), oracle by next-use rank descending, then (last_used,
+/// position). random_tile draws each victim over the unclaimed candidates
+/// in ascending order. The store itself is not modified — loads are
+/// recorded by the caller as the schedule executes.
 ///
 /// \param next_use only consulted when policy == oracle (may be null
 ///        otherwise).

@@ -332,6 +332,16 @@ ScenarioResult run_scenario_cached(const Scenario& scenario,
   return result;
 }
 
+/// Builds a sched_cost scenario's workload into `cache` ahead of its
+/// serial run. A failure is left to that run, which reports it.
+void prepare_sched_cost(const Scenario& scenario, WorkloadCache& cache) {
+  try {
+    scenario.validate();
+    cache.synthetic(scenario);
+  } catch (const std::exception&) {
+  }
+}
+
 }  // namespace
 
 OnlineSimOptions online_sim_options(const Scenario& scenario) {
@@ -378,20 +388,25 @@ std::vector<ScenarioResult> CampaignRunner::run(
 
   // sched_cost scenarios are wall-clock microbenchmarks; running them
   // while other scenarios compete for cores would corrupt their timings,
-  // so they execute serially after the parallel phase. The parallel phase
-  // runs leaders first (see CampaignRunner): the first scenario of each
-  // workload key, then every follower, each group in catalogue order.
+  // so they execute serially after the parallel phase. Only their timing
+  // loops need the idle host: the parallel phase builds their workloads
+  // among the leaders. It runs leaders first (see CampaignRunner): the
+  // first scenario of each workload key, then every follower, each group
+  // in catalogue order.
   std::vector<std::size_t> parallel_indices;
   std::vector<std::size_t> followers;
   std::vector<std::size_t> serial_indices;
+  std::vector<char> build_only(scenarios.size(), 0);
   std::set<std::string> keys;
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    if (scenarios[i].mode == ScenarioMode::sched_cost)
-      serial_indices.push_back(i);
-    else if (keys.insert(WorkloadCache::key(scenarios[i])).second)
+    const bool serial = scenarios[i].mode == ScenarioMode::sched_cost;
+    if (serial) serial_indices.push_back(i);
+    if (keys.insert(WorkloadCache::key(scenarios[i])).second) {
       parallel_indices.push_back(i);
-    else
+      build_only[i] = serial;
+    } else if (!serial) {
       followers.push_back(i);
+    }
   }
   parallel_indices.insert(parallel_indices.end(), followers.begin(),
                           followers.end());
@@ -424,7 +439,11 @@ std::vector<ScenarioResult> CampaignRunner::run(
     for (;;) {
       const std::size_t at = cursor.fetch_add(1);
       if (at >= parallel_indices.size()) return;
-      execute(parallel_indices[at]);
+      const std::size_t index = parallel_indices[at];
+      if (build_only[index])
+        prepare_sched_cost(scenarios[index], cache);
+      else
+        execute(index);
     }
   };
 

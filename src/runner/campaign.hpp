@@ -183,7 +183,8 @@ SampledWorkload sampled_workload(const Scenario& scenario,
 
 /// Thread-pool campaign executor. Simulation scenarios run on the worker
 /// pool; sched_cost scenarios (wall-clock microbenchmarks) run serially
-/// afterwards so their timings never compete for cores.
+/// afterwards so their timings never compete for cores. Their workloads
+/// are built on the pool, as leaders of their workload keys.
 ///
 /// Dispatch order: leaders first. The pool's cursor walks the first
 /// scenario of each distinct WorkloadCache::key ("leaders") in catalogue

@@ -835,18 +835,11 @@ class OnlineSimulation {
     return candidate_cache_[static_cast<std::size_t>(prep_idx)];
   }
 
-  /// Prefetches one configuration for a queued (arrived, unadmitted)
-  /// instance onto a free tile. Returns true if a load was started.
-  bool start_backlog_prefetch(std::size_t port, time_us t) {
-    // Exact early exits: an empty backlog (the common idle-port case), a
-    // closed lookahead, or no free tile for prefetch_victim() to return.
-    if (pool_.queue_empty() || options_.intertask_lookahead <= 0 ||
-        pool_.free_count() == 0)
-      return false;
-    ++perf_.backlog_walks;
-    // Configurations the queue's head wants must not be evicted from free
-    // tiles — that would trade a hidden load for an exposed one.
-    // protected_scratch_ is a member: no allocation on the event path.
+  /// Marks in protected_scratch_ the tiles holding a configuration the
+  /// queue's head wants: evicting one of them for a prefetch would trade a
+  /// hidden load for an exposed one. protected_scratch_ is a member: no
+  /// allocation on the event path.
+  void protect_head_configs() {
     const std::int32_t head_prep =
         job_prep_[static_cast<std::size_t>(pool_.queue_head())];
     if (head_prep != stamped_prep_) {  // a new head: stamp its configs
@@ -862,11 +855,24 @@ class OnlineSimulation {
       }
     }
     const ConfigStore& store = pool_.store();
-    for (std::size_t t2 = 0; t2 < protected_scratch_.size(); ++t2)
-      protected_scratch_[t2] =
+    for (std::size_t t = 0; t < protected_scratch_.size(); ++t)
+      protected_scratch_[t] =
           head_stamp_[static_cast<std::size_t>(
-              store.config_on(static_cast<PhysTileId>(t2)) + 1)] ==
+              store.config_on(static_cast<PhysTileId>(t)) + 1)] ==
           head_generation_;
+  }
+
+  /// Prefetches one configuration for a queued (arrived, unadmitted)
+  /// instance onto a free tile. Returns true if a load was started. The
+  /// walk builds the protected set only when it needs a victim: most walks
+  /// find every candidate resident or in flight and never do.
+  bool start_backlog_prefetch(std::size_t port, time_us t) {
+    // Exact early exits: an empty backlog (the common idle-port case), a
+    // closed lookahead, or no free tile for prefetch_victim() to return.
+    if (pool_.queue_empty() || options_.intertask_lookahead <= 0 ||
+        pool_.free_count() == 0)
+      return false;
+    ++perf_.backlog_walks;
     // One forward walk over the first `intertask_lookahead` queued jobs;
     // the first prefetch started, or an exhausted pool, ends it.
     const auto lookahead =
@@ -880,6 +886,7 @@ class OnlineSimulation {
         if (config == k_no_config || pool_.store().holds(config) ||
             config_in_flight(config))
           continue;
+        protect_head_configs();  // the walk's only victim lookup
         const PhysTileId victim = pool_.prefetch_victim(protected_scratch_);
         if (victim == k_no_phys_tile) return true;  // pool exhausted
         const double value = static_cast<double>(

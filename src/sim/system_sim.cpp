@@ -4,7 +4,6 @@
 #include <deque>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "graph/algorithms.hpp"
@@ -108,15 +107,37 @@ class SystemSimulation {
         if (!options_.cross_iteration_lookahead &&
             queued.batch != current.batch)
           break;
-        upcoming_.push_back(queued.scenario);
+        upcoming_.push_back(queued);
       }
-      step(*current.scenario, upcoming_);
+      step(current, upcoming_);
     }
     report_.finish();
     return report_;
   }
 
  private:
+  struct QueuedInstance {
+    const PreparedScenario* scenario = nullptr;
+    int batch = 0;  ///< iteration that emitted this instance
+    std::int32_t prep = 0;  ///< prep_index() of `scenario`
+  };
+
+  /// One memo entry: a plan and its timing.
+  struct TimedPlan {
+    InstancePlan plan;
+    SequentialSchedule sched;
+    time_us port_time = 0;  ///< port busy time of its init and body loads
+  };
+
+  /// What the run keeps per distinct preparation.
+  struct PrepState {
+    const PreparedScenario* prep = nullptr;
+    /// The policy's inter-task candidates: intertask_candidates() is pure
+    /// in (parameters, prep), so they are computed once.
+    std::vector<SubtaskId> candidates;
+    std::vector<TimedPlan> memo;  ///< timed_plan()'s entries
+  };
+
   bool intertask_enabled() const { return policy_->uses_intertask(); }
 
   void refill() {
@@ -136,7 +157,8 @@ class SystemSimulation {
       ++iterations_drawn_;
       for (const PreparedScenario* instance : batch) {
         DRHW_CHECK(instance != nullptr);
-        queue_.push_back(QueuedInstance{instance, iterations_drawn_});
+        queue_.push_back(
+            QueuedInstance{instance, iterations_drawn_, prep_index(instance)});
       }
     }
   }
@@ -172,8 +194,9 @@ class SystemSimulation {
     return next_use_index_.rank_from(consumed_);
   }
 
-  void step(const PreparedScenario& inst,
-            const std::vector<const PreparedScenario*>& upcoming) {
+  void step(const QueuedInstance& current,
+            const std::vector<QueuedInstance>& upcoming) {
+    const PreparedScenario& inst = *current.scenario;
     const SubtaskGraph& graph = *inst.graph;
     const Placement& placement = inst.placement;
     const bool reuse_on = policy_->uses_reuse();
@@ -192,8 +215,8 @@ class SystemSimulation {
       binding.reused_subtasks = 0;
     }
 
-    schedule_instance(inst, binding, upcoming.size());
-    const SequentialSchedule& sched = sched_;
+    const SequentialSchedule& sched =
+        schedule_instance(current, binding, upcoming.size());
 
     // Commit the timeline into the shared configuration store.
     if (reuse_on) commit_to_store(inst, binding, sched);
@@ -208,9 +231,12 @@ class SystemSimulation {
     clock_ += sched.span;
   }
 
-  /// Plans and times one instance into sched_.
-  void schedule_instance(const PreparedScenario& inst, const Binding& binding,
-                         std::size_t upcoming_count) {
+  /// Plans and times one instance. The returned schedule lives in the plan
+  /// memo and stays valid until the next call.
+  const SequentialSchedule& schedule_instance(const QueuedInstance& current,
+                                              const Binding& binding,
+                                              std::size_t upcoming_count) {
+    const PreparedScenario& inst = *current.scenario;
     PolicyContext context;
     context.now = clock_;
     context.ports = options_.platform.reconfig_ports;
@@ -218,16 +244,60 @@ class SystemSimulation {
     context.live_instances = 0;  // instances run strictly one at a time
     context.queued_instances = static_cast<int>(upcoming_count);
     const InstancePlan plan = policy_->plan(inst, binding.resident, context);
-    evaluate_instance_plan(inst, options_.platform, plan, workspace_, sched_);
-    const SequentialSchedule& sched = sched_;
+    check_instance_plan(plan);
+    const TimedPlan& timed = timed_plan(current, plan);
     // Observed-pressure accounting for future PolicyContexts: the port was
     // busy for every init and scheduled load of this instance.
+    port_busy_ += timed.port_time;
+    return timed.sched;
+  }
+
+  /// The plan memo: a schedule is a pure function of the preparation, the
+  /// plan and the run's platform, and a run draws few distinct (preparation,
+  /// plan) pairs, so each is timed once and looked up afterwards.
+  const TimedPlan& timed_plan(const QueuedInstance& current,
+                              const InstancePlan& plan) {
+    std::vector<TimedPlan>& timed = prep_state(current).memo;
+    for (const TimedPlan& entry : timed)
+      if (entry.plan.load_policy == plan.load_policy &&
+          entry.plan.init_count == plan.init_count &&
+          entry.plan.cancelled_loads == plan.cancelled_loads &&
+          entry.plan.loads == plan.loads)
+        return entry;
+    const PreparedScenario& inst = *current.scenario;
+    TimedPlan entry;
+    entry.plan = plan;
+    evaluate_instance_plan(inst, options_.platform, plan, workspace_,
+                           entry.sched);
     const SubtaskGraph& graph = *inst.graph;
+    const SequentialSchedule& sched = entry.sched;
     for (const SubtaskId s : sched.init_loads)
-      port_busy_ += load_duration(graph, s);
+      entry.port_time += load_duration(graph, s);
     for (std::size_t s = 0; s < graph.size(); ++s)
       if (sched.eval.load_end[s] != k_no_time)
-        port_busy_ += sched.eval.load_end[s] - sched.eval.load_start[s];
+        entry.port_time += sched.eval.load_end[s] - sched.eval.load_start[s];
+    timed.push_back(std::move(entry));
+    return timed.back();
+  }
+
+  /// Dense index of a preparation in this run, assigned on first sight by
+  /// linear dedup: a run draws a handful of distinct preparations, and the
+  /// per-preparation state stays free of pointer-keyed containers.
+  std::int32_t prep_index(const PreparedScenario* prep) {
+    const auto at = std::find_if(
+        preps_.begin(), preps_.end(),
+        [prep](const PrepState& state) { return state.prep == prep; });
+    if (at != preps_.end())
+      return static_cast<std::int32_t>(at - preps_.begin());
+    PrepState& state = preps_.emplace_back();
+    state.prep = prep;
+    if (intertask_enabled())
+      state.candidates = policy_->intertask_candidates(*prep);
+    return static_cast<std::int32_t>(preps_.size() - 1);
+  }
+
+  PrepState& prep_state(const QueuedInstance& queued) {
+    return preps_[static_cast<std::size_t>(queued.prep)];
   }
 
   void commit_to_store(const PreparedScenario& inst, const Binding& binding,
@@ -269,7 +339,7 @@ class SystemSimulation {
 
   void tail_prefetch(const PreparedScenario& inst, const Binding& binding,
                      const SequentialSchedule& sched,
-                     const std::vector<const PreparedScenario*>& upcoming) {
+                     const std::vector<QueuedInstance>& upcoming) {
     const Placement& placement = inst.placement;
     const time_us offset = clock_ + sched.init_duration;
     const time_us window_end = clock_ + sched.span;
@@ -297,7 +367,7 @@ class SystemSimulation {
     // below already steers evictions toward cheap-to-reload configurations.
     const std::uint64_t call = ++tail_calls_;
     if (!upcoming.empty()) {
-      const SubtaskGraph& next_graph = *upcoming.front()->graph;
+      const SubtaskGraph& next_graph = *upcoming.front().scenario->graph;
       for (std::size_t s = 0; s < next_graph.size(); ++s)
         mark_of(next_graph.subtask(static_cast<SubtaskId>(s)).config)
             .protected_in = call;
@@ -306,7 +376,7 @@ class SystemSimulation {
     // configuration used again soon is a worse victim than one whose next
     // use is far away (or unknown). The nearest use counts.
     for (std::size_t d = 0; d < upcoming.size(); ++d) {
-      const SubtaskGraph& g = *upcoming[d]->graph;
+      const SubtaskGraph& g = *upcoming[d].scenario->graph;
       for (std::size_t s = 0; s < g.size(); ++s) {
         ConfigMark& mark = mark_of(g.subtask(static_cast<SubtaskId>(s)).config);
         if (mark.ranked_in == call) continue;
@@ -322,10 +392,11 @@ class SystemSimulation {
 
     std::vector<char>& targeted = targeted_;
     targeted.assign(static_cast<std::size_t>(store_.tiles()), 0);
-    for (const PreparedScenario* future : upcoming) {
+    for (const QueuedInstance& queued : upcoming) {
+      const PreparedScenario* future = queued.scenario;
       const SubtaskGraph& future_graph = *future->graph;
 
-      for (SubtaskId s : candidates_of(*future)) {
+      for (SubtaskId s : prep_state(queued).candidates) {
         const ConfigId config = future_graph.subtask(s).config;
         if (store_.holds(config)) continue;
         const time_us duration = load_duration(future_graph, s);
@@ -378,14 +449,6 @@ class SystemSimulation {
     }
   }
 
-  /// The policy's candidate loads for one preparation, computed on its
-  /// first use: intertask_candidates() is pure in (parameters, prep).
-  const std::vector<SubtaskId>& candidates_of(const PreparedScenario& prep) {
-    auto [it, fresh] = candidate_cache_.try_emplace(&prep);
-    if (fresh) it->second = policy_->intertask_candidates(prep);
-    return it->second;
-  }
-
   /// tail_prefetch()'s per-configuration marks, indexed config + 1 (so
   /// k_no_config has one too). A mark belongs to the current call only
   /// when it carries that call's number: nothing is cleared per call.
@@ -417,11 +480,6 @@ class SystemSimulation {
     report_.cancelled_loads += sched.cancelled_loads;
   }
 
-  struct QueuedInstance {
-    const PreparedScenario* scenario = nullptr;
-    int batch = 0;  ///< iteration that emitted this instance
-  };
-
   SimOptions options_;
   std::unique_ptr<PrefetchPolicy> policy_;
   const IterationSampler& sampler_;
@@ -431,15 +489,13 @@ class SystemSimulation {
 
   // Per-instance storage, reused across the whole stream so that binding,
   // timing and the tail prefetch allocate nothing at steady state.
-  std::vector<const PreparedScenario*> upcoming_;  ///< emitted lookahead
+  std::vector<QueuedInstance> upcoming_;  ///< emitted lookahead
   Binding binding_;
   SequentialWorkspace workspace_;
-  SequentialSchedule sched_;
+  std::vector<PrepState> preps_;  ///< by prep_index()
   std::vector<time_us> tile_free_;  ///< tail_prefetch(): per tile
   std::vector<char> targeted_;      ///< tail_prefetch(): per tile
   std::vector<ConfigMark> config_marks_;
-  std::unordered_map<const PreparedScenario*, std::vector<SubtaskId>>
-      candidate_cache_;  ///< candidates_of(), per preparation
   std::uint64_t tail_calls_ = 0;  ///< tail_prefetch() calls so far
   std::deque<QueuedInstance> queue_;
   int iterations_drawn_ = 0;

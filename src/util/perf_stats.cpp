@@ -65,9 +65,10 @@ std::string perf_summary(const PerfCounters& perf) {
   os << "  tracked allocations " << perf.allocations << " (warm-up "
      << perf.warmup_allocations << ", steady " << perf.steady_allocations()
      << ")\n";
-  os << "  admission picks " << perf.admission_picks << ", backlog entries "
-     << "examined " << perf.admission_examined << ", backlog walks "
-     << perf.backlog_walks << '\n';
+  os << "  admission picks " << perf.admission_picks << " (skipped polls "
+     << perf.admission_skipped << "), backlog entries examined "
+     << perf.admission_examined << ", backlog walks " << perf.backlog_walks
+     << '\n';
   os << std::fixed << std::setprecision(3);
   os << "  phases: setup " << to_ms_d(perf.setup_ns) << " ms, loop "
      << to_ms_d(perf.loop_ns) << " ms, finalize "

@@ -61,12 +61,17 @@ struct PerfCounters {
   std::uint64_t allocations = 0;
   std::uint64_t warmup_allocations = 0;
   /// Admission work: picks asked of the tile pool (TilePoolManager::select
-  /// / select_urgent, including those that admit nothing) and the backlog
-  /// entries they examined — queue entries scanned by select(), urgency-
-  /// index heap tops inspected plus lazily deleted entries popped by
-  /// select_urgent().
+  /// / select_urgent, including those that admit nothing, but not the
+  /// polls admission_skipped counts) and the backlog entries they examined
+  /// — queue entries scanned by select(), urgency-index heap tops
+  /// inspected plus lazily deleted entries popped by select_urgent().
   std::uint64_t admission_picks = 0;
   std::uint64_t admission_examined = 0;
+  /// Admission polls answered without a pick attempt: the pool's room was
+  /// at most one at which the same rule had already picked nothing since
+  /// the backlog last changed (TilePoolManager, monotone-room rule). Not
+  /// counted in admission_picks; printed by --perf only.
+  std::uint64_t admission_skipped = 0;
   /// Backlog-prefetch walks: idle-port calls of the inter-task prefetch
   /// that passed its early exits (non-empty backlog, open lookahead, a
   /// free tile) and walked the queue.

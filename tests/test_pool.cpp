@@ -16,6 +16,7 @@
 #include "sim/online_accounting.hpp"
 #include "sim/trace_hook.hpp"
 #include "util/check.hpp"
+#include "util/perf_stats.hpp"
 
 namespace drhw {
 namespace {
@@ -446,6 +447,32 @@ TEST(TilePool, CheckpointLifecycleFreesTilesButKeepsConfigsCached) {
   EXPECT_EQ(pool.store().config_on(0), 10);
 }
 
+TEST(TilePool, AFailedPollAnswersEveryPollAtNoMoreRoom) {
+  TilePoolManager pool(4, PoolOptions{});
+  PerfCounters perf;
+  pool.set_perf_counters(&perf);
+  force_occupy(pool, 1, {0, 1}, 0);
+  force_occupy(pool, 2, {2}, 0);
+  pool.enqueue(10, 2, 1);
+  EXPECT_EQ(pool.select(1), -1);  // room 1: the head does not fit
+  EXPECT_EQ(pool.select(2), -1);  // same room, answered at once
+  EXPECT_EQ(perf.admission_picks, 1u);
+  EXPECT_EQ(perf.admission_skipped, 1u);
+  // A failure of the FIFO rule says nothing about the urgent rule, which
+  // admits the fitting newcomer behind the blocked head.
+  pool.enqueue(11, 1, 3);
+  EXPECT_EQ(pool.select(3), -1);
+  EXPECT_EQ(pool.select_urgent(3), 11);
+  pool.occupy(11, {3}, 3);
+  EXPECT_EQ(perf.admission_skipped, 1u);
+  // More room than the remembered failure runs the rule again.
+  pool.release(2, 4);
+  pool.release(11, 4);
+  EXPECT_EQ(pool.select(4), 10);
+  EXPECT_EQ(perf.admission_picks, 4u);
+  EXPECT_EQ(perf.admission_skipped, 1u);
+}
+
 TEST(TilePool, SelectUrgentPicksTheMostUrgentFittingInstance) {
   TilePoolManager pool(4, PoolOptions{});
   const PoolMetrics metrics(pool);
@@ -535,6 +562,8 @@ TEST(TilePool, SelectUrgentMatchesALinearScan) {
         TilePoolManager pool(k_tiles, options);
         SkipCounter counter;
         pool.set_trace_sink(&counter);
+        PerfCounters perf;
+        pool.set_perf_counters(&perf);
         UrgentReference ref;
         ref.max_bypass = max_bypass;
         std::mt19937 rng(seed);
@@ -584,6 +613,8 @@ TEST(TilePool, SelectUrgentMatchesALinearScan) {
             enqueue(job, step);
           }
         }
+        // The reference runs every poll; the pool answered some at once.
+        EXPECT_GT(perf.admission_skipped, 0u);
       }
 }
 

@@ -441,7 +441,7 @@ TEST(BindTiles, CandidateSubsetsBindLikeTheViewOfTheSubset) {
   int reuse_hits = 0, evictions = 0;
   for (std::uint64_t seed = 1; seed <= 400; ++seed) {
     Rng rng(seed);
-    const int tiles = static_cast<int>(rng.next_int(1, 10));
+    const int tiles = static_cast<int>(rng.next_int(1, 16));
     ConfigStore store(tiles);
     for (PhysTileId t = 0; t < tiles; ++t) {
       const auto config = static_cast<ConfigId>(rng.next_int(-1, 4));

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "policy/names.hpp"
+#include "policy/prefetch_policy.hpp"
+#include "policy/registry.hpp"
 #include "sim/system_sim.hpp"
 #include "sim/workloads.hpp"
 
@@ -187,6 +189,77 @@ TEST(OracleReplacement, SeesBeyondTheLookaheadWindow) {
   // resident because the oracle sacrificed A, which never comes back.
   EXPECT_EQ(r.loads, 4);
   EXPECT_EQ(r.reused_subtasks, 3);
+}
+
+/// A diamond of four DRHW subtasks with fixed configurations; `slow`
+/// scales its execution and load times, so two variants share subtask ids
+/// and configurations but not their timings.
+SubtaskGraph diamond_task(const std::string& name, int slow) {
+  SubtaskGraph g(name);
+  for (int s = 0; s < 4; ++s) {
+    Subtask node;
+    node.name = name + std::to_string(s);
+    node.exec_time = ms((s + 2) * slow);
+    node.resource = Resource::drhw;
+    node.config = static_cast<ConfigId>(10 + s);
+    node.load_time = ms(3 + s * slow);
+    g.add_subtask(node);
+  }
+  g.add_edge(0, 1);
+  g.add_edge(0, 2);
+  g.add_edge(1, 3);
+  g.add_edge(2, 3);
+  g.finalize();
+  return g;
+}
+
+TEST(SystemSimulation, EverySpanIsTheTimingOfItsOwnPlan) {
+  // The rig times each distinct (preparation, plan) pair once per run. Two
+  // preparations whose plans coincide must still be timed apart: every
+  // recorded span has to equal evaluate_instance_plan() of that instance's
+  // own preparation and plan, computed here directly.
+  const PlatformConfig platform = virtex2_platform(2);
+  const SubtaskGraph fast = diamond_task("fast", 1);
+  const SubtaskGraph slow = diamond_task("slow", 3);
+  const PreparedScenario preps[] = {
+      prepare_scenario(fast, platform.tiles, platform),
+      prepare_scenario(slow, platform.tiles, platform)};
+  const std::size_t stream[] = {0, 1, 1, 0, 1, 0, 0, 1};
+  constexpr int k_iterations = 8;
+
+  for (const char* name : {policy_names::no_prefetch,
+                           policy_names::design_time}) {
+    SCOPED_TRACE(name);
+    std::size_t at = 0;
+    const IterationSampler sampler = [&](Rng&) {
+      return std::vector<const PreparedScenario*>{&preps[stream[at++]]};
+    };
+    SimOptions opt;
+    opt.platform = platform;
+    opt.policy = PolicySpec(name);
+    opt.iterations = k_iterations;
+    opt.record_spans = true;
+    const SimReport report = run_simulation(opt, sampler);
+    ASSERT_EQ(report.spans.size(), static_cast<std::size_t>(k_iterations));
+
+    // Neither policy reads residency or the context.
+    const auto policy = PolicyRegistry::instance().create(opt.policy);
+    time_us expected[2];
+    InstancePlan plans[2];
+    for (std::size_t p = 0; p < 2; ++p) {
+      const std::vector<bool> resident(preps[p].graph->size(), false);
+      plans[p] = policy->plan(preps[p], resident, PolicyContext{});
+      expected[p] = evaluate_instance_plan(preps[p], platform, plans[p]).span;
+    }
+    ASSERT_NE(expected[0], expected[1]);
+    if (std::string(name) == policy_names::no_prefetch) {
+      ASSERT_EQ(plans[0].loads, plans[1].loads);  // one plan, two timings
+    }
+    for (int i = 0; i < k_iterations; ++i)
+      EXPECT_EQ(report.spans[static_cast<std::size_t>(i)],
+                expected[stream[i]])
+          << "instance " << i;
+  }
 }
 
 struct PocketGlFixture : ::testing::Test {
