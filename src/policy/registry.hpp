@@ -4,8 +4,8 @@
 /// String-keyed factory registry for PrefetchPolicy implementations.
 ///
 /// The registry is the single authority on which policies exist: Scenario
-/// validation, campaign sweep axes, `drhw_sched --approach` /
-/// `--list-policies`, the benches' policy enumeration and the
+/// validation, campaign sweep axes, `drhw_sched online --approach` and
+/// `drhw_sched list-policies`, the benches' policy enumeration and the
 /// registry-driven equivalence tests all go through it, so registering a
 /// factory is the *only* step needed to expose a new policy everywhere.
 ///
@@ -48,7 +48,7 @@ class PolicyRegistry {
   /// campaigns and tests enumerate identically on every run.
   std::vector<std::string> names() const;
 
-  /// One-line description of a registered policy (for --list-policies).
+  /// One-line description of a registered policy (`drhw_sched list-policies`).
   const std::string& description(const std::string& name) const;
 
   /// Creates a policy instance for one simulation run. Throws

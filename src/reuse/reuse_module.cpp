@@ -199,4 +199,10 @@ const char* to_string(ReplacementPolicy policy) {
   return "?";
 }
 
+ReplacementPolicy replacement_from_string(const std::string& text) {
+  for (ReplacementPolicy policy : k_replacement_policies)
+    if (text == to_string(policy)) return policy;
+  throw std::invalid_argument("unknown replacement policy '" + text + "'");
+}
+
 }  // namespace drhw

@@ -15,6 +15,7 @@
 /// overwrites whatever was resident.
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "graph/subtask_graph.hpp"
@@ -35,6 +36,13 @@ enum class ReplacementPolicy {
   random_tile,   ///< evict a uniformly random tile (baseline)
   oracle,        ///< evict the configuration whose next use is farthest away
 };
+
+/// Every replacement policy, in declaration order: the one list the
+/// command-line parser and the replacement ablation enumerate.
+inline constexpr ReplacementPolicy k_replacement_policies[] = {
+    ReplacementPolicy::lru, ReplacementPolicy::weight_aware,
+    ReplacementPolicy::critical_first, ReplacementPolicy::random_tile,
+    ReplacementPolicy::oracle};
 
 /// Result of binding one placement onto the physical tile pool. Callers
 /// binding one instance after another keep one Binding: bind_tiles()
@@ -111,5 +119,8 @@ void first_subtask_configs_into(const SubtaskGraph& graph,
 
 /// Human-readable policy name (benchmark tables).
 const char* to_string(ReplacementPolicy policy);
+
+/// The policy whose to_string() is `text`; std::invalid_argument otherwise.
+ReplacementPolicy replacement_from_string(const std::string& text);
 
 }  // namespace drhw

@@ -453,10 +453,7 @@ ScenarioRegistry ScenarioRegistry::ablations(int iterations,
   // tasks ahead across iterations, as in fig7.
   for (const Point& point : {Point{"mm_t8", mm, 8}, Point{"mm_t12", mm, 12},
                              Point{"gl_t5", gl, 5}, Point{"gl_t8", gl, 8}})
-    for (ReplacementPolicy replacement :
-         {ReplacementPolicy::lru, ReplacementPolicy::weight_aware,
-          ReplacementPolicy::critical_first, ReplacementPolicy::random_tile,
-          ReplacementPolicy::oracle})
+    for (ReplacementPolicy replacement : k_replacement_policies)
       for (const char* policy :
            {policy_names::runtime, policy_names::runtime_intertask,
             policy_names::hybrid}) {

@@ -1,17 +1,17 @@
-// End-to-end checks of the drhw_sched binary (path injected as
-// DRHW_SCHED_BIN by CMake): workload parse errors exit 2 with
-// file:line:column diagnostics, unknown flags exit 2 with usage + the
-// registered policy/arrival lists on every subcommand, `schedule` rejects a
-// flag without its value, `info`/`dot` reject extra arguments, bad user
-// input exits 1 without an internal-check message, `online --perf` prints
+// End-to-end checks of the drhw_sched binary (path injected as DRHW_SCHED_BIN
+// by CMake): workload parse errors exit 2 with file:line:column diagnostics,
+// unknown flags exit 2 with usage + the registered policy/arrival lists on
+// every subcommand, every choice flag rejects an unknown value with exit 2 and
+// the valid values, `schedule` rejects a flag without its value, every command
+// rejects extra arguments, each command's `--help` lists exactly its flags, bad
+// user input exits 1 without an internal-check message, `online --perf` prints
 // the kernel counters, `online` prints the campaign's numbers for the same
-// workload file and runs the pocket_gl workload under every registered
-// policy, `campaign --pivot` rejects an unknown metric or a missing name
-// segment before any scenario runs and prints Table 1's columns,
-// `campaign --catalogue ablation` validates a catalogue disjoint from the
-// built-in one, `genwork` is seed-deterministic, and the
-// genwork -> campaign -> online --trace -> trace verify pipeline the CI lane
-// runs holds together.
+// workload file and runs the pocket_gl workload under every registered policy,
+// `campaign --pivot` rejects an unknown metric or a missing name segment before
+// any scenario runs and prints Table 1's columns, `campaign --catalogue
+// ablation` validates a catalogue disjoint from the built-in one, `genwork` is
+// seed-deterministic, and the genwork -> campaign -> online --trace -> trace
+// verify pipeline the CI lane runs holds together.
 
 #include <cstdio>
 #include <cstdlib>
@@ -39,9 +39,11 @@ struct CliResult {
   std::string output;  // stdout + stderr interleaved
 };
 
-CliResult run_cli(const std::string& args) {
+/// `redirect` sends stderr to a file instead of interleaving it.
+CliResult run_cli(const std::string& args,
+                  const std::string& redirect = "2>&1") {
   const std::string command = std::string(DRHW_SCHED_BIN) + " " + args +
-                              " 2>&1";
+                              " " + redirect;
   FILE* pipe = popen(command.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << command;
   CliResult result;
@@ -116,6 +118,34 @@ TEST(Cli, UnknownFlagExitsTwoWithRegisteredLists) {
     EXPECT_NE(result.output.find("registered arrival kinds:"),
               std::string::npos)
         << subcommand;
+  }
+}
+
+TEST(Cli, UnknownChoiceValueExitsTwoWithTheValidValues) {
+  // Every choice flag rejects an unknown value the same way, before any
+  // input is read: exit 2 and the valid values, one per line.
+  const std::string missing = temp_dir("cli_choices") + "/missing.jsonl";
+  const std::pair<std::string, std::vector<std::string>> cases[] = {
+      {"online --replacement bogus",
+       {"lru", "weight", "critical-first", "random", "oracle"}},
+      {"online --discipline bogus", {"fifo", "priority"}},
+      {"online --isp-discipline bogus", {"fifo", "priority"}},
+      {"online --admission bogus",
+       {"fifo_hol", "backfill_bypass", "window_reorder"}},
+      {"online --trace-format bogus", {"jsonl", "binary"}},
+      {"online --arrivals bogus",
+       {"poisson", "bursty", "closed_loop", "periodic", "sporadic"}},
+      {"campaign --catalogue bogus --dry-run", {"builtin", "ablation"}},
+      {"trace render " + missing + " --format bogus", {"ascii", "svg"}}};
+  for (const auto& [args, valid] : cases) {
+    const CliResult result = run_cli(args);
+    EXPECT_EQ(result.exit_code, 2) << args << "\n" << result.output;
+    EXPECT_NE(result.output.find("unknown value 'bogus'"), std::string::npos)
+        << args << "\n" << result.output;
+    for (const std::string& value : valid)
+      EXPECT_NE(result.output.find("\n  " + value + "\n"), std::string::npos)
+          << args << ": " << value;
+    EXPECT_EQ(result.output.find("cannot open"), std::string::npos) << args;
   }
 }
 
@@ -242,15 +272,92 @@ TEST(Cli, InfoAndDotTakeExactlyOneGraph) {
   std::ofstream(graph) << demo.output;
   ASSERT_EQ(run_cli("info " + graph).exit_code, 0);
   ASSERT_EQ(run_cli("dot " + graph).exit_code, 0);
+  const std::string trace = dir + "/small.trace.jsonl";
+  ASSERT_EQ(run_cli("online --approach hybrid --iterations 5 --trace " + trace)
+                .exit_code,
+            0);
   for (const std::string& args :
-       {"info " + graph + " --bogus", "dot " + graph + " extra"}) {
+       {"info " + graph + " --bogus", "dot " + graph + " extra",
+        std::string("demo extra"), std::string("list-policies extra"),
+        "trace info " + trace + " --bogus",
+        "trace verify " + trace + " extra"}) {
     const CliResult result = run_cli(args);
     EXPECT_EQ(result.exit_code, 2) << args << "\n" << result.output;
     EXPECT_NE(result.output.find("usage:"), std::string::npos) << args;
     EXPECT_EQ(result.output.find("ideal makespan"), std::string::npos)
         << args;
     EXPECT_EQ(result.output.find("digraph"), std::string::npos) << args;
+    for (const char* output :
+         {"demo_pipeline", "description", "schema:", "replay verified"})
+      EXPECT_EQ(result.output.find(output), std::string::npos) << args;
   }
+}
+
+TEST(Cli, HelpListsEveryFlagAndEveryListedFlagParses) {
+  // Each command's help lists exactly these flags, so a flag added without
+  // a help row, or dropped, fails here.
+  const std::pair<std::string, std::vector<std::string>> commands[] = {
+      {"demo", {}},
+      {"info", {}},
+      {"schedule", {"--tiles", "--latency-us", "--ports", "--resident"}},
+      {"dot", {}},
+      {"campaign",
+       {"--list", "--dry-run", "--filter", "--threads", "--iterations",
+        "--seed", "--catalogue", "--workload", "--workload-dir", "--json",
+        "--csv", "--pivot", "--quiet"}},
+      {"online",
+       {"--workload", "--trace", "--trace-format", "--tiles", "--latency-us",
+        "--ports", "--arrivals", "--rate", "--burst", "--think-us",
+        "--period-us", "--deadline-scale", "--crit-fraction", "--preempt",
+        "--discipline", "--isp", "--isp-discipline", "--replacement",
+        "--lookahead", "--admission", "--contiguous", "--defrag", "--window",
+        "--max-bypass", "--sched-cost-us", "--iterations", "--seed", "--perf",
+        "--approach"}},
+      {"genwork",
+       {"--out", "--count", "--seed", "--tasks", "--variants", "--configs",
+        "--min-nodes", "--max-nodes"}},
+      {"trace info", {}},
+      {"trace verify", {}},
+      {"trace render",
+       {"--format", "--out", "--width", "--from-us", "--until-us"}},
+      {"list-policies", {}}};
+  // Help goes to stdout, exits 0 and writes nothing to stderr.
+  const std::string stderr_path = temp_dir("cli_help") + "/stderr.txt";
+  const auto help = [&](const std::string& args) {
+    const CliResult result = run_cli(args, "2>" + stderr_path);
+    EXPECT_EQ(result.exit_code, 0) << args << "\n" << result.output;
+    EXPECT_EQ(read_file(stderr_path), "") << args;
+    return result.output;
+  };
+  const std::string overview = help("--help");
+  std::size_t flags = 0;
+  for (const auto& [command, expected] : commands) {
+    EXPECT_NE(overview.find("drhw_sched " + command), std::string::npos)
+        << command << "\n" << overview;
+    const std::string text = help(command + " --help");
+    EXPECT_EQ(text.rfind("usage: drhw_sched " + command, 0), 0u) << text;
+    // A flag row is "  --flag METAVAR  help" (no METAVAR for a switch).
+    std::vector<std::string> listed;
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);) {
+      if (line.rfind("  --", 0) != 0) continue;
+      const std::string label = line.substr(2, line.find("  ", 2) - 2);
+      const std::string flag = label.substr(0, label.find(' '));
+      listed.push_back(flag);
+      if (flag == label) continue;
+      // A flag that takes a value is incomplete without one.
+      const CliResult result = run_cli(command + " " + flag);
+      EXPECT_EQ(result.exit_code, 2) << command << " " << flag << "\n"
+                                     << result.output;
+      EXPECT_NE(result.output.find("incomplete option '" + label + "'"),
+                std::string::npos)
+          << command << " " << flag << "\n" << result.output;
+    }
+    EXPECT_EQ(listed, expected) << command << "\n" << text;
+    flags += listed.size();
+  }
+  EXPECT_EQ(flags, 59u);
+  EXPECT_EQ(run_cli("").exit_code, 2);
 }
 
 TEST(Cli, OutOfRangeNumbersAreInputErrorsNotInternalFailures) {
@@ -290,6 +397,9 @@ TEST(Cli, OutOfRangeNumbersAreInputErrorsNotInternalFailures) {
       {"campaign --threads -1 --dry-run", "--threads needs a count >= 0"},
       {"schedule " + empty_graph, "graph JSON: the graph has no subtasks"},
       {"online --lookahead -1", "negative intertask_lookahead"},
+      {"online --isp 0",
+       "shared-ISP contention needs a platform with >= 1 ISP"},
+      {"online --sched-cost-us -5", "negative scheduler cost"},
       {render + " --width 0", "--width needs a value > 0, got '0'"},
       {render + " --from-us -5", "--from-us needs a value >= 0, got '-5'"},
       {render + " --from-us 100 --until-us 50",

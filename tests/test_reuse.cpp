@@ -8,6 +8,7 @@
 #include <numeric>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -429,10 +430,6 @@ Binding bind_through_view(const SubtaskGraph& graph,
 /// binding over the subset must pick exactly what the view path picked.
 /// One Binding is reused across every case, as the kernels reuse theirs.
 TEST(BindTiles, CandidateSubsetsBindLikeTheViewOfTheSubset) {
-  constexpr ReplacementPolicy k_policies[] = {
-      ReplacementPolicy::lru, ReplacementPolicy::weight_aware,
-      ReplacementPolicy::critical_first, ReplacementPolicy::random_tile,
-      ReplacementPolicy::oracle};
   // Fixed oracle rank with ties, defined for k_no_config too.
   const NextUseRank next_use = [](ConfigId c) -> long {
     return c < 0 ? 2 : (c * 7 + 3) % 4;
@@ -471,7 +468,7 @@ TEST(BindTiles, CandidateSubsetsBindLikeTheViewOfTheSubset) {
         static_cast<int>(rng.next_int(
             1, static_cast<std::int64_t>(candidates.size()))));
 
-    for (const ReplacementPolicy policy : k_policies) {
+    for (const ReplacementPolicy policy : k_replacement_policies) {
       Rng expected_rng(seed * 31 + 7), actual_rng(seed * 31 + 7);
       const Binding expected = bind_through_view(
           graph, placement, store, candidates, policy, expected_rng, next_use);
@@ -502,6 +499,10 @@ TEST(ReplacementPolicy, Names) {
                "critical-first");
   EXPECT_STREQ(to_string(ReplacementPolicy::random_tile), "random");
   EXPECT_STREQ(to_string(ReplacementPolicy::oracle), "oracle");
+  for (const ReplacementPolicy policy : k_replacement_policies)
+    EXPECT_EQ(replacement_from_string(to_string(policy)), policy)
+        << to_string(policy);
+  EXPECT_THROW(replacement_from_string("bogus"), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,118 +2,9 @@
 //
 // drhw-lint: allow-file(wall-clock: campaign wall-time report is host-side)
 //
-// Usage:
-//   drhw_sched demo                         write a sample task graph JSON
-//   drhw_sched info <graph.json>            graph statistics + CS set
-//   drhw_sched schedule <graph.json> [opts] run the flow, print Gantt charts
-//   drhw_sched dot <graph.json>             Graphviz export
-//   drhw_sched campaign [opts]              run a scenario campaign
-//   drhw_sched online [opts]                online (event-driven) simulation
-//   drhw_sched genwork [opts]               generate fuzzed .dwl workloads
-//   drhw_sched trace info|verify|render F   inspect / replay-verify / render
-//                                           a recorded trace
-//   drhw_sched list-policies                print the registered prefetch
-//                                           policies (also available as a
-//                                           --list-policies flag on the
-//                                           campaign and online subcommands)
-//
-// Options for `schedule`:
-//   --tiles N          DRHW tiles (default 8)
-//   --latency-us L     reconfiguration latency in us (default 4000)
-//   --ports N          reconfiguration ports (default 1)
-//   --resident a,b,c   subtask ids already resident (reuse)
-//
-// Options for `campaign`:
-//   --list             print the matching scenarios and exit
-//   --dry-run          enumerate + validate the campaign, don't simulate
-//   --filter STR       keep scenarios whose name or family contains STR
-//   --threads N        worker threads (default: hardware concurrency)
-//   --iterations N     override the per-scenario iteration count
-//   --seed S           base RNG seed of the catalogue
-//   --catalogue C      builtin | ablation (default builtin): the paper's
-//                      experiments, or ScenarioRegistry::ablations()
-//   --workload FILE    replace the built-in catalogue with one scenario
-//                      family per .dwl workload file (family "file/<stem>",
-//                      online mode, one scenario per registered policy;
-//                      repeatable)
-//   --workload-dir DIR same, over every .dwl file in DIR (sorted by name)
-//   --json FILE        write the full JSON report
-//   --csv FILE         write the per-scenario CSV report
-//   --pivot SEG:METRIC print METRIC with the distinct values of name
-//                      segment SEG (0 = family) as columns and the rest
-//                      of the name as rows (repeatable; an unknown metric
-//                      lists the valid ones and exits 2)
-//   --quiet            suppress per-scenario progress lines
-//
-// Options for `online`. The flags describe one online-mode Scenario, run
-// once per approach through the campaign engine's sampler and kernel
-// options (one table row each, shared arrival stream); --approach,
-// --perf and the --trace flags only steer the command itself:
-//   --workload W       multimedia | pocket_gl | a .dwl workload file
-//                      (default multimedia; a file's arrivals block is
-//                      applied unless arrival flags are given)
-//   --trace FILE       record a structured event trace (drhw-trace-v2) of
-//                      the run; needs exactly one --approach
-//   --trace-format F   jsonl | binary trace encoding (default jsonl)
-//   --tiles N          DRHW tiles (default 16)
-//   --latency-us L     reconfiguration latency in us (default 4000)
-//   --ports N          reconfiguration ports (default 1)
-//   --arrivals K       poisson | bursty | closed_loop | periodic | sporadic
-//                      (default poisson; unknown kinds list the registered
-//                      ones and exit 2)
-//   --rate R           arrivals (or bursts) per second (default 20)
-//   --burst N          instances per burst (bursty; default 4)
-//   --think-us T       closed-loop think time in us (default 1000)
-//   --period-us P      periodic/sporadic inter-arrival base in us
-//                      (default: derived from --rate)
-//   --deadline-scale X real-time mode: stamp every instance with deadline
-//                      arrival + X x ideal makespan (0 = deadlines off);
-//                      adds a per-policy deadline summary after the table
-//   --crit-fraction F  fraction of instances drawn high-criticality
-//                      (default 0.25; with --deadline-scale)
-//   --preempt          checkpoint low-criticality live instances to admit
-//                      blocked high-criticality arrivals (needs
-//                      --deadline-scale)
-//   --discipline D     fifo | priority port arbitration (default fifo)
-//   --isp N            model the ISPs as a shared contended pool of N
-//                      servers (default: per-instance ISPs)
-//   --isp-discipline D fifo | priority arbitration between waiting ISP
-//                      executions (with --isp; default fifo)
-//   --replacement R    lru | weight | critical-first | random | oracle
-//   --lookahead N      backlog-prefetch depth in queued instances (default 1)
-//   --admission P      fifo_hol | backfill_bypass | window_reorder
-//   --contiguous       require contiguous free tile runs for admission
-//   --defrag           online defragmentation (implies --contiguous)
-//   --window N         reorder window for window_reorder (default 4)
-//   --max-bypass N     overtakes the queue head tolerates (default 8)
-//   --sched-cost-us C  per-admission scheduler cost on the timeline;
-//                      "paper" picks the Section 4 value per approach
-//   --iterations N     sampler batches to draw (default 500)
-//   --seed S           RNG seed (default 2005)
-//   --perf             print the kernel perf-counter summary per approach
-//                      (event counts, queue depth histogram, allocation
-//                      counts, phase timings) after the table
-//   --approach P       restrict to one policy, by registered name with
-//                      optional parameters, e.g. hybrid[intertask=0]
-//                      (default: every registered policy)
-//
-// Options for `genwork` (seeded workload fuzzer):
-//   --out DIR          output directory (created; default ".")
-//   --count N          number of workload files (default 10)
-//   --seed S           base seed; file i uses seed S + i (default 1)
-//   --tasks N          tasks per workload (default 4)
-//   --variants N       scenario variants per task (default 2)
-//   --configs N        shared configuration space (default 16)
-//   --min-nodes N      minimum DAG nodes per task (default 3)
-//   --max-nodes N      maximum DAG nodes per task (default 10)
-//
-// Options for `trace render`:
-//   --format F         ascii | svg (default ascii)
-//   --out FILE         write the rendering to FILE instead of stdout
-//   --width N          timeline width in characters / pixels (> 0)
-//   --from-us T        window start in simulated us (>= 0, default 0)
-//   --until-us T       window end in simulated us (> --from-us, default:
-//                      the horizon)
+// Each command is one row of commands(): its words, positional arguments,
+// summary and flag table. The parser, the usage text, `drhw_sched --help`
+// and `drhw_sched <command> --help` all read that one list.
 
 #include <algorithm>
 #include <charconv>
@@ -123,9 +14,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iomanip>
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <system_error>
 #include <type_traits>
@@ -140,6 +34,7 @@
 #include "policy/registry.hpp"
 #include "prefetch/bnb.hpp"
 #include "prefetch/critical_subtasks.hpp"
+#include "reuse/reuse_module.hpp"
 #include "runner/campaign.hpp"
 #include "runner/report.hpp"
 #include "runner/scenario.hpp"
@@ -156,58 +51,24 @@ namespace {
 
 using namespace drhw;
 
-int usage() {
-  std::cerr << "usage: drhw_sched demo\n"
-               "       drhw_sched info <graph.json>\n"
-               "       drhw_sched schedule <graph.json> [--tiles N]"
-               " [--latency-us L] [--ports N] [--resident a,b,c]\n"
-               "       drhw_sched dot <graph.json>\n"
-               "       drhw_sched list-policies\n"
-               "       drhw_sched campaign [--list] [--list-policies]"
-               " [--dry-run]"
-               " [--filter STR] [--threads N] [--iterations N] [--seed S]"
-               " [--catalogue builtin|ablation]"
-               " [--workload FILE] [--workload-dir DIR]"
-               " [--json FILE] [--csv FILE] [--pivot SEG:METRIC]"
-               " [--quiet]\n"
-               "       drhw_sched online [--workload W|FILE.dwl] [--tiles N]"
-               " [--latency-us L] [--ports N] [--arrivals K] [--rate R]"
-               " [--burst N] [--think-us T] [--discipline D]"
-               " [--isp N] [--isp-discipline D] [--period-us P]"
-               " [--deadline-scale X] [--crit-fraction F] [--preempt]"
-               " [--replacement R] [--lookahead N] [--admission P]"
-               " [--contiguous] [--defrag] [--window N] [--max-bypass N]"
-               " [--sched-cost-us C]"
-               " [--iterations N] [--seed S] [--perf]"
-               " [--trace FILE] [--trace-format F]"
-               " [--approach P] [--list-policies]\n"
-               "       drhw_sched genwork [--out DIR] [--count N] [--seed S]"
-               " [--tasks N] [--variants N] [--configs N]"
-               " [--min-nodes N] [--max-nodes N]\n"
-               "       drhw_sched trace info <trace>\n"
-               "       drhw_sched trace verify <trace>\n"
-               "       drhw_sched trace render <trace> [--format ascii|svg]"
-               " [--out FILE] [--width N] [--from-us T] [--until-us T]\n";
-  return 2;
+/// A malformed command line: main() prints it and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Rejects `value` of `flag` unless it is one of `valid`, with a usage
+/// error that lists the valid values one per line.
+void check_choice(const std::string& what, const std::string& value,
+                  const std::string& flag,
+                  const std::vector<std::string>& valid) {
+  if (std::find(valid.begin(), valid.end(), value) != valid.end()) return;
+  std::string message = "unknown " + what + " '" + value + "' for " + flag +
+                        "; valid values:";
+  for (const std::string& name : valid) message += "\n  " + name;
+  throw UsageError(message);
 }
 
-/// Shared unknown-flag behaviour of the campaign/online/genwork/trace/
-/// schedule/info/dot subcommands: usage plus the registered policy and
-/// arrival-kind lists, exit code 2.
-int usage_unknown(const char* subcommand, const std::string& flag) {
-  std::cerr << "error: unknown or incomplete option '" << flag
-            << "' for 'drhw_sched " << subcommand << "'\n";
-  usage();
-  std::cerr << "registered policies:\n";
-  for (const std::string& name : PolicyRegistry::instance().names())
-    std::cerr << "  " << name << "\n";
-  std::cerr << "registered arrival kinds:\n";
-  for (const std::string& name : arrival_kind_names())
-    std::cerr << "  " << name << "\n";
-  return 2;
-}
-
-/// The registered prefetch policies, one per line (--list-policies).
+/// The registered prefetch policies, one per line (list-policies).
 int cmd_list_policies() {
   TablePrinter table({"policy", "description"});
   const PolicyRegistry& registry = PolicyRegistry::instance();
@@ -215,49 +76,6 @@ int cmd_list_policies() {
     table.add_row({name, registry.description(name)});
   table.print(std::cout);
   return 0;
-}
-
-/// Parses a --approach value into a PolicySpec. An unknown policy name
-/// prints the registered names and exits nonzero (exit code 2) instead of
-/// surfacing an exception trace.
-PolicySpec parse_policy_arg(const std::string& text) {
-  const PolicySpec spec = PolicySpec::parse(text);
-  if (!PolicyRegistry::instance().contains(spec.name)) {
-    std::cerr << "error: unknown policy '" << spec.name
-              << "'\nregistered policies:\n";
-    for (const std::string& name : PolicyRegistry::instance().names())
-      std::cerr << "  " << name << "\n";
-    std::cerr << "(see drhw_sched list-policies)\n";
-    std::exit(2);
-  }
-  return spec;
-}
-
-/// Parses an --arrivals value. An unknown kind prints the registered
-/// arrival kinds and exits 2, mirroring parse_policy_arg().
-ArrivalProcess::Kind parse_arrivals_arg(const std::string& text) {
-  try {
-    return arrival_kind_from_string(text);
-  } catch (const std::invalid_argument&) {
-    std::cerr << "error: unknown arrival kind '" << text
-              << "'\nregistered arrival kinds:\n";
-    for (const std::string& name : arrival_kind_names())
-      std::cerr << "  " << name << "\n";
-    std::exit(2);
-  }
-}
-
-/// Parses a --pivot metric name. An unknown metric prints the campaign
-/// metrics and exits 2, mirroring parse_policy_arg().
-std::string parse_metric_arg(const std::string& text) {
-  const std::vector<std::string> names = metric_names();
-  if (std::find(names.begin(), names.end(), text) == names.end()) {
-    std::cerr << "error: unknown metric '" << text
-              << "'\ncampaign metrics:\n";
-    for (const std::string& name : names) std::cerr << "  " << name << "\n";
-    std::exit(2);
-  }
-  return text;
 }
 
 /// Parses a whole flag value as a T. std::from_chars reads no leading
@@ -343,15 +161,21 @@ int cmd_info(const std::string& path) {
   return 0;
 }
 
-int cmd_schedule(const std::string& path, int tiles, time_us latency,
-                 int ports, const std::vector<int>& resident_ids) {
+struct ScheduleCliOptions {
+  int tiles = 8;
+  time_us latency = ms(4);
+  int ports = 1;
+  std::vector<int> resident;  ///< subtask ids already resident (reuse)
+};
+
+int cmd_schedule(const std::string& path, const ScheduleCliOptions& cli) {
   const auto graph = graph_from_json(read_file(path));
-  PlatformConfig platform = virtex2_platform(tiles);
-  platform.reconfig_latency = latency;
-  platform.reconfig_ports = ports;
+  PlatformConfig platform = virtex2_platform(cli.tiles);
+  platform.reconfig_latency = cli.latency;
+  platform.reconfig_ports = cli.ports;
   platform.validate();
 
-  const PreparedScenario prep = prepare_scenario(graph, tiles, platform);
+  const PreparedScenario prep = prepare_scenario(graph, cli.tiles, platform);
   const Placement& placement = prep.placement;
   std::cout << "ideal makespan: " << fmt_ms(placement.ideal_makespan)
             << " ms\n\n";
@@ -375,7 +199,7 @@ int cmd_schedule(const std::string& path, int tiles, time_us latency,
 
   const HybridSchedule& design = prep.hybrid;
   std::vector<bool> resident(graph.size(), false);
-  for (int id : resident_ids) {
+  for (int id : cli.resident) {
     if (id < 0 || static_cast<std::size_t>(id) >= graph.size())
       throw std::invalid_argument("--resident id out of range");
     resident[static_cast<std::size_t>(id)] = true;
@@ -452,6 +276,9 @@ ScenarioRegistry file_registry(const CampaignCliOptions& cli) {
 }
 
 int cmd_campaign(const CampaignCliOptions& cli) {
+  if (cli.ablation && !cli.workload_files.empty())
+    throw UsageError("--catalogue ablation cannot be combined with "
+                     "--workload/--workload-dir");
   const auto registry =
       !cli.workload_files.empty() ? file_registry(cli)
       : cli.ablation ? ScenarioRegistry::ablations(cli.iterations, cli.seed)
@@ -463,12 +290,10 @@ int cmd_campaign(const CampaignCliOptions& cli) {
   }
   for (const auto& [segment, metric] : cli.pivots)
     for (const Scenario& s : scenarios)
-      if (segment >= name_segments(s.name)) {
-        std::cerr << "error: --pivot " << segment << ":" << metric
-                  << ": scenario '" << s.name << "' has no segment "
-                  << segment << "\n";
-        return 2;
-      }
+      if (segment >= name_segments(s.name))
+        throw UsageError("--pivot " + std::to_string(segment) + ":" + metric +
+                         ": scenario '" + s.name + "' has no segment " +
+                         std::to_string(segment));
 
   if (cli.list || cli.dry_run) {
     TablePrinter table({"name", "workload", "approach", "tiles", "latency",
@@ -583,17 +408,6 @@ bool ends_with(const std::string& text, const std::string& suffix) {
          text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-ReplacementPolicy replacement_from_string(const std::string& text) {
-  for (ReplacementPolicy policy :
-       {ReplacementPolicy::lru, ReplacementPolicy::weight_aware,
-        ReplacementPolicy::critical_first, ReplacementPolicy::random_tile,
-        ReplacementPolicy::oracle})
-    if (text == to_string(policy)) return policy;
-  throw std::invalid_argument(
-      "unknown replacement policy '" + text +
-      "' (use lru, weight, critical-first, random or oracle)");
-}
-
 int cmd_online(Scenario scenario, const OnlineCliOptions& cli) {
   if (scenario.workload == WorkloadKind::file && !cli.user_arrivals) {
     const WorkloadFile file = load_workload_file(scenario.workload_file);
@@ -632,12 +446,10 @@ int cmd_online(Scenario scenario, const OnlineCliOptions& cli) {
   if (policies.empty())
     for (const std::string& name : PolicyRegistry::instance().names())
       policies.emplace_back(name);
-  if (!cli.trace_path.empty() && policies.size() != 1) {
-    std::cerr << "error: --trace records one run; pick exactly one "
-                 "--approach (got "
-              << policies.size() << ")\n";
-    return 2;
-  }
+  if (!cli.trace_path.empty() && policies.size() != 1)
+    throw UsageError(
+        "--trace records one run; pick exactly one --approach (got " +
+        std::to_string(policies.size()) + ")");
 
   TablePrinter table({"policy", "instances", "overhead", "reuse",
                       "response mean", "response p95", "queueing mean",
@@ -709,8 +521,6 @@ struct GenworkCliOptions {
 };
 
 int cmd_genwork(const GenworkCliOptions& cli) {
-  if (cli.count < 1)
-    throw std::invalid_argument("--count needs a positive value");
   for (int i = 0; i < cli.count; ++i) {
     FuzzWorkloadOptions options = cli.fuzz;
     options.seed = cli.fuzz.seed + static_cast<std::uint64_t>(i);
@@ -765,20 +575,20 @@ int cmd_trace_verify(const std::string& path) {
   return 1;
 }
 
-int cmd_trace_render(const std::string& path, const std::string& format,
-                     const std::string& out_path,
-                     const TraceRenderOptions& options) {
+/// What `trace render` reads beyond the trace path.
+struct RenderCliOptions {
+  std::string format = "ascii";
+  std::string out_path;  ///< empty: stdout
+  TraceRenderOptions window;
+  bool until_given = false;
+};
+
+int cmd_trace_render(const std::string& path, const RenderCliOptions& cli) {
   const TraceData trace = read_trace(path);
-  std::string rendering;
-  if (format == "ascii")
-    rendering = render_trace_ascii(trace, options);
-  else if (format == "svg")
-    rendering = render_trace_svg(trace, options);
-  else {
-    std::cerr << "error: unknown render format '" << format
-              << "' (expected ascii or svg)\n";
-    return 2;
-  }
+  const std::string rendering = cli.format == "svg"
+                                    ? render_trace_svg(trace, cli.window)
+                                    : render_trace_ascii(trace, cli.window);
+  const std::string& out_path = cli.out_path;
   if (out_path.empty()) {
     std::cout << rendering;
     return 0;
@@ -791,305 +601,466 @@ int cmd_trace_render(const std::string& path, const std::string& format,
   return 0;
 }
 
-std::vector<int> parse_id_list(const std::string& arg) {
-  std::vector<int> ids;
-  std::istringstream is(arg);
-  std::string token;
-  while (std::getline(is, token, ','))
-    ids.push_back(parse_number<int>("--resident", token));
-  return ids;
+/// The Scenario `online` starts from before its flags apply.
+Scenario online_scenario() {
+  Scenario scenario;
+  scenario.name = scenario.family = "online";
+  scenario.mode = ScenarioMode::online;
+  scenario.sim.platform = virtex2_platform(16);
+  scenario.sim.iterations = 500;
+  scenario.sim.seed = 2005;
+  return scenario;
+}
+
+/// A flag's value as given, with the flag's name for messages.
+struct Value {
+  const std::string& flag;
+  const std::string& text;
+};
+
+using Setter = std::function<void(const Value&)>;
+
+template <typename T>
+Setter number(T& field) {
+  return [&field](const Value& v) { field = parse_number<T>(v.flag, v.text); };
+}
+
+Setter text(std::string& field) {
+  return [&field](const Value& v) { field = v.text; };
+}
+
+/// A switch.
+Setter on(bool& field) {
+  return [&field](const Value&) { field = true; };
+}
+
+/// A choice flag's setter; the parser has checked the value already.
+template <typename Enum>
+Setter choice(Enum& field, Enum (*from_string)(const std::string&)) {
+  return [&field, from_string](const Value& v) { field = from_string(v.text); };
+}
+
+/// One row of a command's flag table.
+struct Flag {
+  std::string name;     ///< "--tiles"
+  std::string metavar;  ///< placeholder of the value; empty for a switch
+  std::string help;
+  Setter set;
+  /// Non-empty for a choice flag: the parser rejects any other value.
+  std::vector<std::string> choices = {};
+};
+
+/// One command: its words, positional arguments, flags and entry point.
+struct Command {
+  std::string name;                      ///< "campaign", "trace render"
+  std::vector<std::string> positionals;  ///< placeholders, e.g. <graph.json>
+  std::string summary;
+  std::vector<Flag> flags;
+  std::function<int(const std::vector<std::string>& positionals)> run;
+};
+
+std::vector<Flag> schedule_flags(ScheduleCliOptions& cli) {
+  return {
+      {"--tiles", "N", "DRHW tiles (default 8)", number(cli.tiles)},
+      {"--latency-us", "L", "reconfiguration latency in us (default 4000)",
+       number(cli.latency)},
+      {"--ports", "N", "reconfiguration ports (default 1)", number(cli.ports)},
+      {"--resident", "a,b,c", "subtask ids already resident (reuse)",
+       [&cli](const Value& v) {
+         cli.resident.clear();
+         std::istringstream ids(v.text);
+         for (std::string id; std::getline(ids, id, ',');)
+           cli.resident.push_back(parse_number<int>(v.flag, id));
+       }},
+  };
+}
+
+std::vector<Flag> campaign_flags(CampaignCliOptions& cli) {
+  return {
+      {"--list", "", "print the matching scenarios and exit", on(cli.list)},
+      {"--dry-run", "", "enumerate + validate the campaign, don't simulate",
+       on(cli.dry_run)},
+      {"--filter", "STR", "keep scenarios whose name or family contains STR",
+       text(cli.filter)},
+      {"--threads", "N", "worker threads (default: hardware concurrency)",
+       [&cli](const Value& v) {
+         cli.threads = parse_number<int>(v.flag, v.text);
+         if (cli.threads < 0)
+           throw std::invalid_argument(
+               "--threads needs a count >= 0 (0 = hardware concurrency), "
+               "got '" + v.text + "'");
+       }},
+      {"--iterations", "N", "override the per-scenario iteration count",
+       number(cli.iterations)},
+      {"--seed", "S", "base RNG seed of the catalogue", number(cli.seed)},
+      {"--catalogue", "C",
+       "the paper's experiments or ScenarioRegistry::ablations()",
+       [&cli](const Value& v) { cli.ablation = v.text == "ablation"; },
+       {"builtin", "ablation"}},
+      {"--workload", "FILE",
+       "one file/<stem> family per .dwl file, every policy online (repeatable)",
+       [&cli](const Value& v) { cli.workload_files.push_back(v.text); }},
+      {"--workload-dir", "DIR", "same, for every .dwl file in DIR (sorted)",
+       [&cli](const Value& v) {
+         std::vector<std::string> found;
+         for (const auto& entry : std::filesystem::directory_iterator(v.text))
+           if (entry.path().extension() == ".dwl")
+             found.push_back(entry.path().string());
+         // Directory iteration order is OS-dependent; sort for
+         // reproducible scenario names and report order.
+         std::sort(found.begin(), found.end());
+         if (found.empty())
+           throw std::invalid_argument("no .dwl files in '" + v.text + "'");
+         cli.workload_files.insert(cli.workload_files.end(), found.begin(),
+                                   found.end());
+       }},
+      {"--json", "FILE", "write the full JSON report", text(cli.json_path)},
+      {"--csv", "FILE", "write the per-scenario CSV report",
+       text(cli.csv_path)},
+      {"--pivot", "SEG:METRIC",
+       "METRIC with name segment SEG (0 = family) as columns (repeatable)",
+       [&cli](const Value& v) {
+         const std::size_t colon = v.text.find(':');
+         if (colon == std::string::npos)
+           throw UsageError("--pivot needs SEG:METRIC, got '" + v.text + "'");
+         const auto segment =
+             parse_number<std::size_t>(v.flag, v.text.substr(0, colon));
+         const std::string metric = v.text.substr(colon + 1);
+         check_choice("metric", metric, v.flag, metric_names());
+         cli.pivots.emplace_back(segment, metric);
+       }},
+      {"--quiet", "", "suppress per-scenario progress lines", on(cli.quiet)},
+  };
+}
+
+std::vector<Flag> online_flags(Scenario& scenario, OnlineCliOptions& cli) {
+  PlatformConfig& platform = scenario.sim.platform;
+  ArrivalProcess& arrivals = scenario.arrivals;
+  PoolOptions& pool = scenario.pool;
+  // An arrival flag also overrides a workload file's arrivals block.
+  const auto arrival = [&cli](Setter set) -> Setter {
+    return [&cli, set = std::move(set)](const Value& v) {
+      set(v);
+      cli.user_arrivals = true;
+    };
+  };
+  std::vector<std::string> replacements;
+  for (ReplacementPolicy policy : k_replacement_policies)
+    replacements.emplace_back(to_string(policy));
+  const std::vector<std::string> disciplines = {
+      to_string(PortDiscipline::fifo), to_string(PortDiscipline::priority)};
+  return {
+      {"--workload", "W",
+       "multimedia (default), pocket_gl or a .dwl file (its arrivals apply)",
+       [&scenario, &cli](const Value& v) {
+         cli.workload = v.text;
+         scenario.workload_file.clear();
+         if (v.text == "multimedia")
+           scenario.workload = WorkloadKind::multimedia;
+         else if (v.text == "pocket_gl")
+           scenario.workload = WorkloadKind::pocket_gl;
+         else if (ends_with(v.text, ".dwl")) {
+           scenario.workload = WorkloadKind::file;
+           scenario.workload_file = v.text;
+         } else
+           throw std::invalid_argument(
+               "online workload must be multimedia, pocket_gl or a .dwl "
+               "file");
+       }},
+      {"--trace", "FILE", "record a drhw-trace-v2 trace (one --approach)",
+       text(cli.trace_path)},
+      {"--trace-format", "F", "trace encoding (default jsonl)",
+       choice(cli.trace_format, trace_format_from_string),
+       {to_string(TraceFormat::jsonl), to_string(TraceFormat::binary)}},
+      {"--tiles", "N", "DRHW tiles (default 16)", number(platform.tiles)},
+      {"--latency-us", "L", "reconfiguration latency in us (default 4000)",
+       number(platform.reconfig_latency)},
+      {"--ports", "N", "reconfiguration ports (default 1)",
+       number(platform.reconfig_ports)},
+      {"--arrivals", "K", "arrival process (default poisson)",
+       arrival(choice(arrivals.kind, arrival_kind_from_string)),
+       arrival_kind_names()},
+      {"--rate", "R", "arrivals (or bursts) per second (default 20)",
+       arrival(number(arrivals.rate_per_s))},
+      {"--burst", "N", "instances per burst (bursty; default 4)",
+       arrival(number(arrivals.burst_size))},
+      {"--think-us", "T", "closed-loop think time in us (default 1000)",
+       arrival(number(arrivals.think_time))},
+      {"--period-us", "P", "periodic/sporadic inter-arrival base in us",
+       arrival(number(arrivals.period_us))},
+      {"--deadline-scale", "X",
+       "deadline = arrival + X x ideal makespan (0 = no deadlines)",
+       number(scenario.deadline_scale)},
+      {"--crit-fraction", "F", "high-criticality fraction (default 0.25)",
+       number(scenario.high_crit_fraction)},
+      {"--preempt", "",
+       "checkpoint low-criticality instances to admit high-criticality ones",
+       on(scenario.preempt)},
+      {"--discipline", "D", "reconfiguration port arbitration (default fifo)",
+       choice(scenario.port_discipline, port_discipline_from_string),
+       disciplines},
+      {"--isp", "N", "share N contended ISPs (default: one per instance)",
+       [&scenario](const Value& v) {
+         scenario.sim.platform.isps = parse_number<int>(v.flag, v.text);
+         scenario.shared_isps = true;
+       }},
+      {"--isp-discipline", "D", "ISP arbitration with --isp (default fifo)",
+       choice(scenario.isp_discipline, port_discipline_from_string),
+       disciplines},
+      {"--replacement", "R", "tile replacement policy (default lru)",
+       choice(scenario.sim.replacement, replacement_from_string),
+       replacements},
+      {"--lookahead", "N", "backlog-prefetch depth in instances (default 1)",
+       number(scenario.sim.intertask_lookahead)},
+      {"--admission", "P", "tile-pool admission policy (default fifo_hol)",
+       choice(pool.admission, admission_policy_from_string),
+       {to_string(AdmissionPolicy::fifo_hol),
+        to_string(AdmissionPolicy::backfill_bypass),
+        to_string(AdmissionPolicy::window_reorder)}},
+      {"--contiguous", "", "admit onto contiguous free tile runs only",
+       on(pool.contiguous)},
+      {"--defrag", "", "online defragmentation (implies --contiguous)",
+       [&pool](const Value&) { pool.contiguous = pool.defrag = true; }},
+      {"--window", "N", "reorder window for window_reorder (default 4)",
+       number(pool.reorder_window)},
+      {"--max-bypass", "N", "overtakes the queue head tolerates (default 8)",
+       number(pool.max_bypass)},
+      {"--sched-cost-us", "C",
+       "per-admission scheduler cost in us, or paper (Section 4, per approach)",
+       [&scenario, &cli](const Value& v) {
+         cli.paper_sched_cost = v.text == "paper";
+         if (!cli.paper_sched_cost)
+           scenario.scheduler_cost = parse_number<time_us>(v.flag, v.text);
+       }},
+      {"--iterations", "N", "sampler batches to draw (default 500)",
+       number(scenario.sim.iterations)},
+      {"--seed", "S", "RNG seed (default 2005)", number(scenario.sim.seed)},
+      {"--perf", "", "print each approach's kernel perf counters",
+       on(cli.perf)},
+      {"--approach", "P",
+       "run this policy, e.g. hybrid[intertask=0] (default: every policy)",
+       [&cli](const Value& v) {
+         PolicySpec spec = PolicySpec::parse(v.text);
+         check_choice("policy", spec.name, v.flag,
+                      PolicyRegistry::instance().names());
+         cli.policies.push_back(std::move(spec));
+       }},
+  };
+}
+
+std::vector<Flag> genwork_flags(GenworkCliOptions& cli) {
+  FuzzWorkloadOptions& fuzz = cli.fuzz;
+  return {
+      {"--out", "DIR", "output directory (created; default .)",
+       text(cli.out_dir)},
+      {"--count", "N", "number of workload files (default 10)",
+       [&cli](const Value& v) {
+         cli.count = parse_number<int>(v.flag, v.text);
+         if (cli.count < 1)
+           throw std::invalid_argument("--count needs a positive value");
+       }},
+      {"--seed", "S", "base seed; file i uses seed S + i (default 1)",
+       number(fuzz.seed)},
+      {"--tasks", "N", "tasks per workload (default 4)", number(fuzz.tasks)},
+      {"--variants", "N", "scenario variants per task (default 2)",
+       number(fuzz.variants)},
+      {"--configs", "N", "shared configuration space (default 16)",
+       number(fuzz.configs)},
+      {"--min-nodes", "N", "minimum DAG nodes per task (default 3)",
+       number(fuzz.min_nodes)},
+      {"--max-nodes", "N", "maximum DAG nodes per task (default 10)",
+       number(fuzz.max_nodes)},
+  };
+}
+
+std::vector<Flag> render_flags(RenderCliOptions& cli) {
+  TraceRenderOptions& window = cli.window;
+  // The window ends after it starts, whichever flag came last.
+  const auto check_window = [&cli, &window] {
+    if (cli.until_given && window.until <= window.from)
+      throw std::invalid_argument(
+          "--until-us needs a value > --from-us (" +
+          std::to_string(window.from) + "), got " +
+          std::to_string(window.until));
+  };
+  return {
+      {"--format", "F", "output format (default ascii)", text(cli.format),
+       {"ascii", "svg"}},
+      {"--out", "FILE", "write the rendering to FILE instead of stdout",
+       text(cli.out_path)},
+      {"--width", "N", "timeline width in characters / pixels (> 0)",
+       [&window](const Value& v) {
+         window.width = parse_number<int>(v.flag, v.text);
+         if (window.width <= 0)
+           throw std::invalid_argument("--width needs a value > 0, got '" +
+                                       v.text + "'");
+       }},
+      {"--from-us", "T", "window start in simulated us (>= 0, default 0)",
+       [&window, check_window](const Value& v) {
+         window.from = parse_number<time_us>(v.flag, v.text);
+         if (window.from < 0)
+           throw std::invalid_argument("--from-us needs a value >= 0, got '" +
+                                       v.text + "'");
+         check_window();
+       }},
+      {"--until-us", "T", "window end in simulated us (default: the horizon)",
+       [&cli, &window, check_window](const Value& v) {
+         window.until = parse_number<time_us>(v.flag, v.text);
+         cli.until_given = true;
+         check_window();
+       }},
+  };
+}
+
+/// Every command, its flags bound to the options one command line fills.
+const std::vector<Command>& commands() {
+  static ScheduleCliOptions schedule;
+  static CampaignCliOptions campaign;
+  static Scenario scenario = online_scenario();
+  static OnlineCliOptions online;
+  static GenworkCliOptions genwork;
+  static RenderCliOptions render;
+  static const std::vector<Command> table = {
+      {"demo", {}, "write a sample task graph JSON", {},
+       [](const auto&) { return cmd_demo(); }},
+      {"info", {"<graph.json>"}, "graph statistics + CS set", {},
+       [](const auto& args) { return cmd_info(args[0]); }},
+      {"schedule", {"<graph.json>"}, "run the flow, print Gantt charts",
+       schedule_flags(schedule),
+       [](const auto& args) { return cmd_schedule(args[0], schedule); }},
+      {"dot", {"<graph.json>"}, "Graphviz export", {},
+       [](const auto& args) { return cmd_dot(args[0]); }},
+      {"campaign", {}, "run a scenario campaign", campaign_flags(campaign),
+       [](const auto&) { return cmd_campaign(campaign); }},
+      {"online", {}, "online (event-driven) simulation, a row per approach",
+       online_flags(scenario, online),
+       [](const auto&) { return cmd_online(scenario, online); }},
+      {"genwork", {}, "generate seeded fuzzed .dwl workloads",
+       genwork_flags(genwork),
+       [](const auto&) { return cmd_genwork(genwork); }},
+      {"trace info", {"<trace>"}, "summarise a recorded trace", {},
+       [](const auto& args) { return cmd_trace_info(args[0]); }},
+      {"trace verify", {"<trace>"}, "replay-verify a recorded trace", {},
+       [](const auto& args) { return cmd_trace_verify(args[0]); }},
+      {"trace render", {"<trace>"}, "render a recorded trace's timeline",
+       render_flags(render),
+       [](const auto& args) { return cmd_trace_render(args[0], render); }},
+      {"list-policies", {}, "print the registered prefetch policies", {},
+       [](const auto&) { return cmd_list_policies(); }},
+  };
+  return table;
+}
+
+std::string flag_label(const Flag& flag) {
+  return flag.metavar.empty() ? flag.name : flag.name + " " + flag.metavar;
+}
+
+/// The usage text: the synopsis of `command`, or of every command.
+void write_usage(std::ostream& os, const Command* command) {
+  const char* lead = "usage: ";
+  for (const Command& c : commands()) {
+    if (command != nullptr && c.name != command->name) continue;
+    os << lead << "drhw_sched " << c.name;
+    for (const std::string& positional : c.positionals) os << " " << positional;
+    for (const Flag& flag : c.flags) os << " [" << flag_label(flag) << "]";
+    os << "\n";
+    lead = "       ";
+  }
+  if (command == nullptr) os << lead << "drhw_sched [<command>] --help\n";
+}
+
+/// `drhw_sched <command> --help`: the synopsis, the summary and one row
+/// per flag.
+void write_help(std::ostream& os, const Command& command) {
+  write_usage(os, &command);
+  os << "\n" << command.summary << "\n";
+  if (!command.flags.empty()) os << "\nflags:\n";
+  for (const Flag& flag : command.flags) {
+    std::string help = flag.help;
+    for (std::size_t i = 0; i < flag.choices.size(); ++i)
+      help += (i == 0 ? ": " : " | ") + flag.choices[i];
+    os << "  " << std::left << std::setw(20) << flag_label(flag) << "  "
+       << help << "\n";
+  }
+}
+
+/// A malformed command line: `message`, the usage of `command` (of every
+/// command when null), and the registered policies and arrival kinds.
+UsageError usage_error(const Command* command, const std::string& message) {
+  std::ostringstream os;
+  os << message << "\n";
+  write_usage(os, command);
+  os << "registered policies:";
+  for (const std::string& name : PolicyRegistry::instance().names())
+    os << "\n  " << name;
+  os << "\nregistered arrival kinds:";
+  for (const std::string& name : arrival_kind_names()) os << "\n  " << name;
+  return UsageError(os.str());
+}
+
+/// The command named by the first one or two words of `args`.
+const Command& find_command(const std::vector<std::string>& args) {
+  if (args.empty()) throw usage_error(nullptr, "no command given");
+  const std::string two = args.size() > 1 ? args[0] + " " + args[1] : "";
+  for (const Command& command : commands())
+    if (command.name == args[0] || command.name == two) return command;
+  throw usage_error(nullptr,
+                    "unknown command '" + (two.empty() ? args[0] : two) + "'");
+}
+
+/// Parses the arguments after `command`'s words: a `--flag` through its
+/// row (with the next argument as its value unless it is a switch), and
+/// returns the others, the positional arguments.
+std::vector<std::string> parse(const Command& command,
+                               const std::vector<std::string>& args) {
+  std::vector<std::string> positionals;
+  std::size_t i = 1 + static_cast<std::size_t>(std::count(
+                          command.name.begin(), command.name.end(), ' '));
+  for (; i < args.size(); ++i) {
+    const std::string& arg = args[i];
+    if (arg.rfind("--", 0) != 0) {
+      positionals.push_back(arg);
+      continue;
+    }
+    const auto flag =
+        std::find_if(command.flags.begin(), command.flags.end(),
+                     [&](const Flag& f) { return f.name == arg; });
+    if (flag == command.flags.end())
+      throw usage_error(&command, "unknown option '" + arg + "'");
+    const bool takes_value = !flag->metavar.empty();
+    if (takes_value && i + 1 == args.size())
+      throw usage_error(&command,
+                        "incomplete option '" + flag_label(*flag) + "'");
+    const Value value{arg, takes_value ? args[++i] : arg};
+    if (!flag->choices.empty())
+      check_choice("value", value.text, arg, flag->choices);
+    flag->set(value);
+  }
+  if (positionals.size() != command.positionals.size())
+    throw usage_error(&command, "wrong number of arguments");
+  return positionals;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::vector<std::string> args(argv + 1, argv + argc);
-  if (args.empty()) return usage();
   try {
-    if (args[0] == "demo") return cmd_demo();
-    if (args[0] == "list-policies" || args[0] == "--list-policies")
-      return cmd_list_policies();
-    if (args[0] == "campaign") {
-      CampaignCliOptions cli;
-      for (std::size_t i = 1; i < args.size(); ++i) {
-        const std::string& arg = args[i];
-        const bool has_value = i + 1 < args.size();
-        if (arg == "--list")
-          cli.list = true;
-        else if (arg == "--list-policies")
-          return cmd_list_policies();
-        else if (arg == "--dry-run")
-          cli.dry_run = true;
-        else if (arg == "--quiet")
-          cli.quiet = true;
-        else if (arg == "--filter" && has_value)
-          cli.filter = args[++i];
-        else if (arg == "--threads" && has_value) {
-          cli.threads = parse_number<int>(arg, args[++i]);
-          if (cli.threads < 0)
-            throw std::invalid_argument(
-                "--threads needs a count >= 0 (0 = hardware concurrency), "
-                "got '" + args[i] + "'");
-        }
-        else if (arg == "--iterations" && has_value)
-          cli.iterations = parse_number<int>(arg, args[++i]);
-        else if (arg == "--seed" && has_value)
-          cli.seed = parse_number<std::uint64_t>(arg, args[++i]);
-        else if (arg == "--catalogue" && has_value) {
-          const std::string catalogue = args[++i];
-          if (catalogue != "builtin" && catalogue != "ablation") {
-            std::cerr << "error: unknown catalogue '" << catalogue
-                      << "' (builtin | ablation)\n";
-            return 2;
-          }
-          cli.ablation = catalogue == "ablation";
-        }
-        else if (arg == "--json" && has_value)
-          cli.json_path = args[++i];
-        else if (arg == "--csv" && has_value)
-          cli.csv_path = args[++i];
-        else if (arg == "--pivot" && has_value) {
-          const std::string spec = args[++i];
-          const std::size_t colon = spec.find(':');
-          if (colon == std::string::npos)
-            return usage_unknown("campaign", arg + " " + spec);
-          cli.pivots.emplace_back(
-              parse_number<std::size_t>(arg, spec.substr(0, colon)),
-              parse_metric_arg(spec.substr(colon + 1)));
-        }
-        else if (arg == "--workload" && has_value)
-          cli.workload_files.push_back(args[++i]);
-        else if (arg == "--workload-dir" && has_value) {
-          const std::string dir = args[++i];
-          std::vector<std::string> found;
-          for (const auto& entry : std::filesystem::directory_iterator(dir))
-            if (entry.path().extension() == ".dwl")
-              found.push_back(entry.path().string());
-          // Directory iteration order is OS-dependent; sort for
-          // reproducible scenario names and report order.
-          std::sort(found.begin(), found.end());
-          if (found.empty())
-            throw std::invalid_argument("no .dwl files in '" + dir + "'");
-          cli.workload_files.insert(cli.workload_files.end(), found.begin(),
-                                    found.end());
-        }
-        else
-          return usage_unknown("campaign", arg);
-      }
-      if (cli.ablation && !cli.workload_files.empty()) {
-        std::cerr << "error: --catalogue ablation cannot be combined with "
-                     "--workload/--workload-dir\n";
-        return 2;
-      }
-      return cmd_campaign(cli);
+    const bool help =
+        std::find(args.begin(), args.end(), "--help") != args.end();
+    if (help && args[0] == "--help") {
+      write_usage(std::cout, nullptr);
+      return 0;
     }
-    if (args[0] == "online") {
-      Scenario scenario;
-      scenario.name = scenario.family = "online";
-      scenario.mode = ScenarioMode::online;
-      scenario.sim.platform = virtex2_platform(16);
-      scenario.sim.iterations = 500;
-      scenario.sim.seed = 2005;
-      PlatformConfig& platform = scenario.sim.platform;
-      ArrivalProcess& arrivals = scenario.arrivals;
-      OnlineCliOptions cli;
-      for (std::size_t i = 1; i < args.size(); ++i) {
-        const std::string& arg = args[i];
-        const bool has_value = i + 1 < args.size();
-        if (arg == "--workload" && has_value) {
-          cli.workload = args[++i];
-          scenario.workload_file.clear();
-          if (cli.workload == "multimedia")
-            scenario.workload = WorkloadKind::multimedia;
-          else if (cli.workload == "pocket_gl")
-            scenario.workload = WorkloadKind::pocket_gl;
-          else if (ends_with(cli.workload, ".dwl")) {
-            scenario.workload = WorkloadKind::file;
-            scenario.workload_file = cli.workload;
-          } else
-            throw std::invalid_argument("online workload must be multimedia, "
-                                        "pocket_gl or a .dwl file");
-        }
-        else if (arg == "--tiles" && has_value)
-          platform.tiles = parse_number<int>(arg, args[++i]);
-        else if (arg == "--latency-us" && has_value)
-          platform.reconfig_latency = parse_number<time_us>(arg, args[++i]);
-        else if (arg == "--ports" && has_value)
-          platform.reconfig_ports = parse_number<int>(arg, args[++i]);
-        else if (arg == "--arrivals" && has_value) {
-          arrivals.kind = parse_arrivals_arg(args[++i]);
-          cli.user_arrivals = true;
-        }
-        else if (arg == "--rate" && has_value) {
-          arrivals.rate_per_s = parse_number<double>(arg, args[++i]);
-          cli.user_arrivals = true;
-        }
-        else if (arg == "--period-us" && has_value) {
-          arrivals.period_us = parse_number<time_us>(arg, args[++i]);
-          cli.user_arrivals = true;
-        }
-        else if (arg == "--deadline-scale" && has_value)
-          scenario.deadline_scale = parse_number<double>(arg, args[++i]);
-        else if (arg == "--crit-fraction" && has_value)
-          scenario.high_crit_fraction = parse_number<double>(arg, args[++i]);
-        else if (arg == "--preempt")
-          scenario.preempt = true;
-        else if (arg == "--burst" && has_value) {
-          arrivals.burst_size = parse_number<int>(arg, args[++i]);
-          cli.user_arrivals = true;
-        }
-        else if (arg == "--think-us" && has_value) {
-          arrivals.think_time = parse_number<time_us>(arg, args[++i]);
-          cli.user_arrivals = true;
-        }
-        else if (arg == "--discipline" && has_value)
-          scenario.port_discipline = port_discipline_from_string(args[++i]);
-        else if (arg == "--isp" && has_value) {
-          platform.isps = parse_number<int>(arg, args[++i]);
-          if (platform.isps < 1)
-            throw std::invalid_argument("--isp needs a positive ISP count");
-          scenario.shared_isps = true;
-        }
-        else if (arg == "--isp-discipline" && has_value)
-          scenario.isp_discipline = port_discipline_from_string(args[++i]);
-        else if (arg == "--replacement" && has_value)
-          scenario.sim.replacement = replacement_from_string(args[++i]);
-        else if (arg == "--lookahead" && has_value)
-          scenario.sim.intertask_lookahead = parse_number<int>(arg, args[++i]);
-        else if (arg == "--admission" && has_value)
-          scenario.pool.admission = admission_policy_from_string(args[++i]);
-        else if (arg == "--contiguous")
-          scenario.pool.contiguous = true;
-        else if (arg == "--defrag") {
-          scenario.pool.contiguous = true;
-          scenario.pool.defrag = true;
-        }
-        else if (arg == "--window" && has_value)
-          scenario.pool.reorder_window = parse_number<int>(arg, args[++i]);
-        else if (arg == "--max-bypass" && has_value)
-          scenario.pool.max_bypass = parse_number<int>(arg, args[++i]);
-        else if (arg == "--sched-cost-us" && has_value) {
-          const std::string& value = args[++i];
-          cli.paper_sched_cost = value == "paper";
-          if (!cli.paper_sched_cost) {
-            scenario.scheduler_cost = parse_number<time_us>(arg, value);
-            if (scenario.scheduler_cost < 0)
-              throw std::invalid_argument(
-                  "--sched-cost-us needs a non-negative value or 'paper'");
-          }
-        }
-        else if (arg == "--iterations" && has_value)
-          scenario.sim.iterations = parse_number<int>(arg, args[++i]);
-        else if (arg == "--seed" && has_value)
-          scenario.sim.seed = parse_number<std::uint64_t>(arg, args[++i]);
-        else if (arg == "--perf")
-          cli.perf = true;
-        else if (arg == "--trace" && has_value)
-          cli.trace_path = args[++i];
-        else if (arg == "--trace-format" && has_value)
-          cli.trace_format = trace_format_from_string(args[++i]);
-        else if (arg == "--approach" && has_value)
-          cli.policies.push_back(parse_policy_arg(args[++i]));
-        else if (arg == "--list-policies")
-          return cmd_list_policies();
-        else
-          return usage_unknown("online", arg);
-      }
-      return cmd_online(std::move(scenario), cli);
+    const Command& command = find_command(args);
+    if (help) {
+      write_help(std::cout, command);
+      return 0;
     }
-    if (args[0] == "genwork") {
-      GenworkCliOptions cli;
-      for (std::size_t i = 1; i < args.size(); ++i) {
-        const std::string& arg = args[i];
-        const bool has_value = i + 1 < args.size();
-        if (arg == "--out" && has_value)
-          cli.out_dir = args[++i];
-        else if (arg == "--count" && has_value)
-          cli.count = parse_number<int>(arg, args[++i]);
-        else if (arg == "--seed" && has_value)
-          cli.fuzz.seed = parse_number<std::uint64_t>(arg, args[++i]);
-        else if (arg == "--tasks" && has_value)
-          cli.fuzz.tasks = parse_number<int>(arg, args[++i]);
-        else if (arg == "--variants" && has_value)
-          cli.fuzz.variants = parse_number<int>(arg, args[++i]);
-        else if (arg == "--configs" && has_value)
-          cli.fuzz.configs = parse_number<int>(arg, args[++i]);
-        else if (arg == "--min-nodes" && has_value)
-          cli.fuzz.min_nodes = parse_number<int>(arg, args[++i]);
-        else if (arg == "--max-nodes" && has_value)
-          cli.fuzz.max_nodes = parse_number<int>(arg, args[++i]);
-        else
-          return usage_unknown("genwork", arg);
-      }
-      return cmd_genwork(cli);
-    }
-    if (args[0] == "trace") {
-      if (args.size() < 3) return usage();
-      const std::string& action = args[1];
-      const std::string& path = args[2];
-      if (action == "info") return cmd_trace_info(path);
-      if (action == "verify") return cmd_trace_verify(path);
-      if (action == "render") {
-        TraceRenderOptions options;
-        std::string format = "ascii";
-        std::string out_path;
-        bool until_given = false;
-        for (std::size_t i = 3; i < args.size(); ++i) {
-          const std::string& arg = args[i];
-          const bool has_value = i + 1 < args.size();
-          if (arg == "--format" && has_value)
-            format = args[++i];
-          else if (arg == "--out" && has_value)
-            out_path = args[++i];
-          else if (arg == "--width" && has_value) {
-            options.width = parse_number<int>(arg, args[++i]);
-            if (options.width <= 0)
-              throw std::invalid_argument("--width needs a value > 0, got '" +
-                                          args[i] + "'");
-          } else if (arg == "--from-us" && has_value) {
-            options.from = parse_number<time_us>(arg, args[++i]);
-            if (options.from < 0)
-              throw std::invalid_argument(
-                  "--from-us needs a value >= 0, got '" + args[i] + "'");
-          } else if (arg == "--until-us" && has_value) {
-            options.until = parse_number<time_us>(arg, args[++i]);
-            until_given = true;
-          } else
-            return usage_unknown("trace", arg);
-        }
-        if (until_given && options.until <= options.from)
-          throw std::invalid_argument(
-              "--until-us needs a value > --from-us (" +
-              std::to_string(options.from) + "), got " +
-              std::to_string(options.until));
-        return cmd_trace_render(path, format, out_path, options);
-      }
-      return usage_unknown("trace", action);
-    }
-    if ((args[0] == "info" || args[0] == "dot") && args.size() >= 2) {
-      if (args.size() > 2) return usage_unknown(args[0].c_str(), args[2]);
-      return args[0] == "info" ? cmd_info(args[1]) : cmd_dot(args[1]);
-    }
-    if (args[0] == "schedule" && args.size() >= 2) {
-      int tiles = 8, ports = 1;
-      time_us latency = ms(4);
-      std::vector<int> resident;
-      for (std::size_t i = 2; i < args.size(); ++i) {
-        const std::string& arg = args[i];
-        const bool has_value = i + 1 < args.size();
-        if (arg == "--tiles" && has_value)
-          tiles = parse_number<int>(arg, args[++i]);
-        else if (arg == "--latency-us" && has_value)
-          latency = parse_number<time_us>(arg, args[++i]);
-        else if (arg == "--ports" && has_value)
-          ports = parse_number<int>(arg, args[++i]);
-        else if (arg == "--resident" && has_value)
-          resident = parse_id_list(args[++i]);
-        else
-          return usage_unknown("schedule", arg);
-      }
-      return cmd_schedule(args[1], tiles, latency, ports, resident);
-    }
+    return command.run(parse(command, args));
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   } catch (const WioParseError& e) {
     // Workload parse diagnostics carry line/column and map to the same
     // exit code as flag misuse: the input was malformed, nothing ran.
@@ -1099,5 +1070,4 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-  return usage();
 }

@@ -2,7 +2,8 @@
 # Drives every production surface of drhw_sched once: the built-in and
 # ablation campaigns, generated and committed .dwl workloads, campaign
 # pivot tables, the `online` flag matrix, both trace encodings through
-# info/verify/render, and the graph flow (demo, info, schedule, dot).
+# info/verify/render, every command's --help, and the graph flow (demo,
+# info, schedule, dot).
 #
 # Usage: tools/production_surfaces.sh BUILD_DIR OUT_DIR
 #
@@ -66,6 +67,13 @@ for trace in contended.jsonl contended.bin; do
   run trace verify "$trace"
   run trace render "$trace" --width 120 --out "$trace.txt"
   run trace render "$trace" --format svg --out "$trace.svg"
+done
+
+# Help: the overview and every command's flag table.
+run --help
+for command in demo info schedule dot campaign online genwork "trace info" \
+  "trace verify" "trace render" list-policies; do
+  run $command --help
 done
 
 # The graph flow.
