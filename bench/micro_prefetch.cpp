@@ -139,7 +139,8 @@ void BM_CriticalSubtaskLoopAutoSelect(benchmark::State& state) {
 BENCHMARK(BM_CriticalSubtaskLoopAutoSelect)->Arg(14);
 
 /// The run-time phase as both simulators run it: the hybrid policy's plan()
-/// and its sequential timing by evaluate_instance_plan().
+/// and its sequential timing by evaluate(), the initialization phase
+/// included.
 void BM_HybridRuntimePhase(benchmark::State& state) {
   Fixture f(static_cast<int>(state.range(0)));
   HybridDesignOptions options;
@@ -157,9 +158,9 @@ void BM_HybridRuntimePhase(benchmark::State& state) {
     if (f.needs[s]) resident[s] = rng.next_bool(0.3);
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        evaluate_instance_plan(prep, f.platform,
-                               hybrid->plan(prep, resident, PolicyContext{}))
-            .span);
+        evaluate(f.graph, f.placement, f.platform,
+                 hybrid->plan(prep, resident, PolicyContext{}))
+            .makespan);
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_HybridRuntimePhase)

@@ -71,30 +71,30 @@ int main() {
   std::cout << " }\n";
 
   // --- 6. Run-time phase (Fig 5): subtask 3 reused, CS not resident -----
-  // The hybrid policy makes the run-time decision; evaluate_instance_plan
-  // times it exactly as the simulators do.
+  // The hybrid policy makes the run-time decision: a load plan whose
+  // init_count leading loads are the initialization phase. evaluate()
+  // times it, that phase included, exactly as the simulators do.
   const auto hybrid =
       PolicyRegistry::instance().create(PolicySpec(policy_names::hybrid));
-  auto run_hybrid = [&](const std::vector<bool>& resident) {
-    return evaluate_instance_plan(
-        prep, platform, hybrid->plan(prep, resident, PolicyContext{}));
-  };
   std::vector<bool> resident(graph.size(), false);
   resident[static_cast<std::size_t>(s3)] = true;  // L3 gets cancelled
-  const SequentialSchedule run = run_hybrid(resident);
+  const LoadPlan plan = hybrid->plan(prep, resident, PolicyContext{});
+  const EvalResult run = evaluate(graph, placement, platform, plan);
   std::cout << "\nrun-time phase (Fig 5b): initialization loads = "
-            << run.init_loads.size() << " (b.1), cancelled loads = "
-            << run.cancelled_loads
-            << ", total = " << fmt_ms(run.span) << " ms\n\n";
+            << plan.init_count << " (b.1), cancelled loads = "
+            << plan.cancelled_loads << ", total = " << fmt_ms(run.makespan)
+            << " ms\n\n";
   GanttOptions options;
-  options.init_duration = run.init_duration;
-  options.init_loads = run.init_loads;
-  std::cout << render_gantt(graph, placement, run.eval, options) << "\n";
+  options.init_loads.assign(
+      plan.loads.begin(),
+      plan.loads.begin() + static_cast<std::ptrdiff_t>(plan.init_count));
+  std::cout << render_gantt(graph, placement, run, options) << "\n";
 
   // --- 7. And if the critical subtask is resident: zero overhead --------
   resident[static_cast<std::size_t>(s1)] = true;
-  const SequentialSchedule warm = run_hybrid(resident);
-  std::cout << "with ex1 reused as well: " << fmt_ms(warm.span)
+  const EvalResult warm = evaluate(
+      graph, placement, platform, hybrid->plan(prep, resident, PolicyContext{}));
+  std::cout << "with ex1 reused as well: " << fmt_ms(warm.makespan)
             << " ms — equal to the ideal makespan; the tail of the port is\n"
                "idle and would prefetch the next task's initialization "
                "phase (Fig 5 b.3).\n";

@@ -38,9 +38,9 @@ class AdaptiveHybridPolicy : public PrefetchPolicy {
   /// check; the Section 4 hybrid value is the honest order of magnitude.
   time_us scheduler_cost() const override { return calm_->scheduler_cost(); }
 
-  InstancePlan plan(const PreparedScenario& prep,
-                    const std::vector<bool>& resident,
-                    const PolicyContext& context) override {
+  LoadPlan plan(const PreparedScenario& prep,
+                const std::vector<bool>& resident,
+                const PolicyContext& context) override {
     PrefetchPolicy& pick =
         context.contenders() >= k_min_contenders ? *pressured_ : *calm_;
     return pick.plan(prep, resident, context);

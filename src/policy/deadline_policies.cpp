@@ -44,9 +44,9 @@ class DeadlinePolicy : public PrefetchPolicy {
   }
   AdmissionUrgency admission_urgency() const override { return urgency_; }
 
-  InstancePlan plan(const PreparedScenario& prep,
-                    const std::vector<bool>& resident,
-                    const PolicyContext& context) override {
+  LoadPlan plan(const PreparedScenario& prep,
+                const std::vector<bool>& resident,
+                const PolicyContext& context) override {
     return delegate_->plan(prep, resident, context);
   }
 

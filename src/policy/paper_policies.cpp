@@ -26,14 +26,9 @@ class NoPrefetchPolicy : public PrefetchPolicy {
  public:
   bool uses_reuse() const override { return false; }
   bool uses_intertask() const override { return false; }
-  InstancePlan plan(const PreparedScenario& prep, const std::vector<bool>&,
-                    const PolicyContext&) override {
-    InstancePlan out;
-    out.load_policy = LoadPolicy::on_demand;
-    for (std::size_t s = 0; s < prep.graph->size(); ++s)
-      if (prep.placement.on_drhw(static_cast<SubtaskId>(s)))
-        out.loads.push_back(static_cast<SubtaskId>(s));
-    return out;
+  LoadPlan plan(const PreparedScenario& prep, const std::vector<bool>&,
+                const PolicyContext&) override {
+    return on_demand_all(*prep.graph, prep.placement);
   }
 };
 
@@ -43,12 +38,9 @@ class DesignTimePolicy : public PrefetchPolicy {
  public:
   bool uses_reuse() const override { return false; }
   bool uses_intertask() const override { return false; }
-  InstancePlan plan(const PreparedScenario& prep, const std::vector<bool>&,
-                    const PolicyContext&) override {
-    InstancePlan out;
-    out.load_policy = LoadPolicy::explicit_order;
-    out.loads = prep.design_order;
-    return out;
+  LoadPlan plan(const PreparedScenario& prep, const std::vector<bool>&,
+                const PolicyContext&) override {
+    return {LoadPolicy::explicit_order, prep.design_order};
   }
 };
 
@@ -63,11 +55,11 @@ class RuntimeHeuristicPolicy : public PrefetchPolicy {
   time_us scheduler_cost() const override {
     return k_paper_list_scheduler_cost;
   }
-  InstancePlan plan(const PreparedScenario& prep,
-                    const std::vector<bool>& resident,
-                    const PolicyContext&) override {
-    InstancePlan out;
-    out.load_policy = LoadPolicy::priority;
+  LoadPlan plan(const PreparedScenario& prep,
+                const std::vector<bool>& resident,
+                const PolicyContext&) override {
+    LoadPlan out;
+    out.policy = LoadPolicy::priority;
     for (std::size_t s = 0; s < prep.graph->size(); ++s)
       if (prep.placement.on_drhw(static_cast<SubtaskId>(s)) && !resident[s])
         out.loads.push_back(static_cast<SubtaskId>(s));
@@ -102,18 +94,10 @@ class HybridPolicy : public PrefetchPolicy {
   time_us scheduler_cost() const override {
     return k_paper_hybrid_scheduler_cost;
   }
-  InstancePlan plan(const PreparedScenario& prep,
-                    const std::vector<bool>& resident,
-                    const PolicyContext&) override {
-    const HybridDecision decision = hybrid_decide(prep.hybrid, resident);
-    InstancePlan out;
-    out.load_policy = LoadPolicy::explicit_order;
-    out.loads = decision.init_loads;
-    out.init_count = out.loads.size();
-    out.loads.insert(out.loads.end(), decision.load_order.begin(),
-                     decision.load_order.end());
-    out.cancelled_loads = decision.cancelled_loads;
-    return out;
+  LoadPlan plan(const PreparedScenario& prep,
+                const std::vector<bool>& resident,
+                const PolicyContext&) override {
+    return hybrid_decide(prep.hybrid, resident);
   }
   std::vector<SubtaskId> intertask_candidates(
       const PreparedScenario& future) const override {

@@ -10,9 +10,11 @@
 /// every per-approach decision and the kernels are pure timing engines that
 /// ask it
 ///   * what to load, in which order and in which port discipline for one
-///     admitted instance (plan(): the init-phase loads, the stored/explicit
-///     order or the run-time priority order, and the cancelled stored
-///     loads),
+///     admitted instance (plan(): a LoadPlan, prefetch/load_plan.hpp, with
+///     the init-phase loads, the stored/explicit order or the run-time
+///     priority order, and the cancelled stored loads; the online kernel
+///     turns it into port requests event by event, the sequential rig times
+///     it with EvalWorkspace::evaluate()),
 ///   * which configurations to prefetch for a *future* instance during port
 ///     idle periods (intertask_candidates(): the Section 6 inter-task
 ///     optimisation / the online backlog prefetch),
@@ -43,9 +45,8 @@
 #include <vector>
 
 #include "policy/policy_spec.hpp"
-#include "prefetch/evaluator.hpp"
+#include "prefetch/load_plan.hpp"
 #include "reuse/reuse_module.hpp"
-#include "sim/port_set.hpp"
 #include "util/time.hpp"
 
 namespace drhw {
@@ -103,44 +104,6 @@ struct PolicyContext {
   int contenders() const { return live_instances + queued_instances; }
 };
 
-/// One admitted instance's load plan — the policy's whole answer for the
-/// instance. Both kernels consume it: the online kernel turns it into port
-/// requests event by event, the sequential rig times it via
-/// evaluate_instance_plan(). Both call check_instance_plan() first.
-struct InstancePlan {
-  /// Discipline the port serves this instance's loads under.
-  LoadPolicy load_policy = LoadPolicy::on_demand;
-  /// Subtasks whose configuration must be loaded, with LoadPlan::loads'
-  /// meaning: the port order for explicit_order and priority (a run-time
-  /// policy orders its own loads, usually with order_by_weight()), a need
-  /// set for on_demand. An explicit order lists its initialization prefix
-  /// first.
-  std::vector<SubtaskId> loads;
-  /// Leading entries of `loads` that form an initialization phase: they
-  /// precede every execution of the instance and are exempt from the
-  /// head-of-line unit-order gate (the hybrid's CS loads).
-  std::size_t init_count = 0;
-  /// Stored loads cancelled because the configuration was resident.
-  int cancelled_loads = 0;
-};
-
-/// The plan invariants that do not depend on the graph: the initialization
-/// prefix fits in `loads`, and only an explicit order has one. A plan that
-/// broke them would stall the online kernel, so both kernels reject it.
-/// \throws InternalError (a policy bug) on a violation.
-void check_instance_plan(const InstancePlan& plan);
-
-/// Sequential timing of one instance (instance-relative times), produced by
-/// evaluate_instance_plan() from an InstancePlan.
-struct SequentialSchedule {
-  EvalResult eval;
-  time_us init_duration = 0;
-  std::vector<SubtaskId> init_loads;
-  std::vector<time_us> init_load_ends;  ///< aligned with init_loads
-  int cancelled_loads = 0;
-  time_us span = 0;  ///< init_duration + eval.makespan
-};
-
 /// The strategy interface. See the file comment for the contract.
 class PrefetchPolicy {
  public:
@@ -171,9 +134,9 @@ class PrefetchPolicy {
   /// Load plan for one admitted instance. `resident[s]` marks subtasks
   /// whose configuration the reuse module found on their bound tile (all
   /// false when uses_reuse() is false).
-  virtual InstancePlan plan(const PreparedScenario& prep,
-                            const std::vector<bool>& resident,
-                            const PolicyContext& context) = 0;
+  virtual LoadPlan plan(const PreparedScenario& prep,
+                        const std::vector<bool>& resident,
+                        const PolicyContext& context) = 0;
 
   /// Candidate loads to prefetch for a *future* instance during port idle
   /// periods, in prefetch order. Only consulted when uses_intertask().
@@ -192,35 +155,6 @@ class PrefetchPolicy {
   friend class PolicyRegistry;  // stamps the registered name at create()
   std::string name_;
 };
-
-/// Reusable storage of evaluate_instance_plan(): the evaluator's workspace,
-/// the plan body handed to it and the initialization phase's ports. The
-/// sequential rig keeps one for its whole run.
-struct SequentialWorkspace {
-  EvalWorkspace eval;
-  LoadPlan body;  ///< the plan's loads after its initialization prefix
-  PortSet init_ports{1};
-};
-
-/// Times an InstancePlan on one platform, sequential-rig semantics: the
-/// initialization prefix dispatches onto the earliest-free of
-/// `platform.reconfig_ports` (back to back with one port), then the
-/// evaluator times the loads after the prefix under the plan's discipline,
-/// relative to the end of the initialization phase. This is the one
-/// translation from policy decisions to sequential timing, and the only
-/// timing of the hybrid's run-time phase. Writes into `out` (its vectors
-/// keep their capacity), so a caller timing a stream of instances
-/// allocates nothing once the largest graph has been seen.
-void evaluate_instance_plan(const PreparedScenario& prep,
-                            const PlatformConfig& platform,
-                            const InstancePlan& plan,
-                            SequentialWorkspace& workspace,
-                            SequentialSchedule& out);
-
-/// evaluate_instance_plan() over a fresh workspace, for one-off callers.
-SequentialSchedule evaluate_instance_plan(const PreparedScenario& prep,
-                                          const PlatformConfig& platform,
-                                          const InstancePlan& plan);
 
 /// The Section 4 per-decision run-time scheduler cost of `spec`'s policy
 /// (see scheduler_cost()); creates the policy through the registry, so any

@@ -32,13 +32,12 @@ class EvalRun {
     init_state();
     init_result();
 
-    // Initial enables at t = 0; the ports start idle.
-    for (std::size_t s = 0; s < n_; ++s) {
-      const auto id = static_cast<SubtaskId>(s);
-      if (placement_.position_of[s] == 0) mark_arrival(id, 0);
-      if (graph_.predecessors(id).empty()) mark_dag_ready(id, 0);
-    }
-    try_port(0);
+    // The ports start idle at t = 0. An initialization phase holds the
+    // instance back until its last load completes (on_load_done()).
+    if (plan_.init_count == 0)
+      release(0);
+    else
+      try_port(0);
 
     while (!ws_.events_.empty()) {
       const Event ev = ws_.events_.front();
@@ -82,8 +81,10 @@ class EvalRun {
     heap.pop_back();
   }
 
-  /// Checks every load id and records its position in the plan.
+  /// Checks the plan and every load id, and records each load's position
+  /// in the plan.
   void validate_plan() {
+    check_load_plan(plan_);
     ws_.load_rank_.assign(n_, k_not_loaded);
     for (std::size_t i = 0; i < plan_.loads.size(); ++i) {
       const SubtaskId s = plan_.loads[i];
@@ -135,11 +136,27 @@ class EvalRun {
 
   // -- state transitions -----------------------------------------------
 
+  /// Starts the instance proper at `t`: the first subtask of every unit
+  /// arrives and every source is ready. Nothing arrives earlier, so until
+  /// then no load after the initialization prefix passes the head-of-line
+  /// gate and no execution starts — which is how every load and execution
+  /// waits for the initialization phase.
+  void release(time_us t) {
+    for (std::size_t s = 0; s < n_; ++s) {
+      const auto id = static_cast<SubtaskId>(s);
+      if (placement_.position_of[s] == 0) mark_arrival(id, t);
+      if (graph_.predecessors(id).empty()) mark_dag_ready(id, t);
+    }
+    try_port(t);
+  }
+
   void mark_arrival(SubtaskId s, time_us t) {
     const auto idx = static_cast<std::size_t>(s);
     DRHW_CHECK(ws_.arrival_[idx] == k_no_time);
     ws_.arrival_[idx] = t;
-    if (planned(idx)) {
+    // An initialization load's configuration is in place before its
+    // subtask arrives: it executes like a resident one.
+    if (planned(idx) && !ws_.config_done_[idx]) {
       if (plan_.policy == LoadPolicy::priority)
         heap_push(ws_.eligible_, ws_.load_rank_[idx]);
       else if (plan_.policy == LoadPolicy::on_demand &&
@@ -211,7 +228,9 @@ class EvalRun {
       case LoadPolicy::explicit_order: {
         if (next_explicit_ == plan_.loads.size()) return k_no_subtask;
         const SubtaskId s = plan_.loads[next_explicit_];
-        if (ws_.arrival_[static_cast<std::size_t>(s)] == k_no_time)
+        // The initialization prefix is exempt from the unit-order gate.
+        if (next_explicit_ >= plan_.init_count &&
+            ws_.arrival_[static_cast<std::size_t>(s)] == k_no_time)
           return k_no_subtask;  // head-of-line block
         ++next_explicit_;
         return s;
@@ -240,9 +259,13 @@ class EvalRun {
   // -- event handlers ----------------------------------------------------
 
   void on_load_done(SubtaskId s, time_us t) {
-    ws_.config_done_[static_cast<std::size_t>(s)] = 1;
+    const auto idx = static_cast<std::size_t>(s);
+    ws_.config_done_[idx] = 1;
     try_exec(s, t);
     try_port(t);
+    if (ws_.load_rank_[idx] < plan_.init_count &&
+        ++init_loads_done_ == plan_.init_count)
+      release(t);
   }
 
   void on_exec_done(SubtaskId s, time_us t) {
@@ -274,6 +297,7 @@ class EvalRun {
       if (result_.load_end[s] != k_no_time) {
         result_.last_load_end =
             std::max(result_.last_load_end, result_.load_end[s]);
+        // Neither is earlier than the end of the initialization phase.
         const time_us other = std::max(ws_.dag_ready_[s], ws_.arrival_[s]);
         result_.delayed_by_load[s] =
             result_.exec_start[s] == result_.load_end[s] &&
@@ -290,6 +314,7 @@ class EvalRun {
   EvalResult& result_;
   const std::size_t n_ = graph_.size();
   std::size_t next_explicit_ = 0;
+  std::size_t init_loads_done_ = 0;
 };
 
 void EvalWorkspace::evaluate(const SubtaskGraph& graph,

@@ -11,7 +11,12 @@
 ///  * the port performs one load at a time (latency platform.reconfig_latency);
 ///  * execution of `s` starts when its predecessors finished, its
 ///    configuration is present, and the previous subtask on its unit is done;
-///  * executions on one unit follow the placement order strictly.
+///  * executions on one unit follow the placement order strictly;
+///  * a plan's initialization prefix (LoadPlan::init_count) dispatches
+///    first, in order on the earliest-free port with no head-of-line gate,
+///    and every other load and every execution (ISP executions included)
+///    waits until its last load has completed — the rule the online
+///    kernel applies to the same plan.
 
 #include <vector>
 
@@ -22,8 +27,9 @@
 
 namespace drhw {
 
-/// Timing of one evaluated task instance. All times are relative to the
-/// instance's own start (t = 0); the caller offsets into global time.
+/// Timing of one evaluated task instance, the initialization phase
+/// included. All times are relative to the instance's own start (t = 0);
+/// the caller offsets into global time.
 struct EvalResult {
   time_us makespan = 0;
   std::vector<time_us> exec_start;
@@ -33,9 +39,11 @@ struct EvalResult {
   std::vector<time_us> load_end;
   /// True iff the subtask's own load completion was the strict binding
   /// constraint on its execution start — the paper's "generates a delay due
-  /// to its reconfiguration" test used by the critical-subtask loop.
+  /// to its reconfiguration" test used by the critical-subtask loop. The
+  /// end of the initialization phase counts among the other constraints.
   std::vector<bool> delayed_by_load;
-  /// Loads in the order the port actually served them.
+  /// Loads in the order the port actually served them (the
+  /// initialization prefix first).
   std::vector<SubtaskId> load_order;
   /// Completion time of the last load, or k_no_time when nothing was loaded.
   /// The window [last_load_end, makespan] is the "final idle period of the
@@ -110,15 +118,14 @@ class EvalWorkspace {
 };
 
 /// Simulates one task instance; the reconfiguration ports are free at its
-/// start (an initialization phase is timed before it, see
-/// evaluate_instance_plan in policy/prefetch_policy.hpp). A thin wrapper
-/// over a fresh EvalWorkspace, for one-off callers (design-time tools,
-/// examples, tests).
+/// start. A thin wrapper over a fresh EvalWorkspace, for one-off callers
+/// (design-time tools, examples, tests).
 ///
 /// \throws std::invalid_argument if the plan is malformed (a load id out
 ///         of range, a load for an ISP subtask, or the same subtask loaded
 ///         twice) or if an explicit order is infeasible (head-of-line
 ///         deadlock against the unit orders).
+/// \throws InternalError if the plan breaks check_load_plan().
 EvalResult evaluate(const SubtaskGraph& graph, const Placement& placement,
                     const PlatformConfig& platform, const LoadPlan& plan);
 

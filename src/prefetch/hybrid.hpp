@@ -14,29 +14,28 @@
 /// Everything else was fixed at design time, which is why the run-time
 /// overhead of the hybrid approach is negligible.
 ///
-/// The `hybrid` policy turns hybrid_decide() into an InstancePlan, which
-/// evaluate_instance_plan() (policy/prefetch_policy.hpp) times.
+/// The `hybrid` policy's plan() is hybrid_decide(), and
+/// EvalWorkspace::evaluate() (prefetch/evaluator.hpp) times it, the
+/// initialization phase included.
 
 #include <vector>
 
 #include "prefetch/critical_subtasks.hpp"
+#include "prefetch/load_plan.hpp"
 
 namespace drhw {
 
-/// The run-time phase's decision — what actually executes
-/// inside the scheduler's time slot on the embedded processor: pick the
-/// initialization loads (CS minus resident) and cancel resident stored
-/// loads. O(N) with no timing computation; this is why the hybrid approach
-/// "is not generating any run-time overhead" (Section 6).
-struct HybridDecision {
-  std::vector<SubtaskId> init_loads;
-  std::vector<SubtaskId> load_order;  ///< stored order minus cancellations
-  int cancelled_loads = 0;
-};
-
+/// The run-time phase's decision — what actually executes inside the
+/// scheduler's time slot on the embedded processor: an explicit order whose
+/// initialization prefix is the critical subtasks not resident (in the
+/// design-time weight order), followed by the stored order minus the
+/// resident loads, which are counted as cancelled. O(N) with no timing
+/// computation; this is why the hybrid approach "is not generating any
+/// run-time overhead" (Section 6).
+///
 /// `resident[s]` marks subtasks whose configuration is already on their
 /// bound tile; every id the design names must index it (checked).
-HybridDecision hybrid_decide(const HybridSchedule& design,
-                             const std::vector<bool>& resident);
+LoadPlan hybrid_decide(const HybridSchedule& design,
+                       const std::vector<bool>& resident);
 
 }  // namespace drhw

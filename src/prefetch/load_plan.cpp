@@ -2,7 +2,17 @@
 
 #include <algorithm>
 
+#include "util/check.hpp"
+
 namespace drhw {
+
+void check_load_plan(const LoadPlan& plan) {
+  DRHW_CHECK_LE_MSG(plan.init_count, plan.loads.size(),
+                    "load plan: init prefix longer than the load list");
+  DRHW_CHECK_MSG(
+      plan.init_count == 0 || plan.policy == LoadPolicy::explicit_order,
+      "load plan: an initialization phase requires an explicit order");
+}
 
 LoadPlan on_demand_all(const SubtaskGraph& graph, const Placement& placement) {
   LoadPlan plan;

@@ -2,7 +2,9 @@
 
 /// \file load_plan.hpp
 /// Which configurations must be loaded for one task instance, in which
-/// order, and in what discipline the reconfiguration port serves them.
+/// order, and in what discipline the reconfiguration port serves them: a
+/// prefetch policy's whole answer for one instance, which both timing
+/// engines (the evaluator and the online kernel) consume.
 
 #include <vector>
 
@@ -35,10 +37,26 @@ struct LoadPlan {
   LoadPolicy policy = LoadPolicy::on_demand;
   /// Subtasks whose configuration must be loaded before they execute, each
   /// DRHW-placed and listed once; resident (reused) and ISP subtasks are
-  /// absent. For explicit_order and priority this is the port order; for
-  /// on_demand it is a need set and its order is ignored.
+  /// absent. For explicit_order and priority this is the port order (a
+  /// run-time policy orders its own loads, usually with order_by_weight());
+  /// for on_demand it is a need set and its order is ignored. An explicit
+  /// order lists its initialization prefix first.
   std::vector<SubtaskId> loads;
+  /// Leading entries of `loads` that form an initialization phase (the
+  /// hybrid's critical loads): they dispatch back to back on the
+  /// earliest-free port, exempt from the head-of-line unit-order gate, and
+  /// every other load and every execution waits until the last of them has
+  /// completed.
+  std::size_t init_count = 0;
+  /// Stored loads cancelled because the configuration was resident.
+  int cancelled_loads = 0;
 };
+
+/// The plan invariants that do not depend on the graph: the initialization
+/// prefix fits in `loads`, and only an explicit order has one. A plan that
+/// broke them would stall the online kernel, so both timing engines reject
+/// it. \throws InternalError (a policy bug) on a violation.
+void check_load_plan(const LoadPlan& plan);
 
 /// Plan loading every DRHW subtask on demand (the no-prefetch baseline).
 LoadPlan on_demand_all(const SubtaskGraph& graph, const Placement& placement);

@@ -50,13 +50,6 @@ void ConfigStore::relocate(PhysTileId from, PhysTileId to, time_us when) {
   record_load(to, source.config, when, source.value);
 }
 
-void ConfigStore::clear() {
-  for (auto& tile : tiles_) {
-    set_config(tile, k_no_config);
-    tile = Tile{};
-  }
-}
-
 void ConfigStore::throw_out_of_range() {
   throw std::invalid_argument("physical tile id out of range");
 }

@@ -57,10 +57,6 @@ class ConfigStore {
   }
   double value_of(PhysTileId tile) const { return tiles_[checked(tile)].value; }
 
-  /// Forgets every resident configuration (e.g. between experiments).
-  /// O(tiles): only the tiles' own resident counts are undone.
-  void clear();
-
  private:
   struct Tile {
     ConfigId config = k_no_config;

@@ -214,7 +214,7 @@ void run_sched_cost(const Scenario& scenario, WorkloadCache& cache,
     hybrid_total += micros_per_call(
         [&] {
           volatile auto loads =
-              hybrid_decide(prepared.hybrid, resident).init_loads.size();
+              hybrid_decide(prepared.hybrid, resident).init_count;
           (void)loads;
         },
         scenario.timing_calls);

@@ -595,16 +595,16 @@ class OnlineSimulation {
     // not yet in live_, so both counts exclude it.
     context.live_instances = static_cast<int>(live_.size());
     context.queued_instances = static_cast<int>(pool_.queued());
-    const InstancePlan plan = policy_->plan(prep, resident, context);
-    check_instance_plan(plan);
+    const LoadPlan plan = policy_->plan(prep, resident, context);
+    check_load_plan(plan);
 
-    slot.policy = plan.load_policy;
+    slot.policy = plan.policy;
     slot.init_count = plan.init_count;
     slot.cancelled = plan.cancelled_loads;
     slot.init_pending = static_cast<int>(slot.init_count);
     slot.init_done = slot.init_pending == 0;
     // Explicit and priority plans are served in plan order.
-    if (plan.load_policy != LoadPolicy::on_demand) slot.order = plan.loads;
+    if (plan.policy != LoadPolicy::on_demand) slot.order = plan.loads;
     // The ids evaluate() rejects: a bad one here would index outside the
     // instance's arena row or load onto no tile. `needs` starts zeroed,
     // so it also catches duplicates without allocating.
@@ -612,11 +612,11 @@ class OnlineSimulation {
     for (std::size_t i = 0; i < plan.loads.size(); ++i) {
       const SubtaskId s = plan.loads[i];
       DRHW_CHECK_MSG(s >= 0 && static_cast<std::size_t>(s) < n,
-                     "instance plan: load id out of range");
+                     "load plan: load id out of range");
       DRHW_CHECK_MSG(prep.placement.on_drhw(s),
-                     "instance plan: load for a non-DRHW subtask");
+                     "load plan: load for a non-DRHW subtask");
       const std::size_t idx = base + static_cast<std::size_t>(s);
-      DRHW_CHECK_MSG(!arena_.needs[idx], "instance plan: duplicate load");
+      DRHW_CHECK_MSG(!arena_.needs[idx], "load plan: duplicate load");
       arena_.needs[idx] = 1;
       if (i < plan.init_count) arena_.init_load[idx] = 1;
     }
@@ -765,11 +765,12 @@ class OnlineSimulation {
           // multi-port platforms they dispatch in parallel.
           if (i >= slot.init_count) {
             // Stored-schedule loads wait for the whole init phase, not
-            // just for its loads to have *started*: the sequential rig
-            // evaluates the stored schedule strictly after init_duration,
-            // and this gate is what keeps multi-port spans equal at
-            // arrival rate -> 0 (with one port it is vacuous — the port
-            // busy with the last init load blocks any scan anyway).
+            // just for its loads to have *started*: the evaluator holds
+            // the stored schedule back until the last init load has
+            // completed, and this gate is what keeps multi-port spans
+            // equal at arrival rate -> 0 (with one port it is vacuous —
+            // the port busy with the last init load blocks any scan
+            // anyway).
             if (!slot.init_done) return k_no_subtask;
             if (arena_.arrived[idx] == k_no_time)
               return k_no_subtask;  // head-of-line block

@@ -33,11 +33,11 @@
 ///    concurrently. Arbitration between live instances is either fifo
 ///    (oldest admitted instance first) or priority (highest ALAP-weight
 ///    load first). Within one instance the load order follows the
-///    InstancePlan its PrefetchPolicy produced (policy/prefetch_policy.hpp),
+///    LoadPlan its PrefetchPolicy produced (policy/prefetch_policy.hpp),
 ///    exactly as in the single-instance evaluator: on-demand (a need set,
 ///    first requested first), priority (the first arrived load in the
 ///    plan's order), or an explicit/stored order with head-of-line
-///    semantics. The kernel rejects a malformed plan (check_instance_plan()
+///    semantics. The kernel rejects a malformed plan (check_load_plan()
 ///    plus out-of-range, non-DRHW and duplicate load ids) at admission.
 ///  * The hybrid's initialization-phase loads become ordinary port requests
 ///    — they can be delayed by a competing instance's in-flight load, and

@@ -23,7 +23,7 @@ void gantt_draw_box(std::string& row, int a, int b, const std::string& label,
 
 std::string render_gantt(const SubtaskGraph& graph, const Placement& placement,
                          const EvalResult& eval, const GanttOptions& options) {
-  const time_us total = options.init_duration + eval.makespan;
+  const time_us total = eval.makespan;
   DRHW_CHECK(total > 0);
   const int width = std::max(options.width, 10);
   auto x = [&](time_us t) {
@@ -33,22 +33,21 @@ std::string render_gantt(const SubtaskGraph& graph, const Placement& placement,
   std::ostringstream out;
   const std::string empty(static_cast<std::size_t>(width) + 1, ' ');
 
-  // Port row: init loads, then scheduled loads shifted by init_duration.
+  // Port row: init loads, then the other loads.
   std::string port = empty;
-  const time_us latency = options.init_loads.empty()
-                              ? 0
-                              : options.init_duration /
-                                    static_cast<time_us>(options.init_loads.size());
-  for (std::size_t i = 0; i < options.init_loads.size(); ++i) {
-    const time_us a = static_cast<time_us>(i) * latency;
-    gantt_draw_box(port, x(a), x(a + latency),
-             "I" + std::to_string(options.init_loads[i]), '#');
+  const auto& init = options.init_loads;
+  for (SubtaskId s : init) {
+    const auto idx = static_cast<std::size_t>(s);
+    gantt_draw_box(port, x(eval.load_start[idx]), x(eval.load_end[idx]),
+                   "I" + std::to_string(s), '#');
   }
   for (std::size_t s = 0; s < graph.size(); ++s) {
-    if (eval.load_start[s] == k_no_time) continue;
-    gantt_draw_box(port, x(options.init_duration + eval.load_start[s]),
-             x(options.init_duration + eval.load_end[s]),
-             "L" + std::to_string(s), '#');
+    if (eval.load_start[s] == k_no_time ||
+        std::find(init.begin(), init.end(), static_cast<SubtaskId>(s)) !=
+            init.end())
+      continue;
+    gantt_draw_box(port, x(eval.load_start[s]), x(eval.load_end[s]),
+                   "L" + std::to_string(s), '#');
   }
   out << "  port  |" << port << "|\n";
   // Unit rows follow with their labels padded to match "port ".
@@ -57,9 +56,8 @@ std::string render_gantt(const SubtaskGraph& graph, const Placement& placement,
     std::string row = empty;
     for (SubtaskId s : seq) {
       const auto idx = static_cast<std::size_t>(s);
-      gantt_draw_box(row, x(options.init_duration + eval.exec_start[idx]),
-               x(options.init_duration + eval.exec_end[idx]),
-               graph.subtask(s).name, '=');
+      gantt_draw_box(row, x(eval.exec_start[idx]), x(eval.exec_end[idx]),
+                     graph.subtask(s).name, '=');
     }
     name.resize(5, ' ');  // align with the "port " label
     out << "  " << name << " |" << row << "|\n";

@@ -13,10 +13,9 @@
 namespace drhw {
 
 struct GanttOptions {
-  int width = 72;              ///< characters used for the time axis
-  time_us init_duration = 0;   ///< hybrid initialization phase to prepend
-  /// Labels of initialization loads (subtask ids), drawn on the port row
-  /// inside the init window. May be empty.
+  int width = 72;  ///< characters used for the time axis
+  /// The plan's initialization loads (its LoadPlan::init_count prefix),
+  /// drawn on the port row as `I<id>` instead of `L<id>`. May be empty.
   std::vector<SubtaskId> init_loads;
 };
 

@@ -43,7 +43,7 @@ struct InstanceSlot {
   bool sched_done = true;
   bool init_done = true;
   LoadPolicy policy = LoadPolicy::on_demand;
-  /// The plan's loads in port order (InstancePlan::loads) for an explicit
+  /// The plan's loads in port order (LoadPlan::loads) for an explicit
   /// plan (init prefix first) or a priority plan; empty for on_demand.
   std::vector<SubtaskId> order;
   /// Cursor into `order`: every entry before it has started loading.

@@ -12,10 +12,9 @@
 /// estimates and the online kernel pick the *same* port when free times
 /// tie (deterministic lowest-index winner), so a composed schedule never
 /// diverges from its estimate over a tie-break detail. The hybrid's
-/// initialization phase (evaluate_instance_plan in
-/// policy/prefetch_policy.cpp) dispatches its loads through a PortSet too,
-/// which is what makes the sequential rig's init_duration agree with the
-/// online kernel's overlapped init loads at reconfig_ports > 1.
+/// initialization loads dispatch through the same PortSet in both engines,
+/// which is what makes the sequential rig's initialization phase agree
+/// with the online kernel's overlapped init loads at reconfig_ports > 1.
 ///
 /// The online kernel additionally reuses PortSet for the shared-ISP model:
 /// ISPs are just another pool of identical serialised servers.

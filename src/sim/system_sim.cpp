@@ -124,9 +124,9 @@ class SystemSimulation {
 
   /// One memo entry: a plan and its timing.
   struct TimedPlan {
-    InstancePlan plan;
-    SequentialSchedule sched;
-    time_us port_time = 0;  ///< port busy time of its init and body loads
+    LoadPlan plan;
+    EvalResult eval;
+    time_us port_time = 0;  ///< port busy time of all its loads
   };
 
   /// What the run keeps per distinct preparation.
@@ -215,27 +215,28 @@ class SystemSimulation {
       binding.reused_subtasks = 0;
     }
 
-    const SequentialSchedule& sched =
+    const TimedPlan& timed =
         schedule_instance(current, binding, upcoming.size());
 
     // Commit the timeline into the shared configuration store.
-    if (reuse_on) commit_to_store(inst, binding, sched);
+    if (reuse_on) commit_to_store(inst, binding, timed);
 
     // Inter-task optimisation: use the port's final idle period for the
     // upcoming tasks' critical loads.
     if (intertask_enabled() && !upcoming.empty())
-      tail_prefetch(inst, binding, sched, upcoming);
+      tail_prefetch(inst, binding, timed.eval, upcoming);
 
-    account(inst, binding, sched);
-    if (options_.record_spans) report_.spans.push_back(sched.span);
-    clock_ += sched.span;
+    account(inst, binding, timed);
+    const time_us span = timed.eval.makespan;
+    if (options_.record_spans) report_.spans.push_back(span);
+    clock_ += span;
   }
 
-  /// Plans and times one instance. The returned schedule lives in the plan
+  /// Plans and times one instance. The returned entry lives in the plan
   /// memo and stays valid until the next call.
-  const SequentialSchedule& schedule_instance(const QueuedInstance& current,
-                                              const Binding& binding,
-                                              std::size_t upcoming_count) {
+  const TimedPlan& schedule_instance(const QueuedInstance& current,
+                                     const Binding& binding,
+                                     std::size_t upcoming_count) {
     const PreparedScenario& inst = *current.scenario;
     PolicyContext context;
     context.now = clock_;
@@ -243,23 +244,24 @@ class SystemSimulation {
     context.port_busy = port_busy_;
     context.live_instances = 0;  // instances run strictly one at a time
     context.queued_instances = static_cast<int>(upcoming_count);
-    const InstancePlan plan = policy_->plan(inst, binding.resident, context);
-    check_instance_plan(plan);
+    const LoadPlan plan = policy_->plan(inst, binding.resident, context);
     const TimedPlan& timed = timed_plan(current, plan);
     // Observed-pressure accounting for future PolicyContexts: the port was
     // busy for every init and scheduled load of this instance.
     port_busy_ += timed.port_time;
-    return timed.sched;
+    return timed;
   }
 
   /// The plan memo: a schedule is a pure function of the preparation, the
   /// plan and the run's platform, and a run draws few distinct (preparation,
-  /// plan) pairs, so each is timed once and looked up afterwards.
+  /// plan) pairs, so each is timed once and looked up afterwards. Each
+  /// entry's plan passed the evaluator's check_load_plan(), so a plan that
+  /// matches one is sound too.
   const TimedPlan& timed_plan(const QueuedInstance& current,
-                              const InstancePlan& plan) {
+                              const LoadPlan& plan) {
     std::vector<TimedPlan>& timed = prep_state(current).memo;
     for (const TimedPlan& entry : timed)
-      if (entry.plan.load_policy == plan.load_policy &&
+      if (entry.plan.policy == plan.policy &&
           entry.plan.init_count == plan.init_count &&
           entry.plan.cancelled_loads == plan.cancelled_loads &&
           entry.plan.loads == plan.loads)
@@ -267,15 +269,12 @@ class SystemSimulation {
     const PreparedScenario& inst = *current.scenario;
     TimedPlan entry;
     entry.plan = plan;
-    evaluate_instance_plan(inst, options_.platform, plan, workspace_,
-                           entry.sched);
-    const SubtaskGraph& graph = *inst.graph;
-    const SequentialSchedule& sched = entry.sched;
-    for (const SubtaskId s : sched.init_loads)
-      entry.port_time += load_duration(graph, s);
-    for (std::size_t s = 0; s < graph.size(); ++s)
-      if (sched.eval.load_end[s] != k_no_time)
-        entry.port_time += sched.eval.load_end[s] - sched.eval.load_start[s];
+    workspace_.evaluate(*inst.graph, inst.placement, options_.platform, plan,
+                        entry.eval);
+    const EvalResult& eval = entry.eval;
+    for (std::size_t s = 0; s < inst.graph->size(); ++s)
+      if (eval.load_end[s] != k_no_time)
+        entry.port_time += eval.load_end[s] - eval.load_start[s];
     timed.push_back(std::move(entry));
     return timed.back();
   }
@@ -301,24 +300,26 @@ class SystemSimulation {
   }
 
   void commit_to_store(const PreparedScenario& inst, const Binding& binding,
-                       const SequentialSchedule& sched) {
+                       const TimedPlan& timed) {
     const SubtaskGraph& graph = *inst.graph;
     const Placement& placement = inst.placement;
-    const time_us offset = clock_ + sched.init_duration;
+    const EvalResult& eval = timed.eval;
     const std::vector<time_us>& values = values_for(inst);
+    const auto init_begin = timed.plan.loads.begin();
+    const auto init_end =
+        init_begin + static_cast<std::ptrdiff_t>(timed.plan.init_count);
 
     // Initialization-phase loads occupy the port(s) from the instance
-    // start; each records at its actual completion (with several ports
-    // the ends interleave, so a back-to-back cursor would timestamp a
-    // load after stored-schedule loads that really completed earlier and
-    // trip the store's per-tile monotonicity check).
-    for (std::size_t i = 0; i < sched.init_loads.size(); ++i) {
-      const SubtaskId s = sched.init_loads[i];
-      const auto tile = static_cast<std::size_t>(
-          placement.tile_of[static_cast<std::size_t>(s)]);
-      store_.record_load(binding.phys_of_tile[tile], graph.subtask(s).config,
-                         clock_ + sched.init_load_ends[i],
-                         static_cast<double>(values[static_cast<std::size_t>(s)]));
+    // start and are recorded first, each at its actual completion (with
+    // several ports the ends interleave, so a back-to-back cursor would
+    // timestamp a load after stored-schedule loads that really completed
+    // earlier and trip the store's per-tile monotonicity check).
+    for (auto it = init_begin; it != init_end; ++it) {
+      const auto idx = static_cast<std::size_t>(*it);
+      const auto tile = static_cast<std::size_t>(placement.tile_of[idx]);
+      store_.record_load(binding.phys_of_tile[tile], graph.subtask(*it).config,
+                         clock_ + eval.load_end[idx],
+                         static_cast<double>(values[idx]));
     }
     // Scheduled loads and executions, walked per tile in execution order so
     // that the last load on a tile determines its resident configuration.
@@ -328,26 +329,25 @@ class SystemSimulation {
       for (SubtaskId s :
            placement.tile_sequence[static_cast<std::size_t>(v)]) {
         const auto idx = static_cast<std::size_t>(s);
-        if (sched.eval.load_end[idx] != k_no_time)
+        if (eval.load_end[idx] != k_no_time &&
+            std::find(init_begin, init_end, s) == init_end)
           store_.record_load(phys, graph.subtask(s).config,
-                             offset + sched.eval.load_end[idx],
+                             clock_ + eval.load_end[idx],
                              static_cast<double>(values[idx]));
-        store_.record_use(phys, offset + sched.eval.exec_end[idx]);
+        store_.record_use(phys, clock_ + eval.exec_end[idx]);
       }
     }
   }
 
   void tail_prefetch(const PreparedScenario& inst, const Binding& binding,
-                     const SequentialSchedule& sched,
+                     const EvalResult& eval,
                      const std::vector<QueuedInstance>& upcoming) {
     const Placement& placement = inst.placement;
-    const time_us offset = clock_ + sched.init_duration;
-    const time_us window_end = clock_ + sched.span;
+    const time_us window_end = clock_ + eval.makespan;
 
     // The port is free after the last load of this instance.
-    time_us port_cursor = clock_ + sched.init_duration;
-    if (sched.eval.last_load_end != k_no_time)
-      port_cursor = offset + sched.eval.last_load_end;
+    time_us port_cursor = clock_;
+    if (eval.last_load_end != k_no_time) port_cursor += eval.last_load_end;
     if (port_cursor >= window_end) return;
 
     // A tile may be reconfigured for a future task once this instance has
@@ -357,8 +357,7 @@ class SystemSimulation {
     for (int v = 0; v < placement.tiles_used; ++v) {
       const PhysTileId phys = binding.phys_of_tile[static_cast<std::size_t>(v)];
       tile_free[static_cast<std::size_t>(phys)] =
-          offset +
-          sched.eval.tile_last_exec_end[static_cast<std::size_t>(v)];
+          clock_ + eval.tile_last_exec_end[static_cast<std::size_t>(v)];
     }
 
     // Walk the emitted sequence outward. Configurations wanted by the
@@ -464,7 +463,7 @@ class SystemSimulation {
   }
 
   void account(const PreparedScenario& inst, const Binding& binding,
-               const SequentialSchedule& sched) {
+               const TimedPlan& timed) {
     const SubtaskGraph& graph = *inst.graph;
     long drhw = 0;
     double exec_energy = 0.0;
@@ -472,12 +471,12 @@ class SystemSimulation {
       if (inst.placement.on_drhw(static_cast<SubtaskId>(s))) ++drhw;
       exec_energy += graph.subtask(static_cast<SubtaskId>(s)).exec_energy;
     }
-    const auto init_loads = static_cast<long>(sched.init_loads.size());
-    report_.account_instance(inst.ideal, sched.span, drhw,
-                             init_loads + sched.eval.loads, init_loads,
+    report_.account_instance(inst.ideal, timed.eval.makespan, drhw,
+                             timed.eval.loads,
+                             static_cast<long>(timed.plan.init_count),
                              exec_energy, options_.platform.reconfig_energy);
     report_.reused_subtasks += binding.reused_subtasks;
-    report_.cancelled_loads += sched.cancelled_loads;
+    report_.cancelled_loads += timed.plan.cancelled_loads;
   }
 
   SimOptions options_;
@@ -491,7 +490,7 @@ class SystemSimulation {
   // timing and the tail prefetch allocate nothing at steady state.
   std::vector<QueuedInstance> upcoming_;  ///< emitted lookahead
   Binding binding_;
-  SequentialWorkspace workspace_;
+  EvalWorkspace workspace_;
   std::vector<PrepState> preps_;  ///< by prep_index()
   std::vector<time_us> tile_free_;  ///< tail_prefetch(): per tile
   std::vector<char> targeted_;      ///< tail_prefetch(): per tile

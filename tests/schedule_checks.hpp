@@ -49,9 +49,15 @@ inline void expect_valid_schedule(const SubtaskGraph& graph,
 
   // Loads: exactly the planned ones, each lasting the subtask's
   // reconfiguration latency, completing before the execution, starting
-  // after the previous execution on the same tile.
+  // after the previous execution on the same tile (the initialization
+  // prefix is exempt from the unit order).
   std::vector<bool> planned(n, false);
-  for (SubtaskId s : plan.loads) planned[static_cast<std::size_t>(s)] = true;
+  std::vector<bool> init(n, false);
+  for (std::size_t i = 0; i < plan.loads.size(); ++i) {
+    const auto idx = static_cast<std::size_t>(plan.loads[i]);
+    planned[idx] = true;
+    init[idx] = i < plan.init_count;
+  }
   for (std::size_t s = 0; s < n; ++s) {
     if (planned[s]) {
       ASSERT_NE(r.load_start[s], k_no_time) << "missing load for " << s;
@@ -62,7 +68,7 @@ inline void expect_valid_schedule(const SubtaskGraph& graph,
       EXPECT_LE(r.load_end[s], r.exec_start[s]);
       EXPECT_GE(r.load_start[s], 0);
       const SubtaskId prev = placement.prev_on_unit(static_cast<SubtaskId>(s));
-      if (prev != k_no_subtask) {
+      if (prev != k_no_subtask && !init[s]) {
         EXPECT_GE(r.load_start[s], r.exec_end[static_cast<std::size_t>(prev)]);
       }
     } else {

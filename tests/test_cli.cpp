@@ -425,6 +425,25 @@ TEST(Cli, OutOfRangeNumbersAreInputErrorsNotInternalFailures) {
   EXPECT_FALSE(std::filesystem::exists(fresh)) << fresh;
 }
 
+TEST(Cli, RejectedInputsPrintNothingOnStdout) {
+  // An input the command rejects is rejected before any of its output: a
+  // failed run leaves no partial report (Gantt charts, banner) on stdout.
+  const std::string dir = temp_dir("cli_reject_before_output");
+  const std::string graph = dir + "/demo.json";
+  ASSERT_EQ(run_cli("demo > " + graph, "").exit_code, 0);
+  const std::pair<std::string, int> cases[] = {
+      {"schedule " + graph + " --resident 99", 1},
+      {"online --iterations 5 --approach 'hybrid[bogus=1]'", 1},
+      {"online --iterations 5 --trace " + dir +
+           "/t.jsonl --approach hybrid --approach edf",
+       2}};
+  for (const auto& [args, exit_code] : cases) {
+    const CliResult result = run_cli(args, "2>/dev/null");
+    EXPECT_EQ(result.exit_code, exit_code) << args;
+    EXPECT_EQ(result.output, "") << args;
+  }
+}
+
 TEST(Cli, NumericFlagsAcceptWholeValues) {
   // Doubles keep their exponent form, and --sched-cost-us keeps its
   // 'paper' keyword beside a number.

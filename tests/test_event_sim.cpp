@@ -90,10 +90,10 @@ class TiedPriorityPolicy : public PrefetchPolicy {
   bool uses_reuse() const override { return inner_->uses_reuse(); }
   bool uses_intertask() const override { return inner_->uses_intertask(); }
   time_us scheduler_cost() const override { return inner_->scheduler_cost(); }
-  InstancePlan plan(const PreparedScenario& prep,
-                    const std::vector<bool>& resident,
-                    const PolicyContext& context) override {
-    InstancePlan out = inner_->plan(prep, resident, context);
+  LoadPlan plan(const PreparedScenario& prep,
+                const std::vector<bool>& resident,
+                const PolicyContext& context) override {
+    LoadPlan out = inner_->plan(prep, resident, context);
     std::vector<time_us> tiers(prep.graph->size());
     for (std::size_t s = 0; s < tiers.size(); ++s)
       tiers[s] = static_cast<time_us>((s * 7) % 3);
@@ -139,10 +139,10 @@ class MalformedPlanPolicy : public PrefetchPolicy {
   bool uses_reuse() const override { return inner_->uses_reuse(); }
   bool uses_intertask() const override { return inner_->uses_intertask(); }
   time_us scheduler_cost() const override { return inner_->scheduler_cost(); }
-  InstancePlan plan(const PreparedScenario& prep,
-                    const std::vector<bool>& resident,
-                    const PolicyContext& context) override {
-    InstancePlan out = inner_->plan(prep, resident, context);
+  LoadPlan plan(const PreparedScenario& prep,
+                const std::vector<bool>& resident,
+                const PolicyContext& context) override {
+    LoadPlan out = inner_->plan(prep, resident, context);
     const auto n = static_cast<SubtaskId>(prep.graph->size());
     if (defect_ == "range") out.loads.push_back(n);
     if (defect_ == "dup" && !out.loads.empty())

@@ -49,10 +49,10 @@ TEST_F(GanttFixture, LoadMarkersPresentOnlyWhenLoading) {
 }
 
 TEST_F(GanttFixture, InitPhaseRendered) {
-  const LoadPlan plan{LoadPolicy::explicit_order, {1, 2, 3}};
+  LoadPlan plan{LoadPolicy::explicit_order, {0, 1, 2, 3}};
+  plan.init_count = 1;
   const auto r = evaluate(graph, placement, platform, plan);
   GanttOptions options;
-  options.init_duration = ms(4);
   options.init_loads = {0};
   const auto text = render_gantt(graph, placement, r, options);
   EXPECT_NE(text.find("I0"), std::string::npos);

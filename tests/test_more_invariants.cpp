@@ -51,9 +51,11 @@ TEST(HybridDecide, MatchesRuntimeOutcome) {
   const auto decision = hybrid_decide(design, resident);
   const auto outcome =
       testing::run_hybrid(g, placement, platform, design, resident);
-  EXPECT_EQ(decision.init_loads, outcome.init_loads);
-  EXPECT_EQ(decision.cancelled_loads, outcome.cancelled_loads);
-  EXPECT_EQ(decision.load_order, outcome.eval.load_order);
+  EXPECT_EQ(decision.init_count, outcome.init_loads().size());
+  EXPECT_EQ(decision.cancelled_loads, outcome.plan.cancelled_loads);
+  // The port serves the decision's loads in its order, the initialization
+  // prefix first.
+  EXPECT_EQ(decision.loads, outcome.eval.load_order);
 }
 
 TEST(HybridDecide, EmptyForFullyResidentTask) {
@@ -65,8 +67,8 @@ TEST(HybridDecide, EmptyForFullyResidentTask) {
   const auto design = compute_hybrid_schedule(g, placement, platform);
   const std::vector<bool> all(g.size(), true);
   const auto decision = hybrid_decide(design, all);
-  EXPECT_TRUE(decision.init_loads.empty());
-  EXPECT_TRUE(decision.load_order.empty());
+  EXPECT_EQ(decision.init_count, 0u);
+  EXPECT_TRUE(decision.loads.empty());
   EXPECT_EQ(decision.cancelled_loads,
             static_cast<int>(design.stored_order.size()));
 }

@@ -58,9 +58,9 @@ TEST(LoadTime, HeterogeneousInitPhase) {
   const std::vector<bool> cold(g.size(), false);
   const auto out = testing::run_hybrid(g, p, pf, design, cold);
   time_us expected = 0;
-  for (SubtaskId s : out.init_loads)
+  for (SubtaskId s : out.init_loads())
     expected += g.subtask(s).load_time;
-  EXPECT_EQ(out.init_duration, expected);
+  EXPECT_EQ(out.init_phase_end(), expected);
 }
 
 TEST(LoadTime, CoarseGrainReducesCriticality) {

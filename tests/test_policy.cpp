@@ -189,12 +189,10 @@ class ReversedDesignTimePolicy : public PrefetchPolicy {
  public:
   bool uses_reuse() const override { return false; }
   bool uses_intertask() const override { return false; }
-  InstancePlan plan(const PreparedScenario& prep, const std::vector<bool>&,
-                    const PolicyContext&) override {
-    InstancePlan out;
-    out.load_policy = LoadPolicy::explicit_order;
-    out.loads.assign(prep.design_order.rbegin(), prep.design_order.rend());
-    return out;
+  LoadPlan plan(const PreparedScenario& prep, const std::vector<bool>&,
+                const PolicyContext&) override {
+    return {LoadPolicy::explicit_order,
+            {prep.design_order.rbegin(), prep.design_order.rend()}};
   }
 };
 

@@ -55,12 +55,13 @@ TEST_P(EndToEndProperty, HybridPipelineInvariants) {
   const auto out =
       run_hybrid(s.graph, s.placement, s.platform, design, resident);
 
-  // The executed schedule is valid.
-  std::vector<SubtaskId> order;
+  // The executed schedule is valid, its stored part loading the stored
+  // order minus the resident subtasks.
+  std::vector<SubtaskId> order = out.init_loads();
   for (SubtaskId id : design.stored_order)
     if (!resident[static_cast<std::size_t>(id)]) order.push_back(id);
-  const LoadPlan plan{LoadPolicy::explicit_order, order};
-  expect_valid_schedule(s.graph, s.placement, s.platform, plan, out.eval);
+  EXPECT_EQ(out.plan.loads, order);
+  expect_valid_schedule(s.graph, s.placement, s.platform, out.plan, out.eval);
 
   // Init + cancelled + executed loads partition the DRHW subtasks not
   // resident... plus resident ones.
@@ -70,18 +71,17 @@ TEST_P(EndToEndProperty, HybridPipelineInvariants) {
     if (resident[i] && s.placement.on_drhw(static_cast<SubtaskId>(i)))
       ++resident_count;
   // Identity: every DRHW subtask is exactly one of
-  // {resident, init-loaded, schedule-loaded}.
-  EXPECT_EQ(static_cast<long>(out.init_loads.size()) + out.eval.loads +
-                resident_count,
-            drhw);
+  // {resident, init-loaded, schedule-loaded} (eval.loads counts both
+  // kinds of load).
+  EXPECT_EQ(out.eval.loads + resident_count, drhw);
 
   // Makespan identity: stored schedule with zero penalty under CS-resident;
   // actual run can only be equal or better than init + ideal.
-  EXPECT_LE(out.span,
+  EXPECT_LE(out.eval.makespan,
             design.ideal_makespan +
                 static_cast<time_us>(design.critical.size()) *
                     s.platform.reconfig_latency);
-  EXPECT_GE(out.span, design.ideal_makespan);
+  EXPECT_GE(out.eval.makespan, design.ideal_makespan);
 }
 
 TEST_P(EndToEndProperty, DominanceChain) {

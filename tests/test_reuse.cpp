@@ -61,13 +61,6 @@ TEST(ConfigStore, UseUpdatesRecencyMonotonically) {
   EXPECT_EQ(store.last_used(0), ms(9));
 }
 
-TEST(ConfigStore, ClearForgetsEverything) {
-  ConfigStore store(2);
-  store.record_load(0, 1, ms(1), 1.0);
-  store.clear();
-  EXPECT_FALSE(store.holds(1));
-}
-
 TEST(ConfigStore, RejectsBadArguments) {
   EXPECT_THROW(ConfigStore(0), std::invalid_argument);
   ConfigStore store(2);
@@ -124,9 +117,6 @@ TEST(ConfigStore, ResidentIndexAgreesWithABruteForceScan) {
             static_cast<std::uint64_t>(store.tiles())));
       };
       switch (rng.next_below(20)) {
-        case 0:
-          store.clear();
-          break;
         case 1:
           store = ConfigStore(static_cast<int>(rng.next_int(1, 6)));
           now = 0;  // fresh tiles: their timelines restart

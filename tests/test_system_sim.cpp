@@ -216,7 +216,7 @@ SubtaskGraph diamond_task(const std::string& name, int slow) {
 TEST(SystemSimulation, EverySpanIsTheTimingOfItsOwnPlan) {
   // The rig times each distinct (preparation, plan) pair once per run. Two
   // preparations whose plans coincide must still be timed apart: every
-  // recorded span has to equal evaluate_instance_plan() of that instance's
+  // recorded span has to equal the evaluated makespan of that instance's
   // own preparation and plan, computed here directly.
   const PlatformConfig platform = virtex2_platform(2);
   const SubtaskGraph fast = diamond_task("fast", 1);
@@ -245,11 +245,13 @@ TEST(SystemSimulation, EverySpanIsTheTimingOfItsOwnPlan) {
     // Neither policy reads residency or the context.
     const auto policy = PolicyRegistry::instance().create(opt.policy);
     time_us expected[2];
-    InstancePlan plans[2];
+    LoadPlan plans[2];
     for (std::size_t p = 0; p < 2; ++p) {
       const std::vector<bool> resident(preps[p].graph->size(), false);
       plans[p] = policy->plan(preps[p], resident, PolicyContext{});
-      expected[p] = evaluate_instance_plan(preps[p], platform, plans[p]).span;
+      expected[p] = evaluate(*preps[p].graph, preps[p].placement, platform,
+                             plans[p])
+                        .makespan;
     }
     ASSERT_NE(expected[0], expected[1]);
     if (std::string(name) == policy_names::no_prefetch) {

@@ -170,6 +170,12 @@ struct ScheduleCliOptions {
 
 int cmd_schedule(const std::string& path, const ScheduleCliOptions& cli) {
   const auto graph = graph_from_json(read_file(path));
+  std::vector<bool> resident(graph.size(), false);
+  for (int id : cli.resident) {
+    if (id < 0 || static_cast<std::size_t>(id) >= graph.size())
+      throw std::invalid_argument("--resident id out of range");
+    resident[static_cast<std::size_t>(id)] = true;
+  }
   PlatformConfig platform = virtex2_platform(cli.tiles);
   platform.reconfig_latency = cli.latency;
   platform.reconfig_ports = cli.ports;
@@ -198,27 +204,21 @@ int cmd_schedule(const std::string& path, const ScheduleCliOptions& cli) {
             << render_gantt(graph, placement, optimal.eval) << "\n";
 
   const HybridSchedule& design = prep.hybrid;
-  std::vector<bool> resident(graph.size(), false);
-  for (int id : cli.resident) {
-    if (id < 0 || static_cast<std::size_t>(id) >= graph.size())
-      throw std::invalid_argument("--resident id out of range");
-    resident[static_cast<std::size_t>(id)] = true;
-  }
   const auto hybrid =
       PolicyRegistry::instance().create(PolicySpec(policy_names::hybrid));
-  const SequentialSchedule run = evaluate_instance_plan(
-      prep, platform, hybrid->plan(prep, resident, PolicyContext{}));
+  const LoadPlan plan = hybrid->plan(prep, resident, PolicyContext{});
+  const EvalResult run = evaluate(graph, placement, platform, plan);
   std::cout << "hybrid (|CS| = " << design.critical.size() << ", "
-            << run.init_loads.size() << " init loads, "
-            << run.cancelled_loads << " cancelled): "
-            << fmt_ms(run.span) << " ms\n"
+            << plan.init_count << " init loads, " << plan.cancelled_loads
+            << " cancelled): " << fmt_ms(run.makespan) << " ms\n"
             << "design-time CS loop: " << design.loop_iterations
             << " passes, " << design.bnb_nodes << " B&B nodes, "
             << design.bnb_budget_hits << " node-budget hits\n";
   GanttOptions options;
-  options.init_duration = run.init_duration;
-  options.init_loads = run.init_loads;
-  std::cout << render_gantt(graph, placement, run.eval, options);
+  options.init_loads.assign(
+      plan.loads.begin(),
+      plan.loads.begin() + static_cast<std::ptrdiff_t>(plan.init_count));
+  std::cout << render_gantt(graph, placement, run, options);
   return 0;
 }
 
@@ -421,6 +421,20 @@ int cmd_online(Scenario scenario, const OnlineCliOptions& cli) {
     return sampled_workload(scenario, cache);
   }();
 
+  std::vector<PolicySpec> policies = cli.policies;
+  if (policies.empty())
+    for (const std::string& name : PolicyRegistry::instance().names())
+      policies.emplace_back(name);
+  if (!cli.trace_path.empty() && policies.size() != 1)
+    throw UsageError(
+        "--trace records one run; pick exactly one --approach (got " +
+        std::to_string(policies.size()) + ")");
+  // Creates each policy once, before any output: an unknown parameter is
+  // rejected with nothing printed.
+  std::vector<time_us> scheduler_costs;
+  for (const PolicySpec& policy : policies)
+    scheduler_costs.push_back(paper_scheduler_cost(policy));
+
   const PlatformConfig& platform = scenario.sim.platform;
   const ArrivalProcess& arrivals = scenario.arrivals;
   std::cout << "online simulation: " << cli.workload << ", " << platform.tiles
@@ -442,15 +456,6 @@ int cmd_online(Scenario scenario, const OnlineCliOptions& cli) {
             << scenario.sim.iterations << " iterations, seed "
             << scenario.sim.seed << "\n\n";
 
-  std::vector<PolicySpec> policies = cli.policies;
-  if (policies.empty())
-    for (const std::string& name : PolicyRegistry::instance().names())
-      policies.emplace_back(name);
-  if (!cli.trace_path.empty() && policies.size() != 1)
-    throw UsageError(
-        "--trace records one run; pick exactly one --approach (got " +
-        std::to_string(policies.size()) + ")");
-
   TablePrinter table({"policy", "instances", "overhead", "reuse",
                       "response mean", "response p95", "queueing mean",
                       "port util", "isp util", "frag", "skips", "moves",
@@ -459,10 +464,10 @@ int cmd_online(Scenario scenario, const OnlineCliOptions& cli) {
                                "mean lateness", "max tardiness",
                                "preemptions"});
   std::vector<std::pair<std::string, std::string>> perf_blocks;
-  for (const PolicySpec& policy : policies) {
+  for (std::size_t i = 0; i < policies.size(); ++i) {
+    const PolicySpec& policy = policies[i];
     scenario.sim.policy = policy;
-    if (cli.paper_sched_cost)
-      scenario.scheduler_cost = paper_scheduler_cost(policy);
+    if (cli.paper_sched_cost) scenario.scheduler_cost = scheduler_costs[i];
     OnlineSimOptions options = online_sim_options(scenario);
     std::unique_ptr<TraceRecorder> recorder;
     if (!cli.trace_path.empty()) {
