@@ -156,11 +156,12 @@ void BM_HybridRuntimePhase(benchmark::State& state) {
   Rng rng(3);
   for (std::size_t s = 0; s < resident.size(); ++s)
     if (f.needs[s]) resident[s] = rng.next_bool(0.3);
-  for (auto _ : state)
+  LoadPlan plan;
+  for (auto _ : state) {
+    hybrid->plan(prep, resident, PolicyContext{}, plan);
     benchmark::DoNotOptimize(
-        evaluate(f.graph, f.placement, f.platform,
-                 hybrid->plan(prep, resident, PolicyContext{}))
-            .makespan);
+        evaluate(f.graph, f.placement, f.platform, plan).makespan);
+  }
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_HybridRuntimePhase)

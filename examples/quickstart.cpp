@@ -78,7 +78,8 @@ int main() {
       PolicyRegistry::instance().create(PolicySpec(policy_names::hybrid));
   std::vector<bool> resident(graph.size(), false);
   resident[static_cast<std::size_t>(s3)] = true;  // L3 gets cancelled
-  const LoadPlan plan = hybrid->plan(prep, resident, PolicyContext{});
+  LoadPlan plan;
+  hybrid->plan(prep, resident, PolicyContext{}, plan);
   const EvalResult run = evaluate(graph, placement, platform, plan);
   std::cout << "\nrun-time phase (Fig 5b): initialization loads = "
             << plan.init_count << " (b.1), cancelled loads = "
@@ -92,8 +93,8 @@ int main() {
 
   // --- 7. And if the critical subtask is resident: zero overhead --------
   resident[static_cast<std::size_t>(s1)] = true;
-  const EvalResult warm = evaluate(
-      graph, placement, platform, hybrid->plan(prep, resident, PolicyContext{}));
+  hybrid->plan(prep, resident, PolicyContext{}, plan);
+  const EvalResult warm = evaluate(graph, placement, platform, plan);
   std::cout << "with ex1 reused as well: " << fmt_ms(warm.makespan)
             << " ms — equal to the ideal makespan; the tail of the port is\n"
                "idle and would prefetch the next task's initialization "

@@ -38,12 +38,11 @@ class AdaptiveHybridPolicy : public PrefetchPolicy {
   /// check; the Section 4 hybrid value is the honest order of magnitude.
   time_us scheduler_cost() const override { return calm_->scheduler_cost(); }
 
-  LoadPlan plan(const PreparedScenario& prep,
-                const std::vector<bool>& resident,
-                const PolicyContext& context) override {
+  void plan(const PreparedScenario& prep, const std::vector<bool>& resident,
+            const PolicyContext& context, LoadPlan& out) override {
     PrefetchPolicy& pick =
         context.contenders() >= k_min_contenders ? *pressured_ : *calm_;
-    return pick.plan(prep, resident, context);
+    pick.plan(prep, resident, context, out);
   }
 
   /// Backlog candidates must be a pure function of the preparation (both

@@ -44,10 +44,9 @@ class DeadlinePolicy : public PrefetchPolicy {
   }
   AdmissionUrgency admission_urgency() const override { return urgency_; }
 
-  LoadPlan plan(const PreparedScenario& prep,
-                const std::vector<bool>& resident,
-                const PolicyContext& context) override {
-    return delegate_->plan(prep, resident, context);
+  void plan(const PreparedScenario& prep, const std::vector<bool>& resident,
+            const PolicyContext& context, LoadPlan& out) override {
+    delegate_->plan(prep, resident, context, out);
   }
 
   std::vector<SubtaskId> intertask_candidates(

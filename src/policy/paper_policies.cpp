@@ -8,6 +8,7 @@
 #include "prefetch/hybrid.hpp"
 #include "prefetch/load_plan.hpp"
 #include "sim/system_sim.hpp"
+#include "util/check.hpp"
 
 namespace drhw {
 
@@ -26,9 +27,9 @@ class NoPrefetchPolicy : public PrefetchPolicy {
  public:
   bool uses_reuse() const override { return false; }
   bool uses_intertask() const override { return false; }
-  LoadPlan plan(const PreparedScenario& prep, const std::vector<bool>&,
-                const PolicyContext&) override {
-    return on_demand_all(*prep.graph, prep.placement);
+  void plan(const PreparedScenario& prep, const std::vector<bool>&,
+            const PolicyContext&, LoadPlan& out) override {
+    on_demand_all(*prep.graph, prep.placement, out);
   }
 };
 
@@ -38,9 +39,10 @@ class DesignTimePolicy : public PrefetchPolicy {
  public:
   bool uses_reuse() const override { return false; }
   bool uses_intertask() const override { return false; }
-  LoadPlan plan(const PreparedScenario& prep, const std::vector<bool>&,
-                const PolicyContext&) override {
-    return {LoadPolicy::explicit_order, prep.design_order};
+  void plan(const PreparedScenario& prep, const std::vector<bool>&,
+            const PolicyContext&, LoadPlan& out) override {
+    out.reset(LoadPolicy::explicit_order);
+    out.loads = prep.design_order;
   }
 };
 
@@ -55,27 +57,21 @@ class RuntimeHeuristicPolicy : public PrefetchPolicy {
   time_us scheduler_cost() const override {
     return k_paper_list_scheduler_cost;
   }
-  LoadPlan plan(const PreparedScenario& prep,
-                const std::vector<bool>& resident,
-                const PolicyContext&) override {
-    LoadPlan out;
-    out.policy = LoadPolicy::priority;
-    for (std::size_t s = 0; s < prep.graph->size(); ++s)
-      if (prep.placement.on_drhw(static_cast<SubtaskId>(s)) && !resident[s])
-        out.loads.push_back(static_cast<SubtaskId>(s));
-    order_by_weight(out.loads, prep.weights);
-    return out;
+  /// order_by_weight() is a total order, so dropping the resident loads
+  /// from the prepared weight order sorts the rest.
+  void plan(const PreparedScenario& prep, const std::vector<bool>& resident,
+            const PolicyContext&, LoadPlan& out) override {
+    DRHW_CHECK_MSG(prep.placement.tiles_used == 0 || !prep.weight_order.empty(),
+                   "run-time plan of a preparation without its weight order");
+    out.reset(LoadPolicy::priority);
+    for (const SubtaskId s : prep.weight_order)
+      if (!resident[static_cast<std::size_t>(s)]) out.loads.push_back(s);
   }
   std::vector<SubtaskId> intertask_candidates(
       const PreparedScenario& future) const override {
     // The run-time heuristic has no CS concept: it prefetches whatever it
     // would load first, i.e. every DRHW subtask by descending weight.
-    std::vector<SubtaskId> candidates;
-    for (std::size_t s = 0; s < future.graph->size(); ++s)
-      if (future.placement.on_drhw(static_cast<SubtaskId>(s)))
-        candidates.push_back(static_cast<SubtaskId>(s));
-    order_by_weight(candidates, future.weights);
-    return candidates;
+    return future.weight_order;
   }
 
  private:
@@ -94,10 +90,9 @@ class HybridPolicy : public PrefetchPolicy {
   time_us scheduler_cost() const override {
     return k_paper_hybrid_scheduler_cost;
   }
-  LoadPlan plan(const PreparedScenario& prep,
-                const std::vector<bool>& resident,
-                const PolicyContext&) override {
-    return hybrid_decide(prep.hybrid, resident);
+  void plan(const PreparedScenario& prep, const std::vector<bool>& resident,
+            const PolicyContext&, LoadPlan& out) override {
+    hybrid_decide(prep.hybrid, resident, out);
   }
   std::vector<SubtaskId> intertask_candidates(
       const PreparedScenario& future) const override {

@@ -10,11 +10,12 @@
 /// every per-approach decision and the kernels are pure timing engines that
 /// ask it
 ///   * what to load, in which order and in which port discipline for one
-///     admitted instance (plan(): a LoadPlan, prefetch/load_plan.hpp, with
-///     the init-phase loads, the stored/explicit order or the run-time
-///     priority order, and the cancelled stored loads; the online kernel
-///     turns it into port requests event by event, the sequential rig times
-///     it with EvalWorkspace::evaluate()),
+///     admitted instance (plan(): a LoadPlan, prefetch/load_plan.hpp,
+///     written into the engine's own storage, with the init-phase loads,
+///     the stored/explicit order or the run-time priority order, and the
+///     cancelled stored loads; the online kernel turns it into port
+///     requests event by event, the sequential rig times it with
+///     EvalWorkspace::evaluate()),
 ///   * which configurations to prefetch for a *future* instance during port
 ///     idle periods (intertask_candidates(): the Section 6 inter-task
 ///     optimisation / the online backlog prefetch),
@@ -131,12 +132,15 @@ class PrefetchPolicy {
     return AdmissionUrgency::arrival;
   }
 
-  /// Load plan for one admitted instance. `resident[s]` marks subtasks
-  /// whose configuration the reuse module found on their bound tile (all
-  /// false when uses_reuse() is false).
-  virtual LoadPlan plan(const PreparedScenario& prep,
-                        const std::vector<bool>& resident,
-                        const PolicyContext& context) = 0;
+  /// Writes the load plan for one admitted instance into `out`, setting
+  /// every field: a plan left by an earlier call (of any policy) is
+  /// overwritten, and its `loads` capacity is reused, so both engines keep
+  /// one LoadPlan for a whole run. `resident[s]` marks subtasks whose
+  /// configuration the reuse module found on their bound tile (all false
+  /// when uses_reuse() is false).
+  virtual void plan(const PreparedScenario& prep,
+                    const std::vector<bool>& resident,
+                    const PolicyContext& context, LoadPlan& out) = 0;
 
   /// Candidate loads to prefetch for a *future* instance during port idle
   /// periods, in prefetch order. Only consulted when uses_intertask().

@@ -45,6 +45,8 @@ TilePoolManager::TilePoolManager(int tiles, const PoolOptions& options)
   reserved_.assign(n, 0);
   migrating_.assign(n, 0);
   owner_.assign(n, -1);
+  free_bits_.assign((n + 63) / 64, 0);
+  for (std::size_t t = 0; t < n; ++t) set_tile(t, -1, false, false);
   prefetch_config_.assign(n, k_no_config);
   prefetch_value_.assign(n, 0.0);
   by_need_.resize(n + 1);
@@ -212,8 +214,10 @@ void TilePoolManager::offer_into(std::int32_t job,
                                  std::vector<PhysTileId>& out) const {
   out.clear();
   if (!options_.contiguous) {
-    for (int t = 0; t < tiles(); ++t)
-      if (tile_free(static_cast<std::size_t>(t))) out.push_back(t);
+    visit_free([&](PhysTileId t) {
+      out.push_back(t);
+      return false;
+    });
     return;
   }
 
@@ -227,17 +231,19 @@ void TilePoolManager::offer_into(std::int32_t job,
   // size, prefer the one with the most wanted configurations already
   // resident (reuse), then the least overlap with the defragmentation
   // window (so backfilled instances do not re-fragment the run the defrag
-  // pass is clearing), then the leftmost.
+  // pass is clearing), then the leftmost. A block is scored at its last
+  // tile, once `needed` free tiles run up to it, so the blocks come in
+  // ascending start order.
   int best_start = -1, best_score = -1, best_overlap = 0;
-  for (int s = 0; s + needed <= tiles(); ++s) {
-    bool free_run = true;
+  int run = 0;  // free tiles ending at `last`
+  PhysTileId last = -2;
+  visit_free([&](PhysTileId end) {
+    run = end == last + 1 ? run + 1 : 1;
+    last = end;
+    if (run < needed) return false;
+    const int start = end - needed + 1;
     int score = 0, overlap = 0;
-    for (int t = s; t < s + needed; ++t) {
-      const auto idx = static_cast<std::size_t>(t);
-      if (!tile_free(idx)) {
-        free_run = false;
-        break;
-      }
+    for (int t = start; t <= end; ++t) {
       const ConfigId resident = store_.config_on(t);
       if (resident != k_no_config &&
           std::find(wanted.begin(), wanted.end(), resident) != wanted.end())
@@ -246,14 +252,14 @@ void TilePoolManager::offer_into(std::int32_t job,
           t < defrag_window_ + defrag_window_size_)
         ++overlap;
     }
-    if (!free_run) continue;
     if (best_start < 0 || score > best_score ||
         (score == best_score && overlap < best_overlap)) {
-      best_start = s;
+      best_start = start;
       best_score = score;
       best_overlap = overlap;
     }
-  }
+    return false;
+  });
   DRHW_CHECK_GE_MSG(best_start, 0,
                     "offer_into() called without a fitting contiguous block");
   for (int t = best_start; t < best_start + needed; ++t) out.push_back(t);
@@ -266,9 +272,8 @@ void TilePoolManager::occupy(std::int32_t job,
   for (const PhysTileId t : tiles) {
     const std::size_t idx = checked(t);
     DRHW_CHECK_MSG(tile_free(idx), "occupying a tile that is not free");
-    owner_[idx] = job;
+    set_tile(idx, job, false, false);
   }
-  occupancy_changed();
   const std::size_t pos = position_of(job);
   DRHW_CHECK_LT_MSG(pos, queue_.size(),
                     "occupy() for a job that is not queued");
@@ -299,9 +304,9 @@ void TilePoolManager::occupy(std::int32_t job,
 
 void TilePoolManager::release(std::int32_t job, time_us now) {
   touch(now);
-  for (std::int32_t& owner : owner_)
-    if (owner == job) owner = -1;
-  occupancy_changed();
+  for (std::size_t idx = 0; idx < owner_.size(); ++idx)
+    if (owner_[idx] == job)
+      set_tile(idx, -1, reserved_[idx] != 0, migrating_[idx] != 0);
 }
 
 // --- backlog-prefetch reservations ------------------------------------------
@@ -309,11 +314,11 @@ void TilePoolManager::release(std::int32_t job, time_us now) {
 PhysTileId TilePoolManager::prefetch_victim(
     const std::vector<char>& protected_tiles) const {
   PhysTileId victim = k_no_phys_tile;
-  for (int p = 0; p < tiles(); ++p) {
-    const auto idx = static_cast<std::size_t>(p);
-    if (!tile_free(idx) || protected_tiles[idx]) continue;
-    if (store_.config_on(p) == k_no_config) return p;
-    bool better = victim == k_no_phys_tile;
+  bool empty = false;
+  visit_free([&](PhysTileId p) {
+    if (protected_tiles[static_cast<std::size_t>(p)]) return false;
+    empty = store_.config_on(p) == k_no_config;
+    bool better = empty || victim == k_no_phys_tile;
     if (!better) {
       if (store_.value_of(p) != store_.value_of(victim))
         better = store_.value_of(p) < store_.value_of(victim);
@@ -321,7 +326,8 @@ PhysTileId TilePoolManager::prefetch_victim(
         better = store_.last_used(p) < store_.last_used(victim);
     }
     if (better) victim = p;
-  }
+    return empty;  // the first empty tile wins outright
+  });
   return victim;
 }
 
@@ -330,8 +336,7 @@ void TilePoolManager::reserve(PhysTileId tile, ConfigId config, double value,
   touch(now);
   const std::size_t idx = checked(tile);
   DRHW_CHECK_MSG(tile_free(idx), "reserving a tile that is not free");
-  reserved_[idx] = 1;
-  occupancy_changed();
+  set_tile(idx, -1, true, false);
   prefetch_config_[idx] = config;
   prefetch_value_[idx] = value;
 }
@@ -342,8 +347,7 @@ ConfigId TilePoolManager::finish_prefetch(PhysTileId tile, time_us now) {
   DRHW_CHECK_MSG(reserved_[idx], "prefetch completion on an unreserved tile");
   const ConfigId config = prefetch_config_[idx];
   store_.record_load(tile, config, now, prefetch_value_[idx]);
-  reserved_[idx] = 0;
-  occupancy_changed();
+  set_tile(idx, -1, false, false);  // a reservation holds a free tile
   prefetch_config_[idx] = k_no_config;
   return config;
 }
@@ -354,24 +358,43 @@ std::int32_t TilePoolManager::owner(PhysTileId tile) const {
   return owner_[checked(tile)];
 }
 
+void TilePoolManager::set_tile(std::size_t idx, std::int32_t owner,
+                               bool reserved, bool migrating) {
+  owner_[idx] = owner;
+  reserved_[idx] = reserved ? 1 : 0;
+  migrating_[idx] = migrating ? 1 : 0;
+  const std::uint64_t bit = std::uint64_t{1} << (idx % 64);
+  if (owner < 0 && !reserved && !migrating)
+    free_bits_[idx / 64] |= bit;
+  else
+    free_bits_[idx / 64] &= ~bit;
+}
+
 int TilePoolManager::free_count() const {
-  if (free_count_ < 0) {
-    free_count_ = 0;
-    for (std::size_t t = 0; t < owner_.size(); ++t) free_count_ += tile_free(t);
-  }
-  return free_count_;
+  int count = 0;
+  for (const std::uint64_t word : free_bits_)
+    count += __builtin_popcountll(word);
+  return count;
 }
 
 int TilePoolManager::largest_free_block() const {
-  if (largest_block_ < 0) {
-    int best = 0, run = 0;
-    for (std::size_t t = 0; t < owner_.size(); ++t) {
-      run = tile_free(t) ? run + 1 : 0;
-      best = std::max(best, run);
+  constexpr std::uint64_t k_all = ~std::uint64_t{0};
+  int best = 0;
+  int run = 0;  // free tiles ending at the top of the words read so far
+  for (const std::uint64_t word : free_bits_) {
+    if (word == k_all) {
+      run += 64;
+      continue;
     }
-    largest_block_ = best;
+    // The run carried in ends at the word's first clear bit.
+    best = std::max(best, run + __builtin_ctzll(~word));
+    // The longest run inside the word: each step shortens every run by one.
+    int inside = 0;
+    for (std::uint64_t bits = word; bits != 0; bits &= bits >> 1) ++inside;
+    best = std::max(best, inside);
+    run = __builtin_clzll(~word);  // free tiles at the word's top
   }
-  return largest_block_;
+  return std::max(best, run);
 }
 
 double TilePoolManager::fragmentation_pct() const {
@@ -481,9 +504,8 @@ void TilePoolManager::begin_migration(const MigrationPlan& plan, time_us now) {
   DRHW_CHECK(owner_[src] >= 0 && !migrating_[src]);
   const std::size_t dst = checked(plan.dst);
   DRHW_CHECK_MSG(tile_free(dst), "migration destination is not free");
-  reserved_[dst] = 1;
-  migrating_[src] = 1;
-  occupancy_changed();
+  set_tile(dst, -1, true, false);
+  set_tile(src, owner_[src], false, true);  // held, so not reserved
 }
 
 bool TilePoolManager::finish_migration(const MigrationPlan& plan,
@@ -492,21 +514,17 @@ bool TilePoolManager::finish_migration(const MigrationPlan& plan,
   const std::size_t src = checked(plan.src);
   const std::size_t dst = checked(plan.dst);
   DRHW_CHECK(migrating_[src] && reserved_[dst]);
-  reserved_[dst] = 0;
-  migrating_[src] = 0;
   // The transfer only holds when the owner is still live on `src` and no
   // competing load overwrote the source mid-flight; otherwise the loaded
   // copy stays behind as an ordinary reusable cached configuration.
   const bool transfer = owner_[src] >= 0 && owner_[src] == plan.owner &&
                         store_.config_on(plan.src) == plan.config;
-  if (transfer) {
+  set_tile(dst, transfer ? plan.owner : -1, false, false);
+  set_tile(src, transfer ? -1 : owner_[src], false, false);
+  if (transfer)
     store_.relocate(plan.src, plan.dst, now);
-    owner_[dst] = plan.owner;
-    owner_[src] = -1;
-  } else {
+  else
     store_.record_load(plan.dst, plan.config, now, plan.value);
-  }
-  occupancy_changed();
   if (trace_) {
     TraceEvent ev(TraceEvent::Kind::migration_done, now);
     ev.src = plan.src;
@@ -525,9 +543,8 @@ void TilePoolManager::apply_remap(const MigrationPlan& plan, time_us now) {
   DRHW_CHECK(owner_[src] >= 0 && !migrating_[src] &&
              owner_[src] == plan.owner);
   DRHW_CHECK(tile_free(dst));
-  owner_[dst] = plan.owner;
-  owner_[src] = -1;
-  occupancy_changed();
+  set_tile(dst, plan.owner, false, false);
+  set_tile(src, -1, false, false);
   if (trace_) {
     TraceEvent ev(TraceEvent::Kind::remap, now, plan.owner);
     ev.src = plan.src;
@@ -542,8 +559,7 @@ void TilePoolManager::begin_checkpoint(PhysTileId tile) {
   const std::size_t idx = checked(tile);
   DRHW_CHECK_MSG(owner_[idx] >= 0 && !migrating_[idx] && !reserved_[idx],
                  "checkpointing a tile that is not quietly held");
-  migrating_[idx] = 1;
-  occupancy_changed();
+  set_tile(idx, owner_[idx], false, true);
 }
 
 void TilePoolManager::finish_checkpoint(PhysTileId tile, time_us now) {
@@ -551,12 +567,10 @@ void TilePoolManager::finish_checkpoint(PhysTileId tile, time_us now) {
   const std::size_t idx = checked(tile);
   DRHW_CHECK_MSG(owner_[idx] >= 0 && migrating_[idx],
                  "checkpoint completion on a tile that is not checkpointing");
-  migrating_[idx] = 0;
   // Free with the resident configuration left cached — release() semantics,
   // per tile: the store keeps the config, so the victim's re-admission
   // finds it through the reuse module.
-  owner_[idx] = -1;
-  occupancy_changed();
+  set_tile(idx, -1, false, false);
 }
 
 // --- metrics ----------------------------------------------------------------

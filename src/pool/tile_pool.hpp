@@ -201,8 +201,9 @@ class TilePoolManager {
 
   // --- backlog-prefetch reservations --------------------------------------
 
-  /// Victim among free, unreserved, unprotected tiles: empty tiles first,
-  /// then lowest replacement value, then least recently used (PR 2 order).
+  /// Victim among free, unprotected tiles: empty tiles first, then lowest
+  /// replacement value, then least recently used (PR 2 order). Reads
+  /// `protected_tiles` at the free tiles only.
   PhysTileId prefetch_victim(const std::vector<char>& protected_tiles) const;
   void reserve(PhysTileId tile, ConfigId config, double value, time_us now);
   /// Prefetch load completed: records the configuration on the tile, lifts
@@ -215,11 +216,20 @@ class TilePoolManager {
   bool migrating(PhysTileId tile) const {
     return migrating_[checked(tile)] != 0;
   }
-  /// Free tiles. This and largest_free_block() are cached until the next
-  /// occupancy change: admission asks after every event, the occupancy
-  /// changes far less often.
+  /// Calls `visit(tile)` for the free tiles in ascending order, until it
+  /// returns true. Reads the free-tile bitset a word at a time.
+  template <class Visit>
+  void visit_free(Visit&& visit) const {
+    for (std::size_t w = 0; w < free_bits_.size(); ++w)
+      for (std::uint64_t bits = free_bits_[w]; bits != 0; bits &= bits - 1) {
+        const auto bit = static_cast<std::size_t>(__builtin_ctzll(bits));
+        if (visit(static_cast<PhysTileId>(w * 64 + bit))) return;
+      }
+  }
+  /// Free tiles: a popcount of the free-tile bitset, which every mutator
+  /// keeps in step (admission asks after every event).
   int free_count() const;
-  /// Longest run of adjacent free tiles.
+  /// Longest run of adjacent free tiles: one scan of the bitset's words.
   int largest_free_block() const;
   /// Snapshot external fragmentation, see file comment. 0 when nothing is
   /// free.
@@ -315,13 +325,18 @@ class TilePoolManager {
   const Waiting& head() const { return queue_[head_]; }
   /// Position of `job` in queue_, preferring the remembered select() pick.
   std::size_t position_of(std::int32_t job) const;
-  /// Free for every allocation purpose. Migration sources are excluded
-  /// even after their owner retires mid-flight: admitting someone onto a
-  /// tile that is being copied out would gate their executions on a
+  /// Free for every allocation purpose: not held, not reserved and not a
+  /// migration source (set_tile() keeps the bit). Migration sources are
+  /// excluded even after their owner retires mid-flight: admitting someone
+  /// onto a tile that is being copied out would gate their executions on a
   /// migration that will never wake them.
   bool tile_free(std::size_t idx) const {
-    return owner_[idx] < 0 && !reserved_[idx] && !migrating_[idx];
+    return (free_bits_[idx / 64] >> (idx % 64)) & 1U;
   }
+  /// The one writer of owner_, reserved_ and migrating_: sets tile `idx`'s
+  /// state and its bit in free_bits_.
+  void set_tile(std::size_t idx, std::int32_t owner, bool reserved,
+                bool migrating);
   /// One defragmentation window's state under the current occupancy.
   struct WindowScan {
     int blockers = 0;    ///< movable held tiles still to relocate
@@ -333,20 +348,18 @@ class TilePoolManager {
   std::size_t checked(PhysTileId tile) const;
   /// Emits the fragmentation that held since the last occupancy change, if
   /// simulated time moved on since then. Mutators call it first, while the
-  /// cached counts still describe the old occupancy.
+  /// free-tile bitset still describes the old occupancy.
   void touch(time_us now);
-  /// Drops the cached free_count() / largest_free_block(). Every mutator of
-  /// owner_, reserved_ or migrating_ calls it *after* its change: clearing
-  /// first would let touch() re-cache the occupancy about to change.
-  void occupancy_changed() {
-    free_count_ = -1;
-    largest_block_ = -1;
-  }
 
   PoolOptions options_;
   ConfigStore store_;
+  // Per-tile state; written only through set_tile().
   std::vector<char> reserved_;
   std::vector<std::int32_t> owner_;  ///< live instance per tile, -1: not held
+  std::vector<char> migrating_;  ///< per-tile: source of an in-flight move
+  /// Bit t (word t / 64, bit t % 64) set iff tile_free(t); the bits past
+  /// the last tile stay clear.
+  std::vector<std::uint64_t> free_bits_;
   std::vector<ConfigId> prefetch_config_;
   std::vector<double> prefetch_value_;
   std::vector<Waiting> queue_;
@@ -360,14 +373,11 @@ class TilePoolManager {
   PerfCounters* perf_ = nullptr;
   TraceSink* trace_ = nullptr;
 
-  std::vector<char> migrating_;  ///< per-tile: source of an in-flight move
   int defrag_window_ = -1;       ///< sticky target window start
   int defrag_window_size_ = 0;   ///< its extent (the planned-for head's need)
   std::int32_t defrag_target_ = -1; ///< queue head the window was planned for
 
   time_us last_change_ = 0;  ///< instant of the last frag sample
-  mutable int free_count_ = -1;     ///< free_count() cache, -1: stale
-  mutable int largest_block_ = -1;  ///< largest_free_block() cache
 };
 
 }  // namespace drhw

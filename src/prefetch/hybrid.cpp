@@ -4,17 +4,15 @@
 
 namespace drhw {
 
-LoadPlan hybrid_decide(const HybridSchedule& design,
-                       const std::vector<bool>& resident) {
+void hybrid_decide(const HybridSchedule& design,
+                   const std::vector<bool>& resident, LoadPlan& plan) {
   auto is_resident = [&](SubtaskId s) {
     const auto idx = static_cast<std::size_t>(s);
     DRHW_CHECK_MSG(idx < resident.size(),
                    "resident flags do not cover the design's graph");
     return resident[idx];
   };
-  LoadPlan plan;
-  plan.policy = LoadPolicy::explicit_order;
-  plan.loads.reserve(design.critical.size() + design.stored_order.size());
+  plan.reset(LoadPolicy::explicit_order);
   // Initialization phase: CS members not resident, in the design-time
   // (descending weight) order. These loads occupy the port back to back
   // before the stored schedule begins.
@@ -29,7 +27,6 @@ LoadPlan hybrid_decide(const HybridSchedule& design,
     else
       plan.loads.push_back(s);
   }
-  return plan;
 }
 
 }  // namespace drhw

@@ -25,17 +25,17 @@
 
 namespace drhw {
 
-/// The run-time phase's decision — what actually executes inside the
-/// scheduler's time slot on the embedded processor: an explicit order whose
-/// initialization prefix is the critical subtasks not resident (in the
-/// design-time weight order), followed by the stored order minus the
-/// resident loads, which are counted as cancelled. O(N) with no timing
-/// computation; this is why the hybrid approach "is not generating any
-/// run-time overhead" (Section 6).
+/// Writes into `plan` the run-time phase's decision — what actually
+/// executes inside the scheduler's time slot on the embedded processor: an
+/// explicit order whose initialization prefix is the critical subtasks not
+/// resident (in the design-time weight order), followed by the stored order
+/// minus the resident loads, which are counted as cancelled. O(N) with no
+/// timing computation; this is why the hybrid approach "is not generating
+/// any run-time overhead" (Section 6).
 ///
 /// `resident[s]` marks subtasks whose configuration is already on their
 /// bound tile; every id the design names must index it (checked).
-LoadPlan hybrid_decide(const HybridSchedule& design,
-                       const std::vector<bool>& resident);
+void hybrid_decide(const HybridSchedule& design,
+                   const std::vector<bool>& resident, LoadPlan& plan);
 
 }  // namespace drhw

@@ -14,13 +14,12 @@ void check_load_plan(const LoadPlan& plan) {
       "load plan: an initialization phase requires an explicit order");
 }
 
-LoadPlan on_demand_all(const SubtaskGraph& graph, const Placement& placement) {
-  LoadPlan plan;
-  plan.policy = LoadPolicy::on_demand;
+void on_demand_all(const SubtaskGraph& graph, const Placement& placement,
+                   LoadPlan& out) {
+  out.reset(LoadPolicy::on_demand);
   for (std::size_t s = 0; s < graph.size(); ++s)
     if (placement.on_drhw(static_cast<SubtaskId>(s)))
-      plan.loads.push_back(static_cast<SubtaskId>(s));
-  return plan;
+      out.loads.push_back(static_cast<SubtaskId>(s));
 }
 
 void order_by_weight(std::vector<SubtaskId>& ids,

@@ -50,6 +50,15 @@ struct LoadPlan {
   std::size_t init_count = 0;
   /// Stored loads cancelled because the configuration was resident.
   int cancelled_loads = 0;
+
+  /// Empties the plan for a new instance under `discipline`, keeping the
+  /// capacity of `loads`.
+  void reset(LoadPolicy discipline) {
+    policy = discipline;
+    loads.clear();
+    init_count = 0;
+    cancelled_loads = 0;
+  }
 };
 
 /// The plan invariants that do not depend on the graph: the initialization
@@ -58,8 +67,18 @@ struct LoadPlan {
 /// it. \throws InternalError (a policy bug) on a violation.
 void check_load_plan(const LoadPlan& plan);
 
-/// Plan loading every DRHW subtask on demand (the no-prefetch baseline).
-LoadPlan on_demand_all(const SubtaskGraph& graph, const Placement& placement);
+/// Writes into `out` the plan loading every DRHW subtask on demand (the
+/// no-prefetch baseline).
+void on_demand_all(const SubtaskGraph& graph, const Placement& placement,
+                   LoadPlan& out);
+
+/// on_demand_all() into a fresh plan.
+inline LoadPlan on_demand_all(const SubtaskGraph& graph,
+                              const Placement& placement) {
+  LoadPlan plan;
+  on_demand_all(graph, placement, plan);
+  return plan;
+}
 
 /// Sorts `ids` into the paper's reconfiguration order: heaviest weight
 /// first (usually the ALAP weights of subtask_weights()), lower id on ties.

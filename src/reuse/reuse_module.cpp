@@ -106,26 +106,33 @@ void bind_tiles(const SubtaskGraph& graph, const Placement& placement,
   claimed.assign(count, 0);
   std::vector<ConfigId>& configs = binding.configs;
   configs.resize(count);
-  for (std::size_t i = 0; i < count; ++i)
-    configs[i] = store.config_on(candidates[i]);
+  std::vector<Binding::Holder>& holders = binding.holders;
+  const std::uint64_t bind = ++binding.binds;
+  for (std::size_t i = 0; i < count; ++i) {
+    const ConfigId config = store.config_on(candidates[i]);
+    configs[i] = config;
+    if (config == k_no_config) continue;
+    const auto c = static_cast<std::size_t>(config);
+    if (c >= holders.size()) holders.resize(c + 1);
+    if (holders[c].bind != bind) holders[c] = Binding::Holder{bind, i};
+  }
 
   // Phase 1 — reuse matching: a virtual tile whose first subtask's
-  // configuration is resident binds to the lowest candidate holding it.
+  // configuration is resident binds to the lowest candidate holding it,
+  // unless an earlier virtual tile claimed that candidate.
   for (int v = 0; v < placement.tiles_used; ++v) {
     const SubtaskId first =
         placement.tile_sequence[static_cast<std::size_t>(v)].front();
     const ConfigId config = graph.subtask(first).config;
-    if (!store.holds(config)) continue;  // O(1): resident nowhere
-    for (std::size_t i = 0; i < count; ++i) {
-      if (configs[i] != config) continue;
-      if (!claimed[i]) {
-        claimed[i] = 1;
-        binding.phys_of_tile[static_cast<std::size_t>(v)] = candidates[i];
-        binding.resident[static_cast<std::size_t>(first)] = true;
-        ++binding.reused_subtasks;
-      }
-      break;
-    }
+    if (config < 0 || static_cast<std::size_t>(config) >= holders.size() ||
+        holders[static_cast<std::size_t>(config)].bind != bind)
+      continue;  // no candidate holds it
+    const std::size_t i = holders[static_cast<std::size_t>(config)].position;
+    if (claimed[i]) continue;
+    claimed[i] = 1;
+    binding.phys_of_tile[static_cast<std::size_t>(v)] = candidates[i];
+    binding.resident[static_cast<std::size_t>(first)] = true;
+    ++binding.reused_subtasks;
   }
 
   // Phase 2 — replacement: bind the rest, preferring empty tiles, then the

@@ -14,6 +14,7 @@
 /// later subtask on the same tile is necessarily preceded by a load that
 /// overwrites whatever was resident.
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -64,11 +65,21 @@ struct Binding {
     std::size_t position = 0;  ///< candidate position (lowest first)
   };
 
+  /// Lowest candidate holding one configuration, valid while `bind`
+  /// equals the Binding's `binds`.
+  struct Holder {
+    std::uint64_t bind = 0;
+    std::size_t position = 0;
+  };
+
   // Scratch of bind_tiles(), indexed by candidate position.
   std::vector<ConfigId> configs;         ///< each candidate's configuration
   std::vector<char> claimed;             ///< candidate already bound
   std::vector<std::size_t> unclaimed;    ///< random_tile's draw set
   std::vector<Victim> victims;           ///< ranked victims, best first
+  /// Indexed by configuration id: stamped per bind, so it is never cleared.
+  std::vector<Holder> holders;
+  std::uint64_t binds = 0;  ///< bind_tiles() calls so far: the live stamp
 };
 
 /// Extra knowledge for the oracle policy: rank of the next use of a

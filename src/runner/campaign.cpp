@@ -194,6 +194,7 @@ void run_sched_cost(const Scenario& scenario, WorkloadCache& cache,
   const auto workload = cache.synthetic(scenario);
   double list_total = 0.0;
   double hybrid_total = 0.0;
+  LoadPlan plan;
   for (const PreparedScenario& prepared : workload->prepared) {
     const SubtaskGraph& graph = *prepared.graph;
     std::vector<bool> needs(graph.size(), scenario.time_all_loads);
@@ -213,8 +214,8 @@ void run_sched_cost(const Scenario& scenario, WorkloadCache& cache,
         scenario.timing_calls);
     hybrid_total += micros_per_call(
         [&] {
-          volatile auto loads =
-              hybrid_decide(prepared.hybrid, resident).init_count;
+          hybrid_decide(prepared.hybrid, resident, plan);
+          volatile auto loads = plan.init_count;
           (void)loads;
         },
         scenario.timing_calls);

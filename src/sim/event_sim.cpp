@@ -595,7 +595,8 @@ class OnlineSimulation {
     // not yet in live_, so both counts exclude it.
     context.live_instances = static_cast<int>(live_.size());
     context.queued_instances = static_cast<int>(pool_.queued());
-    const LoadPlan plan = policy_->plan(prep, resident, context);
+    LoadPlan& plan = plan_scratch_;
+    policy_->plan(prep, resident, context, plan);
     check_load_plan(plan);
 
     slot.policy = plan.policy;
@@ -836,10 +837,11 @@ class OnlineSimulation {
     return candidate_cache_[static_cast<std::size_t>(prep_idx)];
   }
 
-  /// Marks in protected_scratch_ the tiles holding a configuration the
-  /// queue's head wants: evicting one of them for a prefetch would trade a
-  /// hidden load for an exposed one. protected_scratch_ is a member: no
-  /// allocation on the event path.
+  /// Marks in protected_scratch_ the free tiles holding a configuration
+  /// the queue's head wants: evicting one of them for a prefetch would
+  /// trade a hidden load for an exposed one. prefetch_victim() reads only
+  /// the free tiles' entries, so the others are left stale.
+  /// protected_scratch_ is a member: no allocation on the event path.
   void protect_head_configs() {
     const std::int32_t head_prep =
         job_prep_[static_cast<std::size_t>(pool_.queue_head())];
@@ -856,11 +858,12 @@ class OnlineSimulation {
       }
     }
     const ConfigStore& store = pool_.store();
-    for (std::size_t t = 0; t < protected_scratch_.size(); ++t)
-      protected_scratch_[t] =
-          head_stamp_[static_cast<std::size_t>(
-              store.config_on(static_cast<PhysTileId>(t)) + 1)] ==
+    pool_.visit_free([&](PhysTileId t) {
+      protected_scratch_[static_cast<std::size_t>(t)] =
+          head_stamp_[static_cast<std::size_t>(store.config_on(t) + 1)] ==
           head_generation_;
+      return false;
+    });
   }
 
   /// Prefetches one configuration for a queued (arrived, unadmitted)
@@ -1384,6 +1387,7 @@ class OnlineSimulation {
   std::vector<ConfigId> wanted_scratch_;       ///< reusable-config scratch
   std::vector<bool> resident_scratch_;  ///< non-reuse policies: all false
   Binding binding_scratch_;             ///< bind_tiles() target
+  LoadPlan plan_scratch_;               ///< build_plan()'s policy plan
 
   /// In-flight defrag moves indexed by source tile (completion events
   /// carry the source). One per port at most.

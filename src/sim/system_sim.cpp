@@ -33,6 +33,10 @@ PreparedScenario prepare_scenario(const SubtaskGraph& graph, int tiles,
   prepared.graph = &graph;
   prepared.placement = list_schedule(graph, tiles, platform.isps);
   prepared.weights = subtask_weights(graph);
+  for (std::size_t s = 0; s < graph.size(); ++s)
+    if (prepared.placement.on_drhw(static_cast<SubtaskId>(s)))
+      prepared.weight_order.push_back(static_cast<SubtaskId>(s));
+  order_by_weight(prepared.weight_order, prepared.weights);
   FirstPass first_pass;
   prepared.hybrid = compute_hybrid_schedule(graph, prepared.placement,
                                             platform, options, &first_pass);
@@ -244,8 +248,8 @@ class SystemSimulation {
     context.port_busy = port_busy_;
     context.live_instances = 0;  // instances run strictly one at a time
     context.queued_instances = static_cast<int>(upcoming_count);
-    const LoadPlan plan = policy_->plan(inst, binding.resident, context);
-    const TimedPlan& timed = timed_plan(current, plan);
+    policy_->plan(inst, binding.resident, context, plan_);
+    const TimedPlan& timed = timed_plan(current, plan_);
     // Observed-pressure accounting for future PolicyContexts: the port was
     // busy for every init and scheduled load of this instance.
     port_busy_ += timed.port_time;
@@ -490,6 +494,7 @@ class SystemSimulation {
   // timing and the tail prefetch allocate nothing at steady state.
   std::vector<QueuedInstance> upcoming_;  ///< emitted lookahead
   Binding binding_;
+  LoadPlan plan_;  ///< schedule_instance(): the policy's plan
   EvalWorkspace workspace_;
   std::vector<PrepState> preps_;  ///< by prep_index()
   std::vector<time_us> tile_free_;  ///< tail_prefetch(): per tile

@@ -45,6 +45,9 @@ struct PreparedScenario {
   const SubtaskGraph* graph = nullptr;
   Placement placement;
   std::vector<time_us> weights;           ///< ALAP weights
+  /// Every DRHW subtask in order_by_weight() order of `weights`: the
+  /// run-time heuristic's load order before it drops the resident loads.
+  std::vector<SubtaskId> weight_order;
   std::vector<SubtaskId> design_order;    ///< the CS loop's first pass
   /// Statistics of that pass's B&B search (zero when the list heuristic
   /// produced it): nodes explored, and 1 when the search hit its node

@@ -54,7 +54,7 @@ inline HybridRun run_hybrid(const SubtaskGraph& graph,
   const auto hybrid =
       PolicyRegistry::instance().create(PolicySpec(policy_names::hybrid));
   HybridRun run;
-  run.plan = hybrid->plan(prep, resident, PolicyContext{});
+  hybrid->plan(prep, resident, PolicyContext{}, run.plan);
   run.eval = evaluate(graph, placement, platform, run.plan);
   return run;
 }

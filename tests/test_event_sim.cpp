@@ -90,15 +90,13 @@ class TiedPriorityPolicy : public PrefetchPolicy {
   bool uses_reuse() const override { return inner_->uses_reuse(); }
   bool uses_intertask() const override { return inner_->uses_intertask(); }
   time_us scheduler_cost() const override { return inner_->scheduler_cost(); }
-  LoadPlan plan(const PreparedScenario& prep,
-                const std::vector<bool>& resident,
-                const PolicyContext& context) override {
-    LoadPlan out = inner_->plan(prep, resident, context);
+  void plan(const PreparedScenario& prep, const std::vector<bool>& resident,
+            const PolicyContext& context, LoadPlan& out) override {
+    inner_->plan(prep, resident, context, out);
     std::vector<time_us> tiers(prep.graph->size());
     for (std::size_t s = 0; s < tiers.size(); ++s)
       tiers[s] = static_cast<time_us>((s * 7) % 3);
     order_by_weight(out.loads, tiers);
-    return out;
   }
   std::vector<SubtaskId> intertask_candidates(
       const PreparedScenario& future) const override {
@@ -139,10 +137,9 @@ class MalformedPlanPolicy : public PrefetchPolicy {
   bool uses_reuse() const override { return inner_->uses_reuse(); }
   bool uses_intertask() const override { return inner_->uses_intertask(); }
   time_us scheduler_cost() const override { return inner_->scheduler_cost(); }
-  LoadPlan plan(const PreparedScenario& prep,
-                const std::vector<bool>& resident,
-                const PolicyContext& context) override {
-    LoadPlan out = inner_->plan(prep, resident, context);
+  void plan(const PreparedScenario& prep, const std::vector<bool>& resident,
+            const PolicyContext& context, LoadPlan& out) override {
+    inner_->plan(prep, resident, context, out);
     const auto n = static_cast<SubtaskId>(prep.graph->size());
     if (defect_ == "range") out.loads.push_back(n);
     if (defect_ == "dup" && !out.loads.empty())
@@ -153,7 +150,6 @@ class MalformedPlanPolicy : public PrefetchPolicy {
           out.loads.push_back(s);
           break;
         }
-    return out;
   }
   const std::vector<time_us>& replacement_values(
       const PreparedScenario& prep,

@@ -188,7 +188,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HybridMonotonicity,
 TEST(HybridRuntime, RejectsWrongResidentSize) {
   const auto p = prepare_jpeg();
   const std::vector<bool> tiny(1, false);
-  EXPECT_THROW(hybrid_decide(p.design, tiny), InternalError);
+  LoadPlan plan;
+  EXPECT_THROW(hybrid_decide(p.design, tiny, plan), InternalError);
 }
 
 // -- the initialization phase against a two-step reference ---------------
@@ -328,7 +329,8 @@ TEST(InitPhase, OnePassEvaluationMatchesTheTwoStepReference) {
           PolicyContext context;
           context.ports = ports;
           context.queued_instances = draw;  // 2 moves adaptive_hybrid
-          const LoadPlan plan = policy->plan(prep, resident, context);
+          LoadPlan plan;
+          policy->plan(prep, resident, context, plan);
           expect_same_timing(
               evaluate(graph, prep.placement, platform, plan),
               two_step_reference(graph, prep.placement, platform, plan));

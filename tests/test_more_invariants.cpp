@@ -48,7 +48,8 @@ TEST(HybridDecide, MatchesRuntimeOutcome) {
 
   std::vector<bool> resident(g.size(), false);
   resident[1] = true;  // blend resident
-  const auto decision = hybrid_decide(design, resident);
+  LoadPlan decision;
+  hybrid_decide(design, resident, decision);
   const auto outcome =
       testing::run_hybrid(g, placement, platform, design, resident);
   EXPECT_EQ(decision.init_count, outcome.init_loads().size());
@@ -66,7 +67,8 @@ TEST(HybridDecide, EmptyForFullyResidentTask) {
   const auto placement = list_schedule(g, platform.tiles);
   const auto design = compute_hybrid_schedule(g, placement, platform);
   const std::vector<bool> all(g.size(), true);
-  const auto decision = hybrid_decide(design, all);
+  LoadPlan decision;
+  hybrid_decide(design, all, decision);
   EXPECT_EQ(decision.init_count, 0u);
   EXPECT_TRUE(decision.loads.empty());
   EXPECT_EQ(decision.cancelled_loads,

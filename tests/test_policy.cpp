@@ -1,14 +1,17 @@
 // Tests for the pluggable prefetch-policy layer: PolicySpec parsing and
 // canonical text, parameter validation, registry enumeration/creation
-// errors, the paper policies' interface contracts, the adaptive_hybrid
-// pressure switch, and end-to-end extensibility (a policy registered at
-// runtime flows through both simulators and the scenario registry with no
-// other code changes).
+// errors, the paper policies' interface contracts, planning into a reused
+// LoadPlan, the adaptive_hybrid pressure switch, and end-to-end
+// extensibility (a policy registered at runtime flows through both
+// simulators and the scenario registry with no other code changes).
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "graph/generators.hpp"
 #include "policy/names.hpp"
 #include "policy/registry.hpp"
 #include "runner/scenario.hpp"
@@ -181,6 +184,68 @@ TEST_F(AdaptiveFixture, SwitchesUnderPortPressure) {
   EXPECT_GT(adaptive.sim.cancelled_loads, 0);
 }
 
+/// plan() writes every field of the caller's LoadPlan: for every ordered
+/// pair of registered policies, planning with the second into the plan the
+/// first left behind equals planning with it into a fresh LoadPlan. Over
+/// multimedia, Pocket GL and synthetic preparations, with seeded random
+/// resident sets and both adaptive_hybrid branches.
+TEST(PolicyRegistryTest, PlanIntoADirtyPlanEqualsAFreshPlan) {
+  const PlatformConfig platform = virtex2_platform(8);
+  const auto multimedia = make_multimedia_workload(platform);
+  const auto pocket_gl = make_pocket_gl_workload(platform);
+  Rng graph_rng(11);
+  LayeredGraphParams params;
+  params.subtasks = 20;
+  params.isp_fraction = 0.2;
+  std::vector<SubtaskGraph> graphs;
+  for (int i = 0; i < 3; ++i)
+    graphs.push_back(make_layered_graph(params, graph_rng));
+  std::vector<PreparedScenario> synthetic;
+  for (const SubtaskGraph& graph : graphs)
+    synthetic.push_back(prepare_scenario(graph, platform.tiles, platform));
+  std::vector<const PreparedScenario*> preps;
+  for (const auto* tasks : {&multimedia->prepared, &pocket_gl->prepared})
+    for (const std::vector<PreparedScenario>& task : *tasks)
+      for (const PreparedScenario& prep : task) preps.push_back(&prep);
+  for (const PreparedScenario& prep : synthetic) preps.push_back(&prep);
+
+  const auto& registry = PolicyRegistry::instance();
+  std::vector<std::unique_ptr<PrefetchPolicy>> policies;
+  for (const std::string& name : registry.names())
+    policies.push_back(registry.create(PolicySpec(name)));
+  Rng rng(5);
+  int compared = 0, with_init = 0, with_cancelled = 0;
+  for (const PreparedScenario* prep : preps)
+    for (int draw = 0; draw < 2; ++draw) {
+      std::vector<bool> resident(prep->graph->size(), false);
+      for (std::size_t s = 0; s < resident.size(); ++s)
+        resident[s] = prep->placement.on_drhw(static_cast<SubtaskId>(s)) &&
+                      rng.next_bool(0.4);
+      PolicyContext context;
+      context.queued_instances = 2 * draw;  // 2 moves adaptive_hybrid
+      for (const auto& first : policies)
+        for (const auto& second : policies) {
+          SCOPED_TRACE(first->name() + " then " + second->name());
+          LoadPlan fresh;
+          second->plan(*prep, resident, context, fresh);
+          LoadPlan reused;
+          first->plan(*prep, resident, context, reused);
+          with_init += reused.init_count > 0;
+          with_cancelled += reused.cancelled_loads > 0;
+          second->plan(*prep, resident, context, reused);
+          EXPECT_EQ(reused.policy, fresh.policy);
+          EXPECT_EQ(reused.loads, fresh.loads);
+          EXPECT_EQ(reused.init_count, fresh.init_count);
+          EXPECT_EQ(reused.cancelled_loads, fresh.cancelled_loads);
+          ++compared;
+        }
+    }
+  EXPECT_GT(compared, 1000);
+  // The dirty plans carry every field a fresh one must not inherit.
+  EXPECT_GT(with_init, 100);
+  EXPECT_GT(with_cancelled, 100);
+}
+
 /// End-to-end extensibility: a policy registered at runtime — exactly what
 /// policy/adaptive_hybrid.cpp does from its own translation unit — is
 /// immediately usable by both simulators and enumerated into the
@@ -189,10 +254,10 @@ class ReversedDesignTimePolicy : public PrefetchPolicy {
  public:
   bool uses_reuse() const override { return false; }
   bool uses_intertask() const override { return false; }
-  LoadPlan plan(const PreparedScenario& prep, const std::vector<bool>&,
-                const PolicyContext&) override {
-    return {LoadPolicy::explicit_order,
-            {prep.design_order.rbegin(), prep.design_order.rend()}};
+  void plan(const PreparedScenario& prep, const std::vector<bool>&,
+            const PolicyContext&, LoadPlan& out) override {
+    out.reset(LoadPolicy::explicit_order);
+    out.loads.assign(prep.design_order.rbegin(), prep.design_order.rend());
   }
 };
 

@@ -1,15 +1,17 @@
 // Unit tests for the tile-pool subsystem: admission policies (FIFO
 // head-of-line, bounded backfill, windowed best-fit reordering), contiguous
 // allocation with placement-aware block selection, the defragmentation
-// planner, prefetch reservations, the fragmentation metric, and the
+// planner, prefetch reservations, the fragmentation metric, the
 // deadline-aware urgency index (differentially tested against a linear
-// scan).
+// scan), and the free-tile bitset (differentially tested against a
+// recount, across 64-tile word boundaries).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "pool/tile_pool.hpp"
@@ -639,25 +641,6 @@ struct OccupancyModel {
   bool free(std::size_t t) const {
     return owner[t] < 0 && !reserved[t] && !migrating[t];
   }
-  int free_count() const {
-    int count = 0;
-    for (std::size_t t = 0; t < owner.size(); ++t) count += free(t);
-    return count;
-  }
-  int largest_block() const {
-    int best = 0, run = 0;
-    for (std::size_t t = 0; t < owner.size(); ++t) {
-      run = free(t) ? run + 1 : 0;
-      best = std::max(best, run);
-    }
-    return best;
-  }
-  double fragmentation_pct() const {
-    const int count = free_count();
-    return count == 0 ? 0.0
-                      : 100.0 * (1.0 - static_cast<double>(largest_block()) /
-                                           static_cast<double>(count));
-  }
   std::vector<PhysTileId> tiles_where(
       const std::function<bool(std::size_t)>& keep) const {
     std::vector<PhysTileId> out;
@@ -669,39 +652,148 @@ struct OccupancyModel {
   std::vector<char> reserved, migrating;
 };
 
-/// free_count() and largest_free_block() are cached between occupancy
-/// changes. Random occupy / release / reserve / prefetch / migration /
-/// remap / checkpoint sequences, on count-based and contiguous pools, with
-/// and without a trace sink (with one, every mutator reads
-/// fragmentation_pct() before it changes anything): after every step the
-/// pool's counts must equal a recount of the model, and every frag sample
-/// must carry the fragmentation that held before the step.
-TEST(TilePool, CachedCapacityMatchesARecountAfterEveryChange) {
-  for (const bool traced : {false, true})
+/// The free-tile views of a pool recounted tile by tile from its owner()
+/// and migrating() and the test's mirror of its reservations: the
+/// reference the pool's free-tile bitset must match.
+struct FreeRecount {
+  FreeRecount(const TilePoolManager& pool, const std::vector<char>& reserved)
+      : free(reserved.size(), 0) {
+    for (std::size_t t = 0; t < free.size(); ++t) {
+      const auto tile = static_cast<PhysTileId>(t);
+      free[t] = pool.owner(tile) < 0 && !pool.migrating(tile) && !reserved[t];
+    }
+  }
+  int count() const {
+    int n = 0;
+    for (const char f : free) n += f;
+    return n;
+  }
+  int largest_block() const {
+    int best = 0, run = 0;
+    for (const char f : free) {
+      run = f ? run + 1 : 0;
+      best = std::max(best, run);
+    }
+    return best;
+  }
+  double fragmentation_pct() const {
+    const int n = count();
+    return n == 0 ? 0.0
+                  : 100.0 * (1.0 - static_cast<double>(largest_block()) /
+                                       static_cast<double>(n));
+  }
+  /// offer_into() without a defragmentation window: every free tile, or
+  /// the leftmost free block of `needed` tiles holding the most `wanted`
+  /// configurations.
+  std::vector<PhysTileId> offer(const ConfigStore& store, bool contiguous,
+                                int needed,
+                                const std::vector<ConfigId>& wanted) const {
+    std::vector<PhysTileId> out;
+    const auto n = static_cast<int>(free.size());
+    if (!contiguous) {
+      for (int t = 0; t < n; ++t)
+        if (free[static_cast<std::size_t>(t)]) out.push_back(t);
+      return out;
+    }
+    if (needed == 0) return out;
+    int best = -1, best_score = -1;
+    for (int s = 0; s + needed <= n; ++s) {
+      bool block = true;
+      int score = 0;
+      for (int t = s; t < s + needed; ++t) {
+        block = block && free[static_cast<std::size_t>(t)];
+        const ConfigId c = store.config_on(t);
+        score += c != k_no_config &&
+                 std::find(wanted.begin(), wanted.end(), c) != wanted.end();
+      }
+      if (block && score > best_score) {
+        best = s;
+        best_score = score;
+      }
+    }
+    for (int t = best; t < best + needed; ++t) out.push_back(t);
+    return out;
+  }
+  /// prefetch_victim(): the first empty free unprotected tile, else the
+  /// lowest (value, last use), leftmost on ties.
+  PhysTileId victim(const ConfigStore& store,
+                    const std::vector<char>& protected_tiles) const {
+    PhysTileId best = k_no_phys_tile;
+    for (std::size_t t = 0; t < free.size(); ++t) {
+      if (!free[t] || protected_tiles[t]) continue;
+      const auto tile = static_cast<PhysTileId>(t);
+      if (store.config_on(tile) == k_no_config) return tile;
+      if (best == k_no_phys_tile ||
+          std::make_pair(store.value_of(tile), store.last_used(tile)) <
+              std::make_pair(store.value_of(best), store.last_used(best)))
+        best = tile;
+    }
+    return best;
+  }
+  std::vector<char> free;
+};
+
+/// The pool answers every free-tile question from one bitset that its
+/// mutators keep in step. Seeded random sequences of every mutator —
+/// enqueue, occupy, release, reserve / finish_prefetch, begin /
+/// finish_migration, apply_remap, begin / finish_checkpoint — on pools of
+/// 1, 16, 63, 64, 65 and 130 tiles (no built-in scenario has more than 16,
+/// so only this test crosses word boundaries), count-based and contiguous
+/// with defragmentation, with and without a trace sink (with one, every
+/// mutator reads fragmentation_pct() before it changes anything). After
+/// every step free_count(), largest_free_block(), fragmentation_pct(),
+/// offer_into() and prefetch_victim() must equal a FreeRecount, and every
+/// frag sample must carry the fragmentation that held before the step.
+/// The defragmentation planner is left out (its window would bias
+/// offer_into()); the Defrag tests above cover it.
+TEST(TilePool, FreeTileBitsetMatchesARecountAfterEveryChange) {
+  for (const int tiles : {1, 16, 63, 64, 65, 130})
     for (const bool contiguous : {false, true})
-      for (const unsigned seed : {1u, 2u, 3u}) {
-        SCOPED_TRACE(::testing::Message() << "traced=" << traced
-                                          << " contiguous=" << contiguous
-                                          << " seed=" << seed);
+      for (const bool traced : {false, true}) {
+        const auto seed = static_cast<unsigned>(tiles * 4 + contiguous * 2 +
+                                                traced);
+        SCOPED_TRACE(::testing::Message()
+                     << "tiles=" << tiles << " contiguous=" << contiguous
+                     << " traced=" << traced);
         std::mt19937 rng(seed);
-        const int tiles = 1 + static_cast<int>(rng() % 9);
         PoolOptions options;
         options.contiguous = contiguous;
+        options.defrag = contiguous;
         TilePoolManager pool(tiles, options);
         FragProbe probe;
         if (traced) pool.set_trace_sink(&probe);
         OccupancyModel model(tiles);
+        struct Queued {
+          std::int32_t job = -1;
+          int needed = 0;
+        };
+        std::vector<Queued> queued;
         std::vector<std::int32_t> live;
         std::vector<PhysTileId> prefetching, checkpointing;
         std::vector<MigrationPlan> moving;
+        std::vector<PhysTileId> offer;
         std::int32_t next_job = 0;
         time_us now = 0;
         const auto pick = [&](const std::vector<PhysTileId>& from) {
           return from[rng() % from.size()];
         };
-        for (int step = 0; step < 2000; ++step) {
+        const auto random_configs = [&] {
+          std::vector<ConfigId> configs;
+          for (ConfigId c = 0; c < 4; ++c)
+            if (rng() % 2 == 0) configs.push_back(c);
+          return configs;
+        };
+        const auto occupy = [&](std::int32_t job,
+                                const std::vector<PhysTileId>& take) {
+          pool.occupy(job, take, now);
+          for (const PhysTileId t : take)
+            model.owner[static_cast<std::size_t>(t)] = job;
+          live.push_back(job);
+        };
+        for (int step = 0; step < 1500; ++step) {
           now += static_cast<time_us>(rng() % 3);
-          const double frag_before = model.fragmentation_pct();
+          const double frag_before =
+              FreeRecount(pool, model.reserved).fragmentation_pct();
           const long samples_before = probe.samples;
           const std::vector<PhysTileId> free_tiles =
               model.tiles_where([&](std::size_t t) { return model.free(t); });
@@ -710,23 +802,38 @@ TEST(TilePool, CachedCapacityMatchesARecountAfterEveryChange) {
               model.tiles_where([&](std::size_t t) {
                 return model.owner[t] >= 0 && !model.migrating[t];
               });
-          switch (rng() % 9) {
-            case 0:
-            case 1: {  // occupy a random free subset
+          switch (rng() % 11) {
+            case 0: {  // enqueue an instance that waits
+              const int needed = static_cast<int>(
+                  rng() % static_cast<unsigned>(tiles + 1));
+              pool.enqueue(next_job, needed, now);
+              queued.push_back({next_job++, needed});
+              break;
+            }
+            case 1: {  // admit a queued instance onto the tiles offered
+              if (queued.empty()) break;
+              const std::size_t at = rng() % queued.size();
+              const Queued q = queued[at];
+              const int room = contiguous ? pool.largest_free_block()
+                                          : pool.free_count();
+              if (q.needed > room) break;
+              pool.offer_into(q.job, random_configs(), offer);
+              offer.resize(static_cast<std::size_t>(q.needed));
+              queued.erase(queued.begin() + static_cast<std::ptrdiff_t>(at));
+              occupy(q.job, offer);
+              break;
+            }
+            case 2: {  // occupy a random free subset
               if (free_tiles.empty()) break;
               std::vector<PhysTileId> take;
               for (const PhysTileId t : free_tiles)
                 if (rng() % 2 == 0) take.push_back(t);
               if (take.empty()) take.push_back(pick(free_tiles));
-              const std::int32_t job = next_job++;
-              pool.enqueue(job, static_cast<int>(take.size()), now);
-              pool.occupy(job, take, now);
-              for (const PhysTileId t : take)
-                model.owner[static_cast<std::size_t>(t)] = job;
-              live.push_back(job);
+              pool.enqueue(next_job, static_cast<int>(take.size()), now);
+              occupy(next_job++, take);
               break;
             }
-            case 2: {  // release a job that is not being checkpointed
+            case 3: {  // release a job that is not being checkpointed
               if (live.empty()) break;
               const std::int32_t job = live[rng() % live.size()];
               bool checkpointed = false;
@@ -739,15 +846,16 @@ TEST(TilePool, CachedCapacityMatchesARecountAfterEveryChange) {
               live.erase(std::find(live.begin(), live.end(), job));
               break;
             }
-            case 3: {  // reserve a free tile for a backlog prefetch
+            case 4: {  // reserve a free tile for a backlog prefetch
               if (free_tiles.empty()) break;
               const PhysTileId t = pick(free_tiles);
-              pool.reserve(t, static_cast<ConfigId>(rng() % 4), 1.0, now);
+              pool.reserve(t, static_cast<ConfigId>(rng() % 4),
+                           static_cast<double>(rng() % 3), now);
               model.reserved[static_cast<std::size_t>(t)] = 1;
               prefetching.push_back(t);
               break;
             }
-            case 4: {  // a prefetch lands
+            case 5: {  // a prefetch lands
               if (prefetching.empty()) break;
               const std::size_t at = rng() % prefetching.size();
               const PhysTileId t = prefetching[at];
@@ -757,7 +865,7 @@ TEST(TilePool, CachedCapacityMatchesARecountAfterEveryChange) {
                                 static_cast<std::ptrdiff_t>(at));
               break;
             }
-            case 5: {  // start a port-charged move, or land one
+            case 6: {  // start a port-charged move, or land one
               if (!moving.empty() && rng() % 2 == 0) {
                 const MigrationPlan plan = moving.back();
                 moving.pop_back();
@@ -788,7 +896,7 @@ TEST(TilePool, CachedCapacityMatchesARecountAfterEveryChange) {
               moving.push_back(plan);
               break;
             }
-            case 6: {  // free remap of a held tile
+            case 7: {  // free remap of a held tile
               if (quiet.empty() || free_tiles.empty()) break;
               MigrationPlan plan;
               plan.src = pick(quiet);
@@ -799,7 +907,7 @@ TEST(TilePool, CachedCapacityMatchesARecountAfterEveryChange) {
               model.owner[static_cast<std::size_t>(plan.src)] = -1;
               break;
             }
-            case 7: {  // start checkpointing a quiet, unreserved tile
+            case 8: {  // start checkpointing a quiet, unreserved tile
               const std::vector<PhysTileId> victims =
                   model.tiles_where([&](std::size_t t) {
                     return model.owner[t] >= 0 && !model.migrating[t] &&
@@ -824,10 +932,32 @@ TEST(TilePool, CachedCapacityMatchesARecountAfterEveryChange) {
               break;
             }
           }
-          ASSERT_EQ(pool.free_count(), model.free_count()) << "step " << step;
-          ASSERT_EQ(pool.largest_free_block(), model.largest_block())
+          for (PhysTileId t = 0; t < tiles; ++t) {
+            const auto idx = static_cast<std::size_t>(t);
+            ASSERT_EQ(pool.owner(t), model.owner[idx]) << "step " << step;
+            ASSERT_EQ(pool.migrating(t), model.migrating[idx] != 0)
+                << "step " << step;
+          }
+          const FreeRecount recount(pool, model.reserved);
+          ASSERT_EQ(pool.free_count(), recount.count()) << "step " << step;
+          ASSERT_EQ(pool.largest_free_block(), recount.largest_block())
               << "step " << step;
-          ASSERT_EQ(pool.fragmentation_pct(), model.fragmentation_pct())
+          ASSERT_EQ(pool.fragmentation_pct(), recount.fragmentation_pct())
+              << "step " << step;
+          if (!queued.empty()) {
+            const Queued& q = queued[rng() % queued.size()];
+            if (!contiguous || q.needed <= recount.largest_block()) {
+              const std::vector<ConfigId> wanted = random_configs();
+              pool.offer_into(q.job, wanted, offer);
+              ASSERT_EQ(offer, recount.offer(pool.store(), contiguous,
+                                             q.needed, wanted))
+                  << "step " << step;
+            }
+          }
+          std::vector<char> protected_tiles(static_cast<std::size_t>(tiles));
+          for (char& p : protected_tiles) p = rng() % 4 == 0;
+          ASSERT_EQ(pool.prefetch_victim(protected_tiles),
+                    recount.victim(pool.store(), protected_tiles))
               << "step " << step;
           if (probe.samples != samples_before) {
             ASSERT_EQ(probe.last, frag_before) << "step " << step;

@@ -248,7 +248,7 @@ TEST(SystemSimulation, EverySpanIsTheTimingOfItsOwnPlan) {
     LoadPlan plans[2];
     for (std::size_t p = 0; p < 2; ++p) {
       const std::vector<bool> resident(preps[p].graph->size(), false);
-      plans[p] = policy->plan(preps[p], resident, PolicyContext{});
+      policy->plan(preps[p], resident, PolicyContext{}, plans[p]);
       expected[p] = evaluate(*preps[p].graph, preps[p].placement, platform,
                              plans[p])
                         .makespan;

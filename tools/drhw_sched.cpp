@@ -206,7 +206,8 @@ int cmd_schedule(const std::string& path, const ScheduleCliOptions& cli) {
   const HybridSchedule& design = prep.hybrid;
   const auto hybrid =
       PolicyRegistry::instance().create(PolicySpec(policy_names::hybrid));
-  const LoadPlan plan = hybrid->plan(prep, resident, PolicyContext{});
+  LoadPlan plan;
+  hybrid->plan(prep, resident, PolicyContext{}, plan);
   const EvalResult run = evaluate(graph, placement, platform, plan);
   std::cout << "hybrid (|CS| = " << design.critical.size() << ", "
             << plan.init_count << " init loads, " << plan.cancelled_loads
