@@ -16,6 +16,7 @@
 #include "prefetch/list_prefetch.hpp"
 #include "reuse/reuse_module.hpp"
 #include "schedule/list_scheduler.hpp"
+#include "sim/prep_table.hpp"
 #include "sim/system_sim.hpp"
 
 namespace {

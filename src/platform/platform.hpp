@@ -34,6 +34,13 @@ struct PlatformConfig {
   /// energy accounting only, not by timing).
   double reconfig_energy = 4.0;
 
+  /// Latency of one load: the subtask's own Subtask::load_time when it
+  /// sets one, else reconfig_latency. Every timing model charges by it.
+  time_us load_latency(time_us subtask_load_time) const {
+    return subtask_load_time != k_no_time ? subtask_load_time
+                                          : reconfig_latency;
+  }
+
   /// Throws std::invalid_argument when the description is unusable.
   void validate() const {
     if (tiles < 1) throw std::invalid_argument("platform needs >= 1 tile");

@@ -30,8 +30,9 @@
 /// the run (they are not shared between runs), and must be deterministic:
 /// the same construction parameters, instance stream and contexts must
 /// yield the same decisions. intertask_candidates() must additionally be a
-/// pure function of (policy parameters, prepared scenario): both engines
-/// cache it per distinct preparation.
+/// pure function of (policy parameters, prepared scenario): a run's
+/// PrepTable (sim/prep_table.hpp) computes it once per distinct preparation
+/// for both engines, and replacement_values() likewise.
 ///
 /// Adding a policy touches only this subsystem: implement the interface in
 /// a new translation unit, register a factory (see registry.cpp's builtin
@@ -144,8 +145,8 @@ class PrefetchPolicy {
 
   /// Candidate loads to prefetch for a *future* instance during port idle
   /// periods, in prefetch order. Only consulted when uses_intertask().
-  /// Must be a pure function of (policy parameters, prep): both engines
-  /// cache the result per distinct preparation.
+  /// Must be a pure function of (policy parameters, prep): the run's
+  /// PrepTable computes it once per distinct preparation.
   virtual std::vector<SubtaskId> intertask_candidates(
       const PreparedScenario& future) const;
 

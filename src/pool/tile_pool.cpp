@@ -302,11 +302,15 @@ void TilePoolManager::occupy(std::int32_t job,
   }
 }
 
-void TilePoolManager::release(std::int32_t job, time_us now) {
+void TilePoolManager::release(std::int32_t job,
+                              const std::vector<PhysTileId>& tiles,
+                              time_us now) {
   touch(now);
-  for (std::size_t idx = 0; idx < owner_.size(); ++idx)
-    if (owner_[idx] == job)
-      set_tile(idx, -1, reserved_[idx] != 0, migrating_[idx] != 0);
+  for (const PhysTileId t : tiles) {
+    const std::size_t idx = checked(t);
+    DRHW_CHECK_EQ(owner_[idx], job);  // each tile is the job's own
+    set_tile(idx, -1, reserved_[idx] != 0, migrating_[idx] != 0);
+  }
 }
 
 // --- backlog-prefetch reservations ------------------------------------------

@@ -195,9 +195,10 @@ class TilePoolManager {
   void occupy(std::int32_t job, const std::vector<PhysTileId>& tiles,
               time_us now);
 
-  /// Frees every tile held by `job` (the instance retired). Resident
-  /// configurations stay behind as reusable cached copies.
-  void release(std::int32_t job, time_us now);
+  /// Frees `tiles`, each held by `job` (the instance retired): the mirror
+  /// of occupy(). Resident configurations stay behind as cached copies.
+  void release(std::int32_t job, const std::vector<PhysTileId>& tiles,
+               time_us now);
 
   // --- backlog-prefetch reservations --------------------------------------
 

@@ -193,13 +193,6 @@ class EvalRun {
               Event{result_.exec_end[idx], EventKind::exec_done, s});
   }
 
-  /// Reconfiguration latency of one subtask (per-bitstream override or the
-  /// platform default).
-  time_us load_duration(SubtaskId s) const {
-    const time_us own = graph_.subtask(s).load_time;
-    return own != k_no_time ? own : platform_.reconfig_latency;
-  }
-
   /// Starts loads on every free port while loads are serviceable under the
   /// plan's policy.
   void try_port(time_us t) {
@@ -215,7 +208,8 @@ class EvalRun {
       const auto idx = static_cast<std::size_t>(s);
       ws_.load_started_[idx] = 1;
       result_.load_start[idx] = t;
-      result_.load_end[idx] = ports.dispatch(port, t, load_duration(s));
+      result_.load_end[idx] = ports.dispatch(
+          port, t, platform_.load_latency(graph_.subtask(s).load_time));
       result_.load_order.push_back(s);
       ++result_.loads;
       heap_push(ws_.events_,

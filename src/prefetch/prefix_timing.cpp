@@ -71,8 +71,7 @@ PrefixTiming::PrefixTiming(const SubtaskGraph& graph,
     prev[s] = placement.prev_on_unit(id);
     on_drhw_[s] = placement.on_drhw(id);
     exec_time[s] = graph.subtask(id).exec_time;
-    const time_us own = graph.subtask(id).load_time;
-    load_time_[s] = own != k_no_time ? own : platform.reconfig_latency;
+    load_time_[s] = platform.load_latency(graph.subtask(id).load_time);
   }
 
   // The latest input of v's execution under the execution ends `end`: the

@@ -180,6 +180,17 @@ void bind_tiles(const SubtaskGraph& graph, const Placement& placement,
   }
 }
 
+void bind_without_reuse(const SubtaskGraph& graph, const Placement& placement,
+                        const std::vector<PhysTileId>& candidates,
+                        Binding& out) {
+  if (static_cast<std::size_t>(placement.tiles_used) > candidates.size())
+    throw std::invalid_argument("placement needs more tiles than available");
+  out.phys_of_tile.assign(candidates.begin(),
+                          candidates.begin() + placement.tiles_used);
+  out.resident.assign(graph.size(), false);
+  out.reused_subtasks = 0;
+}
+
 void first_subtask_configs_into(const SubtaskGraph& graph,
                                 const Placement& placement,
                                 std::vector<ConfigId>& out) {

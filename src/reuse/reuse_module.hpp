@@ -118,6 +118,12 @@ void bind_tiles(const SubtaskGraph& graph, const Placement& placement,
                 ReplacementPolicy policy, Rng& rng,
                 const NextUseRank& next_use, Binding& out);
 
+/// The bind of a policy without reuse: virtual tile v takes candidate v,
+/// and nothing is resident. Candidates and exception as bind_tiles().
+void bind_without_reuse(const SubtaskGraph& graph, const Placement& placement,
+                        const std::vector<PhysTileId>& candidates,
+                        Binding& out);
+
 /// The configurations bind_tiles() can reuse for this placement: the
 /// first-subtask configuration of every virtual tile (only the first
 /// subtask on a tile can be reused — every later one is preceded by an

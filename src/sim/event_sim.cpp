@@ -9,6 +9,7 @@
 #include "policy/registry.hpp"
 #include "sim/instance_arena.hpp"
 #include "sim/online_accounting.hpp"
+#include "sim/prep_table.hpp"
 #include "util/check.hpp"
 
 namespace drhw {
@@ -123,7 +124,8 @@ class OnlineSimulation {
         fold_(accounting_constants(options), options.trace),
         policy_(PolicyRegistry::instance().create(options.policy)),
         pool_(options.platform.tiles, options.pool),
-        bind_rng_(options.seed ^ 0x5DEECE66DULL) {
+        bind_rng_(options.seed ^ 0x5DEECE66DULL),
+        preps_(*policy_, options.replacement) {
     PhaseTimer setup_timer(perf_.setup_ns);
     options_.platform.validate();
     options_.arrivals.validate();
@@ -150,21 +152,13 @@ class OnlineSimulation {
     // consumer of this generator, so the stream equals the sequential
     // simulator's on the same seed; arrival gaps come from an independent
     // generator so they cannot perturb it. The stream repeats few distinct
-    // preparations, so per-instance state is one int32 into preps_ — the
-    // per-prep caches (replacement values, intertask candidates, retire
-    // accounting) hang off that index, computed once in setup_arenas().
-    // Dedup by linear scan: the stream repeats a handful of distinct
-    // preparations, this runs once at setup, and it keeps the kernel free
-    // of pointer-keyed hash maps (a drhw_lint determinism hazard class).
+    // preparations, so per-instance state is one int32 into preps_, which
+    // holds what the run reads per preparation (replacement values,
+    // inter-task candidates, retire constants, the oracle's next uses).
     Rng stream_rng(options_.seed);
     for (int it = 0; it < options_.iterations; ++it)
-      for (const PreparedScenario* prep : sampler(stream_rng)) {
-        DRHW_CHECK(prep != nullptr);
-        const auto at = std::find(preps_.begin(), preps_.end(), prep);
-        const auto index = static_cast<std::int32_t>(at - preps_.begin());
-        if (at == preps_.end()) preps_.push_back(prep);
-        job_prep_.push_back(index);
-      }
+      for (const PreparedScenario* prep : sampler(stream_rng))
+        job_prep_.push_back(preps_.append(prep));
     job_arrival_.assign(job_prep_.size(), 0);
     job_slot_.assign(job_prep_.size(), k_slot_queued);
     fold_.reserve_jobs(job_prep_.size());
@@ -217,8 +211,9 @@ class OnlineSimulation {
   void setup_arenas() {
     std::size_t stride = 0;
     ConfigId max_config = k_no_config;
-    for (const PreparedScenario* prep : preps_) {
-      const SubtaskGraph& graph = *prep->graph;
+    for (std::size_t p = 0; p < preps_.size(); ++p) {
+      const SubtaskGraph& graph =
+          *preps_.prep(static_cast<std::int32_t>(p)).graph;
       stride = std::max(stride, graph.size());
       for (std::size_t s = 0; s < graph.size(); ++s)
         max_config =
@@ -240,48 +235,12 @@ class OnlineSimulation {
     migration_plans_.assign(tiles, MigrationPlan{});
     migration_active_.assign(tiles, 0);
 
-    // Per-preparation caches: the policy contracts replacement_values()
-    // and intertask_candidates() to be pure in (parameters, prep), so the
-    // former per-call lookups/allocations hoist to setup.
-    values_cache_.resize(preps_.size());
-    for (std::size_t p = 0; p < preps_.size(); ++p)
-      values_cache_[p] =
-          &policy_->replacement_values(*preps_[p], options_.replacement);
-    if (intertask_enabled()) {
-      candidate_cache_.resize(preps_.size());
-      for (std::size_t p = 0; p < preps_.size(); ++p)
-        candidate_cache_[p] = policy_->intertask_candidates(*preps_[p]);
-      // Generation stamps of the queue head's configurations (index
-      // config + 1, like inflight_): the backlog prefetch's protected set.
+    // Generation stamps of the queue head's configurations (index
+    // config + 1, like inflight_): the backlog prefetch's protected set.
+    if (intertask_enabled())
       head_stamp_.assign(static_cast<std::size_t>(max_config + 2), 0);
-    }
     // The per-preparation constants retire accounting folds in.
-    std::vector<TracePrep> prep_table(preps_.size());
-    for (std::size_t p = 0; p < preps_.size(); ++p) {
-      const SubtaskGraph& graph = *preps_[p]->graph;
-      TracePrep& row = prep_table[p];
-      row.name = graph.name();
-      row.ideal = preps_[p]->ideal;
-      row.subtasks = graph.size();
-      for (std::size_t s = 0; s < graph.size(); ++s) {
-        const auto id = static_cast<SubtaskId>(s);
-        if (preps_[p]->placement.on_drhw(id)) ++row.drhw_subtasks;
-        row.exec_energy += graph.subtask(id).exec_energy;
-      }
-    }
-    fold_.on_preps(prep_table);
-
-    if (options_.replacement == ReplacementPolicy::oracle) {
-      // Built once; each admission binary-searches the shared NextUseIndex
-      // instead of rescanning the remaining stream (O(instances^2)).
-      for (std::size_t j = 0; j < job_prep_.size(); ++j) {
-        const SubtaskGraph& graph =
-            *preps_[static_cast<std::size_t>(job_prep_[j])]->graph;
-        for (std::size_t s = 0; s < graph.size(); ++s)
-          next_use_index_.add(graph.subtask(static_cast<SubtaskId>(s)).config,
-                              static_cast<long>(j));
-      }
-    }
+    fold_.on_preps(preps_.retire_rows());
     // Warm-up boundary of the allocation counters: the first half of the
     // stream retiring has visited every steady-state code path.
     warmup_retires_ = (static_cast<long>(job_prep_.size()) + 1) / 2;
@@ -297,19 +256,19 @@ class OnlineSimulation {
     admission_urgency_ = policy_->admission_urgency();
     prep_rel_deadline_.assign(preps_.size(), 0);
     for (std::size_t p = 0; p < preps_.size(); ++p) {
-      const time_us own = preps_[p]->rt.relative_deadline_us;
+      const PreparedScenario& prep = preps_.prep(static_cast<std::int32_t>(p));
+      const time_us own = prep.rt.relative_deadline_us;
       prep_rel_deadline_[p] =
           own > 0 ? own
                   : static_cast<time_us>(std::llround(
                         options_.deadline_scale *
-                        static_cast<double>(preps_[p]->ideal)));
+                        static_cast<double>(prep.ideal)));
     }
     job_deadline_.assign(job_prep_.size(), k_no_time);
     job_crit_.assign(job_prep_.size(), 0);
     Rng crit_rng(options_.seed ^ 0xC2B2AE3D27D4EB4FULL);
     for (std::size_t j = 0; j < job_prep_.size(); ++j) {
-      const bool forced =
-          preps_[static_cast<std::size_t>(job_prep_[j])]->rt.criticality > 0;
+      const bool forced = preps_.prep(job_prep_[j]).rt.criticality > 0;
       // Draw even when forced so the criticality mix of the other jobs is
       // independent of which preparations carry a forced level.
       const bool drawn =
@@ -417,9 +376,11 @@ class OnlineSimulation {
 
   bool intertask_enabled() const { return policy_->uses_intertask(); }
 
+  std::int32_t prep_index_of(std::int32_t j) const {
+    return job_prep_[static_cast<std::size_t>(j)];
+  }
   const PreparedScenario& prep_of(std::int32_t j) const {
-    return *preps_[static_cast<std::size_t>(
-        job_prep_[static_cast<std::size_t>(j)])];
+    return preps_.prep(prep_index_of(j));
   }
 
   InstanceSlot& slot_of(std::int32_t j) {
@@ -430,16 +391,6 @@ class OnlineSimulation {
   }
   std::size_t base_of(std::int32_t j) const {
     return arena_.base(job_slot_[static_cast<std::size_t>(j)]);
-  }
-
-  const std::vector<time_us>& values_of(std::int32_t j) const {
-    return *values_cache_[static_cast<std::size_t>(
-        job_prep_[static_cast<std::size_t>(j)])];
-  }
-
-  time_us load_duration(const PreparedScenario& prep, SubtaskId s) const {
-    const time_us own = prep.graph->subtask(s).load_time;
-    return own != k_no_time ? own : options_.platform.reconfig_latency;
   }
 
   int& inflight_ref(ConfigId config) {
@@ -495,12 +446,6 @@ class OnlineSimulation {
     }
   }
 
-  /// Next-use oracle over the full remaining arrival stream (every job
-  /// after `self` in arrival order), mirroring the sequential simulator.
-  NextUseRank make_oracle(std::size_t self) const {
-    return next_use_index_.rank_from(static_cast<long>(self) + 1);
-  }
-
   void admit(std::int32_t index, time_us t) {
     const PreparedScenario& prep = prep_of(index);
     const SubtaskGraph& graph = *prep.graph;
@@ -522,27 +467,24 @@ class OnlineSimulation {
     if (options_.pool.contiguous && policy_->uses_reuse())
       first_subtask_configs_into(graph, placement, wanted_scratch_);
     pool_.offer_into(index, wanted_scratch_, free_tiles_scratch_);
-    const std::vector<PhysTileId>& free_tiles = free_tiles_scratch_;
 
-    const std::vector<bool>* resident = nullptr;
     if (policy_->uses_reuse()) {
+      // The next-use oracle ranks over every job after this one in arrival
+      // order: the whole remaining stream, as in the sequential simulator.
       NextUseRank oracle;
       if (options_.replacement == ReplacementPolicy::oracle)
-        oracle = make_oracle(static_cast<std::size_t>(index));
-      bind_tiles(graph, placement, pool_.store(), free_tiles,
+        oracle = preps_.next_use_from(static_cast<long>(index) + 1);
+      bind_tiles(graph, placement, pool_.store(), free_tiles_scratch_,
                  options_.replacement, bind_rng_, oracle, binding_scratch_);
-      slot.phys_of_tile = binding_scratch_.phys_of_tile;
-      resident = &binding_scratch_.resident;
-      slot.reused = binding_scratch_.reused_subtasks;
     } else {
-      slot.phys_of_tile.assign(free_tiles.begin(),
-                               free_tiles.begin() + placement.tiles_used);
-      resident_scratch_.assign(graph.size(), false);
-      resident = &resident_scratch_;
+      bind_without_reuse(graph, placement, free_tiles_scratch_,
+                         binding_scratch_);
     }
+    slot.phys_of_tile = binding_scratch_.phys_of_tile;
+    slot.reused = binding_scratch_.reused_subtasks;
     pool_.occupy(index, slot.phys_of_tile, t);
 
-    build_plan(slot, base, prep, *resident, t);
+    build_plan(slot, base, prep, binding_scratch_.resident, t);
 
     // Per-subtask scheduling state.
     for (std::size_t s = 0; s < graph.size(); ++s) {
@@ -808,7 +750,8 @@ class OnlineSimulation {
     const std::size_t base = base_of(j);
     arena_.load_started[base + static_cast<std::size_t>(s)] = 1;
     ++inflight_ref(prep.graph->subtask(s).config);
-    const time_us duration = load_duration(prep, s);
+    const time_us duration =
+        options_.platform.load_latency(prep.graph->subtask(s).load_time);
     ports_.dispatch(port, t, duration);
     ++slot.loads;
     ++slot.pending_loads;
@@ -830,21 +773,13 @@ class OnlineSimulation {
     events_.push(t + duration, k_ev_load_done, j, s);
   }
 
-  /// Candidate loads of one prepared scenario — precomputed per distinct
-  /// preparation in setup_arenas() (intertask_candidates() is contractually
-  /// pure), so the idle-port path does no lookup, no allocation.
-  const std::vector<SubtaskId>& cached_candidates(std::int32_t prep_idx) const {
-    return candidate_cache_[static_cast<std::size_t>(prep_idx)];
-  }
-
   /// Marks in protected_scratch_ the free tiles holding a configuration
   /// the queue's head wants: evicting one of them for a prefetch would
   /// trade a hidden load for an exposed one. prefetch_victim() reads only
   /// the free tiles' entries, so the others are left stale.
   /// protected_scratch_ is a member: no allocation on the event path.
   void protect_head_configs() {
-    const std::int32_t head_prep =
-        job_prep_[static_cast<std::size_t>(pool_.queue_head())];
+    const std::int32_t head_prep = prep_index_of(pool_.queue_head());
     if (head_prep != stamped_prep_) {  // a new head: stamp its configs
       stamped_prep_ = head_prep;
       ++head_generation_;
@@ -883,21 +818,22 @@ class OnlineSimulation {
         static_cast<std::size_t>(options_.intertask_lookahead);
     bool started = false;
     pool_.visit_queued(lookahead, [&](std::int32_t queued) {
-      const PreparedScenario& prep = prep_of(queued);
-      for (const SubtaskId s :
-           cached_candidates(job_prep_[static_cast<std::size_t>(queued)])) {
-        const ConfigId config = prep.graph->subtask(s).config;
+      const std::int32_t p = prep_index_of(queued);
+      const SubtaskGraph& graph = *preps_.prep(p).graph;
+      for (const SubtaskId s : preps_.candidates(p)) {
+        const ConfigId config = graph.subtask(s).config;
         if (config == k_no_config || pool_.store().holds(config) ||
             config_in_flight(config))
           continue;
         protect_head_configs();  // the walk's only victim lookup
         const PhysTileId victim = pool_.prefetch_victim(protected_scratch_);
         if (victim == k_no_phys_tile) return true;  // pool exhausted
-        const double value = static_cast<double>(
-            values_of(queued)[static_cast<std::size_t>(s)]);
+        const double value =
+            static_cast<double>(preps_.values(p)[static_cast<std::size_t>(s)]);
         pool_.reserve(victim, config, value, t);
         ++inflight_ref(config);
-        const time_us duration = load_duration(prep, s);
+        const time_us duration =
+            options_.platform.load_latency(graph.subtask(s).load_time);
         ports_.dispatch(port, t, duration);
         TraceEvent ev(TraceEvent::Kind::prefetch_start, t, queued);
         ev.config = config;
@@ -1143,11 +1079,10 @@ class OnlineSimulation {
   void on_arrival(std::int32_t j, time_us t) {
     if (deadlines_enabled_)
       job_deadline_[static_cast<std::size_t>(j)] =
-          t + prep_rel_deadline_[static_cast<std::size_t>(
-                  job_prep_[static_cast<std::size_t>(j)])];
+          t + prep_rel_deadline_[static_cast<std::size_t>(prep_index_of(j))];
     {
       TraceEvent ev(TraceEvent::Kind::arrival, t, j);
-      ev.prep = job_prep_[static_cast<std::size_t>(j)];
+      ev.prep = prep_index_of(j);
       if (deadlines_enabled_) {
         ev.deadline = job_deadline_[static_cast<std::size_t>(j)];
         ev.aux = job_crit_[static_cast<std::size_t>(j)];
@@ -1231,7 +1166,8 @@ class OnlineSimulation {
     pool_.store().record_load(
         slot.phys_of_tile[static_cast<std::size_t>(tile)],
         prep.graph->subtask(s).config, t,
-        static_cast<double>(values_of(j)[static_cast<std::size_t>(s)]));
+        static_cast<double>(
+            preps_.values(prep_index_of(j))[static_cast<std::size_t>(s)]));
     if (trace_) {
       TraceEvent ev(TraceEvent::Kind::load_done, t, j);
       ev.subtask = s;
@@ -1290,7 +1226,7 @@ class OnlineSimulation {
   void retire(std::int32_t j, time_us t) {
     const std::int32_t slot_id = job_slot_[static_cast<std::size_t>(j)];
     InstanceSlot& slot = arena_.slot(slot_id);
-    pool_.release(j, t);
+    pool_.release(j, slot.phys_of_tile, t);
     live_.erase(std::find(live_.begin(), live_.end(), j));
 
     if (deadlines_enabled_ && trace_) {
@@ -1358,7 +1294,7 @@ class OnlineSimulation {
   // arrival time, and the arena slot id (k_slot_queued before admission,
   // k_slot_retired after). The PR 2..5 kernel kept a ~150-byte Job struct
   // with three vectors per instance alive for the whole run.
-  std::vector<const PreparedScenario*> preps_;  ///< distinct preparations
+  PrepTable preps_;  ///< the run's distinct preparations
   std::vector<std::int32_t> job_prep_;
   std::vector<time_us> job_arrival_;
   std::vector<std::int32_t> job_slot_;
@@ -1385,8 +1321,7 @@ class OnlineSimulation {
   std::vector<char> movable_scratch_;    ///< defrag-planning scratch
   std::vector<PhysTileId> free_tiles_scratch_; ///< offer_into() target
   std::vector<ConfigId> wanted_scratch_;       ///< reusable-config scratch
-  std::vector<bool> resident_scratch_;  ///< non-reuse policies: all false
-  Binding binding_scratch_;             ///< bind_tiles() target
+  Binding binding_scratch_;  ///< the instance's bind
   LoadPlan plan_scratch_;               ///< build_plan()'s policy plan
 
   /// In-flight defrag moves indexed by source tile (completion events
@@ -1395,15 +1330,11 @@ class OnlineSimulation {
   std::vector<char> migration_active_;
   std::vector<int> inflight_;  ///< loads in flight, indexed config + 1
 
-  // Per-preparation caches (indexed like preps_), built in setup_arenas().
-  std::vector<const std::vector<time_us>*> values_cache_;
-  std::vector<std::vector<SubtaskId>> candidate_cache_;
   /// Per configuration (index config + 1): the head_generation_ that last
   /// stamped it, i.e. whether preparation stamped_prep_ uses it.
   std::vector<std::uint64_t> head_stamp_;
   std::uint64_t head_generation_ = 0;
   std::int32_t stamped_prep_ = -1;
-  NextUseIndex next_use_index_;  ///< oracle policy only
 
   long retired_ = 0;
   long warmup_retires_ = 0;  ///< retire count ending the perf warm-up

@@ -157,9 +157,8 @@ void OnlineAccounting::retire(const TraceEvent& ev) {
     if (report_.spans.size() <= at) report_.spans.resize(at + 1, 0);
     report_.spans[at] = span;  // arrival order
   }
-  report_.sim.account_instance(prep.ideal, span, prep.drhw_subtasks,
-                               static_cast<long>(ev.loads),
-                               static_cast<long>(ev.init), prep.exec_energy,
+  report_.sim.account_instance(prep, span, static_cast<long>(ev.loads),
+                               static_cast<long>(ev.init),
                                constants_.reconfig_energy);
   const time_us response = ev.t - job.arrival;
   response_sum_ += static_cast<double>(response);

@@ -11,20 +11,10 @@
 #include "policy/registry.hpp"
 #include "reuse/config_store.hpp"
 #include "schedule/list_scheduler.hpp"
+#include "sim/prep_table.hpp"
 #include "util/check.hpp"
 
 namespace drhw {
-
-NextUseRank NextUseIndex::rank_from(long position) const {
-  return [this, position](ConfigId c) -> long {
-    const auto idx = static_cast<std::size_t>(c);
-    if (c < 0 || idx >= positions_.size() || positions_[idx].empty())
-      return std::numeric_limits<long>::max();
-    const std::vector<long>& uses = positions_[idx];
-    const auto pos = std::lower_bound(uses.begin(), uses.end(), position);
-    return pos == uses.end() ? std::numeric_limits<long>::max() : *pos;
-  };
-}
 
 PreparedScenario prepare_scenario(const SubtaskGraph& graph, int tiles,
                                   const PlatformConfig& platform,
@@ -86,7 +76,8 @@ class SystemSimulation {
         policy_(PolicyRegistry::instance().create(options.policy)),
         sampler_(sampler),
         rng_(options.seed),
-        store_(options.platform.tiles) {
+        store_(options.platform.tiles),
+        preps_(*policy_, options.replacement) {
     all_tiles_.resize(static_cast<std::size_t>(store_.tiles()));
     for (int t = 0; t < store_.tiles(); ++t)
       all_tiles_[static_cast<std::size_t>(t)] = t;
@@ -121,9 +112,8 @@ class SystemSimulation {
 
  private:
   struct QueuedInstance {
-    const PreparedScenario* scenario = nullptr;
     int batch = 0;  ///< iteration that emitted this instance
-    std::int32_t prep = 0;  ///< prep_index() of `scenario`
+    std::int32_t prep = 0;  ///< index of its preparation in preps_
   };
 
   /// One memo entry: a plan and its timing.
@@ -132,17 +122,6 @@ class SystemSimulation {
     EvalResult eval;
     time_us port_time = 0;  ///< port busy time of all its loads
   };
-
-  /// What the run keeps per distinct preparation.
-  struct PrepState {
-    const PreparedScenario* prep = nullptr;
-    /// The policy's inter-task candidates: intertask_candidates() is pure
-    /// in (parameters, prep), so they are computed once.
-    std::vector<SubtaskId> candidates;
-    std::vector<TimedPlan> memo;  ///< timed_plan()'s entries
-  };
-
-  bool intertask_enabled() const { return policy_->uses_intertask(); }
 
   void refill() {
     // The oracle replacement policy is entitled to the full remaining
@@ -159,78 +138,44 @@ class SystemSimulation {
     while (queue_.size() < want && iterations_drawn_ < options_.iterations) {
       auto batch = sampler_(rng_);
       ++iterations_drawn_;
-      for (const PreparedScenario* instance : batch) {
-        DRHW_CHECK(instance != nullptr);
-        queue_.push_back(
-            QueuedInstance{instance, iterations_drawn_, prep_index(instance)});
-      }
+      for (const PreparedScenario* instance : batch)
+        queue_.push_back({iterations_drawn_, preps_.append(instance)});
     }
-  }
-
-  /// Value vector the replacement machinery should see for this instance.
-  const std::vector<time_us>& values_for(const PreparedScenario& inst) const {
-    return policy_->replacement_values(inst, options_.replacement);
-  }
-
-  /// Reconfiguration latency of one subtask's bitstream.
-  time_us load_duration(const SubtaskGraph& graph, SubtaskId s) const {
-    const time_us own = graph.subtask(s).load_time;
-    return own != k_no_time ? own : options_.platform.reconfig_latency;
-  }
-
-  /// Oracle help: rank of the config's next use, or a large value when it
-  /// is never used again. Under the oracle policy refill() has drawn the
-  /// whole remaining stream, so the ranking covers every future instance,
-  /// not just a lookahead window — and the NextUseIndex is built once
-  /// instead of rescanning the O(instances) queue on every step.
-  NextUseRank make_next_use_oracle() {
-    if (!oracle_index_built_) {
-      oracle_index_built_ = true;
-      long position = consumed_;
-      for (const QueuedInstance& queued : queue_) {
-        const SubtaskGraph& g = *queued.scenario->graph;
-        for (std::size_t s = 0; s < g.size(); ++s)
-          next_use_index_.add(g.subtask(static_cast<SubtaskId>(s)).config,
-                              position);
-        ++position;
-      }
-    }
-    return next_use_index_.rank_from(consumed_);
+    plan_memo_.resize(preps_.size());
   }
 
   void step(const QueuedInstance& current,
             const std::vector<QueuedInstance>& upcoming) {
-    const PreparedScenario& inst = *current.scenario;
+    const PreparedScenario& inst = preps_.prep(current.prep);
     const SubtaskGraph& graph = *inst.graph;
     const Placement& placement = inst.placement;
     const bool reuse_on = policy_->uses_reuse();
 
     Binding& binding = binding_;
     if (reuse_on) {
+      // refill() drew the whole stream into preps_: rank every instance
+      // after the current one (stream position consumed_ - 1).
       NextUseRank oracle;
       if (options_.replacement == ReplacementPolicy::oracle)
-        oracle = make_next_use_oracle();
+        oracle = preps_.next_use_from(consumed_);
       bind_tiles(graph, placement, store_, all_tiles_, options_.replacement,
                  rng_, oracle, binding);
     } else {
-      binding.phys_of_tile.assign(
-          all_tiles_.begin(), all_tiles_.begin() + placement.tiles_used);
-      binding.resident.assign(graph.size(), false);
-      binding.reused_subtasks = 0;
+      bind_without_reuse(graph, placement, all_tiles_, binding);
     }
 
     const TimedPlan& timed =
         schedule_instance(current, binding, upcoming.size());
 
     // Commit the timeline into the shared configuration store.
-    if (reuse_on) commit_to_store(inst, binding, timed);
+    if (reuse_on) commit_to_store(current, binding, timed);
 
     // Inter-task optimisation: use the port's final idle period for the
     // upcoming tasks' critical loads.
-    if (intertask_enabled() && !upcoming.empty())
+    if (policy_->uses_intertask() && !upcoming.empty())
       tail_prefetch(inst, binding, timed.eval, upcoming);
 
-    account(inst, binding, timed);
+    account(current, binding, timed);
     const time_us span = timed.eval.makespan;
     if (options_.record_spans) report_.spans.push_back(span);
     clock_ += span;
@@ -241,7 +186,7 @@ class SystemSimulation {
   const TimedPlan& schedule_instance(const QueuedInstance& current,
                                      const Binding& binding,
                                      std::size_t upcoming_count) {
-    const PreparedScenario& inst = *current.scenario;
+    const PreparedScenario& inst = preps_.prep(current.prep);
     PolicyContext context;
     context.now = clock_;
     context.ports = options_.platform.reconfig_ports;
@@ -263,14 +208,15 @@ class SystemSimulation {
   /// matches one is sound too.
   const TimedPlan& timed_plan(const QueuedInstance& current,
                               const LoadPlan& plan) {
-    std::vector<TimedPlan>& timed = prep_state(current).memo;
+    std::vector<TimedPlan>& timed =
+        plan_memo_[static_cast<std::size_t>(current.prep)];
     for (const TimedPlan& entry : timed)
       if (entry.plan.policy == plan.policy &&
           entry.plan.init_count == plan.init_count &&
           entry.plan.cancelled_loads == plan.cancelled_loads &&
           entry.plan.loads == plan.loads)
         return entry;
-    const PreparedScenario& inst = *current.scenario;
+    const PreparedScenario& inst = preps_.prep(current.prep);
     TimedPlan entry;
     entry.plan = plan;
     workspace_.evaluate(*inst.graph, inst.placement, options_.platform, plan,
@@ -283,32 +229,13 @@ class SystemSimulation {
     return timed.back();
   }
 
-  /// Dense index of a preparation in this run, assigned on first sight by
-  /// linear dedup: a run draws a handful of distinct preparations, and the
-  /// per-preparation state stays free of pointer-keyed containers.
-  std::int32_t prep_index(const PreparedScenario* prep) {
-    const auto at = std::find_if(
-        preps_.begin(), preps_.end(),
-        [prep](const PrepState& state) { return state.prep == prep; });
-    if (at != preps_.end())
-      return static_cast<std::int32_t>(at - preps_.begin());
-    PrepState& state = preps_.emplace_back();
-    state.prep = prep;
-    if (intertask_enabled())
-      state.candidates = policy_->intertask_candidates(*prep);
-    return static_cast<std::int32_t>(preps_.size() - 1);
-  }
-
-  PrepState& prep_state(const QueuedInstance& queued) {
-    return preps_[static_cast<std::size_t>(queued.prep)];
-  }
-
-  void commit_to_store(const PreparedScenario& inst, const Binding& binding,
+  void commit_to_store(const QueuedInstance& current, const Binding& binding,
                        const TimedPlan& timed) {
+    const PreparedScenario& inst = preps_.prep(current.prep);
     const SubtaskGraph& graph = *inst.graph;
     const Placement& placement = inst.placement;
     const EvalResult& eval = timed.eval;
-    const std::vector<time_us>& values = values_for(inst);
+    const std::vector<time_us>& values = preps_.values(current.prep);
     const auto init_begin = timed.plan.loads.begin();
     const auto init_end =
         init_begin + static_cast<std::ptrdiff_t>(timed.plan.init_count);
@@ -370,7 +297,8 @@ class SystemSimulation {
     // below already steers evictions toward cheap-to-reload configurations.
     const std::uint64_t call = ++tail_calls_;
     if (!upcoming.empty()) {
-      const SubtaskGraph& next_graph = *upcoming.front().scenario->graph;
+      const SubtaskGraph& next_graph =
+          *preps_.prep(upcoming.front().prep).graph;
       for (std::size_t s = 0; s < next_graph.size(); ++s)
         mark_of(next_graph.subtask(static_cast<SubtaskId>(s)).config)
             .protected_in = call;
@@ -379,7 +307,7 @@ class SystemSimulation {
     // configuration used again soon is a worse victim than one whose next
     // use is far away (or unknown). The nearest use counts.
     for (std::size_t d = 0; d < upcoming.size(); ++d) {
-      const SubtaskGraph& g = *upcoming[d].scenario->graph;
+      const SubtaskGraph& g = *preps_.prep(upcoming[d].prep).graph;
       for (std::size_t s = 0; s < g.size(); ++s) {
         ConfigMark& mark = mark_of(g.subtask(static_cast<SubtaskId>(s)).config);
         if (mark.ranked_in == call) continue;
@@ -396,13 +324,14 @@ class SystemSimulation {
     std::vector<char>& targeted = targeted_;
     targeted.assign(static_cast<std::size_t>(store_.tiles()), 0);
     for (const QueuedInstance& queued : upcoming) {
-      const PreparedScenario* future = queued.scenario;
-      const SubtaskGraph& future_graph = *future->graph;
+      const SubtaskGraph& future_graph = *preps_.prep(queued.prep).graph;
+      const std::vector<time_us>& values = preps_.values(queued.prep);
 
-      for (SubtaskId s : prep_state(queued).candidates) {
+      for (SubtaskId s : preps_.candidates(queued.prep)) {
         const ConfigId config = future_graph.subtask(s).config;
         if (store_.holds(config)) continue;
-        const time_us duration = load_duration(future_graph, s);
+        const time_us duration =
+            options_.platform.load_latency(future_graph.subtask(s).load_time);
 
         // Eligible victim: not already targeted, not holding a protected
         // config, and free early enough for the load to fit. Among the
@@ -441,8 +370,7 @@ class SystemSimulation {
         const time_us done = victim_start + duration;
         store_.record_load(
             victim, config, done,
-            static_cast<double>(
-                values_for(*future)[static_cast<std::size_t>(s)]));
+            static_cast<double>(values[static_cast<std::size_t>(s)]));
         port_cursor = done;
         port_busy_ += duration;
         ++report_.intertask_prefetches;
@@ -466,19 +394,12 @@ class SystemSimulation {
     return config_marks_[idx];
   }
 
-  void account(const PreparedScenario& inst, const Binding& binding,
+  void account(const QueuedInstance& current, const Binding& binding,
                const TimedPlan& timed) {
-    const SubtaskGraph& graph = *inst.graph;
-    long drhw = 0;
-    double exec_energy = 0.0;
-    for (std::size_t s = 0; s < graph.size(); ++s) {
-      if (inst.placement.on_drhw(static_cast<SubtaskId>(s))) ++drhw;
-      exec_energy += graph.subtask(static_cast<SubtaskId>(s)).exec_energy;
-    }
-    report_.account_instance(inst.ideal, timed.eval.makespan, drhw,
+    report_.account_instance(preps_.retire(current.prep), timed.eval.makespan,
                              timed.eval.loads,
                              static_cast<long>(timed.plan.init_count),
-                             exec_energy, options_.platform.reconfig_energy);
+                             options_.platform.reconfig_energy);
     report_.reused_subtasks += binding.reused_subtasks;
     report_.cancelled_loads += timed.plan.cancelled_loads;
   }
@@ -496,7 +417,9 @@ class SystemSimulation {
   Binding binding_;
   LoadPlan plan_;  ///< schedule_instance(): the policy's plan
   EvalWorkspace workspace_;
-  std::vector<PrepState> preps_;  ///< by prep_index()
+  PrepTable preps_;  ///< the run's distinct preparations
+  /// The plan memo (timed_plan()), indexed like preps_.
+  std::vector<std::vector<TimedPlan>> plan_memo_;
   std::vector<time_us> tile_free_;  ///< tail_prefetch(): per tile
   std::vector<char> targeted_;      ///< tail_prefetch(): per tile
   std::vector<ConfigMark> config_marks_;
@@ -504,10 +427,6 @@ class SystemSimulation {
   std::deque<QueuedInstance> queue_;
   int iterations_drawn_ = 0;
   long consumed_ = 0;  ///< instances popped off the queue so far
-  /// Built once, on the first bind under the oracle policy (the queue then
-  /// holds the whole remaining stream).
-  bool oracle_index_built_ = false;
-  NextUseIndex next_use_index_;
   time_us clock_ = 0;
   /// Cumulative port busy time — the pressure signal of PolicyContext.
   time_us port_busy_ = 0;
@@ -516,18 +435,19 @@ class SystemSimulation {
 
 }  // namespace
 
-void SimReport::account_instance(time_us ideal, time_us span, long drhw,
+void SimReport::account_instance(const TracePrep& prep, time_us span,
                                  long instance_loads, long instance_init,
-                                 double exec_energy, double reconfig_energy) {
-  total_ideal += ideal;
+                                 double reconfig_energy) {
+  total_ideal += prep.ideal;
   total_actual += span;
   ++instances;
-  drhw_subtask_instances += drhw;
+  drhw_subtask_instances += prep.drhw_subtasks;
   loads += instance_loads;
   init_loads += instance_init;
-  energy += exec_energy + reconfig_energy * static_cast<double>(instance_loads);
-  energy_saved +=
-      reconfig_energy * static_cast<double>(drhw - instance_loads);
+  energy += prep.exec_energy +
+            reconfig_energy * static_cast<double>(instance_loads);
+  energy_saved += reconfig_energy *
+                  static_cast<double>(prep.drhw_subtasks - instance_loads);
 }
 
 void SimReport::finish() {

@@ -17,6 +17,7 @@
 #include "prefetch/evaluator.hpp"
 #include "reuse/reuse_module.hpp"
 #include "schedule/placement.hpp"
+#include "sim/trace_hook.hpp"
 #include "util/rng.hpp"
 
 namespace drhw {
@@ -40,7 +41,10 @@ struct RtAttributes {
 
 /// Everything precomputed at design time for one (task, scenario) pair on a
 /// given platform. Instances reference these by pointer, so the owning
-/// container must outlive the simulation.
+/// container must outlive the simulation. What a run derives from a
+/// preparation under its policy — replacement values, inter-task
+/// candidates, retire constants — lives in the run's PrepTable
+/// (sim/prep_table.hpp), one row per distinct preparation, for both engines.
 struct PreparedScenario {
   const SubtaskGraph* graph = nullptr;
   Placement placement;
@@ -66,30 +70,6 @@ struct PreparedScenario {
 PreparedScenario prepare_scenario(const SubtaskGraph& graph, int tiles,
                                   const PlatformConfig& platform,
                                   const HybridDesignOptions& options = {});
-
-/// Next-use index for the oracle replacement policy: per-config stream
-/// positions, added in non-decreasing order. rank_from(p) yields, per
-/// config, the absolute position of its first use at or after p (or a
-/// large value when it is never used again) — order-preserving, which is
-/// all the replacement module compares. Shared by both simulators so their
-/// oracle semantics stay in lockstep.
-class NextUseIndex {
- public:
-  void add(ConfigId config, long position) {
-    const auto idx = static_cast<std::size_t>(config);
-    if (idx >= positions_.size()) positions_.resize(idx + 1);
-    positions_[idx].push_back(position);
-  }
-  /// The returned closure references this index and must not outlive it.
-  NextUseRank rank_from(long position) const;
-
- private:
-  /// Dense per-ConfigId stream positions. Config ids are small and dense by
-  /// construction (apps/config_space.hpp allocates them sequentially), and a
-  /// hash map here would be an unordered-iteration hazard waiting for its
-  /// first range-for — see tools/drhw_lint.cpp.
-  std::vector<std::vector<long>> positions_;
-};
 
 /// Replaces the per-scenario replacement values of one task's scenarios by
 /// scenario-mix-stable values: criticality *fraction* times the bonus plus
@@ -149,14 +129,13 @@ struct SimReport {
   /// Per-instance spans in stream order (only when SimOptions::record_spans).
   std::vector<time_us> spans;
 
-  /// Folds one completed instance into the totals: its ideal makespan and
-  /// actual span, its DRHW subtask count, the port loads it performed
-  /// (`instance_init` of them in a hybrid initialization phase) and its
-  /// execution energy. Each load costs `reconfig_energy`; each DRHW subtask
-  /// it did not load saves that much. Shared by both simulators.
-  void account_instance(time_us ideal, time_us span, long drhw,
+  /// Folds one completed instance of `prep` into the totals: its actual
+  /// span and the port loads it performed (`instance_init` of them in a
+  /// hybrid initialization phase). Each load costs `reconfig_energy`; each
+  /// DRHW subtask it did not load saves that much. Shared by both engines.
+  void account_instance(const TracePrep& prep, time_us span,
                         long instance_loads, long instance_init,
-                        double exec_energy, double reconfig_energy);
+                        double reconfig_energy);
   /// Derives overhead_pct and reuse_pct from the totals.
   void finish();
 };

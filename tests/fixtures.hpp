@@ -68,6 +68,21 @@ inline SubtaskGraph make_chain_graph(int length, time_us min_exec,
   return graph;
 }
 
+/// A three-subtask chain whose middle subtask runs on an ISP: DRHW `a`
+/// (configuration `first_config`) -> ISP `b` -> DRHW `c` (`first_config`
+/// + 1). `b` has no configuration (k_no_config), as every ISP subtask.
+inline SubtaskGraph make_isp_sandwich_graph(const std::string& name,
+                                            ConfigId first_config) {
+  SubtaskGraph graph(name);
+  graph.add_subtask({"a", 10'000, Resource::drhw, first_config});
+  graph.add_subtask({"b", 8'000, Resource::isp});
+  graph.add_subtask({"c", 12'000, Resource::drhw, first_config + 1});
+  graph.add_edge(0, 1);
+  graph.add_edge(1, 2);
+  graph.finalize();
+  return graph;
+}
+
 /// A coarse-grain array: the topology of virtex2_platform(), but with the
 /// much smaller reconfiguration latency that Section 4 argues motivates the
 /// hybrid approach (default 0.5 ms).

@@ -500,6 +500,29 @@ TEST(Cli, OnlineAgreesWithTheCampaignOnAWorkloadFile) {
   EXPECT_TRUE(found) << "no file/multimedia_mix/hybrid row in the CSV";
 }
 
+TEST(Cli, OracleReplacementRunsOnIspSubtasksWithoutAConfiguration) {
+  // Regression: the ISP node `b` has no `cfg`, and the next-use oracle
+  // indexed its missing configuration out of bounds (exit 139).
+  const std::string path = temp_dir("cli_isp_oracle") + "/isp.dwl";
+  std::ofstream(path) << "drhw-workload-v1\n"
+                         "configs 2\n"
+                         "task isp_sandwich\n"
+                         "  variant s0 1\n"
+                         "    node a 10000 drhw cfg 0\n"
+                         "    node b 8000 isp\n"
+                         "    node c 12000 drhw cfg 1\n"
+                         "    edge a b\n"
+                         "    edge b c\n"
+                         "  end\n"
+                         "end\n";
+  const CliResult result =
+      run_cli("online --workload " + path +
+              " --replacement oracle --approach hybrid --iterations 20"
+              " --tiles 4");
+  ASSERT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_EQ(table_row(result.output, "hybrid").size(), 14u) << result.output;
+}
+
 TEST(Cli, OnlineRunsPocketGlUnderEveryPolicy) {
   const CliResult result = run_cli("online --workload pocket_gl --iterations 5");
   ASSERT_EQ(result.exit_code, 0) << result.output;

@@ -18,6 +18,7 @@
 
 #include "csv_rows.hpp"
 #include "digest.hpp"
+#include "fixtures.hpp"
 #include "graph/generators.hpp"
 #include "policy/names.hpp"
 #include "policy/registry.hpp"
@@ -290,48 +291,54 @@ TEST_P(EveryRegisteredPolicy, RunsOnPoissonAndBurstyArrivals) {
 /// rate -> 0: arrivals are so far apart that no two instances are ever
 /// live together, so per-instance makespans must reduce to the sequential
 /// simulator's spans on the same sampler stream — for *every* registered
-/// policy, single- and two-port. The sequential reference is auto-derived:
-/// the same policy spec with the inter-task lookahead closed
-/// (intertask_lookahead = 0), because an online scheduler with an empty
-/// backlog has nothing to prefetch for, so the sequential rig must not
-/// tail-prefetch either. (Pre-registry this table was hand-listed per
+/// policy, single- and two-port, under LRU and under the next-use oracle
+/// (both engines rank by their run's PrepTable index). The sequential
+/// reference is auto-derived: the same policy spec with the inter-task
+/// lookahead closed (intertask_lookahead = 0), because an online scheduler
+/// with an empty backlog has nothing to prefetch for, so the sequential rig
+/// must not tail-prefetch either. (Pre-registry this table was hand-listed per
 /// approach, mapping run-time+inter-task onto run-time and flipping the
 /// hybrid's intertask flag — the lookahead knob subsumes both.)
 TEST_P(EveryRegisteredPolicy, RateToZeroMatchesSequentialSimulator) {
   for (const int ports : {1, 2}) {
-    const std::string label = std::to_string(ports) + " port(s)";
     PlatformConfig pf = platform;
     pf.reconfig_ports = ports;
     const auto local = make_multimedia_workload(pf);
     const auto local_sampler = multimedia_sampler(*local);
+    for (const ReplacementPolicy replacement :
+         {ReplacementPolicy::lru, ReplacementPolicy::oracle}) {
+      const std::string label = std::to_string(ports) + " port(s), " +
+                                to_string(replacement) + " replacement";
+      OnlineSimOptions opt;
+      opt.platform = pf;
+      opt.policy = GetParam();
+      opt.replacement = replacement;
+      opt.arrivals.rate_per_s = 0.0001;  // mean gap 10^4 s >> any span
+      opt.seed = 7;
+      opt.iterations = 60;
+      const auto online = run_online_simulation(opt, local_sampler);
 
-    OnlineSimOptions opt;
-    opt.platform = pf;
-    opt.policy = GetParam();
-    opt.arrivals.rate_per_s = 0.0001;  // mean gap 10^4 s >> any span
-    opt.seed = 7;
-    opt.iterations = 60;
-    const auto online = run_online_simulation(opt, local_sampler);
+      SimOptions seq;
+      seq.platform = pf;
+      seq.policy = GetParam();
+      seq.replacement = replacement;
+      seq.intertask_lookahead = 0;  // see the comment above
+      seq.seed = opt.seed;
+      seq.iterations = opt.iterations;
+      seq.record_spans = true;
+      const auto sequential = run_simulation(seq, local_sampler);
 
-    SimOptions seq;
-    seq.platform = pf;
-    seq.policy = GetParam();
-    seq.intertask_lookahead = 0;  // see the comment above
-    seq.seed = opt.seed;
-    seq.iterations = opt.iterations;
-    seq.record_spans = true;
-    const auto sequential = run_simulation(seq, local_sampler);
-
-    EXPECT_EQ(online.mean_queueing_ms, 0.0) << label;
-    ASSERT_EQ(online.spans.size(), sequential.spans.size()) << label;
-    EXPECT_EQ(online.spans, sequential.spans) << label;
-    EXPECT_EQ(online.sim.total_actual, sequential.total_actual) << label;
-    EXPECT_EQ(online.sim.loads, sequential.loads) << label;
-    EXPECT_EQ(online.sim.reused_subtasks, sequential.reused_subtasks)
-        << label;
-    EXPECT_EQ(online.sim.init_loads, sequential.init_loads) << label;
-    EXPECT_EQ(online.sim.cancelled_loads, sequential.cancelled_loads)
-        << label;
+      EXPECT_EQ(online.mean_queueing_ms, 0.0) << label;
+      ASSERT_EQ(online.spans.size(), sequential.spans.size()) << label;
+      EXPECT_EQ(online.spans, sequential.spans) << label;
+      EXPECT_EQ(online.sim.total_actual, sequential.total_actual) << label;
+      EXPECT_EQ(online.sim.loads, sequential.loads) << label;
+      EXPECT_EQ(online.sim.reused_subtasks, sequential.reused_subtasks)
+          << label;
+      EXPECT_EQ(online.sim.init_loads, sequential.init_loads) << label;
+      EXPECT_EQ(online.sim.cancelled_loads, sequential.cancelled_loads)
+          << label;
+    }
   }
 }
 
@@ -406,6 +413,46 @@ TEST(OnlineKernel, InitLoadCompletingBeforeUnitArrivalDoesNotStall) {
   const auto r = run_online_simulation(opt, sampler);
   EXPECT_EQ(r.sim.instances, 5);
   EXPECT_EQ(r.spans.size(), 5u);
+}
+
+TEST(OnlineKernel, OracleSkipsSubtasksWithoutAConfiguration) {
+  // Regression: ISP subtasks carry no configuration, and indexing their
+  // k_no_config for the next-use oracle wrote out of bounds (a segfault on
+  // the CLI). At rate -> 0 the kernel must also match the sequential rig,
+  // which ranks by the same index.
+  const PlatformConfig platform = virtex2_platform(2);
+  // Disjoint configurations, so two tiles cannot hold both tasks'.
+  const SubtaskGraph first = testing::make_isp_sandwich_graph("first", 0);
+  const SubtaskGraph second = testing::make_isp_sandwich_graph("second", 2);
+  const std::vector<PreparedScenario> prepared = {
+      prepare_scenario(first, platform.tiles, platform),
+      prepare_scenario(second, platform.tiles, platform)};
+  const IterationSampler sampler = [&](Rng& rng) {
+    return std::vector<const PreparedScenario*>{
+        &prepared[static_cast<std::size_t>(rng.next_int(0, 1))]};
+  };
+
+  OnlineSimOptions opt;
+  opt.platform = platform;
+  opt.policy = policy_names::runtime;
+  opt.replacement = ReplacementPolicy::oracle;
+  opt.arrivals.rate_per_s = 0.0001;
+  opt.iterations = 30;
+  const auto online = run_online_simulation(opt, sampler);
+  EXPECT_EQ(online.sim.instances, 30);
+  EXPECT_GT(online.sim.reused_subtasks, 0);
+
+  SimOptions seq;
+  seq.platform = platform;
+  seq.policy = policy_names::runtime;
+  seq.replacement = ReplacementPolicy::oracle;
+  seq.seed = opt.seed;
+  seq.iterations = opt.iterations;
+  seq.record_spans = true;
+  const auto sequential = run_simulation(seq, sampler);
+  EXPECT_EQ(online.spans, sequential.spans);
+  EXPECT_EQ(online.sim.loads, sequential.loads);
+  EXPECT_EQ(online.sim.reused_subtasks, sequential.reused_subtasks);
 }
 
 TEST_F(OnlineFixture, ClosedLoopNeverQueues) {

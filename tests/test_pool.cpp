@@ -51,6 +51,16 @@ struct PoolMetrics {
   OnlineAccounting fold{AccountingConstants{}};
 };
 
+/// The tiles `job` holds, ascending: what the kernel keeps per instance
+/// and hands back to release().
+std::vector<PhysTileId> held_by(const TilePoolManager& pool,
+                                std::int32_t job) {
+  std::vector<PhysTileId> tiles;
+  for (PhysTileId t = 0; t < pool.tiles(); ++t)
+    if (pool.owner(t) == job) tiles.push_back(t);
+  return tiles;
+}
+
 /// Marks `job` holding exactly `tiles` (must be free), via the queue.
 void force_occupy(TilePoolManager& pool, std::int32_t job,
                   const std::vector<PhysTileId>& tiles, time_us now) {
@@ -94,10 +104,23 @@ TEST(TilePool, FifoAdmitsInArrivalOrderAndBlocksOnTheHead) {
   pool.occupy(11, {3}, 1);
   pool.enqueue(12, 1, 2);
   EXPECT_EQ(pool.select(2), -1);  // pool full
-  pool.release(10, 5);
+  pool.release(10, {0, 1, 2}, 5);
   EXPECT_EQ(pool.free_count(), 3);
   EXPECT_EQ(pool.select(5), 12);
   EXPECT_EQ(metrics.queue_skips(), 0);  // FIFO never overtakes
+}
+
+TEST(TilePool, ReleaseFreesOnlyTilesTheRetiringJobHolds) {
+  TilePoolManager pool(4, PoolOptions{});
+  force_occupy(pool, 1, {0, 1}, 0);
+  force_occupy(pool, 2, {2}, 0);
+  EXPECT_THROW(pool.release(1, {2}, 1), InternalError);  // job 2 holds it
+  EXPECT_THROW(pool.release(1, {3}, 1), InternalError);  // free
+  pool.release(1, {0, 1}, 2);
+  EXPECT_EQ(pool.owner(0), -1);
+  EXPECT_EQ(pool.owner(1), -1);
+  EXPECT_EQ(pool.owner(2), 2);
+  EXPECT_EQ(pool.free_count(), 3);
 }
 
 TEST(TilePool, FifoHeadOfLineBlocksSmallerFollowers) {
@@ -133,12 +156,12 @@ TEST(TilePool, BackfillStarvationBoundProtectsTheHead) {
     pool.enqueue(job, 1, job);
     ASSERT_EQ(pool.select(job), job);
     pool.occupy(job, {3}, job);
-    pool.release(job, job);
+    pool.release(job, held_by(pool, job), job);
   }
   // The head has been overtaken max_bypass times: now only it may go.
   pool.enqueue(5, 1, 5);
   EXPECT_EQ(pool.select(5), -1);
-  pool.release(1, 6);
+  pool.release(1, held_by(pool, 1), 6);
   EXPECT_EQ(pool.select(6), 2);  // head admitted as soon as it fits
 }
 
@@ -155,7 +178,7 @@ TEST(TilePool, WindowReorderPicksBestFitWithinTheWindow) {
   EXPECT_EQ(pool.select(4), 4);
   pool.occupy(4, {4, 5}, 4);
   // Beyond the window nothing is considered.
-  pool.release(4, 5);
+  pool.release(4, held_by(pool, 4), 5);
   PoolOptions tight = options;
   tight.reorder_window = 1;
   TilePoolManager head_only(6, tight);
@@ -175,7 +198,7 @@ TEST(TilePool, ContiguousAdmissionNeedsARunNotJustACount) {
   pool.enqueue(3, 3, 1);
   EXPECT_EQ(pool.select(1), -1);  // three scattered tiles do not fit
   EXPECT_TRUE(pool.head_fragmentation_blocked());
-  pool.release(2, 2);
+  pool.release(2, held_by(pool, 2), 2);
   EXPECT_EQ(pool.largest_free_block(), 4);
   EXPECT_EQ(pool.select(2), 3);
   std::vector<PhysTileId> offer;
@@ -307,7 +330,7 @@ TEST(TilePool, MigrationSourceIsNotFreeEvenAfterOwnerRetires) {
   const auto plan = pool.plan_defrag(movable);
   ASSERT_TRUE(plan.has_value());
   pool.begin_migration(*plan, ms(2));
-  pool.release(1, ms(3));  // owner retires mid-migration
+  pool.release(1, held_by(pool, 1), ms(3));  // owner retires mid-migration
   // The source tile must not be handed to a new instance while the copy
   // is in flight (its executions would gate on a wakeup that never comes),
   // so the pool still cannot fit the head.
@@ -468,8 +491,8 @@ TEST(TilePool, AFailedPollAnswersEveryPollAtNoMoreRoom) {
   pool.occupy(11, {3}, 3);
   EXPECT_EQ(perf.admission_skipped, 1u);
   // More room than the remembered failure runs the rule again.
-  pool.release(2, 4);
-  pool.release(11, 4);
+  pool.release(2, held_by(pool, 2), 4);
+  pool.release(11, held_by(pool, 11), 4);
   EXPECT_EQ(pool.select(4), 10);
   EXPECT_EQ(perf.admission_picks, 4u);
   EXPECT_EQ(perf.admission_skipped, 1u);
@@ -498,7 +521,7 @@ TEST(TilePool, SelectUrgentHonoursTheStarvationBound) {
     pool.enqueue(job, 1, job, job);
     ASSERT_EQ(pool.select_urgent(job), job);
     pool.occupy(job, {3}, job);
-    pool.release(job, job);
+    pool.release(job, held_by(pool, job), job);
   }
   // The head has been bypassed max_bypass times: now only it may go.
   pool.enqueue(22, 1, 22, 22);
@@ -603,7 +626,7 @@ TEST(TilePool, SelectUrgentMatchesALinearScan) {
             const std::int32_t job = live[at];
             live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
             if (op < 92) {
-              pool.release(job, step);
+              pool.release(job, held_by(pool, job), step);
               continue;
             }
             // Checkpoint: free the victim's tiles, re-enqueue it with its
@@ -840,9 +863,13 @@ TEST(TilePool, FreeTileBitsetMatchesARecountAfterEveryChange) {
               for (const PhysTileId t : checkpointing)
                 checkpointed |= model.owner[static_cast<std::size_t>(t)] == job;
               if (checkpointed) break;
-              pool.release(job, now);
-              for (std::int32_t& owner : model.owner)
-                if (owner == job) owner = -1;
+              std::vector<PhysTileId> tiles;
+              for (std::size_t t = 0; t < model.owner.size(); ++t)
+                if (model.owner[t] == job) {
+                  tiles.push_back(static_cast<PhysTileId>(t));
+                  model.owner[t] = -1;
+                }
+              pool.release(job, tiles, now);
               live.erase(std::find(live.begin(), live.end(), job));
               break;
             }

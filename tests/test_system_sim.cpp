@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fixtures.hpp"
 #include "policy/names.hpp"
 #include "policy/prefetch_policy.hpp"
 #include "policy/registry.hpp"
@@ -189,6 +190,33 @@ TEST(OracleReplacement, SeesBeyondTheLookaheadWindow) {
   // resident because the oracle sacrificed A, which never comes back.
   EXPECT_EQ(r.loads, 4);
   EXPECT_EQ(r.reused_subtasks, 3);
+}
+
+TEST(OracleReplacement, SkipsSubtasksWithoutAConfiguration) {
+  // Regression: ISP subtasks carry no configuration, and indexing their
+  // k_no_config for the next-use oracle wrote out of bounds (a segfault).
+  // Two tasks with disjoint configurations on two tiles force evictions,
+  // so the oracle ranks on every bind after the first.
+  const PlatformConfig platform = virtex2_platform(2);
+  const SubtaskGraph first = testing::make_isp_sandwich_graph("first", 0);
+  const SubtaskGraph second = testing::make_isp_sandwich_graph("second", 2);
+  const std::vector<PreparedScenario> prepared = {
+      prepare_scenario(first, platform.tiles, platform),
+      prepare_scenario(second, platform.tiles, platform)};
+  const IterationSampler sampler = [&](Rng& rng) {
+    return std::vector<const PreparedScenario*>{
+        &prepared[static_cast<std::size_t>(rng.next_int(0, 1))]};
+  };
+
+  SimOptions opt = base_options(platform, policy_names::runtime);
+  opt.replacement = ReplacementPolicy::oracle;
+  opt.iterations = 30;
+  const auto r = run_simulation(opt, sampler);
+  EXPECT_EQ(r.instances, 30);
+  EXPECT_EQ(r.drhw_subtask_instances, 60);
+  EXPECT_GT(r.reused_subtasks, 0);
+  // Every DRHW subtask instance is either reused or loaded.
+  EXPECT_EQ(r.loads + r.reused_subtasks, r.drhw_subtask_instances);
 }
 
 /// A diamond of four DRHW subtasks with fixed configurations; `slow`
